@@ -77,15 +77,12 @@ fn run(
             sink.fetch_add(1, Ordering::Relaxed);
         }
     });
-    let routing = live
-        .routing()
-        .cloned()
-        .expect("grid clusterers expose the routing layer");
+    let routing = live.status().clone();
     for r in records {
         live.push(*r).expect("pipeline alive");
     }
     let report = live.finish();
-    let status = routing.status();
+    let status = routing.routing();
     let series = routing.imbalance_series();
     let mut ratios: Vec<f64> = series.iter().map(|&(_, ratio)| ratio).collect();
     let mean = if ratios.is_empty() {

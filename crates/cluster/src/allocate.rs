@@ -40,9 +40,8 @@ fn allocate_impl(snapshot: &Snapshot, grid: &Grid, eps: f64, full: bool) -> Vec<
     out
 }
 
-/// Allocates a single location; exposed for the streaming operator, which
-/// processes record-at-a-time.
-pub fn allocate_one(
+/// Allocates a single location.
+fn allocate_one(
     id: ObjectId,
     location: Point,
     time: Timestamp,
@@ -68,15 +67,15 @@ pub fn allocate_one(
 /// base cell are expanded onto its leaf sub-cells with ε-padded replication
 /// at the sub-cell borders.
 ///
-/// The upstream allocator ([`allocate_one`]) always emits at base-cell
+/// The upstream allocator ([`grid_allocate`]) always emits at base-cell
 /// granularity — the refinement decision lives with the balancer downstream,
 /// so this runs at the snapshot-merge finalizer strictly between two windows
 /// (like routing migrations). Per object:
 ///
 /// * **data** in a refined base → one data object for its home *leaf*, plus
-///   query objects for every sibling leaf intersecting the padded range
-///   region (upper half under Lemma 1) — the replicas that used to be
-///   implicit in same-cell Lemma-2 probing;
+///   query objects for every sibling leaf intersecting the padded upper-half
+///   range region (Lemma 1, as the pipeline allocates) — the replicas that
+///   used to be implicit in same-cell Lemma-2 probing;
 /// * **query** targeting a refined base → query objects for the leaves of
 ///   that base intersecting the padded region (leaves the region misses
 ///   cannot hold ε-partners and are pruned — the refinement win).
@@ -89,7 +88,6 @@ pub fn refine_expand(
     grid: &Grid,
     tree: &RefinementTree,
     eps: f64,
-    full: bool,
 ) -> Vec<GridObject> {
     if tree.is_empty() {
         return objects;
@@ -101,11 +99,7 @@ pub fn refine_expand(
             out.push(o);
             continue;
         }
-        let region = if full {
-            Rect::padded_range_region(o.location, eps)
-        } else {
-            Rect::padded_upper_range_region(o.location, eps)
-        };
+        let region = Rect::padded_upper_range_region(o.location, eps);
         if o.is_query {
             for leaf in grid.leaves_in_rect(o.key, depth, &region) {
                 out.push(GridObject::query(leaf, o.id, o.location, o.time));
@@ -209,7 +203,7 @@ mod tests {
         let grid = Grid::new(1.0);
         let objs = grid_allocate(&s, &grid, 0.9);
         let tree = RefinementTree::new();
-        assert_eq!(refine_expand(objs.clone(), &grid, &tree, 0.9, false), objs);
+        assert_eq!(refine_expand(objs.clone(), &grid, &tree, 0.9), objs);
     }
 
     #[test]
@@ -220,7 +214,7 @@ mod tests {
         // Two objects in base (0,0), sub-cell width 2: u in leaf (0,0)@1,
         // v in leaf (1,1)@1, Chebyshev distance 1.0 ≤ eps.
         let s = snapshot_of(&[(1, 1.5, 1.5), (2, 2.5, 2.5)]);
-        let objs = refine_expand(grid_allocate(&s, &grid, 1.0), &grid, &tree, 1.0, false);
+        let objs = refine_expand(grid_allocate(&s, &grid, 1.0), &grid, &tree, 1.0);
         // Every emitted key lives at the base's depth (no level-0 key for
         // the refined base survives).
         for o in &objs {
@@ -250,7 +244,7 @@ mod tests {
                                                     // A point near the cell's lower-left corner with a small eps: its
                                                     // replicas must not cover the far leaves of the refined base.
         let s = snapshot_of(&[(1, 0.5, 0.5)]);
-        let objs = refine_expand(grid_allocate(&s, &grid, 0.4), &grid, &tree, 0.4, false);
+        let objs = refine_expand(grid_allocate(&s, &grid, 0.4), &grid, &tree, 0.4);
         let in_base: Vec<_> = objs
             .iter()
             .filter(|o| o.key.base_cell() == icpe_index::GridKey::new(0, 0))

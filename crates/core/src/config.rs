@@ -38,6 +38,11 @@ impl Default for Supervision {
 }
 
 /// Which clustering method runs in the clustering phase (§7.1 comparisons).
+///
+/// All three run on the serial [`IcpeEngine`](crate::IcpeEngine) and in the
+/// `fig10`/`fig11`/`range_join` harnesses. The distributed
+/// [`IcpePipeline`](crate::IcpePipeline) is the paper's RJC dataflow and
+/// rejects a configuration selecting SRJ or GDC at launch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ClustererKind {
     /// The paper's range-join clustering (GridAllocate + GridQuery with
@@ -114,12 +119,12 @@ pub struct IcpeConfig {
     pub parallelism: usize,
     /// Fanin of the GridSync aggregation tree (clamped ≥ 2): the sharded
     /// sync stage's `N` partial merges reduce through ⌈N/fanin⌉ combiners
-    /// per level down to one finalizer. Ignored by GDC.
+    /// per level down to one finalizer.
     pub sync_fanin: usize,
     /// Parallelism of the sharded aligner head (TimeAligner + fused
     /// GridAllocate), keyed by trajectory id. Defaults to `parallelism`;
     /// `1` degenerates to a single aligner shard behind the frontier
-    /// router. Ignored by GDC, which keeps the serial head.
+    /// router.
     pub align_shards: usize,
     /// Runtime channel capacity (backpressure depth).
     pub runtime: RuntimeConfig,
@@ -130,8 +135,7 @@ pub struct IcpeConfig {
     /// Hotspot-aware adaptive cell routing for the keyed GridQuery stage:
     /// `Some` runs the load balancer (see `icpe_cluster::balance`) and
     /// swaps cell→subtask routes at window boundaries; `None` (default)
-    /// keeps the paper's static `hash(cell) % N` exchange. Ignored by the
-    /// GDC clusterer, which has no keyed grid stage.
+    /// keeps the paper's static `hash(cell) % N` exchange.
     pub rebalance: Option<BalancerConfig>,
     /// Per-stage/per-exchange instrumentation (default `true`): every
     /// stage records batch-processing-time histograms and records in/out,

@@ -38,6 +38,6 @@ pub use icpe_cluster::{BalancerConfig, SyncStatus};
 pub use icpe_runtime::AlignerStatus;
 pub use icpe_runtime::RoutingStatus;
 pub use pipeline::{
-    AlignHandle, HealthHandle, HealthState, IcpePipeline, LivePipeline, PipelineEvent,
-    PipelineOutput, RecordSender, RoutingHandle, SyncHandle,
+    HealthState, IcpePipeline, LivePipeline, PipelineEvent, PipelineOutput, PipelineStatus,
+    RecordSender, StatusSnapshot,
 };

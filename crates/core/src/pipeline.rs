@@ -37,8 +37,16 @@
 //! runs the load balancer and releases the window to the keyed grid
 //! exchange. Per-record chain work, row buffering, and cell assignment all
 //! scale with `S`; only the frontier bookkeeping (a hash+compare per
-//! record) stays serial. The GDC baseline keeps the serial `align` head —
-//! it has no grid stage to fuse into.
+//! record) stays serial.
+//!
+//! This is the one dataflow the deployment runs. The paper's §7.1
+//! comparison baselines (SRJ, GDC) are snapshot clusterers for the serial
+//! [`IcpeEngine`](crate::IcpeEngine) and the figure harnesses; a
+//! configuration selecting one is rejected at launch.
+//!
+//! Every keyed hop carries the runtime's [`Envelope`]: keyed data, broadcast
+//! snapshot ticks, broadcast checkpoint barriers — one message shape, one
+//! exchange constructor, one tick/barrier counter ([`WindowAlign`]).
 //!
 //! Two entry points are provided:
 //!
@@ -107,28 +115,25 @@
 //! deployment resumes on the checkpointed epoch instead of re-learning
 //! every hotspot.
 
-use crate::config::{ClustererKind, EnumeratorKind, IcpeConfig, Supervision};
-use icpe_cluster::allocate::allocate_one;
+use crate::config::{EnumeratorKind, IcpeConfig, Supervision};
 use icpe_cluster::balance::{imbalance, CellLoad, LoadBalancer, LoadTracker};
 use icpe_cluster::query::NeighborPair;
 use icpe_cluster::sync::{PairCollector, SyncStats, SyncStatus};
-use icpe_cluster::{
-    dbscan_from_pairs, refine_expand, CellQueryEngine, GdcClusterer, SnapshotClusterer,
-};
-use icpe_index::{Grid, GridKey, RTree};
+use icpe_cluster::{dbscan_from_pairs, grid_allocate, refine_expand, CellQueryEngine, GridObject};
+use icpe_index::{Grid, GridKey};
 use icpe_pattern::partition::Partition;
 use icpe_pattern::{id_partitions, BaselineEngine, FbaEngine, PatternEngine, VbaEngine};
 use icpe_runtime::{
-    ingest_channel, AlignStats, AlignerStatus, Collector, Disconnected, Exchange, MetricRegistry,
-    MetricsReport, ObsEventKind, Operator, PipelineMetrics, Routed, Routing, RoutingStatus,
-    RoutingTable, ShardedAligner, StageFailure, Stream, StreamProgress, TimeAligner, TreeSlot,
+    ingest_channel, AlignStats, AlignerStatus, BarrierSeq, Collector, Disconnected, Envelope,
+    Exchange, MetricRegistry, MetricsReport, ObsEventKind, Operator, Partial, PipelineMetrics,
+    Routed, Routing, RoutingStatus, RoutingTable, ShardedAligner, StageFailure, Stream,
+    StreamProgress, TreeCombiner, WindowAlign,
 };
 use icpe_types::shard::{hash_id, stable_hash, subtask_for};
 use icpe_types::{
-    AlignerCheckpoint, CheckpointError, ClusterSnapshot, DbscanParams, DistanceMetric,
-    EngineCheckpoint, GpsRecord, ObjectId, ObsCheckpoint, Pattern, PipelineCheckpoint,
-    ProgressCheckpoint, RoutingCheckpoint, Snapshot, SyncCheckpoint, SyncWindowCheckpoint,
-    Timestamp, CHECKPOINT_VERSION,
+    AlignerCheckpoint, CheckpointError, DbscanParams, DistanceMetric, EngineCheckpoint, GpsRecord,
+    ObjectId, ObsCheckpoint, Pattern, PipelineCheckpoint, ProgressCheckpoint, RoutingCheckpoint,
+    Snapshot, SyncCheckpoint, SyncWindowCheckpoint, Timestamp, CHECKPOINT_VERSION,
 };
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
@@ -189,26 +194,28 @@ struct BarrierRequest {
 #[derive(Debug)]
 pub(crate) struct BarrierToken {
     request: Arc<BarrierRequest>,
-    /// The aligner state captured at the ingest point: under the sharded
-    /// head this is the frontier router's piece (chains + counters + clock
-    /// fields, no rows); under the GDC serial head it is the complete
-    /// aligner checkpoint.
+    /// The aligner state captured at the ingest point: the frontier
+    /// router's piece (chains + counters + clock fields, no rows).
     aligner: AlignerCheckpoint,
     records_ingested: u64,
     /// Filled by the aligner shards as the barrier passes them: one
     /// buffer-only piece per shard (their unsealed rows). The sink merges
     /// these with the router's piece into the canonical aligner section.
-    /// Stays empty under the GDC serial head.
     aligner_shards: Mutex<Vec<AlignerCheckpoint>>,
-    /// Filled by the (single) allocate subtask as the barrier passes it:
+    /// Filled by the snapshot-merge finalizer as the barrier passes it:
     /// the adaptive-routing state at the cut. Stays `None` under static
-    /// routing or the GDC clusterer.
+    /// routing.
     routing: Mutex<Option<RoutingCheckpoint>>,
     /// Filled as the barrier aligns through the sharded sync path: one
     /// piece per sync shard (dedup counters + pending pairs) plus one
-    /// from the tree finalizer (window-seal counter). Merged by the sink;
-    /// stays empty under GDC.
+    /// from the tree finalizer (window-seal counter). Merged by the sink.
     sync: Mutex<Vec<SyncCheckpoint>>,
+}
+
+impl BarrierSeq for BarrierToken {
+    fn seq(&self) -> u64 {
+        self.request.seq
+    }
 }
 
 /// A cloneable handle for pushing records into a running [`LivePipeline`]
@@ -257,84 +264,6 @@ impl RecordSender {
     }
 }
 
-/// A live view of the grid stage's routing layer: the swappable
-/// cell→subtask table plus the shared load accounting. Cloneable and
-/// independent of the [`LivePipeline`]'s lifetime, so status endpoints and
-/// benches can keep reading after [`LivePipeline::finish`].
-#[derive(Debug, Clone)]
-pub struct RoutingHandle {
-    table: Arc<RoutingTable>,
-    tracker: Arc<LoadTracker>,
-}
-
-impl RoutingHandle {
-    /// The current routing status: epoch, table size, cumulative
-    /// migrations, and the per-subtask load split of the most recently
-    /// completed window.
-    pub fn status(&self) -> RoutingStatus {
-        let mut status = self.table.status();
-        if let Some((_, loads)) = self.tracker.last_sealed() {
-            let total: u64 = loads.iter().sum();
-            status.mean_subtask_load = total as f64 / loads.len().max(1) as f64;
-            status.max_subtask_load = loads.iter().copied().max().unwrap_or(0) as f64;
-        }
-        status
-    }
-
-    /// Per-window, per-subtask GridQuery loads, ascending by window time —
-    /// the series the skew bench computes p95 imbalance from.
-    pub fn window_loads(&self) -> Vec<(u32, Vec<u64>)> {
-        self.tracker.sealed_windows()
-    }
-
-    /// Per-window per-cell loads of sealed windows (hindsight analyses;
-    /// see [`LoadTracker::sealed_cell_windows`]).
-    pub fn sealed_cell_windows(&self) -> Vec<(u32, Vec<(GridKey, u64)>)> {
-        self.tracker.sealed_cell_windows()
-    }
-
-    /// `max/mean` subtask load per completed window.
-    pub fn imbalance_series(&self) -> Vec<(u32, f64)> {
-        self.tracker
-            .sealed_windows()
-            .into_iter()
-            .map(|(t, loads)| (t, imbalance(&loads)))
-            .collect()
-    }
-}
-
-/// A live view of the sharded GridSync merge path: cumulative dedup/seal
-/// counters and the per-shard load split of the last sealed window.
-/// Cloneable and independent of the [`LivePipeline`]'s lifetime, like
-/// [`RoutingHandle`].
-#[derive(Debug, Clone)]
-pub struct SyncHandle {
-    stats: Arc<SyncStats>,
-}
-
-impl SyncHandle {
-    /// The current sync gauges.
-    pub fn status(&self) -> SyncStatus {
-        self.stats.status()
-    }
-}
-
-/// A live view of the sharded aligner head: chain counts, per-shard
-/// frontier spread, the sealed frontier, and the late-drop counter.
-/// Cloneable and independent of the [`LivePipeline`]'s lifetime, like
-/// [`SyncHandle`].
-#[derive(Debug, Clone)]
-pub struct AlignHandle {
-    stats: Arc<AlignStats>,
-}
-
-impl AlignHandle {
-    /// The current aligner-head gauges.
-    pub fn status(&self) -> AlignerStatus {
-        self.stats.status()
-    }
-}
-
 /// The supervised pipeline's health, as a state machine:
 ///
 /// ```text
@@ -347,9 +276,10 @@ impl AlignHandle {
 ///
 /// Unsupervised pipelines always report `Healthy`; their failure mode is
 /// the pre-existing panic out of [`LivePipeline::finish`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum HealthState {
     /// Running normally.
+    #[default]
     Healthy,
     /// A stage died; the supervisor is relaunching from the latest cut.
     Recovering,
@@ -372,17 +302,59 @@ impl HealthState {
     }
 }
 
-/// A cloneable, lock-free view of a pipeline's [`HealthState`] — stays
-/// readable after [`LivePipeline::finish`], like the other handles.
-#[derive(Debug, Clone, Default)]
-pub struct HealthHandle {
-    cell: Arc<AtomicU8>,
+/// One point-in-time reading of every surface behind [`PipelineStatus`] —
+/// what the serve tier's `STATUS` and `METRICS` renderers consume.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct StatusSnapshot {
+    /// Supervision health.
+    pub health: HealthState,
+    /// Stream-position gauges (ingested vs. sealed frontier, late drops).
+    pub progress: StreamProgress,
+    /// Latency/throughput summary.
+    pub report: MetricsReport,
+    /// The grid stage's routing layer (epoch, migrations, load split).
+    pub routing: RoutingStatus,
+    /// The sharded GridSync merge path.
+    pub sync: SyncStatus,
+    /// The sharded aligner head.
+    pub align: AlignerStatus,
 }
 
-impl HealthHandle {
-    /// The current state.
-    pub fn get(&self) -> HealthState {
-        match self.cell.load(Ordering::Relaxed) {
+/// The one live status surface of a deployment: health, stream progress,
+/// latency, the routing layer, the sync merge path, the aligner head, and
+/// the metric registry + event journal. Cloneable and independent of the
+/// [`LivePipeline`]'s lifetime, so status endpoints and benches keep
+/// reading after [`LivePipeline::finish`]; under supervision it outlives
+/// dataflow generations — the supervisor rewinds it *to the recovery cut*
+/// before relaunching, so cached clones neither dangle nor double-count.
+#[derive(Debug, Clone)]
+pub struct PipelineStatus {
+    metrics: PipelineMetrics,
+    obs: MetricRegistry,
+    table: Arc<RoutingTable>,
+    tracker: Arc<LoadTracker>,
+    sync: Arc<SyncStats>,
+    align: Arc<AlignStats>,
+    health: Arc<AtomicU8>,
+}
+
+impl PipelineStatus {
+    fn new(config: &IcpeConfig) -> PipelineStatus {
+        PipelineStatus {
+            metrics: PipelineMetrics::new(),
+            obs: MetricRegistry::new(),
+            table: Arc::new(RoutingTable::new()),
+            tracker: Arc::new(LoadTracker::new(config.parallelism)),
+            sync: Arc::new(SyncStats::new(config.parallelism, config.sync_fanin)),
+            align: AlignStats::new(config.align_shards),
+            health: Arc::new(AtomicU8::new(HealthState::Healthy as u8)),
+        }
+    }
+
+    /// The pipeline's current [`HealthState`]. Always `Healthy` for an
+    /// unsupervised launch.
+    pub fn health(&self) -> HealthState {
+        match self.health.load(Ordering::Relaxed) {
             1 => HealthState::Recovering,
             2 => HealthState::Degraded,
             3 => HealthState::Failed,
@@ -390,14 +362,125 @@ impl HealthHandle {
         }
     }
 
-    fn set(&self, state: HealthState) {
-        let v = match state {
-            HealthState::Healthy => 0,
-            HealthState::Recovering => 1,
-            HealthState::Degraded => 2,
-            HealthState::Failed => 3,
-        };
-        self.cell.store(v, Ordering::Relaxed);
+    fn set_health(&self, state: HealthState) {
+        self.health.store(state as u8, Ordering::Relaxed);
+    }
+
+    /// Live stream-position gauges (ingested vs. sealed frontier, lag,
+    /// late-record count).
+    pub fn progress(&self) -> StreamProgress {
+        self.metrics.progress()
+    }
+
+    /// The latency/throughput summary so far.
+    pub fn report(&self) -> MetricsReport {
+        self.metrics.report()
+    }
+
+    /// The grid stage's routing status: epoch, table size, cumulative
+    /// migrations, and the per-subtask load split of the most recently
+    /// completed window.
+    pub fn routing(&self) -> RoutingStatus {
+        let mut status = self.table.status();
+        if let Some((_, loads)) = self.tracker.last_sealed() {
+            let total: u64 = loads.iter().sum();
+            status.mean_subtask_load = total as f64 / loads.len().max(1) as f64;
+            status.max_subtask_load = loads.iter().copied().max().unwrap_or(0) as f64;
+        }
+        status
+    }
+
+    /// The sharded GridSync merge path's gauges: cumulative dedup/seal
+    /// counters and the per-shard load split of the last sealed window.
+    pub fn sync(&self) -> SyncStatus {
+        self.sync.status()
+    }
+
+    /// The sharded aligner head's gauges: chain counts, per-shard frontier
+    /// spread, the sealed frontier, and the late-drop counter.
+    pub fn align(&self) -> AlignerStatus {
+        self.align.status()
+    }
+
+    /// The per-stage/per-exchange metric registry and event journal —
+    /// everything behind the serving layer's `METRICS` and `EVENTS`
+    /// endpoints. Empty (families never registered) when the pipeline was
+    /// launched with [`instrument`](crate::IcpeConfigBuilder::instrument)
+    /// off; journal events are emitted either way.
+    pub fn obs(&self) -> &MetricRegistry {
+        &self.obs
+    }
+
+    /// Every surface above, read once.
+    pub fn snapshot(&self) -> StatusSnapshot {
+        StatusSnapshot {
+            health: self.health(),
+            progress: self.progress(),
+            report: self.report(),
+            routing: self.routing(),
+            sync: self.sync(),
+            align: self.align(),
+        }
+    }
+
+    /// `max/mean` GridQuery subtask load per completed window, ascending
+    /// by window time — the series the skew bench computes p95 imbalance
+    /// from.
+    pub fn imbalance_series(&self) -> Vec<(u32, f64)> {
+        self.tracker
+            .sealed_windows()
+            .into_iter()
+            .map(|(t, loads)| (t, imbalance(&loads)))
+            .collect()
+    }
+
+    /// Per-window per-cell loads of sealed windows (hindsight analyses;
+    /// see [`LoadTracker::sealed_cell_windows`]).
+    pub fn sealed_cell_windows(&self) -> Vec<(u32, Vec<(GridKey, u64)>)> {
+        self.tracker.sealed_cell_windows()
+    }
+
+    /// Rewinds every surface to the state `resume` describes — the
+    /// checkpoint cut on recovery/restore, all-zero on a fresh launch. The
+    /// cumulative counters the replayed records re-earn land on top of the
+    /// cut values, so totals stay conserved across a recovery.
+    fn reset_to(&self, resume: &ResumeState) {
+        let aligner = resume.aligner_ckpt.as_ref();
+        let late_dropped = aligner.map_or(0, |c| c.late_dropped);
+        self.metrics.restore(&ProgressCheckpoint {
+            snapshots_completed: resume.completed,
+            late_records: late_dropped,
+            max_sealed: resume.max_sealed,
+        });
+        // The registry's event journal is deliberately NOT reset: journal
+        // seqs stay monotonic across generations so `EVENTS since-seq`
+        // consumers never see time move backwards; only the counters rewind
+        // to the cut.
+        match &resume.obs {
+            Some(ckpt) => self.obs.reset_counters_to(ckpt),
+            None => self.obs.reset_counters_to(&ObsCheckpoint {
+                counters: Vec::new(),
+            }),
+        }
+        if let Some(balancer) = &resume.balancer {
+            // `install` replaces the table outright; the migration counter
+            // only tops up to the cut value (it may already exceed it after
+            // an in-process restart — migrations really happened).
+            let behind = balancer
+                .cells_migrated()
+                .saturating_sub(self.table.status().cells_migrated);
+            self.table
+                .install(balancer.epoch(), balancer.table_assignments(), behind);
+        }
+        match &resume.sync {
+            Some(ckpt) => {
+                self.sync
+                    .restore(ckpt.pairs_merged, ckpt.duplicates, ckpt.windows_sealed)
+            }
+            None => self.sync.restore(0, 0, 0),
+        }
+        self.align
+            .restore(late_dropped, aligner.and_then(|c| c.sealed_up_to));
     }
 }
 
@@ -410,12 +493,7 @@ impl HealthHandle {
 pub struct LivePipeline {
     input: Option<RecordSender>,
     driver: Option<JoinHandle<()>>,
-    metrics: PipelineMetrics,
-    routing: Option<RoutingHandle>,
-    sync: Option<SyncHandle>,
-    align: Option<AlignHandle>,
-    obs: MetricRegistry,
-    health: HealthHandle,
+    status: PipelineStatus,
 }
 
 impl LivePipeline {
@@ -458,75 +536,16 @@ impl LivePipeline {
             .checkpoint()
     }
 
-    /// The shared latency/throughput recorder — readable while the
-    /// pipeline runs (the serving layer's status endpoint polls this).
-    pub fn metrics(&self) -> &PipelineMetrics {
-        &self.metrics
+    /// The deployment's one status surface (see [`PipelineStatus`]). Clone
+    /// it to keep reading after [`LivePipeline::finish`].
+    pub fn status(&self) -> &PipelineStatus {
+        &self.status
     }
 
-    /// The per-stage/per-exchange metric registry and event journal —
-    /// everything behind the serving layer's `METRICS` and `EVENTS`
-    /// endpoints. Clone it to keep reading after [`LivePipeline::finish`].
-    /// Empty (families never registered) when the pipeline was launched
-    /// with [`instrument`](crate::IcpeConfigBuilder::instrument) off;
-    /// journal events are emitted either way.
+    /// Shorthand for `status().obs()`: the metric registry and event
+    /// journal.
     pub fn obs(&self) -> &MetricRegistry {
-        &self.obs
-    }
-
-    /// Live stream-position gauges (ingested vs. sealed frontier, lag,
-    /// late-record count).
-    pub fn progress(&self) -> StreamProgress {
-        self.metrics.progress()
-    }
-
-    /// The grid stage's routing view (`None` for clusterers without a
-    /// keyed grid stage, i.e. GDC). Clone it to keep reading load and
-    /// epoch gauges after [`LivePipeline::finish`].
-    pub fn routing(&self) -> Option<&RoutingHandle> {
-        self.routing.as_ref()
-    }
-
-    /// Convenience: the current [`RoutingStatus`], when a grid stage runs.
-    pub fn routing_status(&self) -> Option<RoutingStatus> {
-        self.routing.as_ref().map(RoutingHandle::status)
-    }
-
-    /// The sharded GridSync merge path's gauge view (`None` for
-    /// clusterers without a grid sync stage, i.e. GDC). Clone it to keep
-    /// reading after [`LivePipeline::finish`].
-    pub fn sync(&self) -> Option<&SyncHandle> {
-        self.sync.as_ref()
-    }
-
-    /// Convenience: the current [`SyncStatus`], when a sync stage runs.
-    pub fn sync_status(&self) -> Option<SyncStatus> {
-        self.sync.as_ref().map(SyncHandle::status)
-    }
-
-    /// The sharded aligner head's gauge view (`None` under GDC, which
-    /// keeps the serial head). Clone it to keep reading after
-    /// [`LivePipeline::finish`].
-    pub fn align(&self) -> Option<&AlignHandle> {
-        self.align.as_ref()
-    }
-
-    /// Convenience: the current [`AlignerStatus`], when the sharded head
-    /// runs.
-    pub fn align_status(&self) -> Option<AlignerStatus> {
-        self.align.as_ref().map(AlignHandle::status)
-    }
-
-    /// The pipeline's current [`HealthState`]. Always `Healthy` for an
-    /// unsupervised launch.
-    pub fn health(&self) -> HealthState {
-        self.health.get()
-    }
-
-    /// A cloneable health view that stays readable after
-    /// [`LivePipeline::finish`] (the serve tier's `STATUS` caches this).
-    pub fn health_handle(&self) -> HealthHandle {
-        self.health.clone()
+        self.status.obs()
     }
 
     /// Ends the stream (drops this handle's sender) and blocks until the
@@ -541,7 +560,7 @@ impl LivePipeline {
                 std::panic::resume_unwind(payload);
             }
         }
-        self.metrics.report()
+        self.status.report()
     }
 }
 
@@ -554,14 +573,16 @@ impl IcpePipeline {
     /// result is handed to `on_event` as soon as it exists. `on_event` runs
     /// on the pipeline's driver thread; keep it cheap or hand off to a
     /// queue (as `icpe-serve`'s fan-out hub does).
+    ///
+    /// Panics — here, before any thread spawns — if the configuration
+    /// selects a clusterer other than RJC (as do
+    /// [`launch_from`](Self::launch_from) and [`run`](Self::run)).
     pub fn launch(
         config: &IcpeConfig,
         on_event: impl FnMut(PipelineEvent) + Send + 'static,
     ) -> LivePipeline {
-        match config.supervision.clone() {
-            Some(policy) => Self::launch_supervised(config, policy, None, on_event),
-            None => Self::launch_inner(config, ResumeState::fresh(config), on_event),
-        }
+        require_rjc(config);
+        Self::launch_with(config, ResumeState::fresh(config), None, on_event)
     }
 
     /// Launches the dataflow resuming from a checkpoint: the aligner, the
@@ -575,98 +596,66 @@ impl IcpePipeline {
         checkpoint: &PipelineCheckpoint,
         on_event: impl FnMut(PipelineEvent) + Send + 'static,
     ) -> Result<LivePipeline, CheckpointError> {
+        require_rjc(config);
         let resume = ResumeState::from_checkpoint(config, checkpoint)?;
-        Ok(match config.supervision.clone() {
-            Some(policy) => Self::launch_supervised(
-                config,
-                policy,
-                Some((resume, checkpoint.clone())),
-                on_event,
-            ),
-            None => Self::launch_inner(config, resume, on_event),
-        })
+        Ok(Self::launch_with(
+            config,
+            resume,
+            Some(checkpoint),
+            on_event,
+        ))
     }
 
-    fn launch_inner(
+    /// Both launch paths: one dataflow generation driven directly, or —
+    /// with [`Supervision`] configured — behind a supervisor thread.
+    /// Producers then feed the supervisor, which relays into the current
+    /// dataflow *generation*, buffers every record since the latest
+    /// checkpoint cut (`latest`, when resuming), and — when a stage dies —
+    /// tears the generation down, relaunches from that cut under the
+    /// policy's exponential backoff, and replays the buffer. The
+    /// [`PipelineStatus`] survives generations, as does the event sink.
+    fn launch_with(
         config: &IcpeConfig,
         resume: ResumeState,
+        latest: Option<&PipelineCheckpoint>,
         on_event: impl FnMut(PipelineEvent) + Send + 'static,
     ) -> LivePipeline {
-        let shared = SharedHandles::new(config);
-        shared.reset_to(&resume);
+        let status = PipelineStatus::new(config);
+        status.reset_to(&resume);
         let ckpt_seq = Arc::new(AtomicU64::new(resume.next_seq.saturating_sub(1)));
-        let (input, driver) = launch_generation(config, resume, &shared, None, None, on_event);
-        LivePipeline {
-            input: Some(RecordSender {
-                inner: input,
-                ckpt_seq,
-            }),
-            driver: Some(driver),
-            metrics: shared.metrics,
-            routing: shared.routing,
-            sync: shared.sync,
-            align: shared.align,
-            obs: shared.obs,
-            health: HealthHandle::default(),
-        }
-    }
-
-    /// Launches the dataflow behind a supervisor thread: producers feed the
-    /// supervisor, which relays into the current dataflow *generation*,
-    /// buffers every record since the latest checkpoint cut, and — when a
-    /// stage dies — tears the generation down, relaunches from that cut
-    /// under the policy's exponential backoff, and replays the buffer. The
-    /// shared observability handles (metrics, registry, routing, sync,
-    /// align) survive generations, as does the event sink.
-    fn launch_supervised(
-        config: &IcpeConfig,
-        policy: Supervision,
-        start: Option<(ResumeState, PipelineCheckpoint)>,
-        on_event: impl FnMut(PipelineEvent) + Send + 'static,
-    ) -> LivePipeline {
-        let shared = SharedHandles::new(config);
-        let health = HealthHandle::default();
-        let (resume, latest) = match start {
-            Some((resume, ckpt)) => (resume, Some(ckpt)),
-            None => (ResumeState::fresh(config), None),
+        let (inner, driver) = match config.supervision.clone() {
+            None => launch_generation(config, resume, &status, None, None, on_event),
+            Some(policy) => {
+                let (outer_tx, outer_rx) =
+                    ingest_channel::<InputMsg>(config.runtime.channel_capacity);
+                let supervisor = Supervisor {
+                    config: config.clone(),
+                    policy,
+                    status: status.clone(),
+                    ledger: Arc::new(Mutex::new(DeliveryLedger::default())),
+                    sink: Arc::new(Mutex::new(Box::new(on_event))),
+                    outer: outer_rx,
+                    ckpt_seq: Arc::clone(&ckpt_seq),
+                    latest: latest.cloned(),
+                    pending_cut: None,
+                    buffer: Vec::new(),
+                    restarts_used: 0,
+                    restarts_total: 0,
+                    recoveries_total: 0,
+                    recovery_nanos_total: 0,
+                    replayed_total: 0,
+                };
+                let driver = std::thread::Builder::new()
+                    .name("icpe-supervisor".into())
+                    .spawn(move || supervisor.run(resume))
+                    .expect("failed to spawn pipeline supervisor thread");
+                (outer_tx, driver)
+            }
         };
-        shared.reset_to(&resume);
-        let ckpt_seq = Arc::new(AtomicU64::new(resume.next_seq.saturating_sub(1)));
-        let (outer_tx, outer_rx) = ingest_channel::<InputMsg>(config.runtime.channel_capacity);
-        let supervisor = Supervisor {
-            config: config.clone(),
-            policy,
-            shared: shared.clone(),
-            health: health.clone(),
-            ledger: Arc::new(Mutex::new(DeliveryLedger::default())),
-            sink: Arc::new(Mutex::new(Box::new(on_event))),
-            outer: outer_rx,
-            ckpt_seq: Arc::clone(&ckpt_seq),
-            latest,
-            pending_cut: None,
-            buffer: Vec::new(),
-            restarts_used: 0,
-            restarts_total: 0,
-            recoveries_total: 0,
-            recovery_nanos_total: 0,
-            replayed_total: 0,
-        };
-        let driver = std::thread::Builder::new()
-            .name("icpe-supervisor".into())
-            .spawn(move || supervisor.run(resume))
-            .expect("failed to spawn pipeline supervisor thread");
         LivePipeline {
-            input: Some(RecordSender {
-                inner: outer_tx,
-                ckpt_seq,
-            }),
+            input: Some(RecordSender { inner, ckpt_seq }),
             driver: Some(driver),
-            metrics: shared.metrics,
-            routing: shared.routing,
-            sync: shared.sync,
-            align: shared.align,
-            obs: shared.obs,
-            health,
+            status,
         }
     }
 
@@ -699,129 +688,38 @@ impl IcpePipeline {
     }
 }
 
+/// The distributed deployment is the paper's RJC dataflow and nothing
+/// else: refuse any other clusterer on the caller's thread, before a single
+/// stage thread exists. (The SRJ/GDC comparison baselines run on
+/// [`IcpeEngine`](crate::IcpeEngine).)
+fn require_rjc(config: &IcpeConfig) {
+    assert!(
+        config.clusterer == crate::config::ClustererKind::Rjc,
+        "IcpePipeline runs the RJC dataflow only; the {} baseline runs on IcpeEngine",
+        config.clusterer.name()
+    );
+}
+
 // ---- supervision -----------------------------------------------------------
 
-/// The observability surfaces that outlive a dataflow generation: the
-/// supervisor resets them *to the recovery cut* before relaunching, so
-/// cached handles (serve's `STATUS`/`METRICS`, benches) stay valid across
-/// restarts instead of dangling or double-counting.
-#[derive(Debug, Clone)]
-struct SharedHandles {
-    metrics: PipelineMetrics,
-    obs: MetricRegistry,
-    routing: Option<RoutingHandle>,
-    sync: Option<SyncHandle>,
-    align: Option<AlignHandle>,
-}
-
-impl SharedHandles {
-    /// Fresh, empty handles for one deployment. The routing/sync/align
-    /// surfaces exist whenever a keyed grid stage runs; GDC keeps the
-    /// serial head and carries none of them.
-    fn new(config: &IcpeConfig) -> SharedHandles {
-        let grid = config.clusterer != ClustererKind::Gdc;
-        SharedHandles {
-            metrics: PipelineMetrics::new(),
-            obs: MetricRegistry::new(),
-            routing: grid.then(|| RoutingHandle {
-                table: Arc::new(RoutingTable::new()),
-                tracker: Arc::new(LoadTracker::new(config.parallelism)),
-            }),
-            sync: grid.then(|| SyncHandle {
-                stats: Arc::new(SyncStats::new(config.parallelism, config.sync_fanin)),
-            }),
-            align: grid.then(|| AlignHandle {
-                stats: AlignStats::new(config.align_shards),
-            }),
-        }
-    }
-
-    /// Rewinds every shared surface to the state `resume` describes — the
-    /// checkpoint cut on recovery/restore, all-zero on a fresh launch. The
-    /// cumulative counters the replayed records re-earn land on top of the
-    /// cut values, so totals stay conserved across a recovery.
-    fn reset_to(&self, resume: &ResumeState) {
-        self.metrics.restore(&ProgressCheckpoint {
-            snapshots_completed: resume.completed,
-            late_records: resume.aligner.late_dropped(),
-            max_sealed: resume.max_sealed,
-        });
-        // The registry's event journal is deliberately NOT reset: journal
-        // seqs stay monotonic across generations so `EVENTS since-seq`
-        // consumers never see time move backwards; only the counters rewind
-        // to the cut.
-        match &resume.obs {
-            Some(ckpt) => self.obs.reset_counters_to(ckpt),
-            None => self.obs.reset_counters_to(&ObsCheckpoint {
-                counters: Vec::new(),
-            }),
-        }
-        if let (Some(routing), Some(balancer)) = (&self.routing, &resume.balancer) {
-            // `install` replaces the table outright; the migration counter
-            // only tops up to the cut value (it may already exceed it after
-            // an in-process restart — migrations really happened).
-            let behind = balancer
-                .cells_migrated()
-                .saturating_sub(routing.table.status().cells_migrated);
-            routing
-                .table
-                .install(balancer.epoch(), balancer.table_assignments(), behind);
-        }
-        if let Some(sync) = &self.sync {
-            match &resume.sync {
-                Some(ckpt) => {
-                    sync.stats
-                        .restore(ckpt.pairs_merged, ckpt.duplicates, ckpt.windows_sealed)
-                }
-                None => sync.stats.restore(0, 0, 0),
-            }
-        }
-        if let Some(align) = &self.align {
-            align.stats.restore(
-                resume.aligner.late_dropped(),
-                resume.aligner_ckpt.as_ref().and_then(|c| c.sealed_up_to),
-            );
-        }
-    }
-}
-
 /// Spawns one dataflow *generation*: the ingest channel plus the driver
-/// thread running [`drive`] against the shared handles. Both launch paths
-/// go through here; the supervised one passes a failure channel (stage
-/// panics report instead of poisoning the process) and the delivery
+/// thread running [`drive`] against the shared status surface. Both launch
+/// paths go through here; the supervised one passes a failure channel
+/// (stage panics report instead of poisoning the process) and the delivery
 /// ledger (exactly-once output across recovery cuts).
 fn launch_generation(
     config: &IcpeConfig,
     resume: ResumeState,
-    shared: &SharedHandles,
+    status: &PipelineStatus,
     failures: Option<crossbeam::channel::Sender<StageFailure>>,
     ledger: Option<Arc<Mutex<DeliveryLedger>>>,
     on_event: impl FnMut(PipelineEvent) + Send + 'static,
 ) -> (crossbeam::channel::Sender<InputMsg>, JoinHandle<()>) {
     let (input, records) = ingest_channel::<InputMsg>(config.runtime.channel_capacity);
-    let driver_config = config.clone();
-    let driver_metrics = shared.metrics.clone();
-    let driver_routing = shared.routing.clone();
-    let driver_sync = shared.sync.clone();
-    let driver_align = shared.align.clone();
-    let driver_obs = shared.obs.clone();
+    let (config, status) = (config.clone(), status.clone());
     let driver = std::thread::Builder::new()
         .name("icpe-driver".into())
-        .spawn(move || {
-            drive(
-                driver_config,
-                records,
-                driver_metrics,
-                resume,
-                driver_routing,
-                driver_sync,
-                driver_align,
-                driver_obs,
-                failures,
-                ledger,
-                on_event,
-            )
-        })
+        .spawn(move || drive(config, records, resume, status, failures, ledger, on_event))
         .expect("failed to spawn pipeline driver thread");
     (input, driver)
 }
@@ -957,8 +855,7 @@ struct Generation {
 struct Supervisor {
     config: IcpeConfig,
     policy: Supervision,
-    shared: SharedHandles,
-    health: HealthHandle,
+    status: PipelineStatus,
     ledger: Arc<Mutex<DeliveryLedger>>,
     /// The user's event sink, shared across generations (each generation's
     /// driver funnels admitted deliveries through it).
@@ -1141,9 +1038,9 @@ impl Supervisor {
     /// `None` once the restart budget is spent (pipeline terminally
     /// [`HealthState::Failed`]).
     fn respawn(&mut self, failure: StageFailure) -> Option<Generation> {
-        self.health.set(HealthState::Recovering);
+        self.status.set_health(HealthState::Recovering);
         let started = Instant::now();
-        self.shared.obs.emit(ObsEventKind::StageFailed {
+        self.status.obs.emit(ObsEventKind::StageFailed {
             stage: failure.stage.clone(),
             subtask: failure.subtask as u64,
         });
@@ -1162,8 +1059,8 @@ impl Supervisor {
         }
         loop {
             if self.restarts_used >= self.policy.max_restarts {
-                self.health.set(HealthState::Failed);
-                self.shared.obs.emit(ObsEventKind::PipelineFailed {
+                self.status.set_health(HealthState::Failed);
+                self.status.obs.emit(ObsEventKind::PipelineFailed {
                     restarts: self.restarts_used as u64,
                 });
                 self.sync_supervisor_metrics();
@@ -1176,7 +1073,7 @@ impl Supervisor {
             self.restarts_used += 1;
             self.restarts_total += 1;
             let attempt = self.restarts_used;
-            self.shared.obs.emit(ObsEventKind::PipelineRecovering {
+            self.status.obs.emit(ObsEventKind::PipelineRecovering {
                 restart: attempt as u64,
             });
             std::thread::sleep(self.backoff_for(attempt));
@@ -1193,7 +1090,7 @@ impl Supervisor {
                 },
                 None => ResumeState::fresh(&self.config),
             };
-            self.shared.reset_to(&resume);
+            self.status.reset_to(&resume);
             self.ledger
                 .lock()
                 .expect("delivery ledger poisoned")
@@ -1217,13 +1114,13 @@ impl Supervisor {
             self.recoveries_total += 1;
             self.recovery_nanos_total += started.elapsed().as_nanos() as u64;
             self.replayed_total += replayed;
-            self.shared.obs.emit(ObsEventKind::PipelineRecovered {
+            self.status.obs.emit(ObsEventKind::PipelineRecovered {
                 restart: attempt as u64,
                 replayed,
             });
             self.sync_supervisor_metrics();
-            self.health
-                .set(if self.restarts_used * 2 > self.policy.max_restarts {
+            self.status
+                .set_health(if self.restarts_used * 2 > self.policy.max_restarts {
                     HealthState::Degraded
                 } else {
                     HealthState::Healthy
@@ -1274,7 +1171,7 @@ impl Supervisor {
     /// convention), and refreshes the mean-recovery gauge.
     fn sync_supervisor_metrics(&self) {
         let top_up = |name: &str, total: u64| {
-            let c = self.shared.obs.counter("supervisor", 0, name);
+            let c = self.status.obs.counter("supervisor", 0, name);
             c.add(total.saturating_sub(c.get()));
         };
         top_up("pipeline_restarts_total", self.restarts_total);
@@ -1286,7 +1183,7 @@ impl Supervisor {
             .checked_div(self.recoveries_total)
             .unwrap_or(0)
             / 1_000_000;
-        self.shared
+        self.status
             .obs
             .gauge("supervisor", 0, "mean_recovery_ms")
             .set(mean_ms);
@@ -1301,7 +1198,7 @@ impl Supervisor {
         let (input, driver) = launch_generation(
             &self.config,
             resume,
-            &self.shared,
+            &self.status,
             Some(failure_tx.clone()),
             Some(Arc::clone(&self.ledger)),
             on_event,
@@ -1359,14 +1256,12 @@ pub(crate) fn restore_engine(
 /// spawns, so a bad checkpoint fails the launch instead of panicking a
 /// subtask later.
 struct ResumeState {
-    /// The serial aligner for the GDC head; also the source of the
-    /// restored late-drop gauge either way.
-    aligner: TimeAligner,
     /// The checkpoint's merged aligner section (`None` on a fresh launch):
     /// the sharded head rebuilds its router (chains + counters) and
     /// owner-filters the buffered rows onto the restored deployment's
     /// aligner shards from this — possibly at a different shard count than
-    /// the one that wrote it.
+    /// the one that wrote it. Also the source of the restored late-drop
+    /// gauge.
     aligner_ckpt: Option<AlignerCheckpoint>,
     /// One pre-built engine per enumeration subtask.
     engines: Vec<Box<dyn PatternEngine + Send>>,
@@ -1392,7 +1287,6 @@ impl ResumeState {
     fn fresh(config: &IcpeConfig) -> ResumeState {
         let engine_config = config.engine_config();
         ResumeState {
-            aligner: TimeAligner::new(config.aligner),
             aligner_ckpt: None,
             engines: (0..config.parallelism)
                 .map(|_| build_engine(config.enumerator, engine_config))
@@ -1447,7 +1341,6 @@ impl ResumeState {
             None => LoadBalancer::new(bc, n),
         });
         Ok(ResumeState {
-            aligner: TimeAligner::from_checkpoint(config.aligner, &ckpt.aligner),
             aligner_ckpt: Some(ckpt.aligner.clone()),
             engines,
             balancer,
@@ -1463,34 +1356,22 @@ impl ResumeState {
 
 /// Driver-thread body of a launched pipeline: builds the dataflow with a
 /// channel source and drains it into the event callback.
-#[allow(clippy::too_many_arguments)]
 fn drive(
     config: IcpeConfig,
     records: crossbeam::channel::Receiver<InputMsg>,
-    metrics: PipelineMetrics,
-    resume: ResumeState,
-    routing: Option<RoutingHandle>,
-    sync: Option<SyncHandle>,
-    align: Option<AlignHandle>,
-    obs: MetricRegistry,
+    mut resume: ResumeState,
+    status: PipelineStatus,
     failures: Option<crossbeam::channel::Sender<StageFailure>>,
     ledger: Option<Arc<Mutex<DeliveryLedger>>>,
     mut on_event: impl FnMut(PipelineEvent) + Send + 'static,
 ) {
     let n = config.parallelism;
-    let ResumeState {
-        aligner,
-        aligner_ckpt,
-        engines,
-        balancer,
-        sync: sync_resume,
-        records_ingested,
-        completed,
-        ..
-    } = resume;
-
+    let mut completed = resume.completed;
     let engine_cells: Vec<Mutex<Option<Box<dyn PatternEngine + Send>>>> =
-        engines.into_iter().map(|e| Mutex::new(Some(e))).collect();
+        std::mem::take(&mut resume.engines)
+            .into_iter()
+            .map(|e| Mutex::new(Some(e)))
+            .collect();
 
     let mut source = Stream::from_channel(config.runtime.clone(), records);
     if let Some(reports) = failures {
@@ -1505,28 +1386,14 @@ fn drive(
         // record counts; every exchange hop records queue depth and
         // blocked-send time. With `instrument` off the stages carry no
         // observation state at all — the bench's no-op baseline.
-        source = source.instrument(&obs);
+        source = source.instrument(&status.obs);
     }
-    let partitions = cluster_stages(
-        source,
-        &config,
-        &metrics,
-        &obs,
-        routing,
-        balancer,
-        sync,
-        sync_resume,
-        align,
-        aligner,
-        aligner_ckpt,
-        records_ingested,
-    );
+    let partitions = cluster_stages(source, &config, &status, resume);
     let outputs = partitions.apply(
         "enumerate",
         n,
-        Exchange::per_record(|msg: &PartMsg| match msg {
-            PartMsg::Part { partition, .. } => Routing::Key(hash_id(partition.owner)),
-            PartMsg::Tick(_) | PartMsg::Barrier(_) => Routing::Broadcast,
+        Exchange::envelope(|(_, partition): &(u32, Partition)| {
+            Routing::Key(hash_id(partition.owner))
         }),
         move |i| EnumerateOp {
             subtask: i,
@@ -1539,8 +1406,8 @@ fn drive(
         },
     );
 
-    let mut done_counts: HashMap<u32, usize> = HashMap::new();
-    let mut completed = completed;
+    let PipelineStatus { metrics, obs, .. } = &status;
+    let mut done: WindowAlign<()> = WindowAlign::new(n);
     // In-flight checkpoint assemblies: seq → collected engine pieces.
     let mut pending_ckpts: HashMap<u64, (Arc<BarrierToken>, Vec<EngineCheckpoint>)> =
         HashMap::new();
@@ -1560,10 +1427,7 @@ fn drive(
             }
         }
         OutMsg::Done(t) => {
-            let c = done_counts.entry(t).or_insert(0);
-            *c += 1;
-            if *c == n {
-                done_counts.remove(&t);
+            if done.tick(t).is_some() {
                 // Progress accounting always runs — the shared surfaces
                 // were rewound to the cut, and replayed seals re-earn
                 // their place in them. Only the *user-facing* sealed
@@ -1606,31 +1470,22 @@ fn drive(
                 // barrier has aligned through every sync shard and the
                 // tree finalizer (their channel sends happen-before the
                 // enumeration pieces'), so the slot holds all N + 1 sync
-                // pieces; empty under GDC.
+                // pieces.
                 let sync_pieces =
                     std::mem::take(&mut *token.sync.lock().expect("sync slot poisoned"));
-                let sync = (!sync_pieces.is_empty()).then(|| SyncCheckpoint::merge(sync_pieces));
                 // Same happens-before argument for the aligner shards: each
                 // deposits its buffer-only piece before forwarding the
                 // barrier into the snapshot-merge tree. The router's piece
                 // (chains + counters) plus the shard pieces merge into one
-                // canonical, shard-count-independent aligner section; under
-                // the GDC serial head the slot is empty and the token
-                // already carries the complete checkpoint.
-                let shard_pieces = std::mem::take(
-                    &mut *token
+                // canonical, shard-count-independent aligner section.
+                let mut aligner_pieces = vec![token.aligner.clone()];
+                aligner_pieces.append(
+                    &mut token
                         .aligner_shards
                         .lock()
                         .expect("aligner shard slot poisoned"),
                 );
-                let aligner = if shard_pieces.is_empty() {
-                    token.aligner.clone()
-                } else {
-                    let mut pieces = Vec::with_capacity(shard_pieces.len() + 1);
-                    pieces.push(token.aligner.clone());
-                    pieces.extend(shard_pieces);
-                    AlignerCheckpoint::merge(pieces)
-                };
+                let aligner = AlignerCheckpoint::merge(aligner_pieces);
                 let checkpoint = PipelineCheckpoint {
                     version: CHECKPOINT_VERSION,
                     seq: token.request.seq,
@@ -1644,10 +1499,10 @@ fn drive(
                     },
                     aligner,
                     engine,
-                    // Deposited by the allocate subtask as the barrier
-                    // passed it; `None` under static routing / GDC.
+                    // Deposited by the snapshot-merge finalizer as the
+                    // barrier passed it; `None` under static routing.
                     routing: token.routing.lock().expect("routing slot poisoned").clone(),
-                    sync,
+                    sync: Some(SyncCheckpoint::merge(sync_pieces)),
                     // The registry's cumulative counters at (just after)
                     // the cut — a restored deployment's METRICS totals
                     // continue from here.
@@ -1674,334 +1529,215 @@ fn drive(
     });
 }
 
-/// Builds the full clustering dataflow — alignment head included — for
-/// the configured method, producing the keyed partition stream consumed
-/// by enumeration. The grid clusterers run the sharded head (frontier
-/// router → aligner shards with fused GridAllocate → snapshot-merge
-/// tree); GDC keeps the serial `align` stage, having no grid work to
-/// fuse into shards.
-#[allow(clippy::too_many_arguments)]
+/// Builds the clustering dataflow — alignment head included — producing
+/// the keyed partition stream consumed by enumeration: frontier router →
+/// aligner shards with fused GridAllocate → snapshot-merge tree →
+/// GridQuery → GridSync shards → sync-merge tree with DBSCAN.
 fn cluster_stages(
     source: Stream<InputMsg>,
     config: &IcpeConfig,
-    metrics: &PipelineMetrics,
-    obs: &MetricRegistry,
-    routing: Option<RoutingHandle>,
-    balancer: Option<LoadBalancer>,
-    sync: Option<SyncHandle>,
-    sync_resume: Option<SyncCheckpoint>,
-    align: Option<AlignHandle>,
-    aligner: TimeAligner,
-    aligner_ckpt: Option<AlignerCheckpoint>,
-    records_ingested: u64,
+    status: &PipelineStatus,
+    resume: ResumeState,
 ) -> Stream<PartMsg> {
     let n = config.parallelism;
     let m = config.constraints.m();
     let dbscan = config.dbscan;
     let metric = config.metric;
     let lg = config.lg;
-    match config.clusterer {
-        ClustererKind::Rjc | ClustererKind::Srj => {
-            let full_replication = config.clusterer == ClustererKind::Srj;
-            let build_then_query = full_replication;
-            let routing = routing.expect("grid clusterers run with a routing layer");
-            let table = Arc::clone(&routing.table);
-            let tracker = Arc::clone(&routing.tracker);
-            let sync_stats = Arc::clone(&sync.expect("grid clusterers run with sync stats").stats);
-            let align_stats =
-                Arc::clone(&align.expect("grid clusterers run the sharded head").stats);
-            let shards = config.align_shards;
-            // The frontier router: the one serial subtask, owning the
-            // chains (partitioned by shard) and the global seal frontier.
-            // On restore it rebuilds from the checkpoint's canonical
-            // aligner section — at this deployment's shard count, which
-            // may differ from the one that wrote it.
-            let router = match &aligner_ckpt {
-                Some(ckpt) => ShardedAligner::from_checkpoint(config.aligner, shards, ckpt),
-                None => ShardedAligner::new(config.aligner, shards),
-            };
-            let routed = source.single(
-                "align-route",
-                Exchange::Rebalance,
-                AlignRouteOp {
-                    reported_late: router.late_dropped_total(),
-                    router,
-                    metrics: metrics.clone(),
-                    obs: obs.clone(),
-                    stats: Arc::clone(&align_stats),
-                    records_ingested,
-                    buckets: vec![Vec::new(); shards],
-                    sealed: Vec::new(),
-                },
-            );
-            // S aligner shards, keyed by trajectory: each buffers the rows
-            // of its trajectories and — at the router's Seal punctuation —
-            // runs GridAllocate over them (per-record stateless, so the
-            // cell-assignment work rides the shards for free) and emits
-            // one grid-object partial per sealed time.
-            let eps = dbscan.eps;
-            let shard_partials = routed.apply(
-                "align-shard",
-                shards,
-                Exchange::per_record(|msg: &RouteMsg| match msg {
-                    RouteMsg::Records { shard, .. } => Routing::Key(*shard as u64),
-                    RouteMsg::Seal { .. } | RouteMsg::Barrier(_) => Routing::Broadcast,
-                }),
-                move |i| {
-                    let mut buffers = BTreeMap::new();
-                    if let Some(ckpt) = aligner_ckpt.as_ref() {
-                        // The same owner→shard mapping the exchange routes
-                        // by, so each shard reloads exactly the buffered
-                        // rows it will keep receiving.
-                        let piece =
-                            ckpt.piece(false, |owner| subtask_for(hash_id(owner), shards) == i);
-                        for snapshot in piece.buffers {
-                            buffers.insert(snapshot.time.0, snapshot);
-                        }
-                    }
-                    AlignShardOp {
-                        shard: i,
-                        grid: Grid::new(lg),
-                        eps,
-                        full_replication,
-                        buffers,
-                    }
-                },
-            );
-            // The partials reduce through an aggregation tree (same fanin
-            // as the sync tree, ticks and barriers aligned at every level)
-            // down to the one finalizer that runs the load balancer and
-            // releases each window to the keyed grid exchange.
-            let m0 = metrics.clone();
-            let final_obs = obs.clone();
-            let final_balancer = balancer;
-            let final_table = Arc::clone(&table);
-            let final_tracker = Arc::clone(&tracker);
-            let grid_objects = shard_partials.reduce_tree(
-                "snap-merge",
-                shards,
-                config.sync_fanin,
-                |msg: &SnapMsg| msg.from(),
-                |slot| SnapCombineOp {
-                    slot,
-                    align: TreeWindowAlign::new(slot.inputs),
-                },
-                move |inputs| SnapFinalOp {
-                    metrics: m0,
-                    obs: final_obs,
-                    balancer: final_balancer,
-                    table: final_table,
-                    tracker: final_tracker,
-                    align: TreeWindowAlign::new(inputs),
-                    grid: Grid::new(lg),
-                    eps: dbscan.eps,
-                    full_replication,
-                },
-            );
-            // Keyed on the grid cell either statically (`hash % N`) or
-            // through the swappable routing table; ticks and barriers
-            // broadcast either way.
-            let route = |msg: &ClusterMsg| match msg {
-                ClusterMsg::Obj(o) => Routing::Key(stable_hash(&o.key)),
-                ClusterMsg::Tick(_) | ClusterMsg::Barrier(_) => Routing::Broadcast,
-            };
-            let exchange = if config.rebalance.is_some() {
-                Exchange::dynamic(table, route)
-            } else {
-                Exchange::per_record(route)
-            };
-            let pairs = grid_objects.apply("grid-query", n, exchange, move |subtask| {
-                QueryOp::new(
-                    dbscan.eps,
-                    metric,
-                    build_then_query,
-                    subtask,
-                    n,
-                    Arc::clone(&tracker),
-                )
-            });
-            // The sharded merge path: pairs key on their owner's shard so
-            // every duplicate of a pair meets its twin on one subtask,
-            // each shard dedups the partitions it owns, and the partial
-            // merges reduce through the aggregation tree down to the one
-            // finalizer that runs DBSCAN and seals the window.
-            let shard_stats = Arc::clone(&sync_stats);
-            let shard_resume = sync_resume.clone();
-            let partials = pairs.apply(
-                "sync-shard",
-                n,
-                Exchange::per_record(|msg: &PairMsg| match msg {
-                    PairMsg::Pairs { shard, .. } => Routing::Key(*shard as u64),
-                    PairMsg::Tick(_) | PairMsg::Barrier(_) => Routing::Broadcast,
-                }),
-                move |i| ShardSyncOp::build(i, n, Arc::clone(&shard_stats), shard_resume.as_ref()),
-            );
-            let final_stats = Arc::clone(&sync_stats);
-            let windows_sealed = sync_resume.map(|s| s.windows_sealed).unwrap_or(0);
-            partials.reduce_tree(
-                "sync-merge",
-                n,
-                config.sync_fanin,
-                |msg: &MergeMsg| msg.from(),
-                |slot| MergeCombineOp {
-                    slot,
-                    align: TreeWindowAlign::new(slot.inputs),
-                },
-                move |inputs| MergeFinalOp {
-                    m,
-                    dbscan,
-                    stats: final_stats,
-                    windows_sealed,
-                    align: TreeWindowAlign::new(inputs),
-                },
-            )
-        }
-        ClustererKind::Gdc => {
-            // The serial head: §4 alignment and the checkpoint cut in one
-            // subtask, complete aligner checkpoints in the token.
-            let snapshots = source.single(
-                "align",
-                Exchange::Rebalance,
-                AlignBarrierOp {
-                    reported_late: aligner.late_dropped(),
-                    aligner,
-                    metrics: metrics.clone(),
-                    obs: obs.clone(),
-                    records_ingested,
-                    scratch: Vec::new(),
-                },
-            );
-            let m0 = metrics.clone();
-            snapshots.single(
-                "gdc-cluster",
-                Exchange::Rebalance,
-                GdcOp {
-                    clusterer: GdcClusterer::new(dbscan, metric),
-                    m,
-                    metrics: m0,
-                },
-            )
-        }
-    }
+    let eps = dbscan.eps;
+    let shards = config.align_shards;
+    let ResumeState {
+        aligner_ckpt,
+        balancer,
+        sync: sync_resume,
+        records_ingested,
+        ..
+    } = resume;
+    // The frontier router: the one serial subtask, owning the chains
+    // (partitioned by shard) and the global seal frontier. On restore it
+    // rebuilds from the checkpoint's canonical aligner section — at this
+    // deployment's shard count, which may differ from the one that wrote
+    // it.
+    let router = match &aligner_ckpt {
+        Some(ckpt) => ShardedAligner::from_checkpoint(config.aligner, shards, ckpt),
+        None => ShardedAligner::new(config.aligner, shards),
+    };
+    let routed = source.single(
+        "align-route",
+        Exchange::Rebalance,
+        AlignRouteOp {
+            reported_late: router.late_dropped_total(),
+            router,
+            metrics: status.metrics.clone(),
+            obs: status.obs.clone(),
+            stats: Arc::clone(&status.align),
+            records_ingested,
+            buckets: vec![Vec::new(); shards],
+            sealed: Vec::new(),
+        },
+    );
+    // S aligner shards, keyed by trajectory: each buffers the rows of its
+    // trajectories and — at the router's Seal punctuation — runs
+    // GridAllocate over them (per-record stateless, so the cell-assignment
+    // work rides the shards for free) and emits one grid-object partial
+    // per sealed time.
+    let shard_partials = routed.apply(
+        "align-shard",
+        shards,
+        Exchange::envelope(|msg: &RouteData| match msg {
+            RouteData::Records { shard, .. } => Routing::Key(*shard as u64),
+            RouteData::Seal { .. } => Routing::Broadcast,
+        }),
+        move |i| {
+            let mut buffers = BTreeMap::new();
+            if let Some(ckpt) = aligner_ckpt.as_ref() {
+                // The same owner→shard mapping the exchange routes by, so
+                // each shard reloads exactly the buffered rows it will
+                // keep receiving.
+                let piece = ckpt.piece(false, |owner| subtask_for(hash_id(owner), shards) == i);
+                for snapshot in piece.buffers {
+                    buffers.insert(snapshot.time.0, snapshot);
+                }
+            }
+            AlignShardOp {
+                shard: i,
+                grid: Grid::new(lg),
+                eps,
+                buffers,
+            }
+        },
+    );
+    // The partials reduce through an aggregation tree (same fanin as the
+    // sync tree, ticks and barriers aligned at every level) down to the
+    // one finalizer that runs the load balancer and releases each window
+    // to the keyed grid exchange.
+    let final_status = status.clone();
+    let grid_objects = shard_partials.reduce_tree(
+        "snap-merge",
+        shards,
+        config.sync_fanin,
+        |slot| TreeCombiner::new(slot.inputs),
+        move |inputs| SnapFinalOp {
+            status: final_status,
+            balancer,
+            align: WindowAlign::new(inputs),
+            grid: Grid::new(lg),
+            eps,
+        },
+    );
+    // Keyed on the grid cell either statically (`hash % N`) or through the
+    // swappable routing table; ticks and barriers broadcast either way.
+    let by_cell = |o: &GridObject| Routing::Key(stable_hash(&o.key));
+    let exchange = match config.rebalance {
+        Some(_) => Exchange::envelope_via(Arc::clone(&status.table), by_cell),
+        None => Exchange::envelope(by_cell),
+    };
+    let tracker = Arc::clone(&status.tracker);
+    let pairs = grid_objects.apply("grid-query", n, exchange, move |subtask| QueryOp {
+        eps,
+        metric,
+        subtask,
+        tracker: Arc::clone(&tracker),
+        buffers: BTreeMap::new(),
+        cell_pairs: Vec::new(),
+        shard_pairs: vec![Vec::new(); n],
+    });
+    // The sharded merge path: pairs key on their owner's shard so every
+    // duplicate of a pair meets its twin on one subtask, each shard dedups
+    // the partitions it owns, and the partial merges reduce through the
+    // aggregation tree down to the one finalizer that runs DBSCAN and
+    // seals the window.
+    let shard_stats = Arc::clone(&status.sync);
+    let shard_resume = sync_resume.clone();
+    let partials = pairs.apply(
+        "sync-shard",
+        n,
+        Exchange::envelope(|bundle: &PairBundle| Routing::Key(bundle.shard as u64)),
+        move |i| ShardSyncOp::build(i, n, Arc::clone(&shard_stats), shard_resume.as_ref()),
+    );
+    let stats = Arc::clone(&status.sync);
+    let windows_sealed = sync_resume.map_or(0, |s| s.windows_sealed);
+    partials.reduce_tree(
+        "sync-merge",
+        n,
+        config.sync_fanin,
+        |slot| TreeCombiner::new(slot.inputs),
+        move |inputs| MergeFinalOp {
+            m,
+            dbscan,
+            stats,
+            windows_sealed,
+            align: WindowAlign::new(inputs),
+        },
+    )
 }
 
 // ---- messages --------------------------------------------------------------
 
-/// Align → clustering (the GDC serial head).
-#[derive(Debug, Clone)]
-enum AlignMsg {
-    Snapshot(Snapshot),
-    /// Checkpoint barrier: trails every snapshot sealed before the cut.
-    Barrier(Arc<BarrierToken>),
-}
+/// The barrier as every hop after the frontier router carries it.
+type Token = Arc<BarrierToken>;
 
-/// Frontier router → aligner shards. Kept records travel keyed by their
-/// owning shard; seal punctuation and barriers broadcast. The router
-/// flushes every record bucket before emitting a `Seal`, so on each shard
-/// channel the rows of a time always precede the punctuation listing it.
+/// Frontier router → aligner shards. The router flushes every record
+/// bucket before emitting a `Seal`, so on each shard channel the rows of a
+/// time always precede the punctuation listing it. The barrier carries the
+/// router's piece; width-1 upstream, so shards forward it without
+/// alignment counting.
+type RouteMsg = Envelope<RouteData, Token>;
+
 #[derive(Debug, Clone)]
-enum RouteMsg {
-    /// Kept records of one shard's trajectories, arrival order preserved.
+enum RouteData {
+    /// Kept records of one shard's trajectories, arrival order preserved;
+    /// keyed by the owning shard.
     Records { shard: u32, records: Vec<GpsRecord> },
     /// These times sealed (ascending): flush their buffered rows through
-    /// GridAllocate and tick the snapshot-merge tree.
+    /// GridAllocate and tick the snapshot-merge tree. Broadcast — one
+    /// message per router batch however many times it sealed.
     Seal { times: Vec<u32> },
-    /// Checkpoint barrier carrying the router's piece; width-1 upstream,
-    /// so shards forward without alignment counting.
-    Barrier(Arc<BarrierToken>),
 }
 
-/// Aligner shards → snapshot-merge tree → finalizer. Every variant
-/// carries its producer's index for [`Stream::reduce_tree`] routing,
-/// exactly like [`MergeMsg`] on the sync path.
-#[derive(Debug, Clone)]
-enum SnapMsg {
-    /// One producer's grid-object share of the sealed window `time`.
-    Partial {
-        from: usize,
-        time: u32,
-        objects: Vec<icpe_cluster::GridObject>,
-    },
-    Tick {
-        from: usize,
-        time: u32,
-    },
-    Barrier {
-        from: usize,
-        token: Arc<BarrierToken>,
-    },
-}
+/// Aligner shards → snapshot-merge tree → finalizer: one producer's
+/// grid-object share of a sealed window (shards own disjoint trajectories,
+/// so concatenation is exact — and the downstream range join is provably
+/// object-order-invariant).
+type SnapMsg = Envelope<(u32, Vec<GridObject>), Token>;
 
-impl SnapMsg {
-    /// The producing subtask's index at the previous tree level.
-    fn from(&self) -> usize {
-        match self {
-            SnapMsg::Partial { from, .. }
-            | SnapMsg::Tick { from, .. }
-            | SnapMsg::Barrier { from, .. } => *from,
-        }
-    }
-}
-
-/// GridAllocate → GridQuery.
-#[derive(Debug, Clone)]
-enum ClusterMsg {
-    Obj(icpe_cluster::GridObject),
-    /// Snapshot boundary: all objects of this time have been emitted.
-    Tick(u32),
-    Barrier(Arc<BarrierToken>),
-}
+/// GridAllocate → GridQuery: one grid object, keyed by its cell.
+type ClusterMsg = Envelope<GridObject, Token>;
 
 /// GridQuery → GridSync shards: pairs travel keyed by the owning shard
 /// (the pair-owner hash at the sync parallelism), so both discoveries of
-/// a duplicated pair meet on one subtask; ticks and barriers broadcast.
+/// a duplicated pair meet on one subtask.
+type PairMsg = Envelope<PairBundle, Token>;
+
 #[derive(Debug, Clone)]
-enum PairMsg {
-    Pairs {
-        /// Destination sync shard (= `subtask_for(hash_id(pair.0), n)`,
-        /// precomputed by the query subtask so the exchange can route the
-        /// whole bundle in one decision).
-        shard: u32,
-        time: u32,
-        pairs: Vec<NeighborPair>,
-    },
-    Tick(u32),
-    Barrier(Arc<BarrierToken>),
+struct PairBundle {
+    /// Destination sync shard (= `subtask_for(hash_id(pair.0), n)`,
+    /// precomputed by the query subtask so the exchange can route the
+    /// whole bundle in one decision).
+    shard: u32,
+    time: u32,
+    pairs: Vec<NeighborPair>,
 }
 
-/// GridSync shards → aggregation tree → finalizer. Every variant carries
-/// its producer's index — [`Stream::reduce_tree`] routes on it, and each
-/// combiner re-stamps its own slot index on what it forwards.
-#[derive(Debug, Clone)]
-enum MergeMsg {
-    /// One producer's deduplicated share of window `time`: its distinct
-    /// pairs plus the (sorted, deduplicated) object ids they mention —
-    /// carried alongside so object-set union happens in the tree instead
-    /// of as one big serial sort at the root.
-    Partial {
-        from: usize,
-        time: u32,
-        pairs: Vec<NeighborPair>,
-        objects: Vec<ObjectId>,
-    },
-    Tick {
-        from: usize,
-        time: u32,
-    },
-    Barrier {
-        from: usize,
-        token: Arc<BarrierToken>,
-    },
+/// GridSync shards → aggregation tree → finalizer: one producer's
+/// deduplicated share of a window.
+type MergeMsg = Envelope<(u32, MergeAcc), Token>;
+
+/// A window's merged pairs plus the (sorted, deduplicated) object ids they
+/// mention — carried alongside so object-set union happens in the tree
+/// instead of as one big serial sort at the root.
+#[derive(Debug, Clone, Default)]
+struct MergeAcc {
+    pairs: Vec<NeighborPair>,
+    objects: Vec<ObjectId>,
 }
 
-impl MergeMsg {
-    /// The producing subtask's index at the previous tree level.
-    fn from(&self) -> usize {
-        match self {
-            MergeMsg::Partial { from, .. }
-            | MergeMsg::Tick { from, .. }
-            | MergeMsg::Barrier { from, .. } => *from,
-        }
+impl Partial for MergeAcc {
+    fn absorb(&mut self, other: MergeAcc) {
+        // Shards own disjoint pair sets, so concatenation is exact; the
+        // object lists can overlap across shards and merge sorted.
+        self.pairs.absorb(other.pairs);
+        self.objects = merge_sorted_ids(std::mem::take(&mut self.objects), other.objects);
     }
 }
 
@@ -2043,13 +1779,9 @@ fn merge_sorted_ids(a: Vec<ObjectId>, b: Vec<ObjectId>) -> Vec<ObjectId> {
     out
 }
 
-/// GridSync/DBSCAN → Enumerate.
-#[derive(Debug, Clone)]
-pub(crate) enum PartMsg {
-    Part { time: u32, partition: Partition },
-    Tick(u32),
-    Barrier(Arc<BarrierToken>),
-}
+/// GridSync/DBSCAN → Enumerate: one id-partition of window `time`, keyed
+/// by its owner.
+type PartMsg = Envelope<(u32, Partition), Token>;
 
 /// Enumerate → Sink. Pattern and checkpoint messages carry the emitting
 /// subtask so the sink's delivery ledger can classify emissions against an
@@ -2065,80 +1797,12 @@ enum OutMsg {
     /// One subtask's engine state at the barrier.
     Checkpoint {
         subtask: usize,
-        token: Arc<BarrierToken>,
+        token: Token,
         engine: EngineCheckpoint,
     },
 }
 
 // ---- operators -------------------------------------------------------------
-
-/// The align stage: §4 time alignment plus the checkpoint cut. Owns the
-/// authoritative record count and the late-drop mirror.
-struct AlignBarrierOp {
-    aligner: TimeAligner,
-    metrics: PipelineMetrics,
-    obs: MetricRegistry,
-    reported_late: u64,
-    records_ingested: u64,
-    /// Sealed-snapshot scratch, reused across records and batches (the
-    /// per-record `TimeAligner::push` would allocate a vector each call).
-    scratch: Vec<Snapshot>,
-}
-
-impl AlignBarrierOp {
-    fn sync_late_counter(&mut self) {
-        let total = self.aligner.late_dropped();
-        if total > self.reported_late {
-            let dropped = total - self.reported_late;
-            self.metrics.mark_late(dropped);
-            self.obs
-                .emit(ObsEventKind::LateBatchDropped { records: dropped });
-            self.reported_late = total;
-        }
-    }
-
-    /// Drains sealed snapshots accumulated in the scratch into the
-    /// collector. Must run before a barrier token is emitted: snapshots
-    /// sealed by pre-cut records belong in front of the cut.
-    fn emit_sealed(&mut self, out: &mut Collector<AlignMsg>) {
-        out.emit_all(self.scratch.drain(..).map(AlignMsg::Snapshot));
-        self.sync_late_counter();
-    }
-}
-
-impl Operator<InputMsg, AlignMsg> for AlignBarrierOp {
-    fn process(&mut self, input: InputMsg, out: &mut Collector<AlignMsg>) {
-        match input {
-            InputMsg::Record(record) => {
-                self.records_ingested += 1;
-                self.aligner.push_into(record, &mut self.scratch);
-                self.emit_sealed(out);
-            }
-            InputMsg::Batch(records) => {
-                self.records_ingested += records.len() as u64;
-                for record in records {
-                    self.aligner.push_into(record, &mut self.scratch);
-                }
-                self.emit_sealed(out);
-            }
-            InputMsg::Barrier(request) => {
-                out.emit(AlignMsg::Barrier(Arc::new(BarrierToken {
-                    request,
-                    aligner: self.aligner.checkpoint(),
-                    records_ingested: self.records_ingested,
-                    aligner_shards: Mutex::new(Vec::new()),
-                    routing: Mutex::new(None),
-                    sync: Mutex::new(Vec::new()),
-                })));
-            }
-        }
-    }
-
-    fn finish(&mut self, out: &mut Collector<AlignMsg>) {
-        out.emit_all(self.aligner.flush().into_iter().map(AlignMsg::Snapshot));
-        self.sync_late_counter();
-    }
-}
 
 /// The frontier router of the sharded head: the one serial subtask. Owns
 /// the §4 chains, partitioned by destination shard, and the global seal
@@ -2184,23 +1848,23 @@ impl AlignRouteOp {
     fn flush_batch(&mut self, out: &mut Collector<RouteMsg>) {
         for shard in 0..self.buckets.len() {
             if !self.buckets[shard].is_empty() {
-                out.emit(RouteMsg::Records {
+                out.emit(Envelope::Data(RouteData::Records {
                     shard: shard as u32,
                     records: std::mem::take(&mut self.buckets[shard]),
-                });
+                }));
             }
         }
-        if !self.sealed.is_empty() {
-            self.stats.observe_frontiers(&self.router);
-            out.emit(RouteMsg::Seal {
-                times: std::mem::take(&mut self.sealed),
-            });
-        }
-        self.sync_late_counter();
-        self.stats.observe(&self.router);
+        let times = std::mem::take(&mut self.sealed);
+        self.emit_seal(times, out);
     }
 
-    fn sync_late_counter(&mut self) {
+    /// Emits the seal punctuation for `times` (if any) and republishes the
+    /// late-drop counter and head gauges.
+    fn emit_seal(&mut self, times: Vec<u32>, out: &mut Collector<RouteMsg>) {
+        if !times.is_empty() {
+            self.stats.observe_frontiers(&self.router);
+            out.emit(Envelope::Data(RouteData::Seal { times }));
+        }
         let total = self.router.late_dropped_total();
         if total > self.reported_late {
             let dropped = total - self.reported_late;
@@ -2209,6 +1873,7 @@ impl AlignRouteOp {
                 .emit(ObsEventKind::LateBatchDropped { records: dropped });
             self.reported_late = total;
         }
+        self.stats.observe(&self.router);
     }
 }
 
@@ -2229,7 +1894,7 @@ impl Operator<InputMsg, RouteMsg> for AlignRouteOp {
                 // Buckets and seals of earlier messages are already
                 // flushed, so everything sealed before the cut precedes
                 // the token on every shard channel.
-                out.emit(RouteMsg::Barrier(Arc::new(BarrierToken {
+                out.emit(Envelope::Barrier(Arc::new(BarrierToken {
                     request,
                     aligner: self.router.checkpoint(),
                     records_ingested: self.records_ingested,
@@ -2245,35 +1910,46 @@ impl Operator<InputMsg, RouteMsg> for AlignRouteOp {
         // End of stream: seal everything still buffered (plus the gap
         // times an emit-empty aligner owes), mirroring the serial flush.
         let times = self.router.flush_times();
-        if !times.is_empty() {
-            self.stats.observe_frontiers(&self.router);
-            out.emit(RouteMsg::Seal { times });
-        }
-        self.sync_late_counter();
-        self.stats.observe(&self.router);
+        self.emit_seal(times, out);
     }
 }
 
 /// One aligner shard with GridAllocate fused in: buffers the rows of its
 /// trajectories per snapshot time, and at the router's `Seal` punctuation
-/// flushes each listed time through cell assignment (Algorithm 1 — a
-/// per-record stateless map, so fusing it here costs the shard nothing
-/// extra and removes a serial stage) into one grid-object partial for the
-/// snapshot-merge tree. At a barrier it deposits its unsealed rows as a
-/// buffer-only checkpoint piece — the only state it holds.
+/// flushes each listed time through cell assignment (Algorithm 1 with the
+/// Lemma-1 upper-half replication — a per-record stateless map, so fusing
+/// it here costs the shard nothing extra and removes a serial stage) into
+/// one grid-object partial for the snapshot-merge tree. At a barrier it
+/// deposits its unsealed rows as a buffer-only checkpoint piece — the only
+/// state it holds.
 struct AlignShardOp {
     shard: usize,
     grid: Grid,
     eps: f64,
-    full_replication: bool,
     /// Buffered rows of this shard's trajectories, keyed by snapshot time.
     buffers: BTreeMap<u32, Snapshot>,
+}
+
+impl AlignShardOp {
+    /// Flushes sealed time `t`: this shard's rows through GridAllocate,
+    /// then the tick. Every shard ticks every sealed time — empty-handed
+    /// shards included — so the tree's alignment count is exact and empty
+    /// windows still seal downstream.
+    fn seal(&mut self, t: u32, out: &mut Collector<SnapMsg>) {
+        if let Some(snapshot) = self.buffers.remove(&t) {
+            let objects = grid_allocate(&snapshot, &self.grid, self.eps);
+            if !objects.is_empty() {
+                out.emit(Envelope::Data((t, objects)));
+            }
+        }
+        out.emit(Envelope::Tick(t));
+    }
 }
 
 impl Operator<RouteMsg, SnapMsg> for AlignShardOp {
     fn process(&mut self, msg: RouteMsg, out: &mut Collector<SnapMsg>) {
         match msg {
-            RouteMsg::Records { shard, records } => {
+            Envelope::Data(RouteData::Records { shard, records }) => {
                 debug_assert_eq!(
                     shard as usize, self.shard,
                     "records routed to their trajectory's shard"
@@ -2285,39 +1961,13 @@ impl Operator<RouteMsg, SnapMsg> for AlignShardOp {
                         .push(r.id, r.location, r.last_time);
                 }
             }
-            RouteMsg::Seal { times } => {
+            Envelope::Data(RouteData::Seal { times }) => {
                 for t in times {
-                    if let Some(snapshot) = self.buffers.remove(&t) {
-                        let mut objects = Vec::new();
-                        for e in &snapshot.entries {
-                            allocate_one(
-                                e.id,
-                                e.location,
-                                snapshot.time,
-                                &self.grid,
-                                self.eps,
-                                self.full_replication,
-                                &mut objects,
-                            );
-                        }
-                        if !objects.is_empty() {
-                            out.emit(SnapMsg::Partial {
-                                from: self.shard,
-                                time: t,
-                                objects,
-                            });
-                        }
-                    }
-                    // Every shard ticks every sealed time — empty-handed
-                    // shards included — so the tree's alignment count is
-                    // exact and empty windows still seal downstream.
-                    out.emit(SnapMsg::Tick {
-                        from: self.shard,
-                        time: t,
-                    });
+                    self.seal(t, out);
                 }
             }
-            RouteMsg::Barrier(token) => {
+            Envelope::Tick(t) => self.seal(t, out),
+            Envelope::Barrier(token) => {
                 // The rows still buffered here are exactly the cut's
                 // unsealed rows of this shard's trajectories; chains,
                 // counters, and clock fields travel in the router's piece.
@@ -2332,57 +1982,7 @@ impl Operator<RouteMsg, SnapMsg> for AlignShardOp {
                         max_seen: 0,
                         late_dropped: 0,
                     });
-                out.emit(SnapMsg::Barrier {
-                    from: self.shard,
-                    token,
-                });
-            }
-        }
-    }
-}
-
-/// An interior combiner of the snapshot-merge tree: concatenates its
-/// producers' grid-object partials per window (shards own disjoint
-/// trajectories, so concatenation is exact — and the downstream range
-/// join is provably object-order-invariant) and forwards one combined
-/// partial per window, re-stamped with its own slot index.
-struct SnapCombineOp {
-    slot: TreeSlot,
-    align: TreeWindowAlign<Vec<icpe_cluster::GridObject>>,
-}
-
-impl Operator<SnapMsg, SnapMsg> for SnapCombineOp {
-    fn process(&mut self, msg: SnapMsg, out: &mut Collector<SnapMsg>) {
-        match msg {
-            SnapMsg::Partial { time, objects, .. } => self.align.absorb(time, |acc| {
-                if acc.is_empty() {
-                    *acc = objects;
-                } else {
-                    acc.extend(objects);
-                }
-            }),
-            SnapMsg::Tick { time, .. } => {
-                if let Some(objects) = self.align.tick(time) {
-                    if !objects.is_empty() {
-                        out.emit(SnapMsg::Partial {
-                            from: self.slot.subtask,
-                            time,
-                            objects,
-                        });
-                    }
-                    out.emit(SnapMsg::Tick {
-                        from: self.slot.subtask,
-                        time,
-                    });
-                }
-            }
-            SnapMsg::Barrier { token, .. } => {
-                if self.align.barrier(token.request.seq) {
-                    out.emit(SnapMsg::Barrier {
-                        from: self.slot.subtask,
-                        token,
-                    });
-                }
+                out.emit(Envelope::Barrier(token));
             }
         }
     }
@@ -2394,20 +1994,16 @@ impl Operator<SnapMsg, SnapMsg> for SnapCombineOp {
 /// strictly between two windows' objects. Also the latency ingest point:
 /// a window's clock starts when it leaves here, complete.
 struct SnapFinalOp {
-    metrics: PipelineMetrics,
-    obs: MetricRegistry,
+    status: PipelineStatus,
     /// `Some` in adaptive mode (owned here; single subtask).
     balancer: Option<LoadBalancer>,
-    table: Arc<RoutingTable>,
-    tracker: Arc<LoadTracker>,
-    align: TreeWindowAlign<Vec<icpe_cluster::GridObject>>,
-    /// Sub-cell refinement context: the same grid geometry and replication
-    /// mode the aligner shards allocate with, so hot-cell objects can be
-    /// re-keyed onto the balancer's current sub-cell tier here — at the
-    /// window boundary, strictly after any split/coalesce lands.
+    align: WindowAlign<Vec<GridObject>>,
+    /// Sub-cell refinement context: the same grid geometry the aligner
+    /// shards allocate with, so hot-cell objects can be re-keyed onto the
+    /// balancer's current sub-cell tier here — at the window boundary,
+    /// strictly after any split/coalesce lands.
     grid: Grid,
     eps: f64,
-    full_replication: bool,
 }
 
 impl SnapFinalOp {
@@ -2420,28 +2016,21 @@ impl SnapFinalOp {
     /// distribution of the window it is about to route (including the
     /// true per-leaf split of freshly refined cells, which no decayed
     /// history could supply).
-    fn maybe_rebalance(
-        &mut self,
-        objects: Vec<icpe_cluster::GridObject>,
-    ) -> Vec<icpe_cluster::GridObject> {
+    fn maybe_rebalance(&mut self, objects: Vec<GridObject>) -> Vec<GridObject> {
         let Some(balancer) = &mut self.balancer else {
             return objects;
         };
+        let PipelineStatus {
+            obs,
+            table,
+            tracker,
+            ..
+        } = &self.status;
         let (split_cells, coalesced_cells, unpinned) = balancer.refine_boundary();
         // Re-key onto the sub-cell tier: splits/coalesces land strictly
         // between windows, so every window's objects are keyed under
         // exactly one tree.
-        let objects = if balancer.refinement().is_empty() {
-            objects
-        } else {
-            refine_expand(
-                objects,
-                &self.grid,
-                balancer.refinement(),
-                self.eps,
-                self.full_replication,
-            )
-        };
+        let objects = refine_expand(objects, &self.grid, balancer.refinement(), self.eps);
         // Two feedback cadences, folded separately: this stage counts the
         // outgoing window's records exactly, at the routing point, while
         // the query stage's pair counts — which exist nowhere upstream of
@@ -2454,37 +2043,35 @@ impl SnapFinalOp {
             *records.entry(o.key).or_default() += 1;
         }
         balancer.observe_records(&records);
-        let drained = self.tracker.drain_cells();
+        let drained = tracker.drain_cells();
         for (_, cells) in drained {
             balancer.observe_pairs_window(&cells);
         }
         if let Some(outcome) = balancer.place(split_cells, coalesced_cells, unpinned) {
-            self.table
-                .note_window_loads(outcome.max_load, outcome.mean_load);
+            table.note_window_loads(outcome.max_load, outcome.mean_load);
             for &(base, depth) in &outcome.split_cells {
-                self.obs.emit(ObsEventKind::CellSplit {
+                obs.emit(ObsEventKind::CellSplit {
                     x: base.x,
                     y: base.y,
                     depth,
                 });
             }
             for &(base, depth) in &outcome.coalesced_cells {
-                self.obs.emit(ObsEventKind::CellCoalesced {
+                obs.emit(ObsEventKind::CellCoalesced {
                     x: base.x,
                     y: base.y,
                     depth,
                 });
             }
             if let Some(plan) = outcome.plan {
-                self.obs.emit(ObsEventKind::CellMigrated {
+                obs.emit(ObsEventKind::CellMigrated {
                     epoch: plan.epoch,
                     cells: plan.migrated,
                 });
-                self.table
-                    .install(plan.epoch, plan.assignments, plan.migrated);
+                table.install(plan.epoch, plan.assignments, plan.migrated);
             }
             let tree = balancer.refinement();
-            self.table.note_refinement(
+            table.note_refinement(
                 tree.refined_cells(),
                 tree.max_depth(),
                 balancer.splits(),
@@ -2498,31 +2085,25 @@ impl SnapFinalOp {
 impl Operator<SnapMsg, ClusterMsg> for SnapFinalOp {
     fn process(&mut self, msg: SnapMsg, out: &mut Collector<ClusterMsg>) {
         match msg {
-            SnapMsg::Partial { time, objects, .. } => self.align.absorb(time, |acc| {
-                if acc.is_empty() {
-                    *acc = objects;
-                } else {
-                    acc.extend(objects);
-                }
-            }),
-            SnapMsg::Tick { time, .. } => {
+            Envelope::Data((time, objects)) => self.align.absorb(time, |acc| acc.absorb(objects)),
+            Envelope::Tick(time) => {
                 if let Some(objects) = self.align.tick(time) {
                     // Empty windows run the full boundary protocol too —
                     // the balancer cadence and the downstream tick fabric
-                    // match the serial head's empty snapshots exactly.
+                    // see every sealed time exactly once.
                     let objects = self.maybe_rebalance(objects);
-                    self.metrics.mark_ingest(time);
-                    out.emit_all(objects.into_iter().map(ClusterMsg::Obj));
-                    out.emit(ClusterMsg::Tick(time));
+                    self.status.metrics.mark_ingest(time);
+                    out.emit_all(objects.into_iter().map(Envelope::Data));
+                    out.emit(Envelope::Tick(time));
                 }
             }
-            SnapMsg::Barrier { token, .. } => {
-                if self.align.barrier(token.request.seq) {
+            Envelope::Barrier(token) => {
+                if self.align.barrier(token.seq()) {
                     if let Some(balancer) = &self.balancer {
                         *token.routing.lock().expect("routing slot poisoned") =
                             Some(balancer.checkpoint());
                     }
-                    out.emit(ClusterMsg::Barrier(token));
+                    out.emit(Envelope::Barrier(token));
                 }
             }
         }
@@ -2537,10 +2118,9 @@ impl Operator<SnapMsg, ClusterMsg> for SnapFinalOp {
 struct QueryOp {
     eps: f64,
     metric: DistanceMetric,
-    build_then_query: bool,
     subtask: usize,
     tracker: Arc<LoadTracker>,
-    buffers: BTreeMap<u32, HashMap<GridKey, Vec<icpe_cluster::GridObject>>>,
+    buffers: BTreeMap<u32, HashMap<GridKey, Vec<GridObject>>>,
     /// Per-cell pair scratch, reused across cells and ticks (the emitted
     /// vector must be owned, but the hot per-cell buffer need not churn).
     cell_pairs: Vec<NeighborPair>,
@@ -2548,72 +2128,18 @@ struct QueryOp {
     /// owning sync shard (`subtask_for(hash_id(pair.0), shards)`), one
     /// bundle message per non-empty shard per window flush.
     shard_pairs: Vec<Vec<NeighborPair>>,
-    /// SRJ bulk-load scratch, reused across cells and ticks.
-    items: Vec<(icpe_types::Point, ObjectId)>,
-    /// SRJ per-probe hit scratch (owned ids), reused across probes.
-    hits: Vec<ObjectId>,
 }
 
 impl QueryOp {
-    fn new(
-        eps: f64,
-        metric: DistanceMetric,
-        build_then_query: bool,
-        subtask: usize,
-        shards: usize,
-        tracker: Arc<LoadTracker>,
-    ) -> Self {
-        QueryOp {
-            eps,
-            metric,
-            build_then_query,
-            subtask,
-            tracker,
-            buffers: BTreeMap::new(),
-            cell_pairs: Vec::new(),
-            shard_pairs: vec![Vec::new(); shards.max(1)],
-            items: Vec::new(),
-            hits: Vec::new(),
-        }
-    }
-
     fn flush_time(&mut self, t: u32, out: &mut Collector<PairMsg>) {
         let shards = self.shard_pairs.len();
         let mut window_load = 0u64;
         if let Some(cells) = self.buffers.remove(&t) {
             for (cell, objects) in cells {
                 self.cell_pairs.clear();
-                if self.build_then_query {
-                    // SRJ: build the complete local index, then query every
-                    // object against it.
-                    self.items.clear();
-                    self.items.extend(
-                        objects
-                            .iter()
-                            .filter(|o| !o.is_query)
-                            .map(|o| (o.location, o.id)),
-                    );
-                    let tree = RTree::bulk_load_with_max_entries(16, &mut self.items);
-                    for o in &objects {
-                        self.hits.clear();
-                        tree.query_payloads_within(
-                            &o.location,
-                            self.eps,
-                            self.metric,
-                            &mut self.hits,
-                        );
-                        for &other in &self.hits {
-                            if other != o.id {
-                                self.cell_pairs
-                                    .push(icpe_cluster::query::canonical(o.id, other));
-                            }
-                        }
-                    }
-                } else {
-                    // RJC: Lemma-2 interleaved query-then-insert.
-                    let mut engine = CellQueryEngine::new(self.eps, self.metric);
-                    engine.run_cell(&objects, &mut self.cell_pairs);
-                }
+                // Lemma-2 interleaved query-then-insert.
+                let mut engine = CellQueryEngine::new(self.eps, self.metric);
+                engine.run_cell(&objects, &mut self.cell_pairs);
                 window_load += objects.len() as u64 + self.cell_pairs.len() as u64;
                 self.tracker.record_cell(
                     t,
@@ -2631,21 +2157,21 @@ impl QueryOp {
         self.tracker.record_window(t, self.subtask, window_load);
         for shard in 0..shards {
             if !self.shard_pairs[shard].is_empty() {
-                out.emit(PairMsg::Pairs {
+                out.emit(Envelope::Data(PairBundle {
                     shard: shard as u32,
                     time: t,
                     pairs: std::mem::take(&mut self.shard_pairs[shard]),
-                });
+                }));
             }
         }
-        out.emit(PairMsg::Tick(t));
+        out.emit(Envelope::Tick(t));
     }
 }
 
 impl Operator<ClusterMsg, PairMsg> for QueryOp {
     fn process(&mut self, msg: ClusterMsg, out: &mut Collector<PairMsg>) {
         match msg {
-            ClusterMsg::Obj(o) => {
+            Envelope::Data(o) => {
                 self.buffers
                     .entry(o.time.0)
                     .or_default()
@@ -2653,11 +2179,11 @@ impl Operator<ClusterMsg, PairMsg> for QueryOp {
                     .or_default()
                     .push(o);
             }
-            ClusterMsg::Tick(t) => self.flush_time(t, out),
+            Envelope::Tick(t) => self.flush_time(t, out),
             // The barrier trails every sealed snapshot's tick, and ticks
             // flush the per-time buffers — so at this point the subtask
             // holds no state belonging to the cut. Forward.
-            ClusterMsg::Barrier(token) => out.emit(PairMsg::Barrier(token)),
+            Envelope::Barrier(token) => out.emit(Envelope::Barrier(token)),
         }
     }
 
@@ -2678,16 +2204,14 @@ impl Operator<ClusterMsg, PairMsg> for QueryOp {
 /// at the full keyed-stage parallelism.
 struct ShardSyncOp {
     shard: usize,
-    /// Upstream query subtasks (tick/barrier alignment count).
-    upstream: usize,
     stats: Arc<SyncStats>,
     /// Cumulative counters, authoritative for this shard's checkpoint
     /// piece (the shared `stats` only mirror them for live gauges).
     pairs_merged: u64,
     duplicates: u64,
-    pending: BTreeMap<u32, (PairCollector, usize)>,
-    /// Barrier alignment: seq → barriers received from upstream subtasks.
-    barriers: HashMap<u64, usize>,
+    /// Open windows, aligned on the upstream query subtasks' ticks and
+    /// barrier copies.
+    align: WindowAlign<PairCollector>,
 }
 
 impl ShardSyncOp {
@@ -2696,7 +2220,7 @@ impl ShardSyncOp {
     /// shards that route them at this parallelism; the cumulative counters
     /// restore into shard 0 only (the next checkpoint's merge would
     /// otherwise multiply them by `n` — the engine `skipped_partitions`
-    /// pattern). Restored pending windows reset their tick counts: the
+    /// pattern). Restored pending windows start with zero ticks: the
     /// counts belong to the old deployment's upstream width, and the
     /// replayed input re-delivers every tick of an unsealed window.
     fn build(
@@ -2707,41 +2231,34 @@ impl ShardSyncOp {
     ) -> Self {
         let mut op = ShardSyncOp {
             shard,
-            upstream: n,
             stats,
             pairs_merged: 0,
             duplicates: 0,
-            pending: BTreeMap::new(),
-            barriers: HashMap::new(),
+            align: WindowAlign::new(n),
         };
         if let Some(ckpt) = resume {
             let piece = ckpt.piece(shard == 0, |owner| subtask_for(hash_id(owner), n) == shard);
             op.pairs_merged = piece.pairs_merged;
             op.duplicates = piece.duplicates;
             for w in piece.pending {
-                let mut collector = PairCollector::new();
-                collector.extend(w.pairs);
-                op.pending.insert(w.time, (collector, 0));
+                op.align
+                    .absorb(w.time, |collector| collector.extend(w.pairs));
             }
         }
         op
     }
 
-    /// This shard's checkpoint piece at a barrier.
+    /// This shard's checkpoint piece at an aligned barrier (which holds no
+    /// window state — the barrier trails every sealed window's ticks).
     fn piece(&self) -> SyncCheckpoint {
-        debug_assert!(
-            self.pending.is_empty(),
-            "the barrier trails every sealed window's ticks, so a shard \
-             holds no window state at the cut"
-        );
         SyncCheckpoint {
             pairs_merged: self.pairs_merged,
             duplicates: self.duplicates,
             windows_sealed: 0,
             pending: self
-                .pending
-                .iter()
-                .map(|(&time, (collector, _))| SyncWindowCheckpoint {
+                .align
+                .open_windows()
+                .map(|(time, collector)| SyncWindowCheckpoint {
                     time,
                     pairs: collector.snapshot_pairs(),
                 })
@@ -2753,19 +2270,15 @@ impl ShardSyncOp {
 impl Operator<PairMsg, MergeMsg> for ShardSyncOp {
     fn process(&mut self, msg: PairMsg, out: &mut Collector<MergeMsg>) {
         match msg {
-            PairMsg::Pairs { shard, time, pairs } => {
+            Envelope::Data(PairBundle { shard, time, pairs }) => {
                 debug_assert_eq!(
                     shard as usize, self.shard,
                     "pairs routed to their owner shard"
                 );
-                let entry = self.pending.entry(time).or_default();
-                entry.0.extend(pairs);
+                self.align.absorb(time, |collector| collector.extend(pairs));
             }
-            PairMsg::Tick(t) => {
-                let entry = self.pending.entry(t).or_default();
-                entry.1 += 1;
-                if entry.1 == self.upstream {
-                    let (collector, _) = self.pending.remove(&t).unwrap();
+            Envelope::Tick(t) => {
+                if let Some(collector) = self.align.tick(t) {
                     let duplicates = collector.duplicates() as u64;
                     let pairs = collector.into_pairs();
                     // The object-id union of this shard's pairs, computed
@@ -2780,152 +2293,21 @@ impl Operator<PairMsg, MergeMsg> for ShardSyncOp {
                     self.duplicates += duplicates;
                     self.stats
                         .note_shard_window(t, self.shard, pairs.len() as u64, duplicates);
-                    out.emit(MergeMsg::Partial {
-                        from: self.shard,
-                        time: t,
-                        pairs,
-                        objects,
-                    });
-                    out.emit(MergeMsg::Tick {
-                        from: self.shard,
-                        time: t,
-                    });
+                    out.emit(Envelope::Data((t, MergeAcc { pairs, objects })));
+                    out.emit(Envelope::Tick(t));
                 }
             }
-            PairMsg::Barrier(token) => {
+            Envelope::Barrier(token) => {
                 // Classic barrier alignment: forward only once every
                 // upstream query subtask's barrier copy arrived — by then
                 // all pre-cut pairs have been collected and flushed.
-                let count = self.barriers.entry(token.request.seq).or_insert(0);
-                *count += 1;
-                if *count == self.upstream {
-                    self.barriers.remove(&token.request.seq);
+                if self.align.barrier(token.seq()) {
                     token
                         .sync
                         .lock()
                         .expect("sync slot poisoned")
                         .push(self.piece());
-                    out.emit(MergeMsg::Barrier {
-                        from: self.shard,
-                        token,
-                    });
-                }
-            }
-        }
-    }
-}
-
-/// Per-window accumulator of one sync aggregation-tree slot.
-#[derive(Debug, Default)]
-struct MergeAcc {
-    pairs: Vec<NeighborPair>,
-    objects: Vec<ObjectId>,
-}
-
-impl MergeAcc {
-    fn absorb(&mut self, pairs: Vec<NeighborPair>, objects: Vec<ObjectId>) {
-        // Shards own disjoint pair sets, so concatenation is exact; the
-        // object lists can overlap across shards and merge sorted.
-        if self.pairs.is_empty() {
-            self.pairs = pairs;
-        } else {
-            self.pairs.extend(pairs);
-        }
-        self.objects = merge_sorted_ids(std::mem::take(&mut self.objects), objects);
-    }
-}
-
-/// The per-slot alignment state every aggregation-tree operator shares —
-/// generic over the window accumulator, so the sync tree (pair partials)
-/// and the snapshot-merge tree (grid-object partials) run the identical
-/// protocol: open-window accumulators sealed at the `inputs`-th tick, and
-/// barrier copies counted to the same width. A fix to alignment semantics
-/// lands in exactly one place for combiners and finalizers of both trees.
-struct TreeWindowAlign<A> {
-    inputs: usize,
-    pending: BTreeMap<u32, (A, usize)>,
-    barriers: HashMap<u64, usize>,
-}
-
-impl<A: Default> TreeWindowAlign<A> {
-    fn new(inputs: usize) -> Self {
-        TreeWindowAlign {
-            inputs,
-            pending: BTreeMap::new(),
-            barriers: HashMap::new(),
-        }
-    }
-
-    /// Absorbs one producer's partial for window `time`.
-    fn absorb(&mut self, time: u32, fold: impl FnOnce(&mut A)) {
-        fold(&mut self.pending.entry(time).or_default().0);
-    }
-
-    /// Counts one producer's tick for window `time`; returns the sealed
-    /// accumulator once every input has ticked.
-    fn tick(&mut self, time: u32) -> Option<A> {
-        let entry = self.pending.entry(time).or_default();
-        entry.1 += 1;
-        (entry.1 == self.inputs).then(|| self.pending.remove(&time).expect("window present").0)
-    }
-
-    /// Counts one producer's barrier copy; returns `true` once the
-    /// barrier has aligned (every input delivered its copy), at which
-    /// point no window state can remain open at this slot.
-    fn barrier(&mut self, seq: u64) -> bool {
-        let count = self.barriers.entry(seq).or_insert(0);
-        *count += 1;
-        if *count < self.inputs {
-            return false;
-        }
-        self.barriers.remove(&seq);
-        debug_assert!(
-            self.pending.is_empty(),
-            "aligned barriers trail every sealed window at every tree level"
-        );
-        true
-    }
-}
-
-/// An interior combiner of the sync aggregation tree: merges the partial
-/// windows of its [`TreeSlot::inputs`] producers and forwards one combined
-/// partial per window, re-stamped with its own slot index. Barriers align
-/// here exactly as at the shards, so the cut stays consistent at every
-/// tree level.
-struct MergeCombineOp {
-    slot: TreeSlot,
-    align: TreeWindowAlign<MergeAcc>,
-}
-
-impl Operator<MergeMsg, MergeMsg> for MergeCombineOp {
-    fn process(&mut self, msg: MergeMsg, out: &mut Collector<MergeMsg>) {
-        match msg {
-            MergeMsg::Partial {
-                time,
-                pairs,
-                objects,
-                ..
-            } => self.align.absorb(time, |acc| acc.absorb(pairs, objects)),
-            MergeMsg::Tick { time, .. } => {
-                if let Some(acc) = self.align.tick(time) {
-                    out.emit(MergeMsg::Partial {
-                        from: self.slot.subtask,
-                        time,
-                        pairs: acc.pairs,
-                        objects: acc.objects,
-                    });
-                    out.emit(MergeMsg::Tick {
-                        from: self.slot.subtask,
-                        time,
-                    });
-                }
-            }
-            MergeMsg::Barrier { token, .. } => {
-                if self.align.barrier(token.request.seq) {
-                    out.emit(MergeMsg::Barrier {
-                        from: self.slot.subtask,
-                        token,
-                    });
+                    out.emit(Envelope::Barrier(token));
                 }
             }
         }
@@ -2944,32 +2326,27 @@ struct MergeFinalOp {
     /// Cumulative window-seal counter, authoritative for the finalizer's
     /// checkpoint piece.
     windows_sealed: u64,
-    align: TreeWindowAlign<MergeAcc>,
+    align: WindowAlign<MergeAcc>,
 }
 
 impl Operator<MergeMsg, PartMsg> for MergeFinalOp {
     fn process(&mut self, msg: MergeMsg, out: &mut Collector<PartMsg>) {
         match msg {
-            MergeMsg::Partial {
-                time,
-                pairs,
-                objects,
-                ..
-            } => self.align.absorb(time, |acc| acc.absorb(pairs, objects)),
-            MergeMsg::Tick { time, .. } => {
+            Envelope::Data((time, partial)) => self.align.absorb(time, |acc| acc.absorb(partial)),
+            Envelope::Tick(time) => {
                 if let Some(acc) = self.align.tick(time) {
                     let outcome =
                         dbscan_from_pairs(Timestamp(time), &acc.objects, &acc.pairs, &self.dbscan);
                     for partition in id_partitions(&outcome.snapshot, self.m) {
-                        out.emit(PartMsg::Part { time, partition });
+                        out.emit(Envelope::Data((time, partition)));
                     }
-                    out.emit(PartMsg::Tick(time));
+                    out.emit(Envelope::Tick(time));
                     self.windows_sealed += 1;
                     self.stats.note_window_sealed();
                 }
             }
-            MergeMsg::Barrier { token, .. } => {
-                if self.align.barrier(token.request.seq) {
+            Envelope::Barrier(token) => {
+                if self.align.barrier(token.seq()) {
                     token
                         .sync
                         .lock()
@@ -2980,36 +2357,10 @@ impl Operator<MergeMsg, PartMsg> for MergeFinalOp {
                             windows_sealed: self.windows_sealed,
                             pending: Vec::new(),
                         });
-                    out.emit(PartMsg::Barrier(token));
+                    out.emit(Envelope::Barrier(token));
                 }
             }
         }
-    }
-}
-
-/// GDC (centralized) clustering straight from snapshots to partitions.
-struct GdcOp {
-    clusterer: GdcClusterer,
-    m: usize,
-    metrics: PipelineMetrics,
-}
-
-impl Operator<AlignMsg, PartMsg> for GdcOp {
-    fn process(&mut self, msg: AlignMsg, out: &mut Collector<PartMsg>) {
-        let snapshot = match msg {
-            AlignMsg::Snapshot(s) => s,
-            AlignMsg::Barrier(token) => {
-                out.emit(PartMsg::Barrier(token));
-                return;
-            }
-        };
-        self.metrics.mark_ingest(snapshot.time.0);
-        let t = snapshot.time.0;
-        let clusters: ClusterSnapshot = self.clusterer.cluster(&snapshot);
-        for partition in id_partitions(&clusters, self.m) {
-            out.emit(PartMsg::Part { time: t, partition });
-        }
-        out.emit(PartMsg::Tick(t));
     }
 }
 
@@ -3024,10 +2375,10 @@ struct EnumerateOp {
 impl Operator<PartMsg, OutMsg> for EnumerateOp {
     fn process(&mut self, msg: PartMsg, out: &mut Collector<OutMsg>) {
         match msg {
-            PartMsg::Part { time, partition } => {
+            Envelope::Data((time, partition)) => {
                 self.pending.entry(time).or_default().push(partition);
             }
-            PartMsg::Tick(t) => {
+            Envelope::Tick(t) => {
                 let parts = self.pending.remove(&t).unwrap_or_default();
                 let patterns = self.engine.push_partitions(Timestamp(t), parts);
                 let subtask = self.subtask;
@@ -3038,7 +2389,7 @@ impl Operator<PartMsg, OutMsg> for EnumerateOp {
                 );
                 out.emit(OutMsg::Done(t));
             }
-            PartMsg::Barrier(token) => {
+            Envelope::Barrier(token) => {
                 // At the barrier this subtask has ticked through exactly
                 // the snapshots sealed before the cut; its engine state is
                 // the consistent one to capture.
@@ -3179,12 +2530,12 @@ mod tests {
     #[test]
     fn sync_gauges_report_the_sharded_merge() {
         let live = IcpePipeline::launch(&config(4, EnumeratorKind::Fba), |_| {});
-        let sync = live.sync().expect("grid clusterer has a sync path").clone();
+        let status = live.status().clone();
         for r in walking_records(10) {
             live.push(r).unwrap();
         }
         live.finish();
-        let status = sync.status();
+        let status = status.sync();
         assert_eq!(status.shards, 4);
         assert_eq!(status.fanin, crate::config::DEFAULT_SYNC_FANIN);
         assert_eq!(status.levels, 0, "4 shards at fanin 4 is a flat funnel");
@@ -3204,8 +2555,7 @@ mod tests {
             .build()
             .unwrap();
         let live = IcpePipeline::launch(&cfg, |_| {});
-        let status = live.sync_status().expect("sync path");
-        assert_eq!(status.levels, 2, "8 → 4 → 2 → final");
+        assert_eq!(live.status().sync().levels, 2, "8 → 4 → 2 → final");
         for r in walking_records(6) {
             live.push(r).unwrap();
         }
@@ -3213,21 +2563,30 @@ mod tests {
     }
 
     #[test]
-    fn pipeline_srj_and_gdc_agree_with_rjc() {
-        let mk = |kind: ClustererKind| {
+    fn non_rjc_clusterers_are_rejected_before_any_thread_spawns() {
+        use crate::config::ClustererKind;
+        for kind in [ClustererKind::Srj, ClustererKind::Gdc] {
             let cfg = IcpeConfig::builder()
                 .constraints(Constraints::new(3, 4, 2, 2).unwrap())
                 .epsilon(1.0)
                 .min_pts(3)
-                .parallelism(2)
                 .clusterer(kind)
                 .build()
                 .unwrap();
-            unique_object_sets(&IcpePipeline::run(&cfg, walking_records(10)).patterns)
-        };
-        let rjc = mk(ClustererKind::Rjc);
-        assert_eq!(mk(ClustererKind::Srj), rjc);
-        assert_eq!(mk(ClustererKind::Gdc), rjc);
+            // The rejection unwinds out of the call itself — on this
+            // thread, so no driver, supervisor or stage thread exists yet
+            // (a failure on any of those would instead surface at
+            // `finish`) — and the event sink is never invoked.
+            let launch = std::panic::catch_unwind(|| {
+                IcpePipeline::launch(&cfg, |_| unreachable!("nothing was launched"))
+            });
+            let message = *launch.unwrap_err().downcast::<String>().unwrap();
+            assert!(message.contains(kind.name()), "{kind:?}: {message}");
+            assert!(
+                std::panic::catch_unwind(|| IcpePipeline::run(&cfg, walking_records(2))).is_err(),
+                "{kind:?}: run"
+            );
+        }
     }
 
     #[test]
@@ -3312,7 +2671,7 @@ mod tests {
                 sink.lock().unwrap().push(p);
             }
         });
-        let routing = live.routing().expect("grid clusterer has routing").clone();
+        let routing = live.status().clone();
         for r in &records {
             live.push(*r).unwrap();
         }
@@ -3323,7 +2682,7 @@ mod tests {
             want,
             "adaptive and static routing seal the same patterns"
         );
-        let status = routing.status();
+        let status = routing.routing();
         assert!(
             status.epoch > 0,
             "colliding hot cells must trigger a rebalance: {status:?}"
@@ -3413,7 +2772,7 @@ mod tests {
         for r in walking_records(8) {
             live.push(r).unwrap();
         }
-        let before = live.progress();
+        let before = live.status().progress();
         let report = live.finish();
         assert_eq!(report.snapshots, 8);
         // After finish, everything ingested has sealed.
@@ -3435,7 +2794,7 @@ mod tests {
             "the barrier trails exactly the pushed records"
         );
         assert_eq!(ckpt.engine.kind, "FBA");
-        let sync = ckpt.sync.as_ref().expect("grid clusterers checkpoint sync");
+        let sync = ckpt.sync.as_ref().expect("the pipeline checkpoints sync");
         assert!(
             sync.pending.is_empty(),
             "aligned barriers leave no open sync windows"
@@ -3689,7 +3048,7 @@ mod tests {
             PipelineEvent::Pattern(pat) => p.lock().unwrap().push(pat),
             PipelineEvent::SnapshotSealed { time } => s.lock().unwrap().push(time),
         });
-        assert_eq!(live.health(), HealthState::Healthy);
+        assert_eq!(live.status().health(), HealthState::Healthy);
         let obs = live.obs().clone();
         for r in walking_records(10) {
             live.push(r).unwrap();
@@ -3724,14 +3083,14 @@ mod tests {
     fn supervised_health_transitions_to_recovering_and_back() {
         let cfg = supervised_config(2, "panic@align-route:0:1");
         let live = IcpePipeline::launch(&cfg, |_| {});
-        let health = live.health_handle();
+        let status = live.status().clone();
         for r in walking_records(10) {
             live.push(r).unwrap();
         }
         // The panic fires while records flow; poll for the round trip.
         let mut saw_non_healthy = false;
         for _ in 0..500 {
-            if health.get() != HealthState::Healthy {
+            if status.health() != HealthState::Healthy {
                 saw_non_healthy = true;
                 break;
             }
@@ -3741,7 +3100,7 @@ mod tests {
         // Whether or not the poll caught the transient Recovering window,
         // the pipeline must end Healthy with the restart on the books.
         let _ = saw_non_healthy;
-        assert_eq!(health.get(), HealthState::Healthy);
+        assert_eq!(status.health(), HealthState::Healthy);
     }
 
     #[test]
@@ -3757,19 +3116,19 @@ mod tests {
             ..Supervision::default()
         });
         let live = IcpePipeline::launch(&cfg, |_| {});
-        let health = live.health_handle();
+        let status = live.status().clone();
         for r in walking_records(10) {
             // Pushes must never hang or panic, even once the pipeline is
             // terminally down (they are discarded).
             live.push(r).unwrap();
         }
         for _ in 0..5000 {
-            if health.get() == HealthState::Failed {
+            if status.health() == HealthState::Failed {
                 break;
             }
             std::thread::sleep(std::time::Duration::from_millis(1));
         }
-        assert_eq!(health.get(), HealthState::Failed, "restart budget spent");
+        assert_eq!(status.health(), HealthState::Failed, "restart budget spent");
         // A checkpoint request against a failed pipeline errors instead of
         // blocking forever.
         assert!(live.checkpoint().is_err());

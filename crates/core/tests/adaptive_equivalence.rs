@@ -12,20 +12,12 @@
 
 use icpe_core::{BalancerConfig, EnumeratorKind, IcpeConfig, IcpePipeline, PipelineEvent};
 use icpe_gen::{HotspotConfig, HotspotGenerator};
-use icpe_types::{Constraints, GpsRecord, ObjectId, Pattern, Timestamp};
+use icpe_types::{Constraints, GpsRecord, Pattern};
 use proptest::prelude::*;
 use std::sync::{Arc, Mutex};
 
-/// Canonical multiset form: every pattern (duplicates included) as a
-/// sortable key.
-fn multiset(patterns: &[Pattern]) -> Vec<(Vec<ObjectId>, Vec<Timestamp>)> {
-    let mut out: Vec<(Vec<ObjectId>, Vec<Timestamp>)> = patterns
-        .iter()
-        .map(|p| (p.objects.clone(), p.times.times().to_vec()))
-        .collect();
-    out.sort();
-    out
-}
+mod common;
+use common::{multiset, run_collecting};
 
 fn skewed_records(seed: u64, objects: usize, ticks: u32) -> Vec<GpsRecord> {
     HotspotGenerator::new(HotspotConfig {
@@ -68,24 +60,6 @@ fn config(
     b.build().expect("valid config")
 }
 
-fn run_collecting(config: &IcpeConfig, records: &[GpsRecord]) -> (Vec<Pattern>, u64) {
-    let sink: Arc<Mutex<Vec<Pattern>>> = Arc::new(Mutex::new(Vec::new()));
-    let out = Arc::clone(&sink);
-    let live = IcpePipeline::launch(config, move |e| {
-        if let PipelineEvent::Pattern(p) = e {
-            out.lock().unwrap().push(p);
-        }
-    });
-    let routing = live.routing().cloned();
-    for r in records {
-        live.push(*r).unwrap();
-    }
-    live.finish();
-    let epoch = routing.map_or(0, |r| r.status().epoch);
-    let patterns = std::mem::take(&mut *sink.lock().unwrap());
-    (patterns, epoch)
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
@@ -108,15 +82,15 @@ proptest! {
         ][kind_idx];
         let fanin = if deep_tree { 2 } else { parallelism.max(2) };
         let records = skewed_records(seed, 36, 24);
-        let (want, _) = run_collecting(&config(kind, parallelism, false, fanin), &records);
-        let (got, epoch) = run_collecting(&config(kind, parallelism, true, fanin), &records);
+        let want = run_collecting(&config(kind, parallelism, false, fanin), &records, 1);
+        let got = run_collecting(&config(kind, parallelism, true, fanin), &records, 1);
         prop_assert_eq!(
-            multiset(&got),
-            multiset(&want),
+            multiset(&got.patterns),
+            multiset(&want.patterns),
             "kind {:?} parallelism {} epoch {} fanin {}",
             kind,
             parallelism,
-            epoch,
+            got.status.routing().epoch,
             fanin
         );
     }
@@ -142,7 +116,7 @@ proptest! {
         ][kind_idx];
         let fanin = if deep_tree { 2 } else { parallelism.max(2) };
         let records = skewed_records(seed, 36, 24);
-        let (want, _) = run_collecting(&config(kind, parallelism, false, fanin), &records);
+        let want = run_collecting(&config(kind, parallelism, false, fanin), &records, 1).patterns;
 
         // Cut at a record boundary of `cut_windows` full windows (36
         // records per tick: every object reports every tick).
@@ -171,12 +145,8 @@ proptest! {
             }
         })
         .unwrap();
-        let resumed_epoch = resumed
-            .routing_status()
-            .expect("grid clusterer has routing")
-            .epoch;
         prop_assert_eq!(
-            resumed_epoch, routing_ckpt.epoch,
+            resumed.status().routing().epoch, routing_ckpt.epoch,
             "restore must resume on the checkpointed routing epoch"
         );
         for r in &records[cut..] {

@@ -20,19 +20,18 @@
 use icpe_core::{BalancerConfig, EnumeratorKind, IcpeConfig, IcpePipeline, PipelineEvent};
 use icpe_gen::{HotspotConfig, HotspotGenerator};
 use icpe_runtime::{AlignerConfig, TimeAligner};
-use icpe_types::{Constraints, GpsRecord, ObjectId, Pattern, Timestamp};
+use icpe_types::{Constraints, GpsRecord, Pattern};
 use proptest::prelude::*;
 use std::sync::{Arc, Mutex};
 
-/// Canonical multiset form: every pattern (duplicates included) as a
-/// sortable key.
-fn multiset(patterns: &[Pattern]) -> Vec<(Vec<ObjectId>, Vec<Timestamp>)> {
-    let mut out: Vec<(Vec<ObjectId>, Vec<Timestamp>)> = patterns
-        .iter()
-        .map(|p| (p.objects.clone(), p.times.times().to_vec()))
-        .collect();
-    out.sort();
-    out
+mod common;
+use common::multiset;
+
+/// The delivered patterns plus the late-drop total of one run (see
+/// [`common::run_collecting`]).
+fn run_collecting(config: &IcpeConfig, records: &[GpsRecord], chunk: usize) -> (Vec<Pattern>, u64) {
+    let out = common::run_collecting(config, records, chunk);
+    (out.patterns, out.report.late_records)
 }
 
 /// 36 objects reporting every tick: 36 records per window.
@@ -141,31 +140,6 @@ fn config(
         })
         .build()
         .expect("valid config")
-}
-
-/// Runs the pipeline pushing records in ingest chunks of `chunk` (1 = the
-/// single-record `push` path), collecting every sealed pattern plus the
-/// late-drop total.
-fn run_collecting(config: &IcpeConfig, records: &[GpsRecord], chunk: usize) -> (Vec<Pattern>, u64) {
-    let sink: Arc<Mutex<Vec<Pattern>>> = Arc::new(Mutex::new(Vec::new()));
-    let out = Arc::clone(&sink);
-    let live = IcpePipeline::launch(config, move |e| {
-        if let PipelineEvent::Pattern(p) = e {
-            out.lock().unwrap().push(p);
-        }
-    });
-    if chunk <= 1 {
-        for r in records {
-            live.push(*r).unwrap();
-        }
-    } else {
-        for slice in records.chunks(chunk) {
-            live.push_batch(slice.to_vec()).unwrap();
-        }
-    }
-    let report = live.finish();
-    let patterns = std::mem::take(&mut *sink.lock().unwrap());
-    (patterns, report.late_records)
 }
 
 proptest! {
@@ -412,10 +386,7 @@ fn late_counters_survive_a_reshard_cycle_without_multiplication() {
     let resume_cfg = config(EnumeratorKind::Fba, 3, 5, 16, 2, TIGHT);
     let resumed = IcpePipeline::launch_from(&resume_cfg, &ckpt, |_| {}).unwrap();
     assert_eq!(
-        resumed
-            .align_status()
-            .expect("sharded head exposes gauges")
-            .late_dropped,
+        resumed.status().align().late_dropped,
         oracle_cut,
         "restored late gauge seeds from the checkpoint"
     );
@@ -444,7 +415,7 @@ fn aligner_gauges_track_the_sharded_head() {
     // A checkpoint round-trips through every stage, so the gauges published
     // on the router thread are current when it returns.
     let _ = live.checkpoint().unwrap();
-    let status = live.align_status().expect("sharded head exposes gauges");
+    let status = live.status().align();
     assert_eq!(status.shards, 4);
     assert!(status.chains > 0, "36 live trajectories must register");
     assert!(status.sealed_up_to > 0, "frontier must have advanced");

@@ -13,20 +13,12 @@
 
 use icpe_core::{BalancerConfig, EnumeratorKind, IcpeConfig, IcpePipeline, PipelineEvent};
 use icpe_gen::{HotspotConfig, HotspotGenerator};
-use icpe_types::{Constraints, GpsRecord, ObjectId, Pattern, Timestamp};
+use icpe_types::{Constraints, GpsRecord, Pattern};
 use proptest::prelude::*;
 use std::sync::{Arc, Mutex};
 
-/// Canonical multiset form: every pattern (duplicates included) as a
-/// sortable key.
-fn multiset(patterns: &[Pattern]) -> Vec<(Vec<ObjectId>, Vec<Timestamp>)> {
-    let mut out: Vec<(Vec<ObjectId>, Vec<Timestamp>)> = patterns
-        .iter()
-        .map(|p| (p.objects.clone(), p.times.times().to_vec()))
-        .collect();
-    out.sort();
-    out
-}
+mod common;
+use common::{multiset, run_collecting};
 
 fn skewed_records(seed: u64, objects: usize, ticks: u32) -> Vec<GpsRecord> {
     HotspotGenerator::new(HotspotConfig {
@@ -72,30 +64,6 @@ fn config(
     b.build().expect("valid config")
 }
 
-/// Runs the pipeline pushing records in ingest chunks of `chunk` (1 = the
-/// single-record `push` path), collecting every sealed pattern.
-fn run_collecting(config: &IcpeConfig, records: &[GpsRecord], chunk: usize) -> Vec<Pattern> {
-    let sink: Arc<Mutex<Vec<Pattern>>> = Arc::new(Mutex::new(Vec::new()));
-    let out = Arc::clone(&sink);
-    let live = IcpePipeline::launch(config, move |e| {
-        if let PipelineEvent::Pattern(p) = e {
-            out.lock().unwrap().push(p);
-        }
-    });
-    if chunk <= 1 {
-        for r in records {
-            live.push(*r).unwrap();
-        }
-    } else {
-        for slice in records.chunks(chunk) {
-            live.push_batch(slice.to_vec()).unwrap();
-        }
-    }
-    live.finish();
-    let patterns = std::mem::take(&mut *sink.lock().unwrap());
-    patterns
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
@@ -122,8 +90,9 @@ proptest! {
         // fanin ∈ {2, N}: the deepest aggregation tree vs the flat funnel.
         let fanin = if deep_tree { 2 } else { parallelism.max(2) };
         let records = skewed_records(seed, 36, 24);
-        let want = run_collecting(&config(kind, 1, 1, false, 2), &records, 1);
-        let got = run_collecting(&config(kind, parallelism, batch, false, fanin), &records, chunk);
+        let want = run_collecting(&config(kind, 1, 1, false, 2), &records, 1).patterns;
+        let got =
+            run_collecting(&config(kind, parallelism, batch, false, fanin), &records, chunk).patterns;
         prop_assert_eq!(
             multiset(&got),
             multiset(&want),
@@ -162,7 +131,7 @@ proptest! {
         let fanin = if deep_tree { 2 } else { parallelism.max(2) };
         let resume_fanin = if deep_tree { parallelism.max(2) } else { 2 };
         let records = skewed_records(seed, 36, 24);
-        let want = run_collecting(&config(kind, 1, 1, false, 2), &records, 1);
+        let want = run_collecting(&config(kind, 1, 1, false, 2), &records, 1).patterns;
 
         // Cut at a record boundary of `cut_windows` full windows (36
         // records per tick: every object reports every tick).

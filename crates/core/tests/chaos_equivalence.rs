@@ -20,13 +20,14 @@
 //! parallelism 1 / 2 / 4; a proptest then randomizes the fault site over
 //! randomized workloads.
 
-use icpe_core::{
-    EnumeratorKind, HealthState, IcpeConfig, IcpePipeline, PipelineEvent, Supervision,
-};
+use icpe_core::{EnumeratorKind, HealthState, IcpeConfig, Supervision};
 use icpe_runtime::FaultPlan;
-use icpe_types::{Constraints, GpsRecord, ObjectId, Pattern, Timestamp};
+use icpe_types::{Constraints, GpsRecord, Pattern};
 use proptest::prelude::*;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
+
+mod common;
+use common::multiset;
 
 const SNAPSHOTS: usize = 12;
 
@@ -41,17 +42,6 @@ fn records(seed: u64) -> Vec<GpsRecord> {
     })
     .traces()
     .to_gps_records()
-}
-
-/// Canonical multiset form: every delivery (duplicates included) as a
-/// sortable key.
-fn multiset(patterns: &[Pattern]) -> Vec<(Vec<ObjectId>, Vec<Timestamp>)> {
-    let mut out: Vec<(Vec<ObjectId>, Vec<Timestamp>)> = patterns
-        .iter()
-        .map(|p| (p.objects.clone(), p.times.times().to_vec()))
-        .collect();
-    out.sort();
-    out
 }
 
 /// Small batches keep fault-point batch ordinals dense (every generation
@@ -86,29 +76,18 @@ struct RunOutput {
 }
 
 fn run(config: &IcpeConfig, records: &[GpsRecord]) -> RunOutput {
-    let patterns: Arc<Mutex<Vec<Pattern>>> = Arc::new(Mutex::new(Vec::new()));
-    let seals: Arc<Mutex<Vec<u32>>> = Arc::new(Mutex::new(Vec::new()));
-    let (p, s) = (Arc::clone(&patterns), Arc::clone(&seals));
-    let live = IcpePipeline::launch(config, move |event| match event {
-        PipelineEvent::Pattern(pat) => p.lock().unwrap().push(pat),
-        PipelineEvent::SnapshotSealed { time } => s.lock().unwrap().push(time),
-    });
-    let health = live.health_handle();
-    let obs = live.obs().clone();
-    for r in records {
-        live.push(*r).unwrap();
-    }
-    let report = live.finish();
-    let out = RunOutput {
-        patterns: patterns.lock().unwrap().clone(),
-        seals: seals.lock().unwrap().clone(),
-        snapshots: report.snapshots as u64,
-        final_health: health.get(),
-        restarts: obs
+    let out = common::run_collecting(config, records, 1);
+    RunOutput {
+        patterns: out.patterns,
+        seals: out.seals,
+        snapshots: out.report.snapshots as u64,
+        final_health: out.status.health(),
+        restarts: out
+            .status
+            .obs()
             .counter("supervisor", 0, "pipeline_restarts_total")
             .get(),
-    };
-    out
+    }
 }
 
 /// One supervised-vs-baseline comparison under `spec`.

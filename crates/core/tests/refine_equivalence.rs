@@ -15,20 +15,12 @@
 
 use icpe_core::{BalancerConfig, EnumeratorKind, IcpeConfig, IcpePipeline, PipelineEvent};
 use icpe_gen::{HotspotConfig, HotspotGenerator};
-use icpe_types::{Constraints, GpsRecord, ObjectId, Pattern, Timestamp};
+use icpe_types::{Constraints, GpsRecord, Pattern};
 use proptest::prelude::*;
 use std::sync::{Arc, Mutex};
 
-/// Canonical multiset form: every pattern (duplicates included) as a
-/// sortable key.
-fn multiset(patterns: &[Pattern]) -> Vec<(Vec<ObjectId>, Vec<Timestamp>)> {
-    let mut out: Vec<(Vec<ObjectId>, Vec<Timestamp>)> = patterns
-        .iter()
-        .map(|p| (p.objects.clone(), p.times.times().to_vec()))
-        .collect();
-    out.sort();
-    out
-}
+mod common;
+use common::{multiset, run_collecting};
 
 fn skewed_records(seed: u64, objects: usize, ticks: u32) -> Vec<GpsRecord> {
     HotspotGenerator::new(HotspotConfig {
@@ -77,22 +69,6 @@ fn config(
     b.build().expect("valid config")
 }
 
-fn run_collecting(config: &IcpeConfig, records: &[GpsRecord]) -> Vec<Pattern> {
-    let sink: Arc<Mutex<Vec<Pattern>>> = Arc::new(Mutex::new(Vec::new()));
-    let out = Arc::clone(&sink);
-    let live = IcpePipeline::launch(config, move |e| {
-        if let PipelineEvent::Pattern(p) = e {
-            out.lock().unwrap().push(p);
-        }
-    });
-    for r in records {
-        live.push(*r).unwrap();
-    }
-    live.finish();
-    let patterns = std::mem::take(&mut *sink.lock().unwrap());
-    patterns
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
@@ -114,8 +90,9 @@ proptest! {
         ][kind_idx];
         let coalesce_frac = if thrash { 0.4 } else { 0.02 };
         let records = skewed_records(seed, 36, 24);
-        let want = run_collecting(&config(kind, parallelism, None, 2), &records);
-        let got = run_collecting(&config(kind, parallelism, Some(coalesce_frac), 2), &records);
+        let want = run_collecting(&config(kind, parallelism, None, 2), &records, 1).patterns;
+        let got =
+            run_collecting(&config(kind, parallelism, Some(coalesce_frac), 2), &records, 1).patterns;
         prop_assert_eq!(
             multiset(&got),
             multiset(&want),
@@ -145,7 +122,7 @@ proptest! {
         ][kind_idx];
         let (p_before, p_after) = if grow { (2, 4) } else { (4, 2) };
         let records = skewed_records(seed, 36, 24);
-        let want = run_collecting(&config(kind, p_before, None, 2), &records);
+        let want = run_collecting(&config(kind, p_before, None, 2), &records, 1).patterns;
 
         // Cut at a record boundary of `cut_windows` full windows (36
         // records per tick: every object reports every tick).
@@ -175,12 +152,8 @@ proptest! {
             }
         })
         .unwrap();
-        let resumed_epoch = resumed
-            .routing_status()
-            .expect("grid clusterer has routing")
-            .epoch;
         prop_assert_eq!(
-            resumed_epoch, routing_ckpt.epoch,
+            resumed.status().routing().epoch, routing_ckpt.epoch,
             "restore must resume on the checkpointed routing epoch"
         );
         for r in &records[cut..] {
@@ -216,7 +189,7 @@ fn forced_splits_actually_happen() {
         live.push(*r).unwrap();
     }
     let ckpt = live.checkpoint().unwrap();
-    let status = live.routing_status().expect("grid clusterer has routing");
+    let status = live.status().routing();
     live.finish();
     let routing = ckpt.routing.expect("adaptive checkpoint carries routing");
     assert!(

@@ -604,9 +604,7 @@ impl ShardedAligner {
 }
 
 /// Point-in-time view of the sharded aligner head, for STATUS/METRICS.
-/// `Default` is the zeroed no-head view (a GDC deployment runs the serial
-/// aligner and exposes no shard gauges) — status renderers use it to keep
-/// every key present.
+/// `Default` is the zeroed view of a head that has seen nothing yet.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct AlignerStatus {
     /// Number of aligner shards (the head's parallelism).

@@ -16,6 +16,7 @@
 //!   FIFO order "data before its tick/barrier" is preserved exactly as in
 //!   the record-at-a-time dataflow.
 
+use crate::envelope::Envelope;
 use crate::fault::{FaultKind, FaultPlan};
 use crate::obs::ExchangeObs;
 use crate::routing::RoutingTable;
@@ -113,6 +114,11 @@ pub enum Exchange<T> {
     /// with a controller that installs new epochs while the dataflow runs —
     /// the adaptive half of hotspot-aware repartitioning.
     Dynamic(Arc<RoutingTable>, Arc<dyn Fn(&T) -> Routing + Send + Sync>),
+    /// Tree fan-in: everything upstream subtask `i` emits goes to subtask
+    /// `i / fanin` — the routing of one
+    /// [`Stream::reduce_tree`](crate::Stream::reduce_tree) level. The
+    /// router knows its own subtask index, so records carry no sender tag.
+    FanIn(usize),
 }
 
 impl<T> Exchange<T> {
@@ -135,6 +141,34 @@ impl<T> Exchange<T> {
     }
 }
 
+/// The per-record decision of every [`Envelope`] hop: data routes as
+/// `route` says, punctuation broadcasts.
+fn envelope_routing<D, B>(
+    route: impl Fn(&D) -> Routing + Send + Sync + 'static,
+) -> impl Fn(&Envelope<D, B>) -> Routing + Send + Sync + 'static {
+    move |msg| match msg {
+        Envelope::Data(data) => route(data),
+        Envelope::Tick(_) | Envelope::Barrier(_) => Routing::Broadcast,
+    }
+}
+
+impl<D, B> Exchange<Envelope<D, B>> {
+    /// The exchange of a punctuated hop: `route` places each data payload
+    /// (normally [`Routing::Key`]), ticks and barriers reach every subtask.
+    pub fn envelope(route: impl Fn(&D) -> Routing + Send + Sync + 'static) -> Self {
+        Exchange::per_record(envelope_routing(route))
+    }
+
+    /// [`Exchange::envelope`] whose keyed decisions consult a swappable
+    /// [`RoutingTable`] (see [`Exchange::Dynamic`]).
+    pub fn envelope_via(
+        table: Arc<RoutingTable>,
+        route: impl Fn(&D) -> Routing + Send + Sync + 'static,
+    ) -> Self {
+        Exchange::dynamic(table, envelope_routing(route))
+    }
+}
+
 impl<T> Clone for Exchange<T> {
     fn clone(&self) -> Self {
         match self {
@@ -143,6 +177,7 @@ impl<T> Clone for Exchange<T> {
             Exchange::Broadcast => Exchange::Broadcast,
             Exchange::PerRecord(f) => Exchange::PerRecord(Arc::clone(f)),
             Exchange::Dynamic(t, f) => Exchange::Dynamic(Arc::clone(t), Arc::clone(f)),
+            Exchange::FanIn(fanin) => Exchange::FanIn(*fanin),
         }
     }
 }
@@ -155,6 +190,7 @@ impl<T> std::fmt::Debug for Exchange<T> {
             Exchange::Broadcast => write!(f, "Broadcast"),
             Exchange::PerRecord(_) => write!(f, "PerRecord"),
             Exchange::Dynamic(t, _) => write!(f, "Dynamic(epoch {})", t.epoch()),
+            Exchange::FanIn(fanin) => write!(f, "FanIn({fanin})"),
         }
     }
 }
@@ -182,6 +218,9 @@ pub struct Router<T> {
     /// record-at-a-time behaviour, each record its own batch).
     batch: usize,
     rr: usize,
+    /// The upstream subtask this clone serves ([`Exchange::FanIn`] routes
+    /// on it).
+    subtask: usize,
     /// Per-destination backpressure/queue-depth instrumentation, shared by
     /// every upstream subtask's clone (the counters aggregate per
     /// destination). `None` on uninstrumented dataflows: the hot path pays
@@ -205,6 +244,7 @@ impl<T> Router<T> {
             strategy,
             batch: batch.max(1),
             rr: 0,
+            subtask: 0,
             obs,
             fault: None,
         }
@@ -226,6 +266,7 @@ impl<T> Router<T> {
             // Stagger round-robin starts so subtasks do not all hammer
             // downstream subtask 0 first.
             rr: subtask % self.senders.len(),
+            subtask,
             obs: self.obs.clone(),
             fault: self.fault.as_ref().map(|f| f.for_subtask(subtask)),
         }
@@ -254,6 +295,7 @@ impl<T> Router<T> {
                 Routing::Key(k) => Dest::Idx(table.subtask(k, self.senders.len())),
                 Routing::Broadcast => Dest::All,
             },
+            Exchange::FanIn(fanin) => Dest::Idx(self.subtask / fanin),
         };
         match dest {
             Dest::Idx(idx) => self.push_to(idx, record),

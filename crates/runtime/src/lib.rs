@@ -14,6 +14,9 @@
 //!   synchronization exactly as Flink's network buffers amortize theirs;
 //! * [`Exchange`] — the routing strategy between consecutive stages
 //!   (key-hash, round-robin, or broadcast);
+//! * [`Envelope`] — the one message shape of a punctuated hop (keyed data,
+//!   broadcast snapshot ticks and checkpoint barriers), with
+//!   [`WindowAlign`] counting punctuation to a subtask's upstream width;
 //! * [`Operator`] — the subtask logic: process one record (or one batch via
 //!   [`Operator::process_batch`]), emit any number;
 //! * [`TimeAligner`] — the paper's §4 stream-synchronization mechanism: the
@@ -31,6 +34,7 @@
 //! parallelism: Figure 14's `N` machines become `N` subtasks per stage.
 
 pub mod aligner;
+pub mod envelope;
 pub mod exchange;
 pub mod fault;
 pub mod metrics;
@@ -42,6 +46,7 @@ pub mod stream;
 pub use aligner::{
     AlignOperator, AlignStats, AlignerConfig, AlignerStatus, Routed, ShardedAligner, TimeAligner,
 };
+pub use envelope::{BarrierSeq, Envelope, Partial, TreeCombiner, WindowAlign};
 pub use exchange::{Disconnected, Exchange, Routing};
 pub use fault::{FaultKind, FaultPlan, FaultPoint, StageFailure};
 pub use metrics::{MetricsReport, PipelineMetrics, StreamProgress};

@@ -156,7 +156,7 @@ impl StreamProgress {
 /// are cumulative and exact over the whole run; the percentiles are
 /// log-bucketed (≤ 25 % relative error) so reporting stays O(buckets) no
 /// matter how long the server has been sealing snapshots.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct MetricsReport {
     /// Number of snapshots with both ingest and done marks.
     pub snapshots: usize,

@@ -66,8 +66,7 @@ impl Default for RuntimeConfig {
 /// the level (0 = first combiner level above the producing stage), the
 /// subtask index within that level, and how many upstream producers feed
 /// the slot — the count punctuation/barrier alignment at the slot waits
-/// for, and the index the slot must stamp onto its own outputs so the
-/// next level can route them.
+/// for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TreeSlot {
     /// Combiner level, counted from the producing stage upward.
@@ -392,13 +391,11 @@ impl<T: Send + Clone + 'static> Stream<T> {
     /// width partials → ⌈width/fanin⌉ combiners → … → 1 finalizer
     /// ```
     ///
-    /// Records are routed by their **producer index**, extracted by
-    /// `from`: the producers of the first level are the upstream subtasks
-    /// (indices `0..width`), and every combiner must stamp its own
-    /// [`TreeSlot::subtask`] index onto the records it emits so the next
-    /// level can route them. Each slot is told how many inputs feed it
-    /// (`TreeSlot::inputs`), which is what punctuation/barrier alignment
-    /// at that slot must count to.
+    /// Records are routed by their **producer's subtask index**
+    /// ([`Exchange::FanIn`]): producer `i` of a level feeds slot
+    /// `i / fanin` of the next, so messages carry no sender tag. Each slot
+    /// is told how many inputs feed it (`TreeSlot::inputs`), which is what
+    /// punctuation/barrier alignment at that slot must count to.
     ///
     /// Ordering guarantee: everything one producer emits flows to exactly
     /// one slot of the next level over one FIFO channel, so per-producer
@@ -410,12 +407,11 @@ impl<T: Send + Clone + 'static> Stream<T> {
     /// levels and the finalizer performs the whole merge — `fanin >= N`
     /// degrades to the flat N → 1 funnel this combinator replaces. `fanin`
     /// is clamped to ≥ 2.
-    pub fn reduce_tree<O, C, Fin, FromF, CombF, FinF>(
+    pub fn reduce_tree<O, C, Fin, CombF, FinF>(
         self,
         name: &str,
         width: usize,
         fanin: usize,
-        from: FromF,
         combiner: CombF,
         finalizer: FinF,
     ) -> Stream<O>
@@ -423,7 +419,6 @@ impl<T: Send + Clone + 'static> Stream<T> {
         O: Send + Clone + 'static,
         C: Operator<T, T> + 'static,
         Fin: Operator<T, O> + 'static,
-        FromF: Fn(&T) -> usize + Send + Sync + Clone + 'static,
         CombF: Fn(TreeSlot) -> C,
         FinF: FnOnce(usize) -> Fin,
     {
@@ -434,11 +429,10 @@ impl<T: Send + Clone + 'static> Stream<T> {
         while width > fanin {
             let next = width.div_ceil(fanin);
             let prev_width = width;
-            let f = from.clone();
             stream = stream.apply(
                 &format!("{name}-l{level}"),
                 next,
-                Exchange::key_by(move |t: &T| (f(t) / fanin) as u64),
+                Exchange::FanIn(fanin),
                 |i| {
                     combiner(TreeSlot {
                         level,
@@ -830,19 +824,15 @@ mod tests {
         assert_eq!(out, vec![(0..40u64).sum::<u64>()], "exactly one subtask");
     }
 
-    /// A reduce_tree slot that sums `(from, value)` partials: combiners
-    /// re-stamp their own index, the finalizer emits the grand total once
+    /// A reduce_tree slot that sums its inputs and emits the total once
     /// its last input closes.
-    struct TreeSum {
-        me: usize,
-        acc: u64,
-    }
-    impl Operator<(usize, u64), (usize, u64)> for TreeSum {
-        fn process(&mut self, (_, v): (usize, u64), _out: &mut Collector<(usize, u64)>) {
-            self.acc += v;
+    struct TreeSum(u64);
+    impl Operator<u64, u64> for TreeSum {
+        fn process(&mut self, v: u64, _out: &mut Collector<u64>) {
+            self.0 += v;
         }
-        fn finish(&mut self, out: &mut Collector<(usize, u64)>) {
-            out.emit((self.me, self.acc));
+        fn finish(&mut self, out: &mut Collector<u64>) {
+            out.emit(self.0);
         }
     }
 
@@ -859,26 +849,12 @@ mod tests {
         ] {
             let out = Stream::source(cfg(), width, |i| {
                 let base = i as u64 * 100;
-                std::iter::once((i, (base..base + 100).sum::<u64>()))
+                std::iter::once((base..base + 100).sum::<u64>())
             })
-            .reduce_tree(
-                "tree",
-                width,
-                fanin,
-                |t: &(usize, u64)| t.0,
-                |slot: TreeSlot| TreeSum {
-                    me: slot.subtask,
-                    acc: 0,
-                },
-                |_inputs| TreeSum { me: 0, acc: 0 },
-            )
+            .reduce_tree("tree", width, fanin, |_| TreeSum(0), |_| TreeSum(0))
             .collect_vec();
             let want: u64 = (0..width as u64 * 100).sum();
-            assert_eq!(
-                out.iter().map(|&(_, v)| v).collect::<Vec<_>>(),
-                vec![want],
-                "width {width} fanin {fanin}"
-            );
+            assert_eq!(out, vec![want], "width {width} fanin {fanin}");
         }
     }
 
@@ -886,39 +862,33 @@ mod tests {
     fn reduce_tree_slots_partition_the_producers() {
         // Record which slot each producer's records reach at level 0 of an
         // 8-wide fanin-3 tree: slots must own disjoint contiguous groups
-        // of sizes 3, 3, 2.
+        // of sizes 3, 3, 2. The payload names its producer only so the
+        // test can see it — routing goes by the sending subtask's index.
         let seen: std::sync::Arc<Mutex<Vec<(TreeSlot, usize)>>> =
             std::sync::Arc::new(Mutex::new(Vec::new()));
         struct Observe {
             slot: TreeSlot,
             seen: std::sync::Arc<Mutex<Vec<(TreeSlot, usize)>>>,
         }
-        impl Operator<(usize, u64), (usize, u64)> for Observe {
-            fn process(&mut self, (from, v): (usize, u64), out: &mut Collector<(usize, u64)>) {
+        impl Operator<usize, usize> for Observe {
+            fn process(&mut self, from: usize, out: &mut Collector<usize>) {
                 self.seen.lock().unwrap().push((self.slot, from));
-                out.emit((self.slot.subtask, v));
-            }
-        }
-        struct Drain;
-        impl Operator<(usize, u64), u64> for Drain {
-            fn process(&mut self, (_, v): (usize, u64), out: &mut Collector<u64>) {
-                out.emit(v);
+                out.emit(from);
             }
         }
         let sink = std::sync::Arc::clone(&seen);
-        let out = Stream::source(cfg(), 8, |i| std::iter::once((i, 1u64)))
+        let out = Stream::source(cfg(), 8, std::iter::once)
             .reduce_tree(
                 "observe",
                 8,
                 3,
-                |t: &(usize, u64)| t.0,
                 move |slot: TreeSlot| Observe {
                     slot,
                     seen: std::sync::Arc::clone(&sink),
                 },
                 |inputs| {
                     assert_eq!(inputs, 3, "⌈8/3⌉ = 3 combiners feed the finalizer");
-                    Drain
+                    map_fn(|from: usize| from)
                 },
             )
             .collect_vec();

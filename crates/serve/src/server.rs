@@ -23,18 +23,18 @@ use crate::protocol::{EventKind, PatternEvent, SnapshotEvent, Topic, WireRecord}
 use crate::recovery::{CheckpointPolicy, EdgeStatsCheckpoint, ServeCheckpoint};
 use crate::stats::ServerStats;
 use icpe_core::{
-    AlignHandle, HealthHandle, HealthState, IcpeConfig, IcpePipeline, LivePipeline, PipelineEvent,
-    RecordSender, RoutingHandle, SyncHandle,
+    HealthState, IcpeConfig, IcpePipeline, LivePipeline, PipelineEvent, PipelineStatus,
+    RecordSender,
 };
 use icpe_persist::CheckpointStore;
-use icpe_runtime::{MetricRegistry, MetricsReport, ObsEventKind, PipelineMetrics};
+use icpe_runtime::{MetricsReport, ObsEventKind};
 use icpe_types::{Discretizer, RawRecord};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex as StdMutex};
+use std::sync::{Arc, Condvar, Mutex as StdMutex, OnceLock};
 use std::thread::JoinHandle;
 
 /// Configuration of an [`Server`].
@@ -251,24 +251,11 @@ struct Shared {
     projector: Discretizer,
     /// Producer handle into the pipeline; `None` once draining started.
     ingest: Mutex<Option<RecordSender>>,
-    /// The pipeline's shared recorder (for `STATUS`).
-    pipeline_metrics: Mutex<Option<PipelineMetrics>>,
-    /// The pipeline's per-stage metric registry and event journal (for
-    /// `METRICS` / `EVENTS`); also the sink for serve-originated journal
-    /// events (subscriber shedding).
-    obs: Mutex<Option<MetricRegistry>>,
-    /// The grid stage's routing view (epoch, migrations, load split), when
-    /// the engine runs one (for `STATUS`).
-    routing: Mutex<Option<RoutingHandle>>,
-    /// The sharded sync merge path's gauge view, when the engine runs one
-    /// (for `STATUS`).
-    sync: Mutex<Option<SyncHandle>>,
-    /// The sharded aligner head's gauge view, when the engine runs one
-    /// (for `STATUS`).
-    align: Mutex<Option<AlignHandle>>,
-    /// The pipeline's supervision health (for `STATUS`/`METRICS`). Always
-    /// reads `healthy` for an unsupervised engine.
-    health: Mutex<Option<HealthHandle>>,
+    /// The pipeline's one status surface, behind `STATUS`, `METRICS` and
+    /// `EVENTS`; its journal is also the sink for serve-originated events
+    /// (subscriber shedding, quarantines). Set once, right after launch —
+    /// the pipeline's event callback already holds this struct by then.
+    pipeline: OnceLock<PipelineStatus>,
     /// Dead-letter ring: the most recent malformed producer lines, kept for
     /// post-mortem inspection (`Server::dead_letters`). Bounded — quarantine
     /// must never become the unbounded queue the rest of the edge avoids.
@@ -302,6 +289,22 @@ struct ConnEntry {
 }
 
 impl Shared {
+    /// The pipeline's status surface. Connections are accepted only after
+    /// [`Server::start`] published it.
+    fn status(&self) -> &PipelineStatus {
+        self.pipeline
+            .get()
+            .expect("the pipeline launches before any connection is served")
+    }
+
+    /// Appends a serve-originated event to the pipeline's journal (a no-op
+    /// in the instant between launch and the status surface's publication).
+    fn journal(&self, event: ObsEventKind) {
+        if let Some(status) = self.pipeline.get() {
+            status.obs().emit(event);
+        }
+    }
+
     fn register_conn(&self, stream: &TcpStream) -> u64 {
         let id = self.next_conn_id.fetch_add(1, Ordering::Relaxed);
         if let Ok(clone) = stream.try_clone() {
@@ -453,12 +456,7 @@ impl Server {
                 .expect("parameters were validated when `discretizer` was built"),
             discretizer: Mutex::new(discretizer),
             ingest: Mutex::new(None),
-            pipeline_metrics: Mutex::new(None),
-            obs: Mutex::new(None),
-            routing: Mutex::new(None),
-            sync: Mutex::new(None),
-            align: Mutex::new(None),
-            health: Mutex::new(None),
+            pipeline: OnceLock::new(),
             dead_letters: Mutex::new(std::collections::VecDeque::new()),
             skew: SkewLimiter::new(config.max_producer_skew, config.startup_grace),
             socket_timeout: config.socket_timeout,
@@ -497,12 +495,10 @@ impl Server {
                     // what it missed with `EVENTS since-seq` (bounded by
                     // the journal ring).
                     if bridge.journal_patterns {
-                        if let Some(obs) = &*bridge.obs.lock() {
-                            obs.emit(ObsEventKind::PatternSealed {
-                                objects: p.objects.iter().map(|o| o.0).collect(),
-                                times: p.times.times().iter().map(|t| t.0).collect(),
-                            });
-                        }
+                        bridge.journal(ObsEventKind::PatternSealed {
+                            objects: p.objects.iter().map(|o| o.0).collect(),
+                            times: p.times.times().iter().map(|t| t.0).collect(),
+                        });
                     }
                     if bridge.hub.accepts_any(EventKind::Pattern) {
                         let line: Arc<str> = Arc::from(
@@ -551,20 +547,16 @@ impl Server {
             None => IcpePipeline::launch(&config.engine, on_event),
         };
         *shared.ingest.lock() = Some(pipeline.sender());
-        *shared.pipeline_metrics.lock() = Some(pipeline.metrics().clone());
-        *shared.obs.lock() = Some(pipeline.obs().clone());
-        *shared.routing.lock() = pipeline.routing().cloned();
-        *shared.sync.lock() = pipeline.sync().cloned();
-        *shared.align.lock() = pipeline.align().cloned();
-        *shared.health.lock() = Some(pipeline.health_handle());
+        shared
+            .pipeline
+            .set(pipeline.status().clone())
+            .expect("the status surface is published exactly once");
         if !skipped.is_empty() {
-            if let Some(obs) = &*shared.obs.lock() {
-                for skip in &skipped {
-                    obs.emit(ObsEventKind::CheckpointSkipped {
-                        seq: skip.seq,
-                        reason: skip.reason.clone(),
-                    });
-                }
+            for skip in &skipped {
+                shared.journal(ObsEventKind::CheckpointSkipped {
+                    seq: skip.seq,
+                    reason: skip.reason.clone(),
+                });
             }
             eprintln!(
                 "icpe-serve: skipped {} unreadable checkpoint(s) while resuming",
@@ -614,7 +606,7 @@ impl Server {
     /// The pipeline's current supervision health. An unsupervised engine
     /// is always `Healthy`.
     pub fn health(&self) -> HealthState {
-        shared_health(&self.shared)
+        self.shared.status().health()
     }
 
     /// A snapshot of the dead-letter ring: the most recent malformed
@@ -778,10 +770,8 @@ fn note_shed(shared: &Shared, shed: &[u64]) {
         .stats
         .subscribers_shed
         .fetch_add(shed.len() as u64, Ordering::Relaxed);
-    if let Some(obs) = &*shared.obs.lock() {
-        for &id in shed {
-            obs.emit(ObsEventKind::SubscriberShed { subscriber: id });
-        }
+    for &id in shed {
+        shared.journal(ObsEventKind::SubscriberShed { subscriber: id });
     }
 }
 
@@ -933,12 +923,10 @@ fn serve_producer(
     // One journal entry per connection that produced garbage: which peer,
     // how many lines — the per-line payloads are in the dead-letter ring.
     if quarantined > 0 {
-        if let Some(obs) = &*shared.obs.lock() {
-            obs.emit(ObsEventKind::RecordQuarantined {
-                conn: conn_id,
-                records: quarantined,
-            });
-        }
+        shared.journal(ObsEventKind::RecordQuarantined {
+            conn: conn_id,
+            records: quarantined,
+        });
     }
     result
 }
@@ -1158,29 +1146,12 @@ fn serve_subscriber(
     result
 }
 
-/// The pipeline's supervision health as seen from the serve edge
-/// (`Healthy` before launch completes or for an unsupervised engine).
-fn shared_health(shared: &Shared) -> HealthState {
-    shared
-        .health
-        .lock()
-        .as_ref()
-        .map_or(HealthState::Healthy, HealthHandle::get)
-}
-
-/// Assembles the `STATUS` block: the edge/pipeline counters plus the
-/// supervision health line.
+/// Assembles the `STATUS` block: the edge counters plus one reading of
+/// the pipeline's status surface.
 fn render_status(shared: &Shared) -> String {
-    let metrics = shared.pipeline_metrics.lock().clone().unwrap_or_default();
-    let routing = shared.routing.lock().as_ref().map(RoutingHandle::status);
-    let sync = shared.sync.lock().as_ref().map(SyncHandle::status);
-    let align = shared.align.lock().as_ref().map(AlignHandle::status);
-    let depth = shared.hub.max_queue_depth();
-    let mut text = shared.stats.render(&metrics, routing, sync, align, depth);
-    text.push_str("health=");
-    text.push_str(shared_health(shared).as_str());
-    text.push('\n');
-    text
+    shared
+        .stats
+        .render(&shared.status().snapshot(), shared.hub.max_queue_depth())
 }
 
 /// `STATUS` connection: one text block, then close.
@@ -1195,20 +1166,13 @@ fn serve_status(shared: &Arc<Shared>, stream: TcpStream) -> std::io::Result<()> 
 /// disjoint prefixes (`icpe_` vs `icpe_serve_`), so concatenation keeps
 /// every family's samples contiguous as the exposition format requires.
 fn render_metrics(shared: &Shared) -> String {
-    let metrics = shared.pipeline_metrics.lock().clone().unwrap_or_default();
-    let mut text = match &*shared.obs.lock() {
-        Some(obs) => obs.render_prometheus(),
-        None => String::new(),
-    };
+    let status = shared.status();
+    let mut text = status.obs().render_prometheus();
     text.push_str(
         &shared
             .stats
-            .render_prometheus(&metrics, shared.hub.max_queue_depth()),
+            .render_prometheus(&status.snapshot(), shared.hub.max_queue_depth()),
     );
-    let health = shared_health(shared);
-    text.push_str("# HELP icpe_serve_health Pipeline supervision health (0=healthy 1=recovering 2=degraded 3=failed).\n");
-    text.push_str("# TYPE icpe_serve_health gauge\n");
-    text.push_str(&format!("icpe_serve_health {}\n", health as u8));
     text
 }
 
@@ -1235,10 +1199,8 @@ fn serve_events(shared: &Arc<Shared>, stream: TcpStream, arg: &str) -> std::io::
             }
         },
     };
-    if let Some(obs) = shared.obs.lock().clone() {
-        for event in obs.events_since(since) {
-            writeln!(w, "{}", event.render_json())?;
-        }
+    for event in shared.status().obs().events_since(since) {
+        writeln!(w, "{}", event.render_json())?;
     }
     w.flush()
 }

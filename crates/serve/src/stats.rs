@@ -1,13 +1,12 @@
 //! Server-side counters behind the `STATUS` endpoint.
 
-use icpe_core::{AlignerStatus, SyncStatus};
-use icpe_runtime::{PipelineMetrics, RoutingStatus};
+use icpe_core::StatusSnapshot;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 /// Lock-free counters shared by every connection handler. Pipeline-side
-/// numbers (latency, sealing frontier, late drops) live in
-/// [`PipelineMetrics`]; this struct holds the network-edge view.
+/// numbers (latency, sealing frontier, late drops) come from the pipeline's
+/// [`StatusSnapshot`]; this struct holds the network-edge view.
 #[derive(Debug)]
 pub struct ServerStats {
     started: Instant,
@@ -125,22 +124,22 @@ impl ServerStats {
     }
 
     /// Renders the `STATUS` response: one `key=value` per line, stable keys,
-    /// merging the network-edge counters with the pipeline's live metrics
-    /// and — when the engine runs a keyed grid stage — the routing layer's
+    /// merging the network-edge counters with one reading of the pipeline's
+    /// status surface — progress and latency, the routing layer's
     /// epoch/load-balance gauges, the sharded sync merge path's dedup/seal
-    /// gauges, and the sharded aligner head's chain/frontier gauges.
-    pub fn render(
-        &self,
-        pipeline: &PipelineMetrics,
-        routing: Option<RoutingStatus>,
-        sync: Option<SyncStatus>,
-        align: Option<AlignerStatus>,
-        max_subscriber_queue_depth: usize,
-    ) -> String {
+    /// gauges, the sharded aligner head's chain/frontier gauges, and the
+    /// supervision health.
+    pub fn render(&self, pipeline: &StatusSnapshot, max_subscriber_queue_depth: usize) -> String {
         let uptime = self.uptime();
         let records_in = self.records_in.load(Ordering::Relaxed);
-        let progress = pipeline.progress();
-        let report = pipeline.report();
+        let StatusSnapshot {
+            health,
+            progress,
+            report,
+            routing: r,
+            sync: s,
+            align: a,
+        } = pipeline;
         let mut out = String::with_capacity(512);
         let mut line = |k: &str, v: String| {
             out.push_str(k);
@@ -227,9 +226,7 @@ impl ServerStats {
         // The sharded aligner head: how the trajectory chains spread across
         // the shards and how far apart the per-shard frontiers run (a wide
         // spread means one shard's slow trajectories hold the global seal
-        // back). Same always-render contract as the routing/sync keys — a
-        // GDC deployment runs the serial head and renders them zeroed.
-        let a = align.unwrap_or_default();
+        // back).
         line("aligner_shards", a.shards.to_string());
         line("aligner_chains", a.chains.to_string());
         line("aligner_max_shard_chains", a.max_shard_chains.to_string());
@@ -257,10 +254,8 @@ impl ServerStats {
         );
         // Adaptive routing: which placement epoch is live, how much has
         // moved, and how evenly the grid stage's last window spread. All
-        // zeros under static routing that never measured a window; absent
-        // keys would break `key=value` consumers, so a grid-less engine
-        // (GDC) renders the same keys with zeroed values.
-        let r = routing.unwrap_or_default();
+        // zeros under static routing that never measured a window (absent
+        // keys would break `key=value` consumers).
         line("routing_epoch", r.epoch.to_string());
         line("cells_mapped", r.mapped_keys.to_string());
         line("cells_migrated", r.cells_migrated.to_string());
@@ -275,10 +270,7 @@ impl ServerStats {
         line("cell_splits", r.splits.to_string());
         line("cell_coalesces", r.coalesces.to_string());
         // The sharded GridSync merge path: how the dedup load spreads
-        // across the shards and how deep the aggregation tree runs. Same
-        // always-render contract as the routing keys — a grid-less engine
-        // (GDC) renders them zeroed.
-        let s = sync.unwrap_or_default();
+        // across the shards and how deep the aggregation tree runs.
         line("sync_shards", s.shards.to_string());
         line("sync_fanin", s.fanin.to_string());
         line("sync_tree_levels", s.levels.to_string());
@@ -297,6 +289,7 @@ impl ServerStats {
             format!("{:.3}", report.p95_latency.as_secs_f64() * 1e3),
         );
         line("throughput_tps", format!("{:.1}", report.throughput_tps));
+        line("health", health.as_str().into());
         out
     }
 
@@ -311,11 +304,15 @@ impl ServerStats {
     /// [`MetricsReport::throughput_tps`]: icpe_runtime::MetricsReport
     pub fn render_prometheus(
         &self,
-        pipeline: &PipelineMetrics,
+        pipeline: &StatusSnapshot,
         max_subscriber_queue_depth: usize,
     ) -> String {
-        let report = pipeline.report();
-        let progress = pipeline.progress();
+        let StatusSnapshot {
+            health,
+            progress,
+            report,
+            ..
+        } = pipeline;
         let mut out = String::with_capacity(1024);
         let mut family = |name: &str, kind: &str, help: &str, value: String| {
             out.push_str(&format!("# HELP icpe_serve_{name} {help}\n"));
@@ -432,6 +429,12 @@ impl ServerStats {
             "95th-percentile end-to-end snapshot latency.",
             format!("{:.9}", finite(report.p95_latency.as_secs_f64())),
         );
+        family(
+            "health",
+            "gauge",
+            "Pipeline supervision health (0=healthy 1=recovering 2=degraded 3=failed).",
+            count(*health as u64),
+        );
         out
     }
 }
@@ -459,8 +462,8 @@ mod tests {
     fn render_contains_stable_keys() {
         let stats = ServerStats::new();
         stats.records_in.store(42, Ordering::Relaxed);
-        let pipeline = PipelineMetrics::new();
-        let text = stats.render(&pipeline, None, None, None, 0);
+        let pipeline = StatusSnapshot::default();
+        let text = stats.render(&pipeline, 0);
         let kv = parse_status(&text);
         let get = |k: &str| {
             kv.iter()
@@ -477,7 +480,7 @@ mod tests {
         stats.note_ingested_tick(6);
         stats.note_ingested_tick(3);
         assert_eq!(stats.ingested_tick(), Some(6));
-        let kv = parse_status(&stats.render(&pipeline, None, None, None, 0));
+        let kv = parse_status(&stats.render(&pipeline, 0));
         let frontier = kv.iter().find(|(k, _)| k == "ingest_frontier").unwrap();
         assert_eq!(frontier.1, "6");
         let lag = kv.iter().find(|(k, _)| k == "align_lag_snapshots").unwrap();
@@ -487,9 +490,9 @@ mod tests {
     #[test]
     fn render_includes_throughput_gauges() {
         let stats = ServerStats::new();
-        let pipeline = PipelineMetrics::new();
+        let pipeline = StatusSnapshot::default();
         // No batches yet: fill renders 0 (guarded division), rates render.
-        let kv = parse_status(&stats.render(&pipeline, None, None, None, 0));
+        let kv = parse_status(&stats.render(&pipeline, 0));
         let get = |k: &str| kv.iter().find(|(key, _)| key == k).unwrap().1.clone();
         assert_eq!(get("ingest_batches"), "0");
         assert_eq!(get("mean_batch_fill"), "0.00");
@@ -498,7 +501,7 @@ mod tests {
         stats.note_batch(48);
         stats.note_batch(16);
         stats.patterns_out.store(7, Ordering::Relaxed);
-        let kv = parse_status(&stats.render(&pipeline, None, None, None, 0));
+        let kv = parse_status(&stats.render(&pipeline, 0));
         let get = |k: &str| kv.iter().find(|(key, _)| key == k).unwrap().1.clone();
         assert_eq!(get("records_in"), "64");
         assert_eq!(get("ingest_batches"), "2");
@@ -510,15 +513,15 @@ mod tests {
     #[test]
     fn render_includes_sync_gauges() {
         let stats = ServerStats::new();
-        let pipeline = PipelineMetrics::new();
-        // Without a sync path the keys still render, zeroed.
-        let kv = parse_status(&stats.render(&pipeline, None, None, None, 0));
+        let pipeline = StatusSnapshot::default();
+        // Before any window the keys still render, zeroed.
+        let kv = parse_status(&stats.render(&pipeline, 0));
         let get = |k: &str| kv.iter().find(|(key, _)| key == k).unwrap().1.clone();
         assert_eq!(get("sync_shards"), "0");
         assert_eq!(get("sync_pairs_merged"), "0");
         assert_eq!(get("sync_shard_imbalance"), "1.000");
 
-        let sync = SyncStatus {
+        let sync = icpe_core::SyncStatus {
             shards: 8,
             fanin: 4,
             levels: 1,
@@ -528,7 +531,8 @@ mod tests {
             max_shard_load: 90,
             mean_shard_load: 60.0,
         };
-        let kv = parse_status(&stats.render(&pipeline, None, Some(sync), None, 0));
+        let pipeline = StatusSnapshot { sync, ..pipeline };
+        let kv = parse_status(&stats.render(&pipeline, 0));
         let get = |k: &str| kv.iter().find(|(key, _)| key == k).unwrap().1.clone();
         assert_eq!(get("sync_shards"), "8");
         assert_eq!(get("sync_fanin"), "4");
@@ -544,16 +548,16 @@ mod tests {
     #[test]
     fn render_includes_aligner_gauges() {
         let stats = ServerStats::new();
-        let pipeline = PipelineMetrics::new();
-        // Without a sharded head (GDC) the keys still render, zeroed.
-        let kv = parse_status(&stats.render(&pipeline, None, None, None, 0));
+        let pipeline = StatusSnapshot::default();
+        // Before any record the keys still render, zeroed.
+        let kv = parse_status(&stats.render(&pipeline, 0));
         let get = |k: &str| kv.iter().find(|(key, _)| key == k).unwrap().1.clone();
         assert_eq!(get("aligner_shards"), "0");
         assert_eq!(get("aligner_chains"), "0");
         assert_eq!(get("aligner_sealed_frontier"), "0");
         assert_eq!(get("aligner_shard_imbalance"), "1.000");
 
-        let align = AlignerStatus {
+        let align = icpe_core::AlignerStatus {
             shards: 4,
             chains: 36,
             max_shard_chains: 18,
@@ -562,7 +566,8 @@ mod tests {
             min_shard_frontier: 20,
             max_shard_frontier: 24,
         };
-        let kv = parse_status(&stats.render(&pipeline, None, None, Some(align), 0));
+        let pipeline = StatusSnapshot { align, ..pipeline };
+        let kv = parse_status(&stats.render(&pipeline, 0));
         let get = |k: &str| kv.iter().find(|(key, _)| key == k).unwrap().1.clone();
         assert_eq!(get("aligner_shards"), "4");
         assert_eq!(get("aligner_chains"), "36");
@@ -577,9 +582,9 @@ mod tests {
     #[test]
     fn render_includes_routing_gauges() {
         let stats = ServerStats::new();
-        let pipeline = PipelineMetrics::new();
-        // Without a routing layer the keys still render, zeroed.
-        let kv = parse_status(&stats.render(&pipeline, None, None, None, 0));
+        let pipeline = StatusSnapshot::default();
+        // Under static routing the keys still render, zeroed.
+        let kv = parse_status(&stats.render(&pipeline, 0));
         let get = |k: &str| kv.iter().find(|(key, _)| key == k).unwrap().1.clone();
         assert_eq!(get("routing_epoch"), "0");
         assert_eq!(get("cells_migrated"), "0");
@@ -587,7 +592,7 @@ mod tests {
         assert_eq!(get("refined_cells"), "0");
         assert_eq!(get("cell_splits"), "0");
 
-        let routing = RoutingStatus {
+        let routing = icpe_core::RoutingStatus {
             epoch: 3,
             mapped_keys: 5,
             cells_migrated: 11,
@@ -598,7 +603,11 @@ mod tests {
             splits: 4,
             coalesces: 2,
         };
-        let kv = parse_status(&stats.render(&pipeline, Some(routing), None, None, 0));
+        let pipeline = StatusSnapshot {
+            routing,
+            ..pipeline
+        };
+        let kv = parse_status(&stats.render(&pipeline, 0));
         let get = |k: &str| kv.iter().find(|(key, _)| key == k).unwrap().1.clone();
         assert_eq!(get("routing_epoch"), "3");
         assert_eq!(get("cells_mapped"), "5");

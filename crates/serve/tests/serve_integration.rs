@@ -495,6 +495,52 @@ fn status_endpoint_reports_counters_and_rejects() {
     server.finish();
 }
 
+/// The wire contract of `STATUS` and the serve half of `METRICS`: every key
+/// and family, in order, as a client reads them off the socket. Dashboards
+/// and the CI smokes match on these names, so a refactor of the status
+/// plumbing must not drop, rename or reorder one.
+#[test]
+fn status_keys_and_serve_metric_families_are_pinned() {
+    let server = Server::start(ServeConfig::new(engine_config(2))).unwrap();
+    let addr = server.local_addr().to_string();
+    let keys: Vec<String> = client::fetch_status(&addr)
+        .unwrap()
+        .into_iter()
+        .map(|(k, _)| k)
+        .collect();
+    let want = "service uptime_s producers subscribers records_in records_rejected \
+        records_quarantined records_late records_per_s ingest_batches mean_batch_fill \
+        bytes_in snapshots_sealed patterns_emitted patterns_per_s subscribers_shed \
+        max_subscriber_queue_depth ingest_frontier aligned_frontier sealed_frontier \
+        align_lag_snapshots detect_lag_snapshots in_flight_snapshots aligner_shards \
+        aligner_chains aligner_max_shard_chains aligner_late_dropped \
+        aligner_sealed_frontier aligner_min_shard_frontier aligner_max_shard_frontier \
+        aligner_shard_imbalance checkpoint_seq checkpoints_written routing_epoch \
+        cells_mapped cells_migrated max_subtask_load mean_subtask_load subtask_imbalance \
+        refined_cells max_refine_depth cell_splits cell_coalesces sync_shards sync_fanin \
+        sync_tree_levels sync_pairs_merged sync_duplicates sync_windows_sealed \
+        sync_max_shard_load sync_mean_shard_load sync_shard_imbalance avg_latency_ms \
+        p95_latency_ms throughput_tps health";
+    assert_eq!(keys, want.split_whitespace().collect::<Vec<_>>());
+
+    let exposition = client::fetch_metrics(&addr).unwrap();
+    let families: Vec<&str> = exposition
+        .lines()
+        .filter_map(|l| l.strip_prefix("# TYPE icpe_serve_"))
+        .map(|l| l.split(' ').next().expect("family name"))
+        .collect();
+    let want = "records_in_total records_rejected_total records_quarantined_total \
+        records_late_total ingest_batches_total bytes_in_total patterns_emitted_total \
+        snapshots_sealed_total subscribers_shed_total checkpoints_written_total producers \
+        subscribers max_subscriber_queue_depth in_flight_snapshots uptime_seconds \
+        throughput_tps avg_latency_seconds p95_latency_seconds health";
+    assert_eq!(families, want.split_whitespace().collect::<Vec<_>>());
+    // Every serve-level sample belongs to a declared family.
+    let samples = exposition.lines().filter(|l| l.starts_with("icpe_serve_"));
+    assert_eq!(samples.count(), families.len());
+    server.finish();
+}
+
 /// Golden test for the METRICS exposition: the metric-family names are a
 /// stable interface (dashboards key on them), every pipeline stage and
 /// exchange hop reports, and every sample value is finite — a NaN from a

@@ -10,7 +10,10 @@
 //!
 //! After an intentional schema change: bump `CHECKPOINT_VERSION`, then
 //! regenerate the fixture with
-//! `ICPE_REGEN_FIXTURE=1 cargo test -p icpe-types --test checkpoint_schema`.
+//! `ICPE_REGEN_FIXTURE=1 cargo test -p icpe-types --test checkpoint_schema`
+//! and delete the previous version's file: only
+//! `checkpoint_v{CHECKPOINT_VERSION}.json` is ever read, and restore refuses
+//! every other version outright, so a predecessor fixture guards nothing.
 
 use icpe_types::{
     AlignerCheckpoint, CellAssignment, CellLoadCheckpoint, CellRefinement, ChainCheckpoint,
