@@ -308,7 +308,9 @@ impl IcpeConfigBuilder {
     }
 
     /// Sets the inter-subtask channel capacity in batches (backpressure
-    /// depth; default 1024).
+    /// depth; default 64). A batch
+    /// ships at `batch_size` rows, so a hop holds about
+    /// `channel_capacity × batch_size` rows.
     pub fn channel_capacity(mut self, batches: usize) -> Self {
         self.runtime.channel_capacity = batches.max(1);
         self

@@ -1373,7 +1373,13 @@ fn drive(
             .map(|e| Mutex::new(Some(e)))
             .collect();
 
-    let mut source = Stream::from_channel(config.runtime.clone(), records);
+    // Every hop whose messages carry a vector of rows says so (`weigh`):
+    // its batches then fill by rows, and `channel_capacity` bounds what is
+    // in flight in records rather than in messages of whatever size.
+    let mut source = Stream::from_channel(config.runtime.clone(), records).weigh(|msg| match msg {
+        InputMsg::Batch(records) => records.len(),
+        InputMsg::Record(_) | InputMsg::Barrier(_) => 1,
+    });
     if let Some(reports) = failures {
         // Every stage declared below runs panic-isolated: a dying subtask
         // reports a typed StageFailure to the supervisor instead of
@@ -1576,6 +1582,12 @@ fn cluster_stages(
             sealed: Vec::new(),
         },
     );
+    let routed = routed.weigh(|msg| {
+        msg.rows(|data| match data {
+            RouteData::Records { records, .. } => records.len(),
+            RouteData::Seal { .. } => 1,
+        })
+    });
     // S aligner shards, keyed by trajectory: each buffers the rows of its
     // trajectories and — at the router's Seal punctuation — runs
     // GridAllocate over them (per-record stateless, so the cell-assignment
@@ -1607,6 +1619,7 @@ fn cluster_stages(
             }
         },
     );
+    let shard_partials = shard_partials.weigh(|msg| msg.rows(|(_, objects)| objects.len()));
     // The partials reduce through an aggregation tree (same fanin as the
     // sync tree, ticks and barriers aligned at every level) down to the
     // one finalizer that runs the load balancer and releases each window
@@ -1642,6 +1655,7 @@ fn cluster_stages(
         cell_pairs: Vec::new(),
         shard_pairs: vec![Vec::new(); n],
     });
+    let pairs = pairs.weigh(|msg| msg.rows(|bundle| bundle.pairs.len()));
     // The sharded merge path: pairs key on their owner's shard so every
     // duplicate of a pair meets its twin on one subtask, each shard dedups
     // the partitions it owns, and the partial merges reduce through the
@@ -1655,6 +1669,7 @@ fn cluster_stages(
         Exchange::envelope(|bundle: &PairBundle| Routing::Key(bundle.shard as u64)),
         move |i| ShardSyncOp::build(i, n, Arc::clone(&shard_stats), shard_resume.as_ref()),
     );
+    let partials = partials.weigh(|msg| msg.rows(|(_, partial)| partial.pairs.len()));
     let stats = Arc::clone(&status.sync);
     let windows_sealed = sync_resume.map_or(0, |s| s.windows_sealed);
     partials.reduce_tree(
@@ -1846,11 +1861,14 @@ impl AlignRouteOp {
     /// of time `t` arriving after `t` sealed within the same batch is
     /// impossible: the router classifies it late the moment `t` seals.)
     fn flush_batch(&mut self, out: &mut Collector<RouteMsg>) {
-        for shard in 0..self.buckets.len() {
-            if !self.buckets[shard].is_empty() {
+        for (shard, bucket) in self.buckets.iter_mut().enumerate() {
+            if !bucket.is_empty() {
+                // The next ingest batch fills this bucket about as full:
+                // size its replacement once instead of regrowing it.
+                let next = Vec::with_capacity(bucket.len());
                 out.emit(Envelope::Data(RouteData::Records {
                     shard: shard as u32,
-                    records: std::mem::take(&mut self.buckets[shard]),
+                    records: std::mem::replace(bucket, next),
                 }));
             }
         }

@@ -17,9 +17,9 @@
 //! trajectory either is clarified through `u` or has lagged out (see
 //! [`AlignerConfig::max_lag`]).
 
-use crate::operator::{Collector, Operator};
 use icpe_types::shard::{hash_id, subtask_for};
 use icpe_types::{AlignerCheckpoint, ChainCheckpoint, GpsRecord, ObjectId, Snapshot, Timestamp};
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -72,7 +72,7 @@ pub struct TimeAligner {
     config: AlignerConfig,
     /// Buffered (not yet sealed) snapshot contents by time.
     buffers: BTreeMap<u32, Snapshot>,
-    chains: HashMap<ObjectId, Chain>,
+    chains: ChainIndex,
     /// All times `< sealed_up_to` are sealed; `None` until the first seal.
     sealed_up_to: Option<u32>,
     /// Largest record time seen.
@@ -87,7 +87,7 @@ impl TimeAligner {
         TimeAligner {
             config,
             buffers: BTreeMap::new(),
-            chains: HashMap::new(),
+            chains: ChainIndex::default(),
             sealed_up_to: None,
             max_seen: 0,
             late_dropped: 0,
@@ -117,7 +117,7 @@ impl TimeAligner {
                 // records from waiting forever on a link that will never
                 // connect (which would stall sealing until retirement).
                 self.late_dropped += 1;
-                self.advance_chain(&rec);
+                self.chains.advance(&rec);
                 return;
             }
         }
@@ -126,14 +126,8 @@ impl TimeAligner {
             .entry(t)
             .or_insert_with(|| Snapshot::new(Timestamp(t)))
             .push(rec.id, rec.location, rec.last_time);
-        self.advance_chain(&rec);
+        self.chains.advance(&rec);
         self.drain_sealable_into(out);
-    }
-
-    /// Advances a trajectory's clarification chain with one record's
-    /// last-time link.
-    fn advance_chain(&mut self, rec: &GpsRecord) {
-        advance_chain_in(&mut self.chains, rec);
     }
 
     /// Seals everything still buffered (end of stream).
@@ -173,15 +167,7 @@ impl TimeAligner {
     /// byte-identical).
     pub fn checkpoint(&self) -> AlignerCheckpoint {
         let buffers: Vec<Snapshot> = self.buffers.values().cloned().collect();
-        let mut chains: Vec<ChainCheckpoint> = self
-            .chains
-            .iter()
-            .map(|(&id, chain)| ChainCheckpoint {
-                id,
-                clarified: chain.clarified,
-                waiting: chain.waiting.iter().map(|(&lt, &t)| (lt, t)).collect(),
-            })
-            .collect();
+        let mut chains: Vec<ChainCheckpoint> = self.chains.checkpoint().collect();
         chains.sort_by_key(|c| c.id);
         AlignerCheckpoint {
             buffers,
@@ -198,19 +184,10 @@ impl TimeAligner {
     pub fn from_checkpoint(config: AlignerConfig, ckpt: &AlignerCheckpoint) -> Self {
         let buffers: BTreeMap<u32, Snapshot> =
             ckpt.buffers.iter().map(|s| (s.time.0, s.clone())).collect();
-        let chains: HashMap<ObjectId, Chain> = ckpt
-            .chains
-            .iter()
-            .map(|c| {
-                (
-                    c.id,
-                    Chain {
-                        clarified: c.clarified,
-                        waiting: c.waiting.iter().copied().collect(),
-                    },
-                )
-            })
-            .collect();
+        let mut chains = ChainIndex::default();
+        for c in &ckpt.chains {
+            chains.restore(c);
+        }
         TimeAligner {
             config,
             buffers,
@@ -250,66 +227,188 @@ impl TimeAligner {
         if u.saturating_add(self.config.lateness) >= self.max_seen {
             return false;
         }
-        !scan_chains(&mut self.chains, u, self.config.max_lag, self.max_seen)
+        !self.chains.blocks(u, self.config.max_lag, self.max_seen)
     }
 }
 
-/// Advances a trajectory's clarification chain with one record's last-time
-/// link. Shared verbatim between [`TimeAligner`] and the per-shard chain
-/// maps of [`ShardedAligner`], so the two heads stay equivalent by
-/// construction.
-fn advance_chain_in(chains: &mut HashMap<ObjectId, Chain>, rec: &GpsRecord) {
-    let t = rec.time.0;
-    let chain = chains.entry(rec.id).or_default();
-    match rec.last_time {
-        // First report of the trajectory: the chain starts here.
-        None => chain.clarified = Some(chain.clarified.map_or(t, |c| c.max(t))),
-        Some(lt) => match chain.clarified {
-            Some(c) if lt.0 == c => chain.clarified = Some(t),
-            Some(c) if lt.0 < c => {
-                // Link points below the clarified frontier (predecessor
-                // was dropped after a retirement): fast-forward.
-                chain.clarified = Some(c.max(t));
-            }
-            _ => {
-                chain.waiting.insert(lt.0, t);
-            }
-        },
+impl Chain {
+    /// The clarified time as the seal test reads it: a chain that has only
+    /// waiting links so far counts as clarified through 0.
+    fn clarified_or_zero(&self) -> u32 {
+        self.clarified.unwrap_or(0)
     }
-    // Consume any waiting links that now connect.
-    while let Some(c) = chain.clarified {
-        match chain.waiting.remove(&c) {
-            Some(next_t) => chain.clarified = Some(next_t),
-            None => break,
+
+    /// Advances the clarification chain with one record's last-time link.
+    fn advance(&mut self, rec: &GpsRecord) {
+        let t = rec.time.0;
+        match rec.last_time {
+            // First report of the trajectory: the chain starts here.
+            None => self.clarified = Some(self.clarified.map_or(t, |c| c.max(t))),
+            Some(lt) => match self.clarified {
+                Some(c) if lt.0 == c => self.clarified = Some(t),
+                Some(c) if lt.0 < c => {
+                    // Link points below the clarified frontier (predecessor
+                    // was dropped after a retirement): fast-forward.
+                    self.clarified = Some(c.max(t));
+                }
+                _ => {
+                    self.waiting.insert(lt.0, t);
+                }
+            },
+        }
+        // Consume any waiting links that now connect.
+        while let Some(c) = self.clarified {
+            match self.waiting.remove(&c) {
+                Some(next_t) => self.clarified = Some(next_t),
+                None => break,
+            }
+        }
+    }
+
+    fn checkpoint(&self, id: ObjectId) -> ChainCheckpoint {
+        ChainCheckpoint {
+            id,
+            clarified: self.clarified,
+            waiting: self.waiting.iter().map(|(&lt, &t)| (lt, t)).collect(),
         }
     }
 }
 
-/// Runs the §4 retire-or-block scan over one chain map for candidate seal
-/// time `u`; returns whether any chain blocks the seal. Retired chains
-/// (lagged out per `max_lag`) are removed as a side effect — exactly the
-/// `retain` the serial [`TimeAligner::can_seal`] performs. Because the scan
-/// is pure per chain, running it over a partition of the chains and OR-ing
-/// the blocked flags is identical to running it over their union.
-fn scan_chains(chains: &mut HashMap<ObjectId, Chain>, u: u32, max_lag: u32, max_seen: u32) -> bool {
-    let mut blocked = false;
-    chains.retain(|_, chain| {
-        let clarified = chain.clarified.unwrap_or(0);
-        if clarified >= u {
+/// Whether a chain clarified through `clarified` has lagged out: its known
+/// end is more than `max_lag` behind the newest witnessed time. Monotone in
+/// `clarified` — if a chain has not lagged out, none ahead of it has.
+fn lagged_out(clarified: u32, max_lag: u32, max_seen: u32) -> bool {
+    clarified.saturating_add(max_lag) < max_seen
+}
+
+/// One map of §4 chains plus its **frontier index**: how many live chains
+/// sit at each clarified time. The seal test asks "is any chain behind
+/// `u`, and has it lagged out?" — a question about the smallest clarified
+/// time only, which the index answers without visiting a chain. Owned by
+/// [`TimeAligner`] (one) and [`ShardedAligner`] (one per shard), so the two
+/// heads stay equivalent by construction. Derived state: checkpoints carry
+/// the chains, [`ChainIndex::restore`] recounts.
+#[derive(Debug, Default)]
+struct ChainIndex {
+    chains: HashMap<ObjectId, Chain>,
+    /// Live chains per [`Chain::clarified_or_zero`]; the first key is the
+    /// chain furthest behind.
+    by_clarified: BTreeMap<u32, u32>,
+    /// Chains visited by retirement passes — the work the index exists to
+    /// avoid, counted so a test can hold it to O(records).
+    #[cfg(test)]
+    visited: u64,
+}
+
+impl ChainIndex {
+    /// Advances (creating it if need be) the chain of `rec`'s trajectory,
+    /// moving it between index buckets when its clarified time changes.
+    fn advance(&mut self, rec: &GpsRecord) {
+        let (chain, before) = match self.chains.entry(rec.id) {
+            Entry::Occupied(e) => {
+                let chain = e.into_mut();
+                let before = chain.clarified_or_zero();
+                (chain, Some(before))
+            }
+            Entry::Vacant(e) => (e.insert(Chain::default()), None),
+        };
+        chain.advance(rec);
+        let after = chain.clarified_or_zero();
+        if before == Some(after) {
+            return;
+        }
+        if let Some(before) = before {
+            self.uncount(before);
+        }
+        self.count(after);
+    }
+
+    fn count(&mut self, clarified: u32) {
+        *self.by_clarified.entry(clarified).or_insert(0) += 1;
+    }
+
+    fn uncount(&mut self, clarified: u32) {
+        let n = self
+            .by_clarified
+            .get_mut(&clarified)
+            .expect("every live chain is counted at its clarified time");
+        *n -= 1;
+        if *n == 0 {
+            self.by_clarified.remove(&clarified);
+        }
+    }
+
+    /// The §4 retire-or-block test for candidate seal time `u`: whether any
+    /// chain blocks the seal, retiring (removing) the chains behind `u`
+    /// that have lagged out. Observably the full scan it replaces — visit
+    /// every chain, drop the lagged-out ones behind `u`, report whether a
+    /// live one remains behind `u` — but since lagging out is monotone in
+    /// the clarified time, the smallest index key decides: at or past `u`,
+    /// nothing is behind; behind but live, it blocks and nothing can
+    /// retire; only a lagged-out smallest bucket needs the pass over the
+    /// chains, which then removes at least one. The test is pure per chain,
+    /// so OR-ing it over a partition of the chains equals running it over
+    /// their union.
+    fn blocks(&mut self, u: u32, max_lag: u32, max_seen: u32) -> bool {
+        let Some(slowest) = self.slowest_behind(u) else {
+            return false;
+        };
+        if !lagged_out(slowest, max_lag, max_seen) {
             return true;
         }
-        // The trajectory is behind. Has it lagged out entirely? A chain
-        // whose newest *known* report (frontier) is also ancient is
-        // departed; a chain whose clarified end is ancient but whose
-        // frontier is recent is stuck on a lost link — retire it too,
-        // otherwise it would stall the stream forever.
-        if clarified.saturating_add(max_lag) < max_seen {
-            return false;
+        // A chain whose newest *known* report is also ancient is departed;
+        // one whose clarified end is ancient but whose frontier is recent
+        // is stuck on a lost link — retire it too, otherwise it would
+        // stall the stream forever.
+        #[cfg(test)]
+        {
+            self.visited += self.chains.len() as u64;
         }
-        blocked = true;
-        true
-    });
-    blocked
+        let retired = |clarified: u32| clarified < u && lagged_out(clarified, max_lag, max_seen);
+        self.chains
+            .retain(|_, chain| !retired(chain.clarified_or_zero()));
+        while let Some(bucket) = self.by_clarified.first_entry() {
+            if !retired(*bucket.key()) {
+                break;
+            }
+            bucket.remove();
+        }
+        self.slowest_behind(u).is_some()
+    }
+
+    /// The smallest clarified time of a live chain, if it is behind `u`.
+    fn slowest_behind(&self, u: u32) -> Option<u32> {
+        self.by_clarified.keys().next().copied().filter(|&c| c < u)
+    }
+
+    /// The first time this map's own chains could still block: one past the
+    /// slowest chain that has not lagged out, `cap` when there is none.
+    fn frontier(&self, cap: u32, max_lag: u32, max_seen: u32) -> u32 {
+        // `lagged_out` without the saturation: the live keys are exactly
+        // those at or past `max_seen - max_lag`.
+        self.by_clarified
+            .range(max_seen.saturating_sub(max_lag)..)
+            .next()
+            .map_or(cap, |(&slowest, _)| cap.min(slowest.saturating_add(1)))
+    }
+
+    fn len(&self) -> usize {
+        self.chains.len()
+    }
+
+    fn checkpoint(&self) -> impl Iterator<Item = ChainCheckpoint> + '_ {
+        self.chains.iter().map(|(&id, chain)| chain.checkpoint(id))
+    }
+
+    /// Re-inserts a checkpointed chain, counting it into the index.
+    fn restore(&mut self, c: &ChainCheckpoint) {
+        let chain = Chain {
+            clarified: c.clarified,
+            waiting: c.waiting.iter().copied().collect(),
+        };
+        self.count(chain.clarified_or_zero());
+        self.chains.insert(c.id, chain);
+    }
 }
 
 /// Routing decision of [`ShardedAligner::route`] for one record.
@@ -350,15 +449,15 @@ pub enum Routed {
 /// became sealable — the `Seal` punctuation broadcast to the shards, which
 /// then emit their partial snapshots for merging. The sequence of sealed
 /// times and every drop decision are bit-for-bit the serial aligner's:
-/// `advance_chain_in` and `scan_chains` are the very same code, and the
-/// per-shard scan unions to the serial scan.
+/// both heads run the very same [`ChainIndex`], and the per-shard seal test
+/// unions to the serial one.
 #[derive(Debug)]
 pub struct ShardedAligner {
     config: AlignerConfig,
     shards: usize,
     /// §4 chains, partitioned by `hash_id(object_id) % shards` — the same
     /// key the aligner shards buffer rows under.
-    chains: Vec<HashMap<ObjectId, Chain>>,
+    chains: Vec<ChainIndex>,
     /// Times with at least one buffered row on some shard. Presence is all
     /// the router needs: the serial aligner only ever buffers non-empty
     /// snapshots, so `occupied` mirrors its `buffers.keys()` exactly.
@@ -381,7 +480,7 @@ impl ShardedAligner {
         ShardedAligner {
             config,
             shards,
-            chains: (0..shards).map(|_| HashMap::new()).collect(),
+            chains: (0..shards).map(|_| ChainIndex::default()).collect(),
             occupied: BTreeSet::new(),
             sealed_up_to: None,
             max_seen: 0,
@@ -412,13 +511,13 @@ impl ShardedAligner {
         if let Some(s) = self.sealed_up_to {
             if t < s {
                 self.late_dropped[shard] += 1;
-                advance_chain_in(&mut self.chains[shard], rec);
+                self.chains[shard].advance(rec);
                 return Routed::Late { shard };
             }
         }
         self.max_seen = self.max_seen.max(t);
         self.occupied.insert(t);
-        advance_chain_in(&mut self.chains[shard], rec);
+        self.chains[shard].advance(rec);
         Routed::Keep { shard }
     }
 
@@ -451,9 +550,11 @@ impl ShardedAligner {
         if u.saturating_add(self.config.lateness) >= self.max_seen {
             return false;
         }
+        // Every shard runs the test, blocked or not: it is also what
+        // retires that shard's lagged-out chains.
         let mut blocked = false;
         for chains in &mut self.chains {
-            blocked |= scan_chains(chains, u, self.config.max_lag, self.max_seen);
+            blocked |= chains.blocks(u, self.config.max_lag, self.max_seen);
         }
         !blocked
     }
@@ -513,29 +614,17 @@ impl ShardedAligner {
     /// `(min, max)` of the per-shard frontiers — the first time each
     /// shard's own chains could still block. Gauge-only (the seal decision
     /// never reads this): a shard's frontier is capped by the lateness
-    /// watermark and held back by its slowest non-retired chain, so the
-    /// spread is a live measure of shard skew.
+    /// watermark and held back by its slowest chain that has not lagged
+    /// out, so the spread is a live measure of shard skew. One index lookup
+    /// per shard.
     pub fn frontier_range(&self) -> (u32, u32) {
         let cap = self.max_seen.saturating_sub(self.config.lateness);
-        let mut min_f = u32::MAX;
-        let mut max_f = 0u32;
-        for chains in &self.chains {
-            let mut f = cap;
-            for chain in chains.values() {
-                let clarified = chain.clarified.unwrap_or(0);
-                if clarified.saturating_add(self.config.max_lag) < self.max_seen {
-                    continue; // lagged out: no longer holds the frontier back
-                }
-                f = f.min(clarified.saturating_add(1));
-            }
-            min_f = min_f.min(f);
-            max_f = max_f.max(f);
-        }
-        if min_f == u32::MAX {
-            (0, 0)
-        } else {
-            (min_f, max_f)
-        }
+        let frontiers = self
+            .chains
+            .iter()
+            .map(|chains| chains.frontier(cap, self.config.max_lag, self.max_seen));
+        let min_f = frontiers.clone().min().unwrap_or(0);
+        (min_f, frontiers.max().unwrap_or(0))
     }
 
     /// The router's checkpoint piece: chains (canonically sorted), clock
@@ -547,12 +636,7 @@ impl ShardedAligner {
         let mut chains: Vec<ChainCheckpoint> = self
             .chains
             .iter()
-            .flat_map(|shard| shard.iter())
-            .map(|(&id, chain)| ChainCheckpoint {
-                id,
-                clarified: chain.clarified,
-                waiting: chain.waiting.iter().map(|(&lt, &t)| (lt, t)).collect(),
-            })
+            .flat_map(|shard| shard.checkpoint())
             .collect();
         chains.sort_by_key(|c| c.id);
         AlignerCheckpoint {
@@ -573,16 +657,9 @@ impl ShardedAligner {
     /// from the engine restore path), so exactly one shard carries it.
     pub fn from_checkpoint(config: AlignerConfig, shards: usize, ckpt: &AlignerCheckpoint) -> Self {
         let shards = shards.max(1);
-        let mut chains: Vec<HashMap<ObjectId, Chain>> =
-            (0..shards).map(|_| HashMap::new()).collect();
+        let mut chains: Vec<ChainIndex> = (0..shards).map(|_| ChainIndex::default()).collect();
         for c in &ckpt.chains {
-            chains[subtask_for(hash_id(c.id), shards)].insert(
-                c.id,
-                Chain {
-                    clarified: c.clarified,
-                    waiting: c.waiting.iter().copied().collect(),
-                },
-            );
+            chains[subtask_for(hash_id(c.id), shards)].restore(c);
         }
         let mut late_dropped = vec![0; shards];
         late_dropped[0] = ckpt.late_dropped;
@@ -684,8 +761,8 @@ impl AlignStats {
         );
     }
 
-    /// Publishes the per-shard frontier spread (O(chains) scan — called on
-    /// seal, not per record).
+    /// Publishes the per-shard frontier spread (O(shards) index lookups;
+    /// called on seal).
     pub fn observe_frontiers(&self, aligner: &ShardedAligner) {
         let (min_f, max_f) = aligner.frontier_range();
         self.min_frontier.store(min_f as u64, Ordering::Relaxed);
@@ -703,74 +780,6 @@ impl AlignStats {
             min_shard_frontier: self.min_frontier.load(Ordering::Relaxed),
             max_shard_frontier: self.max_frontier.load(Ordering::Relaxed),
         }
-    }
-}
-
-/// [`TimeAligner`] as a pipeline [`Operator`].
-pub struct AlignOperator {
-    aligner: TimeAligner,
-    /// Shared recorder the late-drop counter is mirrored into (the operator
-    /// itself is owned by its subtask thread, so drivers observe the count
-    /// through this instead).
-    metrics: Option<crate::metrics::PipelineMetrics>,
-    reported_late: u64,
-    /// Sealed-snapshot scratch, reused across records (batch processing
-    /// would otherwise allocate a result vector per record).
-    scratch: Vec<Snapshot>,
-}
-
-impl AlignOperator {
-    /// Wraps an aligner for use in a dataflow stage (parallelism must be 1,
-    /// since alignment is a global ordering decision).
-    pub fn new(config: AlignerConfig) -> Self {
-        AlignOperator {
-            aligner: TimeAligner::new(config),
-            metrics: None,
-            reported_late: 0,
-            scratch: Vec::new(),
-        }
-    }
-
-    /// Like [`AlignOperator::new`], additionally mirroring the late-record
-    /// counter into a shared [`PipelineMetrics`](crate::PipelineMetrics).
-    pub fn with_metrics(config: AlignerConfig, metrics: crate::metrics::PipelineMetrics) -> Self {
-        AlignOperator {
-            aligner: TimeAligner::new(config),
-            metrics: Some(metrics),
-            reported_late: 0,
-            scratch: Vec::new(),
-        }
-    }
-
-    fn sync_late_counter(&mut self) {
-        if let Some(metrics) = &self.metrics {
-            let total = self.aligner.late_dropped();
-            if total > self.reported_late {
-                metrics.mark_late(total - self.reported_late);
-                self.reported_late = total;
-            }
-        }
-    }
-}
-
-impl Operator<GpsRecord, Snapshot> for AlignOperator {
-    fn process(&mut self, input: GpsRecord, out: &mut Collector<Snapshot>) {
-        self.aligner.push_into(input, &mut self.scratch);
-        out.emit_all(self.scratch.drain(..));
-        self.sync_late_counter();
-    }
-
-    fn process_batch(&mut self, batch: Vec<GpsRecord>, out: &mut Collector<Snapshot>) {
-        for input in batch {
-            self.aligner.push_into(input, &mut self.scratch);
-        }
-        out.emit_all(self.scratch.drain(..));
-        self.sync_late_counter();
-    }
-
-    fn finish(&mut self, out: &mut Collector<Snapshot>) {
-        out.emit_all(self.aligner.flush());
-        self.sync_late_counter();
     }
 }
 
@@ -978,23 +987,6 @@ mod tests {
         let mut a = aligner();
         assert!(a.flush().is_empty());
         assert_eq!(a.pending(), 0);
-    }
-
-    #[test]
-    fn operator_wrapper_emits_through_collector() {
-        // Default config has lateness = 2: nothing seals while the stream is
-        // only 2 ticks deep; finish() flushes everything.
-        let mut op = AlignOperator::new(AlignerConfig::default());
-        let mut c = Collector::new();
-        op.process(rec(1, 0, None), &mut c);
-        op.process(rec(1, 1, Some(0)), &mut c);
-        let first: Vec<Snapshot> = c.drain().collect();
-        assert!(first.is_empty());
-        op.finish(&mut c);
-        let rest: Vec<Snapshot> = c.drain().collect();
-        assert_eq!(rest.len(), 2);
-        assert_eq!(rest[0].time, Timestamp(0));
-        assert_eq!(rest[1].time, Timestamp(1));
     }
 
     #[test]
@@ -1463,5 +1455,294 @@ mod tests {
         assert_eq!(status.max_shard_frontier, 5);
         assert_eq!(status.sealed_up_to, 1, "time 0 sealed");
         assert_eq!(status.late_dropped, 0);
+    }
+
+    // ---- frontier index vs the full scan it replaced ------------------------
+
+    /// The seal test as it was before the frontier index, verbatim: visit
+    /// every chain, retire the lagged-out ones behind `u`, report whether a
+    /// live one remains behind `u`. The reference [`ChainIndex::blocks`] is
+    /// held to.
+    fn scan_chains(
+        chains: &mut HashMap<ObjectId, Chain>,
+        u: u32,
+        max_lag: u32,
+        max_seen: u32,
+    ) -> bool {
+        let mut blocked = false;
+        chains.retain(|_, chain| {
+            let clarified = chain.clarified.unwrap_or(0);
+            if clarified >= u {
+                return true;
+            }
+            if clarified.saturating_add(max_lag) < max_seen {
+                return false;
+            }
+            blocked = true;
+            true
+        });
+        blocked
+    }
+
+    /// The head as it was before the index — one plain chain map, the full
+    /// scan on every seal test — reduced to what both entry points must
+    /// reproduce: the drop decision, the sealed times, the chain state.
+    struct ScanHead {
+        config: AlignerConfig,
+        chains: HashMap<ObjectId, Chain>,
+        occupied: BTreeSet<u32>,
+        sealed_up_to: Option<u32>,
+        max_seen: u32,
+        late_dropped: u64,
+        /// Chains visited by seal tests (cf. `ChainIndex::visited`).
+        visited: u64,
+    }
+
+    impl ScanHead {
+        fn new(config: AlignerConfig) -> Self {
+            ScanHead {
+                config,
+                chains: HashMap::new(),
+                occupied: BTreeSet::new(),
+                sealed_up_to: None,
+                max_seen: 0,
+                late_dropped: 0,
+                visited: 0,
+            }
+        }
+
+        /// One record: `(kept, times sealed by it)`.
+        fn push(&mut self, rec: &GpsRecord) -> (bool, Vec<u32>) {
+            let t = rec.time.0;
+            if self.sealed_up_to.is_some_and(|s| t < s) {
+                self.late_dropped += 1;
+                self.chains.entry(rec.id).or_default().advance(rec);
+                return (false, Vec::new());
+            }
+            self.max_seen = self.max_seen.max(t);
+            self.occupied.insert(t);
+            self.chains.entry(rec.id).or_default().advance(rec);
+            let mut sealed = Vec::new();
+            loop {
+                let u = match (self.sealed_up_to, self.occupied.first()) {
+                    (Some(s), _) => s,
+                    (None, Some(&t)) => t,
+                    (None, None) => break,
+                };
+                if u.saturating_add(self.config.lateness) >= self.max_seen {
+                    break;
+                }
+                self.visited += self.chains.len() as u64;
+                if scan_chains(&mut self.chains, u, self.config.max_lag, self.max_seen) {
+                    break;
+                }
+                if self.occupied.remove(&u) || self.config.emit_empty {
+                    sealed.push(u);
+                }
+                self.sealed_up_to = Some(u + 1);
+            }
+            (true, sealed)
+        }
+
+        /// Everything but the rows, in checkpoint form.
+        fn state(&self) -> AlignerCheckpoint {
+            let mut chains: Vec<ChainCheckpoint> = self
+                .chains
+                .iter()
+                .map(|(&id, chain)| chain.checkpoint(id))
+                .collect();
+            chains.sort_by_key(|c| c.id);
+            AlignerCheckpoint {
+                buffers: Vec::new(),
+                chains,
+                sealed_up_to: self.sealed_up_to,
+                max_seen: self.max_seen,
+                late_dropped: self.late_dropped,
+            }
+        }
+    }
+
+    /// `ShardedAligner::frontier_range` as it was before the index: every
+    /// chain of every shard visited.
+    fn scan_frontier_range(router: &ShardedAligner) -> (u32, u32) {
+        let cap = router.max_seen.saturating_sub(router.config.lateness);
+        let mut min_f = u32::MAX;
+        let mut max_f = 0u32;
+        for shard in &router.chains {
+            let mut f = cap;
+            for chain in shard.chains.values() {
+                let clarified = chain.clarified.unwrap_or(0);
+                if clarified.saturating_add(router.config.max_lag) < router.max_seen {
+                    continue; // lagged out: no longer holds the frontier back
+                }
+                f = f.min(clarified.saturating_add(1));
+            }
+            min_f = min_f.min(f);
+            max_f = max_f.max(f);
+        }
+        (min_f, max_f)
+    }
+
+    /// [`TimeAligner::push`] in the model's terms.
+    fn push_serial(aligner: &mut TimeAligner, r: &GpsRecord) -> (bool, Vec<u32>) {
+        let late_before = aligner.late_dropped();
+        let sealed = aligner.push(*r).iter().map(|s| s.time.0).collect();
+        (aligner.late_dropped() == late_before, sealed)
+    }
+
+    /// [`ShardedAligner::route`] + `drain_sealed`, as the router stage calls
+    /// them, in the model's terms.
+    fn push_sharded(router: &mut ShardedAligner, r: &GpsRecord) -> (bool, Vec<u32>) {
+        let mut sealed = Vec::new();
+        match router.route(r) {
+            Routed::Keep { .. } => {
+                router.drain_sealed(&mut sealed);
+                (true, sealed)
+            }
+            Routed::Late { .. } => (false, sealed),
+        }
+    }
+
+    /// A hostile stream: silent ticks (links skip them), lost records (the
+    /// next link points at a report that never arrives, so the chain sticks
+    /// until it lags out), long absences (whole chains lag out and restart
+    /// with a link into their retired past), and bounded out-of-order
+    /// arrival.
+    fn hostile_stream(seed: u64, objects: u32, ticks: u32, displacement: usize) -> Vec<GpsRecord> {
+        let mut rng = seed;
+        let mut recs: Vec<GpsRecord> = Vec::new();
+        for id in 1..=objects {
+            let mut prev: Option<u32> = None;
+            let mut t = 0;
+            while t < ticks {
+                match lcg(&mut rng) % 20 {
+                    0..=2 => {}                                // silent tick
+                    3 => prev = Some(t),                       // reported, lost on the way
+                    4 => t += 4 + (lcg(&mut rng) % 30) as u32, // long absence
+                    _ => {
+                        recs.push(rec(id, t, prev));
+                        prev = Some(t);
+                    }
+                }
+                t += 1;
+            }
+        }
+        recs.sort_by_key(|r| r.time.0);
+        for i in 0..recs.len() {
+            let j = i + (lcg(&mut rng) as usize % displacement).min(recs.len() - 1 - i);
+            recs.swap(i, j);
+        }
+        recs
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(96))]
+
+        /// Both index-driven entry points agree with the full-scan model
+        /// after **every** push — drop decision, sealed times, late count,
+        /// chain state, frontier gauges — across a mid-stream checkpoint →
+        /// restore of the serial aligner and a 2 → 3 reshard of the router
+        /// (the model runs through uninterrupted).
+        #[test]
+        fn index_matches_the_full_scan_model_on_every_push(
+            seed in 0u64..u64::MAX,
+            objects in 1u32..9,
+            ticks in 8u32..90,
+            displacement in 1usize..40,
+            max_lag in 1u32..24,
+            lateness in proptest::sample::select(vec![0u32, 2, 18]),
+            emit_empty in proptest::bool::ANY,
+            cut_pct in 0usize..100,
+        ) {
+            let config = AlignerConfig { max_lag, emit_empty, lateness };
+            let stream = hostile_stream(seed, objects, ticks, displacement);
+            let cut = stream.len() * cut_pct / 100;
+            let mut model = ScanHead::new(config);
+            let mut serial = TimeAligner::new(config);
+            let mut router = ShardedAligner::new(config, 2);
+            for (i, r) in stream.iter().enumerate() {
+                if i == cut {
+                    serial = TimeAligner::from_checkpoint(config, &serial.checkpoint());
+                    // The router's piece carries no rows; one placeholder
+                    // row per buffered time stands in for the shard pieces.
+                    let mut merged = router.checkpoint();
+                    merged.buffers = model
+                        .occupied
+                        .iter()
+                        .map(|&t| {
+                            let mut rows = Snapshot::new(Timestamp(t));
+                            rows.push(ObjectId(0), Point::new(0.0, 0.0), None);
+                            rows
+                        })
+                        .collect();
+                    router = ShardedAligner::from_checkpoint(config, 3, &merged);
+                }
+                let want = model.push(r);
+                proptest::prop_assert_eq!(&push_serial(&mut serial, r), &want, "serial, record {}", i);
+                proptest::prop_assert_eq!(&push_sharded(&mut router, r), &want, "sharded, record {}", i);
+                let state = model.state();
+                let serial_ckpt = serial.checkpoint();
+                proptest::prop_assert_eq!(
+                    serial_ckpt.buffers.iter().map(|s| s.time.0).collect::<Vec<_>>(),
+                    model.occupied.iter().copied().collect::<Vec<_>>(),
+                    "serial buffered times, record {}", i
+                );
+                proptest::prop_assert_eq!(
+                    &AlignerCheckpoint { buffers: Vec::new(), ..serial_ckpt },
+                    &state,
+                    "serial state, record {}", i
+                );
+                proptest::prop_assert_eq!(&router.checkpoint(), &state, "sharded state, record {}", i);
+                proptest::prop_assert_eq!(router.pending(), model.occupied.len());
+                proptest::prop_assert_eq!(
+                    router.frontier_range(),
+                    scan_frontier_range(&router),
+                    "frontier gauges, record {}",
+                    i
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn delayed_records_do_not_make_the_seal_test_visit_chains() {
+        // 300 trajectories reporting every tick, one record in ten swapped
+        // up to three ticks' worth of positions ahead: some chain is nearly
+        // always behind the seal candidate, which is when the full scan
+        // revisits every chain on every push. Behind-but-live chains are
+        // the index's O(1) case; only a retirement pass visits chains.
+        let (objects, ticks) = (300u32, 60u32);
+        let mut rng = 0xD15C0u64;
+        let mut stream: Vec<GpsRecord> = (0..ticks)
+            .flat_map(|t| (0..objects).map(move |id| rec(id, t, t.checked_sub(1))))
+            .collect();
+        for i in 0..stream.len() {
+            if lcg(&mut rng).is_multiple_of(10) {
+                let ahead = 1 + lcg(&mut rng) as usize % (3 * objects as usize);
+                let last = stream.len() - 1;
+                stream.swap(i, (i + ahead).min(last));
+            }
+        }
+        let config = AlignerConfig::default();
+        let mut model = ScanHead::new(config);
+        let mut serial = TimeAligner::new(config);
+        let mut router = ShardedAligner::new(config, 2);
+        for r in &stream {
+            let want = model.push(r);
+            assert_eq!(push_serial(&mut serial, r), want);
+            assert_eq!(push_sharded(&mut router, r), want);
+        }
+        let records = stream.len() as u64;
+        let sharded_visits: u64 = router.chains.iter().map(|shard| shard.visited).sum();
+        assert!(
+            model.visited > 20 * records,
+            "the stream must hold the frontier back: the full scan visited {} chains for {records} records",
+            model.visited
+        );
+        assert!(
+            serial.chains.visited <= records && sharded_visits <= records,
+            "seal tests visited {} (serial) / {sharded_visits} (sharded) chains for {records} records",
+            serial.chains.visited
+        );
     }
 }

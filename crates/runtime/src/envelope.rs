@@ -29,6 +29,18 @@ pub enum Envelope<D, B> {
     Barrier(B),
 }
 
+impl<D, B> Envelope<D, B> {
+    /// The rows this message counts toward batch fill (see
+    /// [`Stream::weigh`](crate::Stream::weigh)): `data_rows` of a payload,
+    /// one for punctuation.
+    pub fn rows(&self, data_rows: impl FnOnce(&D) -> usize) -> usize {
+        match self {
+            Envelope::Data(data) => data_rows(data),
+            Envelope::Tick(_) | Envelope::Barrier(_) => 1,
+        }
+    }
+}
+
 /// What barrier alignment needs from a barrier token: the checkpoint's
 /// sequence number, so copies of concurrent barriers are counted apart.
 pub trait BarrierSeq {

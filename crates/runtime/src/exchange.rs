@@ -6,7 +6,12 @@
 //! one channel operation, amortizing the send/recv synchronization that
 //! otherwise dominates at high record rates. Three events flush a buffer:
 //!
-//! * **size** — the buffer reached the configured batch size;
+//! * **size** — the buffer reached the configured batch size, counted in
+//!   *rows*: a record that is a vector in disguise (an ingest batch, one
+//!   shard's share of a window) counts its length where the hop was
+//!   declared with [`Stream::weigh`](crate::Stream::weigh), so a channel of
+//!   `channel_capacity` batches holds a bounded number of rows whatever the
+//!   messages carry;
 //! * **idle** — the owning subtask is about to block on an empty input
 //!   channel and calls [`Router::flush`] (the runtime does this), so
 //!   batching never adds latency when the stream is slow;
@@ -213,10 +218,15 @@ enum Dest {
 pub struct Router<T> {
     senders: Vec<Sender<Vec<T>>>,
     bufs: Vec<Vec<T>>,
+    /// Rows buffered per destination: `rows` summed over the buffer.
+    fill: Vec<usize>,
     strategy: Exchange<T>,
-    /// Records per destination buffer before a size flush (≥ 1; 1 restores
+    /// Rows per destination buffer before a size flush (≥ 1; 1 restores
     /// record-at-a-time behaviour, each record its own batch).
     batch: usize,
+    /// How many rows one record counts toward `batch` (see
+    /// [`Stream::weigh`](crate::Stream::weigh)).
+    rows: fn(&T) -> usize,
     rr: usize,
     /// The upstream subtask this clone serves ([`Exchange::FanIn`] routes
     /// on it).
@@ -235,14 +245,17 @@ impl<T> Router<T> {
         senders: Vec<Sender<Vec<T>>>,
         strategy: Exchange<T>,
         batch: usize,
+        rows: fn(&T) -> usize,
         obs: Option<ExchangeObs>,
     ) -> Self {
         debug_assert!(!senders.is_empty());
         Router {
             bufs: senders.iter().map(|_| Vec::new()).collect(),
+            fill: vec![0; senders.len()],
             senders,
             strategy,
             batch: batch.max(1),
+            rows,
             rr: 0,
             subtask: 0,
             obs,
@@ -261,8 +274,10 @@ impl<T> Router<T> {
         Router {
             senders: self.senders.clone(),
             bufs: self.senders.iter().map(|_| Vec::new()).collect(),
+            fill: vec![0; self.senders.len()],
             strategy: self.strategy.clone(),
             batch: self.batch,
+            rows: self.rows,
             // Stagger round-robin starts so subtasks do not all hammer
             // downstream subtask 0 first.
             rr: subtask % self.senders.len(),
@@ -320,12 +335,15 @@ impl<T> Router<T> {
     }
 
     fn push_to(&mut self, idx: usize, record: T) -> Result<(), Disconnected> {
+        let rows = (self.rows)(&record).max(1);
         let buf = &mut self.bufs[idx];
         if buf.capacity() == 0 {
-            buf.reserve_exact(self.batch);
+            // Room for a full batch of records this size.
+            buf.reserve_exact(self.batch.div_ceil(rows));
         }
         buf.push(record);
-        if self.bufs[idx].len() >= self.batch {
+        self.fill[idx] += rows;
+        if self.fill[idx] >= self.batch {
             self.flush_one(idx)?;
         }
         Ok(())
@@ -335,6 +353,7 @@ impl<T> Router<T> {
         if self.bufs[idx].is_empty() {
             return Ok(());
         }
+        self.fill[idx] = 0;
         let batch = std::mem::take(&mut self.bufs[idx]);
         self.send_to(idx, batch)
     }
@@ -385,7 +404,10 @@ mod tests {
         batch: usize,
     ) -> (Router<u64>, Vec<Receiver<Vec<u64>>>) {
         let (senders, receivers): (Vec<_>, Vec<_>) = (0..n).map(|_| bounded(64)).unzip();
-        (Router::new(senders, strategy, batch, None), receivers)
+        (
+            Router::new(senders, strategy, batch, |_| 1, None),
+            receivers,
+        )
     }
 
     fn drain(rx: &Receiver<Vec<u64>>) -> Vec<u64> {
@@ -469,6 +491,29 @@ mod tests {
     }
 
     #[test]
+    fn weighed_records_fill_a_batch_by_their_rows() {
+        // Batch size 4 rows; a record weighs its length.
+        let (senders, receivers): (Vec<_>, Vec<_>) =
+            (0..1).map(|_| bounded::<Vec<Vec<u8>>>(8)).unzip();
+        let mut r = Router::new(senders, Exchange::Rebalance, 4, Vec::len, None);
+        r.route(vec![0; 3]).unwrap(); // 3 rows: buffered
+        r.route(vec![0; 2]).unwrap(); // 5 rows ≥ 4: both ship
+        r.route(vec![0; 9]).unwrap(); // a record past the batch size ships alone
+        r.route(vec![]).unwrap(); // an empty record still counts one row
+        let shipped: Vec<Vec<usize>> = receivers[0]
+            .try_iter()
+            .map(|batch| batch.iter().map(Vec::len).collect())
+            .collect();
+        assert_eq!(shipped, vec![vec![3, 2], vec![9]]);
+        r.flush().unwrap();
+        assert_eq!(
+            receivers[0].try_iter().count(),
+            1,
+            "the empty record waited"
+        );
+    }
+
+    #[test]
     fn dynamic_follows_table_swaps_and_falls_back() {
         let table = Arc::new(RoutingTable::new());
         let (mut r, rx) = routers_and_receivers(
@@ -507,7 +552,7 @@ mod tests {
         let obs = ExchangeObs::new(&reg, "down", 2);
         let (senders, receivers): (Vec<_>, Vec<_>) =
             (0..2).map(|_| bounded::<Vec<u64>>(64)).unzip();
-        let mut r = Router::new(senders, Exchange::key_by(|x: &u64| *x), 2, Some(obs));
+        let mut r = Router::new(senders, Exchange::key_by(|x: &u64| *x), 2, |_| 1, Some(obs));
         for v in [0u64, 0, 0, 1, 1] {
             r.route(v).unwrap();
         }
@@ -531,7 +576,7 @@ mod tests {
             .point("down", 0, 1, FaultKind::DelaySend(1))
             .build();
         let (senders, receivers): (Vec<_>, Vec<_>) = (0..1).map(|_| bounded::<Vec<u64>>(8)).unzip();
-        let template = Router::new(senders, Exchange::Rebalance, 2, None)
+        let template = Router::new(senders, Exchange::Rebalance, 2, |_| 1, None)
             .with_fault(Some(SendFault::new(plan, "down")));
         let mut r = template.clone_for_subtask(0);
         drop(template);

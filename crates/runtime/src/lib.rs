@@ -43,9 +43,7 @@ pub mod operator;
 pub mod routing;
 pub mod stream;
 
-pub use aligner::{
-    AlignOperator, AlignStats, AlignerConfig, AlignerStatus, Routed, ShardedAligner, TimeAligner,
-};
+pub use aligner::{AlignStats, AlignerConfig, AlignerStatus, Routed, ShardedAligner, TimeAligner};
 pub use envelope::{BarrierSeq, Envelope, Partial, TreeCombiner, WindowAlign};
 pub use exchange::{Disconnected, Exchange, Routing};
 pub use fault::{FaultKind, FaultPlan, FaultPoint, StageFailure};

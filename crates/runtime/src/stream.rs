@@ -34,9 +34,11 @@ use std::time::Instant;
 pub struct RuntimeConfig {
     /// Capacity of each inter-subtask channel, **in batches**. Bounded
     /// channels give the pipelined backpressure Flink's network stack
-    /// provides.
+    /// provides; a batch ships once it holds `batch_size` rows, so a
+    /// channel holds about `channel_capacity × batch_size` rows (a single
+    /// message larger than a batch travels as a batch of its own).
     pub channel_capacity: usize,
-    /// Records per destination batch buffer before a size flush (see the
+    /// Rows per destination batch buffer before a size flush (see the
     /// `exchange` module docs). `1` restores record-at-a-time sends.
     pub batch_size: usize,
     /// Deterministic fault injection (chaos testing): consulted by every
@@ -55,7 +57,11 @@ pub const DEFAULT_BATCH_SIZE: usize = 64;
 impl Default for RuntimeConfig {
     fn default() -> Self {
         RuntimeConfig {
-            channel_capacity: 1024,
+            // From a sweep of 4 … 1024 over the five `benchmark/` workloads:
+            // throughput is flat from 32 up and falls below 16, while peak
+            // RSS grows with every step (everything a hop may queue, it
+            // does queue once one stage runs ahead of the next).
+            channel_capacity: 64,
             batch_size: DEFAULT_BATCH_SIZE,
             fault: None,
         }
@@ -87,6 +93,9 @@ pub struct Stream<T> {
     pending: Vec<PendingSubtask<T>>,
     handles: Vec<JoinHandle<()>>,
     config: RuntimeConfig,
+    /// Rows one record of this stream counts toward batch fill on the hop
+    /// that ships it (see [`Stream::weigh`]).
+    rows: fn(&T) -> usize,
     /// When set (see [`Stream::instrument`]), every stage declared from
     /// here on records per-batch processing time and records/batches
     /// in/out, and every exchange hop records queue depth plus
@@ -167,6 +176,7 @@ impl<T: Send + Clone + 'static> Stream<T> {
             pending,
             handles: Vec::new(),
             config,
+            rows: |_| 1,
             obs: None,
             supervisor: None,
         }
@@ -215,9 +225,21 @@ impl<T: Send + Clone + 'static> Stream<T> {
             pending,
             handles: Vec::new(),
             config,
+            rows: |_| 1,
             obs: None,
             supervisor: None,
         }
+    }
+
+    /// Declares how many rows one record of this stream carries, for
+    /// records that are vectors in disguise (an ingest batch, one shard's
+    /// share of a window). The hop out of this stage then fills its batches
+    /// by rows instead of by messages, which is what keeps a channel of
+    /// `channel_capacity` batches bounded in rows. Undeclared, a record
+    /// counts 1; a record declaring 0 counts 1 too.
+    pub fn weigh(mut self, rows: fn(&T) -> usize) -> Stream<T> {
+        self.rows = rows;
+        self
     }
 
     /// Attaches a supervisor: every stage declared *after* this call runs
@@ -275,8 +297,14 @@ impl<T: Send + Clone + 'static> Stream<T> {
             .fault
             .as_ref()
             .map(|plan| SendFault::new(Arc::clone(plan), name));
-        let template =
-            Router::new(senders, exchange, self.config.batch_size, hop_obs).with_fault(hop_fault);
+        let template = Router::new(
+            senders,
+            exchange,
+            self.config.batch_size,
+            self.rows,
+            hop_obs,
+        )
+        .with_fault(hop_fault);
 
         // Fix the routing of the previous stage → spawn its subtasks now.
         let mut handles = std::mem::take(&mut self.handles);
@@ -355,6 +383,7 @@ impl<T: Send + Clone + 'static> Stream<T> {
             pending,
             handles,
             config: self.config,
+            rows: |_| 1,
             obs: self.obs,
             supervisor: self.supervisor,
         }
@@ -424,6 +453,8 @@ impl<T: Send + Clone + 'static> Stream<T> {
     {
         let fanin = fanin.max(2);
         let mut width = width.max(1);
+        // Combiners forward the producers' record type, weighed alike.
+        let rows = self.rows;
         let mut stream = self;
         let mut level = 0usize;
         while width > fanin {
@@ -441,6 +472,7 @@ impl<T: Send + Clone + 'static> Stream<T> {
                     })
                 },
             );
+            stream = stream.weigh(rows);
             width = next;
             level += 1;
         }
@@ -465,6 +497,7 @@ impl<T: Send + Clone + 'static> Stream<T> {
             vec![sender],
             Exchange::Rebalance,
             self.config.batch_size,
+            self.rows,
             hop_obs,
         );
         let mut handles = std::mem::take(&mut self.handles);
@@ -501,6 +534,7 @@ impl<T: Send + Clone + 'static> Stream<T> {
             vec![sender],
             Exchange::Rebalance,
             self.config.batch_size,
+            self.rows,
             hop_obs,
         );
         let mut handles = std::mem::take(&mut self.handles);

@@ -5,10 +5,10 @@
 //! the failure modes a network serving layer exercises.
 
 use icpe_runtime::{
-    ingest_channel, map_fn, AlignOperator, AlignerConfig, Collector, Exchange, Operator,
-    PipelineMetrics, RuntimeConfig, Stream, TimeAligner,
+    ingest_channel, map_fn, AlignerConfig, Collector, Exchange, Operator, PipelineMetrics,
+    RuntimeConfig, Stream, TimeAligner,
 };
-use icpe_types::{GpsRecord, ObjectId, Point, Snapshot, Timestamp};
+use icpe_types::{GpsRecord, ObjectId, Point, Timestamp};
 use std::time::Duration;
 
 fn cfg() -> RuntimeConfig {
@@ -162,23 +162,27 @@ fn late_records_are_dropped_and_counted_deterministically() {
 }
 
 #[test]
-fn align_operator_mirrors_late_counts_into_shared_metrics() {
+fn late_counts_mirror_into_shared_metrics() {
+    // What the align stage does with `TimeAligner::late_dropped`: publish
+    // the delta since its last report, so drivers on other threads read the
+    // count through the shared recorder.
     let metrics = PipelineMetrics::new();
-    let mut op = AlignOperator::with_metrics(
-        AlignerConfig {
-            max_lag: 2,
-            emit_empty: true,
-            lateness: 0,
-        },
-        metrics.clone(),
-    );
-    let mut out = Collector::<Snapshot>::new();
-    op.process(rec(1, 0, None), &mut out);
+    let mut aligner = TimeAligner::new(AlignerConfig {
+        max_lag: 2,
+        emit_empty: true,
+        lateness: 0,
+    });
+    let mut reported = 0;
+    let mut push = |aligner: &mut TimeAligner, r: GpsRecord| {
+        aligner.push(r);
+        metrics.mark_late(aligner.late_dropped() - reported);
+        reported = aligner.late_dropped();
+    };
+    push(&mut aligner, rec(1, 0, None));
     for t in 1..8 {
-        op.process(rec(1, t, Some(t - 1)), &mut out);
+        push(&mut aligner, rec(1, t, Some(t - 1)));
     }
-    op.process(rec(2, 0, None), &mut out); // late
-    op.finish(&mut out);
+    push(&mut aligner, rec(2, 0, None)); // late
     assert_eq!(metrics.progress().late_records, 1);
     assert_eq!(metrics.report().late_records, 1);
 }
