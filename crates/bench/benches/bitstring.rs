@@ -48,5 +48,26 @@ fn bench_validity(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_and, bench_validity);
+/// Run extraction and witness search are `trailing_zeros` word scans: the
+/// cost follows the number of runs, not the number of bits.
+fn bench_word_scan(c: &mut Criterion) {
+    let mut group = c.benchmark_group("bitstring_word_scan");
+    for (name, density) in [("dense_0.9", 0.9), ("mixed_0.6", 0.6)] {
+        let strings: Vec<BitString> = (0..64).map(|i| random_bits(256, density, i)).collect();
+        group.bench_function(format!("runs/{name}"), |b| {
+            b.iter(|| black_box(strings.iter().map(|s| s.runs().len()).sum::<usize>()))
+        });
+        group.bench_function(format!("witness/{name}"), |b| {
+            b.iter(|| {
+                let witnesses = strings
+                    .iter()
+                    .filter_map(|s| s.witness(20, 5, 3, Semantics::Subsequence));
+                black_box(witnesses.map(|w| w.len()).sum::<usize>())
+            })
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bench_and, bench_validity, bench_word_scan);
 criterion_main!(benches);

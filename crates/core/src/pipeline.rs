@@ -132,8 +132,9 @@ use icpe_runtime::{
 use icpe_types::shard::{hash_id, stable_hash, subtask_for};
 use icpe_types::{
     AlignerCheckpoint, CheckpointError, DbscanParams, DistanceMetric, EngineCheckpoint, GpsRecord,
-    ObjectId, ObsCheckpoint, Pattern, PipelineCheckpoint, ProgressCheckpoint, RoutingCheckpoint,
-    Snapshot, SyncCheckpoint, SyncWindowCheckpoint, Timestamp, CHECKPOINT_VERSION,
+    ObjectId, ObsCheckpoint, Pattern, PatternBatch, PipelineCheckpoint, ProgressCheckpoint,
+    RoutingCheckpoint, Snapshot, SyncCheckpoint, SyncWindowCheckpoint, Timestamp,
+    CHECKPOINT_VERSION,
 };
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
@@ -1408,9 +1409,15 @@ fn drive(
                 .expect("engine cell poisoned")
                 .take()
                 .expect("each enumerate subtask starts once"),
-            pending: HashMap::new(),
+            pending: Vec::new(),
+            pending_time: 0,
+            found: PatternBatch::new(),
         },
     );
+    let outputs = outputs.weigh(|msg| match msg {
+        OutMsg::Patterns { batch, .. } => batch.len(),
+        OutMsg::Done(_) | OutMsg::Checkpoint { .. } => 1,
+    });
 
     let PipelineStatus { metrics, obs, .. } = &status;
     let mut done: WindowAlign<()> = WindowAlign::new(n);
@@ -1418,18 +1425,22 @@ fn drive(
     let mut pending_ckpts: HashMap<u64, (Arc<BarrierToken>, Vec<EngineCheckpoint>)> =
         HashMap::new();
     outputs.for_each(|msg| match msg {
-        OutMsg::Pattern { subtask, pattern } => {
-            // Under supervision the ledger suppresses re-deliveries of
-            // patterns the crashed generation already surfaced post-cut.
-            let admit = match &ledger {
-                Some(ledger) => ledger
-                    .lock()
-                    .expect("delivery ledger poisoned")
-                    .admit(subtask, LedgerKey::Pattern(stable_hash(&pattern))),
-                None => true,
-            };
-            if admit {
-                on_event(PipelineEvent::Pattern(pattern));
+        OutMsg::Patterns { subtask, batch } => {
+            // The one place a pattern becomes an owned `Pattern`: built,
+            // delivered and freed on this thread.
+            for pattern in batch.iter().map(|p| p.to_pattern()) {
+                // Under supervision the ledger suppresses re-deliveries of
+                // patterns the crashed generation already surfaced post-cut.
+                let admit = match &ledger {
+                    Some(ledger) => ledger
+                        .lock()
+                        .expect("delivery ledger poisoned")
+                        .admit(subtask, LedgerKey::Pattern(stable_hash(&pattern))),
+                    None => true,
+                };
+                if admit {
+                    on_event(PipelineEvent::Pattern(pattern));
+                }
             }
         }
         OutMsg::Done(t) => {
@@ -1804,9 +1815,11 @@ type PartMsg = Envelope<(u32, Partition), Token>;
 /// engine piece is post-cut).
 #[derive(Debug, Clone)]
 enum OutMsg {
-    Pattern {
+    /// Everything one subtask found at one tick (or at end of stream);
+    /// never empty.
+    Patterns {
         subtask: usize,
-        pattern: Pattern,
+        batch: PatternBatch,
     },
     Done(u32),
     /// One subtask's engine state at the barrier.
@@ -2387,24 +2400,40 @@ impl Operator<MergeMsg, PartMsg> for MergeFinalOp {
 struct EnumerateOp {
     subtask: usize,
     engine: Box<dyn PatternEngine + Send>,
-    pending: HashMap<u32, Vec<Partition>>,
+    /// The partitions of the tick in progress. Sync-merge is one FIFO
+    /// producer: all of tick `t`'s partitions precede `Tick(t)`.
+    pending: Vec<Partition>,
+    pending_time: u32,
+    /// What the engine found at the tick in progress. It ships as an
+    /// exact-size copy, so this buffer stops growing after the first ticks.
+    found: PatternBatch,
+}
+
+impl EnumerateOp {
+    fn ship_found(&mut self, out: &mut Collector<OutMsg>) {
+        if !self.found.is_empty() {
+            out.emit(OutMsg::Patterns {
+                subtask: self.subtask,
+                batch: self.found.clone(),
+            });
+            self.found.clear();
+        }
+    }
 }
 
 impl Operator<PartMsg, OutMsg> for EnumerateOp {
     fn process(&mut self, msg: PartMsg, out: &mut Collector<OutMsg>) {
         match msg {
             Envelope::Data((time, partition)) => {
-                self.pending.entry(time).or_default().push(partition);
+                debug_assert!(self.pending.is_empty() || self.pending_time == time);
+                self.pending_time = time;
+                self.pending.push(partition);
             }
             Envelope::Tick(t) => {
-                let parts = self.pending.remove(&t).unwrap_or_default();
-                let patterns = self.engine.push_partitions(Timestamp(t), parts);
-                let subtask = self.subtask;
-                out.emit_all(
-                    patterns
-                        .into_iter()
-                        .map(|pattern| OutMsg::Pattern { subtask, pattern }),
-                );
+                debug_assert!(self.pending.is_empty() || self.pending_time == t);
+                self.engine
+                    .push_partitions_into(Timestamp(t), &mut self.pending, &mut self.found);
+                self.ship_found(out);
                 out.emit(OutMsg::Done(t));
             }
             Envelope::Barrier(token) => {
@@ -2425,13 +2454,8 @@ impl Operator<PartMsg, OutMsg> for EnumerateOp {
     }
 
     fn finish(&mut self, out: &mut Collector<OutMsg>) {
-        let patterns = self.engine.finish();
-        let subtask = self.subtask;
-        out.emit_all(
-            patterns
-                .into_iter()
-                .map(|pattern| OutMsg::Pattern { subtask, pattern }),
-        );
+        self.engine.finish_into(&mut self.found);
+        self.ship_found(out);
     }
 }
 

@@ -7,7 +7,8 @@
 //! are skipped and counted ([`BaselineEngine::skipped_partitions`]), which is
 //! the honest version of "B cannot run on large datasets" (Figure 12).
 
-use crate::engine::{EngineConfig, PatternEngine, WindowState, WindowTask};
+use crate::bitstring::word_runs;
+use crate::engine::{EngineConfig, PatternEngine, Window, WindowTable};
 use crate::runs::{runs_from_times, runs_witness, runs_witness_anchored, Semantics};
 use icpe_types::{CheckpointError, EngineCheckpoint, ObjectId, Pattern, TimeSequence};
 
@@ -15,7 +16,7 @@ use icpe_types::{CheckpointError, EngineCheckpoint, ObjectId, Pattern, TimeSeque
 #[derive(Debug)]
 pub struct BaselineEngine {
     config: EngineConfig,
-    windows: WindowState,
+    windows: WindowTable,
     skipped: usize,
 }
 
@@ -23,7 +24,7 @@ impl BaselineEngine {
     /// Creates the engine.
     pub fn new(config: EngineConfig) -> Self {
         BaselineEngine {
-            windows: WindowState::new(&config.constraints),
+            windows: WindowTable::new(&config.constraints),
             config,
             skipped: 0,
         }
@@ -51,31 +52,45 @@ impl BaselineEngine {
             });
         }
         Ok(BaselineEngine {
-            windows: WindowState::restore(
+            windows: WindowTable::restore(
                 &config.constraints,
                 ckpt.last_time,
                 &ckpt.window_owners,
                 keep,
-            ),
+            )?,
             config,
             skipped: ckpt.skipped_partitions as usize,
         })
     }
 
-    fn process(&mut self, task: WindowTask) -> Vec<Pattern> {
-        let members = &task.window[0];
+    /// Enumerates one window into `out`. A subset is a `u64` mask over the
+    /// partition, so a partition of 64 or more members is skipped and
+    /// counted whatever the configured limit.
+    fn process(
+        config: &EngineConfig,
+        skipped: &mut usize,
+        window: Window<'_>,
+        out: &mut Vec<Pattern>,
+    ) {
+        let members: Vec<ObjectId> = window.partition().map(|(member, _)| member).collect();
         let n = members.len();
-        if n > self.config.max_baseline_partition {
-            self.skipped += 1;
-            return Vec::new();
+        if n > config.max_baseline_partition.min(63) {
+            *skipped += 1;
+            return;
         }
-        let c = &self.config.constraints;
+        let c = &config.constraints;
         let need = c.m() - 1; // owner is implicit
         if n < need {
-            return Vec::new();
+            return;
         }
-        let masks = task.member_masks();
-        let mut out = Vec::new();
+        // Per window offset, which partition members are with the owner
+        // (the table holds the transpose: per member, at which offsets).
+        let mut masks = vec![0u64; window.words * 64];
+        for (i, (_, string)) in window.partition().enumerate() {
+            for j in word_runs(string).flat_map(|run| run.start..=run.end()) {
+                masks[j as usize] |= 1 << i;
+            }
+        }
 
         // Enumerate every subset with |O| ≥ M − 1 (the exponential loop).
         for subset in 1u64..(1u64 << n) {
@@ -95,7 +110,7 @@ impl BaselineEngine {
             // Under the paper's greedy semantics the window verifies only
             // from its own start (offset 0, Algorithm 3 line 3: T = {t});
             // later starts have their own windows.
-            let witness = match self.config.semantics {
+            let witness = match config.semantics {
                 Semantics::Subsequence => {
                     runs_witness(&runs, c.k(), c.l(), c.g(), Semantics::Subsequence)
                 }
@@ -108,12 +123,11 @@ impl BaselineEngine {
                 .filter(|i| subset & (1 << i) != 0)
                 .map(|i| members[i])
                 .collect();
-            objects.push(task.owner);
-            let times = TimeSequence::from_raw(witness.into_iter().map(|j| task.start + j))
+            objects.push(window.owner);
+            let times = TimeSequence::from_raw(witness.into_iter().map(|j| window.start + j))
                 .expect("witness offsets are strictly increasing");
             out.push(Pattern::new(objects, times));
         }
-        out
     }
 }
 
@@ -131,13 +145,27 @@ impl PatternEngine for BaselineEngine {
         time: icpe_types::Timestamp,
         partitions: Vec<crate::partition::Partition>,
     ) -> Vec<Pattern> {
-        let tasks = self.windows.push_partitions(time, partitions);
-        tasks.into_iter().flat_map(|t| self.process(t)).collect()
+        let BaselineEngine {
+            config,
+            windows,
+            skipped,
+        } = self;
+        let mut out = Vec::new();
+        windows.push_partitions(time, &partitions, |window| {
+            Self::process(config, skipped, window, &mut out)
+        });
+        out
     }
 
     fn finish(&mut self) -> Vec<Pattern> {
-        let tasks = self.windows.finish();
-        tasks.into_iter().flat_map(|t| self.process(t)).collect()
+        let BaselineEngine {
+            config,
+            windows,
+            skipped,
+        } = self;
+        let mut out = Vec::new();
+        windows.finish(|window| Self::process(config, skipped, window, &mut out));
+        out
     }
 
     fn overflowed_partitions(&self) -> usize {
@@ -264,6 +292,26 @@ mod tests {
         let stream: Vec<ClusterSnapshot> = (0..4).map(|t| cs(t, &refs)).collect();
         let _ = run_stream(&mut engine, &stream);
         assert!(engine.skipped_partitions() > 0);
+    }
+
+    #[test]
+    fn partition_of_64_or_more_is_skipped_whatever_the_limit() {
+        // A subset is a `u64` mask: 69 members cannot be enumerated, and
+        // must not be aliased onto the first 64 either.
+        let c = Constraints::new(2, 2, 1, 2).unwrap();
+        let mut cfg = EngineConfig::new(c);
+        cfg.max_baseline_partition = usize::MAX;
+        let mut engine = BaselineEngine::new(cfg);
+        let partition = |members: Vec<u32>| crate::partition::Partition {
+            owner: oid(0),
+            members: members.into_iter().map(ObjectId).collect(),
+        };
+        let mut found = engine.push_partitions(Timestamp(0), vec![partition((1..70).collect())]);
+        found.extend(engine.push_partitions(Timestamp(1), vec![partition(vec![69])]));
+        found.extend(engine.push_partitions(Timestamp(2), vec![partition(vec![69])]));
+        found.extend(engine.finish());
+        assert_eq!(engine.skipped_partitions(), 1, "the window of 69 members");
+        assert_eq!(unique_object_sets(&found), vec![vec![oid(0), oid(69)]]);
     }
 
     #[test]

@@ -5,7 +5,55 @@
 //! stores `O(η)` bits per trajectory, and candidate combination is a word-
 //! parallel `AND` (the paper's "Bit Operation").
 
-use crate::runs::{runs_valid, runs_witness, Run, Semantics};
+use crate::runs::{witness_span, Run, Semantics};
+
+/// The maximal runs of 1-bits of a packed bit string, ascending, found by
+/// `trailing_zeros` scans — one pair per run however long the string. Bit
+/// `j` of `words[w]` is position `64·w + j`.
+#[derive(Debug, Clone)]
+pub struct WordRuns<'a> {
+    words: &'a [u64],
+    pos: u32,
+}
+
+/// Scans `words` for runs from position 0.
+pub fn word_runs(words: &[u64]) -> WordRuns<'_> {
+    WordRuns { words, pos: 0 }
+}
+
+impl WordRuns<'_> {
+    /// Position of the first bit equal to `one` at or after `from`, or the
+    /// length of the string in bits.
+    fn seek(&self, from: u32, one: bool) -> u32 {
+        let flip = if one { 0 } else { !0 };
+        let mut mask = !0u64 << (from % 64);
+        for (w, &word) in self.words.iter().enumerate().skip((from / 64) as usize) {
+            let hits = (word ^ flip) & mask;
+            if hits != 0 {
+                return w as u32 * 64 + hits.trailing_zeros();
+            }
+            mask = !0;
+        }
+        self.words.len() as u32 * 64
+    }
+}
+
+impl Iterator for WordRuns<'_> {
+    type Item = Run;
+
+    fn next(&mut self) -> Option<Run> {
+        let start = self.seek(self.pos, true);
+        if start as usize == self.words.len() * 64 {
+            return None;
+        }
+        let end = self.seek(start, false);
+        self.pos = end;
+        Some(Run {
+            start,
+            len: end - start,
+        })
+    }
+}
 
 /// A packed bit string of fixed length.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -139,33 +187,18 @@ impl BitString {
 
     /// The maximal runs of 1-bits, as positions `0..len`.
     pub fn runs(&self) -> Vec<Run> {
-        let mut out = Vec::new();
-        let mut i = 0usize;
-        while i < self.len {
-            if self.get(i) {
-                let start = i;
-                while i < self.len && self.get(i) {
-                    i += 1;
-                }
-                out.push(Run {
-                    start: start as u32,
-                    len: (i - start) as u32,
-                });
-            } else {
-                i += 1;
-            }
-        }
-        out
+        word_runs(&self.words).collect()
     }
 
     /// Validity against `(K, L, G)` under the given semantics.
     pub fn satisfies_klg(&self, k: usize, l: usize, g: u32, semantics: Semantics) -> bool {
-        runs_valid(&self.runs(), k, l, g, semantics)
+        witness_span(word_runs(&self.words), k, l, g, semantics).is_some()
     }
 
     /// A witnessing sequence of bit positions, if valid.
     pub fn witness(&self, k: usize, l: usize, g: u32, semantics: Semantics) -> Option<Vec<u32>> {
-        runs_witness(&self.runs(), k, l, g, semantics)
+        let span = witness_span(word_runs(&self.words), k, l, g, semantics)?;
+        Some(span.times(word_runs(&self.words)).collect())
     }
 
     /// The positions of the 1-bits.
@@ -267,6 +300,19 @@ mod tests {
             ]
         );
         assert!(BitString::zeros(8).runs().is_empty());
+    }
+
+    #[test]
+    fn word_runs_cross_word_boundaries() {
+        let mut s = BitString::zeros(200);
+        for i in (3..5).chain(60..130).chain(191..200) {
+            s.set(i);
+        }
+        let run = |start, len| Run { start, len };
+        assert_eq!(s.runs(), vec![run(3, 2), run(60, 70), run(191, 9)]);
+        // A run reaching the last bit of the last word ends with the words.
+        assert_eq!(word_runs(&[!0, !0]).collect::<Vec<_>>(), vec![run(0, 128)]);
+        assert_eq!(word_runs(&[]).count(), 0);
     }
 
     #[test]

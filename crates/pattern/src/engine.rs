@@ -1,14 +1,13 @@
-//! The common pattern-engine interface and the shared η-window bookkeeping
-//! used by BA and FBA.
+//! The common pattern-engine interface and the shared η-window state of BA
+//! and FBA: one bit table per partition owner.
 
 use crate::partition::{id_partitions, Partition};
 use crate::runs::Semantics;
 use icpe_types::{
-    ClusterSnapshot, Constraints, EngineCheckpoint, HistoryRowCheckpoint, ObjectId, Pattern,
-    Timestamp, WindowOwnerCheckpoint,
+    CheckpointError, ClusterSnapshot, Constraints, EngineCheckpoint, HistoryRowCheckpoint,
+    ObjectId, Pattern, PatternBatch, Timestamp, WindowOwnerCheckpoint,
 };
-use std::collections::{BTreeMap, HashMap, VecDeque};
-use std::sync::Arc;
+use std::collections::BTreeMap;
 
 /// Configuration shared by all three enumeration engines.
 #[derive(Debug, Clone, Copy)]
@@ -66,6 +65,28 @@ pub trait PatternEngine {
     /// Flushes at end of stream; returns the remaining patterns.
     fn finish(&mut self) -> Vec<Pattern>;
 
+    /// [`PatternEngine::push_partitions`] in flat form: `partitions` is
+    /// drained (its capacity stays with the caller) and the patterns are
+    /// appended to `out`. FBA enumerates straight into the batch without
+    /// allocating per pattern; the provided form wraps `push_partitions`.
+    fn push_partitions_into(
+        &mut self,
+        time: Timestamp,
+        partitions: &mut Vec<Partition>,
+        out: &mut PatternBatch,
+    ) {
+        for pattern in self.push_partitions(time, std::mem::take(partitions)) {
+            out.push_pattern(&pattern);
+        }
+    }
+
+    /// [`PatternEngine::finish`] in flat form.
+    fn finish_into(&mut self, out: &mut PatternBatch) {
+        for pattern in self.finish() {
+            out.push_pattern(&pattern);
+        }
+    }
+
     /// How many partitions this engine refused to enumerate (the Baseline's
     /// exponential-blow-up guard; always 0 for FBA/VBA). Non-zero means the
     /// result is incomplete — the paper's "B cannot run on large datasets".
@@ -91,243 +112,310 @@ pub fn unique_object_sets(patterns: &[Pattern]) -> Vec<Vec<ObjectId>> {
     sets
 }
 
-/// One ready-to-process enumeration window: the owner's partitions over
-/// `[start, start + window.len())`, where `window[0]` is the partition the
-/// candidates are drawn from (always non-empty).
-///
-/// Rows are shared (`Arc<[ObjectId]>`): one partition's member list is
-/// referenced by every overlapping window of its owner (up to η of them),
-/// so releasing a window clones reference counts, never member vectors.
-#[derive(Debug)]
-pub(crate) struct WindowTask {
+/// One released enumeration window, read in place from its owner's bit
+/// table: per recent co-member of the owner, its η-bit string (Definition
+/// 13) — bit `j` set iff it shared the owner's cluster at `start + j`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Window<'a> {
     pub owner: ObjectId,
     pub start: u32,
-    /// Partition member lists per window offset (sorted ascending each).
-    pub window: Vec<Arc<[ObjectId]>>,
+    /// Words per string, `⌈η/64⌉`.
+    pub words: usize,
+    /// The owner's recent co-members, ascending, and their strings.
+    members: &'a [ObjectId],
+    bits: &'a [u64],
 }
 
-/// Shared η-window state: buffers each owner's partitions, schedules a
-/// window per (owner, start time where the owner has a partition), and
-/// releases windows once η snapshots are available (or at end of stream).
+impl<'a> Window<'a> {
+    /// The owner's partition at `start` — the candidates' pool: each member
+    /// (ascending) whose string has bit 0 set, with that string. The other
+    /// co-members joined the owner later in the window.
+    pub fn partition(&self) -> impl Iterator<Item = (ObjectId, &'a [u64])> + 'a {
+        let rows = self.bits.chunks_exact(self.words);
+        self.members
+            .iter()
+            .copied()
+            .zip(rows)
+            .filter(|(_, row)| row[0] & 1 != 0)
+    }
+}
+
+/// One owner's open windows as a bit table: row 0 marks the pending window
+/// starts, row `i + 1` the times `members[i]` shared the owner's cluster;
+/// bit `j` of every row is time `base + j`. `base` is the oldest pending
+/// start, so the table spans fewer than η bits and the next window to
+/// release is the table itself, unshifted.
 #[derive(Debug)]
-pub(crate) struct WindowState {
-    eta: u32,
-    histories: HashMap<ObjectId, BTreeMap<u32, Arc<[ObjectId]>>>,
-    starts: HashMap<ObjectId, VecDeque<u32>>,
-    /// deadline time → owners whose oldest pending start completes then.
-    deadlines: BTreeMap<u32, Vec<ObjectId>>,
-    last_time: Option<u32>,
-    /// The shared empty row filled into window offsets without a partition.
-    empty_row: Arc<[ObjectId]>,
+struct OwnerTable {
+    base: u32,
+    members: Vec<ObjectId>,
+    bits: Vec<u64>,
 }
 
-impl WindowState {
-    pub fn new(constraints: &Constraints) -> Self {
-        WindowState {
-            eta: constraints.eta() as u32,
-            histories: HashMap::new(),
-            starts: HashMap::new(),
-            deadlines: BTreeMap::new(),
-            last_time: None,
-            empty_row: Arc::from(Vec::new()),
+impl OwnerTable {
+    fn new(words: usize) -> Self {
+        OwnerTable {
+            base: 0,
+            members: Vec::new(),
+            bits: vec![0; words],
         }
     }
 
-    /// Ingests pre-computed partitions for one time tick.
+    /// True while some window of this owner has not been released.
+    fn pending(&self, words: usize) -> bool {
+        self.bits[..words].iter().any(|&w| w != 0)
+    }
+
+    /// The row index of `member`, inserted (all zero) if new. `from` is a
+    /// lower bound on the answer, for ascending callers.
+    fn row_of(&mut self, member: ObjectId, from: usize, words: usize) -> usize {
+        let at = from + self.members[from..].partition_point(|&m| m < member);
+        if self.members.get(at) != Some(&member) {
+            self.members.insert(at, member);
+            let row = (at + 1) * words;
+            self.bits.splice(row..row, std::iter::repeat_n(0, words));
+        }
+        at
+    }
+
+    /// Marks time `t` as a window start shared with `members` (ascending).
+    fn record(&mut self, t: u32, members: &[ObjectId], words: usize) {
+        debug_assert!(members.windows(2).all(|w| w[0] < w[1]));
+        if !self.pending(words) {
+            self.base = t;
+        }
+        let (word, bit) = word_bit(t - self.base);
+        debug_assert!(word < words, "an owner's table spans fewer than η bits");
+        self.bits[word] |= bit;
+        let mut at = 0;
+        for &member in members {
+            at = self.row_of(member, at, words);
+            self.bits[(at + 1) * words + word] |= bit;
+        }
+    }
+
+    /// Drops the oldest pending start: `base` moves to the next one, every
+    /// row shifts down by the difference, and members left without a bit
+    /// leave the roster.
+    fn advance(&mut self, words: usize) {
+        self.bits[0] &= !1;
+        let next = self.bits[..words]
+            .iter()
+            .position(|&w| w != 0)
+            .map(|w| w as u32 * 64 + self.bits[w].trailing_zeros());
+        let Some(shift) = next else {
+            self.members.clear();
+            self.bits.truncate(words);
+            return;
+        };
+        self.base += shift;
+        shift_down(&mut self.bits[..words], shift);
+        let mut kept = 0;
+        for i in 0..self.members.len() {
+            let row = (i + 1) * words..(i + 2) * words;
+            shift_down(&mut self.bits[row.clone()], shift);
+            if self.bits[row.clone()].iter().any(|&w| w != 0) {
+                self.members[kept] = self.members[i];
+                self.bits.copy_within(row, (kept + 1) * words);
+                kept += 1;
+            }
+        }
+        self.members.truncate(kept);
+        self.bits.truncate((kept + 1) * words);
+    }
+}
+
+/// The word index and mask of bit `j`.
+fn word_bit(j: u32) -> (usize, u64) {
+    ((j / 64) as usize, 1 << (j % 64))
+}
+
+/// Whether bit `j` of a packed row is set.
+fn has_bit(row: &[u64], j: u32) -> bool {
+    let (word, bit) = word_bit(j);
+    row[word] & bit != 0
+}
+
+/// Shifts a packed row towards bit 0 by `shift` bits.
+fn shift_down(row: &mut [u64], shift: u32) {
+    let (skip, bits) = ((shift / 64) as usize, shift % 64);
+    for i in 0..row.len() {
+        let low = row.get(i + skip).copied().unwrap_or(0);
+        let high = row.get(i + skip + 1).copied().unwrap_or(0);
+        row[i] = if bits == 0 {
+            low
+        } else {
+            low >> bits | high << (64 - bits)
+        };
+    }
+}
+
+/// Shared η-window state of BA and FBA: every owner's partitions of the
+/// last η ticks as a bit table, a window per (owner, time the owner had a
+/// partition), released once η snapshots are available (or at end of
+/// stream). A window started at `s` is due at `s + η − 1`; owners are
+/// visited in id order.
+#[derive(Debug)]
+pub(crate) struct WindowTable {
+    eta: u32,
+    /// Words per table row, `⌈η/64⌉`.
+    words: usize,
+    owners: BTreeMap<ObjectId, OwnerTable>,
+    last_time: Option<u32>,
+}
+
+impl WindowTable {
+    pub fn new(constraints: &Constraints) -> Self {
+        let eta = constraints.eta();
+        WindowTable {
+            eta: eta as u32,
+            words: eta.div_ceil(64),
+            owners: BTreeMap::new(),
+            last_time: None,
+        }
+    }
+
+    /// Ingests the partitions of one time tick, handing every window that
+    /// became due to `on_window`.
     pub fn push_partitions(
         &mut self,
         time: Timestamp,
-        partitions: Vec<Partition>,
-    ) -> Vec<WindowTask> {
+        partitions: &[Partition],
+        mut on_window: impl FnMut(Window<'_>),
+    ) {
         let t = time.0;
+        let (eta, words) = (self.eta, self.words);
         if let Some(prev) = self.last_time {
             assert!(t > prev, "cluster snapshots must arrive in time order");
-        }
-        self.last_time = Some(t);
-
-        for part in partitions {
-            self.histories
-                .entry(part.owner)
-                .or_default()
-                .insert(t, Arc::from(part.members));
-            self.starts.entry(part.owner).or_default().push_back(t);
-            self.deadlines
-                .entry(t + self.eta - 1)
-                .or_default()
-                .push(part.owner);
-        }
-
-        let mut tasks = Vec::new();
-        let due: Vec<u32> = self.deadlines.range(..=t).map(|(&d, _)| d).collect();
-        for d in due {
-            for owner in self.deadlines.remove(&d).unwrap() {
-                tasks.push(self.release(owner, d + 1 - self.eta));
+            if t - prev > 1 {
+                // Windows that fell due in the ticks skipped end before `t`:
+                // release them before `t` enters any table, which also keeps
+                // every table within η bits of its base.
+                self.release(|base| t - 1 - base >= eta - 1, &mut on_window);
             }
         }
-        tasks
+        self.last_time = Some(t);
+        for part in partitions {
+            self.owners
+                .entry(part.owner)
+                .or_insert_with(|| OwnerTable::new(words))
+                .record(t, &part.members, words);
+        }
+        self.release(|base| t - base >= eta - 1, &mut on_window);
     }
 
     /// Flushes the remaining (truncated) windows at end of stream.
-    pub fn finish(&mut self) -> Vec<WindowTask> {
-        let Some(last) = self.last_time else {
-            return Vec::new();
-        };
-        let mut pending: Vec<(u32, ObjectId)> = Vec::new();
-        for (&owner, starts) in &self.starts {
-            for &s in starts {
-                pending.push((s, owner));
-            }
-        }
-        pending.sort_unstable();
-        let mut tasks = Vec::new();
-        for (s, owner) in pending {
-            let end = last.min(s + self.eta - 1);
-            let window = self.window_slice(owner, s, end);
-            tasks.push(WindowTask {
-                owner,
-                start: s,
-                window,
-            });
-        }
-        self.histories.clear();
-        self.starts.clear();
-        self.deadlines.clear();
-        tasks
+    pub fn finish(&mut self, mut on_window: impl FnMut(Window<'_>)) {
+        self.release(|_| true, &mut on_window);
     }
 
-    /// Captures the open-window state in durable, canonical form (owners
-    /// ascend by id; starts and history rows ascend by time).
+    /// Releases, oldest first, every owner's windows whose start satisfies
+    /// `due`, and forgets the owners left with none pending.
+    fn release(&mut self, due: impl Fn(u32) -> bool, on_window: &mut impl FnMut(Window<'_>)) {
+        let words = self.words;
+        self.owners.retain(|&owner, table| {
+            while table.pending(words) && due(table.base) {
+                on_window(Window {
+                    owner,
+                    start: table.base,
+                    words,
+                    members: &table.members,
+                    bits: &table.bits[words..],
+                });
+                table.advance(words);
+            }
+            table.pending(words)
+        });
+    }
+
+    /// Captures the open-window state in durable, canonical form: owners
+    /// ascend by id, starts and history rows by time, and a history row is
+    /// the owner's partition at one pending start.
     pub(crate) fn checkpoint(&self) -> (Option<u32>, Vec<WindowOwnerCheckpoint>) {
-        let mut owners: Vec<WindowOwnerCheckpoint> = self
-            .starts
+        let words = self.words;
+        let owners = self
+            .owners
             .iter()
-            .map(|(&owner, starts)| WindowOwnerCheckpoint {
-                owner,
-                starts: starts.iter().copied().collect(),
-                history: self
-                    .histories
-                    .get(&owner)
-                    .map(|h| {
-                        h.iter()
-                            .map(|(&time, members)| HistoryRowCheckpoint {
-                                time,
-                                members: members.to_vec(),
-                            })
-                            .collect()
+            .map(|(&owner, table)| {
+                let starts: Vec<u32> = (0..self.eta)
+                    .filter(|&j| has_bit(&table.bits[..words], j))
+                    .collect();
+                let history = starts
+                    .iter()
+                    .map(|&j| {
+                        let rows = table.bits[words..].chunks_exact(words);
+                        HistoryRowCheckpoint {
+                            time: table.base + j,
+                            members: (table.members.iter().zip(rows))
+                                .filter(|(_, row)| has_bit(row, j))
+                                .map(|(&member, _)| member)
+                                .collect(),
+                        }
                     })
-                    .unwrap_or_default(),
+                    .collect();
+                WindowOwnerCheckpoint {
+                    owner,
+                    starts: starts.iter().map(|&j| table.base + j).collect(),
+                    history,
+                }
             })
             .collect();
-        owners.sort_by_key(|o| o.owner);
         (self.last_time, owners)
     }
 
     /// Rebuilds the window state from a checkpoint, keeping only owners for
     /// which `keep` returns true (the restore-time resharding hook: a
     /// restored deployment may run a different parallelism, and each
-    /// subtask loads only the owners routed to it). Window release
-    /// deadlines are derived from the pending starts, exactly as the
-    /// original pushes scheduled them.
+    /// subtask loads only the owners routed to it). Every pending start
+    /// must still be open at `last_time` under these constraints' η, and
+    /// every history row must sit at one of them — what any checkpoint
+    /// written under the same constraints satisfies.
     pub(crate) fn restore(
         constraints: &Constraints,
         last_time: Option<u32>,
         owners: &[WindowOwnerCheckpoint],
         keep: impl Fn(ObjectId) -> bool,
-    ) -> Self {
-        let mut ws = WindowState::new(constraints);
-        ws.last_time = last_time;
-        for o in owners {
-            if !keep(o.owner) {
-                continue;
+    ) -> Result<Self, CheckpointError> {
+        let mut table = WindowTable::new(constraints);
+        table.last_time = last_time;
+        let (eta, words) = (table.eta, table.words);
+        for o in owners.iter().filter(|o| keep(o.owner)) {
+            let invalid = |what: &str| {
+                CheckpointError::Invalid(format!(
+                    "window state of owner {}: {what} (η = {eta}; was the checkpoint \
+                     written under other constraints?)",
+                    o.owner
+                ))
+            };
+            let open = |s: u32| last_time.is_some_and(|last| s <= last && last - s < eta - 1);
+            if !o.starts.windows(2).all(|w| w[0] < w[1]) {
+                return Err(invalid("pending starts do not ascend"));
             }
-            if !o.starts.is_empty() {
-                ws.starts
-                    .insert(o.owner, o.starts.iter().copied().collect());
-                for &s in &o.starts {
-                    ws.deadlines
-                        .entry(s + ws.eta - 1)
-                        .or_default()
-                        .push(o.owner);
-                }
+            if !o.starts.iter().all(|&s| open(s)) {
+                return Err(invalid("a pending start is not an open window"));
             }
-            if !o.history.is_empty() {
-                ws.histories.insert(
-                    o.owner,
-                    o.history
-                        .iter()
-                        .map(|row| (row.time, Arc::from(row.members.as_slice())))
-                        .collect(),
-                );
+            if let Some(row) = o.history.iter().find(|r| !o.starts.contains(&r.time)) {
+                return Err(invalid(&format!(
+                    "history row at {} starts no window",
+                    row.time
+                )));
             }
-        }
-        ws
-    }
-
-    fn release(&mut self, owner: ObjectId, start: u32) -> WindowTask {
-        let popped = self
-            .starts
-            .get_mut(&owner)
-            .and_then(|q| q.pop_front())
-            .expect("deadline for owner without pending start");
-        debug_assert_eq!(popped, start, "window starts must release in order");
-        let window = self.window_slice(owner, start, start + self.eta - 1);
-        // Prune history no future window of this owner can reference.
-        let keep_from = self.starts.get(&owner).and_then(|q| q.front().copied());
-        match keep_from {
-            Some(f) => {
-                let hist = self.histories.get_mut(&owner).unwrap();
-                *hist = hist.split_off(&f);
+            // Starts first: they ascend, so the oldest becomes the base.
+            let mut owner = OwnerTable::new(words);
+            for &s in &o.starts {
+                owner.record(s, &[], words);
             }
-            None => {
-                self.histories.remove(&owner);
-                self.starts.remove(&owner);
+            for row in &o.history {
+                let mut members = row.members.clone();
+                members.sort_unstable();
+                members.dedup();
+                owner.record(row.time, &members, words);
+            }
+            if owner.pending(words) {
+                table.owners.insert(o.owner, owner);
             }
         }
-        WindowTask {
-            owner,
-            start,
-            window,
-        }
-    }
-
-    fn window_slice(&self, owner: ObjectId, start: u32, end: u32) -> Vec<Arc<[ObjectId]>> {
-        let hist = self.histories.get(&owner);
-        (start..=end)
-            .map(|j| {
-                hist.and_then(|h| h.get(&j))
-                    .cloned()
-                    .unwrap_or_else(|| Arc::clone(&self.empty_row))
-            })
-            .collect()
-    }
-}
-
-/// Shared window-task helpers for BA and FBA.
-impl WindowTask {
-    /// Bitmask rows: for each window offset `j`, a mask over the indices of
-    /// `window[0]` marking which candidates are co-clustered with the owner
-    /// at offset `j`. Requires `window[0].len() ≤ 64`.
-    pub fn member_masks(&self) -> Vec<u64> {
-        let members = &self.window[0];
-        debug_assert!(members.len() <= 64);
-        self.window
-            .iter()
-            .map(|row| {
-                let mut mask = 0u64;
-                let mut mi = 0usize;
-                // Both lists sorted: merge scan.
-                for &id in row.iter() {
-                    while mi < members.len() && members[mi] < id {
-                        mi += 1;
-                    }
-                    if mi < members.len() && members[mi] == id {
-                        mask |= 1 << mi;
-                        mi += 1;
-                    }
-                }
-                mask
-            })
-            .collect()
+        Ok(table)
     }
 }
 
@@ -337,7 +425,6 @@ pub use crate::runs::Semantics as EngineSemantics;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use icpe_types::Timestamp;
 
     fn oid(v: u32) -> ObjectId {
         ObjectId(v)
@@ -357,90 +444,175 @@ mod tests {
         Constraints::new(2, 2, 1, 2).unwrap()
     }
 
-    /// Test shim replicating the old snapshot-level push.
-    fn push(ws: &mut WindowState, snapshot: ClusterSnapshot) -> Vec<WindowTask> {
-        ws.push_partitions(snapshot.time, id_partitions(&snapshot, 2))
+    /// A released window, owned: `(owner, start, partition with strings)`.
+    /// Strings are rendered `0`/`1` over the first `eta` bits.
+    type Released = (u32, u32, Vec<(u32, String)>);
+
+    fn render(window: Window<'_>, eta: usize) -> Released {
+        let partition = window
+            .partition()
+            .map(|(member, row)| {
+                let bits = (0..eta as u32).map(|j| if has_bit(row, j) { '1' } else { '0' });
+                (member.0, bits.collect())
+            })
+            .collect();
+        (window.owner.0, window.start, partition)
+    }
+
+    fn push(table: &mut WindowTable, snapshot: ClusterSnapshot) -> Vec<Released> {
+        let eta = table.eta as usize;
+        let mut released = Vec::new();
+        table.push_partitions(snapshot.time, &id_partitions(&snapshot, 2), |w| {
+            released.push(render(w, eta))
+        });
+        released
+    }
+
+    fn finish(table: &mut WindowTable) -> Vec<Released> {
+        let eta = table.eta as usize;
+        let mut released = Vec::new();
+        table.finish(|w| released.push(render(w, eta)));
+        released
     }
 
     #[test]
     fn window_releases_after_eta_snapshots() {
         let c = constraints();
         assert_eq!(c.eta(), 3);
-        let mut ws = WindowState::new(&c);
-        assert!(push(&mut ws, cs(0, &[&[1, 2]])).is_empty());
-        assert!(push(&mut ws, cs(1, &[&[1, 2]])).is_empty());
-        let tasks = push(&mut ws, cs(2, &[&[1, 2]]));
-        assert_eq!(tasks.len(), 1);
-        let t = &tasks[0];
-        assert_eq!(t.owner, oid(1));
-        assert_eq!(t.start, 0);
-        assert_eq!(t.window.len(), 3);
-        assert_eq!(t.window[0].to_vec(), vec![oid(2)]);
+        let mut table = WindowTable::new(&c);
+        assert!(push(&mut table, cs(0, &[&[1, 2]])).is_empty());
+        assert!(push(&mut table, cs(1, &[&[1, 2]])).is_empty());
+        let released = push(&mut table, cs(2, &[&[1, 2]]));
+        assert_eq!(released, vec![(1, 0, vec![(2, "111".into())])]);
     }
 
     #[test]
-    fn missing_times_become_empty_rows() {
-        let c = constraints();
-        let mut ws = WindowState::new(&c);
-        push(&mut ws, cs(0, &[&[1, 2]]));
-        push(&mut ws, cs(1, &[]));
-        let tasks = push(&mut ws, cs(2, &[]));
-        assert_eq!(tasks.len(), 1);
-        assert_eq!(tasks[0].window[1].to_vec(), Vec::<ObjectId>::new());
-        assert_eq!(tasks[0].window[2].to_vec(), Vec::<ObjectId>::new());
+    fn missing_times_are_zero_bits() {
+        let mut table = WindowTable::new(&constraints());
+        push(&mut table, cs(0, &[&[1, 2]]));
+        push(&mut table, cs(1, &[]));
+        let released = push(&mut table, cs(2, &[]));
+        assert_eq!(released, vec![(1, 0, vec![(2, "100".into())])]);
+        assert!(
+            table.owners.is_empty(),
+            "an owner with no window pending is forgotten"
+        );
     }
 
     #[test]
     fn finish_truncates_windows() {
-        let c = constraints();
-        let mut ws = WindowState::new(&c);
-        push(&mut ws, cs(5, &[&[1, 2]]));
-        push(&mut ws, cs(6, &[&[1, 2]]));
-        let tasks = ws.finish();
-        assert_eq!(tasks.len(), 2); // starts at 5 and 6
-        assert_eq!(tasks[0].start, 5);
-        assert_eq!(tasks[0].window.len(), 2);
-        assert_eq!(tasks[1].start, 6);
-        assert_eq!(tasks[1].window.len(), 1);
+        let mut table = WindowTable::new(&constraints());
+        push(&mut table, cs(5, &[&[1, 2]]));
+        push(&mut table, cs(6, &[&[1, 2]]));
+        let released = finish(&mut table);
+        assert_eq!(
+            released,
+            vec![
+                (1, 5, vec![(2, "110".into())]),
+                (1, 6, vec![(2, "100".into())]),
+            ]
+        );
+        assert!(finish(&mut table).is_empty());
     }
 
     #[test]
-    fn member_masks_track_membership() {
-        let task = WindowTask {
-            owner: oid(1),
-            start: 0,
-            window: vec![
-                Arc::from(vec![oid(2), oid(5), oid(9)]),
-                Arc::from(vec![oid(5)]),
-                Arc::from(vec![oid(2), oid(9)]),
-            ],
-        };
-        let masks = task.member_masks();
-        assert_eq!(masks, vec![0b111, 0b010, 0b101]);
+    fn members_that_join_later_are_not_in_the_partition() {
+        let mut table = WindowTable::new(&constraints());
+        push(&mut table, cs(0, &[&[1, 5]]));
+        push(&mut table, cs(1, &[&[1, 3, 5]]));
+        let released = push(&mut table, cs(2, &[&[1, 3]]));
+        // Window 0's partition is {5}; 3 sits in the table for windows 1, 2.
+        assert_eq!(released, vec![(1, 0, vec![(5, "110".into())])]);
+        let released = finish(&mut table);
+        assert_eq!(
+            released[0],
+            (1, 1, vec![(3, "110".into()), (5, "100".into())])
+        );
+        assert_eq!(released[1], (1, 2, vec![(3, "100".into())]));
     }
 
     #[test]
     #[should_panic(expected = "time order")]
     fn out_of_order_push_panics() {
-        let mut ws = WindowState::new(&constraints());
-        push(&mut ws, cs(3, &[&[1, 2]]));
-        push(&mut ws, cs(3, &[&[1, 2]]));
+        let mut table = WindowTable::new(&constraints());
+        push(&mut table, cs(3, &[&[1, 2]]));
+        push(&mut table, cs(3, &[&[1, 2]]));
     }
 
     #[test]
     fn multiple_owners_release_independently() {
-        let c = constraints();
-        let mut ws = WindowState::new(&c);
-        push(&mut ws, cs(0, &[&[1, 2], &[5, 6]]));
-        push(&mut ws, cs(1, &[&[5, 6]]));
-        let tasks = push(&mut ws, cs(2, &[]));
-        assert_eq!(tasks.len(), 2);
-        let owners: Vec<ObjectId> = tasks.iter().map(|t| t.owner).collect();
-        assert!(owners.contains(&oid(1)) && owners.contains(&oid(5)));
+        let mut table = WindowTable::new(&constraints());
+        push(&mut table, cs(0, &[&[1, 2], &[5, 6]]));
+        push(&mut table, cs(1, &[&[5, 6]]));
+        let released = push(&mut table, cs(2, &[]));
+        let owners: Vec<u32> = released.iter().map(|r| r.0).collect();
+        assert_eq!(owners, vec![1, 5], "owners are visited in id order");
         // Owner 5's second start is still pending.
-        let rest = ws.finish();
-        assert_eq!(rest.len(), 1);
-        assert_eq!(rest[0].owner, oid(5));
-        assert_eq!(rest[0].start, 1);
+        assert_eq!(finish(&mut table), vec![(5, 1, vec![(6, "100".into())])]);
+    }
+
+    #[test]
+    fn skipped_ticks_release_the_windows_that_fell_due_meanwhile() {
+        let mut table = WindowTable::new(&constraints());
+        push(&mut table, cs(0, &[&[1, 2]]));
+        push(&mut table, cs(1, &[&[1, 2]]));
+        // Time jumps to 9: both windows ended before it and must not see it.
+        let released = push(&mut table, cs(9, &[&[1, 2]]));
+        assert_eq!(
+            released,
+            vec![
+                (1, 0, vec![(2, "110".into())]),
+                (1, 1, vec![(2, "100".into())]),
+            ]
+        );
+        assert_eq!(finish(&mut table), vec![(1, 9, vec![(2, "100".into())])]);
+    }
+
+    #[test]
+    fn rows_shift_across_word_boundaries() {
+        // K = L = 40 → η = 79: a row is two words.
+        let c = Constraints::new(2, 40, 40, 1).unwrap();
+        assert_eq!((c.eta(), c.eta().div_ceil(64)), (79, 2));
+        let mut table = WindowTable::new(&c);
+        let mut released = Vec::new();
+        for t in 0..100 {
+            let together = t % 70 != 3;
+            let groups: &[&[u32]] = if together { &[&[1, 2]] } else { &[] };
+            released.extend(push(&mut table, cs(t, groups)));
+        }
+        // The window started at 4 covers 4 ..= 82 and misses tick 73 only.
+        let (_, _, partition) = released.iter().find(|r| r.1 == 4).unwrap();
+        let want: String = (4..83).map(|t| if t == 73 { '0' } else { '1' }).collect();
+        assert_eq!(partition, &vec![(2, want)]);
+        assert!(released.iter().all(|r| r.1 != 3 && r.1 != 73));
+    }
+
+    #[test]
+    fn restore_rejects_state_that_does_not_fit_the_window() {
+        let c = constraints();
+        let mut table = WindowTable::new(&c);
+        push(&mut table, cs(4, &[&[1, 2]]));
+        push(&mut table, cs(5, &[&[1, 2]]));
+        let (last, owners) = table.checkpoint();
+        assert_eq!(owners[0].starts, vec![4, 5]);
+        let restore = |last, owners: &[WindowOwnerCheckpoint]| {
+            WindowTable::restore(&c, last, owners, |_| true).map(|t| t.checkpoint())
+        };
+        assert_eq!(restore(last, &owners).unwrap(), (last, owners.clone()));
+
+        let invalid = |last, owners: &[WindowOwnerCheckpoint]| {
+            matches!(restore(last, owners), Err(CheckpointError::Invalid(_)))
+        };
+        // A start whose window closed before `last_time` (η is 3).
+        assert!(invalid(Some(7), &owners));
+        assert!(invalid(None, &owners));
+        let mut stray = owners.clone();
+        stray[0].history[0].time = 3;
+        assert!(invalid(last, &stray), "a history row outside every start");
+        let mut unordered = owners.clone();
+        unordered[0].starts.reverse();
+        assert!(invalid(last, &unordered));
+        // A filtered-out owner is not even looked at.
+        assert!(WindowTable::restore(&c, None, &owners, |o| o != oid(1)).is_ok());
     }
 }

@@ -1,79 +1,44 @@
 //! **FBA** — Fixed-length Bit Compression based Algorithm (Algorithm 4).
 //!
-//! Per window: build an η-bit string per partition member (Definition 13),
-//! keep only members whose own string already satisfies `(K, L, G)` (the
-//! candidate set `C`), then enumerate patterns apriori-style starting at
-//! cardinality `M − 1`, combining candidates with word-parallel `AND`s.
-//! Storage drops from `O(2^n)` to `O(η·n)`; enumeration from `O(2^n)` to
-//! `O(|R|·|C| + C(|C|, M−1))`.
+//! Per window: an η-bit string per partition member (Definition 13), read
+//! in place from the owner's bit table; only members whose own string
+//! already satisfies `(K, L, G)` stay (the candidate set `C`); patterns are
+//! then enumerated apriori-style from cardinality `M − 1`, depth first,
+//! combining candidates with word-parallel `AND`s on a reusable stack and
+//! appending each pattern to a flat [`PatternBatch`]. Storage drops from
+//! `O(2^n)` to `O(η·n)`; enumeration from `O(2^n)` to
+//! `O(|R|·|C| + C(|C|, M−1))`; and nothing is allocated per window or per
+//! pattern.
 
-use crate::bitstring::BitString;
-use crate::engine::{EngineConfig, PatternEngine, WindowState, WindowTask};
-use crate::runs::Semantics;
-use icpe_types::{CheckpointError, Constraints, EngineCheckpoint, ObjectId, Pattern, TimeSequence};
+use crate::bitstring::word_runs;
+use crate::engine::{EngineConfig, PatternEngine, Window, WindowTable};
+use crate::partition::Partition;
+use crate::runs::witness_span;
+use icpe_types::{CheckpointError, EngineCheckpoint, ObjectId, Pattern, PatternBatch, Timestamp};
 
 /// The FBA pattern-enumeration engine.
 #[derive(Debug)]
 pub struct FbaEngine {
     config: EngineConfig,
-    windows: WindowState,
+    windows: WindowTable,
+    kernel: Kernel,
+    /// The batch behind the `Vec<Pattern>` view of the kernel.
+    view: PatternBatch,
 }
 
 impl FbaEngine {
     /// Creates the engine.
     pub fn new(config: EngineConfig) -> Self {
+        Self::over(config, WindowTable::new(&config.constraints))
+    }
+
+    fn over(config: EngineConfig, windows: WindowTable) -> Self {
         FbaEngine {
-            windows: WindowState::new(&config.constraints),
             config,
+            windows,
+            kernel: Kernel::default(),
+            view: PatternBatch::new(),
         }
-    }
-
-    fn process(&mut self, task: WindowTask) -> Vec<Pattern> {
-        let c = &self.config.constraints;
-        let members = task.window[0].clone();
-        if members.len() < c.m() - 1 {
-            return Vec::new();
-        }
-        let masks = task.member_masks();
-        let window_len = task.window.len();
-
-        // Definition 13: B[oi][j] = 1 iff owner and oi share a cluster at
-        // offset j. (Transpose of the per-time masks.)
-        let mut strings: Vec<BitString> = Vec::with_capacity(members.len());
-        for i in 0..members.len() {
-            let mut b = BitString::zeros(window_len);
-            for (j, &mask) in masks.iter().enumerate() {
-                if mask & (1 << i) != 0 {
-                    b.set(j);
-                }
-            }
-            strings.push(b);
-        }
-
-        // Candidate filtering: B[oi] must itself satisfy (K, L, G).
-        let candidates: Vec<usize> = (0..members.len())
-            .filter(|&i| strings[i].satisfies_klg(c.k(), c.l(), c.g(), self.validity_semantics()))
-            .collect();
-        if candidates.len() < c.m() - 1 {
-            return Vec::new();
-        }
-
-        enumerate_candidates(
-            &candidates,
-            &strings,
-            &members,
-            task.owner,
-            task.start,
-            c,
-            self.validity_semantics(),
-        )
-    }
-
-    /// FBA filters and combines bit strings with the configured semantics.
-    /// (Under [`Semantics::PaperGreedy`] the candidate filter is the paper's
-    /// literal rule and is knowingly lossy; see the crate docs.)
-    fn validity_semantics(&self) -> Semantics {
-        self.config.semantics
     }
 
     /// Rebuilds an FBA engine from a checkpoint, loading only owners for
@@ -89,94 +54,143 @@ impl FbaEngine {
                 config: "FBA".into(),
             });
         }
-        Ok(FbaEngine {
-            windows: WindowState::restore(
-                &config.constraints,
-                ckpt.last_time,
-                &ckpt.window_owners,
-                keep,
-            ),
-            config,
-        })
+        let windows = WindowTable::restore(
+            &config.constraints,
+            ckpt.last_time,
+            &ckpt.window_owners,
+            keep,
+        )?;
+        Ok(Self::over(config, windows))
+    }
+
+    /// Runs `fill` on the view batch and materializes what it appended.
+    fn viewed(&mut self, fill: impl FnOnce(&mut Self, &mut PatternBatch)) -> Vec<Pattern> {
+        let mut batch = std::mem::take(&mut self.view);
+        fill(self, &mut batch);
+        let patterns = batch.to_patterns();
+        batch.clear();
+        self.view = batch;
+        patterns
     }
 }
 
-/// Candidate-based enumeration shared conceptually with VBA: grow object
-/// sets from cardinality `M − 1`, extending only with larger candidate
-/// indices (each set is generated once), pruning sets whose combined bit
-/// string is invalid. Under subsequence semantics validity is anti-monotone
-/// in the number of objects, so pruning is lossless.
-#[allow(clippy::too_many_arguments)]
-fn enumerate_candidates(
-    candidates: &[usize],
-    strings: &[BitString],
-    members: &[ObjectId],
-    owner: ObjectId,
-    start: u32,
-    c: &Constraints,
-    semantics: Semantics,
-) -> Vec<Pattern> {
-    let need = c.m() - 1;
-    let mut out = Vec::new();
+/// The enumeration kernel's reusable buffers. Candidate-based enumeration
+/// (shared conceptually with VBA) grows object sets from cardinality
+/// `M − 1`, extending only with larger candidate indices (each set is
+/// generated once), pruning sets whose combined bit string is invalid.
+/// Under subsequence semantics validity is anti-monotone in the number of
+/// objects, so pruning is lossless. (Under [`crate::Semantics::PaperGreedy`]
+/// the candidate filter is the paper's literal rule and is knowingly lossy;
+/// see the crate docs.)
+#[derive(Debug, Default)]
+struct Kernel {
+    /// The window's candidates, ascending, and their strings (one row of
+    /// `words` words each).
+    candidates: Vec<ObjectId>,
+    strings: Vec<u64>,
+    /// The object set being grown: the owner, then the chosen candidates —
+    /// ascending, because an owner's partition holds larger ids only.
+    chosen: Vec<ObjectId>,
+    /// Row `d`: the AND of the strings of the first `d` chosen candidates.
+    stack: Vec<u64>,
+    /// The string whose witness was stored last in this window (all zero,
+    /// which no valid string is, until one has been), and that witness: the
+    /// subsets of one group mostly AND to the same string.
+    memo: Vec<u64>,
+    memo_witness: u32,
+}
 
-    // Level M−1: canonical combinations of candidate indices.
-    let mut level: Vec<(Vec<usize>, BitString)> = Vec::new();
-    let mut combo: Vec<usize> = Vec::new();
-    build_combinations(candidates, need, 0, &mut combo, &mut |chosen| {
-        let mut bits = strings[chosen[0]].clone();
-        for &i in &chosen[1..] {
-            bits.and_assign(&strings[i]);
-        }
-        level.push((chosen.to_vec(), bits));
-    });
-
-    while !level.is_empty() {
-        let mut next: Vec<(Vec<usize>, BitString)> = Vec::new();
-        for (set, bits) in level {
-            let Some(witness) = bits.witness(c.k(), c.l(), c.g(), semantics) else {
-                continue;
-            };
-            let mut objects: Vec<ObjectId> = set.iter().map(|&i| members[i]).collect();
-            objects.push(owner);
-            let times = TimeSequence::from_raw(witness.into_iter().map(|j| start + j))
-                .expect("witness offsets are strictly increasing");
-            out.push(Pattern::new(objects, times));
-
-            // Extend with every candidate beyond the set's largest index.
-            let max_idx = *set.last().unwrap();
-            for &cand in candidates.iter().filter(|&&i| i > max_idx) {
-                let mut ext_bits = bits.clone();
-                ext_bits.and_assign(&strings[cand]);
-                let mut ext_set = set.clone();
-                ext_set.push(cand);
-                next.push((ext_set, ext_bits));
+impl Kernel {
+    /// Enumerates one window's patterns into `out`.
+    fn enumerate(&mut self, config: &EngineConfig, window: Window<'_>, out: &mut PatternBatch) {
+        let c = &config.constraints;
+        self.candidates.clear();
+        self.strings.clear();
+        // Candidate filtering: B[oi] must itself satisfy (K, L, G).
+        for (member, string) in window.partition() {
+            if witness_span(word_runs(string), c.k(), c.l(), c.g(), config.semantics).is_some() {
+                self.candidates.push(member);
+                self.strings.extend_from_slice(string);
             }
         }
-        level = next;
-    }
-    out
-}
-
-/// Calls `f` for every size-`k` combination of `pool` (ascending order).
-fn build_combinations(
-    pool: &[usize],
-    k: usize,
-    from: usize,
-    combo: &mut Vec<usize>,
-    f: &mut impl FnMut(&[usize]),
-) {
-    if combo.len() == k {
-        f(combo);
-        return;
-    }
-    let remaining = k - combo.len();
-    for i in from..pool.len() {
-        if pool.len() - i < remaining {
-            break;
+        if self.candidates.len() < c.m() - 1 {
+            return;
         }
-        combo.push(pool[i]);
-        build_combinations(pool, k, i + 1, combo, f);
-        combo.pop();
+        self.chosen.clear();
+        self.chosen.push(window.owner);
+        self.stack.clear();
+        self.stack
+            .resize((self.candidates.len() + 1) * window.words, !0);
+        self.memo.clear();
+        self.memo.resize(window.words, 0);
+        self.extend(config, &window, 0, None, out);
+    }
+
+    /// Extends the chosen set with every candidate from index `from` on.
+    /// `witness` is the chosen set's own witness, if it is a pattern.
+    fn extend(
+        &mut self,
+        config: &EngineConfig,
+        window: &Window<'_>,
+        from: usize,
+        witness: Option<u32>,
+        out: &mut PatternBatch,
+    ) {
+        let c = &config.constraints;
+        let (need, words) = (c.m() - 1, window.words);
+        let depth = self.chosen.len() - 1;
+        // Stop where too few candidates remain to reach cardinality M − 1.
+        let last = self.candidates.len() - need.saturating_sub(depth + 1);
+        for cand in from..last {
+            let (below, above) = self.stack.split_at_mut((depth + 1) * words);
+            let (parent, child) = (&below[depth * words..], &mut above[..words]);
+            let string = &self.strings[cand * words..(cand + 1) * words];
+            let mut ones = 0;
+            for ((c, &p), &s) in child.iter_mut().zip(parent).zip(string) {
+                *c = p & s;
+                ones += c.count_ones() as usize;
+            }
+            // Fewer than K common times: no superset can be valid either.
+            if ones < c.k() {
+                continue;
+            }
+            let unchanged = *child == *parent;
+            self.chosen.push(self.candidates[cand]);
+            let mut found = None;
+            if depth + 1 >= need {
+                found = match witness {
+                    Some(w) if unchanged => Some(w),
+                    _ => self.witness_of(config, window, depth + 1, out),
+                };
+                if let Some(w) = found {
+                    out.push(&self.chosen, w);
+                }
+            }
+            if found.is_some() || depth + 1 < need {
+                self.extend(config, window, cand + 1, found, out);
+            }
+            self.chosen.pop();
+        }
+    }
+
+    /// The witness of stack row `depth`, stored in `out`; `None` if the
+    /// string is invalid.
+    fn witness_of(
+        &mut self,
+        config: &EngineConfig,
+        window: &Window<'_>,
+        depth: usize,
+        out: &mut PatternBatch,
+    ) -> Option<u32> {
+        let c = &config.constraints;
+        let string = &self.stack[depth * window.words..(depth + 1) * window.words];
+        if self.memo != string {
+            let span = witness_span(word_runs(string), c.k(), c.l(), c.g(), config.semantics)?;
+            let times = span.times(word_runs(string));
+            self.memo_witness = out.push_witness(times.map(|j| Timestamp(window.start + j)));
+            self.memo.copy_from_slice(string);
+        }
+        Some(self.memo_witness)
     }
 }
 
@@ -189,18 +203,40 @@ impl PatternEngine for FbaEngine {
         self.config.constraints.m()
     }
 
-    fn push_partitions(
-        &mut self,
-        time: icpe_types::Timestamp,
-        partitions: Vec<crate::partition::Partition>,
-    ) -> Vec<Pattern> {
-        let tasks = self.windows.push_partitions(time, partitions);
-        tasks.into_iter().flat_map(|t| self.process(t)).collect()
+    fn push_partitions(&mut self, time: Timestamp, mut partitions: Vec<Partition>) -> Vec<Pattern> {
+        self.viewed(|engine, batch| engine.push_partitions_into(time, &mut partitions, batch))
     }
 
     fn finish(&mut self) -> Vec<Pattern> {
-        let tasks = self.windows.finish();
-        tasks.into_iter().flat_map(|t| self.process(t)).collect()
+        self.viewed(|engine, batch| engine.finish_into(batch))
+    }
+
+    fn push_partitions_into(
+        &mut self,
+        time: Timestamp,
+        partitions: &mut Vec<Partition>,
+        out: &mut PatternBatch,
+    ) {
+        let FbaEngine {
+            config,
+            windows,
+            kernel,
+            ..
+        } = self;
+        windows.push_partitions(time, partitions, |window| {
+            kernel.enumerate(config, window, out)
+        });
+        partitions.clear();
+    }
+
+    fn finish_into(&mut self, out: &mut PatternBatch) {
+        let FbaEngine {
+            config,
+            windows,
+            kernel,
+            ..
+        } = self;
+        windows.finish(|window| kernel.enumerate(config, window, out));
     }
 
     fn checkpoint(&self) -> Option<EngineCheckpoint> {
@@ -219,7 +255,7 @@ impl PatternEngine for FbaEngine {
 mod tests {
     use super::*;
     use crate::engine::unique_object_sets;
-    use icpe_types::{ClusterSnapshot, Timestamp};
+    use icpe_types::{ClusterSnapshot, Constraints};
 
     fn oid(v: u32) -> ObjectId {
         ObjectId(v)
@@ -241,30 +277,6 @@ mod tests {
         }
         out.extend(engine.finish());
         out
-    }
-
-    #[test]
-    fn combinations_generator_is_exhaustive_and_canonical() {
-        let pool = [2usize, 5, 7, 9];
-        let mut seen = Vec::new();
-        build_combinations(&pool, 2, 0, &mut Vec::new(), &mut |c| {
-            seen.push(c.to_vec());
-        });
-        assert_eq!(
-            seen,
-            vec![
-                vec![2, 5],
-                vec![2, 7],
-                vec![2, 9],
-                vec![5, 7],
-                vec![5, 9],
-                vec![7, 9]
-            ]
-        );
-        // k = 0 yields exactly the empty combination (M = 2 base case).
-        let mut count = 0;
-        build_combinations(&pool, 0, 0, &mut Vec::new(), &mut |_| count += 1);
-        assert_eq!(count, 1);
     }
 
     #[test]
@@ -325,6 +337,35 @@ mod tests {
         );
         // o8's string 100000 fails (K,L,G); no pattern contains o8.
         assert!(sets.iter().all(|s| !s.contains(&oid(8))));
+    }
+
+    #[test]
+    fn partition_wider_than_a_word_yields_only_what_persists() {
+        // 70 objects share a cluster once; the owner and the members at
+        // positions 9, 64 and 68 of its partition then stay together for a
+        // whole window. Member masks used to be one `u64` (`1 << i`), so
+        // position 64 aliased position 0 and object 1 joined the patterns.
+        let c = Constraints::new(2, 4, 2, 2).unwrap();
+        let crowd: Vec<u32> = (0..70).collect();
+        let four = [0u32, 10, 65, 69];
+        let mut stream = vec![cs(0, &[&crowd])];
+        stream.extend((1..c.eta() as u32).map(|t| cs(t, &[&four])));
+        let mut engine = FbaEngine::new(EngineConfig::new(c));
+        let sets = unique_object_sets(&run_stream(&mut engine, &stream));
+        assert_eq!(sets.len(), 11, "the subsets of the four of size ≥ 2");
+        assert!(sets.iter().all(|s| s.iter().all(|o| four.contains(&o.0))));
+
+        // The exhaustive miner expands every subset of a cluster, so it gets
+        // the crowd cut to thirteen — objects seen together once are in no
+        // pattern (K = 4), whichever of them are kept.
+        let mut miner = crate::reference::ExhaustiveMiner::new();
+        let cut: Vec<u32> = (0..=10).chain([65, 69]).collect();
+        miner.push(cs(0, &[&cut]));
+        stream[1..].iter().for_each(|s| miner.push(s.clone()));
+        assert_eq!(
+            sets,
+            miner.mine_object_sets(&c, crate::Semantics::Subsequence)
+        );
     }
 
     #[test]

@@ -38,6 +38,8 @@ pub mod baseline;
 pub mod bitstring;
 pub mod engine;
 pub mod fba;
+#[cfg(test)]
+mod model;
 pub mod partition;
 pub mod postprocess;
 pub mod reference;

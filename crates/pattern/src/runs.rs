@@ -55,12 +55,57 @@ pub enum Semantics {
     PaperGreedy,
 }
 
+/// Where in a run list a witnessing time sequence lies: the times of
+/// `[from, to)` that fall in runs at least `min_run` long once clipped to
+/// that range. Finding one allocates nothing; [`WitnessSpan::times`] then
+/// yields the sequence itself.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct WitnessSpan {
+    from: u32,
+    to: u32,
+    min_run: u32,
+}
+
+impl WitnessSpan {
+    /// The witnessing times, given the run list the span was found in.
+    pub fn times(self, runs: impl Iterator<Item = Run>) -> impl Iterator<Item = u32> {
+        runs.skip_while(move |run| run.start < self.from)
+            .take_while(move |run| run.start < self.to)
+            .map(move |run| run.start..(run.start + run.len).min(self.to))
+            .filter(move |times| times.end - times.start >= self.min_run)
+            .flatten()
+    }
+}
+
+/// Finds a witness for the runs (ascending, maximal) against `(k, l, g)`
+/// under `semantics`, or `None` if they are invalid. The iterator is cloned
+/// to restart a scan, so it should be cheap to clone (a slice iterator, a
+/// [`crate::bitstring::WordRuns`]).
+pub fn witness_span(
+    runs: impl Iterator<Item = Run> + Clone,
+    k: usize,
+    l: usize,
+    g: u32,
+    semantics: Semantics,
+) -> Option<WitnessSpan> {
+    match semantics {
+        Semantics::Subsequence => max_chain(runs, k, l, g),
+        Semantics::PaperGreedy => {
+            let mut rest = runs;
+            loop {
+                let from_here = rest.clone();
+                rest.next()?;
+                if let Some(span) = greedy_from(from_here, k, l, g) {
+                    return Some(span);
+                }
+            }
+        }
+    }
+}
+
 /// Decides validity of the run list against `(k, l, g)` under `semantics`.
 pub fn runs_valid(runs: &[Run], k: usize, l: usize, g: u32, semantics: Semantics) -> bool {
-    match semantics {
-        Semantics::Subsequence => subsequence_valid(runs, k, l, g),
-        Semantics::PaperGreedy => (0..runs.len()).any(|i| greedy_valid_from(runs, i, k, l, g)),
-    }
+    witness_span(runs.iter().copied(), k, l, g, semantics).is_some()
 }
 
 /// Extracts a witnessing time sequence if the runs are valid.
@@ -71,84 +116,56 @@ pub fn runs_witness(
     g: u32,
     semantics: Semantics,
 ) -> Option<Vec<u32>> {
-    match semantics {
-        Semantics::Subsequence => subsequence_witness(runs, k, l, g),
-        Semantics::PaperGreedy => {
-            (0..runs.len()).find_map(|i| greedy_witness_from(runs, i, k, l, g))
-        }
-    }
+    let span = witness_span(runs.iter().copied(), k, l, g, semantics)?;
+    Some(span.times(runs.iter().copied()).collect())
 }
 
 /// Existence semantics: drop runs shorter than `l` (no valid sequence can
 /// use any of their times), then chain the surviving runs while inter-run
-/// gaps stay ≤ `g`; valid iff some chain accumulates ≥ `k` times.
+/// gaps stay ≤ `g`; valid iff some chain accumulates ≥ `k` times. The
+/// witness is the chain with the largest total (the first, on ties).
 ///
 /// Optimality argument: every segment of a valid `T` lies inside a run of
 /// length ≥ `l`; taking *whole* runs maximizes counts and minimizes the gaps
 /// between consecutive elements, and including an extra (long-enough) run in
 /// a chain never breaks it. Hence checking maximal chains of full surviving
 /// runs is exact.
-fn subsequence_valid(runs: &[Run], k: usize, l: usize, g: u32) -> bool {
-    max_chain(runs, l, g).is_some_and(|(_, _, total)| total >= k)
-}
-
-fn subsequence_witness(runs: &[Run], k: usize, l: usize, g: u32) -> Option<Vec<u32>> {
-    let (chain_start, chain_end, total) = max_chain(runs, l, g)?;
-    if total < k {
-        return None;
-    }
-    let mut times = Vec::with_capacity(total);
-    for run in &runs[chain_start..=chain_end] {
-        if (run.len as usize) < l {
-            continue;
-        }
-        times.extend(run.start..=run.end());
-    }
-    Some(times)
-}
-
-/// Finds the chain of surviving runs with the largest total, returning
-/// `(first_run_idx, last_run_idx, total)` over the *original* run slice.
-fn max_chain(runs: &[Run], l: usize, g: u32) -> Option<(usize, usize, usize)> {
-    let mut best: Option<(usize, usize, usize)> = None;
-    // Current chain: (first surviving run index, end of last run, total).
-    let mut cur: Option<(usize, u32, usize)> = None;
-    for (i, run) in runs.iter().enumerate() {
+fn max_chain(runs: impl Iterator<Item = Run>, k: usize, l: usize, g: u32) -> Option<WitnessSpan> {
+    // (first time of the chain, last time of the chain, times in it)
+    let mut best: Option<(u32, u32, usize)> = None;
+    let mut cur: Option<(u32, u32, usize)> = None;
+    for run in runs {
         if (run.len as usize) < l {
             continue; // dropped run; does not break the chain by itself
         }
-        cur = match cur {
-            Some((s, prev_end, total)) if run.start - prev_end <= g => {
-                Some((s, run.end(), total + run.len as usize))
+        let (from, _, total) = match cur {
+            Some((from, prev_end, total)) if run.start - prev_end <= g => {
+                (from, run.end(), total + run.len as usize)
             }
-            _ => Some((i, run.end(), run.len as usize)),
+            _ => (run.start, run.end(), run.len as usize),
         };
-        let (s, _, total) = cur.unwrap();
+        cur = Some((from, run.end(), total));
         if best.is_none_or(|(_, _, t)| total > t) {
-            best = Some((s, i, total));
+            best = cur;
         }
     }
-    best
+    best.filter(|&(_, _, total)| total >= k)
+        .map(|(from, end, _)| WitnessSpan {
+            from,
+            to: end + 1,
+            min_run: l as u32,
+        })
 }
 
-/// The paper's greedy verification (Algorithm 3 lines 4–12) started at run
-/// `start_idx`: walk runs left to right, discarding on a short last segment
-/// at a jump (Lemma 5) or a gap exceeding `g` (Lemma 6); succeed as soon as
-/// the accumulated count reaches `k` with a full final segment.
-fn greedy_valid_from(runs: &[Run], start_idx: usize, k: usize, l: usize, g: u32) -> bool {
-    greedy_witness_from(runs, start_idx, k, l, g).is_some()
-}
-
-fn greedy_witness_from(
-    runs: &[Run],
-    start_idx: usize,
-    k: usize,
-    l: usize,
-    g: u32,
-) -> Option<Vec<u32>> {
+/// The paper's greedy verification (Algorithm 3 lines 4–12) started at the
+/// first of `runs`: walk runs left to right, discarding on a short last
+/// segment at a jump (Lemma 5) or a gap exceeding `g` (Lemma 6); succeed as
+/// soon as the accumulated count reaches `k` with a full final segment.
+fn greedy_from(runs: impl Iterator<Item = Run>, k: usize, l: usize, g: u32) -> Option<WitnessSpan> {
     let mut total = 0usize;
+    let mut first: Option<u32> = None;
     let mut prev: Option<Run> = None;
-    for run in &runs[start_idx..] {
+    for run in runs {
         if let Some(p) = prev {
             // Maximal runs are separated by ≥ 1 missing time, so the jump is
             // never adjacent: Lemma 5 discards iff the previous segment is
@@ -157,21 +174,18 @@ fn greedy_witness_from(
                 return None;
             }
         }
+        let from = *first.get_or_insert(run.start);
         // Valid mid-run once the current segment reaches max(l, k − total).
         let need = l.max(k.saturating_sub(total)) as u32;
         if run.len >= need {
-            let mut times = Vec::new();
-            for r in &runs[start_idx..] {
-                if r.start == run.start {
-                    times.extend(r.start..r.start + need);
-                    return Some(times);
-                }
-                times.extend(r.start..=r.end());
-            }
-            unreachable!("current run is always reached");
+            return Some(WitnessSpan {
+                from,
+                to: run.start + need,
+                min_run: 1,
+            });
         }
         total += run.len as usize;
-        prev = Some(*run);
+        prev = Some(run);
     }
     None
 }
@@ -181,10 +195,8 @@ fn greedy_witness_from(
 /// start has its own window in BA/FBA, which is where the "any start"
 /// behaviour of [`Semantics::PaperGreedy`] comes from.
 pub fn runs_witness_anchored(runs: &[Run], k: usize, l: usize, g: u32) -> Option<Vec<u32>> {
-    if runs.is_empty() {
-        return None;
-    }
-    greedy_witness_from(runs, 0, k, l, g)
+    let span = greedy_from(runs.iter().copied(), k, l, g)?;
+    Some(span.times(runs.iter().copied()).collect())
 }
 
 /// Test-only exhaustive oracle: tries every subset of the times (must be
@@ -218,9 +230,122 @@ pub fn exhaustive_subsequence_valid(times: &[u32], k: usize, l: usize, g: u32) -
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn runs(times: &[u32]) -> Vec<Run> {
         runs_from_times(times)
+    }
+
+    /// The witness extraction this module shipped before [`WitnessSpan`]:
+    /// run-indexed and `Vec`-building. Kept as the model the span form is
+    /// checked against.
+    mod model {
+        use super::super::{Run, Semantics};
+
+        pub fn witness(
+            runs: &[Run],
+            k: usize,
+            l: usize,
+            g: u32,
+            semantics: Semantics,
+        ) -> Option<Vec<u32>> {
+            match semantics {
+                Semantics::Subsequence => subsequence_witness(runs, k, l, g),
+                Semantics::PaperGreedy => {
+                    (0..runs.len()).find_map(|i| greedy_from(runs, i, k, l, g))
+                }
+            }
+        }
+
+        fn subsequence_witness(runs: &[Run], k: usize, l: usize, g: u32) -> Option<Vec<u32>> {
+            let mut best: Option<(usize, usize, usize)> = None;
+            let mut cur: Option<(usize, u32, usize)> = None;
+            for (i, run) in runs.iter().enumerate() {
+                if (run.len as usize) < l {
+                    continue;
+                }
+                cur = match cur {
+                    Some((s, prev_end, total)) if run.start - prev_end <= g => {
+                        Some((s, run.end(), total + run.len as usize))
+                    }
+                    _ => Some((i, run.end(), run.len as usize)),
+                };
+                let (s, _, total) = cur.unwrap();
+                if best.is_none_or(|(_, _, t)| total > t) {
+                    best = Some((s, i, total));
+                }
+            }
+            let (chain_start, chain_end, total) = best?;
+            if total < k {
+                return None;
+            }
+            let mut times = Vec::with_capacity(total);
+            for run in &runs[chain_start..=chain_end] {
+                if (run.len as usize) >= l {
+                    times.extend(run.start..=run.end());
+                }
+            }
+            Some(times)
+        }
+
+        pub fn greedy_from(
+            runs: &[Run],
+            start_idx: usize,
+            k: usize,
+            l: usize,
+            g: u32,
+        ) -> Option<Vec<u32>> {
+            let mut total = 0usize;
+            let mut prev: Option<Run> = None;
+            for run in &runs[start_idx..] {
+                if let Some(p) = prev {
+                    if (p.len as usize) < l || run.start - p.end() > g {
+                        return None;
+                    }
+                }
+                let need = l.max(k.saturating_sub(total)) as u32;
+                if run.len >= need {
+                    let mut times = Vec::new();
+                    for r in &runs[start_idx..] {
+                        if r.start == run.start {
+                            times.extend(r.start..r.start + need);
+                            return Some(times);
+                        }
+                        times.extend(r.start..=r.end());
+                    }
+                    unreachable!("current run is always reached");
+                }
+                total += run.len as usize;
+                prev = Some(*run);
+            }
+            None
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The span form finds exactly the witness the run-indexed model
+        /// built, under both semantics and anchored at the first run.
+        #[test]
+        fn witness_span_matches_the_model(
+            bits in prop::collection::vec(prop::bool::ANY, 0..40),
+            k in 1usize..9,
+            l in 1usize..5,
+            g in 1u32..5,
+        ) {
+            let times: Vec<u32> = (0..bits.len() as u32).filter(|&i| bits[i as usize]).collect();
+            let r = runs(&times);
+            for s in [Semantics::Subsequence, Semantics::PaperGreedy] {
+                prop_assert_eq!(
+                    runs_witness(&r, k, l, g, s),
+                    model::witness(&r, k, l, g, s),
+                    "{:?} on {:?} k={} l={} g={}", s, times, k, l, g
+                );
+            }
+            let anchored = if r.is_empty() { None } else { model::greedy_from(&r, 0, k, l, g) };
+            prop_assert_eq!(runs_witness_anchored(&r, k, l, g), anchored);
+        }
     }
 
     #[test]

@@ -80,7 +80,28 @@ impl Hub {
     /// counting as shed). Returns the ids of the subscribers shed (empty
     /// in the common case — no allocation happens then).
     pub fn publish(&self, kind: EventKind, line: &Arc<str>) -> Vec<u64> {
+        self.fan_out(&mut self.subscribers.lock(), kind, line)
+    }
+
+    /// [`Hub::publish`] for a line only worth rendering if somebody will
+    /// receive it: `render` runs — under the registry lock, so it must not
+    /// block — only when a subscriber's topic accepts `kind`, so events
+    /// nobody will receive cost one lock hold and no rendering.
+    pub fn publish_with(&self, kind: EventKind, render: impl FnOnce() -> Arc<str>) -> Vec<u64> {
         let mut subscribers = self.subscribers.lock();
+        if !subscribers.iter().any(|s| s.topic.accepts(kind)) {
+            return Vec::new();
+        }
+        let line = render();
+        self.fan_out(&mut subscribers, kind, &line)
+    }
+
+    fn fan_out(
+        &self,
+        subscribers: &mut Vec<Subscriber>,
+        kind: EventKind,
+        line: &Arc<str>,
+    ) -> Vec<u64> {
         let mut shed = Vec::new();
         subscribers.retain(|s| {
             if !s.topic.accepts(kind) {
@@ -115,15 +136,6 @@ impl Hub {
             .map(|s| s.queue.len())
             .max()
             .unwrap_or(0)
-    }
-
-    /// True if any current subscriber accepts events of `kind` — the
-    /// publisher's fast path to skip rendering events nobody will receive.
-    pub fn accepts_any(&self, kind: EventKind) -> bool {
-        self.subscribers
-            .lock()
-            .iter()
-            .any(|s| s.topic.accepts(kind))
     }
 
     /// Number of currently registered subscribers.
@@ -168,6 +180,18 @@ mod tests {
         assert_eq!(got, vec![line("p")]);
         let got: Vec<Arc<str>> = all.lines().iter().collect();
         assert_eq!(got, vec![line("p"), line("s")]);
+    }
+
+    #[test]
+    fn publish_with_renders_only_for_an_audience() {
+        let hub = Hub::new(8);
+        let snapshots = hub.subscribe(Topic::Snapshots);
+        let shed = hub.publish_with(EventKind::Pattern, || unreachable!("nobody listens"));
+        assert!(shed.is_empty());
+        hub.publish_with(EventKind::Snapshot, || line("s"));
+        hub.close();
+        let got: Vec<Arc<str>> = snapshots.lines().iter().collect();
+        assert_eq!(got, vec![line("s")]);
     }
 
     #[test]

@@ -160,6 +160,41 @@ impl PatternEvent {
             times: p.times.times().iter().map(|t| t.0).collect(),
         }
     }
+
+    /// Renders the event line of `p` into `line` (cleared first): byte for
+    /// byte `serde_json::to_string(&PatternEvent::from_pattern(p))`, written
+    /// digit by digit into the caller's reused buffer — no event, no `Value`
+    /// tree, no intermediate strings.
+    pub fn write_line(p: &Pattern, line: &mut String) {
+        line.clear();
+        line.push_str("{\"event\":\"pattern\",\"objects\":");
+        push_list(line, p.objects.iter().map(|o| o.0));
+        line.push_str(",\"times\":");
+        push_list(line, p.times.times().iter().map(|t| t.0));
+        line.push('}');
+    }
+}
+
+/// Appends `[a,b,…]` in decimal.
+fn push_list(out: &mut String, values: impl Iterator<Item = u32>) {
+    out.push('[');
+    for (i, mut v) in values.enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        let mut digits = [0u8; 10];
+        let mut at = digits.len();
+        loop {
+            at -= 1;
+            digits[at] = b'0' + (v % 10) as u8;
+            v /= 10;
+            if v == 0 {
+                break;
+            }
+        }
+        out.extend(digits[at..].iter().map(|&d| d as char));
+    }
+    out.push(']');
 }
 
 /// A snapshot-sealed event as serialized to subscribers.
@@ -209,6 +244,42 @@ impl Event {
 mod tests {
     use super::*;
     use icpe_types::{ObjectId, TimeSequence};
+    use rand::{rngs::StdRng, RngExt, SeedableRng};
+
+    #[test]
+    fn written_lines_equal_serialized_events() {
+        let mut rng = StdRng::seed_from_u64(0x11E);
+        // Ascending values with every digit count, lists of 0, 1 and more.
+        let list = |rng: &mut StdRng| -> Vec<u32> {
+            let len = rng.random_range(0..6usize);
+            let mut next = 0u64;
+            (0..len)
+                .map_while(|_| {
+                    let digits = rng.random_range(0..10u32);
+                    next += 1 + rng.random_range(0..10u64.pow(digits));
+                    u32::try_from(next).ok()
+                })
+                .collect()
+        };
+        let mut line = String::new();
+        for case in 0..2_000 {
+            let pattern = Pattern {
+                objects: list(&mut rng).into_iter().map(ObjectId).collect(),
+                times: TimeSequence::from_raw(list(&mut rng)).unwrap(),
+            };
+            PatternEvent::write_line(&pattern, &mut line);
+            let event = PatternEvent::from_pattern(&pattern);
+            assert_eq!(line, serde_json::to_string(&event).unwrap(), "case {case}");
+            assert_eq!(Event::parse(&line).unwrap(), Event::Pattern(event));
+        }
+        let extremes = Pattern {
+            objects: vec![ObjectId(0), ObjectId(u32::MAX)],
+            times: TimeSequence::from_raw([u32::MAX]).unwrap(),
+        };
+        PatternEvent::write_line(&extremes, &mut line);
+        let event = PatternEvent::from_pattern(&extremes);
+        assert_eq!(line, serde_json::to_string(&event).unwrap());
+    }
 
     #[test]
     fn csv_lines_parse() {
@@ -270,6 +341,11 @@ mod tests {
         let event = PatternEvent::from_pattern(&p);
         let line = serde_json::to_string(&event).unwrap();
         assert_eq!(Event::parse(&line).unwrap(), Event::Pattern(event));
+
+        // The hand-rendered line is the serialized event, byte for byte.
+        let mut direct = String::from("stale");
+        PatternEvent::write_line(&p, &mut direct);
+        assert_eq!(direct, line);
 
         let s = SnapshotEvent {
             event: "snapshot".into(),

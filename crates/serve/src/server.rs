@@ -478,6 +478,8 @@ impl Server {
         // rendering is skipped entirely when no subscriber wants the kind.
         let bridge = Arc::clone(&shared);
         let mut patterns_per_time: HashMap<u32, u32> = HashMap::new();
+        // The pattern event line being rendered, reused from event to event.
+        let mut line = String::new();
         let on_event = move |event| {
             if bridge.suppress_events.load(Ordering::SeqCst) {
                 // Suspending: everything from here on is covered by the
@@ -500,15 +502,11 @@ impl Server {
                             times: p.times.times().iter().map(|t| t.0).collect(),
                         });
                     }
-                    if bridge.hub.accepts_any(EventKind::Pattern) {
-                        let line: Arc<str> = Arc::from(
-                            serde_json::to_string(&PatternEvent::from_pattern(&p))
-                                .expect("pattern event serializes")
-                                .as_str(),
-                        );
-                        let shed = bridge.hub.publish(EventKind::Pattern, &line);
-                        note_shed(&bridge, &shed);
-                    }
+                    let shed = bridge.hub.publish_with(EventKind::Pattern, || {
+                        PatternEvent::write_line(&p, &mut line);
+                        Arc::from(line.as_str())
+                    });
+                    note_shed(&bridge, &shed);
                 }
                 PipelineEvent::SnapshotSealed { time } => {
                     bridge
@@ -522,20 +520,19 @@ impl Server {
                     // below the seal frontier can no longer be reported in a
                     // seal notice, so drop it.
                     patterns_per_time.retain(|&t, _| t > time);
-                    if bridge.hub.accepts_any(EventKind::Snapshot) {
+                    let shed = bridge.hub.publish_with(EventKind::Snapshot, || {
                         let event = SnapshotEvent {
                             event: "snapshot".to_string(),
                             time,
                             patterns: count,
                         };
-                        let line: Arc<str> = Arc::from(
+                        Arc::from(
                             serde_json::to_string(&event)
                                 .expect("snapshot event serializes")
                                 .as_str(),
-                        );
-                        let shed = bridge.hub.publish(EventKind::Snapshot, &line);
-                        note_shed(&bridge, &shed);
-                    }
+                        )
+                    });
+                    note_shed(&bridge, &shed);
                 }
             }
         };

@@ -30,7 +30,7 @@ pub use constraints::{Constraints, DbscanParams};
 pub use discretize::Discretizer;
 pub use error::TypeError;
 pub use ids::{ObjectId, Timestamp};
-pub use pattern::Pattern;
+pub use pattern::{Pattern, PatternBatch, PatternRef};
 pub use point::{DistanceMetric, Point, Rect};
 pub use record::{GpsRecord, RawRecord};
 pub use snapshot::{Cluster, ClusterSnapshot, Snapshot, SnapshotEntry};

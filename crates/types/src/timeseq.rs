@@ -29,6 +29,14 @@ impl TimeSequence {
         Ok(seq)
     }
 
+    /// Adopts a vector the caller built strictly increasing, as is: no
+    /// re-validation pass and no growth (the flat [`crate::PatternBatch`]
+    /// materializes witnesses through here, one exact-size allocation).
+    pub(crate) fn from_ascending(times: Vec<Timestamp>) -> Self {
+        debug_assert!(times.windows(2).all(|w| w[0] < w[1]));
+        TimeSequence(times)
+    }
+
     /// Appends a timestamp; it must exceed the current last element.
     pub fn push(&mut self, t: Timestamp) -> Result<(), TypeError> {
         if let Some(&last) = self.0.last() {
