@@ -1,6 +1,5 @@
 //! Skew bench — static `hash(cell) % N` vs. hotspot-aware adaptive
-//! routing vs. adaptive routing with sub-cell refinement, on the Zipf
-//! moving-hotspot workload.
+//! routing on the Zipf moving-hotspot workload.
 //!
 //! Measures, per routing mode: pipeline throughput, average latency, and
 //! the per-window `max/mean` GridQuery subtask-load ratio (p95 and mean
@@ -9,20 +8,16 @@
 //! per window, the actual observed cell loads are LPT-packed into `N`
 //! bins — the best any cell-granularity placement could have done — and
 //! each mode's `gap_to_floor` (its p95 over the oracle p95) lands in the
-//! `BENCH_skew.json` summary. Refinement splits hot cells below cell
-//! granularity, so its gap can drop below what any unrefined placement
-//! reaches.
+//! `BENCH_skew.json` summary, next to the host's CPU count.
 //!
 //! ```text
 //! bench_skew [--check] [--objects N] [--ticks T] [--parallelism P]
-//!            [--theta F] [--refine-depth D] [--max-gap F] [--out PATH]
+//!            [--theta F] [--out PATH]
 //!
-//! --check   CI smoke mode: assert adaptive imbalance beats static by a
-//!           generous margin (p95 ratio ≥ 1.2×) at no worse than 0.6×
-//!           throughput, that refinement actually split cells, and that
-//!           the refined gap_to_floor is no worse than the adaptive
-//!           (refinement-off) gap and within --max-gap (default 1.5)
-//!           of the oracle; exit non-zero otherwise.
+//! --check   CI smoke mode: assert the balancer migrated, and that
+//!           adaptive imbalance beats static by a generous margin (p95
+//!           ratio ≥ 1.2×) at no worse than 0.6× throughput; exit
+//!           non-zero otherwise.
 //! ```
 
 use icpe_bench::arg;
@@ -32,13 +27,6 @@ use icpe_types::{Constraints, GpsRecord};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Mode {
-    Static,
-    Adaptive,
-    Refined,
-}
-
 #[derive(Debug, Clone, Copy)]
 struct RunStats {
     throughput_tps: f64,
@@ -47,9 +35,6 @@ struct RunStats {
     mean_imbalance: f64,
     routing_epoch: u64,
     cells_migrated: u64,
-    splits: u64,
-    coalesces: u64,
-    max_refine_depth: u8,
     patterns: u64,
 }
 
@@ -61,10 +46,9 @@ fn percentile(sorted: &[f64], q: f64) -> f64 {
     sorted[idx.min(sorted.len() - 1)]
 }
 
-/// Runs one pipeline; returns its stats, its hindsight-oracle p95 (taken
-/// from the static run so the floor is measured at base-cell granularity),
-/// and its per-window imbalance series (so `--series` prints the very run
-/// the summary numbers came from).
+/// Runs one pipeline; returns its stats, its hindsight-oracle p95, and its
+/// per-window imbalance series (so `--series` prints the very run the
+/// summary numbers came from).
 fn run(
     config: &IcpeConfig,
     records: &[GpsRecord],
@@ -93,8 +77,8 @@ fn run(
     ratios.sort_by(|a, b| a.partial_cmp(b).expect("finite ratios"));
 
     // Hindsight floor over this run's own observed windows: per window,
-    // LPT-pack the actual cell loads — the best any placement at this
-    // run's cell granularity could have done.
+    // LPT-pack the actual cell loads — the best any cell-granularity
+    // placement could have done.
     let mut oracle_ratios: Vec<f64> = Vec::new();
     for (_, cells) in routing.sealed_cell_windows() {
         let mut weights: Vec<u64> = cells.iter().map(|&(_, w)| w).collect();
@@ -118,9 +102,6 @@ fn run(
         mean_imbalance: mean,
         routing_epoch: status.epoch,
         cells_migrated: status.cells_migrated,
-        splits: status.splits,
-        coalesces: status.coalesces,
-        max_refine_depth: status.max_refine_depth,
         patterns: patterns.load(Ordering::Relaxed),
     };
     (stats, percentile(&oracle_ratios, 0.95), series)
@@ -140,9 +121,6 @@ fn main() {
     // 2.0 trades query-stage balance for sync-merge balance, which this
     // bench does not measure).
     let pair_weight: f64 = arg(&args, "--pair-weight", 1.0);
-    let refine_depth: u8 = arg(&args, "--refine-depth", 2);
-    let refine_split: f64 = arg(&args, "--refine-split", 0.5);
-    let refine_coalesce: f64 = arg(&args, "--refine-coalesce", 0.15);
     // Bounded in-flight data, as any deployed streaming system runs: with
     // the library default (1024 batches/channel) the whole bench workload
     // fits in channel buffers, the finalizer races tens of windows ahead
@@ -150,10 +128,10 @@ fn main() {
     // no pair feedback ever arrives in time. A small bound keeps the
     // stages within a few windows of each other, the regime the paper's
     // feedback loop (and serve's socket backpressure) operates in. Same
-    // setting for all three modes.
+    // setting for both modes.
     let channel_capacity: usize = arg(&args, "--channel-capacity", 16);
-    let max_gap: f64 = arg(&args, "--max-gap", 1.5);
     let out: String = arg(&args, "--out", "BENCH_skew.json".to_string());
+    let host_cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
 
     // Workload shape: long hot-site dwell (travel is load the balancer
     // cannot predict) and strong Zipf skew — the regime static hashing
@@ -171,20 +149,18 @@ fn main() {
     println!("skew bench — Zipf moving-hotspot workload");
     println!(
         "  objects {objects}, ticks {ticks}, parallelism {parallelism}, θ {theta}, \
-         refine depth {refine_depth}"
+         host cpus {host_cpus}"
     );
     println!("  {} records\n", records.len());
 
-    let build = |mode: Mode| {
+    let build = |adaptive: bool| {
         // min_pts above the squad size: lone squads still produce the
         // range-join pairs that load the grid stage, but only genuine
         // slot-sharing crowds cluster — keeping enumeration cheap so the
-        // bench measures the clustering stage this PR repartitions.
+        // bench measures the clustering stage the balancer repartitions.
         // Grid width: finer than the 8×ε default so a hotspot spans
-        // several cells — cells are the atomic unit of routing for the
-        // unrefined modes, and the refined mode shows what splitting the
-        // remaining hot cells buys on top (Figure 11 shows clustering
-        // itself is flat across this range).
+        // several cells — cells are the atomic unit of routing (Figure 11
+        // shows clustering itself is flat across this range).
         let mut b = IcpeConfig::builder()
             .constraints(Constraints::new(4, 8, 4, 2).expect("valid constraints"))
             .epsilon(1.0)
@@ -193,7 +169,7 @@ fn main() {
             .parallelism(parallelism)
             .channel_capacity(channel_capacity)
             .enumerator(EnumeratorKind::Fba);
-        if mode != Mode::Static {
+        if adaptive {
             b = b.rebalance(BalancerConfig {
                 theta,
                 cooldown_windows: cooldown,
@@ -202,44 +178,28 @@ fn main() {
                 ..BalancerConfig::default()
             });
         }
-        if mode == Mode::Refined {
-            b = b
-                .refine_max_depth(refine_depth)
-                .refine_split_frac(refine_split)
-                .refine_coalesce_frac(refine_coalesce);
-        }
         b.build().expect("valid config")
     };
 
-    // The oracle floor comes from the *static* run's observed windows:
-    // base-cell granularity, the floor the paper's placement lives above.
-    let (static_run, oracle_p95, static_series) = run(&build(Mode::Static), &records, parallelism);
-    let (adaptive_run, _, adaptive_series) = run(&build(Mode::Adaptive), &records, parallelism);
-    let (refined_run, _, refined_series) = run(&build(Mode::Refined), &records, parallelism);
+    // The oracle floor comes from the *static* run's observed windows.
+    let (static_run, oracle_p95, static_series) = run(&build(false), &records, parallelism);
+    let (adaptive_run, _, adaptive_series) = run(&build(true), &records, parallelism);
     let gap = |p95: f64| p95 / oracle_p95.max(1.0);
 
     if args.iter().any(|a| a == "--series") {
-        for (name, series) in [
-            ("static", &static_series),
-            ("adaptive", &adaptive_series),
-            ("refined", &refined_series),
-        ] {
+        for (name, series) in [("static", &static_series), ("adaptive", &adaptive_series)] {
             let series: Vec<String> = series.iter().map(|(t, r)| format!("{t}:{r:.2}")).collect();
             println!("{name} series: {}", series.join(" "));
         }
     }
 
     println!(
-        "{:>10} | {:>9} {:>9} | {:>8} {:>8} {:>8} | {:>6} {:>9} {:>7}",
-        "mode", "tps", "ms", "p95 imb", "avg imb", "gap", "epoch", "migrated", "splits"
+        "{:>10} | {:>9} {:>9} | {:>8} {:>8} {:>8} | {:>6} {:>9}",
+        "mode", "tps", "ms", "p95 imb", "avg imb", "gap", "epoch", "migrated"
     );
-    for (name, s) in [
-        ("static", &static_run),
-        ("adaptive", &adaptive_run),
-        ("refined", &refined_run),
-    ] {
+    for (name, s) in [("static", &static_run), ("adaptive", &adaptive_run)] {
         println!(
-            "{:>10} | {:>9.1} {:>9.3} | {:>8.3} {:>8.3} {:>8.3} | {:>6} {:>9} {:>7}",
+            "{:>10} | {:>9.1} {:>9.3} | {:>8.3} {:>8.3} {:>8.3} | {:>6} {:>9}",
             name,
             s.throughput_tps,
             s.avg_latency_ms,
@@ -247,27 +207,16 @@ fn main() {
             s.mean_imbalance,
             gap(s.p95_imbalance),
             s.routing_epoch,
-            s.cells_migrated,
-            s.splits
+            s.cells_migrated
         );
     }
     println!("    oracle | hindsight-LPT floor p95 {oracle_p95:.3}");
     let improvement = static_run.p95_imbalance / adaptive_run.p95_imbalance.max(1.0);
     let tps_ratio = adaptive_run.throughput_tps / static_run.throughput_tps.max(1e-9);
-    let refined_tps_ratio = refined_run.throughput_tps / static_run.throughput_tps.max(1e-9);
     println!("\np95 imbalance improvement: {improvement:.2}× (throughput ratio {tps_ratio:.2})");
-    println!(
-        "refined gap_to_floor {:.3} vs adaptive {:.3} (throughput ratio {refined_tps_ratio:.2})",
-        gap(refined_run.p95_imbalance),
-        gap(adaptive_run.p95_imbalance)
-    );
     assert_eq!(
         static_run.patterns, adaptive_run.patterns,
         "routing must not change the sealed pattern multiset"
-    );
-    assert_eq!(
-        static_run.patterns, refined_run.patterns,
-        "sub-cell refinement must not change the sealed pattern multiset"
     );
 
     let json = format!(
@@ -275,25 +224,23 @@ fn main() {
             "{{\n",
             "  \"bench\": \"skew\",\n",
             "  \"workload\": {{\"kind\": \"hotspot\", \"objects\": {objects}, \"ticks\": {ticks}, \"zipf_s\": {zipf}}},\n",
+            "  \"host_cpus\": {host_cpus},\n",
             "  \"parallelism\": {parallelism},\n",
             "  \"theta\": {theta},\n",
-            "  \"refine_depth\": {refine_depth},\n",
             "  \"oracle_p95\": {oracle:.3},\n",
             "  \"static\": {{\"throughput_tps\": {s_tps:.1}, \"avg_latency_ms\": {s_ms:.3}, \"p95_imbalance\": {s_p95:.3}, \"mean_imbalance\": {s_mean:.3}, \"gap_to_floor\": {s_gap:.3}}},\n",
             "  \"adaptive\": {{\"throughput_tps\": {a_tps:.1}, \"avg_latency_ms\": {a_ms:.3}, \"p95_imbalance\": {a_p95:.3}, \"mean_imbalance\": {a_mean:.3}, \"gap_to_floor\": {a_gap:.3}, \"routing_epoch\": {a_epoch}, \"cells_migrated\": {a_migr}}},\n",
-            "  \"refined\": {{\"throughput_tps\": {r_tps:.1}, \"avg_latency_ms\": {r_ms:.3}, \"p95_imbalance\": {r_p95:.3}, \"mean_imbalance\": {r_mean:.3}, \"gap_to_floor\": {r_gap:.3}, \"routing_epoch\": {r_epoch}, \"cells_migrated\": {r_migr}, \"splits\": {r_splits}, \"coalesces\": {r_coal}, \"max_refine_depth\": {r_depth}}},\n",
             "  \"p95_imbalance_improvement\": {imp:.3},\n",
             "  \"throughput_ratio\": {tps_ratio:.3},\n",
-            "  \"refined_throughput_ratio\": {r_tps_ratio:.3},\n",
             "  \"patterns\": {patterns}\n",
             "}}\n"
         ),
         objects = objects,
         ticks = ticks,
         zipf = arg(&args, "--zipf", 1.6),
+        host_cpus = host_cpus,
         parallelism = parallelism,
         theta = theta,
-        refine_depth = refine_depth,
         oracle = oracle_p95,
         s_tps = static_run.throughput_tps,
         s_ms = static_run.avg_latency_ms,
@@ -307,19 +254,8 @@ fn main() {
         a_gap = gap(adaptive_run.p95_imbalance),
         a_epoch = adaptive_run.routing_epoch,
         a_migr = adaptive_run.cells_migrated,
-        r_tps = refined_run.throughput_tps,
-        r_ms = refined_run.avg_latency_ms,
-        r_p95 = refined_run.p95_imbalance,
-        r_mean = refined_run.mean_imbalance,
-        r_gap = gap(refined_run.p95_imbalance),
-        r_epoch = refined_run.routing_epoch,
-        r_migr = refined_run.cells_migrated,
-        r_splits = refined_run.splits,
-        r_coal = refined_run.coalesces,
-        r_depth = refined_run.max_refine_depth,
         imp = improvement,
         tps_ratio = tps_ratio,
-        r_tps_ratio = refined_tps_ratio,
         patterns = static_run.patterns,
     );
     std::fs::write(&out, json).expect("write bench summary");
@@ -341,31 +277,6 @@ fn main() {
         assert!(
             tps_ratio >= 0.6,
             "CHECK FAILED: adaptive throughput dropped to {tps_ratio:.2}× of static"
-        );
-        assert!(
-            refined_run.splits > 0,
-            "CHECK FAILED: refinement never split a cell on a Zipf hotspot workload"
-        );
-        let (refined_gap, adaptive_gap) = (
-            gap(refined_run.p95_imbalance),
-            gap(adaptive_run.p95_imbalance),
-        );
-        // With fresh feedback both modes sit within a few percent of the
-        // floor, so strict ≤ would flip on run noise; the bound still
-        // catches refinement actively hurting placement.
-        assert!(
-            refined_gap <= adaptive_gap * 1.05,
-            "CHECK FAILED: refined gap_to_floor {refined_gap:.3} worse than \
-             refinement-off {adaptive_gap:.3}"
-        );
-        assert!(
-            refined_gap <= max_gap,
-            "CHECK FAILED: refined gap_to_floor {refined_gap:.3} exceeds {max_gap:.2}× \
-             the hindsight-LPT oracle"
-        );
-        assert!(
-            refined_tps_ratio >= 0.6,
-            "CHECK FAILED: refined throughput dropped to {refined_tps_ratio:.2}× of static"
         );
         println!("CHECK OK");
     }

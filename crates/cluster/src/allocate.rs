@@ -7,9 +7,8 @@
 //! duplicate work.
 
 use crate::gridobject::GridObject;
-use icpe_index::{Grid, RefinementTree};
-use icpe_types::{ObjectId, Snapshot, Timestamp};
-use icpe_types::{Point, Rect};
+use icpe_index::Grid;
+use icpe_types::{ObjectId, Point, Snapshot, Timestamp};
 
 /// Algorithm 1: allocates a snapshot's locations to grid cells using the
 /// Lemma-1 (upper-half) replication scheme.
@@ -60,61 +59,6 @@ fn allocate_one(
     for key in keys {
         out.push(GridObject::query(key, id, location, time));
     }
-}
-
-/// Re-routes base-grid objects through a [`RefinementTree`]: objects whose
-/// cell is unrefined pass through untouched, objects landing in a refined
-/// base cell are expanded onto its leaf sub-cells with ε-padded replication
-/// at the sub-cell borders.
-///
-/// The upstream allocator ([`grid_allocate`]) always emits at base-cell
-/// granularity — the refinement decision lives with the balancer downstream,
-/// so this runs at the snapshot-merge finalizer strictly between two windows
-/// (like routing migrations). Per object:
-///
-/// * **data** in a refined base → one data object for its home *leaf*, plus
-///   query objects for every sibling leaf intersecting the padded upper-half
-///   range region (Lemma 1, as the pipeline allocates) — the replicas that
-///   used to be implicit in same-cell Lemma-2 probing;
-/// * **query** targeting a refined base → query objects for the leaves of
-///   that base intersecting the padded region (leaves the region misses
-///   cannot hold ε-partners and are pruned — the refinement win).
-///
-/// For any pair within ε the same case analysis as at base-cell borders
-/// applies at sub-cell borders, so the candidate pair set is unchanged
-/// (`prop_index::refined_candidate_pairs_equal_unrefined`).
-pub fn refine_expand(
-    objects: Vec<GridObject>,
-    grid: &Grid,
-    tree: &RefinementTree,
-    eps: f64,
-) -> Vec<GridObject> {
-    if tree.is_empty() {
-        return objects;
-    }
-    let mut out = Vec::with_capacity(objects.len());
-    for o in objects {
-        let depth = tree.depth(o.key);
-        if depth == 0 {
-            out.push(o);
-            continue;
-        }
-        let region = Rect::padded_upper_range_region(o.location, eps);
-        if o.is_query {
-            for leaf in grid.leaves_in_rect(o.key, depth, &region) {
-                out.push(GridObject::query(leaf, o.id, o.location, o.time));
-            }
-        } else {
-            let home_leaf = grid.leaf_of(o.key, depth, o.location);
-            out.push(GridObject::data(home_leaf, o.id, o.location, o.time));
-            for leaf in grid.leaves_in_rect(o.key, depth, &region) {
-                if leaf != home_leaf {
-                    out.push(GridObject::query(leaf, o.id, o.location, o.time));
-                }
-            }
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -195,68 +139,5 @@ mod tests {
         for o in grid_allocate(&s, &grid, 2.0) {
             assert_eq!(o.time, Timestamp(9));
         }
-    }
-
-    #[test]
-    fn refine_expand_is_identity_on_an_empty_tree() {
-        let s = snapshot_of(&[(1, 0.5, 0.5), (2, 5.5, 5.5)]);
-        let grid = Grid::new(1.0);
-        let objs = grid_allocate(&s, &grid, 0.9);
-        let tree = RefinementTree::new();
-        assert_eq!(refine_expand(objs.clone(), &grid, &tree, 0.9), objs);
-    }
-
-    #[test]
-    fn refine_expand_rekeys_data_into_leaves_with_sibling_queries() {
-        let grid = Grid::new(4.0);
-        let mut tree = RefinementTree::new();
-        tree.split(icpe_index::GridKey::new(0, 0));
-        // Two objects in base (0,0), sub-cell width 2: u in leaf (0,0)@1,
-        // v in leaf (1,1)@1, Chebyshev distance 1.0 ≤ eps.
-        let s = snapshot_of(&[(1, 1.5, 1.5), (2, 2.5, 2.5)]);
-        let objs = refine_expand(grid_allocate(&s, &grid, 1.0), &grid, &tree, 1.0);
-        // Every emitted key lives at the base's depth (no level-0 key for
-        // the refined base survives).
-        for o in &objs {
-            if o.key.base_cell() == icpe_index::GridKey::new(0, 0) {
-                assert_eq!(o.key.level, 1, "object {o:?} not re-keyed");
-            }
-        }
-        // The pair must meet in some cell: u's data leaf receives v (as
-        // data or query) or vice versa.
-        let meets = |a: u32, b: u32| {
-            objs.iter()
-                .filter(|o| o.id == ObjectId(a) && !o.is_query)
-                .any(|d| objs.iter().any(|o| o.id == ObjectId(b) && o.key == d.key))
-        };
-        assert!(
-            meets(1, 2) || meets(2, 1),
-            "pair lost by refinement: {objs:?}"
-        );
-    }
-
-    #[test]
-    fn refine_expand_prunes_leaves_outside_the_range_region() {
-        let grid = Grid::new(8.0);
-        let mut tree = RefinementTree::new();
-        tree.split(icpe_index::GridKey::new(0, 0));
-        tree.split(icpe_index::GridKey::new(0, 0)); // depth 2: 16 leaves of width 2
-                                                    // A point near the cell's lower-left corner with a small eps: its
-                                                    // replicas must not cover the far leaves of the refined base.
-        let s = snapshot_of(&[(1, 0.5, 0.5)]);
-        let objs = refine_expand(grid_allocate(&s, &grid, 0.4), &grid, &tree, 0.4);
-        let in_base: Vec<_> = objs
-            .iter()
-            .filter(|o| o.key.base_cell() == icpe_index::GridKey::new(0, 0))
-            .collect();
-        assert!(
-            in_base.len() < 16,
-            "expansion must prune leaves the region misses: {in_base:?}"
-        );
-        assert_eq!(
-            in_base.iter().filter(|o| !o.is_query).count(),
-            1,
-            "exactly one data object"
-        );
     }
 }

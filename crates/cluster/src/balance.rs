@@ -23,11 +23,16 @@
 //! `icpe-runtime` `RoutingTable` at a window boundary — the only point
 //! where no per-cell buffer is live, so a swap can never split an
 //! in-flight window across subtasks.
+//!
+//! The unit of placement is a whole grid cell: a single cell hotter than
+//! a subtask's fair share stays on one subtask. Splitting such cells into
+//! routable sub-cells was measured on the skew bench and moved neither the
+//! p95 imbalance nor throughput beyond run-to-run noise.
 
-use icpe_index::{GridKey, RefinementTree};
+use icpe_index::GridKey;
 use icpe_types::shard::{stable_hash, subtask_for};
-use icpe_types::{CellAssignment, CellLoadCheckpoint, CellRefinement, RoutingCheckpoint};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use icpe_types::{CellAssignment, CellLoadCheckpoint, RoutingCheckpoint};
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Mutex;
 
 /// One cell's observed load in one window.
@@ -143,7 +148,7 @@ impl LoadTracker {
             let acc = inner.open.remove(&time).expect("window present");
             let mut cells: Vec<(GridKey, u64)> =
                 acc.cells.iter().map(|(&c, l)| (c, l.weight())).collect();
-            cells.sort_by_key(|&(c, _)| (c.x, c.y, c.level));
+            cells.sort_by_key(|&(c, _)| c);
             inner.ready.push((time, acc.cells));
             inner.sealed.push((time, acc.loads));
             inner.sealed_cells.push((time, cells));
@@ -243,19 +248,6 @@ pub struct BalancerConfig {
     /// migrate sooner. `1.0` restores the query-side-only model of the
     /// pre-sharded merge path.
     pub sync_pair_weight: f64,
-    /// Maximum sub-cell refinement depth for hot cells; 0 disables
-    /// refinement entirely (cell-granularity routing only). Depth `d`
-    /// partitions a base cell into `4^d` leaf sub-cells, so even one cell
-    /// hotter than a subtask's whole fair share becomes splittable.
-    pub refine_max_depth: u8,
-    /// Split a (leaf) cell one level deeper when its decayed weight exceeds
-    /// this fraction of a subtask's fair share (`total / parallelism`).
-    pub refine_split_frac: f64,
-    /// Re-coalesce a refined base cell one level when the total decayed
-    /// weight of all its leaves falls below this fraction of the fair
-    /// share. Keep well below `refine_split_frac`: the gap is the
-    /// hysteresis that prevents split/coalesce thrash at the threshold.
-    pub refine_coalesce_frac: f64,
 }
 
 impl Default for BalancerConfig {
@@ -266,9 +258,6 @@ impl Default for BalancerConfig {
             decay: 0.5,
             max_mapped_cells: 256,
             sync_pair_weight: 2.0,
-            refine_max_depth: 0,
-            refine_split_frac: 0.5,
-            refine_coalesce_frac: 0.15,
         }
     }
 }
@@ -294,10 +283,6 @@ pub struct BalanceOutcome {
     pub mean_load: f64,
     /// The table swap to install, when the imbalance warranted one.
     pub plan: Option<RebalancePlan>,
-    /// Base cells split this boundary, with their new depth.
-    pub split_cells: Vec<(GridKey, u8)>,
-    /// Base cells coalesced this boundary, with their new depth.
-    pub coalesced_cells: Vec<(GridKey, u8)>,
 }
 
 /// The hotspot controller. Single-owner (the allocate subtask); shares
@@ -328,24 +313,18 @@ pub struct LoadBalancer {
     /// restore.
     pair_rate: HashMap<GridKey, f64>,
     /// Exact per-cell record counts of the most recently observed window.
-    /// When the caller runs the two-phase boundary protocol these are the
-    /// counts of the very window the next placement will route, so the
-    /// planner optimizes the real objective rather than a decayed blend
-    /// of history. Empty until the first observation (e.g. right after a
-    /// restore), when planning falls back to the EWMA pools.
+    /// The pipeline observes each window's records right before it
+    /// evaluates, so these are the counts of the very window the next
+    /// placement will route, and the planner optimizes the real objective
+    /// rather than a decayed blend of history. Empty until the first
+    /// observation (e.g. right after a restore), when planning falls back
+    /// to the EWMA pools.
     last_records: HashMap<GridKey, f64>,
     /// The explicit overlay currently in force (mirrors the installed
     /// routing table; this controller is its only writer).
     assignments: HashMap<GridKey, usize>,
-    /// Sub-cell refinement depths of hot base cells. Shared with the
-    /// snapshot-merge finalizer (read-only) to expand each window's objects
-    /// onto leaf sub-cells; this controller is its only writer, and only at
-    /// window boundaries.
-    refinement: RefinementTree,
     epoch: u64,
     cells_migrated: u64,
-    splits: u64,
-    coalesces: u64,
     windows_since_swap: u32,
 }
 
@@ -360,11 +339,8 @@ impl LoadBalancer {
             pair_rate: HashMap::new(),
             last_records: HashMap::new(),
             assignments: HashMap::new(),
-            refinement: RefinementTree::new(),
             epoch: 0,
             cells_migrated: 0,
-            splits: 0,
-            coalesces: 0,
             windows_since_swap: 0,
         }
     }
@@ -377,17 +353,13 @@ impl LoadBalancer {
         ckpt: &RoutingCheckpoint,
     ) -> Self {
         let n = parallelism.max(1);
-        let mut refinement = RefinementTree::new();
-        for r in &ckpt.refinements {
-            refinement.set_depth(GridKey::new(r.x, r.y), r.depth);
-        }
         LoadBalancer {
             config,
             parallelism: n,
             rec_estimates: ckpt
                 .loads
                 .iter()
-                .map(|l| (GridKey::sub(l.x, l.y, l.level), l.load_milli as f64 / 1e3))
+                .map(|l| (GridKey::new(l.x, l.y), l.load_milli as f64 / 1e3))
                 .collect(),
             pair_estimates: HashMap::new(),
             pair_rate: HashMap::new(),
@@ -396,13 +368,10 @@ impl LoadBalancer {
                 .assignments
                 .iter()
                 .filter(|a| (a.subtask as usize) < n)
-                .map(|a| (GridKey::sub(a.x, a.y, a.level), a.subtask as usize))
+                .map(|a| (GridKey::new(a.x, a.y), a.subtask as usize))
                 .collect(),
-            refinement,
             epoch: ckpt.epoch,
             cells_migrated: ckpt.cells_migrated,
-            splits: ckpt.splits,
-            coalesces: ckpt.coalesces,
             windows_since_swap: 0,
         }
     }
@@ -415,40 +384,25 @@ impl LoadBalancer {
             .map(|(k, &s)| CellAssignment {
                 x: k.x,
                 y: k.y,
-                level: k.level,
                 subtask: s as u32,
             })
             .collect();
-        assignments.sort_by_key(|a| (a.x, a.y, a.level));
+        assignments.sort_by_key(|a| (a.x, a.y));
         let mut loads: Vec<CellLoadCheckpoint> = self
             .weights()
             .iter()
             .map(|(k, &w)| CellLoadCheckpoint {
                 x: k.x,
                 y: k.y,
-                level: k.level,
                 load_milli: (w * 1e3).round() as u64,
             })
             .collect();
-        loads.sort_by_key(|l| (l.x, l.y, l.level));
-        let mut refinements: Vec<CellRefinement> = self
-            .refinement
-            .iter()
-            .map(|(k, d)| CellRefinement {
-                x: k.x,
-                y: k.y,
-                depth: d,
-            })
-            .collect();
-        refinements.sort_by_key(|r| (r.x, r.y));
+        loads.sort_by_key(|l| (l.x, l.y));
         RoutingCheckpoint {
             epoch: self.epoch,
             assignments,
             loads,
             cells_migrated: self.cells_migrated,
-            refinements,
-            splits: self.splits,
-            coalesces: self.coalesces,
         }
     }
 
@@ -460,22 +414,6 @@ impl LoadBalancer {
     /// Cells migrated across all epochs so far.
     pub fn cells_migrated(&self) -> u64 {
         self.cells_migrated
-    }
-
-    /// The current sub-cell refinement tree (read by the snapshot-merge
-    /// finalizer to expand each window's objects onto leaf sub-cells).
-    pub fn refinement(&self) -> &RefinementTree {
-        &self.refinement
-    }
-
-    /// Cumulative cell splits across the run.
-    pub fn splits(&self) -> u64 {
-        self.splits
-    }
-
-    /// Cumulative cell coalesces across the run.
-    pub fn coalesces(&self) -> u64 {
-        self.coalesces
     }
 
     /// The current explicit overlay keyed by routing hash — what a
@@ -496,14 +434,13 @@ impl LoadBalancer {
         }
     }
 
-    /// The per-cell weight model the planner and the refinement policy
-    /// optimize. When the exact record counts of the window about to be
-    /// routed are in hand (the two-phase boundary protocol), the model IS
-    /// that window: exact records plus `rate × records` predicted
-    /// pairs — the same quantity the per-window imbalance metric measures,
-    /// so the planner optimizes the real objective instead of a decayed
-    /// blend of history. Before the first observation (fresh start or
-    /// right after a restore) it falls back to the EWMA pools.
+    /// The per-cell weight model the planner optimizes. When the exact
+    /// record counts of the window about to be routed are in hand, the
+    /// model IS that window: exact records plus `rate × records`
+    /// predicted pairs — the same quantity the per-window imbalance metric
+    /// measures, so the planner optimizes the real objective instead of a
+    /// decayed blend of history. Before the first observation (fresh start
+    /// or right after a restore) it falls back to the EWMA pools.
     fn weights(&self) -> HashMap<GridKey, f64> {
         if self.last_records.is_empty() {
             let mut out = self.rec_estimates.clone();
@@ -562,62 +499,24 @@ impl LoadBalancer {
     /// Folds ONE sealed window's pair counts from the query-side
     /// feedback. Call once per sealed window (in time order) — the
     /// decay-per-fold is what normalizes bursts of late feedback.
-    ///
-    /// Feedback arrives keyed at whatever refinement level was active
-    /// when its window was emitted, whole pipeline-lag windows ago. If
-    /// the tree moved since, the counts are re-keyed onto the *current*
-    /// leaves — folded exactly into the ancestor after a coalesce, and
-    /// apportioned by record share after a split — instead of being
-    /// dropped, which would starve a freshly split hot cell's model for
-    /// the whole lag.
     pub fn observe_pairs_window(&mut self, observed: &HashMap<GridKey, CellLoad>) {
         for w in self.pair_estimates.values_mut() {
             *w *= self.config.decay;
         }
         for (cell, load) in observed {
             // Pairs only refresh cells the record pool still considers
-            // occupied; feedback for vacated cells is history. Each pair
-            // is weighted by its full downstream cost: query-side
-            // discovery plus its share of the sync merge path.
-            let w = load.pairs as f64 * self.config.sync_pair_weight;
-            // The rate is the scale-free form of the same feedback:
-            // pairs per record learned where the pairs were *measured*
-            // transfers across splits, coalesces, and hotspot drift.
-            let obs_rate = load.pairs as f64 / (load.records.max(1) as f64);
-            let depth = self.refinement.depth(cell.base_cell());
-            if cell.level == depth {
-                if self.rec_estimates.contains_key(cell) {
-                    *self.pair_estimates.entry(*cell).or_insert(0.0) += w;
-                    self.blend_rate(*cell, obs_rate);
-                }
-            } else if cell.level > depth {
-                // The base coalesced since: fold into the covering key.
-                let step = cell.level - depth;
-                let anc = GridKey::sub(cell.x >> step, cell.y >> step, depth);
-                if self.rec_estimates.contains_key(&anc) {
-                    *self.pair_estimates.entry(anc).or_insert(0.0) += w;
-                    self.blend_rate(anc, obs_rate);
-                }
-            } else {
-                // The base deepened since: apportion over the occupied
-                // descendant leaves by record share.
-                let step = depth - cell.level;
-                let shares: Vec<(GridKey, f64)> = self
-                    .rec_estimates
-                    .iter()
-                    .filter(|(k, _)| {
-                        k.level == depth && k.x >> step == cell.x && k.y >> step == cell.y
-                    })
-                    .map(|(&k, &r)| (k, r))
-                    .collect();
-                let total: f64 = shares.iter().map(|&(_, s)| s).sum();
-                if total > 0.0 {
-                    for (k, s) in shares {
-                        *self.pair_estimates.entry(k).or_insert(0.0) += w * s / total;
-                        self.blend_rate(k, obs_rate);
-                    }
-                }
+            // occupied; feedback for vacated cells is history.
+            if !self.rec_estimates.contains_key(cell) {
+                continue;
             }
+            // Each pair is weighted by its full downstream cost:
+            // query-side discovery plus its share of the sync merge path.
+            *self.pair_estimates.entry(*cell).or_insert(0.0) +=
+                load.pairs as f64 * self.config.sync_pair_weight;
+            // The rate is the scale-free form of the same feedback: pairs
+            // per record learned where the pairs were *measured* transfers
+            // across hotspot drift.
+            self.blend_rate(*cell, load.pairs as f64 / (load.records.max(1) as f64));
         }
         self.pair_estimates.retain(|_, w| *w > 1e-3);
     }
@@ -635,77 +534,15 @@ impl LoadBalancer {
     /// plans a migration. Returns `None` while no load has ever been
     /// observed.
     ///
-    /// One-shot form of the two-phase boundary protocol: callers that can
-    /// observe the outgoing window *between* the tree update and the
-    /// placement (the pipeline's snapshot finalizer) should call
-    /// [`LoadBalancer::refine_boundary`], fold their observations, then
-    /// [`LoadBalancer::place`] — placement then plans on the exact record
-    /// distribution of the window it is about to route, including the
-    /// true per-leaf split of freshly refined cells.
+    /// Call once per window boundary, after
+    /// [`LoadBalancer::observe_records`] has folded the outgoing window:
+    /// placement then plans on the exact record distribution of the
+    /// window it is about to route.
     pub fn evaluate(&mut self) -> Option<BalanceOutcome> {
-        let (split_cells, coalesced_cells, unpinned) = self.refine_boundary();
-        self.place(split_cells, coalesced_cells, unpinned)
-    }
-
-    /// Phase 1 of the boundary: drives sub-cell split/coalesce so the
-    /// refinement tree is current before the window's objects are keyed.
-    /// Returns the splits, coalesces, and dropped pins to hand to
-    /// [`LoadBalancer::place`].
-    #[allow(clippy::type_complexity)]
-    pub fn refine_boundary(&mut self) -> (Vec<(GridKey, u8)>, Vec<(GridKey, u8)>, u64) {
-        if self.weights().is_empty() {
-            return (Vec::new(), Vec::new(), 0);
-        }
-        self.maybe_refine()
-    }
-
-    /// Phase 2 of the boundary: projects per-subtask loads and plans the
-    /// migration, folding the tree changes phase 1 reported into the
-    /// outcome (a tree change forces a table swap even without one).
-    pub fn place(
-        &mut self,
-        split_cells: Vec<(GridKey, u8)>,
-        coalesced_cells: Vec<(GridKey, u8)>,
-        unpinned: u64,
-    ) -> Option<BalanceOutcome> {
-        if self.weights().is_empty() && split_cells.is_empty() && coalesced_cells.is_empty() {
+        let estimates = self.weights();
+        if estimates.is_empty() {
             return None;
         }
-        // A fresh split spread the base's pair mass uniformly over its
-        // leaves, but pairs concentrate where the records do. When the
-        // caller folded the outgoing window's records between the phases,
-        // the leaf record shares are exact — re-apportion the pair mass
-        // by record share so placement doesn't pack the truly hot leaf
-        // as if it were average. Without fresh observations the shares
-        // are uniform and this is a no-op.
-        for &(base, _) in &split_cells {
-            let leaves: Vec<(GridKey, f64)> = self
-                .pair_estimates
-                .iter()
-                .filter(|(k, _)| k.base_cell() == base)
-                .map(|(&k, &w)| (k, w))
-                .collect();
-            let mass: f64 = leaves.iter().map(|&(_, w)| w).sum();
-            if mass <= 0.0 {
-                continue;
-            }
-            let shares: Vec<(GridKey, f64)> = leaves
-                .iter()
-                .map(|&(k, _)| {
-                    let r = self.rec_estimates.get(&k).copied().unwrap_or(0.0);
-                    (k, r)
-                })
-                .collect();
-            let total: f64 = shares.iter().map(|&(_, s)| s).sum();
-            if total <= 0.0 {
-                continue;
-            }
-            for (k, s) in shares {
-                self.pair_estimates.insert(k, mass * s / total);
-            }
-            self.pair_estimates.retain(|_, w| *w > 1e-3);
-        }
-        let estimates = self.weights();
         let n = self.parallelism;
         let mut loads = vec![0.0f64; n];
         for (cell, &w) in &estimates {
@@ -716,175 +553,16 @@ impl LoadBalancer {
         let max = loads.iter().cloned().fold(0.0, f64::max);
 
         let hot = mean > 0.0 && max > self.config.theta * mean;
-        let mut plan = if !hot || n < 2 || self.windows_since_swap <= self.config.cooldown_windows {
+        let plan = if !hot || n < 2 || self.windows_since_swap <= self.config.cooldown_windows {
             None
         } else {
             self.plan_placement(&estimates, &mut loads, mean)
         };
-        // A tree change without a migration plan still needs a table swap:
-        // stale-level pins were dropped, and the swap is what lands the
-        // new key space at the window boundary.
-        if plan.is_none() && !(split_cells.is_empty() && coalesced_cells.is_empty()) {
-            self.epoch += 1;
-            self.cells_migrated += unpinned;
-            plan = Some(RebalancePlan {
-                epoch: self.epoch,
-                assignments: self.table_assignments(),
-                migrated: unpinned,
-            });
-        }
         Some(BalanceOutcome {
             max_load: max,
             mean_load: mean,
             plan,
-            split_cells,
-            coalesced_cells,
         })
-    }
-
-    /// Drives sub-cell split/coalesce for this boundary. Splits any
-    /// current-depth leaf whose decayed weight exceeds `refine_split_frac ×`
-    /// the fair share (one level per boundary — gradual, like the
-    /// incremental migration); coalesces refined bases whose total weight
-    /// fell below `refine_coalesce_frac ×` the fair share. Estimates are
-    /// re-keyed (children get weight/4 on a split, parents the children's
-    /// sum on a coalesce) and stale-level pins dropped. Returns the splits,
-    /// the coalesces, and how many pins were dropped.
-    #[allow(clippy::type_complexity)]
-    fn maybe_refine(&mut self) -> (Vec<(GridKey, u8)>, Vec<(GridKey, u8)>, u64) {
-        if self.config.refine_max_depth == 0 {
-            return (Vec::new(), Vec::new(), 0);
-        }
-        let weights = self.weights();
-        let total: f64 = weights.values().sum();
-        let fair = total / self.parallelism as f64;
-        if fair <= 0.0 {
-            return (Vec::new(), Vec::new(), 0);
-        }
-
-        // Split pass: act only on keys at their base's current depth
-        // (stale-level leftovers re-key below and settle next boundary).
-        let mut to_split: BTreeSet<GridKey> = BTreeSet::new();
-        for (&cell, &w) in &weights {
-            let base = cell.base_cell();
-            let depth = self.refinement.depth(base);
-            if cell.level == depth
-                && depth < self.config.refine_max_depth
-                && w > self.config.refine_split_frac * fair
-            {
-                to_split.insert(base);
-            }
-        }
-        let mut split_cells = Vec::new();
-        let mut unpinned = 0u64;
-        for base in to_split {
-            let new_depth = self.refinement.split(base);
-            self.rekey_base(base, new_depth, &mut unpinned);
-            self.splits += 1;
-            split_cells.push((base, new_depth));
-        }
-
-        // Coalesce pass: refined bases whose whole tier went cold shallow
-        // one level (vacated bases walk back to depth 0 over a few
-        // boundaries). Bases split this very boundary are exempt.
-        let mut base_totals: HashMap<GridKey, f64> = HashMap::new();
-        for (&cell, &w) in &weights {
-            *base_totals.entry(cell.base_cell()).or_insert(0.0) += w;
-        }
-        let mut to_coalesce: BTreeSet<GridKey> = BTreeSet::new();
-        for (base, depth) in self.refinement.iter() {
-            if depth == 0 || split_cells.iter().any(|&(b, _)| b == base) {
-                continue;
-            }
-            let base_total = base_totals.get(&base).copied().unwrap_or(0.0);
-            if base_total < self.config.refine_coalesce_frac * fair {
-                to_coalesce.insert(base);
-            }
-        }
-        let mut coalesced_cells = Vec::new();
-        for base in to_coalesce {
-            let new_depth = self.refinement.coalesce(base);
-            self.rekey_base(base, new_depth, &mut unpinned);
-            self.coalesces += 1;
-            coalesced_cells.push((base, new_depth));
-        }
-        (split_cells, coalesced_cells, unpinned)
-    }
-
-    /// Re-keys both estimate pools for `base` onto its new depth and drops
-    /// pins at stale levels (the old keys stop receiving traffic the moment
-    /// the finalizer expands the next window under the new tree).
-    fn rekey_base(&mut self, base: GridKey, new_depth: u8, unpinned: &mut u64) {
-        for pool in [
-            &mut self.rec_estimates,
-            &mut self.pair_estimates,
-            &mut self.last_records,
-        ] {
-            let stale: Vec<(GridKey, f64)> = pool
-                .iter()
-                .filter(|(k, _)| k.base_cell() == base && k.level != new_depth)
-                .map(|(&k, &w)| (k, w))
-                .collect();
-            for (key, w) in stale {
-                pool.remove(&key);
-                if key.level < new_depth {
-                    // Deepened: spread the estimate uniformly over the
-                    // children (the next observation corrects the skew).
-                    let step = new_depth - key.level;
-                    let children = 1i64 << step;
-                    let share = w / (children * children) as f64;
-                    for dy in 0..children {
-                        for dx in 0..children {
-                            let child =
-                                GridKey::sub((key.x << step) + dx, (key.y << step) + dy, new_depth);
-                            *pool.entry(child).or_insert(0.0) += share;
-                        }
-                    }
-                } else {
-                    // Shallowed: fold the children into their parent.
-                    let step = key.level - new_depth;
-                    let parent = GridKey::sub(key.x >> step, key.y >> step, new_depth);
-                    *pool.entry(parent).or_insert(0.0) += w;
-                }
-            }
-        }
-        // The rate is intensive (pairs per record), unlike the additive
-        // pools above: children inherit the parent's coefficient verbatim
-        // on a split, and a coalesce folds the children back as their mean.
-        let stale: Vec<(GridKey, f64)> = self
-            .pair_rate
-            .iter()
-            .filter(|(k, _)| k.base_cell() == base && k.level != new_depth)
-            .map(|(&k, &v)| (k, v))
-            .collect();
-        let mut folded: HashMap<GridKey, (f64, u32)> = HashMap::new();
-        for (key, rate) in stale {
-            self.pair_rate.remove(&key);
-            if key.level < new_depth {
-                let step = new_depth - key.level;
-                let children = 1i64 << step;
-                for dy in 0..children {
-                    for dx in 0..children {
-                        let child =
-                            GridKey::sub((key.x << step) + dx, (key.y << step) + dy, new_depth);
-                        self.pair_rate.entry(child).or_insert(rate);
-                    }
-                }
-            } else {
-                let step = key.level - new_depth;
-                let parent = GridKey::sub(key.x >> step, key.y >> step, new_depth);
-                let e = folded.entry(parent).or_insert((0.0, 0));
-                e.0 += rate;
-                e.1 += 1;
-            }
-        }
-        for (parent, (sum, n)) in folded {
-            self.pair_rate.insert(parent, sum / f64::from(n));
-        }
-        let before = self.assignments.len();
-        self.assignments
-            .retain(|k, _| !(k.base_cell() == base && k.level != new_depth));
-        *unpinned += (before - self.assignments.len()) as u64;
     }
 
     /// Test/embedding convenience: fold one fully observed window
@@ -928,7 +606,7 @@ impl LoadBalancer {
             cells.sort_by(|a, b| {
                 b.1.partial_cmp(&a.1)
                     .expect("loads are finite")
-                    .then_with(|| (a.0.x, a.0.y, a.0.level).cmp(&(b.0.x, b.0.y, b.0.level)))
+                    .then_with(|| a.0.cmp(&b.0))
             });
         }
 
@@ -996,7 +674,7 @@ impl LoadBalancer {
             pinned.sort_by(|a, b| {
                 a.1.partial_cmp(&b.1)
                     .expect("finite")
-                    .then_with(|| (a.0.x, a.0.y, a.0.level).cmp(&(b.0.x, b.0.y, b.0.level)))
+                    .then_with(|| a.0.cmp(&b.0))
             });
             let excess = self.assignments.len() - self.config.max_mapped_cells;
             for (cell, _) in pinned.into_iter().take(excess) {
@@ -1187,7 +865,7 @@ mod tests {
         assert!(ckpt
             .assignments
             .windows(2)
-            .all(|w| (w[0].x, w[0].y, w[0].level) < (w[1].x, w[1].y, w[1].level)));
+            .all(|w| (w[0].x, w[0].y) < (w[1].x, w[1].y)));
         let restored = LoadBalancer::from_checkpoint(BalancerConfig::default(), n, &ckpt);
         assert_eq!(restored.epoch(), 1);
         assert_eq!(restored.cells_migrated(), b.cells_migrated());
@@ -1256,151 +934,20 @@ mod tests {
                 CellAssignment {
                     x: 0,
                     y: 0,
-                    level: 0,
                     subtask: 1,
                 },
                 CellAssignment {
                     x: 1,
                     y: 0,
-                    level: 0,
                     subtask: 6,
                 },
             ],
             loads: Vec::new(),
             cells_migrated: 2,
-            refinements: Vec::new(),
-            splits: 0,
-            coalesces: 0,
         };
         let b = LoadBalancer::from_checkpoint(BalancerConfig::default(), 2, &ckpt);
         let table = b.table_assignments();
         assert_eq!(table.len(), 1, "subtask-6 pin dropped at parallelism 2");
         assert_eq!(table[&stable_hash(&GridKey::new(0, 0))], 1);
-    }
-
-    fn refine_config(max_depth: u8) -> BalancerConfig {
-        BalancerConfig {
-            theta: 1.2,
-            cooldown_windows: 0,
-            refine_max_depth: max_depth,
-            refine_split_frac: 0.5,
-            refine_coalesce_frac: 0.15,
-            ..BalancerConfig::default()
-        }
-    }
-
-    #[test]
-    fn mega_cell_splits_into_sub_cells() {
-        // One cell carries nearly all the load: cell-granularity routing
-        // cannot split it (plan_placement's atomic-mega-cell bailout), but
-        // refinement can.
-        let n = 4;
-        let mut b = LoadBalancer::new(refine_config(2), n);
-        let hot = GridKey::new(0, 0);
-        let outcome = b
-            .on_window_boundary(HashMap::from([
-                (hot, load(1000, 0)),
-                (GridKey::new(5, 5), load(10, 0)),
-            ]))
-            .expect("load observed");
-        assert_eq!(
-            outcome.split_cells,
-            vec![(hot, 1)],
-            "the mega-cell must split to depth 1"
-        );
-        assert_eq!(b.refinement().depth(hot), 1);
-        assert_eq!(b.splits(), 1);
-        assert!(
-            outcome.plan.is_some(),
-            "a tree change lands through a table swap"
-        );
-        // The estimate re-keyed onto the four depth-1 leaves.
-        let ckpt = b.checkpoint();
-        let leaf_loads: Vec<_> = ckpt.loads.iter().filter(|l| l.level == 1).collect();
-        assert_eq!(
-            leaf_loads.len(),
-            4,
-            "4 children at depth 1: {:?}",
-            ckpt.loads
-        );
-        assert_eq!(ckpt.refinements.len(), 1);
-        assert_eq!(ckpt.splits, 1);
-    }
-
-    #[test]
-    fn refinement_respects_max_depth() {
-        let mut b = LoadBalancer::new(refine_config(1), 4);
-        let hot = GridKey::new(0, 0);
-        for _ in 0..4 {
-            b.on_window_boundary(HashMap::from([(hot, load(1000, 0))]));
-            // Feedback keeps arriving on the (stale) base key; the model
-            // re-keys it, but depth must never exceed the cap.
-            assert!(b.refinement().depth(hot) <= 1);
-        }
-        assert_eq!(b.refinement().max_depth(), 1);
-    }
-
-    #[test]
-    fn cold_refined_cells_coalesce_under_hysteresis() {
-        let n = 4;
-        let mut b = LoadBalancer::new(refine_config(2), n);
-        let hot = GridKey::new(0, 0);
-        let steady = GridKey::new(7, 7);
-        b.on_window_boundary(HashMap::from([
-            (hot, load(1000, 0)),
-            (steady, load(100, 0)),
-        ]));
-        assert_eq!(b.refinement().depth(hot), 1, "split while hot");
-        // The hotspot moves away: only the steady cell keeps traffic. The
-        // refined base decays below the coalesce fraction and walks back.
-        let mut boundaries = 0;
-        while b.refinement().depth(hot) > 0 && boundaries < 10 {
-            b.on_window_boundary(HashMap::from([(steady, load(100, 0))]));
-            boundaries += 1;
-        }
-        assert_eq!(b.refinement().depth(hot), 0, "cold cell re-coalesced");
-        assert!(b.coalesces() >= 1);
-        // (The steady cell may well have split meanwhile — once it carries
-        // all the traffic it exceeds the split fraction itself.)
-    }
-
-    #[test]
-    fn checkpoint_round_trips_refinement_tree() {
-        let n = 4;
-        let mut b = LoadBalancer::new(refine_config(2), n);
-        let hot = GridKey::new(2, -3);
-        b.on_window_boundary(HashMap::from([
-            (hot, load(1000, 0)),
-            (GridKey::new(5, 5), load(10, 0)),
-        ]));
-        assert!(b.refinement().depth(hot) >= 1);
-        let ckpt = b.checkpoint();
-        assert!(!ckpt.refinements.is_empty());
-
-        // Restore at a *different* parallelism: the tree carries no subtask
-        // references, so it survives intact.
-        let restored = LoadBalancer::from_checkpoint(refine_config(2), 7, &ckpt);
-        assert_eq!(restored.refinement(), b.refinement());
-        assert_eq!(restored.splits(), b.splits());
-        assert_eq!(restored.coalesces(), b.coalesces());
-        assert_eq!(restored.checkpoint().refinements, ckpt.refinements);
-    }
-
-    #[test]
-    fn refinement_off_never_splits() {
-        let mut b = LoadBalancer::new(
-            BalancerConfig {
-                theta: 1.1,
-                cooldown_windows: 0,
-                ..BalancerConfig::default()
-            },
-            4,
-        );
-        let outcome = b
-            .on_window_boundary(HashMap::from([(GridKey::new(0, 0), load(10_000, 0))]))
-            .expect("load observed");
-        assert!(outcome.split_cells.is_empty());
-        assert!(b.refinement().is_empty());
-        assert_eq!(b.splits(), 0);
     }
 }

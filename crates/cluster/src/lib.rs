@@ -29,7 +29,7 @@ pub mod rjc;
 pub mod srj;
 pub mod sync;
 
-pub use allocate::{grid_allocate, grid_allocate_full, refine_expand};
+pub use allocate::{grid_allocate, grid_allocate_full};
 pub use balance::{BalanceOutcome, BalancerConfig, CellLoad, LoadBalancer, LoadTracker};
 pub use dbscan::{dbscan_from_pairs, DbscanOutcome};
 pub use gdc::GdcClusterer;

@@ -336,41 +336,6 @@ impl IcpeConfigBuilder {
         self
     }
 
-    /// Sets the maximum sub-cell refinement depth of the adaptive balancer
-    /// (default 0 = refinement off). Depth `d` lets a hot base cell split
-    /// into up to `4^d` sub-cells, lifting the cell-granularity floor of
-    /// the placement. Implies [`IcpeConfigBuilder::rebalance`] with stock
-    /// thresholds when no balancer config was set yet.
-    pub fn refine_max_depth(mut self, depth: u8) -> Self {
-        self.rebalance
-            .get_or_insert_with(BalancerConfig::default)
-            .refine_max_depth = depth;
-        self
-    }
-
-    /// Sets the split trigger: a cell is refined one level deeper when its
-    /// decayed load exceeds this fraction of a subtask's fair share
-    /// (default 0.5). Implies `rebalance` like
-    /// [`IcpeConfigBuilder::refine_max_depth`].
-    pub fn refine_split_frac(mut self, frac: f64) -> Self {
-        self.rebalance
-            .get_or_insert_with(BalancerConfig::default)
-            .refine_split_frac = frac;
-        self
-    }
-
-    /// Sets the coalesce trigger: a refined base cell folds one level back
-    /// when its total decayed load falls below this fraction of a fair
-    /// share (default 0.15; keep well under `refine_split_frac` for
-    /// hysteresis). Implies `rebalance` like
-    /// [`IcpeConfigBuilder::refine_max_depth`].
-    pub fn refine_coalesce_frac(mut self, frac: f64) -> Self {
-        self.rebalance
-            .get_or_insert_with(BalancerConfig::default)
-            .refine_coalesce_frac = frac;
-        self
-    }
-
     /// Toggles per-stage/per-exchange instrumentation (default `true`;
     /// `false` is the no-op-registry baseline the overhead check in
     /// `bench_throughput` compares against).
@@ -494,21 +459,6 @@ mod tests {
             .build()
             .unwrap();
         assert_eq!(c.align_shards, 1, "explicit value clamps to ≥ 1");
-    }
-
-    #[test]
-    fn refine_knobs_imply_rebalance() {
-        let c = IcpeConfig::builder()
-            .constraints(Constraints::new(2, 2, 1, 1).unwrap())
-            .refine_max_depth(2)
-            .refine_split_frac(0.4)
-            .refine_coalesce_frac(0.1)
-            .build()
-            .unwrap();
-        let b = c.rebalance.expect("refine knobs enable the balancer");
-        assert_eq!(b.refine_max_depth, 2);
-        assert_eq!(b.refine_split_frac, 0.4);
-        assert_eq!(b.refine_coalesce_frac, 0.1);
     }
 
     #[test]

@@ -119,7 +119,7 @@ use crate::config::{EnumeratorKind, IcpeConfig, Supervision};
 use icpe_cluster::balance::{imbalance, CellLoad, LoadBalancer, LoadTracker};
 use icpe_cluster::query::NeighborPair;
 use icpe_cluster::sync::{PairCollector, SyncStats, SyncStatus};
-use icpe_cluster::{dbscan_from_pairs, grid_allocate, refine_expand, CellQueryEngine, GridObject};
+use icpe_cluster::{dbscan_from_pairs, grid_allocate, CellQueryEngine, GridObject};
 use icpe_index::{Grid, GridKey};
 use icpe_pattern::partition::Partition;
 use icpe_pattern::{id_partitions, BaselineEngine, FbaEngine, PatternEngine, VbaEngine};
@@ -1645,8 +1645,6 @@ fn cluster_stages(
             status: final_status,
             balancer,
             align: WindowAlign::new(inputs),
-            grid: Grid::new(lg),
-            eps,
         },
     );
     // Keyed on the grid cell either statically (`hash % N`) or through the
@@ -2029,27 +2027,17 @@ struct SnapFinalOp {
     /// `Some` in adaptive mode (owned here; single subtask).
     balancer: Option<LoadBalancer>,
     align: WindowAlign<Vec<GridObject>>,
-    /// Sub-cell refinement context: the same grid geometry the aligner
-    /// shards allocate with, so hot-cell objects can be re-keyed onto the
-    /// balancer's current sub-cell tier here — at the window boundary,
-    /// strictly after any split/coalesce lands.
-    grid: Grid,
-    eps: f64,
 }
 
 impl SnapFinalOp {
     /// Window-boundary rebalancing: runs before a window's objects are
     /// emitted, so a new epoch takes effect exactly at the boundary —
-    /// every window's cells route under a single epoch. Takes and returns
-    /// the window's objects because the boundary is two-phase: the
-    /// refinement tree updates first, the objects are re-keyed onto it,
-    /// and only then does placement plan — on the *exact* per-cell record
-    /// distribution of the window it is about to route (including the
-    /// true per-leaf split of freshly refined cells, which no decayed
-    /// history could supply).
-    fn maybe_rebalance(&mut self, objects: Vec<GridObject>) -> Vec<GridObject> {
+    /// every window's cells route under a single epoch. Placement plans
+    /// on the *exact* per-cell record distribution of the window it is
+    /// about to route.
+    fn maybe_rebalance(&mut self, objects: &[GridObject]) {
         let Some(balancer) = &mut self.balancer else {
-            return objects;
+            return;
         };
         let PipelineStatus {
             obs,
@@ -2057,11 +2045,6 @@ impl SnapFinalOp {
             tracker,
             ..
         } = &self.status;
-        let (split_cells, coalesced_cells, unpinned) = balancer.refine_boundary();
-        // Re-key onto the sub-cell tier: splits/coalesces land strictly
-        // between windows, so every window's objects are keyed under
-        // exactly one tree.
-        let objects = refine_expand(objects, &self.grid, balancer.refinement(), self.eps);
         // Two feedback cadences, folded separately: this stage counts the
         // outgoing window's records exactly, at the routing point, while
         // the query stage's pair counts — which exist nowhere upstream of
@@ -2070,7 +2053,7 @@ impl SnapFinalOp {
         // this stage) — each sealed window is decay-folded on its own so
         // a burst cannot whipsaw the estimates.
         let mut records: HashMap<GridKey, u64> = HashMap::new();
-        for o in &objects {
+        for o in objects {
             *records.entry(o.key).or_default() += 1;
         }
         balancer.observe_records(&records);
@@ -2078,22 +2061,8 @@ impl SnapFinalOp {
         for (_, cells) in drained {
             balancer.observe_pairs_window(&cells);
         }
-        if let Some(outcome) = balancer.place(split_cells, coalesced_cells, unpinned) {
+        if let Some(outcome) = balancer.evaluate() {
             table.note_window_loads(outcome.max_load, outcome.mean_load);
-            for &(base, depth) in &outcome.split_cells {
-                obs.emit(ObsEventKind::CellSplit {
-                    x: base.x,
-                    y: base.y,
-                    depth,
-                });
-            }
-            for &(base, depth) in &outcome.coalesced_cells {
-                obs.emit(ObsEventKind::CellCoalesced {
-                    x: base.x,
-                    y: base.y,
-                    depth,
-                });
-            }
             if let Some(plan) = outcome.plan {
                 obs.emit(ObsEventKind::CellMigrated {
                     epoch: plan.epoch,
@@ -2101,15 +2070,7 @@ impl SnapFinalOp {
                 });
                 table.install(plan.epoch, plan.assignments, plan.migrated);
             }
-            let tree = balancer.refinement();
-            table.note_refinement(
-                tree.refined_cells(),
-                tree.max_depth(),
-                balancer.splits(),
-                balancer.coalesces(),
-            );
         }
-        objects
     }
 }
 
@@ -2122,7 +2083,7 @@ impl Operator<SnapMsg, ClusterMsg> for SnapFinalOp {
                     // Empty windows run the full boundary protocol too —
                     // the balancer cadence and the downstream tick fabric
                     // see every sealed time exactly once.
-                    let objects = self.maybe_rebalance(objects);
+                    self.maybe_rebalance(&objects);
                     self.status.metrics.mark_ingest(time);
                     out.emit_all(objects.into_iter().map(Envelope::Data));
                     out.emit(Envelope::Tick(time));

@@ -100,7 +100,9 @@ proptest! {
     /// checkpointed routing epoch. With parallelism > 2 at fanin 2 the
     /// barrier that takes the cut aligns at tree-*interior* combiner
     /// slots, which is exactly where a misaligned barrier would capture a
-    /// torn window.
+    /// torn window. `resize` restores onto the same parallelism, or grows
+    /// 2 → 4, or shrinks 4 → 2 — the shrink drops every learned pin that
+    /// names a subtask the restored deployment lacks.
     #[test]
     fn restore_mid_migration_resumes_on_checkpointed_epoch(
         seed in 0u64..500,
@@ -108,20 +110,23 @@ proptest! {
         kind_idx in 0usize..3,
         cut_windows in 8u32..16,
         deep_tree in proptest::bool::ANY,
+        resize in 0usize..3,
     ) {
         let kind = [
             EnumeratorKind::Baseline,
             EnumeratorKind::Fba,
             EnumeratorKind::Vba,
         ][kind_idx];
-        let fanin = if deep_tree { 2 } else { parallelism.max(2) };
+        let (p_before, p_after) = [(parallelism, parallelism), (2, 4), (4, 2)][resize];
+        let fanin = |p: usize| if deep_tree { 2 } else { p.max(2) };
         let records = skewed_records(seed, 36, 24);
-        let want = run_collecting(&config(kind, parallelism, false, fanin), &records, 1).patterns;
+        let want =
+            run_collecting(&config(kind, p_before, false, fanin(p_before)), &records, 1).patterns;
 
         // Cut at a record boundary of `cut_windows` full windows (36
         // records per tick: every object reports every tick).
         let cut = (cut_windows as usize * 36).min(records.len());
-        let cfg = config(kind, parallelism, true, fanin);
+        let cfg = config(kind, p_before, true, fanin(p_before));
         let pre: Arc<Mutex<Vec<Pattern>>> = Arc::new(Mutex::new(Vec::new()));
         let sink = Arc::clone(&pre);
         let live = IcpePipeline::launch(&cfg, move |e| {
@@ -139,6 +144,7 @@ proptest! {
         let routing_ckpt = ckpt.routing.clone().expect("adaptive checkpoints carry routing");
         let post: Arc<Mutex<Vec<Pattern>>> = Arc::new(Mutex::new(Vec::new()));
         let sink = Arc::clone(&post);
+        let cfg = config(kind, p_after, true, fanin(p_after));
         let resumed = IcpePipeline::launch_from(&cfg, &ckpt, move |e| {
             if let PipelineEvent::Pattern(p) = e {
                 sink.lock().unwrap().push(p);
@@ -159,9 +165,10 @@ proptest! {
         prop_assert_eq!(
             multiset(&got),
             multiset(&want),
-            "kind {:?} parallelism {} cut {} ckpt epoch {}",
+            "kind {:?} parallelism {}→{} cut {} ckpt epoch {}",
             kind,
-            parallelism,
+            p_before,
+            p_after,
             cut,
             routing_ckpt.epoch
         );

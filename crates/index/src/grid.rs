@@ -10,63 +10,31 @@
 //! * [`Grid::full_query_keys`] — the cells intersecting the **full** range
 //!   region, used by the SRJ baseline (and by plain, non-join range queries).
 //!
-//! Hot cells may be **refined** into a 2×2 sub-cell tier (recursively): a
-//! [`RefinementTree`](crate::RefinementTree) maps base cells to a refinement
-//! depth, and the `*_refined` variants of the key functions route to leaf
-//! sub-cells with the same ε-padded replication applied at sub-cell borders,
-//! so the candidate pair set is unchanged (see `refine.rs`).
+//! A key is a uniform-grid cell and nothing finer: the adaptive balancer
+//! moves whole cells between subtasks.
 
-use crate::refine::RefinementTree;
 use icpe_types::{Point, Rect};
 use std::fmt;
 
-/// A grid cell key `⟨⌊x/lg⌋, ⌊y/lg⌋⟩`, optionally refined.
-///
-/// `level == 0` is a base cell of the uniform grid. `level == d > 0` names a
-/// leaf of a base cell refined `d` times: the base cell `(X, Y)` splits into
-/// `2^d × 2^d` sub-cells of width `lg / 2^d`, indexed `x ∈ [X·2^d, (X+1)·2^d)`
-/// (rows likewise), so `base = (x >> level, y >> level)`.
+/// A grid cell key `⟨⌊x/lg⌋, ⌊y/lg⌋⟩`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct GridKey {
-    /// Column index (at `level`'s resolution).
+    /// Column index.
     pub x: i64,
-    /// Row index (at `level`'s resolution).
+    /// Row index.
     pub y: i64,
-    /// Refinement depth: 0 = base grid cell, `d` = sub-cell of width `lg/2^d`.
-    pub level: u8,
 }
 
 impl GridKey {
-    /// Creates a base-grid (level 0) key from raw column/row indices.
+    /// Creates a key from raw column/row indices.
     pub fn new(x: i64, y: i64) -> Self {
-        GridKey { x, y, level: 0 }
-    }
-
-    /// Creates a sub-cell key at a refinement depth.
-    pub fn sub(x: i64, y: i64, level: u8) -> Self {
-        GridKey { x, y, level }
-    }
-
-    /// The level-0 base cell this key lives in (identity for base keys).
-    #[inline]
-    pub fn base_cell(&self) -> GridKey {
-        GridKey::new(self.x >> self.level, self.y >> self.level)
-    }
-
-    /// True for sub-cell keys (level > 0).
-    #[inline]
-    pub fn is_refined(&self) -> bool {
-        self.level > 0
+        GridKey { x, y }
     }
 }
 
 impl fmt::Display for GridKey {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.level == 0 {
-            write!(f, "⟨{},{}⟩", self.x, self.y)
-        } else {
-            write!(f, "⟨{},{}⟩@{}", self.x, self.y, self.level)
-        }
+        write!(f, "⟨{},{}⟩", self.x, self.y)
     }
 }
 
@@ -145,110 +113,6 @@ impl Grid {
         let mut keys = self.keys_in_rect(&Rect::padded_range_region(p, eps));
         keys.retain(|&k| k != home);
         keys
-    }
-
-    // --- Refinement-aware key computation -----------------------------------
-
-    /// Sub-cell width at a refinement depth: `lg / 2^depth`.
-    #[inline]
-    pub fn leaf_width(&self, depth: u8) -> f64 {
-        self.cell_width / (1u64 << depth) as f64
-    }
-
-    /// The leaf sub-cell of `base` (refined to `depth`) containing `p`.
-    ///
-    /// Indices are clamped into `base`'s sub-cell range, so a point on the
-    /// base-cell boundary (which floor-maps into the neighbor at sub-cell
-    /// resolution) still lands in a leaf of *its* base cell — home routing
-    /// stays consistent with the level-0 `key_of`.
-    pub fn leaf_of(&self, base: GridKey, depth: u8, p: Point) -> GridKey {
-        if depth == 0 {
-            return base;
-        }
-        let w = self.leaf_width(depth);
-        let x = ((p.x / w).floor() as i64).clamp(base.x << depth, ((base.x + 1) << depth) - 1);
-        let y = ((p.y / w).floor() as i64).clamp(base.y << depth, ((base.y + 1) << depth) - 1);
-        GridKey::sub(x, y, depth)
-    }
-
-    /// All leaf sub-cells of `base` (refined to `depth`) that intersect
-    /// `rect`. Empty when `rect` misses the base cell entirely.
-    pub fn leaves_in_rect(&self, base: GridKey, depth: u8, rect: &Rect) -> Vec<GridKey> {
-        if depth == 0 {
-            return if rect.intersects(&self.cell_rect(base)) {
-                vec![base]
-            } else {
-                Vec::new()
-            };
-        }
-        let w = self.leaf_width(depth);
-        let x0 = ((rect.min_x / w).floor() as i64).max(base.x << depth);
-        let x1 = ((rect.max_x / w).floor() as i64).min(((base.x + 1) << depth) - 1);
-        let y0 = ((rect.min_y / w).floor() as i64).max(base.y << depth);
-        let y1 = ((rect.max_y / w).floor() as i64).min(((base.y + 1) << depth) - 1);
-        let mut out = Vec::new();
-        for y in y0..=y1 {
-            for x in x0..=x1 {
-                out.push(GridKey::sub(x, y, depth));
-            }
-        }
-        out
-    }
-
-    /// The home key of `p` under a refinement tree: the base cell when
-    /// unrefined, otherwise the leaf sub-cell at the base cell's depth.
-    pub fn key_of_refined(&self, tree: &RefinementTree, p: Point) -> GridKey {
-        let base = self.key_of(p);
-        self.leaf_of(base, tree.depth(base), p)
-    }
-
-    /// Refinement-aware Lemma 1 replication set: for every base cell
-    /// intersecting the padded upper half-region, the cells at *that base's*
-    /// refinement depth intersecting the region — excluding `p`'s home key.
-    ///
-    /// ε-padding applies at sub-cell borders exactly as at base-cell borders,
-    /// so for any pair within ε (Chebyshev) the upper partner's home leaf is
-    /// reached by the lower partner's replicas (or they share a leaf): the
-    /// candidate pair set matches the unrefined grid's.
-    pub fn lemma1_query_keys_refined(
-        &self,
-        tree: &RefinementTree,
-        p: Point,
-        eps: f64,
-    ) -> Vec<GridKey> {
-        self.query_keys_refined(tree, p, &Rect::padded_upper_range_region(p, eps))
-    }
-
-    /// Refinement-aware full replication set (no Lemma 1): cells at each
-    /// base's depth intersecting the padded full range region, excluding the
-    /// home key. Used by SRJ under refinement.
-    pub fn full_query_keys_refined(
-        &self,
-        tree: &RefinementTree,
-        p: Point,
-        eps: f64,
-    ) -> Vec<GridKey> {
-        self.query_keys_refined(tree, p, &Rect::padded_range_region(p, eps))
-    }
-
-    fn query_keys_refined(&self, tree: &RefinementTree, p: Point, region: &Rect) -> Vec<GridKey> {
-        let home = self.key_of_refined(tree, p);
-        let mut out = Vec::new();
-        for base in self.keys_in_rect(region) {
-            let depth = tree.depth(base);
-            if depth == 0 {
-                if base != home {
-                    out.push(base);
-                }
-            } else {
-                out.extend(
-                    self.leaves_in_rect(base, depth, region)
-                        .into_iter()
-                        .filter(|&k| k != home),
-                );
-            }
-        }
-        out
     }
 }
 
@@ -351,106 +215,5 @@ mod tests {
     #[should_panic(expected = "grid cell width")]
     fn zero_cell_width_panics() {
         Grid::new(0.0);
-    }
-
-    #[test]
-    fn sub_cell_keys_round_trip_their_base() {
-        for (x, y, level) in [(0, 0, 1), (5, -3, 2), (-8, -1, 3)] {
-            let base = GridKey::new(x, y);
-            // Every leaf of `base` at `level` maps back to `base`.
-            for dy in 0..(1i64 << level) {
-                for dx in 0..(1i64 << level) {
-                    let leaf = GridKey::sub((x << level) + dx, (y << level) + dy, level);
-                    assert_eq!(leaf.base_cell(), base, "leaf {leaf}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn leaf_of_agrees_with_point_location() {
-        let g = Grid::new(2.0);
-        let p = Point::new(3.5, -0.5);
-        let base = g.key_of(p);
-        assert_eq!(base, GridKey::new(1, -1));
-        // Depth 1: sub-cells of width 1; p is in column 3, row -1.
-        assert_eq!(g.leaf_of(base, 1, p), GridKey::sub(3, -1, 1));
-        // Depth 2: width 0.5; p in column 7, row -1.
-        assert_eq!(g.leaf_of(base, 2, p), GridKey::sub(7, -1, 2));
-        // The leaf's base is always the base we asked about.
-        for d in 0..=4 {
-            assert_eq!(g.leaf_of(base, d, p).base_cell(), base);
-        }
-    }
-
-    #[test]
-    fn leaf_of_clamps_boundary_points_into_the_base() {
-        let g = Grid::new(1.0);
-        // p on the right/top edge of cell (0,0): floor at sub-cell width
-        // would map it to the neighbor, but the leaf must stay in the base.
-        let base = GridKey::new(0, 0);
-        let p = Point::new(1.0, 1.0);
-        let leaf = g.leaf_of(base, 2, p);
-        assert_eq!(leaf.base_cell(), base);
-        assert_eq!(leaf, GridKey::sub(3, 3, 2));
-    }
-
-    #[test]
-    fn refined_home_key_matches_base_when_unrefined() {
-        let g = Grid::new(1.0);
-        let tree = RefinementTree::new();
-        let p = Point::new(4.3, -2.7);
-        assert_eq!(g.key_of_refined(&tree, p), g.key_of(p));
-        assert_eq!(
-            g.lemma1_query_keys_refined(&tree, p, 0.8),
-            g.lemma1_query_keys(p, 0.8)
-        );
-        assert_eq!(
-            g.full_query_keys_refined(&tree, p, 0.8),
-            g.full_query_keys(p, 0.8)
-        );
-    }
-
-    #[test]
-    fn refined_keys_route_to_sub_cells_of_hot_bases() {
-        let g = Grid::new(4.0);
-        let mut tree = RefinementTree::new();
-        tree.split(GridKey::new(0, 0)); // depth 1: 2×2 sub-cells of width 2
-        let p = Point::new(1.0, 1.0); // in sub-cell (0,0)@1
-        assert_eq!(g.key_of_refined(&tree, p), GridKey::sub(0, 0, 1));
-        let keys = g.lemma1_query_keys_refined(&tree, p, 1.5);
-        // The upper region [−0.5, 2.5] × [1.0, 2.5] stays inside base (0,0)
-        // horizontally up to x = 2.5 < 4, so the sibling sub-cells (1,0)@1,
-        // (0,1)@1 and (1,1)@1 are all probed; the home leaf is excluded.
-        assert!(!keys.contains(&GridKey::sub(0, 0, 1)), "home leaf excluded");
-        for k in [
-            GridKey::sub(1, 0, 1),
-            GridKey::sub(0, 1, 1),
-            GridKey::sub(1, 1, 1),
-        ] {
-            assert!(keys.contains(&k), "missing {k}");
-        }
-        // The unrefined neighbor base (-1, 0) is still reached at level 0.
-        assert!(keys.contains(&GridKey::new(-1, 0)));
-        // No level-0 key for the refined base itself leaks through.
-        assert!(!keys.contains(&GridKey::new(0, 0)));
-    }
-
-    #[test]
-    fn leaves_in_rect_covers_only_the_base() {
-        let g = Grid::new(2.0);
-        let base = GridKey::new(1, 1); // spans [2,4] × [2,4]
-                                       // A rect overlapping the base's left half at depth 1 (width 1).
-        let rect = Rect::new(1.0, 2.5, 2.9, 3.2);
-        let leaves = g.leaves_in_rect(base, 1, &rect);
-        assert_eq!(
-            leaves,
-            vec![GridKey::sub(2, 2, 1), GridKey::sub(2, 3, 1)],
-            "only the base's own sub-cells, clamped to its range"
-        );
-        // A rect that misses the base entirely yields nothing.
-        assert!(g
-            .leaves_in_rect(base, 1, &Rect::new(10.0, 10.0, 11.0, 11.0))
-            .is_empty());
     }
 }

@@ -12,16 +12,12 @@
 //!   rectangle / metric range queries;
 //! * [`grid::Grid`] — cell-key computation (`⟨⌊x/lg⌋, ⌊y/lg⌋⟩`) plus the
 //!   Lemma-1 *upper-half* replication key sets;
-//! * [`refine::RefinementTree`] — recursive 2×2 sub-cell refinement of hot
-//!   cells, with ε-padded replication at sub-cell borders;
 //! * [`gr::GrIndex`] — the assembled two-layer index for one snapshot.
 
 pub mod gr;
 pub mod grid;
-pub mod refine;
 pub mod rtree;
 
 pub use gr::GrIndex;
 pub use grid::{Grid, GridKey};
-pub use refine::RefinementTree;
 pub use rtree::RTree;

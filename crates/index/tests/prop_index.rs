@@ -1,7 +1,7 @@
 //! Property-based tests: R-tree ≡ brute force, grid coverage lemmas,
-//! sub-cell refinement candidate equivalence.
+//! replication-scheme candidate pairs ≡ brute force.
 
-use icpe_index::{GrIndex, Grid, GridKey, RTree, RefinementTree};
+use icpe_index::{GrIndex, Grid, GridKey, RTree};
 use icpe_types::{DistanceMetric, ObjectId, Point, Rect};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
@@ -148,67 +148,17 @@ proptest! {
         );
     }
 
-    /// Lemma 1 under refinement: for any pair within Chebyshev ε and any
-    /// refinement tree, at least one partner's refined replication set
-    /// reaches the other's refined home key (or they share a leaf) — the
-    /// ε-padding at sub-cell borders loses no pair.
+    /// Candidate pairs ≡ brute force: for arbitrary point sets and ε, the
+    /// ε-pairs discovered through the Lemma-1 replication set and through
+    /// the full-region set (SRJ's) are both exactly the brute-force
+    /// ε-pairs — neither scheme drops a true pair.
     #[test]
-    fn refined_lemma1_replication_covers_all_pairs(
-        a in arb_point(),
-        dx in -5.0f64..5.0,
-        dy in -5.0f64..5.0,
-        lg in 0.5f64..10.0,
-        eps in 0.5f64..5.0,
-        depth_a in 0u8..=3,
-        depth_b in 0u8..=3,
-        extra in prop::collection::vec((-10i64..10, -10i64..10, 1u8..=3), 0..4),
-    ) {
-        let b = Point::new(a.x + dx.clamp(-eps, eps), a.y + dy.clamp(-eps, eps));
-        prop_assert!(DistanceMetric::Chebyshev.within(&a, &b, eps + 1e-9));
-        let g = Grid::new(lg);
-        let mut tree = RefinementTree::new();
-        // Refine the cells that actually host the pair (the interesting
-        // case) plus arbitrary bystander cells.
-        tree.set_depth(g.key_of(a), depth_a);
-        tree.set_depth(g.key_of(b), depth_b);
-        for (x, y, d) in extra {
-            tree.set_depth(GridKey::new(x, y), d);
-        }
-        let home_a = g.key_of_refined(&tree, a);
-        let home_b = g.key_of_refined(&tree, b);
-        let a_reaches_b =
-            home_a == home_b || g.lemma1_query_keys_refined(&tree, a, eps).contains(&home_b);
-        let b_reaches_a =
-            home_b == home_a || g.lemma1_query_keys_refined(&tree, b, eps).contains(&home_a);
-        prop_assert!(
-            a_reaches_b || b_reaches_a,
-            "pair not covered under refinement: a={:?} (home {}), b={:?} (home {}), tree={:?}",
-            a, home_a, b, home_b, tree
-        );
-    }
-
-    /// Refined ≡ unrefined candidate pair sets: for arbitrary point sets,
-    /// ε, and refinement trees, the ε-pairs discovered through the
-    /// refinement-aware `lemma1_query_keys`/`full_query_keys` are exactly
-    /// the ε-pairs of the unrefined grid — which are exactly the brute-force
-    /// ε-pairs. (Refinement may *prune* far-apart same-base-cell candidates
-    /// before the probe — that is the point — but never drops a true pair.)
-    #[test]
-    fn refined_candidate_pairs_equal_unrefined(
+    fn candidate_pairs_equal_brute_force(
         points in arb_points(40),
         lg in 0.5f64..10.0,
         eps in 0.5f64..5.0,
-        refinements in prop::collection::vec((0usize..40, 1u8..=3), 0..8),
     ) {
         let g = Grid::new(lg);
-        let mut tree = RefinementTree::new();
-        // Refine cells that contain actual points so the tree is exercised.
-        for (i, d) in refinements {
-            if let Some(p) = points.get(i.min(points.len().saturating_sub(1))) {
-                tree.set_depth(g.key_of(*p), d);
-            }
-        }
-
         let mut brute = BTreeSet::new();
         for i in 0..points.len() {
             for j in (i + 1)..points.len() {
@@ -218,18 +168,12 @@ proptest! {
             }
         }
 
-        let unrefined_lemma1 =
+        let lemma1 =
             discovered_pairs(&points, eps, |p| (g.key_of(p), g.lemma1_query_keys(p, eps)));
-        let refined_lemma1 = discovered_pairs(&points, eps, |p| {
-            (g.key_of_refined(&tree, p), g.lemma1_query_keys_refined(&tree, p, eps))
-        });
-        let refined_full = discovered_pairs(&points, eps, |p| {
-            (g.key_of_refined(&tree, p), g.full_query_keys_refined(&tree, p, eps))
-        });
+        let full = discovered_pairs(&points, eps, |p| (g.key_of(p), g.full_query_keys(p, eps)));
 
-        prop_assert_eq!(&refined_lemma1, &unrefined_lemma1, "lemma1: refined ≠ unrefined");
-        prop_assert_eq!(&refined_lemma1, &brute, "lemma1 refined ≠ brute force");
-        prop_assert_eq!(&refined_full, &brute, "full refined ≠ brute force");
+        prop_assert_eq!(&lemma1, &brute, "lemma1 ≠ brute force");
+        prop_assert_eq!(&full, &brute, "full ≠ brute force");
     }
 
     #[test]

@@ -306,24 +306,6 @@ pub enum ObsEventKind {
         /// Cells that changed owner in this epoch.
         cells: u64,
     },
-    /// The balancer refined a hot cell into a deeper sub-cell tier.
-    CellSplit {
-        /// Base cell column index.
-        x: i64,
-        /// Base cell row index.
-        y: i64,
-        /// The cell's new refinement depth.
-        depth: u8,
-    },
-    /// The balancer re-coalesced a cold refined cell one level.
-    CellCoalesced {
-        /// Base cell column index.
-        x: i64,
-        /// Base cell row index.
-        y: i64,
-        /// The cell's new refinement depth (0 = back to the base grid).
-        depth: u8,
-    },
     /// A slow subscriber's queue overflowed and it was disconnected.
     SubscriberShed {
         /// The shed subscriber's connection id.
@@ -404,14 +386,6 @@ impl ObsEvent {
             ObsEventKind::CellMigrated { epoch, cells } => format!(
                 "{{\"seq\":{},\"event\":\"cell_migrated\",\"epoch\":{},\"cells\":{}}}",
                 self.seq, epoch, cells
-            ),
-            ObsEventKind::CellSplit { x, y, depth } => format!(
-                "{{\"seq\":{},\"event\":\"cell_split\",\"x\":{},\"y\":{},\"depth\":{}}}",
-                self.seq, x, y, depth
-            ),
-            ObsEventKind::CellCoalesced { x, y, depth } => format!(
-                "{{\"seq\":{},\"event\":\"cell_coalesced\",\"x\":{},\"y\":{},\"depth\":{}}}",
-                self.seq, x, y, depth
             ),
             ObsEventKind::SubscriberShed { subscriber } => format!(
                 "{{\"seq\":{},\"event\":\"subscriber_shed\",\"subscriber\":{}}}",
@@ -891,30 +865,6 @@ mod tests {
         assert_eq!(
             line,
             "{\"seq\":1,\"event\":\"cell_migrated\",\"epoch\":3,\"cells\":7}"
-        );
-    }
-
-    #[test]
-    fn refinement_events_render_as_one_json_line() {
-        let reg = MetricRegistry::new();
-        reg.emit(ObsEventKind::CellSplit {
-            x: -2,
-            y: 5,
-            depth: 1,
-        });
-        reg.emit(ObsEventKind::CellCoalesced {
-            x: -2,
-            y: 5,
-            depth: 0,
-        });
-        let events = reg.events_since(0);
-        assert_eq!(
-            events[0].render_json(),
-            "{\"seq\":1,\"event\":\"cell_split\",\"x\":-2,\"y\":5,\"depth\":1}"
-        );
-        assert_eq!(
-            events[1].render_json(),
-            "{\"seq\":2,\"event\":\"cell_coalesced\",\"x\":-2,\"y\":5,\"depth\":0}"
         );
     }
 

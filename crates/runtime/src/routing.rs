@@ -34,14 +34,6 @@ pub struct RoutingStatus {
     pub max_subtask_load: f64,
     /// Mean per-subtask load in that window.
     pub mean_subtask_load: f64,
-    /// Base cells currently refined into sub-cell tiers.
-    pub refined_cells: usize,
-    /// Deepest refinement level currently active (0 = none).
-    pub max_refine_depth: u8,
-    /// Cumulative cell splits over the run.
-    pub splits: u64,
-    /// Cumulative cell coalesces over the run.
-    pub coalesces: u64,
 }
 
 impl RoutingStatus {
@@ -68,13 +60,6 @@ pub struct RoutingTable {
     /// Last-window subtask loads, as f64 bits (observability only).
     max_load_bits: AtomicU64,
     mean_load_bits: AtomicU64,
-    /// Sub-cell refinement gauges, mirrored from the balancer at each
-    /// window boundary (observability only; the table routes by key hash
-    /// and does not care which refinement level a key lives at).
-    refined_cells: AtomicU64,
-    max_refine_depth: AtomicU64,
-    splits: AtomicU64,
-    coalesces: AtomicU64,
 }
 
 impl RoutingTable {
@@ -123,23 +108,6 @@ impl RoutingTable {
         self.mean_load_bits.store(mean.to_bits(), Ordering::Relaxed);
     }
 
-    /// Records the refinement gauges of the most recent window boundary
-    /// (pure observability; mirrored from the balancer's tree).
-    pub fn note_refinement(
-        &self,
-        refined_cells: usize,
-        max_refine_depth: u8,
-        splits: u64,
-        coalesces: u64,
-    ) {
-        self.refined_cells
-            .store(refined_cells as u64, Ordering::Relaxed);
-        self.max_refine_depth
-            .store(max_refine_depth as u64, Ordering::Relaxed);
-        self.splits.store(splits, Ordering::Relaxed);
-        self.coalesces.store(coalesces, Ordering::Relaxed);
-    }
-
     /// The current status snapshot.
     pub fn status(&self) -> RoutingStatus {
         RoutingStatus {
@@ -148,10 +116,6 @@ impl RoutingTable {
             cells_migrated: self.cells_migrated.load(Ordering::Relaxed),
             max_subtask_load: f64::from_bits(self.max_load_bits.load(Ordering::Relaxed)),
             mean_subtask_load: f64::from_bits(self.mean_load_bits.load(Ordering::Relaxed)),
-            refined_cells: self.refined_cells.load(Ordering::Relaxed) as usize,
-            max_refine_depth: self.max_refine_depth.load(Ordering::Relaxed) as u8,
-            splits: self.splits.load(Ordering::Relaxed),
-            coalesces: self.coalesces.load(Ordering::Relaxed),
         }
     }
 
@@ -212,19 +176,5 @@ mod tests {
         assert_eq!(s.max_subtask_load, 90.0);
         assert_eq!(s.mean_subtask_load, 30.0);
         assert!((s.imbalance() - 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn status_reports_refinement_gauges() {
-        let t = RoutingTable::new();
-        let s = t.status();
-        assert_eq!((s.refined_cells, s.max_refine_depth), (0, 0));
-        assert_eq!((s.splits, s.coalesces), (0, 0));
-        t.note_refinement(3, 2, 7, 4);
-        let s = t.status();
-        assert_eq!(s.refined_cells, 3);
-        assert_eq!(s.max_refine_depth, 2);
-        assert_eq!(s.splits, 7);
-        assert_eq!(s.coalesces, 4);
     }
 }

@@ -29,16 +29,7 @@
 //!                            balancer)
 //!   ICPE_REBALANCE_COOLDOWN  min windows between table swaps (default 2)
 //!   ICPE_REBALANCE_CELLS     explicit cell-pin budget (default 256)
-//!
-//! Sub-cell refinement (off unless depth set; requires the balancer —
-//! setting a depth enables it with stock thresholds if θ is unset):
-//!   ICPE_REFINE_DEPTH     max refinement depth d: a hot cell may split
-//!                         into up to 4^d sub-cells (default 0 = off)
-//!   ICPE_REFINE_SPLIT     split a cell when its load exceeds this
-//!                         fraction of a subtask's fair share (default 0.5)
-//!   ICPE_REFINE_COALESCE  fold a refined cell back when its total load
-//!                         drops below this fraction (default 0.15; keep
-//!                         well under ICPE_REFINE_SPLIT for hysteresis)
+//!   (Placement moves whole grid cells; a hot cell is never split.)
 //!
 //! Durability (off unless a directory is given):
 //!   ICPE_CHECKPOINT_DIR     checkpoint directory; the server resumes from
@@ -109,13 +100,6 @@ fn main() {
             max_mapped_cells: env_parse("ICPE_REBALANCE_CELLS", 256),
             ..BalancerConfig::default()
         });
-    }
-    let refine_depth: u8 = env_parse("ICPE_REFINE_DEPTH", 0);
-    if refine_depth > 0 {
-        engine = engine
-            .refine_max_depth(refine_depth)
-            .refine_split_frac(env_parse("ICPE_REFINE_SPLIT", 0.5))
-            .refine_coalesce_frac(env_parse("ICPE_REFINE_COALESCE", 0.15));
     }
     if env_parse("ICPE_SUPERVISED", 0u8) != 0 {
         engine = engine.supervised(icpe_core::Supervision {

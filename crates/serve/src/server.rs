@@ -279,6 +279,10 @@ struct Shared {
     /// subscriber writers flush their backlog.
     conns: Mutex<HashMap<u64, ConnEntry>>,
     next_conn_id: AtomicU64,
+    /// Connections accepted but not yet classified (see [`Unclassified`]).
+    /// Shutdown waits for these as well as for producers, so it cannot cut
+    /// ingest under a producer whose first line is still unread.
+    unclassified: AtomicU64,
     max_consecutive_parse_errors: usize,
     ingest_batch: usize,
 }
@@ -340,6 +344,34 @@ impl Shared {
             let _ = entry.stream.shutdown(Shutdown::Both);
             false
         });
+    }
+
+    /// True while a producer is connected or an accepted connection has
+    /// not yet said what it is. Reads `unclassified` first: a handler
+    /// counts itself as a producer *before* releasing its unclassified
+    /// place, so a zero read here makes that producer count visible below.
+    fn ingest_edge_busy(&self) -> bool {
+        self.unclassified.load(Ordering::SeqCst) > 0
+            || self.stats.producers.load(Ordering::SeqCst) > 0
+    }
+}
+
+/// An accepted connection's place in [`Shared::unclassified`]: taken
+/// before its handler thread spawns, released (dropped) once the handler
+/// has counted itself as a producer or registered as a subscriber — or
+/// the connection ended.
+struct Unclassified(Arc<Shared>);
+
+impl Unclassified {
+    fn new(shared: Arc<Shared>) -> Self {
+        shared.unclassified.fetch_add(1, Ordering::SeqCst);
+        Unclassified(shared)
+    }
+}
+
+impl Drop for Unclassified {
+    fn drop(&mut self) {
+        self.0.unclassified.fetch_sub(1, Ordering::SeqCst);
     }
 }
 
@@ -465,6 +497,7 @@ impl Server {
             suppress_events: AtomicBool::new(false),
             conns: Mutex::new(HashMap::new()),
             next_conn_id: AtomicU64::new(1),
+            unclassified: AtomicU64::new(0),
             max_consecutive_parse_errors: config.max_consecutive_parse_errors.max(1),
             ingest_batch: config.ingest_batch.max(1),
         });
@@ -707,12 +740,12 @@ impl Server {
             let _ = accept.join();
         }
         // Grace: a producer that closed its side may still have records in
-        // kernel buffers; its handler exits once it drains to EOF. Only
-        // producers that stay open past the deadline are cut off.
+        // kernel buffers; its handler exits once it drains to EOF. A
+        // connection accepted just before the accept loop stopped may not
+        // have read its first line yet — it is waited for too. Only
+        // connections that stay open past the deadline are cut off.
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
-        while self.shared.stats.producers.load(Ordering::Relaxed) > 0
-            && std::time::Instant::now() < deadline
-        {
+        while self.shared.ingest_edge_busy() && std::time::Instant::now() < deadline {
             std::thread::sleep(std::time::Duration::from_millis(2));
         }
         if let Some(worker) = self.ckpt_worker.take() {
@@ -847,20 +880,42 @@ fn spawn_checkpoint_worker(
 
 fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
     for stream in listener.incoming() {
+        if let Ok(stream) = stream {
+            spawn_handler(&shared, stream);
+        }
         if shared.shutting_down.load(Ordering::SeqCst) {
+            // The kernel completed these handshakes before shutdown woke
+            // this loop (the wake-up connection queues behind them): a
+            // producer may already have written its whole stream and
+            // closed. Serve the backlog, then stop accepting.
+            if listener.set_nonblocking(true).is_ok() {
+                while let Ok((stream, _)) = listener.accept() {
+                    stream.set_nonblocking(false).ok();
+                    spawn_handler(&shared, stream);
+                }
+            }
             return;
         }
-        let Ok(stream) = stream else { continue };
-        let conn_shared = Arc::clone(&shared);
-        let _ = std::thread::Builder::new()
-            .name("serve-conn".into())
-            .spawn(move || {
-                let _ = handle_connection(conn_shared, stream);
-            });
     }
 }
 
-fn handle_connection(shared: Arc<Shared>, stream: TcpStream) -> std::io::Result<()> {
+/// Hands an accepted connection to its own handler thread, counted as
+/// [`Unclassified`] from before the spawn.
+fn spawn_handler(shared: &Arc<Shared>, stream: TcpStream) {
+    let pending = Unclassified::new(Arc::clone(shared));
+    let conn_shared = Arc::clone(shared);
+    let _ = std::thread::Builder::new()
+        .name("serve-conn".into())
+        .spawn(move || {
+            let _ = handle_connection(conn_shared, stream, pending);
+        });
+}
+
+fn handle_connection(
+    shared: Arc<Shared>,
+    stream: TcpStream,
+    pending: Unclassified,
+) -> std::io::Result<()> {
     stream.set_nodelay(true).ok();
     // Idle-dead defense: a silent producer or a subscriber that stopped
     // reading errors its handler out instead of pinning the thread (and,
@@ -868,29 +923,38 @@ fn handle_connection(shared: Arc<Shared>, stream: TcpStream) -> std::io::Result<
     stream.set_read_timeout(shared.socket_timeout).ok();
     stream.set_write_timeout(shared.socket_timeout).ok();
     let conn_id = shared.register_conn(&stream);
-    let result = dispatch(&shared, stream, conn_id);
+    let result = dispatch(&shared, stream, conn_id, pending);
     shared.unregister_conn(conn_id);
     result
 }
 
-fn dispatch(shared: &Arc<Shared>, stream: TcpStream, conn_id: u64) -> std::io::Result<()> {
+fn dispatch(
+    shared: &Arc<Shared>,
+    stream: TcpStream,
+    conn_id: u64,
+    pending: Unclassified,
+) -> std::io::Result<()> {
     let mut reader = BufReader::new(stream.try_clone()?);
     let mut first = String::new();
     if reader.read_line(&mut first)? == 0 {
         return Ok(());
     }
     let trimmed = first.trim();
+    // Read-only queries neither ingest nor subscribe: classified at once.
     if let Some(topic) = trimmed.strip_prefix("SUBSCRIBE") {
         shared.mark_subscriber(conn_id);
-        serve_subscriber(shared, stream, topic)
+        serve_subscriber(shared, stream, topic, pending)
     } else if trimmed == "STATUS" {
+        drop(pending);
         serve_status(shared, stream)
     } else if trimmed == "METRICS" {
+        drop(pending);
         serve_metrics(shared, stream)
     } else if trimmed == "EVENTS" || trimmed.starts_with("EVENTS ") {
+        drop(pending);
         serve_events(shared, stream, trimmed.strip_prefix("EVENTS").unwrap_or(""))
     } else {
-        serve_producer(shared, reader, first, conn_id)
+        serve_producer(shared, reader, first, conn_id, pending)
     }
 }
 
@@ -900,11 +964,13 @@ fn serve_producer(
     mut reader: BufReader<TcpStream>,
     first_line: String,
     conn_id: u64,
+    pending: Unclassified,
 ) -> std::io::Result<()> {
     let Some(sender) = shared.ingest.lock().clone() else {
         return Ok(()); // draining: refuse new records
     };
-    shared.stats.producers.fetch_add(1, Ordering::Relaxed);
+    shared.stats.producers.fetch_add(1, Ordering::SeqCst);
+    drop(pending);
     shared.skew.register(conn_id);
     let mut quarantined = 0u64;
     let result = producer_loop(
@@ -1119,6 +1185,7 @@ fn serve_subscriber(
     shared: &Arc<Shared>,
     stream: TcpStream,
     topic_arg: &str,
+    pending: Unclassified,
 ) -> std::io::Result<()> {
     let Some(topic) = Topic::parse(topic_arg) else {
         let mut w = BufWriter::new(stream);
@@ -1126,6 +1193,7 @@ fn serve_subscriber(
         return w.flush();
     };
     let subscription = shared.hub.subscribe(topic);
+    drop(pending);
     shared.stats.subscribers.fetch_add(1, Ordering::Relaxed);
     let mut writer = BufWriter::new(stream);
     let mut result = Ok(());

@@ -262,13 +262,6 @@ impl ServerStats {
         line("max_subtask_load", format!("{:.1}", r.max_subtask_load));
         line("mean_subtask_load", format!("{:.1}", r.mean_subtask_load));
         line("subtask_imbalance", format!("{:.3}", r.imbalance()));
-        // Sub-cell refinement: how many base cells are split, how deep,
-        // and the cumulative split/coalesce churn. Zeroed when refinement
-        // is off (the default) — same always-render contract as above.
-        line("refined_cells", r.refined_cells.to_string());
-        line("max_refine_depth", r.max_refine_depth.to_string());
-        line("cell_splits", r.splits.to_string());
-        line("cell_coalesces", r.coalesces.to_string());
         // The sharded GridSync merge path: how the dedup load spreads
         // across the shards and how deep the aggregation tree runs.
         line("sync_shards", s.shards.to_string());
@@ -589,8 +582,6 @@ mod tests {
         assert_eq!(get("routing_epoch"), "0");
         assert_eq!(get("cells_migrated"), "0");
         assert_eq!(get("subtask_imbalance"), "1.000");
-        assert_eq!(get("refined_cells"), "0");
-        assert_eq!(get("cell_splits"), "0");
 
         let routing = icpe_core::RoutingStatus {
             epoch: 3,
@@ -598,10 +589,6 @@ mod tests {
             cells_migrated: 11,
             max_subtask_load: 60.0,
             mean_subtask_load: 20.0,
-            refined_cells: 2,
-            max_refine_depth: 1,
-            splits: 4,
-            coalesces: 2,
         };
         let pipeline = StatusSnapshot {
             routing,
@@ -615,9 +602,5 @@ mod tests {
         assert_eq!(get("max_subtask_load"), "60.0");
         assert_eq!(get("mean_subtask_load"), "20.0");
         assert_eq!(get("subtask_imbalance"), "3.000");
-        assert_eq!(get("refined_cells"), "2");
-        assert_eq!(get("max_refine_depth"), "1");
-        assert_eq!(get("cell_splits"), "4");
-        assert_eq!(get("cell_coalesces"), "2");
     }
 }

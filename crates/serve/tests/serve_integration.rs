@@ -11,6 +11,7 @@ use icpe_types::Constraints;
 use std::collections::{BTreeSet, HashMap};
 use std::io::Write;
 use std::net::TcpStream;
+use std::sync::atomic::Ordering;
 
 fn engine_config(parallelism: usize) -> IcpeConfig {
     IcpeConfig::builder()
@@ -40,6 +41,21 @@ fn planted_generator(num_snapshots: u32) -> GroupWalkGenerator {
         seed: 7,
         ..GroupWalkConfig::default()
     })
+}
+
+/// Blocks until the hub has registered a subscriber. `SUBSCRIBE` has no
+/// reply: `Subscription::connect` returns once the line is sent, and
+/// events published before the handler registers are not that
+/// subscriber's to see — so producing must wait for the registration.
+fn wait_for_subscriber(server: &Server) {
+    let give_up = std::time::Instant::now() + std::time::Duration::from_secs(10);
+    while server.stats().subscribers.load(Ordering::Relaxed) == 0 {
+        assert!(
+            std::time::Instant::now() < give_up,
+            "subscriber was never registered"
+        );
+        std::thread::sleep(std::time::Duration::from_millis(1));
+    }
 }
 
 /// Pattern events keyed by (objects, times) — the exactly-once identity.
@@ -81,6 +97,7 @@ fn planted_patterns_reach_subscriber_exactly_once() {
 
     let subscriber = Subscription::connect(&addr, Topic::All).unwrap();
     let collector = std::thread::spawn(move || subscriber.collect_events().unwrap());
+    wait_for_subscriber(&server);
 
     // Three producers, both wire formats, cross-object disorder (per-object
     // order preserved — the §4 stream model).
@@ -517,8 +534,7 @@ fn status_keys_and_serve_metric_families_are_pinned() {
         aligner_sealed_frontier aligner_min_shard_frontier aligner_max_shard_frontier \
         aligner_shard_imbalance checkpoint_seq checkpoints_written routing_epoch \
         cells_mapped cells_migrated max_subtask_load mean_subtask_load subtask_imbalance \
-        refined_cells max_refine_depth cell_splits cell_coalesces sync_shards sync_fanin \
-        sync_tree_levels sync_pairs_merged sync_duplicates sync_windows_sealed \
+        sync_shards sync_fanin sync_tree_levels sync_pairs_merged sync_duplicates sync_windows_sealed \
         sync_max_shard_load sync_mean_shard_load sync_shard_imbalance avg_latency_ms \
         p95_latency_ms throughput_tps health";
     assert_eq!(keys, want.split_whitespace().collect::<Vec<_>>());

@@ -58,14 +58,15 @@ use std::fmt;
 /// from v4's arrival order, so v4 files are refused rather than reread
 /// under the new canon.
 ///
-/// v6: sub-cell refinement rides the `routing` section. [`CellAssignment`]
-/// and [`CellLoadCheckpoint`] gain a `level` field (0 = base grid cell,
-/// `d` = leaf sub-cell of a cell refined `d` times), [`RoutingCheckpoint`]
-/// gains the refinement tree (`refinements`, per-base-cell depths — pure
-/// cell coordinates, no subtask references, so it restores onto any
-/// parallelism/shard count) plus the cumulative `splits`/`coalesces`
+/// v6: the `routing` section carried a recursive 2×2 sub-cell tier: a
+/// per-cell `level`, the per-base-cell depth tree and split/coalesce
 /// counters.
-pub const CHECKPOINT_VERSION: u32 = 6;
+///
+/// v7: that tier is gone — adaptive routing places whole grid cells only.
+/// [`CellAssignment`] and [`CellLoadCheckpoint`] lose `level`, and
+/// [`RoutingCheckpoint`] loses the depth tree and its two counters. v6
+/// directories are refused, not upgraded.
+pub const CHECKPOINT_VERSION: u32 = 7;
 
 /// Errors raised when restoring state from a checkpoint.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -333,13 +334,10 @@ impl EngineCheckpoint {
 /// (see `shard`), so restore re-derives them.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CellAssignment {
-    /// Cell column index (at `level`'s resolution).
+    /// Cell column index.
     pub x: i64,
-    /// Cell row index (at `level`'s resolution).
+    /// Cell row index.
     pub y: i64,
-    /// Refinement level: 0 = base grid cell, `d` = leaf sub-cell of a base
-    /// cell refined `d` times.
-    pub level: u8,
     /// The subtask this cell is pinned to. Restoring at a smaller
     /// parallelism drops assignments whose subtask no longer exists (they
     /// fall back to consistent hashing until the balancer re-learns).
@@ -350,27 +348,12 @@ pub struct CellAssignment {
 /// milli-units so the byte format stays integer-exact.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CellLoadCheckpoint {
-    /// Cell column index (at `level`'s resolution).
+    /// Cell column index.
     pub x: i64,
-    /// Cell row index (at `level`'s resolution).
+    /// Cell row index.
     pub y: i64,
-    /// Refinement level of the cell the load was observed at.
-    pub level: u8,
     /// EWMA load × 1000, rounded.
     pub load_milli: u64,
-}
-
-/// One refined base cell's sub-cell depth. Pure cell coordinates — no
-/// subtask references — so the refinement tree restores unchanged onto a
-/// deployment with a different parallelism or shard count.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct CellRefinement {
-    /// Base (level-0) cell column index.
-    pub x: i64,
-    /// Base (level-0) cell row index.
-    pub y: i64,
-    /// Refinement depth: the cell is partitioned into `4^depth` leaves.
-    pub depth: u8,
 }
 
 /// Durable form of the adaptive routing layer: the epoch-versioned
@@ -382,20 +365,14 @@ pub struct RoutingCheckpoint {
     /// Routing epoch at the cut (0 = never rebalanced; every table swap
     /// increments it).
     pub epoch: u64,
-    /// Explicit assignments, ascending by `(x, y, level)`. Unlisted cells
-    /// route by consistent hash.
+    /// Explicit assignments, ascending by `(x, y)`. Unlisted cells route
+    /// by consistent hash.
     pub assignments: Vec<CellAssignment>,
-    /// Learned per-cell loads, ascending by `(x, y, level)`.
+    /// Learned per-cell loads, ascending by `(x, y)`.
     pub loads: Vec<CellLoadCheckpoint>,
     /// Cells whose route changed across all epochs so far (cumulative
     /// observability counter; survives restore).
     pub cells_migrated: u64,
-    /// Sub-cell refinement tree: refined base cells ascending by `(x, y)`.
-    pub refinements: Vec<CellRefinement>,
-    /// Cumulative cell splits across the run (observability counter).
-    pub splits: u64,
-    /// Cumulative cell coalesces across the run (observability counter).
-    pub coalesces: u64,
 }
 
 /// One unsealed window of a GridSync shard: the deduplicated neighbor
@@ -649,23 +626,14 @@ mod tests {
                 assignments: vec![CellAssignment {
                     x: -2,
                     y: 5,
-                    level: 0,
                     subtask: 1,
                 }],
                 loads: vec![CellLoadCheckpoint {
                     x: -2,
                     y: 5,
-                    level: 0,
                     load_milli: 1500,
                 }],
                 cells_migrated: 3,
-                refinements: vec![CellRefinement {
-                    x: -2,
-                    y: 5,
-                    depth: 1,
-                }],
-                splits: 1,
-                coalesces: 0,
             }),
             sync: Some(SyncCheckpoint {
                 pairs_merged: 120,

@@ -20,10 +20,10 @@ pub mod snapshot;
 pub mod timeseq;
 
 pub use checkpoint::{
-    AlignerCheckpoint, CellAssignment, CellLoadCheckpoint, CellRefinement, ChainCheckpoint,
-    CheckpointError, DiscretizerCheckpoint, EngineCheckpoint, EpisodeCheckpoint,
-    HistoryRowCheckpoint, ObsCheckpoint, ObsCounterEntry, PipelineCheckpoint, ProgressCheckpoint,
-    RoutingCheckpoint, SyncCheckpoint, SyncWindowCheckpoint, TrajectoryStamp, VbaOwnerCheckpoint,
+    AlignerCheckpoint, CellAssignment, CellLoadCheckpoint, ChainCheckpoint, CheckpointError,
+    DiscretizerCheckpoint, EngineCheckpoint, EpisodeCheckpoint, HistoryRowCheckpoint,
+    ObsCheckpoint, ObsCounterEntry, PipelineCheckpoint, ProgressCheckpoint, RoutingCheckpoint,
+    SyncCheckpoint, SyncWindowCheckpoint, TrajectoryStamp, VbaOwnerCheckpoint,
     WindowOwnerCheckpoint, CHECKPOINT_VERSION,
 };
 pub use constraints::{Constraints, DbscanParams};

@@ -16,7 +16,7 @@
 //! every other version outright, so a predecessor fixture guards nothing.
 
 use icpe_types::{
-    AlignerCheckpoint, CellAssignment, CellLoadCheckpoint, CellRefinement, ChainCheckpoint,
+    AlignerCheckpoint, CellAssignment, CellLoadCheckpoint, ChainCheckpoint, CheckpointError,
     EngineCheckpoint, EpisodeCheckpoint, HistoryRowCheckpoint, ObjectId, ObsCheckpoint,
     ObsCounterEntry, PipelineCheckpoint, Point, ProgressCheckpoint, RoutingCheckpoint, Snapshot,
     SyncCheckpoint, SyncWindowCheckpoint, Timestamp, VbaOwnerCheckpoint, WindowOwnerCheckpoint,
@@ -89,30 +89,20 @@ fn sample() -> PipelineCheckpoint {
                 CellAssignment {
                     x: -3,
                     y: 2,
-                    level: 0,
                     subtask: 0,
                 },
                 CellAssignment {
                     x: 9,
                     y: 8,
-                    level: 1,
                     subtask: 2,
                 },
             ],
             loads: vec![CellLoadCheckpoint {
                 x: 9,
                 y: 8,
-                level: 1,
                 load_milli: 12345,
             }],
             cells_migrated: 9,
-            refinements: vec![CellRefinement {
-                x: 4,
-                y: 4,
-                depth: 1,
-            }],
-            splits: 2,
-            coalesces: 1,
         }),
         sync: Some(SyncCheckpoint {
             pairs_merged: 512,
@@ -220,5 +210,26 @@ fn fixture_for_current_version_is_committed() {
     assert_eq!(
         parsed.version, CHECKPOINT_VERSION,
         "fixture was written for a different schema version"
+    );
+}
+
+/// The predecessor schema's pinned bytes (the v6 fixture, whose routing
+/// section still carried a sub-cell `level` per cell, a depth tree and
+/// split/coalesce counters). The JSON reader skips fields it does not
+/// know, so these bytes parse — which is exactly why restore must refuse
+/// them by version rather than trust the parse.
+const V6_BYTES: &str = r#"{"version":6,"seq":12,"records_ingested":4096,"aligner":{"buffers":[{"time":41,"entries":[{"id":3,"location":{"x":1.5,"y":-2.0},"last_time":40},{"id":9,"location":{"x":0.0,"y":7.25},"last_time":null}]}],"chains":[{"id":3,"clarified":40,"waiting":[[42,44]]},{"id":9,"clarified":null,"waiting":[]}],"sealed_up_to":41,"max_seen":44,"late_dropped":5},"engine":{"kind":"FBA","last_time":40,"skipped_partitions":2,"window_owners":[{"owner":3,"starts":[38,40],"history":[{"time":38,"members":[5,9]}]}],"vba_owners":[{"owner":5,"open":[{"member":6,"st":37,"et":40,"bits":"1011"}],"candidates":[{"member":7,"st":30,"et":34,"bits":"11011"}]}]},"progress":{"snapshots_completed":40,"late_records":5,"max_sealed":40},"routing":{"epoch":7,"assignments":[{"x":-3,"y":2,"level":0,"subtask":0},{"x":9,"y":8,"level":1,"subtask":2}],"loads":[{"x":9,"y":8,"level":1,"load_milli":12345}],"cells_migrated":9,"refinements":[{"x":4,"y":4,"depth":1}],"splits":2,"coalesces":1},"sync":{"pairs_merged":512,"duplicates":31,"windows_sealed":40,"pending":[{"time":42,"pairs":[[3,5],[3,9]]}]},"obs":{"counters":[{"stage":"align","name":"stage_batches_in_total","value":64},{"stage":"align","name":"stage_records_in_total","value":4096},{"stage":"grid-query","name":"exchange_blocked_seconds_total","value":2500000}]}}"#;
+
+/// A v6 checkpoint is refused with a typed version error naming both
+/// versions, never restored as if its sub-cell keys were base cells.
+#[test]
+fn v6_checkpoint_is_refused_by_version() {
+    let parsed: PipelineCheckpoint = serde_json::from_str(V6_BYTES).unwrap();
+    assert_eq!(
+        parsed.check_version(),
+        Err(CheckpointError::UnsupportedVersion {
+            found: 6,
+            supported: CHECKPOINT_VERSION,
+        })
     );
 }
