@@ -141,9 +141,8 @@ fn report(
     );
 }
 
-/// The live path: `push_partitions_into` a reused batch (native for FBA,
-/// the provided wrapper for BA and VBA).
-fn flat_pass(engine: &mut dyn PatternEngine, stream: Vec<Vec<Partition>>) -> usize {
+/// The live path: FBA's `push_partitions_into` a reused batch.
+fn flat_pass(engine: &mut FbaEngine, stream: Vec<Vec<Partition>>) -> usize {
     let mut batch = PatternBatch::new();
     let mut patterns = 0;
     for (t, mut partitions) in stream.into_iter().enumerate() {
@@ -156,29 +155,31 @@ fn flat_pass(engine: &mut dyn PatternEngine, stream: Vec<Vec<Partition>>) -> usi
     patterns + batch.len()
 }
 
+/// The `Vec<Pattern>` form every engine has: two allocations per pattern
+/// on top of the kernel (BA and VBA have no flat form).
+fn vec_pass(engine: &mut dyn PatternEngine, stream: Vec<Vec<Partition>>) -> usize {
+    let mut patterns = 0;
+    for (t, partitions) in stream.into_iter().enumerate() {
+        patterns += black_box(engine.push_partitions(Timestamp(t as u32), partitions)).len();
+    }
+    patterns + engine.finish().len()
+}
+
 fn bench_ns_per_pattern(_: &mut Criterion) {
     for shape in &SHAPES {
         let (config, stream) = (shape.config(), shape.stream());
         let id = |engine: &str| format!("ns_per_pattern/{}/{engine}", shape.name);
         report(&id("BA"), &stream, |s| {
-            flat_pass(&mut BaselineEngine::new(config), s)
+            vec_pass(&mut BaselineEngine::new(config), s)
         });
         report(&id("FBA"), &stream, |s| {
             flat_pass(&mut FbaEngine::new(config), s)
         });
         report(&id("VBA"), &stream, |s| {
-            flat_pass(&mut VbaEngine::new(config), s)
+            vec_pass(&mut VbaEngine::new(config), s)
         });
-        // The `Vec<Pattern>` view of the same kernel: two allocations per
-        // pattern on top.
         report(&id("FBA_as_vec"), &stream, |s| {
-            let mut engine = FbaEngine::new(config);
-            let mut patterns = 0;
-            for (t, partitions) in s.into_iter().enumerate() {
-                patterns +=
-                    black_box(engine.push_partitions(Timestamp(t as u32), partitions)).len();
-            }
-            patterns + engine.finish().len()
+            vec_pass(&mut FbaEngine::new(config), s)
         });
     }
 }

@@ -1,13 +1,15 @@
 //! Figure 14 — pattern-detection latency/throughput vs. the number of
-//! "machines" N, for the F and V methods.
+//! "machines" N, for the F method.
 //!
 //! N maps to the parallelism of the keyed stages (GridQuery, enumeration)
 //! of the streaming pipeline — DESIGN.md §4 documents the cluster→threads
-//! substitution. Expected shape (paper): latency falls and throughput rises
-//! with N.
+//! substitution. The pipeline enumerates with FBA only, so this figure
+//! reports the F series; V is compared against F on the serial engine in
+//! `fig12` and `fig13`. Expected shape (paper): latency falls and
+//! throughput rises with N.
 
 use icpe_bench::BenchParams;
-use icpe_core::{EnumeratorKind, IcpeConfig, IcpePipeline};
+use icpe_core::{IcpeConfig, IcpePipeline};
 
 fn main() {
     let params = BenchParams::default();
@@ -24,30 +26,21 @@ fn main() {
         records.len()
     );
 
-    println!(
-        "{:>3} | {:>10} {:>10} | {:>10} {:>10}",
-        "N", "F ms", "V ms", "F tps", "V tps"
-    );
+    println!("{:>3} | {:>10} | {:>10}", "N", "F ms", "F tps");
     for &n in &params.n_values {
-        let mut cells = Vec::new();
-        for kind in [EnumeratorKind::Fba, EnumeratorKind::Vba] {
-            let config = IcpeConfig::builder()
-                .constraints(params.constraints)
-                .epsilon(2.0)
-                .min_pts(params.min_pts)
-                .parallelism(n)
-                .enumerator(kind)
-                .build()
-                .expect("valid config");
-            let out = IcpePipeline::run(&config, records.clone());
-            cells.push((
-                out.metrics.avg_latency.as_secs_f64() * 1e3,
-                out.metrics.throughput_tps,
-            ));
-        }
+        let config = IcpeConfig::builder()
+            .constraints(params.constraints)
+            .epsilon(2.0)
+            .min_pts(params.min_pts)
+            .parallelism(n)
+            .build()
+            .expect("valid config");
+        let out = IcpePipeline::run(&config, records.clone());
         println!(
-            "{:>3} | {:>10.3} {:>10.3} | {:>10.0} {:>10.0}",
-            n, cells[0].0, cells[1].0, cells[0].1, cells[1].1,
+            "{:>3} | {:>10.3} | {:>10.0}",
+            n,
+            out.metrics.avg_latency.as_secs_f64() * 1e3,
+            out.metrics.throughput_tps,
         );
     }
 }

@@ -73,14 +73,21 @@ impl ClustererKind {
 pub const DEFAULT_SYNC_FANIN: usize = 4;
 
 /// Which enumeration engine runs in the pattern phase (§7.2 comparisons).
+///
+/// All three run on the serial [`IcpeEngine`](crate::IcpeEngine) and in the
+/// `fig12`/`fig13`/`fig15` harnesses. The distributed
+/// [`IcpePipeline`](crate::IcpePipeline) runs FBA only — the engine whose
+/// state checkpoints — and rejects a configuration selecting BA or VBA at
+/// launch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EnumeratorKind {
     /// Baseline (SPARE adapted): exponential subset enumeration.
     Baseline,
-    /// Fixed-length bit compression (best latency).
+    /// Fixed-length bit compression: the live engine.
     #[default]
     Fba,
-    /// Variable-length bit compression (best throughput).
+    /// Variable-length bit compression: reports each episode once it
+    /// closes.
     Vba,
 }
 

@@ -1,9 +1,8 @@
 //! The deterministic, in-process ICPE engine.
 
-use crate::config::{ClustererKind, IcpeConfig};
-use crate::pipeline::{build_engine, engine_kind_name, restore_engine};
+use crate::config::{ClustererKind, EnumeratorKind, IcpeConfig};
 use icpe_cluster::{GdcClusterer, RjcClusterer, SnapshotClusterer, SrjClusterer};
-use icpe_pattern::PatternEngine;
+use icpe_pattern::{BaselineEngine, FbaEngine, PatternEngine, VbaEngine};
 use icpe_types::{
     CheckpointError, ClusterSnapshot, EngineCheckpoint, Pattern, PipelineCheckpoint,
     ProgressCheckpoint, Snapshot, CHECKPOINT_VERSION,
@@ -60,10 +59,37 @@ fn checked_div(d: Duration, n: usize) -> Duration {
 /// patterns. Snapshots must be dense in time (every tick, possibly empty);
 /// [`icpe_gen::TraceSet::to_snapshots`]-style input or the runtime's aligner
 /// output both satisfy this.
+///
+/// This is the home of the paper's comparison baselines: it runs every
+/// [`ClustererKind`] and every [`EnumeratorKind`], where
+/// [`IcpePipeline`](crate::IcpePipeline) runs RJC with FBA only.
 pub struct IcpeEngine {
     clusterer: Box<dyn SnapshotClusterer + Send>,
-    enumerator: Box<dyn PatternEngine + Send>,
+    enumerator: Enumerator,
     timings: PhaseTimings,
+}
+
+/// The enumeration phase: FBA, the one engine whose state checkpoints, or
+/// a serial-only §7.2 baseline (BA, VBA).
+enum Enumerator {
+    Fba(Box<FbaEngine>),
+    Comparison(Box<dyn PatternEngine + Send>),
+}
+
+impl Enumerator {
+    fn engine(&self) -> &dyn PatternEngine {
+        match self {
+            Enumerator::Fba(fba) => fba.as_ref(),
+            Enumerator::Comparison(engine) => engine.as_ref(),
+        }
+    }
+
+    fn engine_mut(&mut self) -> &mut dyn PatternEngine {
+        match self {
+            Enumerator::Fba(fba) => fba.as_mut(),
+            Enumerator::Comparison(engine) => engine.as_mut(),
+        }
+    }
 }
 
 impl IcpeEngine {
@@ -78,7 +104,14 @@ impl IcpeEngine {
             }
             ClustererKind::Gdc => Box::new(GdcClusterer::new(config.dbscan, config.metric)),
         };
-        let enumerator = build_engine(config.enumerator, config.engine_config());
+        let engine_config = config.engine_config();
+        let enumerator = match config.enumerator {
+            EnumeratorKind::Fba => Enumerator::Fba(Box::new(FbaEngine::new(engine_config))),
+            EnumeratorKind::Baseline => {
+                Enumerator::Comparison(Box::new(BaselineEngine::new(engine_config)))
+            }
+            EnumeratorKind::Vba => Enumerator::Comparison(Box::new(VbaEngine::new(engine_config))),
+        };
         IcpeEngine {
             clusterer,
             enumerator,
@@ -86,22 +119,34 @@ impl IcpeEngine {
         }
     }
 
-    /// Builds the engine with its enumeration state restored from a
-    /// checkpoint (the clustering phase is stateless across snapshots and
-    /// starts fresh). Phase timings are wall-clock and restart at zero.
+    /// Builds the engine with its FBA state restored from a checkpoint
+    /// (the clustering phase is stateless across snapshots and starts
+    /// fresh). Phase timings are wall-clock and restart at zero. A
+    /// configuration enumerating with BA or VBA is refused: their state
+    /// does not checkpoint.
     pub fn from_checkpoint(
         config: IcpeConfig,
         ckpt: &EngineCheckpoint,
     ) -> Result<Self, CheckpointError> {
         let mut engine = IcpeEngine::new(config.clone());
-        engine.enumerator =
-            restore_engine(config.enumerator, config.engine_config(), ckpt, |_| true)?;
+        if !matches!(engine.enumerator, Enumerator::Fba(_)) {
+            return Err(CheckpointError::Invalid(format!(
+                "only FBA enumeration state restores; the configuration runs {}",
+                engine.enumerator.engine().name()
+            )));
+        }
+        let fba = FbaEngine::from_checkpoint(config.engine_config(), ckpt, |_| true)?;
+        engine.enumerator = Enumerator::Fba(Box::new(fba));
         Ok(engine)
     }
 
-    /// Captures the enumeration engine's streaming state in durable form.
+    /// Captures the enumeration engine's streaming state in durable form;
+    /// `None` unless it is FBA.
     pub fn checkpoint_enumerator(&self) -> Option<EngineCheckpoint> {
-        self.enumerator.checkpoint()
+        match &self.enumerator {
+            Enumerator::Fba(fba) => Some(fba.checkpoint()),
+            Enumerator::Comparison(_) => None,
+        }
     }
 
     /// Clusters one snapshot and feeds the result to the enumeration engine;
@@ -110,7 +155,7 @@ impl IcpeEngine {
         let t0 = std::time::Instant::now();
         let clusters = self.clusterer.cluster(&snapshot);
         let t1 = std::time::Instant::now();
-        let patterns = self.enumerator.push(&clusters);
+        let patterns = self.enumerator.engine_mut().push(&clusters);
         let t2 = std::time::Instant::now();
 
         self.timings.clustering += t1 - t0;
@@ -128,7 +173,7 @@ impl IcpeEngine {
     /// Feeds an externally clustered snapshot (skips the clustering phase).
     pub fn push_cluster_snapshot(&mut self, clusters: &ClusterSnapshot) -> Vec<Pattern> {
         let t1 = std::time::Instant::now();
-        let patterns = self.enumerator.push(clusters);
+        let patterns = self.enumerator.engine_mut().push(clusters);
         self.timings.enumeration += t1.elapsed();
         self.timings.snapshots += 1;
         patterns
@@ -136,7 +181,7 @@ impl IcpeEngine {
 
     /// Flushes the enumeration engine at end of stream.
     pub fn finish(&mut self) -> Vec<Pattern> {
-        self.enumerator.finish()
+        self.enumerator.engine_mut().finish()
     }
 
     /// The per-phase timings accumulated so far.
@@ -146,13 +191,13 @@ impl IcpeEngine {
 
     /// Names of the configured methods, `(clusterer, enumerator)`.
     pub fn method_names(&self) -> (&'static str, &'static str) {
-        (self.clusterer.name(), self.enumerator.name())
+        (self.clusterer.name(), self.enumerator.engine().name())
     }
 
     /// Partitions the enumerator refused (Baseline blow-up guard; 0 for
     /// FBA/VBA). Non-zero means the pattern result is incomplete.
     pub fn overflowed_partitions(&self) -> usize {
-        self.enumerator.overflowed_partitions()
+        self.enumerator.engine().overflowed_partitions()
     }
 }
 
@@ -179,7 +224,8 @@ impl StreamingEngine {
 
     /// Captures the engine's full streaming state — the single-threaded
     /// analogue of [`crate::LivePipeline::checkpoint`], sharing the same
-    /// [`PipelineCheckpoint`] schema. `seq` is caller-assigned.
+    /// [`PipelineCheckpoint`] schema; `None` unless the enumerator is FBA.
+    /// `seq` is caller-assigned.
     pub fn checkpoint(&self, seq: u64) -> Option<PipelineCheckpoint> {
         let engine = self.engine.checkpoint_enumerator()?;
         let aligner = self.aligner.checkpoint();
@@ -204,19 +250,13 @@ impl StreamingEngine {
 
     /// Rebuilds a streaming engine from a checkpoint; feeding it the input
     /// stream from record `checkpoint.records_ingested` onward resumes the
-    /// run as if it never stopped.
+    /// run as if it never stopped. Refused, like
+    /// [`IcpeEngine::from_checkpoint`], unless the enumerator is FBA.
     pub fn from_checkpoint(
         config: IcpeConfig,
         ckpt: &PipelineCheckpoint,
     ) -> Result<Self, CheckpointError> {
         ckpt.check_version()?;
-        let expected = engine_kind_name(config.enumerator);
-        if ckpt.engine.kind != expected {
-            return Err(CheckpointError::EngineMismatch {
-                checkpoint: ckpt.engine.kind.clone(),
-                config: expected.into(),
-            });
-        }
         let aligner = icpe_runtime::TimeAligner::from_checkpoint(config.aligner, &ckpt.aligner);
         let mut engine = IcpeEngine::from_checkpoint(config, &ckpt.engine)?;
         engine.timings.snapshots = ckpt.progress.snapshots_completed as usize;
@@ -364,49 +404,45 @@ mod tests {
 
     #[test]
     fn streaming_engine_checkpoint_restore_is_equivalent() {
-        for kind in [
-            EnumeratorKind::Fba,
-            EnumeratorKind::Vba,
-            EnumeratorKind::Baseline,
-        ] {
-            // Reference: uninterrupted run.
-            let mut records = Vec::new();
-            for s in walking_snapshots(12) {
-                let last = (s.time.0 > 0).then(|| Timestamp(s.time.0 - 1));
-                for e in &s.entries {
-                    records.push(icpe_types::GpsRecord::new(e.id, e.location, s.time, last));
-                }
+        // Reference: uninterrupted run.
+        let mut records = Vec::new();
+        for s in walking_snapshots(12) {
+            let last = (s.time.0 > 0).then(|| Timestamp(s.time.0 - 1));
+            for e in &s.entries {
+                records.push(icpe_types::GpsRecord::new(e.id, e.location, s.time, last));
             }
-            let mut full = StreamingEngine::new(config(kind));
-            let mut want = Vec::new();
-            for r in &records {
-                want.extend(full.push(*r));
-            }
-            want.extend(full.finish());
-
-            // Interrupted run: checkpoint mid-stream, restore, continue.
-            let mut first = StreamingEngine::new(config(kind));
-            let mut got = Vec::new();
-            let cut = records.len() / 2;
-            for r in &records[..cut] {
-                got.extend(first.push(*r));
-            }
-            let ckpt = first.checkpoint(1).unwrap();
-            assert_eq!(ckpt.records_ingested as usize, cut);
-            drop(first); // crash
-
-            let mut second = StreamingEngine::from_checkpoint(config(kind), &ckpt).unwrap();
-            for r in &records[cut..] {
-                got.extend(second.push(*r));
-            }
-            got.extend(second.finish());
-            assert_eq!(
-                unique_object_sets(&got),
-                unique_object_sets(&want),
-                "{kind:?} diverged after restore"
-            );
-            assert_eq!(second.engine().timings().snapshots, 12);
         }
+        let fba = config(EnumeratorKind::Fba);
+        let mut full = StreamingEngine::new(fba.clone());
+        let mut want = Vec::new();
+        for r in &records {
+            want.extend(full.push(*r));
+        }
+        want.extend(full.finish());
+
+        // Interrupted run: checkpoint mid-stream, restore, continue.
+        let mut first = StreamingEngine::new(fba.clone());
+        let mut got = Vec::new();
+        let cut = records.len() / 2;
+        for r in &records[..cut] {
+            got.extend(first.push(*r));
+        }
+        let ckpt = first.checkpoint(1).unwrap();
+        assert_eq!(ckpt.records_ingested as usize, cut);
+        drop(first); // crash
+
+        // BA and VBA state does not checkpoint: a VBA engine refuses to
+        // resume FBA's, with a typed error rather than a panic.
+        let vba = StreamingEngine::from_checkpoint(config(EnumeratorKind::Vba), &ckpt);
+        assert!(matches!(vba, Err(CheckpointError::Invalid(_))));
+
+        let mut second = StreamingEngine::from_checkpoint(fba, &ckpt).unwrap();
+        for r in &records[cut..] {
+            got.extend(second.push(*r));
+        }
+        got.extend(second.finish());
+        assert_eq!(unique_object_sets(&got), unique_object_sets(&want));
+        assert_eq!(second.engine().timings().snapshots, 12);
     }
 
     #[test]

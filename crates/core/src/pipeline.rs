@@ -39,9 +39,10 @@
 //! scale with `S`; only the frontier bookkeeping (a hash+compare per
 //! record) stays serial.
 //!
-//! This is the one dataflow the deployment runs. The paper's §7.1
-//! comparison baselines (SRJ, GDC) are snapshot clusterers for the serial
-//! [`IcpeEngine`](crate::IcpeEngine) and the figure harnesses; a
+//! This is the one dataflow the deployment runs, with one enumeration
+//! engine: FBA. The paper's comparison baselines — the §7.1 clusterers SRJ
+//! and GDC, the §7.2 enumerators BA and VBA — run on the serial
+//! [`IcpeEngine`](crate::IcpeEngine) and in the figure harnesses; a
 //! configuration selecting one is rejected at launch.
 //!
 //! Every keyed hop carries the runtime's [`Envelope`]: keyed data, broadcast
@@ -63,7 +64,7 @@
 //! ## Checkpointing (the recovery story)
 //!
 //! The job is stateful: the aligner's chains and buffered rows and the
-//! enumeration engines' open windows are exactly what a crash would
+//! FBA engines' open windows are exactly what a crash would
 //! forget. [`LivePipeline::checkpoint`] captures them *consistently*
 //! without stopping the world, Flink/Chandy–Lamport style: a **barrier**
 //! message is enqueued on the ingest channel behind every record pushed so
@@ -115,14 +116,14 @@
 //! deployment resumes on the checkpointed epoch instead of re-learning
 //! every hotspot.
 
-use crate::config::{EnumeratorKind, IcpeConfig, Supervision};
+use crate::config::{ClustererKind, EnumeratorKind, IcpeConfig, Supervision};
 use icpe_cluster::balance::{imbalance, CellLoad, LoadBalancer, LoadTracker};
 use icpe_cluster::query::NeighborPair;
 use icpe_cluster::sync::{PairCollector, SyncStats, SyncStatus};
 use icpe_cluster::{dbscan_from_pairs, grid_allocate, CellQueryEngine, GridObject};
 use icpe_index::{Grid, GridKey};
 use icpe_pattern::partition::Partition;
-use icpe_pattern::{id_partitions, BaselineEngine, FbaEngine, PatternEngine, VbaEngine};
+use icpe_pattern::{id_partitions, FbaEngine};
 use icpe_runtime::{
     ingest_channel, AlignStats, AlignerStatus, BarrierSeq, Collector, Disconnected, Envelope,
     Exchange, MetricRegistry, MetricsReport, ObsEventKind, Operator, Partial, PipelineMetrics,
@@ -576,13 +577,13 @@ impl IcpePipeline {
     /// queue (as `icpe-serve`'s fan-out hub does).
     ///
     /// Panics — here, before any thread spawns — if the configuration
-    /// selects a clusterer other than RJC (as do
-    /// [`launch_from`](Self::launch_from) and [`run`](Self::run)).
+    /// selects a clusterer other than RJC or an enumerator other than FBA
+    /// (as do [`launch_from`](Self::launch_from) and [`run`](Self::run)).
     pub fn launch(
         config: &IcpeConfig,
         on_event: impl FnMut(PipelineEvent) + Send + 'static,
     ) -> LivePipeline {
-        require_rjc(config);
+        require_live(config);
         Self::launch_with(config, ResumeState::fresh(config), None, on_event)
     }
 
@@ -590,14 +591,14 @@ impl IcpePipeline {
     /// enumeration engines, and the progress gauges pick up exactly where
     /// the checkpoint cut them, and the producers are expected to replay
     /// the input stream from record `checkpoint.records_ingested` onward.
-    /// The configuration must run the same engine kind the checkpoint
-    /// holds; parallelism may differ (state re-shards by owner hash).
+    /// Parallelism may differ from the writing deployment's (state
+    /// re-shards by owner hash).
     pub fn launch_from(
         config: &IcpeConfig,
         checkpoint: &PipelineCheckpoint,
         on_event: impl FnMut(PipelineEvent) + Send + 'static,
     ) -> Result<LivePipeline, CheckpointError> {
-        require_rjc(config);
+        require_live(config);
         let resume = ResumeState::from_checkpoint(config, checkpoint)?;
         Ok(Self::launch_with(
             config,
@@ -689,15 +690,20 @@ impl IcpePipeline {
     }
 }
 
-/// The distributed deployment is the paper's RJC dataflow and nothing
-/// else: refuse any other clusterer on the caller's thread, before a single
-/// stage thread exists. (The SRJ/GDC comparison baselines run on
-/// [`IcpeEngine`](crate::IcpeEngine).)
-fn require_rjc(config: &IcpeConfig) {
+/// The distributed deployment is the paper's RJC dataflow enumerating with
+/// FBA and nothing else: refuse any other clusterer or enumerator on the
+/// caller's thread, before a single stage thread exists. (The SRJ/GDC and
+/// BA/VBA comparison baselines run on [`IcpeEngine`](crate::IcpeEngine).)
+fn require_live(config: &IcpeConfig) {
     assert!(
-        config.clusterer == crate::config::ClustererKind::Rjc,
+        config.clusterer == ClustererKind::Rjc,
         "IcpePipeline runs the RJC dataflow only; the {} baseline runs on IcpeEngine",
         config.clusterer.name()
+    );
+    assert!(
+        config.enumerator == EnumeratorKind::Fba,
+        "IcpePipeline enumerates with FBA only; the {:?} baseline runs on IcpeEngine",
+        config.enumerator
     );
 }
 
@@ -1215,43 +1221,6 @@ impl Supervisor {
 
 // ---- restore plumbing ------------------------------------------------------
 
-/// The engine name a configuration's enumerator kind writes into (and
-/// expects back from) a checkpoint.
-pub(crate) fn engine_kind_name(kind: EnumeratorKind) -> &'static str {
-    match kind {
-        EnumeratorKind::Baseline => "BA",
-        EnumeratorKind::Fba => "FBA",
-        EnumeratorKind::Vba => "VBA",
-    }
-}
-
-/// Builds a fresh enumeration engine of the configured kind.
-pub(crate) fn build_engine(
-    kind: EnumeratorKind,
-    config: icpe_pattern::EngineConfig,
-) -> Box<dyn PatternEngine + Send> {
-    match kind {
-        EnumeratorKind::Baseline => Box::new(BaselineEngine::new(config)),
-        EnumeratorKind::Fba => Box::new(FbaEngine::new(config)),
-        EnumeratorKind::Vba => Box::new(VbaEngine::new(config)),
-    }
-}
-
-/// Restores an enumeration engine from a checkpoint, keeping only the
-/// owners `keep` selects.
-pub(crate) fn restore_engine(
-    kind: EnumeratorKind,
-    config: icpe_pattern::EngineConfig,
-    ckpt: &EngineCheckpoint,
-    keep: impl Fn(ObjectId) -> bool,
-) -> Result<Box<dyn PatternEngine + Send>, CheckpointError> {
-    Ok(match kind {
-        EnumeratorKind::Baseline => Box::new(BaselineEngine::from_checkpoint(config, ckpt, keep)?),
-        EnumeratorKind::Fba => Box::new(FbaEngine::from_checkpoint(config, ckpt, keep)?),
-        EnumeratorKind::Vba => Box::new(VbaEngine::from_checkpoint(config, ckpt, keep)?),
-    })
-}
-
 /// Everything a (re)started dataflow begins from. For a fresh launch this
 /// is empty state; for a restore it is fully validated before any thread
 /// spawns, so a bad checkpoint fails the launch instead of panicking a
@@ -1265,7 +1234,7 @@ struct ResumeState {
     /// gauge.
     aligner_ckpt: Option<AlignerCheckpoint>,
     /// One pre-built engine per enumeration subtask.
-    engines: Vec<Box<dyn PatternEngine + Send>>,
+    engines: Vec<FbaEngine>,
     /// The adaptive-routing controller (`None` under static routing),
     /// pre-seeded from the checkpoint's routing section on restore.
     balancer: Option<LoadBalancer>,
@@ -1290,7 +1259,7 @@ impl ResumeState {
         ResumeState {
             aligner_ckpt: None,
             engines: (0..config.parallelism)
-                .map(|_| build_engine(config.enumerator, engine_config))
+                .map(|_| FbaEngine::new(engine_config))
                 .collect(),
             balancer: config
                 .rebalance
@@ -1309,26 +1278,13 @@ impl ResumeState {
         ckpt: &PipelineCheckpoint,
     ) -> Result<ResumeState, CheckpointError> {
         ckpt.check_version()?;
-        let expected = engine_kind_name(config.enumerator);
-        if ckpt.engine.kind != expected {
-            return Err(CheckpointError::EngineMismatch {
-                checkpoint: ckpt.engine.kind.clone(),
-                config: expected.into(),
-            });
-        }
         let n = config.parallelism;
         let engine_config = config.engine_config();
-        // The skipped-partition counter is cumulative across the whole
-        // deployment: restore it into subtask 0 only, or the next
-        // checkpoint's merge would multiply it by the parallelism.
-        let mut tail = ckpt.engine.clone();
-        tail.skipped_partitions = 0;
         let engines = (0..n)
             .map(|i| {
-                let piece = if i == 0 { &ckpt.engine } else { &tail };
                 // The same owner→subtask mapping the keyed exchange uses,
                 // so each subtask loads exactly the owners routed to it.
-                restore_engine(config.enumerator, engine_config, piece, |owner| {
+                FbaEngine::from_checkpoint(engine_config, &ckpt.engine, |owner| {
                     subtask_for(hash_id(owner), n) == i
                 })
             })
@@ -1368,11 +1324,10 @@ fn drive(
 ) {
     let n = config.parallelism;
     let mut completed = resume.completed;
-    let engine_cells: Vec<Mutex<Option<Box<dyn PatternEngine + Send>>>> =
-        std::mem::take(&mut resume.engines)
-            .into_iter()
-            .map(|e| Mutex::new(Some(e)))
-            .collect();
+    let engine_cells: Vec<Mutex<Option<FbaEngine>>> = std::mem::take(&mut resume.engines)
+        .into_iter()
+        .map(|e| Mutex::new(Some(e)))
+        .collect();
 
     // Every hop whose messages carry a vector of rows says so (`weigh`):
     // its batches then fill by rows, and `channel_capacity` bounds what is
@@ -1481,8 +1436,7 @@ fn drive(
             entry.1.push(engine);
             if entry.1.len() == n {
                 let (token, pieces) = pending_ckpts.remove(&token.request.seq).unwrap();
-                let engine = EngineCheckpoint::merge(pieces)
-                    .expect("subtask checkpoints share one engine kind");
+                let engine = EngineCheckpoint::merge(pieces);
                 // By the time the last engine piece arrives here, the
                 // barrier has aligned through every sync shard and the
                 // tree finalizer (their channel sends happen-before the
@@ -2211,8 +2165,8 @@ impl ShardSyncOp {
     /// sync section when one is given: pending pairs owner-filter onto the
     /// shards that route them at this parallelism; the cumulative counters
     /// restore into shard 0 only (the next checkpoint's merge would
-    /// otherwise multiply them by `n` — the engine `skipped_partitions`
-    /// pattern). Restored pending windows start with zero ticks: the
+    /// otherwise multiply them by `n` — [`SyncCheckpoint::piece`]).
+    /// Restored pending windows start with zero ticks: the
     /// counts belong to the old deployment's upstream width, and the
     /// replayed input re-delivers every tick of an unsealed window.
     fn build(
@@ -2356,11 +2310,11 @@ impl Operator<MergeMsg, PartMsg> for MergeFinalOp {
     }
 }
 
-/// One enumeration subtask: owns the engines' state for the owner ids routed
-/// to it, advances time on broadcast ticks.
+/// One enumeration subtask: owns the FBA state for the owner ids routed to
+/// it, advances time on broadcast ticks.
 struct EnumerateOp {
     subtask: usize,
-    engine: Box<dyn PatternEngine + Send>,
+    engine: FbaEngine,
     /// The partitions of the tick in progress. Sync-merge is one FIFO
     /// producer: all of tick `t`'s partitions precede `Tick(t)`.
     pending: Vec<Partition>,
@@ -2401,14 +2355,10 @@ impl Operator<PartMsg, OutMsg> for EnumerateOp {
                 // At the barrier this subtask has ticked through exactly
                 // the snapshots sealed before the cut; its engine state is
                 // the consistent one to capture.
-                let engine = self
-                    .engine
-                    .checkpoint()
-                    .expect("pipeline engines support checkpointing");
                 out.emit(OutMsg::Checkpoint {
                     subtask: self.subtask,
                     token,
-                    engine,
+                    engine: self.engine.checkpoint(),
                 });
             }
         }
@@ -2445,37 +2395,30 @@ mod tests {
         out
     }
 
-    fn config(n: usize, enumerator: EnumeratorKind) -> IcpeConfig {
+    fn config(n: usize) -> IcpeConfig {
         IcpeConfig::builder()
             .constraints(Constraints::new(3, 4, 2, 2).unwrap())
             .epsilon(1.0)
             .min_pts(3)
             .parallelism(n)
-            .enumerator(enumerator)
             .build()
             .unwrap()
     }
 
     #[test]
     fn pipeline_detects_the_walking_group() {
-        for kind in [
-            EnumeratorKind::Fba,
-            EnumeratorKind::Vba,
-            EnumeratorKind::Baseline,
-        ] {
-            let out = IcpePipeline::run(&config(3, kind), walking_records(10));
-            let sets = unique_object_sets(&out.patterns);
-            assert!(
-                sets.contains(&vec![ObjectId(1), ObjectId(2), ObjectId(3)]),
-                "{kind:?}: {sets:?}"
-            );
-            assert_eq!(out.metrics.snapshots, 10);
-        }
+        let out = IcpePipeline::run(&config(3), walking_records(10));
+        let sets = unique_object_sets(&out.patterns);
+        assert!(
+            sets.contains(&vec![ObjectId(1), ObjectId(2), ObjectId(3)]),
+            "{sets:?}"
+        );
+        assert_eq!(out.metrics.snapshots, 10);
     }
 
     #[test]
     fn pipeline_matches_sync_engine() {
-        let cfg = config(4, EnumeratorKind::Fba);
+        let cfg = config(4);
         let out = IcpePipeline::run(&cfg, walking_records(12));
         let pipeline_sets = unique_object_sets(&out.patterns);
 
@@ -2501,20 +2444,16 @@ mod tests {
 
     #[test]
     fn pipeline_parallelism_does_not_change_results() {
-        let base = unique_object_sets(
-            &IcpePipeline::run(&config(1, EnumeratorKind::Fba), walking_records(10)).patterns,
-        );
+        let base = unique_object_sets(&IcpePipeline::run(&config(1), walking_records(10)).patterns);
         for n in [2, 4, 8] {
-            let out = IcpePipeline::run(&config(n, EnumeratorKind::Fba), walking_records(10));
+            let out = IcpePipeline::run(&config(n), walking_records(10));
             assert_eq!(unique_object_sets(&out.patterns), base, "N = {n}");
         }
     }
 
     #[test]
     fn sync_tree_fanin_does_not_change_results() {
-        let base = unique_object_sets(
-            &IcpePipeline::run(&config(1, EnumeratorKind::Fba), walking_records(10)).patterns,
-        );
+        let base = unique_object_sets(&IcpePipeline::run(&config(1), walking_records(10)).patterns);
         for fanin in [2usize, 3, 8] {
             let cfg = IcpeConfig::builder()
                 .constraints(Constraints::new(3, 4, 2, 2).unwrap())
@@ -2522,7 +2461,6 @@ mod tests {
                 .min_pts(3)
                 .parallelism(8)
                 .sync_fanin(fanin)
-                .enumerator(EnumeratorKind::Fba)
                 .build()
                 .unwrap();
             let out = IcpePipeline::run(&cfg, walking_records(10));
@@ -2532,7 +2470,7 @@ mod tests {
 
     #[test]
     fn sync_gauges_report_the_sharded_merge() {
-        let live = IcpePipeline::launch(&config(4, EnumeratorKind::Fba), |_| {});
+        let live = IcpePipeline::launch(&config(4), |_| {});
         let status = live.status().clone();
         for r in walking_records(10) {
             live.push(r).unwrap();
@@ -2567,13 +2505,23 @@ mod tests {
 
     #[test]
     fn non_rjc_clusterers_are_rejected_before_any_thread_spawns() {
-        use crate::config::ClustererKind;
-        for kind in [ClustererKind::Srj, ClustererKind::Gdc] {
+        let live = IcpePipeline::launch(&config(2), |_| {});
+        live.push(walking_records(1)[0]).unwrap();
+        let ckpt = live.checkpoint().unwrap();
+        live.finish();
+        let baselines = [
+            (ClustererKind::Srj, EnumeratorKind::Fba, "SRJ"),
+            (ClustererKind::Gdc, EnumeratorKind::Fba, "GDC"),
+            (ClustererKind::Rjc, EnumeratorKind::Baseline, "Baseline"),
+            (ClustererKind::Rjc, EnumeratorKind::Vba, "Vba"),
+        ];
+        for (clusterer, enumerator, name) in baselines {
             let cfg = IcpeConfig::builder()
                 .constraints(Constraints::new(3, 4, 2, 2).unwrap())
                 .epsilon(1.0)
                 .min_pts(3)
-                .clusterer(kind)
+                .clusterer(clusterer)
+                .enumerator(enumerator)
                 .build()
                 .unwrap();
             // The rejection unwinds out of the call itself — on this
@@ -2584,10 +2532,15 @@ mod tests {
                 IcpePipeline::launch(&cfg, |_| unreachable!("nothing was launched"))
             });
             let message = *launch.unwrap_err().downcast::<String>().unwrap();
-            assert!(message.contains(kind.name()), "{kind:?}: {message}");
+            assert!(message.contains(name), "{name}: {message}");
+            let resume = std::panic::catch_unwind(|| {
+                IcpePipeline::launch_from(&cfg, &ckpt, |_| unreachable!("nothing was launched"))
+            });
+            let message = *resume.unwrap_err().downcast::<String>().unwrap();
+            assert!(message.contains(name), "{name}: launch_from: {message}");
             assert!(
                 std::panic::catch_unwind(|| IcpePipeline::run(&cfg, walking_records(2))).is_err(),
-                "{kind:?}: run"
+                "{name}: run"
             );
         }
     }
@@ -2601,14 +2554,14 @@ mod tests {
         for i in (0..n - 3).step_by(3) {
             records.swap(i, i + 3);
         }
-        let out = IcpePipeline::run(&config(2, EnumeratorKind::Fba), records);
+        let out = IcpePipeline::run(&config(2), records);
         let sets = unique_object_sets(&out.patterns);
         assert!(sets.contains(&vec![ObjectId(1), ObjectId(2), ObjectId(3)]));
     }
 
     #[test]
     fn empty_input_produces_nothing() {
-        let out = IcpePipeline::run(&config(2, EnumeratorKind::Fba), Vec::new());
+        let out = IcpePipeline::run(&config(2), Vec::new());
         assert!(out.patterns.is_empty());
         assert_eq!(out.metrics.snapshots, 0);
     }
@@ -2650,7 +2603,7 @@ mod tests {
     fn adaptive_routing_migrates_hot_cells_and_preserves_results() {
         let n = 4;
         let records = colliding_hot_records(n, 6, 16);
-        let static_cfg = config(n, EnumeratorKind::Fba);
+        let static_cfg = config(n);
         let want = unique_object_sets(&IcpePipeline::run(&static_cfg, records.clone()).patterns);
         assert!(!want.is_empty(), "the hot groups must co-move");
 
@@ -2659,7 +2612,6 @@ mod tests {
             .epsilon(1.0)
             .min_pts(3)
             .parallelism(n)
-            .enumerator(EnumeratorKind::Fba)
             .rebalance(icpe_cluster::BalancerConfig {
                 theta: 1.1,
                 cooldown_windows: 0,
@@ -2712,7 +2664,7 @@ mod tests {
     fn live_launch_delivers_patterns_and_seal_events() {
         let events: Arc<Mutex<Vec<PipelineEvent>>> = Arc::new(Mutex::new(Vec::new()));
         let sink = Arc::clone(&events);
-        let live = IcpePipeline::launch(&config(3, EnumeratorKind::Fba), move |e| {
+        let live = IcpePipeline::launch(&config(3), move |e| {
             sink.lock().unwrap().push(e);
         });
         for r in walking_records(10) {
@@ -2743,7 +2695,7 @@ mod tests {
 
     #[test]
     fn live_launch_supports_many_producers() {
-        let live = IcpePipeline::launch(&config(2, EnumeratorKind::Fba), |_| {});
+        let live = IcpePipeline::launch(&config(2), |_| {});
         let records = walking_records(12);
         // Interleave the stream across four concurrent producers, keyed so
         // each object's records stay with one producer (preserving per-id
@@ -2771,7 +2723,7 @@ mod tests {
 
     #[test]
     fn live_progress_gauges_advance() {
-        let live = IcpePipeline::launch(&config(1, EnumeratorKind::Fba), |_| {});
+        let live = IcpePipeline::launch(&config(1), |_| {});
         for r in walking_records(8) {
             live.push(r).unwrap();
         }
@@ -2784,7 +2736,7 @@ mod tests {
 
     #[test]
     fn live_checkpoint_names_the_exact_cut() {
-        let live = IcpePipeline::launch(&config(2, EnumeratorKind::Fba), |_| {});
+        let live = IcpePipeline::launch(&config(2), |_| {});
         let records = walking_records(10);
         for r in &records[..25] {
             live.push(*r).unwrap();
@@ -2796,7 +2748,6 @@ mod tests {
             ckpt.records_ingested, 25,
             "the barrier trails exactly the pushed records"
         );
-        assert_eq!(ckpt.engine.kind, "FBA");
         let sync = ckpt.sync.as_ref().expect("the pipeline checkpoints sync");
         assert!(
             sync.pending.is_empty(),
@@ -2827,7 +2778,7 @@ mod tests {
         // Push half the stream, checkpoint, "crash" (drop), restore into a
         // new pipeline, push the rest: pattern sets must match an
         // uninterrupted run.
-        let cfg = config(3, EnumeratorKind::Fba);
+        let cfg = config(3);
         let records = walking_records(12);
         let full = IcpePipeline::run(&cfg, records.clone());
         let want = unique_object_sets(&full.patterns);
@@ -2873,7 +2824,7 @@ mod tests {
         // survive a kill + restore: immediately after launch_from (no
         // replayed record has flowed yet) the restored registry reproduces
         // the cut exactly, and further input only grows the totals.
-        let cfg = config(2, EnumeratorKind::Fba);
+        let cfg = config(2);
         let records = walking_records(10);
         let live = IcpePipeline::launch(&cfg, |_| {});
         for r in &records[..25] {
@@ -2953,23 +2904,35 @@ mod tests {
     #[test]
     fn restore_reshards_across_different_parallelism() {
         let records = walking_records(12);
-        let want = unique_object_sets(
-            &IcpePipeline::run(&config(2, EnumeratorKind::Vba), records.clone()).patterns,
-        );
+        let want = pattern_counts(&IcpePipeline::run(&config(2), records.clone()).patterns);
 
-        let live = IcpePipeline::launch(&config(2, EnumeratorKind::Vba), |_| {});
-        let cut = 5 * 6;
+        let pre: Arc<Mutex<Vec<Pattern>>> = Arc::new(Mutex::new(Vec::new()));
+        let sink = Arc::clone(&pre);
+        let live = IcpePipeline::launch(&config(2), move |e| {
+            if let PipelineEvent::Pattern(p) = e {
+                sink.lock().unwrap().push(p);
+            }
+        });
+        let cut = 5 * 9; // η = 6: some windows released, some still open
         for r in &records[..cut] {
             live.push(*r).unwrap();
         }
         let ckpt = live.checkpoint().unwrap();
-        let pre: Vec<Pattern> = Vec::new(); // VBA reports at closure; none closed yet
+        let mut got = pre.lock().unwrap().clone();
+        assert!(
+            !got.is_empty(),
+            "FBA reports windows released before the cut"
+        );
+        assert!(
+            !ckpt.engine.window_owners.is_empty(),
+            "and holds open windows across it"
+        );
         drop(live);
 
         // Resume with parallelism 5 — state re-shards by owner hash.
         let post: Arc<Mutex<Vec<Pattern>>> = Arc::new(Mutex::new(Vec::new()));
         let sink = Arc::clone(&post);
-        let resumed = IcpePipeline::launch_from(&config(5, EnumeratorKind::Vba), &ckpt, move |e| {
+        let resumed = IcpePipeline::launch_from(&config(5), &ckpt, move |e| {
             if let PipelineEvent::Pattern(p) = e {
                 sink.lock().unwrap().push(p);
             }
@@ -2979,27 +2942,19 @@ mod tests {
             resumed.push(*r).unwrap();
         }
         resumed.finish();
-        let mut got = pre;
         got.extend(post.lock().unwrap().clone());
-        assert_eq!(unique_object_sets(&got), want);
+        assert_eq!(pattern_counts(&got), want);
     }
 
     #[test]
     fn launch_from_rejects_mismatched_checkpoints() {
-        let live = IcpePipeline::launch(&config(2, EnumeratorKind::Fba), |_| {});
+        let live = IcpePipeline::launch(&config(2), |_| {});
         live.push(walking_records(1)[0]).unwrap();
         let mut ckpt = live.checkpoint().unwrap();
         live.finish();
 
-        // Wrong engine kind.
-        let err = IcpePipeline::launch_from(&config(2, EnumeratorKind::Vba), &ckpt, |_| {})
-            .err()
-            .unwrap();
-        assert!(matches!(err, CheckpointError::EngineMismatch { .. }));
-
-        // Wrong schema version.
         ckpt.version += 1;
-        let err = IcpePipeline::launch_from(&config(2, EnumeratorKind::Fba), &ckpt, |_| {})
+        let err = IcpePipeline::launch_from(&config(2), &ckpt, |_| {})
             .err()
             .unwrap();
         assert!(matches!(err, CheckpointError::UnsupportedVersion { .. }));
@@ -3017,7 +2972,6 @@ mod tests {
             .min_pts(3)
             .parallelism(n)
             .batch_size(4)
-            .enumerator(EnumeratorKind::Fba)
             .supervised(Supervision {
                 backoff: std::time::Duration::from_millis(1),
                 checkpoint_every_records: Some(16),
@@ -3040,7 +2994,7 @@ mod tests {
 
     #[test]
     fn supervised_pipeline_heals_an_injected_panic() {
-        let baseline = IcpePipeline::run(&config(2, EnumeratorKind::Fba), walking_records(10));
+        let baseline = IcpePipeline::run(&config(2), walking_records(10));
 
         let cfg = supervised_config(2, "panic@align-route:0:2");
         let plan = cfg.runtime.fault.clone().unwrap();
@@ -3140,13 +3094,12 @@ mod tests {
 
     #[test]
     fn supervised_without_faults_matches_unsupervised() {
-        let baseline = IcpePipeline::run(&config(3, EnumeratorKind::Fba), walking_records(10));
+        let baseline = IcpePipeline::run(&config(3), walking_records(10));
         let cfg = IcpeConfig::builder()
             .constraints(Constraints::new(3, 4, 2, 2).unwrap())
             .epsilon(1.0)
             .min_pts(3)
             .parallelism(3)
-            .enumerator(EnumeratorKind::Fba)
             .supervised(Supervision::default())
             .build()
             .unwrap();

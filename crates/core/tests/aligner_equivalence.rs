@@ -2,10 +2,9 @@
 //! detection semantics: on randomized, out-of-order skewed workloads the
 //! sharded TimeAligner + fused GridAllocate head seals the *exact same
 //! pattern multiset* — and drops the *exact same late records* — as the
-//! serial head (align_shards = 1, parallelism = 1), for all three
-//! enumeration engines, across arbitrary shard counts, batch sizes, both
-//! aggregation-tree shapes, and a checkpoint/restore cut that resumes on a
-//! *different* shard count.
+//! serial head (align_shards = 1, parallelism = 1), across arbitrary shard
+//! counts, batch sizes, both aggregation-tree shapes, and a
+//! checkpoint/restore cut that resumes on a *different* shard count.
 //!
 //! Why this must hold: the seal decision is a global min-over-chains
 //! frontier, and the sharded head keeps it global — the serial router owns
@@ -17,7 +16,7 @@
 //! decision can change *which* records participate, so the sealed pattern
 //! multiset is pinned to the serial semantics.
 
-use icpe_core::{BalancerConfig, EnumeratorKind, IcpeConfig, IcpePipeline, PipelineEvent};
+use icpe_core::{BalancerConfig, IcpeConfig, IcpePipeline, PipelineEvent};
 use icpe_gen::{HotspotConfig, HotspotGenerator};
 use icpe_runtime::{AlignerConfig, TimeAligner};
 use icpe_types::{Constraints, GpsRecord, Pattern};
@@ -113,7 +112,6 @@ fn serial_late_count(records: &[GpsRecord], aligner: AlignerConfig) -> u64 {
 }
 
 fn config(
-    kind: EnumeratorKind,
     parallelism: usize,
     shards: usize,
     batch: usize,
@@ -127,7 +125,6 @@ fn config(
         .parallelism(parallelism)
         .align_shards(shards)
         .sync_fanin(fanin)
-        .enumerator(kind)
         .batch_size(batch)
         .aligner(aligner)
         // Migrate at the slightest imbalance, every window: the balancer now
@@ -145,7 +142,7 @@ fn config(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// Sharded ≡ serial, all engines, arbitrary shard counts decoupled from
+    /// Sharded ≡ serial, arbitrary shard counts decoupled from
     /// the body parallelism, arbitrary batch and ingest-chunk sizes, both
     /// tree shapes (fanin 2 = the deepest snapshot-merge tree, N = the flat
     /// funnel), on out-of-order input. The baseline is the parallelism-1 /
@@ -156,36 +153,28 @@ proptest! {
         seed in 0u64..500,
         parallelism in 2usize..5,
         shards in 1usize..6,
-        kind_idx in 0usize..3,
         batch in 1usize..64,
         chunk in 1usize..80,
         deep_tree in proptest::bool::ANY,
     ) {
-        let kind = [
-            EnumeratorKind::Baseline,
-            EnumeratorKind::Fba,
-            EnumeratorKind::Vba,
-        ][kind_idx];
         let fanin = if deep_tree { 2 } else { shards.max(2) };
         let mut records = skewed_records(seed, 24);
         scramble(&mut records, seed ^ 0xA5A5);
         let aligner = AlignerConfig::default();
         let (want, want_late) =
-            run_collecting(&config(kind, 1, 1, 1, 2, aligner), &records, 1);
+            run_collecting(&config(1, 1, 1, 2, aligner), &records, 1);
         let (got, got_late) =
-            run_collecting(&config(kind, parallelism, shards, batch, fanin, aligner), &records, chunk);
+            run_collecting(&config(parallelism, shards, batch, fanin, aligner), &records, chunk);
         prop_assert_eq!(
             got_late,
             want_late,
-            "late-drop decisions diverged: kind {:?} shards {}",
-            kind,
+            "late-drop decisions diverged: shards {}",
             shards
         );
         prop_assert_eq!(
             multiset(&got),
             multiset(&want),
-            "kind {:?} parallelism {} shards {} batch {} chunk {} fanin {}",
-            kind,
+            "parallelism {} shards {} batch {} chunk {} fanin {}",
             parallelism,
             shards,
             batch,
@@ -206,16 +195,10 @@ proptest! {
         parallelism in 2usize..5,
         shards in 1usize..6,
         shard_delta in 1usize..5,
-        kind_idx in 0usize..3,
         batch in 1usize..64,
         cut_windows in 8u32..16,
         deep_tree in proptest::bool::ANY,
     ) {
-        let kind = [
-            EnumeratorKind::Baseline,
-            EnumeratorKind::Fba,
-            EnumeratorKind::Vba,
-        ][kind_idx];
         // Guaranteed different shard count on resume (delta ∈ 1..=4 mod 5).
         let resume_shards = (shards - 1 + shard_delta) % 5 + 1;
         prop_assert_ne!(resume_shards, shards);
@@ -235,10 +218,10 @@ proptest! {
         );
         let aligner = AlignerConfig::default();
         let (want, want_late) =
-            run_collecting(&config(kind, 1, 1, 1, 2, aligner), &records, 1);
+            run_collecting(&config(1, 1, 1, 2, aligner), &records, 1);
 
         let cut = (cut_windows as usize * RECORDS_PER_TICK).min(records.len());
-        let cfg = config(kind, parallelism, shards, batch, fanin, aligner);
+        let cfg = config(parallelism, shards, batch, fanin, aligner);
         let pre: Arc<Mutex<Vec<Pattern>>> = Arc::new(Mutex::new(Vec::new()));
         let sink = Arc::clone(&pre);
         let live = IcpePipeline::launch(&cfg, move |e| {
@@ -254,7 +237,7 @@ proptest! {
         let delivered_before = pre.lock().unwrap().clone();
         drop(live); // crash: the end-of-stream flush is discarded
 
-        let resume_cfg = config(kind, parallelism, resume_shards, batch, resume_fanin, aligner);
+        let resume_cfg = config(parallelism, resume_shards, batch, resume_fanin, aligner);
         let post: Arc<Mutex<Vec<Pattern>>> = Arc::new(Mutex::new(Vec::new()));
         let sink = Arc::clone(&post);
         let resumed = IcpePipeline::launch_from(&resume_cfg, &ckpt, move |e| {
@@ -278,8 +261,7 @@ proptest! {
         prop_assert_eq!(
             multiset(&got),
             multiset(&want),
-            "kind {:?} shards {}→{} batch {} cut {} fanin {}→{}",
-            kind,
+            "shards {}→{} batch {} cut {} fanin {}→{}",
             shards,
             resume_shards,
             batch,
@@ -314,18 +296,13 @@ fn late_boundary_drops_match_the_serial_aligner_oracle() {
     let oracle = serial_late_count(&records, TIGHT);
     assert!(oracle > 0, "workload must actually exercise the late path");
 
-    let (want, serial_late) =
-        run_collecting(&config(EnumeratorKind::Fba, 1, 1, 1, 2, TIGHT), &records, 1);
+    let (want, serial_late) = run_collecting(&config(1, 1, 1, 2, TIGHT), &records, 1);
     assert_eq!(
         serial_late, oracle,
         "the serial pipeline head is the oracle's twin"
     );
     for shards in [2usize, 4] {
-        let (got, late) = run_collecting(
-            &config(EnumeratorKind::Fba, 3, shards, 16, 2, TIGHT),
-            &records,
-            24,
-        );
+        let (got, late) = run_collecting(&config(3, shards, 16, 2, TIGHT), &records, 24);
         assert_eq!(
             late, oracle,
             "shards {shards}: sharded head must drop exactly the oracle's set"
@@ -365,7 +342,7 @@ fn late_counters_survive_a_reshard_cycle_without_multiplication() {
     assert!(oracle_cut > 0, "drops must land before the cut");
     assert!(oracle_full > oracle_cut, "and more after it");
 
-    let cfg = config(EnumeratorKind::Fba, 3, 3, 16, 2, TIGHT);
+    let cfg = config(3, 3, 16, 2, TIGHT);
     let live = IcpePipeline::launch(&cfg, |_| {});
     for slice in records[..cut].chunks(16) {
         live.push_batch(slice.to_vec()).unwrap();
@@ -383,7 +360,7 @@ fn late_counters_survive_a_reshard_cycle_without_multiplication() {
 
     // Resume on a different shard count; the restored gauge resumes from
     // the cut instead of zero.
-    let resume_cfg = config(EnumeratorKind::Fba, 3, 5, 16, 2, TIGHT);
+    let resume_cfg = config(3, 5, 16, 2, TIGHT);
     let resumed = IcpePipeline::launch_from(&resume_cfg, &ckpt, |_| {}).unwrap();
     assert_eq!(
         resumed.status().align().late_dropped,
@@ -407,7 +384,7 @@ fn late_counters_survive_a_reshard_cycle_without_multiplication() {
 #[test]
 fn aligner_gauges_track_the_sharded_head() {
     let records = skewed_records(29, 24);
-    let cfg = config(EnumeratorKind::Fba, 2, 4, 16, 2, AlignerConfig::default());
+    let cfg = config(2, 4, 16, 2, AlignerConfig::default());
     let live = IcpePipeline::launch(&cfg, |_| {});
     for slice in records.chunks(16) {
         live.push_batch(slice.to_vec()).unwrap();

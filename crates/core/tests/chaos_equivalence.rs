@@ -16,11 +16,10 @@
 //!
 //! The matrix crosses fault kinds (worker panic, worker stall, delayed
 //! exchange send) and fault sites (align-route, grid-query, sync-shard,
-//! enumerate) with all three enumeration engines (BA / FBA / VBA) and
-//! parallelism 1 / 2 / 4; a proptest then randomizes the fault site over
-//! randomized workloads.
+//! enumerate) with parallelism 1 / 2 / 4; a proptest then randomizes the
+//! fault site over randomized workloads.
 
-use icpe_core::{EnumeratorKind, HealthState, IcpeConfig, Supervision};
+use icpe_core::{HealthState, IcpeConfig, Supervision};
 use icpe_runtime::FaultPlan;
 use icpe_types::{Constraints, GpsRecord, Pattern};
 use proptest::prelude::*;
@@ -47,14 +46,13 @@ fn records(seed: u64) -> Vec<GpsRecord> {
 /// Small batches keep fault-point batch ordinals dense (every generation
 /// sees several batches per stage per snapshot), so injected faults fire
 /// deterministically early in the stream.
-fn config(kind: EnumeratorKind, n: usize, fault: Option<&str>) -> IcpeConfig {
+fn config(n: usize, fault: Option<&str>) -> IcpeConfig {
     let mut b = IcpeConfig::builder()
         .constraints(Constraints::new(3, 4, 2, 2).unwrap())
         .epsilon(2.5)
         .min_pts(3)
         .parallelism(n)
-        .batch_size(4)
-        .enumerator(kind);
+        .batch_size(4);
     if let Some(spec) = fault {
         b = b
             .supervised(Supervision {
@@ -91,21 +89,21 @@ fn run(config: &IcpeConfig, records: &[GpsRecord]) -> RunOutput {
 }
 
 /// One supervised-vs-baseline comparison under `spec`.
-fn assert_chaos_equivalence(kind: EnumeratorKind, n: usize, spec: &str, seed: u64) {
+fn assert_chaos_equivalence(n: usize, spec: &str, seed: u64) {
     let input = records(seed);
-    let baseline = run(&config(kind, n, None), &input);
+    let baseline = run(&config(n, None), &input);
     assert!(
         !baseline.patterns.is_empty(),
-        "workload must plant detectable groups ({kind:?} n={n} seed={seed})"
+        "workload must plant detectable groups (n={n} seed={seed})"
     );
 
-    let chaotic = config(kind, n, Some(spec));
+    let chaotic = config(n, Some(spec));
     let plan = chaotic.runtime.fault.clone().unwrap();
     let healed = run(&chaotic, &input);
 
     assert!(
         plan.exhausted(),
-        "a fault point never fired ({kind:?} n={n} spec={spec}): {:?}",
+        "a fault point never fired (n={n} spec={spec}): {:?}",
         plan.points()
             .iter()
             .filter(|p| !p.fired())
@@ -114,44 +112,36 @@ fn assert_chaos_equivalence(kind: EnumeratorKind, n: usize, spec: &str, seed: u6
     assert_eq!(
         multiset(&healed.patterns),
         multiset(&baseline.patterns),
-        "healed multiset diverged ({kind:?} n={n} spec={spec})"
+        "healed multiset diverged (n={n} spec={spec})"
     );
     let mut seals = healed.seals.clone();
     seals.sort_unstable();
     assert_eq!(
         seals,
         (0..SNAPSHOTS as u32).collect::<Vec<_>>(),
-        "every snapshot seals exactly once ({kind:?} n={n} spec={spec})"
+        "every snapshot seals exactly once (n={n} spec={spec})"
     );
     assert_eq!(
         healed.snapshots, SNAPSHOTS as u64,
-        "progress counters conserved ({kind:?} n={n} spec={spec})"
+        "progress counters conserved (n={n} spec={spec})"
     );
     assert_eq!(
         healed.final_health,
         HealthState::Healthy,
-        "pipeline ends healthy ({kind:?} n={n} spec={spec})"
+        "pipeline ends healthy (n={n} spec={spec})"
     );
 }
 
-const ENGINES: [EnumeratorKind; 3] = [
-    EnumeratorKind::Baseline,
-    EnumeratorKind::Fba,
-    EnumeratorKind::Vba,
-];
-
 #[test]
-fn panic_mid_stream_heals_identically_across_engines_and_parallelism() {
-    for kind in ENGINES {
-        // (parallelism, fault site): every pipeline stage takes a hit
-        // somewhere in the matrix, including a subtask other than 0.
-        for (n, spec) in [
-            (1, "panic@enumerate:0:1"),
-            (2, "panic@grid-query:1:1"),
-            (4, "panic@align-route:0:2"),
-        ] {
-            assert_chaos_equivalence(kind, n, spec, 0xC0FFEE);
-        }
+fn panic_mid_stream_heals_identically_across_parallelism() {
+    // (parallelism, fault site): every pipeline stage takes a hit
+    // somewhere in the matrix, including a subtask other than 0.
+    for (n, spec) in [
+        (1, "panic@enumerate:0:1"),
+        (2, "panic@grid-query:1:1"),
+        (4, "panic@align-route:0:2"),
+    ] {
+        assert_chaos_equivalence(n, spec, 0xC0FFEE);
     }
 }
 
@@ -160,7 +150,6 @@ fn double_panic_and_stall_heal_identically() {
     // Two failures in one run (two recovery cycles), plus a stalled sync
     // shard exercising barrier alignment under a slow stage.
     assert_chaos_equivalence(
-        EnumeratorKind::Fba,
         2,
         "panic@align-route:0:1;panic@enumerate:1:2;stall@sync-shard:1:0:25",
         0xC0FFEE,
@@ -172,7 +161,6 @@ fn delayed_exchange_send_is_invisible() {
     // DelaySend holds one outbound batch back without losing it — ordering
     // within a channel is preserved, so detection must not notice.
     assert_chaos_equivalence(
-        EnumeratorKind::Vba,
         2,
         "delay@grid-query:0:1:30;panic@sync-merge-final:0:0",
         0xBEEF,
@@ -182,7 +170,7 @@ fn delayed_exchange_send_is_invisible() {
 #[test]
 fn restart_counters_land_in_the_registry() {
     let input = records(7);
-    let cfg = config(EnumeratorKind::Fba, 2, Some("panic@align-route:0:2"));
+    let cfg = config(2, Some("panic@align-route:0:2"));
     let healed = run(&cfg, &input);
     assert!(
         healed.restarts >= 1,
@@ -200,18 +188,18 @@ proptest! {
     #[test]
     fn random_panic_site_heals_identically(
         seed in 0u64..1_000,
-        kind_ix in 0usize..3,
         n in 1usize..=3,
         site_ix in 0usize..4,
         subtask in 0usize..3,
         ordinal in 0u64..3,
     ) {
         let site = ["align-route", "grid-query", "sync-shard", "enumerate"][site_ix];
-        let subtask = subtask % n;
+        // The frontier router is a single subtask; the other sites run n.
+        let subtask = if site == "align-route" { 0 } else { subtask % n };
         // Low ordinals on a busy stage always fire; `sync-shard` sees one
         // batch per window per shard, so keep its ordinal at 0.
         let ordinal = if site == "sync-shard" { 0 } else { ordinal };
         let spec = format!("panic@{site}:{subtask}:{ordinal}");
-        assert_chaos_equivalence(ENGINES[kind_ix], n, &spec, seed);
+        assert_chaos_equivalence(n, &spec, seed);
     }
 }

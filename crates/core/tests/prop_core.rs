@@ -1,6 +1,8 @@
-//! Property-based end-to-end test: the distributed pipeline and the
-//! synchronous engine report identical pattern sets on randomized planted
-//! workloads, for every enumeration engine and any parallelism.
+//! Property-based end-to-end test: the distributed pipeline (which
+//! enumerates with FBA) and the synchronous engine report identical pattern
+//! sets on randomized planted workloads, whichever enumeration engine the
+//! synchronous side runs, at any parallelism — so BA and VBA stay
+//! cross-checked against the live engine.
 
 use icpe_core::{EnumeratorKind, IcpeConfig, IcpeEngine, IcpePipeline};
 use icpe_gen::{GroupWalkConfig, GroupWalkGenerator};
@@ -42,19 +44,20 @@ proptest! {
             .epsilon(1.6)
             .min_pts(3)
             .parallelism(parallelism)
-            .enumerator(kind)
             .build()
             .expect("valid config");
 
-        // Synchronous engine.
-        let mut engine = IcpeEngine::new(config.clone());
+        // Synchronous engine, running `kind`.
+        let mut serial = config.clone();
+        serial.enumerator = kind;
+        let mut engine = IcpeEngine::new(serial);
         let mut sync_patterns = Vec::new();
         for s in &snaps {
             sync_patterns.extend(engine.push_snapshot(s.clone()));
         }
         sync_patterns.extend(engine.finish());
 
-        // Distributed pipeline over the equivalent record stream.
+        // Distributed pipeline (FBA) over the equivalent record stream.
         let mut records: Vec<GpsRecord> = Vec::new();
         for s in &snaps {
             for e in &s.entries {

@@ -10,7 +10,7 @@
 use crate::bitstring::word_runs;
 use crate::engine::{EngineConfig, PatternEngine, Window, WindowTable};
 use crate::runs::{runs_from_times, runs_witness, runs_witness_anchored, Semantics};
-use icpe_types::{CheckpointError, EngineCheckpoint, ObjectId, Pattern, TimeSequence};
+use icpe_types::{ObjectId, Pattern, TimeSequence};
 
 /// The Baseline pattern-enumeration engine.
 #[derive(Debug)]
@@ -34,33 +34,6 @@ impl BaselineEngine {
     /// [`EngineConfig::max_baseline_partition`].
     pub fn skipped_partitions(&self) -> usize {
         self.skipped
-    }
-
-    /// Rebuilds a Baseline engine from a checkpoint, loading only owners
-    /// for which `keep` returns true. The skipped-partition counter is
-    /// rehydrated: an incomplete result must stay marked incomplete across
-    /// a restore.
-    pub fn from_checkpoint(
-        config: EngineConfig,
-        ckpt: &EngineCheckpoint,
-        keep: impl Fn(ObjectId) -> bool,
-    ) -> Result<Self, CheckpointError> {
-        if ckpt.kind != "BA" {
-            return Err(CheckpointError::EngineMismatch {
-                checkpoint: ckpt.kind.clone(),
-                config: "BA".into(),
-            });
-        }
-        Ok(BaselineEngine {
-            windows: WindowTable::restore(
-                &config.constraints,
-                ckpt.last_time,
-                &ckpt.window_owners,
-                keep,
-            )?,
-            config,
-            skipped: ckpt.skipped_partitions as usize,
-        })
     }
 
     /// Enumerates one window into `out`. A subset is a `u64` mask over the
@@ -170,17 +143,6 @@ impl PatternEngine for BaselineEngine {
 
     fn overflowed_partitions(&self) -> usize {
         self.skipped
-    }
-
-    fn checkpoint(&self) -> Option<EngineCheckpoint> {
-        let (last_time, window_owners) = self.windows.checkpoint();
-        Some(EngineCheckpoint {
-            kind: "BA".into(),
-            last_time,
-            skipped_partitions: self.skipped as u64,
-            window_owners,
-            vba_owners: Vec::new(),
-        })
     }
 }
 

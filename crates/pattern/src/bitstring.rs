@@ -96,15 +96,6 @@ impl BitString {
         Self::from_bools(&bits)
     }
 
-    /// Renders the `1`/`0` ASCII form (inverse of
-    /// [`BitString::from_str01`]) — the checkpoint wire form, chosen over
-    /// packed words for being self-describing and trivially auditable.
-    pub fn to_str01(&self) -> String {
-        (0..self.len)
-            .map(|i| if self.get(i) { '1' } else { '0' })
-            .collect()
-    }
-
     /// Number of bits.
     pub fn len(&self) -> usize {
         self.len

@@ -1,11 +1,12 @@
 //! The common pattern-engine interface and the shared η-window state of BA
-//! and FBA: one bit table per partition owner.
+//! and FBA: one bit table per partition owner. FBA's is the one engine
+//! state that checkpoints.
 
 use crate::partition::{id_partitions, Partition};
 use crate::runs::Semantics;
 use icpe_types::{
     CheckpointError, ClusterSnapshot, Constraints, EngineCheckpoint, HistoryRowCheckpoint,
-    ObjectId, Pattern, PatternBatch, Timestamp, WindowOwnerCheckpoint,
+    ObjectId, Pattern, Timestamp, WindowOwnerCheckpoint,
 };
 use std::collections::BTreeMap;
 
@@ -56,50 +57,20 @@ pub trait PatternEngine {
     /// [`PatternEngine::push`] to compute partitions).
     fn significance(&self) -> usize;
 
-    /// Ingests the id-based partitions of one time tick directly — the entry
-    /// point of the distributed deployment, where a keyed exchange delivers
-    /// each subtask only the partitions of the owners it is responsible for
-    /// (plus empty ticks to advance time).
+    /// Ingests the id-based partitions of one time tick directly — for
+    /// callers that partition the snapshot themselves, or hold only some
+    /// owners' partitions (plus empty ticks to advance time), as a keyed
+    /// exchange delivers them.
     fn push_partitions(&mut self, time: Timestamp, partitions: Vec<Partition>) -> Vec<Pattern>;
 
     /// Flushes at end of stream; returns the remaining patterns.
     fn finish(&mut self) -> Vec<Pattern>;
-
-    /// [`PatternEngine::push_partitions`] in flat form: `partitions` is
-    /// drained (its capacity stays with the caller) and the patterns are
-    /// appended to `out`. FBA enumerates straight into the batch without
-    /// allocating per pattern; the provided form wraps `push_partitions`.
-    fn push_partitions_into(
-        &mut self,
-        time: Timestamp,
-        partitions: &mut Vec<Partition>,
-        out: &mut PatternBatch,
-    ) {
-        for pattern in self.push_partitions(time, std::mem::take(partitions)) {
-            out.push_pattern(&pattern);
-        }
-    }
-
-    /// [`PatternEngine::finish`] in flat form.
-    fn finish_into(&mut self, out: &mut PatternBatch) {
-        for pattern in self.finish() {
-            out.push_pattern(&pattern);
-        }
-    }
 
     /// How many partitions this engine refused to enumerate (the Baseline's
     /// exponential-blow-up guard; always 0 for FBA/VBA). Non-zero means the
     /// result is incomplete — the paper's "B cannot run on large datasets".
     fn overflowed_partitions(&self) -> usize {
         0
-    }
-
-    /// Captures the engine's full streaming state in durable form, or
-    /// `None` for engines that do not support checkpointing (the default).
-    /// Restore is per-engine ([`FbaEngine::from_checkpoint`] etc.) because
-    /// it needs the concrete type back.
-    fn checkpoint(&self) -> Option<EngineCheckpoint> {
-        None
     }
 }
 
@@ -331,9 +302,9 @@ impl WindowTable {
     /// Captures the open-window state in durable, canonical form: owners
     /// ascend by id, starts and history rows by time, and a history row is
     /// the owner's partition at one pending start.
-    pub(crate) fn checkpoint(&self) -> (Option<u32>, Vec<WindowOwnerCheckpoint>) {
+    pub(crate) fn checkpoint(&self) -> EngineCheckpoint {
         let words = self.words;
-        let owners = self
+        let window_owners = self
             .owners
             .iter()
             .map(|(&owner, table)| {
@@ -360,7 +331,10 @@ impl WindowTable {
                 }
             })
             .collect();
-        (self.last_time, owners)
+        EngineCheckpoint {
+            last_time: self.last_time,
+            window_owners,
+        }
     }
 
     /// Rebuilds the window state from a checkpoint, keeping only owners for
@@ -372,14 +346,14 @@ impl WindowTable {
     /// written under the same constraints satisfies.
     pub(crate) fn restore(
         constraints: &Constraints,
-        last_time: Option<u32>,
-        owners: &[WindowOwnerCheckpoint],
+        ckpt: &EngineCheckpoint,
         keep: impl Fn(ObjectId) -> bool,
     ) -> Result<Self, CheckpointError> {
         let mut table = WindowTable::new(constraints);
+        let last_time = ckpt.last_time;
         table.last_time = last_time;
         let (eta, words) = (table.eta, table.words);
-        for o in owners.iter().filter(|o| keep(o.owner)) {
+        for o in ckpt.window_owners.iter().filter(|o| keep(o.owner)) {
             let invalid = |what: &str| {
                 CheckpointError::Invalid(format!(
                     "window state of owner {}: {what} (η = {eta}; was the checkpoint \
@@ -593,26 +567,29 @@ mod tests {
         let mut table = WindowTable::new(&c);
         push(&mut table, cs(4, &[&[1, 2]]));
         push(&mut table, cs(5, &[&[1, 2]]));
-        let (last, owners) = table.checkpoint();
-        assert_eq!(owners[0].starts, vec![4, 5]);
-        let restore = |last, owners: &[WindowOwnerCheckpoint]| {
-            WindowTable::restore(&c, last, owners, |_| true).map(|t| t.checkpoint())
+        let ckpt = table.checkpoint();
+        assert_eq!(ckpt.window_owners[0].starts, vec![4, 5]);
+        let restore = |ckpt: &EngineCheckpoint| {
+            WindowTable::restore(&c, ckpt, |_| true).map(|t| t.checkpoint())
         };
-        assert_eq!(restore(last, &owners).unwrap(), (last, owners.clone()));
+        assert_eq!(restore(&ckpt).unwrap(), ckpt);
 
-        let invalid = |last, owners: &[WindowOwnerCheckpoint]| {
-            matches!(restore(last, owners), Err(CheckpointError::Invalid(_)))
+        let invalid = |edit: fn(&mut EngineCheckpoint)| {
+            let mut broken = ckpt.clone();
+            edit(&mut broken);
+            matches!(restore(&broken), Err(CheckpointError::Invalid(_)))
         };
         // A start whose window closed before `last_time` (η is 3).
-        assert!(invalid(Some(7), &owners));
-        assert!(invalid(None, &owners));
-        let mut stray = owners.clone();
-        stray[0].history[0].time = 3;
-        assert!(invalid(last, &stray), "a history row outside every start");
-        let mut unordered = owners.clone();
-        unordered[0].starts.reverse();
-        assert!(invalid(last, &unordered));
+        assert!(invalid(|ck| ck.last_time = Some(7)));
+        assert!(invalid(|ck| ck.last_time = None));
+        assert!(
+            invalid(|ck| ck.window_owners[0].history[0].time = 3),
+            "a history row outside every start"
+        );
+        assert!(invalid(|ck| ck.window_owners[0].starts.reverse()));
         // A filtered-out owner is not even looked at.
-        assert!(WindowTable::restore(&c, None, &owners, |o| o != oid(1)).is_ok());
+        let mut stale = ckpt.clone();
+        stale.last_time = None;
+        assert!(WindowTable::restore(&c, &stale, |o| o != oid(1)).is_ok());
     }
 }

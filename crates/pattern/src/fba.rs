@@ -48,19 +48,46 @@ impl FbaEngine {
         ckpt: &EngineCheckpoint,
         keep: impl Fn(ObjectId) -> bool,
     ) -> Result<Self, CheckpointError> {
-        if ckpt.kind != "FBA" {
-            return Err(CheckpointError::EngineMismatch {
-                checkpoint: ckpt.kind.clone(),
-                config: "FBA".into(),
-            });
-        }
-        let windows = WindowTable::restore(
-            &config.constraints,
-            ckpt.last_time,
-            &ckpt.window_owners,
-            keep,
-        )?;
+        let windows = WindowTable::restore(&config.constraints, ckpt, keep)?;
         Ok(Self::over(config, windows))
+    }
+
+    /// Captures the engine's full streaming state in durable form.
+    pub fn checkpoint(&self) -> EngineCheckpoint {
+        self.windows.checkpoint()
+    }
+
+    /// [`PatternEngine::push_partitions`] in flat form — the enumeration
+    /// stage's entry point: `partitions` is drained (its capacity stays
+    /// with the caller) and the patterns are appended to `out`, without
+    /// allocating per pattern.
+    pub fn push_partitions_into(
+        &mut self,
+        time: Timestamp,
+        partitions: &mut Vec<Partition>,
+        out: &mut PatternBatch,
+    ) {
+        let FbaEngine {
+            config,
+            windows,
+            kernel,
+            ..
+        } = self;
+        windows.push_partitions(time, partitions, |window| {
+            kernel.enumerate(config, window, out)
+        });
+        partitions.clear();
+    }
+
+    /// [`PatternEngine::finish`] in flat form.
+    pub fn finish_into(&mut self, out: &mut PatternBatch) {
+        let FbaEngine {
+            config,
+            windows,
+            kernel,
+            ..
+        } = self;
+        windows.finish(|window| kernel.enumerate(config, window, out));
     }
 
     /// Runs `fill` on the view batch and materializes what it appended.
@@ -209,45 +236,6 @@ impl PatternEngine for FbaEngine {
 
     fn finish(&mut self) -> Vec<Pattern> {
         self.viewed(|engine, batch| engine.finish_into(batch))
-    }
-
-    fn push_partitions_into(
-        &mut self,
-        time: Timestamp,
-        partitions: &mut Vec<Partition>,
-        out: &mut PatternBatch,
-    ) {
-        let FbaEngine {
-            config,
-            windows,
-            kernel,
-            ..
-        } = self;
-        windows.push_partitions(time, partitions, |window| {
-            kernel.enumerate(config, window, out)
-        });
-        partitions.clear();
-    }
-
-    fn finish_into(&mut self, out: &mut PatternBatch) {
-        let FbaEngine {
-            config,
-            windows,
-            kernel,
-            ..
-        } = self;
-        windows.finish(|window| kernel.enumerate(config, window, out));
-    }
-
-    fn checkpoint(&self) -> Option<EngineCheckpoint> {
-        let (last_time, window_owners) = self.windows.checkpoint();
-        Some(EngineCheckpoint {
-            kind: "FBA".into(),
-            last_time,
-            skipped_partitions: 0,
-            window_owners,
-            vba_owners: Vec::new(),
-        })
     }
 }
 

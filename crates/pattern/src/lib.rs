@@ -12,6 +12,10 @@
 //!   with maximal pattern time sequences; verifies each snapshot once,
 //!   trading latency for throughput.
 //!
+//! FBA is the engine the streaming deployment runs, and the only one whose
+//! state checkpoints ([`FbaEngine::checkpoint`]); BA and VBA are the §7.2
+//! comparison baselines for the serial engine and the figure harnesses.
+//!
 //! [`reference::ExhaustiveMiner`] is the test oracle: an exhaustive offline
 //! miner over the full cluster history.
 //!

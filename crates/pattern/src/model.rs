@@ -100,8 +100,8 @@ impl RowWindows {
         tasks
     }
 
-    fn checkpoint(&self) -> (Option<u32>, Vec<WindowOwnerCheckpoint>) {
-        let mut owners: Vec<WindowOwnerCheckpoint> = self
+    fn checkpoint(&self) -> EngineCheckpoint {
+        let mut window_owners: Vec<WindowOwnerCheckpoint> = self
             .starts
             .iter()
             .map(|(&owner, starts)| WindowOwnerCheckpoint {
@@ -121,19 +121,21 @@ impl RowWindows {
                     .unwrap_or_default(),
             })
             .collect();
-        owners.sort_by_key(|o| o.owner);
-        (self.last_time, owners)
+        window_owners.sort_by_key(|o| o.owner);
+        EngineCheckpoint {
+            last_time: self.last_time,
+            window_owners,
+        }
     }
 
     fn restore(
         constraints: &Constraints,
-        last_time: Option<u32>,
-        owners: &[WindowOwnerCheckpoint],
+        ckpt: &EngineCheckpoint,
         keep: impl Fn(ObjectId) -> bool,
     ) -> Self {
         let mut ws = RowWindows::new(constraints);
-        ws.last_time = last_time;
-        for o in owners.iter().filter(|o| keep(o.owner)) {
+        ws.last_time = ckpt.last_time;
+        for o in ckpt.window_owners.iter().filter(|o| keep(o.owner)) {
             if !o.starts.is_empty() {
                 ws.starts
                     .insert(o.owner, o.starts.iter().copied().collect());
@@ -215,12 +217,7 @@ impl RowFba {
         keep: impl Fn(ObjectId) -> bool,
     ) -> Self {
         RowFba {
-            windows: RowWindows::restore(
-                &config.constraints,
-                ckpt.last_time,
-                &ckpt.window_owners,
-                keep,
-            ),
+            windows: RowWindows::restore(&config.constraints, ckpt, keep),
             config,
         }
     }
@@ -236,14 +233,7 @@ impl RowFba {
     }
 
     fn checkpoint(&self) -> EngineCheckpoint {
-        let (last_time, window_owners) = self.windows.checkpoint();
-        EngineCheckpoint {
-            kind: "FBA".into(),
-            last_time,
-            skipped_partitions: 0,
-            window_owners,
-            vba_owners: Vec::new(),
-        }
+        self.windows.checkpoint()
     }
 
     fn process(&self, task: WindowTask) -> Vec<Pattern> {
@@ -443,7 +433,7 @@ proptest! {
             let Some(groups) = tick else { continue };
             if t == cut_at {
                 // Each side restores from what the other wrote.
-                let (by_table, by_rows) = (live.checkpoint().unwrap(), model.checkpoint());
+                let (by_table, by_rows) = (live.checkpoint(), model.checkpoint());
                 prop_assert_eq!(json(&by_table), json(&by_rows));
                 live = FbaEngine::from_checkpoint(config, &by_rows, keep).unwrap();
                 flat = FbaEngine::from_checkpoint(config, &by_rows, keep).unwrap();
@@ -458,14 +448,14 @@ proptest! {
             flat.push_partitions_into(time, &mut parts, &mut batch);
             prop_assert!(parts.is_empty(), "the flat form drains its input");
             prop_assert_eq!(sorted(batch.to_patterns()), got, "flat form, tick {}", t);
-            prop_assert_eq!(json(&live.checkpoint().unwrap()), json(&model.checkpoint()));
+            prop_assert_eq!(json(&live.checkpoint()), json(&model.checkpoint()));
         }
         let got = sorted(live.finish());
         prop_assert_eq!(&got, &sorted(model.finish()), "finish");
         batch.clear();
         flat.finish_into(&mut batch);
         prop_assert_eq!(sorted(batch.to_patterns()), got, "flat form, finish");
-        prop_assert_eq!(json(&live.checkpoint().unwrap()), json(&model.checkpoint()));
+        prop_assert_eq!(json(&live.checkpoint()), json(&model.checkpoint()));
     }
 }
 

@@ -25,10 +25,7 @@
 use crate::bitstring::BitString;
 use crate::engine::{EngineConfig, PatternEngine};
 use crate::partition::Partition;
-use icpe_types::{
-    CheckpointError, EngineCheckpoint, EpisodeCheckpoint, ObjectId, Pattern, TimeSequence,
-    Timestamp, VbaOwnerCheckpoint,
-};
+use icpe_types::{ObjectId, Pattern, TimeSequence, Timestamp};
 use std::collections::{BTreeMap, HashMap};
 
 /// An open variable-length bit string for one (owner, member) episode.
@@ -88,70 +85,6 @@ impl VbaEngine {
     pub fn with_retention(mut self, intervals: u32) -> Self {
         self.retention = Some(intervals);
         self
-    }
-
-    /// Rebuilds a VBA engine from a checkpoint, loading only owners for
-    /// which `keep` returns true. Closure checks are re-derived from the
-    /// open episodes (deadline = `last_one + G + 1`), exactly as the
-    /// original pushes scheduled them; semantically broken episodes (bit
-    /// length disagreeing with the span, missing leading/trailing 1) are
-    /// rejected with a typed error rather than corrupting enumeration.
-    ///
-    /// The retention horizon is a configuration knob, not engine state,
-    /// and is not recorded in the checkpoint: callers that bound candidate
-    /// memory must re-apply it —
-    /// `VbaEngine::from_checkpoint(..)?.with_retention(n)`.
-    pub fn from_checkpoint(
-        config: EngineConfig,
-        ckpt: &EngineCheckpoint,
-        keep: impl Fn(ObjectId) -> bool,
-    ) -> Result<Self, CheckpointError> {
-        if ckpt.kind != "VBA" {
-            return Err(CheckpointError::EngineMismatch {
-                checkpoint: ckpt.kind.clone(),
-                config: "VBA".into(),
-            });
-        }
-        let g = config.constraints.g();
-        let mut owners: HashMap<ObjectId, OwnerState> = HashMap::new();
-        for o in &ckpt.vba_owners {
-            if !keep(o.owner) {
-                continue;
-            }
-            let mut state = OwnerState::default();
-            for ep in &o.open {
-                let bits = decode_episode_bits(o.owner, ep)?;
-                state.open.insert(
-                    ep.member,
-                    OpenString {
-                        st: ep.st,
-                        last_one: ep.et,
-                        bits,
-                    },
-                );
-                state
-                    .closures
-                    .entry(ep.et + g + 1)
-                    .or_default()
-                    .push(ep.member);
-            }
-            for ep in &o.candidates {
-                let bits = decode_episode_bits(o.owner, ep)?;
-                state.candidates.push(Candidate {
-                    member: ep.member,
-                    st: ep.st,
-                    et: ep.et,
-                    bits,
-                });
-            }
-            owners.insert(o.owner, state);
-        }
-        Ok(VbaEngine {
-            config,
-            owners,
-            last_time: ckpt.last_time,
-            retention: None,
-        })
     }
 
     fn tick(&mut self, time: Timestamp, partitions: Vec<Partition>) -> Vec<Pattern> {
@@ -329,43 +262,6 @@ impl VbaEngine {
     }
 }
 
-/// Validates and decodes one episode's checkpoint bits.
-fn decode_episode_bits(
-    owner: ObjectId,
-    ep: &EpisodeCheckpoint,
-) -> Result<BitString, CheckpointError> {
-    let span = ep
-        .et
-        .checked_sub(ep.st)
-        .map(|d| d as usize + 1)
-        .ok_or_else(|| {
-            CheckpointError::Invalid(format!(
-                "episode ({owner},{}) ends at {} before it starts at {}",
-                ep.member, ep.et, ep.st
-            ))
-        })?;
-    if ep.bits.len() != span {
-        return Err(CheckpointError::Invalid(format!(
-            "episode ({owner},{}) spans {span} ticks but carries {} bits",
-            ep.member,
-            ep.bits.len()
-        )));
-    }
-    if !ep.bits.starts_with('1') || !ep.bits.ends_with('1') {
-        return Err(CheckpointError::Invalid(format!(
-            "episode ({owner},{}) bits must start and end with 1, got `{}`",
-            ep.member, ep.bits
-        )));
-    }
-    if ep.bits.bytes().any(|b| b != b'0' && b != b'1') {
-        return Err(CheckpointError::Invalid(format!(
-            "episode ({owner},{}) bits contain non-binary characters",
-            ep.member
-        )));
-    }
-    Ok(BitString::from_str01(&ep.bits))
-}
-
 /// Overlap length of two closed intervals (0 when disjoint).
 fn overlap_len(st1: u32, et1: u32, st2: u32, et2: u32) -> u32 {
     let st = st1.max(st2);
@@ -466,52 +362,6 @@ impl PatternEngine for VbaEngine {
             state.closures.clear();
         }
         out
-    }
-
-    fn checkpoint(&self) -> Option<EngineCheckpoint> {
-        let mut vba_owners: Vec<VbaOwnerCheckpoint> = self
-            .owners
-            .iter()
-            .map(|(&owner, state)| {
-                let mut open: Vec<EpisodeCheckpoint> = state
-                    .open
-                    .iter()
-                    .map(|(&member, s)| EpisodeCheckpoint {
-                        member,
-                        st: s.st,
-                        et: s.last_one,
-                        bits: s.bits.to_str01(),
-                    })
-                    .collect();
-                open.sort_by_key(|e| e.member);
-                // Candidate order is deterministic (single-threaded
-                // insertion) and affects enumeration sequencing: preserve
-                // it instead of sorting.
-                let candidates: Vec<EpisodeCheckpoint> = state
-                    .candidates
-                    .iter()
-                    .map(|c| EpisodeCheckpoint {
-                        member: c.member,
-                        st: c.st,
-                        et: c.et,
-                        bits: c.bits.to_str01(),
-                    })
-                    .collect();
-                VbaOwnerCheckpoint {
-                    owner,
-                    open,
-                    candidates,
-                }
-            })
-            .collect();
-        vba_owners.sort_by_key(|o| o.owner);
-        Some(EngineCheckpoint {
-            kind: "VBA".into(),
-            last_time: self.last_time,
-            skipped_partitions: 0,
-            window_owners: Vec::new(),
-            vba_owners,
-        })
     }
 }
 

@@ -459,7 +459,7 @@ mod tests {
                 max_seen: seq as u32 + 2,
                 late_dropped: 1,
             },
-            engine: EngineCheckpoint::empty("FBA"),
+            engine: EngineCheckpoint::empty(),
             progress: ProgressCheckpoint {
                 snapshots_completed: seq,
                 late_records: 1,

@@ -21,7 +21,7 @@ fn sample() -> PipelineCheckpoint {
             max_seen: 9,
             late_dropped: 1,
         },
-        engine: EngineCheckpoint::empty("FBA"),
+        engine: EngineCheckpoint::empty(),
         progress: ProgressCheckpoint {
             snapshots_completed: 7,
             late_records: 1,

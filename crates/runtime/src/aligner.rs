@@ -653,8 +653,8 @@ impl ShardedAligner {
     /// chains rebucket by the hash, `occupied` rebuilds from the buffered
     /// times, and the late counter is credited to shard 0 **only**. The
     /// counter is a merged total; splitting or replicating it across shards
-    /// would multiply it at the next merge (the skipped-partition bug class
-    /// from the engine restore path), so exactly one shard carries it.
+    /// would multiply it at the next merge (as `SyncCheckpoint::piece`
+    /// guards the sync shards' counters), so exactly one shard carries it.
     pub fn from_checkpoint(config: AlignerConfig, shards: usize, ckpt: &AlignerCheckpoint) -> Self {
         let shards = shards.max(1);
         let mut chains: Vec<ChainIndex> = (0..shards).map(|_| ChainIndex::default()).collect();

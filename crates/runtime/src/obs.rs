@@ -26,8 +26,8 @@
 //! Cumulative counters survive checkpoint/restore: the driver captures
 //! [`MetricRegistry::counter_checkpoint`] into the `PipelineCheckpoint`
 //! and a restored registry is re-credited via [`MetricRegistry::restore`]
-//! (summed across subtasks, credited to subtask 0 — the same pattern the
-//! engine uses for `skipped_partitions`).
+//! (summed across subtasks, credited to subtask 0 — the same pattern
+//! `SyncCheckpoint::piece` uses for the sync shards' dedup counters).
 
 use icpe_types::{ObsCheckpoint, ObsCounterEntry};
 use parking_lot::Mutex;

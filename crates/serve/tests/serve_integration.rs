@@ -512,6 +512,44 @@ fn status_endpoint_reports_counters_and_rejects() {
     server.finish();
 }
 
+/// A producer line nesting 10 000 arrays deep is one rejected record, not a
+/// stack overflow: the JSON parser bounds its recursion, so the connection
+/// handler survives, ingests the valid records behind the line, and the
+/// server still answers `STATUS`.
+#[test]
+fn deeply_nested_json_line_is_rejected_not_fatal() {
+    let server = Server::start(ServeConfig::new(engine_config(1))).unwrap();
+    let addr = server.local_addr().to_string();
+    client::send_lines(
+        &addr,
+        [
+            format!("{{\"id\":{}", "[".repeat(10_000)),
+            "1,0.0,1.0,2.0".to_string(),
+            "1,1.0,1.5,2.0".to_string(),
+            "1,2.0,2.0,2.0".to_string(),
+        ],
+    )
+    .unwrap();
+    let mut status = Vec::new();
+    for _ in 0..500 {
+        status = client::fetch_status(&addr).unwrap();
+        if status.iter().any(|(k, v)| k == "records_in" && v == "3") {
+            break;
+        }
+        std::thread::sleep(std::time::Duration::from_millis(5));
+    }
+    let get = |key: &str| {
+        status
+            .iter()
+            .find(|(k, _)| k == key)
+            .map(|(_, v)| v.clone())
+            .unwrap_or_else(|| panic!("missing status key {key}"))
+    };
+    assert_eq!(get("records_in"), "3");
+    assert_eq!(get("records_rejected"), "1");
+    server.finish();
+}
+
 /// The wire contract of `STATUS` and the serve half of `METRICS`: every key
 /// and family, in order, as a client reads them off the socket. Dashboards
 /// and the CI smokes match on these names, so a refactor of the status

@@ -66,7 +66,13 @@ use std::fmt;
 /// [`CellAssignment`] and [`CellLoadCheckpoint`] lose `level`, and
 /// [`RoutingCheckpoint`] loses the depth tree and its two counters. v6
 /// directories are refused, not upgraded.
-pub const CHECKPOINT_VERSION: u32 = 7;
+///
+/// v8: FBA is the only engine whose state checkpoints, so the engine
+/// section is FBA's window table alone: [`EngineCheckpoint`] loses its
+/// `kind` discriminator, the Baseline's skipped-partition counter and
+/// VBA's per-owner episode lists (and their two structs). v7 directories
+/// are refused, not upgraded.
+pub const CHECKPOINT_VERSION: u32 = 8;
 
 /// Errors raised when restoring state from a checkpoint.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -78,15 +84,9 @@ pub enum CheckpointError {
         /// Version this binary supports.
         supported: u32,
     },
-    /// The checkpoint's engine kind does not match the configured engine.
-    EngineMismatch {
-        /// Engine name recorded in the checkpoint ("BA", "FBA", "VBA").
-        checkpoint: String,
-        /// Engine name the configuration asks for.
-        config: String,
-    },
     /// The checkpoint is structurally valid JSON but semantically broken
-    /// (e.g. a bit string whose length disagrees with its episode span).
+    /// (e.g. a pending window start that is no open window), or the
+    /// configuration cannot resume it (an engine other than FBA).
     Invalid(String),
 }
 
@@ -96,10 +96,6 @@ impl fmt::Display for CheckpointError {
             CheckpointError::UnsupportedVersion { found, supported } => write!(
                 f,
                 "checkpoint schema version {found} is not supported (this binary speaks {supported})"
-            ),
-            CheckpointError::EngineMismatch { checkpoint, config } => write!(
-                f,
-                "checkpoint holds {checkpoint} engine state but the configuration runs {config}"
             ),
             CheckpointError::Invalid(msg) => write!(f, "invalid checkpoint: {msg}"),
         }
@@ -195,7 +191,7 @@ impl AlignerCheckpoint {
     /// clock fields replicated, and the cumulative late-drop counter
     /// included only when `with_counters` — restore it into one shard, or
     /// the next checkpoint's merge would multiply it by the shard count
-    /// (the [`SyncCheckpoint::piece`] / `skipped_partitions` pattern).
+    /// (the [`SyncCheckpoint::piece`] pattern).
     pub fn piece(&self, with_counters: bool, keep: impl Fn(ObjectId) -> bool) -> AlignerCheckpoint {
         AlignerCheckpoint {
             buffers: self
@@ -227,7 +223,7 @@ pub struct HistoryRowCheckpoint {
     pub members: Vec<ObjectId>,
 }
 
-/// Open η-window state for one partition owner (BA/FBA engines).
+/// Open η-window state for one partition owner.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct WindowOwnerCheckpoint {
     /// The partition owner.
@@ -238,62 +234,23 @@ pub struct WindowOwnerCheckpoint {
     pub history: Vec<HistoryRowCheckpoint>,
 }
 
-/// One (owner, member) co-clustering episode of the VBA engine — either an
-/// open string or a closed candidate; the bits cover `[st, et]` inclusive.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct EpisodeCheckpoint {
-    /// The co-clustered member.
-    pub member: ObjectId,
-    /// Episode start time (time of the first 1).
-    pub st: u32,
-    /// Episode end time (time of the last 1 so far).
-    pub et: u32,
-    /// The bits over `[st, et]` as an ASCII `0`/`1` string (first and last
-    /// characters are always `1`).
-    pub bits: String,
-}
-
-/// Per-owner VBA engine state.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct VbaOwnerCheckpoint {
-    /// The partition owner.
-    pub owner: ObjectId,
-    /// Open (still extendable) episodes, ascending by member id.
-    pub open: Vec<EpisodeCheckpoint>,
-    /// Closed candidates with maximal time sequences, in insertion order
-    /// (the order affects enumeration sequencing, not the pattern set, and
-    /// is deterministic — so it is preserved rather than sorted).
-    pub candidates: Vec<EpisodeCheckpoint>,
-}
-
-/// Durable form of one enumeration engine's state. A single schema covers
-/// all three engines: `kind` discriminates, and only the matching owner
-/// list is populated (the serde shim has no data-carrying enum derive, and
-/// a flat struct keeps the wire format trivial to audit).
+/// Durable form of the FBA engine's state — the only enumeration engine
+/// whose state checkpoints: its η-window table, one entry per owner with
+/// a window pending.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct EngineCheckpoint {
-    /// Engine name: `"BA"`, `"FBA"`, or `"VBA"`.
-    pub kind: String,
     /// Last cluster-snapshot time the engine ticked through.
     pub last_time: Option<u32>,
-    /// Partitions the Baseline refused to enumerate (blow-up guard); the
-    /// counter must survive restore. Always 0 for FBA/VBA.
-    pub skipped_partitions: u64,
-    /// Open η-window state per owner (BA/FBA), ascending by owner id.
+    /// Open η-window state per owner, ascending by owner id.
     pub window_owners: Vec<WindowOwnerCheckpoint>,
-    /// Per-owner episode state (VBA), ascending by owner id.
-    pub vba_owners: Vec<VbaOwnerCheckpoint>,
 }
 
 impl EngineCheckpoint {
-    /// An empty checkpoint for an engine that has seen nothing.
-    pub fn empty(kind: &str) -> EngineCheckpoint {
+    /// A checkpoint for an engine that has seen nothing.
+    pub fn empty() -> EngineCheckpoint {
         EngineCheckpoint {
-            kind: kind.to_string(),
             last_time: None,
-            skipped_partitions: 0,
             window_owners: Vec::new(),
-            vba_owners: Vec::new(),
         }
     }
 
@@ -301,31 +258,16 @@ impl EngineCheckpoint {
     /// clock) into one deployment-independent checkpoint. Owners are
     /// re-sorted so the merged form is canonical regardless of the
     /// parallelism that produced the pieces.
-    pub fn merge(pieces: Vec<EngineCheckpoint>) -> Result<EngineCheckpoint, CheckpointError> {
-        let Some(first) = pieces.first() else {
-            return Err(CheckpointError::Invalid(
-                "cannot merge zero engine checkpoints".into(),
-            ));
-        };
-        let kind = first.kind.clone();
-        let mut merged = EngineCheckpoint::empty(&kind);
+    pub fn merge(pieces: Vec<EngineCheckpoint>) -> EngineCheckpoint {
+        let mut merged = EngineCheckpoint::empty();
         for piece in pieces {
-            if piece.kind != kind {
-                return Err(CheckpointError::EngineMismatch {
-                    checkpoint: piece.kind,
-                    config: kind,
-                });
-            }
             // Every subtask sees every broadcast tick, so the clocks agree;
             // take the max to be safe against empty subtasks.
             merged.last_time = merged.last_time.max(piece.last_time);
-            merged.skipped_partitions += piece.skipped_partitions;
             merged.window_owners.extend(piece.window_owners);
-            merged.vba_owners.extend(piece.vba_owners);
         }
         merged.window_owners.sort_by_key(|o| o.owner);
-        merged.vba_owners.sort_by_key(|o| o.owner);
-        Ok(merged)
+        merged
     }
 }
 
@@ -389,7 +331,7 @@ pub struct SyncWindowCheckpoint {
 /// window-seal observability counters, plus any pending (received but not
 /// yet sealed) pair partitions. Captured as one piece per sync subtask
 /// (plus one from the tree finalizer) and merged at the sink, mirroring
-/// the [`EngineCheckpoint`] pattern; restore owner-filters the pending
+/// [`EngineCheckpoint::merge`]; restore owner-filters the pending
 /// pairs back onto the shard that owns them at the restored parallelism.
 ///
 /// In the barrier-aligned dataflow `pending` is provably empty at every
@@ -453,8 +395,8 @@ impl SyncCheckpoint {
     /// pair-owner → shard mapping the exchange routes by), cumulative
     /// counters included only when `with_counters` (restore them into one
     /// subtask, or the next checkpoint's merge would multiply them by the
-    /// parallelism — the [`EngineCheckpoint`] `skipped_partitions`
-    /// pattern).
+    /// parallelism). The finalizer's `windows_sealed` is never part of a
+    /// shard's piece.
     pub fn piece(&self, with_counters: bool, keep: impl Fn(ObjectId) -> bool) -> SyncCheckpoint {
         SyncCheckpoint {
             pairs_merged: if with_counters { self.pairs_merged } else { 0 },
@@ -587,9 +529,7 @@ mod tests {
 
     fn sample_engine() -> EngineCheckpoint {
         EngineCheckpoint {
-            kind: "FBA".into(),
             last_time: Some(7),
-            skipped_partitions: 0,
             window_owners: vec![WindowOwnerCheckpoint {
                 owner: ObjectId(3),
                 starts: vec![5, 7],
@@ -598,7 +538,6 @@ mod tests {
                     members: vec![ObjectId(4), ObjectId(9)],
                 }],
             }],
-            vba_owners: Vec::new(),
         }
     }
 
@@ -662,32 +601,20 @@ mod tests {
 
     #[test]
     fn merge_sums_and_sorts() {
-        let mut a = sample_engine();
-        a.skipped_partitions = 2;
-        let mut b = EngineCheckpoint::empty("FBA");
-        b.last_time = Some(7);
-        b.skipped_partitions = 1;
-        b.window_owners.push(WindowOwnerCheckpoint {
-            owner: ObjectId(1),
-            starts: vec![7],
-            history: Vec::new(),
-        });
-        let merged = EngineCheckpoint::merge(vec![a, b]).unwrap();
-        assert_eq!(merged.skipped_partitions, 3);
+        let a = sample_engine();
+        let b = EngineCheckpoint {
+            last_time: Some(7),
+            window_owners: vec![WindowOwnerCheckpoint {
+                owner: ObjectId(1),
+                starts: vec![7],
+                history: Vec::new(),
+            }],
+        };
+        let merged = EngineCheckpoint::merge(vec![a, b]);
         assert_eq!(merged.last_time, Some(7));
         let owners: Vec<u32> = merged.window_owners.iter().map(|o| o.owner.0).collect();
         assert_eq!(owners, vec![1, 3], "owners re-sorted canonically");
-    }
-
-    #[test]
-    fn merge_rejects_mixed_kinds() {
-        let a = EngineCheckpoint::empty("FBA");
-        let b = EngineCheckpoint::empty("VBA");
-        assert!(matches!(
-            EngineCheckpoint::merge(vec![a, b]),
-            Err(CheckpointError::EngineMismatch { .. })
-        ));
-        assert!(EngineCheckpoint::merge(Vec::new()).is_err());
+        assert_eq!(EngineCheckpoint::merge(Vec::new()).last_time, None);
     }
 
     #[test]
@@ -878,11 +805,11 @@ mod tests {
 
     #[test]
     fn errors_display() {
-        let e = CheckpointError::EngineMismatch {
-            checkpoint: "VBA".into(),
-            config: "FBA".into(),
+        let e = CheckpointError::UnsupportedVersion {
+            found: 7,
+            supported: 8,
         };
-        assert!(e.to_string().contains("VBA") && e.to_string().contains("FBA"));
+        assert!(e.to_string().contains('7') && e.to_string().contains('8'));
         assert!(CheckpointError::Invalid("x".into())
             .to_string()
             .contains('x'));

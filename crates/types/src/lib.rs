@@ -21,10 +21,9 @@ pub mod timeseq;
 
 pub use checkpoint::{
     AlignerCheckpoint, CellAssignment, CellLoadCheckpoint, ChainCheckpoint, CheckpointError,
-    DiscretizerCheckpoint, EngineCheckpoint, EpisodeCheckpoint, HistoryRowCheckpoint,
-    ObsCheckpoint, ObsCounterEntry, PipelineCheckpoint, ProgressCheckpoint, RoutingCheckpoint,
-    SyncCheckpoint, SyncWindowCheckpoint, TrajectoryStamp, VbaOwnerCheckpoint,
-    WindowOwnerCheckpoint, CHECKPOINT_VERSION,
+    DiscretizerCheckpoint, EngineCheckpoint, HistoryRowCheckpoint, ObsCheckpoint, ObsCounterEntry,
+    PipelineCheckpoint, ProgressCheckpoint, RoutingCheckpoint, SyncCheckpoint,
+    SyncWindowCheckpoint, TrajectoryStamp, WindowOwnerCheckpoint, CHECKPOINT_VERSION,
 };
 pub use constraints::{Constraints, DbscanParams};
 pub use discretize::Discretizer;

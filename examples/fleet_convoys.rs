@@ -4,13 +4,13 @@
 //! grid, 5 s sampling) through the **distributed streaming pipeline** and
 //! reports convoys — the trajectory-compression / fleet-management use case
 //! from the paper's introduction — together with the pipeline's latency and
-//! throughput, comparing FBA and VBA.
+//! throughput. The pipeline enumerates with FBA.
 //!
 //! ```text
 //! cargo run --release --example fleet_convoys
 //! ```
 
-use icpe::core::{EnumeratorKind, IcpeConfig, IcpePipeline};
+use icpe::core::{IcpeConfig, IcpePipeline};
 use icpe::gen::{TaxiConfig, TaxiGenerator};
 use icpe::pattern::PatternSummary;
 use icpe::types::Constraints;
@@ -35,31 +35,27 @@ fn main() {
     // at 5 s sampling), in stretches of ≥ 6 ticks with gaps ≤ 3.
     let constraints = Constraints::new(3, 12, 6, 3).expect("valid constraints");
 
-    for enumerator in [EnumeratorKind::Fba, EnumeratorKind::Vba] {
-        let config = IcpeConfig::builder()
-            .constraints(constraints)
-            .epsilon(3.0)
-            .min_pts(3)
-            .parallelism(4)
-            .enumerator(enumerator)
-            .build()
-            .expect("valid configuration");
+    let config = IcpeConfig::builder()
+        .constraints(constraints)
+        .epsilon(3.0)
+        .min_pts(3)
+        .parallelism(4)
+        .build()
+        .expect("valid configuration");
 
-        let out = IcpePipeline::run(&config, records.clone());
-        let summary = PatternSummary::from_reports(&out.patterns);
-        println!(
-            "\n[{}] {} convoy reports, {} distinct fleets, {} maximal | {}",
-            enumerator.name(),
-            summary.reports,
-            summary.distinct_sets,
-            summary.maximal.len(),
-            out.metrics,
-        );
-        for p in summary.maximal.iter().take(5) {
-            println!("  convoy {p}");
-        }
-        if summary.maximal.len() > 5 {
-            println!("  … and {} more", summary.maximal.len() - 5);
-        }
+    let out = IcpePipeline::run(&config, records);
+    let summary = PatternSummary::from_reports(&out.patterns);
+    println!(
+        "\n[FBA] {} convoy reports, {} distinct fleets, {} maximal | {}",
+        summary.reports,
+        summary.distinct_sets,
+        summary.maximal.len(),
+        out.metrics,
+    );
+    for p in summary.maximal.iter().take(5) {
+        println!("  convoy {p}");
+    }
+    if summary.maximal.len() > 5 {
+        println!("  … and {} more", summary.maximal.len() - 5);
     }
 }

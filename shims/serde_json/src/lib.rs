@@ -91,11 +91,18 @@ fn write_string(s: &str, out: &mut String) {
 
 // ---- parser ----------------------------------------------------------------
 
-/// Parses JSON text into a [`Value`] tree.
+/// How deeply arrays and objects may nest. The parser recurses once per
+/// level, so without a bound one line of `[[[[…` from a network peer
+/// overflows the thread's stack and aborts the process; the deepest
+/// document this workspace writes (a checkpoint) nests about 5 levels.
+pub const MAX_DEPTH: usize = 128;
+
+/// Parses JSON text into a [`Value`] tree. Input nesting deeper than
+/// [`MAX_DEPTH`] is an error.
 pub fn parse(s: &str) -> Result<Value, Error> {
     let bytes = s.as_bytes();
     let mut pos = 0;
-    let v = parse_value(bytes, &mut pos)?;
+    let v = parse_value(bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(Error(format!("trailing characters at byte {pos}")));
@@ -121,8 +128,16 @@ fn expect(bytes: &[u8], pos: &mut usize, b: u8) -> Result<(), Error> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Value, Error> {
+/// Parses the value at `pos`, which sits inside `depth` open arrays or
+/// objects.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Value, Error> {
     skip_ws(bytes, pos);
+    if matches!(bytes.get(*pos), Some(b'[' | b'{')) && depth == MAX_DEPTH {
+        return Err(Error(format!(
+            "JSON nests deeper than {MAX_DEPTH} levels at byte {pos}",
+            pos = *pos
+        )));
+    }
     match bytes.get(*pos) {
         None => Err(Error("unexpected end of JSON input".into())),
         Some(b'n') => parse_keyword(bytes, pos, "null", Value::Null),
@@ -138,7 +153,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Value, Error> {
                 return Ok(Value::Seq(items));
             }
             loop {
-                items.push(parse_value(bytes, pos)?);
+                items.push(parse_value(bytes, pos, depth + 1)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -168,7 +183,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Value, Error> {
                 let key = parse_string(bytes, pos)?;
                 skip_ws(bytes, pos);
                 expect(bytes, pos, b':')?;
-                let value = parse_value(bytes, pos)?;
+                let value = parse_value(bytes, pos, depth + 1)?;
                 entries.push((key, value));
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
@@ -357,6 +372,21 @@ mod tests {
     fn whitespace_is_tolerated() {
         let v: Vec<u32> = from_str(" [ 1 , 2 ,\n3 ] ").unwrap();
         assert_eq!(v, vec![1, 2, 3]);
+    }
+
+    #[test]
+    fn nesting_is_bounded_without_exhausting_the_stack() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        let err = parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.0.contains("deeper than"), "{}", err.0);
+        // Deep enough to overflow a default 2 MiB thread stack if the
+        // parser recursed without a bound — run on such a thread.
+        let hostile = format!("{{\"id\":{}", "[".repeat(100_000));
+        let parsed = std::thread::spawn(move || parse(&hostile).is_err())
+            .join()
+            .unwrap();
+        assert!(parsed, "a hostile line is an error, not an abort");
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! while late records are still within their grace (the aligner holds
 //! buffered, unsealed snapshots that must survive the restore).
 
-use icpe::core::{EnumeratorKind, IcpeConfig, IcpePipeline, PipelineEvent};
+use icpe::core::{IcpeConfig, IcpePipeline, PipelineEvent};
 use icpe::gen::{GroupWalkConfig, GroupWalkGenerator};
 use icpe::persist::CheckpointStore;
 use icpe::runtime::AlignerConfig;
@@ -36,13 +36,12 @@ fn records() -> Vec<GpsRecord> {
     generator().traces().to_gps_records()
 }
 
-fn config(kind: EnumeratorKind) -> IcpeConfig {
+fn config() -> IcpeConfig {
     IcpeConfig::builder()
         .constraints(icpe::types::Constraints::new(4, 8, 4, 2).unwrap())
         .epsilon(2.5)
         .min_pts(4)
         .parallelism(3)
-        .enumerator(kind)
         .aligner(AlignerConfig {
             max_lag: 64,
             emit_empty: true,
@@ -132,9 +131,10 @@ fn cut_points(total: usize) -> Vec<usize> {
     ]
 }
 
-fn assert_equivalence(kind: EnumeratorKind) {
+#[test]
+fn fba_recovery_is_equivalent_at_every_cut_point() {
     let records = records();
-    let cfg = config(kind);
+    let cfg = config();
     let want = run_continuous(&cfg, &records);
     assert!(!want.is_empty(), "workload must plant detectable groups");
 
@@ -153,24 +153,9 @@ fn assert_equivalence(kind: EnumeratorKind) {
         let got = run_with_crash(&cfg, &records, cut);
         assert_eq!(
             got, want,
-            "{kind:?}: kill at record {cut} changed the sealed pattern multiset"
+            "kill at record {cut} changed the sealed pattern multiset"
         );
     }
-}
-
-#[test]
-fn fba_recovery_is_equivalent_at_every_cut_point() {
-    assert_equivalence(EnumeratorKind::Fba);
-}
-
-#[test]
-fn vba_recovery_is_equivalent_at_every_cut_point() {
-    assert_equivalence(EnumeratorKind::Vba);
-}
-
-#[test]
-fn baseline_recovery_is_equivalent_at_every_cut_point() {
-    assert_equivalence(EnumeratorKind::Baseline);
 }
 
 #[test]
@@ -184,7 +169,7 @@ fn recovery_during_late_record_grace_is_equivalent() {
     for i in (0..n.saturating_sub(NUM_OBJECTS)).step_by(2 * NUM_OBJECTS) {
         records.swap(i, i + NUM_OBJECTS);
     }
-    let cfg = config(EnumeratorKind::Fba);
+    let cfg = config();
     let want = run_continuous(&cfg, &records);
     assert!(!want.is_empty());
     for cut in [NUM_OBJECTS * 12 + 5, NUM_OBJECTS * 20 + 1] {
@@ -199,7 +184,7 @@ fn recovery_through_the_on_disk_store_is_equivalent() {
     // atomic write, CRC verification, reload — proving the persisted form
     // (not just the in-memory one) carries the whole state.
     let records = records();
-    let cfg = config(EnumeratorKind::Fba);
+    let cfg = config();
     let want = run_continuous(&cfg, &records);
 
     let dir = std::env::temp_dir().join(format!("icpe-recovery-{}", std::process::id()));
