@@ -9,7 +9,12 @@
 //! * `none` — full replication, build-then-query: the SRJ baseline.
 //!
 //! All four compute the same join (asserted); the table shows the work each
-//! lemma removes, including the duplicate discoveries GridSync suppressed.
+//! lemma removes, including the duplicate discoveries a `PairCollector`
+//! suppresses. Lemma 1's key set keeps only cells after home in row-major
+//! order, so `L1+L2` finds every pair exactly once and its dups column
+//! reads 0. The other rows still find pairs twice: full replication from
+//! both cells of a cross-cell pair, build-then-query from both ends of a
+//! same-cell pair. Lemma 1's saving also shows in the replicas column.
 
 use icpe_bench::{build_traces, extent, BenchParams, Dataset};
 use icpe_cluster::allocate::{grid_allocate, grid_allocate_full};

@@ -118,8 +118,8 @@ fn main() {
     let decay: f64 = arg(&args, "--decay", 0.5);
     // The measured metric is the GridQuery stage's records+pairs split, so
     // the planner optimizes the same objective here (the serve default of
-    // 2.0 trades query-stage balance for sync-merge balance, which this
-    // bench does not measure).
+    // 2.0 also counts each pair's hand-off into the sync-merge tree, which
+    // this bench does not measure).
     let pair_weight: f64 = arg(&args, "--pair-weight", 1.0);
     // Bounded in-flight data, as any deployed streaming system runs: with
     // the library default (1024 batches/channel) the whole bench workload

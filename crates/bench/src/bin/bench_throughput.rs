@@ -29,7 +29,7 @@
 //! --check   CI smoke mode: assert the default batch size beats batch 1 by
 //!           a generous margin (≥1.2× records/s) at parallelism P, that
 //!           N = P in-process beats N = 1 by the scaling floor (default
-//!           1.2×; the sharded-sync regression gate — enforced only on
+//!           1.2×; the serial-tail regression gate — enforced only on
 //!           hosts with ≥2 CPUs, where wall-clock parallelism exists),
 //!           that the serve edge sustains ≥5k records/s, that stage
 //!           instrumentation costs at most `--overhead-cap` (default 5%)
@@ -278,7 +278,7 @@ fn main() {
 
     // Parallelism sweep at the default batch size (and at batch 1 for the
     // batching comparison). Every row must seal the identical pattern
-    // multiset — sharded sync included, and (since `align_shards` follows
+    // multiset — the sync-merge tree included, and (since `align_shards` follows
     // the parallelism) the sharded TimeAligner + fused GridAllocate head
     // widens with every row too.
     let mut scale_rows = Vec::new();
@@ -306,7 +306,7 @@ fn main() {
         scale_rows.push((p, batched, unbatched));
     }
 
-    // The sharded-sync scaling headline: in-process N = P vs N = 1 at the
+    // The scaling headline: in-process N = P vs N = 1 at the
     // default batch size. Before the merge path was parallelized this
     // ratio sat at ≈1.0 even on multi-core hosts — the serial tail
     // (align/allocate/sync funnel) capped the whole dataflow. The ratio

@@ -240,13 +240,12 @@ pub struct BalancerConfig {
     /// Maximum cells pinned explicitly (the routing-table budget); the
     /// rest stay on consistent hashing.
     pub max_mapped_cells: usize,
-    /// How much each produced pair weighs in the cell-load model. A pair
-    /// costs the deployment twice: once at the query subtask that
-    /// discovers it and once on the sharded sync merge path that
-    /// deduplicates and reduces it — so the default counts both sides
-    /// (`2.0`), making pair-heavy cells (whose merge partitions run hot)
-    /// migrate sooner. `1.0` restores the query-side-only model of the
-    /// pre-sharded merge path.
+    /// How much each produced pair weighs in the cell-load model, against
+    /// 1 per record. The subtask that discovers a pair also pays for it
+    /// after the probe: it stores the pair, sorts the pair's ids into the
+    /// window's object union and ships both into the sync-merge tree. The
+    /// default (`2.0`) counts the probe hit and that hand-off, so
+    /// pair-heavy cells migrate sooner; `1.0` counts the probe hit only.
     pub sync_pair_weight: f64,
 }
 

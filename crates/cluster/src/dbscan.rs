@@ -13,7 +13,7 @@ use std::collections::HashMap;
 
 /// The clustering outcome, including per-point roles (useful for tests and
 /// diagnostics; the pipeline only forwards [`DbscanOutcome::snapshot`]).
-#[derive(Debug)]
+#[derive(Debug, PartialEq)]
 pub struct DbscanOutcome {
     /// Clusters of core + border points.
     pub snapshot: ClusterSnapshot,
@@ -26,7 +26,8 @@ pub struct DbscanOutcome {
 }
 
 /// Runs DBSCAN at time `time` over `objects` (all ids present in the
-/// snapshot) given the deduplicated neighbor `pairs` of the range join.
+/// snapshot) given the neighbor `pairs` of the range join, each pair once,
+/// in any order.
 pub fn dbscan_from_pairs(
     time: Timestamp,
     objects: &[ObjectId],

@@ -8,7 +8,8 @@
 //!   Lemma-1 upper-half replication;
 //! * [`query`] — **GridQuery** (Algorithm 2): per-cell R-tree build with the
 //!   Lemma-2 query-during-build trick;
-//! * [`sync`] — **GridSync**: pair collection and deduplication;
+//! * [`sync`] — **GridSync**: the sync-merge tree's gauges, and pair
+//!   deduplication for the schemes that find pairs twice (SRJ, ablations);
 //! * [`dbscan`] — DBSCAN over the neighbor-pair stream (union-find closure
 //!   of the core-point graph, O(pairs));
 //! * [`rjc`] — the assembled RJC clustering method (ours);

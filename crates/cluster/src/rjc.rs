@@ -4,11 +4,14 @@
 //! DBSCAN. This is the engine form that processes one snapshot at a time;
 //! the streaming deployment in `icpe-core` runs the same components as
 //! pipeline operators across parallel subtasks.
+//!
+//! GridSync here is a concatenation and a sort: the Lemma-1 key set only
+//! reaches cells after a location's home in row-major order, so each pair
+//! is found in exactly one cell and nothing needs deduplicating.
 
 use crate::allocate::grid_allocate;
 use crate::dbscan::{dbscan_from_pairs, DbscanOutcome};
 use crate::query::{CellQueryEngine, NeighborPair};
-use crate::sync::PairCollector;
 use crate::SnapshotClusterer;
 use icpe_index::{Grid, GridKey};
 use icpe_types::{ClusterSnapshot, DbscanParams, DistanceMetric, ObjectId, Snapshot};
@@ -40,35 +43,27 @@ impl RjcClusterer {
         &self.grid
     }
 
-    /// Computes the exact range join `RJ(S_t, ε)` of one snapshot
-    /// (deduplicated, sorted canonical pairs).
+    /// Computes the exact range join `RJ(S_t, ε)` of one snapshot (sorted
+    /// canonical pairs, each found once).
     pub fn range_join(&self, snapshot: &Snapshot) -> Vec<NeighborPair> {
-        self.range_join_with_stats(snapshot).0
-    }
-
-    /// Range join returning `(pairs, duplicate_discoveries)`.
-    pub fn range_join_with_stats(&self, snapshot: &Snapshot) -> (Vec<NeighborPair>, usize) {
         let objects = grid_allocate(snapshot, &self.grid, self.eps);
         // Group by cell (the keyed exchange of the streaming deployment).
         let mut cells: HashMap<GridKey, Vec<&crate::gridobject::GridObject>> = HashMap::new();
         for o in &objects {
             cells.entry(o.key).or_default().push(o);
         }
-        let mut collector = PairCollector::new();
-        let mut scratch: Vec<NeighborPair> = Vec::new();
+        let mut pairs: Vec<NeighborPair> = Vec::new();
         for (_, cell_objects) in cells {
             let mut engine = CellQueryEngine::new(self.eps, self.metric);
-            scratch.clear();
             for o in cell_objects.iter().filter(|o| !o.is_query) {
-                engine.push_data(o.id, o.location, &mut scratch);
+                engine.push_data(o.id, o.location, &mut pairs);
             }
             for o in cell_objects.iter().filter(|o| o.is_query) {
-                engine.push_query(o.id, o.location, &mut scratch);
+                engine.push_query(o.id, o.location, &mut pairs);
             }
-            collector.extend(scratch.drain(..));
         }
-        let dups = collector.duplicates();
-        (collector.into_pairs(), dups)
+        pairs.sort_unstable();
+        pairs
     }
 
     /// Full clustering of one snapshot with role details.
@@ -200,15 +195,18 @@ mod tests {
     }
 
     #[test]
-    fn duplicates_are_bounded_and_results_exact() {
-        // Same-row pairs can be discovered twice; the collector must dedupe.
+    fn same_row_pairs_are_found_exactly_once() {
+        // Each pair straddles a column boundary of one grid row: both
+        // partners lie in the other's upper half-region, so the paper's key
+        // set finds it from both cells. The cell order finds it once, with
+        // nothing deduplicating the output.
         let s = snap(&[(1, 0.9, 5.0), (2, 1.1, 5.0), (3, 2.9, 5.0), (4, 3.1, 5.0)]);
         let rjc = RjcClusterer::new(
             1.0,
             DbscanParams::new(0.5, 2).unwrap(),
             DistanceMetric::Chebyshev,
         );
-        let (pairs, _dups) = rjc.range_join_with_stats(&s);
+        let pairs = rjc.range_join(&s);
         assert_eq!(
             pairs,
             vec![(ObjectId(1), ObjectId(2)), (ObjectId(3), ObjectId(4))]

@@ -1,27 +1,22 @@
-//! **GridSync** — result collection with deduplication.
+//! **GridSync** — result collection.
 //!
-//! Lemma 1 eliminates *most* duplicate discoveries, but a pair of locations
-//! lying in the same horizontal band (each inside the other's upper
-//! half-region) can still be found from both sides. `PairCollector`
-//! canonicalizes and deduplicates, yielding exact set semantics for
-//! `RJ(O, ε)`, and counts how many duplicates were suppressed (an observable
-//! for the Lemma-1 ablation bench).
+//! The Lemma-1 key set replicates a location only to cells after its home
+//! in row-major order (see `icpe_index::grid`), so every neighbor pair is
+//! discovered exactly once and the live collection needs no dedup: each
+//! grid-query subtask hands its window's pairs straight to the sync-merge
+//! aggregation tree, whose finalizer runs DBSCAN. [`SyncStats`] is the
+//! shared observability surface of that tree: its shape plus cumulative
+//! pair/seal counters, read by `STATUS` endpoints and restored from
+//! checkpoints so the gauges survive a restart.
 //!
-//! Since the merge-path sharding, collection is no longer one centralized
-//! funnel: the pair stream is hash-partitioned on the pair's owning id
-//! across `N` sync subtasks (each running its own `PairCollector` over the
-//! shard it owns — the same pair always lands on the same shard, so dedup
-//! stays exact), and the per-shard results are reduced to one stream
-//! through a fanin-bounded aggregation tree. [`SyncStats`] is the shared
-//! observability surface of that path: cumulative pair/duplicate/seal
-//! counters plus the per-shard load split of the most recently sealed
-//! window, read by `STATUS` endpoints and restored from checkpoints so
-//! the gauges survive a restart.
+//! [`PairCollector`] canonicalizes and deduplicates, yielding exact set
+//! semantics for `RJ(O, ε)` from a scheme that does find pairs twice — the
+//! SRJ baseline's full-region replication and the Lemma-1 ablation bench,
+//! which counts what it suppresses.
 
 use crate::query::NeighborPair;
-use std::collections::{BTreeMap, HashSet};
+use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 
 /// Collects neighbor pairs from all cells, deduplicating.
 #[derive(Debug, Default)]
@@ -76,159 +71,74 @@ impl PairCollector {
         v.sort_unstable();
         v
     }
-
-    /// The distinct pairs collected so far (sorted), without consuming the
-    /// collector — the checkpoint capture of a still-open window.
-    pub fn snapshot_pairs(&self) -> Vec<NeighborPair> {
-        let mut v: Vec<NeighborPair> = self.seen.iter().copied().collect();
-        v.sort_unstable();
-        v
-    }
 }
 
-/// A point-in-time view of the sharded sync path's gauges.
+/// A point-in-time view of the sync-merge tree's gauges.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct SyncStatus {
-    /// Sync shards (= keyed-stage parallelism).
-    pub shards: usize,
     /// Configured aggregation-tree fanin.
     pub fanin: usize,
-    /// Interior combiner levels between the shards and the finalizer
-    /// (0 when `shards ≤ fanin` — the flat funnel).
+    /// Interior combiner levels between the grid-query subtasks and the
+    /// finalizer (0 when `parallelism ≤ fanin` — the flat funnel).
     pub levels: usize,
-    /// Distinct pairs merged across all sealed windows (cumulative).
+    /// Neighbor pairs merged across all sealed windows (cumulative).
     pub pairs_merged: u64,
-    /// Duplicate discoveries suppressed (cumulative).
-    pub duplicates: u64,
     /// Windows sealed through the merge tree (cumulative).
     pub windows_sealed: u64,
-    /// Heaviest shard's load (pairs + duplicates) in the most recently
-    /// sealed window.
-    pub max_shard_load: u64,
-    /// Mean per-shard load of that window.
-    pub mean_shard_load: f64,
 }
 
-impl SyncStatus {
-    /// `max/mean` shard load of the last sealed window (1.0 = balanced;
-    /// idle windows count as balanced).
-    pub fn imbalance(&self) -> f64 {
-        if self.mean_shard_load <= 0.0 {
-            return 1.0;
-        }
-        self.max_shard_load as f64 / self.mean_shard_load
-    }
-}
-
-/// Shared gauges of the sharded GridSync merge path. Wrap in `Arc`; the
-/// sync shards and the tree finalizer write, status endpoints read. The
-/// per-operator *authoritative* counters live in the operators themselves
-/// (and in their checkpoint pieces); this surface only mirrors them for
-/// live observability, so writers report per-window deltas.
+/// Shared gauges of the sync-merge tree. Wrap in `Arc`; the tree finalizer
+/// writes, status endpoints read. The authoritative counters live in the
+/// finalizer (and in its checkpoint piece); this surface only mirrors them
+/// for live observability.
 #[derive(Debug)]
 pub struct SyncStats {
-    shards: usize,
     fanin: usize,
     levels: usize,
     pairs_merged: AtomicU64,
-    duplicates: AtomicU64,
     windows_sealed: AtomicU64,
-    /// Open per-window shard loads: time → (per-shard loads, reports).
-    windows: Mutex<SyncWindows>,
 }
-
-#[derive(Debug, Default)]
-struct SyncWindows {
-    open: BTreeMap<u32, (Vec<u64>, usize)>,
-    last_sealed: Option<(u32, Vec<u64>)>,
-}
-
-/// Open-window bound: a shard that somehow never reports would otherwise
-/// grow the map without limit on a days-long deployment.
-const MAX_OPEN_SYNC_WINDOWS: usize = 4096;
 
 impl SyncStats {
-    /// Gauges for `shards` sync subtasks reduced at tree fanin `fanin`.
-    pub fn new(shards: usize, fanin: usize) -> Self {
-        let shards = shards.max(1);
+    /// Gauges for a tree reducing `width` producers at fanin `fanin`.
+    pub fn new(width: usize, fanin: usize) -> Self {
         let fanin = fanin.max(2);
         // Interior levels: how many times the width must divide by the
         // fanin before one slot can absorb it.
         let mut levels = 0usize;
-        let mut width = shards;
+        let mut width = width.max(1);
         while width > fanin {
             width = width.div_ceil(fanin);
             levels += 1;
         }
         SyncStats {
-            shards,
             fanin,
             levels,
             pairs_merged: AtomicU64::new(0),
-            duplicates: AtomicU64::new(0),
             windows_sealed: AtomicU64::new(0),
-            windows: Mutex::new(SyncWindows::default()),
         }
     }
 
-    /// One shard's seal of window `time`: `pairs` distinct pairs forwarded,
-    /// `duplicates` suppressed. The window's load row seals at the
-    /// `shards`-th report.
-    pub fn note_shard_window(&self, time: u32, shard: usize, pairs: u64, duplicates: u64) {
+    /// The finalizer sealed one merged window of `pairs` neighbor pairs.
+    pub fn note_window_sealed(&self, pairs: u64) {
         self.pairs_merged.fetch_add(pairs, Ordering::Relaxed);
-        self.duplicates.fetch_add(duplicates, Ordering::Relaxed);
-        let mut windows = self.windows.lock().expect("sync stats poisoned");
-        let n = self.shards;
-        let (loads, reports) = windows.open.entry(time).or_insert_with(|| (vec![0; n], 0));
-        if let Some(slot) = loads.get_mut(shard) {
-            *slot += pairs + duplicates;
-        }
-        *reports += 1;
-        if *reports >= n {
-            let (loads, _) = windows.open.remove(&time).expect("window present");
-            windows.last_sealed = Some((time, loads));
-        }
-        while windows.open.len() > MAX_OPEN_SYNC_WINDOWS {
-            windows.open.pop_first();
-        }
-    }
-
-    /// The finalizer sealed one merged window.
-    pub fn note_window_sealed(&self) {
         self.windows_sealed.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Rehydrates the cumulative counters from a checkpoint's merged sync
+    /// Rehydrates the cumulative counters from a checkpoint's sync
     /// section, so a restored deployment's gauges stay cumulative.
-    pub fn restore(&self, pairs_merged: u64, duplicates: u64, windows_sealed: u64) {
+    pub fn restore(&self, pairs_merged: u64, windows_sealed: u64) {
         self.pairs_merged.store(pairs_merged, Ordering::Relaxed);
-        self.duplicates.store(duplicates, Ordering::Relaxed);
         self.windows_sealed.store(windows_sealed, Ordering::Relaxed);
     }
 
     /// The current gauge snapshot.
     pub fn status(&self) -> SyncStatus {
-        let windows = self.windows.lock().expect("sync stats poisoned");
-        let (max, mean) = windows
-            .last_sealed
-            .as_ref()
-            .map(|(_, loads)| {
-                let total: u64 = loads.iter().sum();
-                (
-                    loads.iter().copied().max().unwrap_or(0),
-                    total as f64 / loads.len().max(1) as f64,
-                )
-            })
-            .unwrap_or((0, 0.0));
         SyncStatus {
-            shards: self.shards,
             fanin: self.fanin,
             levels: self.levels,
             pairs_merged: self.pairs_merged.load(Ordering::Relaxed),
-            duplicates: self.duplicates.load(Ordering::Relaxed),
             windows_sealed: self.windows_sealed.load(Ordering::Relaxed),
-            max_shard_load: max,
-            mean_shard_load: mean,
         }
     }
 }
@@ -285,36 +195,25 @@ mod tests {
     #[test]
     fn sync_stats_seal_and_status() {
         let stats = SyncStats::new(2, 4);
-        stats.note_shard_window(3, 0, 10, 2);
+        stats.note_window_sealed(10);
         let s = stats.status();
         assert_eq!(s.pairs_merged, 10);
-        assert_eq!(s.duplicates, 2);
-        assert_eq!(s.max_shard_load, 0, "window not sealed yet");
-        stats.note_shard_window(3, 1, 4, 0);
-        stats.note_window_sealed();
-        let s = stats.status();
-        assert_eq!(s.pairs_merged, 14);
         assert_eq!(s.windows_sealed, 1);
-        assert_eq!(s.max_shard_load, 12);
-        assert_eq!(s.mean_shard_load, 8.0);
-        assert_eq!(s.imbalance(), 1.5);
+        stats.note_window_sealed(0);
+        let s = stats.status();
+        assert_eq!(s.pairs_merged, 10);
+        assert_eq!(s.windows_sealed, 2, "empty windows seal too");
     }
 
     #[test]
     fn sync_stats_restore_is_cumulative() {
         let stats = SyncStats::new(3, 2);
-        stats.restore(100, 9, 40);
-        stats.note_shard_window(7, 0, 5, 1);
+        stats.restore(100, 40);
+        stats.note_window_sealed(5);
         let s = stats.status();
         assert_eq!(s.pairs_merged, 105);
-        assert_eq!(s.duplicates, 10);
-        assert_eq!(s.windows_sealed, 40);
-        assert_eq!(s.shards, 3);
+        assert_eq!(s.windows_sealed, 41);
         assert_eq!(s.fanin, 2);
-    }
-
-    #[test]
-    fn sync_status_idle_is_balanced() {
-        assert_eq!(SyncStatus::default().imbalance(), 1.0);
+        assert_eq!(s.levels, 1, "3 → 2 → final");
     }
 }

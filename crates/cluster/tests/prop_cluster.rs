@@ -2,7 +2,9 @@
 //! random point sets, across metrics and grid widths.
 
 use icpe_cluster::naive::{naive_dbscan, naive_range_join};
-use icpe_cluster::{GdcClusterer, RjcClusterer, SnapshotClusterer, SrjClusterer};
+use icpe_cluster::{
+    dbscan_from_pairs, GdcClusterer, RjcClusterer, SnapshotClusterer, SrjClusterer,
+};
 use icpe_types::{
     ClusterSnapshot, DbscanParams, DistanceMetric, ObjectId, Point, Snapshot, Timestamp,
 };
@@ -38,6 +40,18 @@ fn comparable(cs: &ClusterSnapshot) -> (usize, Vec<ObjectId>) {
         .collect();
     members.sort_unstable();
     (cs.clusters.len(), members)
+}
+
+/// A seeded Fisher–Yates shuffle (xorshift64; the shim has no shuffle
+/// strategy).
+fn shuffle<T>(items: &mut [T], seed: u64) {
+    let mut state = seed | 1;
+    for i in (1..items.len()).rev() {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        items.swap(i, (state % (i as u64 + 1)) as usize);
+    }
 }
 
 proptest! {
@@ -126,5 +140,28 @@ proptest! {
                 }
             }
         }
+    }
+
+    /// DBSCAN depends on the pair multiset only: the pipeline hands it the
+    /// grid-query subtasks' pairs in tree arrival order, unsorted, so any
+    /// permutation of the pair list must leave the whole outcome —
+    /// clusters, cores, borders, noise — identical.
+    #[test]
+    fn dbscan_from_pairs_is_pair_order_invariant(
+        snap in snapshot_strategy(100),
+        eps in 0.2f64..6.0,
+        min_pts in 1usize..8,
+        metric in metric_strategy(),
+        seed in 0u64..1_000_000,
+    ) {
+        let params = DbscanParams::new(eps, min_pts).unwrap();
+        let ids: Vec<ObjectId> = snap.entries.iter().map(|e| e.id).collect();
+        let sorted = naive_range_join(&snap, eps, metric);
+        let want = dbscan_from_pairs(snap.time, &ids, &sorted, &params);
+        let mut permuted = sorted.clone();
+        shuffle(&mut permuted, seed);
+        prop_assert_eq!(dbscan_from_pairs(snap.time, &ids, &permuted, &params), want);
+        permuted.reverse();
+        prop_assert_eq!(dbscan_from_pairs(snap.time, &ids, &permuted, &params), want);
     }
 }

@@ -66,10 +66,11 @@ impl ClustererKind {
     }
 }
 
-/// Default fanin of the sharded GridSync aggregation tree: how many
-/// partial merges each combiner absorbs. 4 keeps the tree at most one
-/// interior level deep up to parallelism 16 while still fanning the
-/// dedup work out; `≥ N` degrades to a flat N → 1 funnel.
+/// Default fanin of the aggregation trees (sync-merge over the grid-query
+/// subtasks, snap-merge over the aligner shards): how many partials each
+/// combiner absorbs. 4 keeps a tree at most one interior level deep up to
+/// parallelism 16 while still fanning the object-id unions out; `≥ N`
+/// degrades to a flat N → 1 funnel.
 pub const DEFAULT_SYNC_FANIN: usize = 4;
 
 /// Which enumeration engine runs in the pattern phase (§7.2 comparisons).
@@ -120,13 +121,14 @@ pub struct IcpeConfig {
     pub clusterer: ClustererKind,
     /// Enumeration engine.
     pub enumerator: EnumeratorKind,
-    /// Parallelism `N` of the keyed stages (GridQuery, GridSync shards,
-    /// enumeration) in the streaming deployment — the paper's machine
-    /// count.
+    /// Parallelism `N` of the keyed stages (GridQuery, enumeration) in the
+    /// streaming deployment — the paper's machine count — and the width of
+    /// the sync-merge tree.
     pub parallelism: usize,
-    /// Fanin of the GridSync aggregation tree (clamped ≥ 2): the sharded
-    /// sync stage's `N` partial merges reduce through ⌈N/fanin⌉ combiners
-    /// per level down to one finalizer.
+    /// Fanin of the aggregation trees (clamped ≥ 2): the `N` grid-query
+    /// subtasks' pair shares reduce through ⌈N/fanin⌉ combiners per level
+    /// down to the DBSCAN finalizer, and the aligner shards' snapshot
+    /// partials likewise down to the snapshot-merge finalizer.
     pub sync_fanin: usize,
     /// Parallelism of the sharded aligner head (TimeAligner + fused
     /// GridAllocate), keyed by trajectory id. Defaults to `parallelism`;
@@ -279,8 +281,8 @@ impl IcpeConfigBuilder {
         self
     }
 
-    /// Sets the GridSync aggregation-tree fanin (default
-    /// [`DEFAULT_SYNC_FANIN`], clamped ≥ 2). `fanin ≥ N` collapses the
+    /// Sets the aggregation-tree fanin (default [`DEFAULT_SYNC_FANIN`],
+    /// clamped ≥ 2). `fanin ≥ N` collapses the
     /// tree to a flat N → 1 funnel.
     pub fn sync_fanin(mut self, fanin: usize) -> Self {
         self.sync_fanin = fanin.max(2);

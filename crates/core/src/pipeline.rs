@@ -4,8 +4,7 @@
 //! Source(1) → AlignRoute(1) → AlignShard+GridAllocate(S, keyBy id)
 //!     → SnapMerge(tree, fanin f)         ┐
 //!     → GridQuery(N, keyBy grid cell)    │  keyed data,
-//!     → GridSync(N, keyBy owner id)      │  broadcast per-snapshot ticks
-//!     → SyncMerge+DBSCAN(tree, fanin f)  │
+//!     → SyncMerge+DBSCAN(tree, fanin f)  │  broadcast per-snapshot ticks
 //!     → Enumerate(N, keyBy owner id)     ┘
 //!     → Sink(1)
 //! ```
@@ -33,7 +32,7 @@
 //! — cell assignment is per-record stateless, so the allocate work rides
 //! the shards for free — and emits a partial object set per sealed time.
 //! Partials reduce through a `snap-merge` aggregation tree (same fanin as
-//! the GridSync tree, ticks aligned at every level) to one finalizer that
+//! the sync-merge tree, ticks aligned at every level) to one finalizer that
 //! runs the load balancer and releases the window to the keyed grid
 //! exchange. Per-record chain work, row buffering, and cell assignment all
 //! scale with `S`; only the frontier bookkeeping (a hash+compare per
@@ -48,6 +47,12 @@
 //! Every keyed hop carries the runtime's [`Envelope`]: keyed data, broadcast
 //! snapshot ticks, broadcast checkpoint barriers — one message shape, one
 //! exchange constructor, one tick/barrier counter ([`WindowAlign`]).
+//!
+//! Neighbor pairs are exactly-once at the source: the Lemma-1 key set
+//! replicates a location only to cells after its home in row-major order
+//! (`icpe_index::grid`), so every pair is found in exactly one cell. Each
+//! grid-query subtask therefore feeds its window's pairs straight into the
+//! `sync-merge` tree, with no dedup stage between them.
 //!
 //! Two entry points are provided:
 //!
@@ -119,7 +124,7 @@
 use crate::config::{ClustererKind, EnumeratorKind, IcpeConfig, Supervision};
 use icpe_cluster::balance::{imbalance, CellLoad, LoadBalancer, LoadTracker};
 use icpe_cluster::query::NeighborPair;
-use icpe_cluster::sync::{PairCollector, SyncStats, SyncStatus};
+use icpe_cluster::sync::{SyncStats, SyncStatus};
 use icpe_cluster::{dbscan_from_pairs, grid_allocate, CellQueryEngine, GridObject};
 use icpe_index::{Grid, GridKey};
 use icpe_pattern::partition::Partition;
@@ -134,8 +139,7 @@ use icpe_types::shard::{hash_id, stable_hash, subtask_for};
 use icpe_types::{
     AlignerCheckpoint, CheckpointError, DbscanParams, DistanceMetric, EngineCheckpoint, GpsRecord,
     ObjectId, ObsCheckpoint, Pattern, PatternBatch, PipelineCheckpoint, ProgressCheckpoint,
-    RoutingCheckpoint, Snapshot, SyncCheckpoint, SyncWindowCheckpoint, Timestamp,
-    CHECKPOINT_VERSION,
+    RoutingCheckpoint, Snapshot, SyncCheckpoint, Timestamp, CHECKPOINT_VERSION,
 };
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
@@ -208,10 +212,9 @@ pub(crate) struct BarrierToken {
     /// the adaptive-routing state at the cut. Stays `None` under static
     /// routing.
     routing: Mutex<Option<RoutingCheckpoint>>,
-    /// Filled as the barrier aligns through the sharded sync path: one
-    /// piece per sync shard (dedup counters + pending pairs) plus one
-    /// from the tree finalizer (window-seal counter). Merged by the sink.
-    sync: Mutex<Vec<SyncCheckpoint>>,
+    /// Filled by the sync-merge finalizer as the barrier aligns there: its
+    /// cumulative pair and window-seal counters.
+    sync: Mutex<Option<SyncCheckpoint>>,
 }
 
 impl BarrierSeq for BarrierToken {
@@ -316,7 +319,7 @@ pub struct StatusSnapshot {
     pub report: MetricsReport,
     /// The grid stage's routing layer (epoch, migrations, load split).
     pub routing: RoutingStatus,
-    /// The sharded GridSync merge path.
+    /// The sync-merge tree.
     pub sync: SyncStatus,
     /// The sharded aligner head.
     pub align: AlignerStatus,
@@ -392,8 +395,8 @@ impl PipelineStatus {
         status
     }
 
-    /// The sharded GridSync merge path's gauges: cumulative dedup/seal
-    /// counters and the per-shard load split of the last sealed window.
+    /// The sync-merge tree's gauges: its shape and cumulative pair/seal
+    /// counters.
     pub fn sync(&self) -> SyncStatus {
         self.sync.status()
     }
@@ -475,11 +478,8 @@ impl PipelineStatus {
                 .install(balancer.epoch(), balancer.table_assignments(), behind);
         }
         match &resume.sync {
-            Some(ckpt) => {
-                self.sync
-                    .restore(ckpt.pairs_merged, ckpt.duplicates, ckpt.windows_sealed)
-            }
-            None => self.sync.restore(0, 0, 0),
+            Some(ckpt) => self.sync.restore(ckpt.pairs_merged, ckpt.windows_sealed),
+            None => self.sync.restore(0, 0),
         }
         self.align
             .restore(late_dropped, aligner.and_then(|c| c.sealed_up_to));
@@ -1238,10 +1238,8 @@ struct ResumeState {
     /// The adaptive-routing controller (`None` under static routing),
     /// pre-seeded from the checkpoint's routing section on restore.
     balancer: Option<LoadBalancer>,
-    /// The checkpoint's merged sync section (`None` on a fresh launch or
-    /// a pre-sync checkpoint): counters rehydrate the shared gauges and
-    /// the subtask-0 shard op; pending pairs owner-filter back onto the
-    /// shards that own them at the restored parallelism.
+    /// The checkpoint's sync section (`None` on a fresh launch): counters
+    /// rehydrate the shared gauges and the sync-merge finalizer.
     sync: Option<SyncCheckpoint>,
     /// The checkpoint's cumulative stage/exchange counters (`None` on a
     /// fresh launch or a pre-obs checkpoint); rehydrated into the new
@@ -1438,12 +1436,10 @@ fn drive(
                 let (token, pieces) = pending_ckpts.remove(&token.request.seq).unwrap();
                 let engine = EngineCheckpoint::merge(pieces);
                 // By the time the last engine piece arrives here, the
-                // barrier has aligned through every sync shard and the
-                // tree finalizer (their channel sends happen-before the
-                // enumeration pieces'), so the slot holds all N + 1 sync
-                // pieces.
-                let sync_pieces =
-                    std::mem::take(&mut *token.sync.lock().expect("sync slot poisoned"));
+                // barrier has aligned through the sync-merge finalizer (its
+                // channel sends happen-before the enumeration pieces'), so
+                // the slot holds its counters.
+                let sync = token.sync.lock().expect("sync slot poisoned").take();
                 // Same happens-before argument for the aligner shards: each
                 // deposits its buffer-only piece before forwarding the
                 // barrier into the snapshot-merge tree. The router's piece
@@ -1473,7 +1469,7 @@ fn drive(
                     // Deposited by the snapshot-merge finalizer as the
                     // barrier passed it; `None` under static routing.
                     routing: token.routing.lock().expect("routing slot poisoned").clone(),
-                    sync: Some(SyncCheckpoint::merge(sync_pieces)),
+                    sync,
                     // The registry's cumulative counters at (just after)
                     // the cut — a restored deployment's METRICS totals
                     // continue from here.
@@ -1503,7 +1499,7 @@ fn drive(
 /// Builds the clustering dataflow — alignment head included — producing
 /// the keyed partition stream consumed by enumeration: frontier router →
 /// aligner shards with fused GridAllocate → snapshot-merge tree →
-/// GridQuery → GridSync shards → sync-merge tree with DBSCAN.
+/// GridQuery → sync-merge tree with DBSCAN.
 fn cluster_stages(
     source: Stream<InputMsg>,
     config: &IcpeConfig,
@@ -1586,7 +1582,7 @@ fn cluster_stages(
     );
     let shard_partials = shard_partials.weigh(|msg| msg.rows(|(_, objects)| objects.len()));
     // The partials reduce through an aggregation tree (same fanin as the
-    // sync tree, ticks and barriers aligned at every level) down to the
+    // sync-merge tree, ticks and barriers aligned at every level) down to the
     // one finalizer that runs the load balancer and releases each window
     // to the keyed grid exchange.
     let final_status = status.clone();
@@ -1609,32 +1605,22 @@ fn cluster_stages(
         None => Exchange::envelope(by_cell),
     };
     let tracker = Arc::clone(&status.tracker);
-    let pairs = grid_objects.apply("grid-query", n, exchange, move |subtask| QueryOp {
+    let partials = grid_objects.apply("grid-query", n, exchange, move |subtask| QueryOp {
         eps,
         metric,
         subtask,
         tracker: Arc::clone(&tracker),
         buffers: BTreeMap::new(),
-        cell_pairs: Vec::new(),
-        shard_pairs: vec![Vec::new(); n],
+        pairs: Vec::new(),
     });
-    let pairs = pairs.weigh(|msg| msg.rows(|bundle| bundle.pairs.len()));
-    // The sharded merge path: pairs key on their owner's shard so every
-    // duplicate of a pair meets its twin on one subtask, each shard dedups
-    // the partitions it owns, and the partial merges reduce through the
-    // aggregation tree down to the one finalizer that runs DBSCAN and
-    // seals the window.
-    let shard_stats = Arc::clone(&status.sync);
-    let shard_resume = sync_resume.clone();
-    let partials = pairs.apply(
-        "sync-shard",
-        n,
-        Exchange::envelope(|bundle: &PairBundle| Routing::Key(bundle.shard as u64)),
-        move |i| ShardSyncOp::build(i, n, Arc::clone(&shard_stats), shard_resume.as_ref()),
-    );
     let partials = partials.weigh(|msg| msg.rows(|(_, partial)| partial.pairs.len()));
+    // Each pair is found in exactly one cell, so the grid-query subtasks'
+    // window shares are disjoint and reduce through the aggregation tree
+    // as they are, down to the one finalizer that runs DBSCAN and seals the
+    // window.
     let stats = Arc::clone(&status.sync);
-    let windows_sealed = sync_resume.map_or(0, |s| s.windows_sealed);
+    let (pairs_merged, windows_sealed) =
+        sync_resume.map_or((0, 0), |s| (s.pairs_merged, s.windows_sealed));
     partials.reduce_tree(
         "sync-merge",
         n,
@@ -1644,6 +1630,7 @@ fn cluster_stages(
             m,
             dbscan,
             stats,
+            pairs_merged,
             windows_sealed,
             align: WindowAlign::new(inputs),
         },
@@ -1682,23 +1669,8 @@ type SnapMsg = Envelope<(u32, Vec<GridObject>), Token>;
 /// GridAllocate → GridQuery: one grid object, keyed by its cell.
 type ClusterMsg = Envelope<GridObject, Token>;
 
-/// GridQuery → GridSync shards: pairs travel keyed by the owning shard
-/// (the pair-owner hash at the sync parallelism), so both discoveries of
-/// a duplicated pair meet on one subtask.
-type PairMsg = Envelope<PairBundle, Token>;
-
-#[derive(Debug, Clone)]
-struct PairBundle {
-    /// Destination sync shard (= `subtask_for(hash_id(pair.0), n)`,
-    /// precomputed by the query subtask so the exchange can route the
-    /// whole bundle in one decision).
-    shard: u32,
-    time: u32,
-    pairs: Vec<NeighborPair>,
-}
-
-/// GridSync shards → aggregation tree → finalizer: one producer's
-/// deduplicated share of a window.
+/// GridQuery → aggregation tree → finalizer: one producer's share of a
+/// window's pairs.
 type MergeMsg = Envelope<(u32, MergeAcc), Token>;
 
 /// A window's merged pairs plus the (sorted, deduplicated) object ids they
@@ -1712,8 +1684,9 @@ struct MergeAcc {
 
 impl Partial for MergeAcc {
     fn absorb(&mut self, other: MergeAcc) {
-        // Shards own disjoint pair sets, so concatenation is exact; the
-        // object lists can overlap across shards and merge sorted.
+        // Each pair is found in exactly one cell, so producers hold disjoint
+        // pair sets and concatenation is exact; the object lists can
+        // overlap across producers and merge sorted.
         self.pairs.absorb(other.pairs);
         self.objects = merge_sorted_ids(std::mem::take(&mut self.objects), other.objects);
     }
@@ -1757,7 +1730,7 @@ fn merge_sorted_ids(a: Vec<ObjectId>, b: Vec<ObjectId>) -> Vec<ObjectId> {
     out
 }
 
-/// GridSync/DBSCAN → Enumerate: one id-partition of window `time`, keyed
+/// Sync-merge/DBSCAN → Enumerate: one id-partition of window `time`, keyed
 /// by its owner.
 type PartMsg = Envelope<(u32, Partition), Token>;
 
@@ -1883,7 +1856,7 @@ impl Operator<InputMsg, RouteMsg> for AlignRouteOp {
                     records_ingested: self.records_ingested,
                     aligner_shards: Mutex::new(Vec::new()),
                     routing: Mutex::new(None),
-                    sync: Mutex::new(Vec::new()),
+                    sync: Mutex::new(None),
                 })));
             }
         }
@@ -2060,62 +2033,54 @@ impl Operator<SnapMsg, ClusterMsg> for SnapFinalOp {
 /// objects buffer per (time, cell) and the range queries run at the
 /// snapshot-boundary tick. Each flush accounts the subtask's per-cell load
 /// (buffered objects + produced pairs) into the shared [`LoadTracker`] —
-/// the signal the adaptive balancer repartitions on.
+/// the signal the adaptive balancer repartitions on — and hands the
+/// window's pairs, with the object ids they mention, to the sync-merge tree.
 struct QueryOp {
     eps: f64,
     metric: DistanceMetric,
     subtask: usize,
     tracker: Arc<LoadTracker>,
     buffers: BTreeMap<u32, HashMap<GridKey, Vec<GridObject>>>,
-    /// Per-cell pair scratch, reused across cells and ticks (the emitted
-    /// vector must be owned, but the hot per-cell buffer need not churn).
-    cell_pairs: Vec<NeighborPair>,
-    /// Per-shard outgoing pair bundles: produced pairs partition by the
-    /// owning sync shard (`subtask_for(hash_id(pair.0), shards)`), one
-    /// bundle message per non-empty shard per window flush.
-    shard_pairs: Vec<Vec<NeighborPair>>,
+    /// The window's pairs, reused across ticks: it ships as an exact-size
+    /// copy, so this buffer stops growing after the first ticks.
+    pairs: Vec<NeighborPair>,
 }
 
 impl QueryOp {
-    fn flush_time(&mut self, t: u32, out: &mut Collector<PairMsg>) {
-        let shards = self.shard_pairs.len();
+    fn flush_time(&mut self, t: u32, out: &mut Collector<MergeMsg>) {
         let mut window_load = 0u64;
+        self.pairs.clear();
         if let Some(cells) = self.buffers.remove(&t) {
             for (cell, objects) in cells {
-                self.cell_pairs.clear();
+                let before = self.pairs.len();
                 // Lemma-2 interleaved query-then-insert.
                 let mut engine = CellQueryEngine::new(self.eps, self.metric);
-                engine.run_cell(&objects, &mut self.cell_pairs);
-                window_load += objects.len() as u64 + self.cell_pairs.len() as u64;
-                self.tracker.record_cell(
-                    t,
-                    cell,
-                    CellLoad {
-                        records: objects.len() as u64,
-                        pairs: self.cell_pairs.len() as u64,
-                    },
-                );
-                for &pair in &self.cell_pairs {
-                    self.shard_pairs[subtask_for(hash_id(pair.0), shards)].push(pair);
-                }
+                engine.run_cell(&objects, &mut self.pairs);
+                let load = CellLoad {
+                    records: objects.len() as u64,
+                    pairs: (self.pairs.len() - before) as u64,
+                };
+                window_load += load.records + load.pairs;
+                self.tracker.record_cell(t, cell, load);
             }
         }
         self.tracker.record_window(t, self.subtask, window_load);
-        for shard in 0..shards {
-            if !self.shard_pairs[shard].is_empty() {
-                out.emit(Envelope::Data(PairBundle {
-                    shard: shard as u32,
-                    time: t,
-                    pairs: std::mem::take(&mut self.shard_pairs[shard]),
-                }));
-            }
+        if !self.pairs.is_empty() {
+            // The object-id union of this subtask's pairs, computed here (in
+            // parallel across subtasks) so the finalizer only merges sorted
+            // lists instead of sorting the whole window's ids serially.
+            let mut objects: Vec<ObjectId> = self.pairs.iter().flat_map(|&(a, b)| [a, b]).collect();
+            objects.sort_unstable();
+            objects.dedup();
+            let pairs = self.pairs.clone();
+            out.emit(Envelope::Data((t, MergeAcc { pairs, objects })));
         }
         out.emit(Envelope::Tick(t));
     }
 }
 
-impl Operator<ClusterMsg, PairMsg> for QueryOp {
-    fn process(&mut self, msg: ClusterMsg, out: &mut Collector<PairMsg>) {
+impl Operator<ClusterMsg, MergeMsg> for QueryOp {
+    fn process(&mut self, msg: ClusterMsg, out: &mut Collector<MergeMsg>) {
         match msg {
             Envelope::Data(o) => {
                 self.buffers
@@ -2133,7 +2098,7 @@ impl Operator<ClusterMsg, PairMsg> for QueryOp {
         }
     }
 
-    fn finish(&mut self, out: &mut Collector<PairMsg>) {
+    fn finish(&mut self, out: &mut Collector<MergeMsg>) {
         let times: Vec<u32> = self.buffers.keys().copied().collect();
         for t in times {
             self.flush_time(t, out);
@@ -2141,136 +2106,16 @@ impl Operator<ClusterMsg, PairMsg> for QueryOp {
     }
 }
 
-/// One GridSync shard: owns the pair partitions whose owner id hashes to
-/// it, deduplicates them with a [`PairCollector`] per open window, and at
-/// the window's last upstream tick forwards its sorted share (pairs +
-/// mentioned object ids) into the aggregation tree. The paper centralizes
-/// this step; sharding it is what breaks the dataflow's serial tail — the
-/// per-pair hash-set dedup, previously one funnel subtask's job, now runs
-/// at the full keyed-stage parallelism.
-struct ShardSyncOp {
-    shard: usize,
-    stats: Arc<SyncStats>,
-    /// Cumulative counters, authoritative for this shard's checkpoint
-    /// piece (the shared `stats` only mirror them for live gauges).
-    pairs_merged: u64,
-    duplicates: u64,
-    /// Open windows, aligned on the upstream query subtasks' ticks and
-    /// barrier copies.
-    align: WindowAlign<PairCollector>,
-}
-
-impl ShardSyncOp {
-    /// Builds shard `shard` of `n`, rehydrating from a checkpoint's merged
-    /// sync section when one is given: pending pairs owner-filter onto the
-    /// shards that route them at this parallelism; the cumulative counters
-    /// restore into shard 0 only (the next checkpoint's merge would
-    /// otherwise multiply them by `n` — [`SyncCheckpoint::piece`]).
-    /// Restored pending windows start with zero ticks: the
-    /// counts belong to the old deployment's upstream width, and the
-    /// replayed input re-delivers every tick of an unsealed window.
-    fn build(
-        shard: usize,
-        n: usize,
-        stats: Arc<SyncStats>,
-        resume: Option<&SyncCheckpoint>,
-    ) -> Self {
-        let mut op = ShardSyncOp {
-            shard,
-            stats,
-            pairs_merged: 0,
-            duplicates: 0,
-            align: WindowAlign::new(n),
-        };
-        if let Some(ckpt) = resume {
-            let piece = ckpt.piece(shard == 0, |owner| subtask_for(hash_id(owner), n) == shard);
-            op.pairs_merged = piece.pairs_merged;
-            op.duplicates = piece.duplicates;
-            for w in piece.pending {
-                op.align
-                    .absorb(w.time, |collector| collector.extend(w.pairs));
-            }
-        }
-        op
-    }
-
-    /// This shard's checkpoint piece at an aligned barrier (which holds no
-    /// window state — the barrier trails every sealed window's ticks).
-    fn piece(&self) -> SyncCheckpoint {
-        SyncCheckpoint {
-            pairs_merged: self.pairs_merged,
-            duplicates: self.duplicates,
-            windows_sealed: 0,
-            pending: self
-                .align
-                .open_windows()
-                .map(|(time, collector)| SyncWindowCheckpoint {
-                    time,
-                    pairs: collector.snapshot_pairs(),
-                })
-                .collect(),
-        }
-    }
-}
-
-impl Operator<PairMsg, MergeMsg> for ShardSyncOp {
-    fn process(&mut self, msg: PairMsg, out: &mut Collector<MergeMsg>) {
-        match msg {
-            Envelope::Data(PairBundle { shard, time, pairs }) => {
-                debug_assert_eq!(
-                    shard as usize, self.shard,
-                    "pairs routed to their owner shard"
-                );
-                self.align.absorb(time, |collector| collector.extend(pairs));
-            }
-            Envelope::Tick(t) => {
-                if let Some(collector) = self.align.tick(t) {
-                    let duplicates = collector.duplicates() as u64;
-                    let pairs = collector.into_pairs();
-                    // The object-id union of this shard's pairs, computed
-                    // here (in parallel across shards) so the finalizer
-                    // only merges sorted lists instead of sorting the
-                    // whole window's ids serially.
-                    let mut objects: Vec<ObjectId> =
-                        pairs.iter().flat_map(|&(a, b)| [a, b]).collect();
-                    objects.sort_unstable();
-                    objects.dedup();
-                    self.pairs_merged += pairs.len() as u64;
-                    self.duplicates += duplicates;
-                    self.stats
-                        .note_shard_window(t, self.shard, pairs.len() as u64, duplicates);
-                    out.emit(Envelope::Data((t, MergeAcc { pairs, objects })));
-                    out.emit(Envelope::Tick(t));
-                }
-            }
-            Envelope::Barrier(token) => {
-                // Classic barrier alignment: forward only once every
-                // upstream query subtask's barrier copy arrived — by then
-                // all pre-cut pairs have been collected and flushed.
-                if self.align.barrier(token.seq()) {
-                    token
-                        .sync
-                        .lock()
-                        .expect("sync slot poisoned")
-                        .push(self.piece());
-                    out.emit(Envelope::Barrier(token));
-                }
-            }
-        }
-    }
-}
-
 /// The root of the sync aggregation tree: merges the last partials, runs
 /// DBSCAN over the window's global pair set and seals the window —
-/// id-partitioning the clusters for the keyed enumeration stage, exactly
-/// what the centralized GridSync funnel used to do, minus the dedup work
-/// the shards already absorbed.
+/// id-partitioning the clusters for the keyed enumeration stage.
 struct MergeFinalOp {
     m: usize,
     dbscan: DbscanParams,
     stats: Arc<SyncStats>,
-    /// Cumulative window-seal counter, authoritative for the finalizer's
-    /// checkpoint piece.
+    /// Cumulative pair and window-seal counters, authoritative for the
+    /// checkpoint's sync section.
+    pairs_merged: u64,
     windows_sealed: u64,
     align: WindowAlign<MergeAcc>,
 }
@@ -2287,22 +2132,18 @@ impl Operator<MergeMsg, PartMsg> for MergeFinalOp {
                         out.emit(Envelope::Data((time, partition)));
                     }
                     out.emit(Envelope::Tick(time));
+                    let pairs = acc.pairs.len() as u64;
+                    self.pairs_merged += pairs;
                     self.windows_sealed += 1;
-                    self.stats.note_window_sealed();
+                    self.stats.note_window_sealed(pairs);
                 }
             }
             Envelope::Barrier(token) => {
                 if self.align.barrier(token.seq()) {
-                    token
-                        .sync
-                        .lock()
-                        .expect("sync slot poisoned")
-                        .push(SyncCheckpoint {
-                            pairs_merged: 0,
-                            duplicates: 0,
-                            windows_sealed: self.windows_sealed,
-                            pending: Vec::new(),
-                        });
+                    *token.sync.lock().expect("sync slot poisoned") = Some(SyncCheckpoint {
+                        pairs_merged: self.pairs_merged,
+                        windows_sealed: self.windows_sealed,
+                    });
                     out.emit(Envelope::Barrier(token));
                 }
             }
@@ -2477,9 +2318,11 @@ mod tests {
         }
         live.finish();
         let status = status.sync();
-        assert_eq!(status.shards, 4);
         assert_eq!(status.fanin, crate::config::DEFAULT_SYNC_FANIN);
-        assert_eq!(status.levels, 0, "4 shards at fanin 4 is a flat funnel");
+        assert_eq!(
+            status.levels, 0,
+            "4 grid-query subtasks at fanin 4 is a flat funnel"
+        );
         assert_eq!(status.windows_sealed, 10);
         assert!(
             status.pairs_merged > 0,
@@ -2749,10 +2592,6 @@ mod tests {
             "the barrier trails exactly the pushed records"
         );
         let sync = ckpt.sync.as_ref().expect("the pipeline checkpoints sync");
-        assert!(
-            sync.pending.is_empty(),
-            "aligned barriers leave no open sync windows"
-        );
         assert_eq!(
             sync.windows_sealed,
             ckpt.aligner.sealed_up_to.unwrap_or(0) as u64,

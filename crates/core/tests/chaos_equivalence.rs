@@ -15,8 +15,8 @@
 //!   point fired.
 //!
 //! The matrix crosses fault kinds (worker panic, worker stall, delayed
-//! exchange send) and fault sites (align-route, grid-query, sync-shard,
-//! enumerate) with parallelism 1 / 2 / 4; a proptest then randomizes the
+//! exchange send) and fault sites (align-route, grid-query,
+//! sync-merge-final, enumerate) with parallelism 1 / 2 / 4; a proptest then randomizes the
 //! fault site over randomized workloads.
 
 use icpe_core::{HealthState, IcpeConfig, Supervision};
@@ -147,11 +147,12 @@ fn panic_mid_stream_heals_identically_across_parallelism() {
 
 #[test]
 fn double_panic_and_stall_heal_identically() {
-    // Two failures in one run (two recovery cycles), plus a stalled sync
-    // shard exercising barrier alignment under a slow stage.
+    // Two failures in one run (two recovery cycles), plus a stalled
+    // grid-query subtask exercising barrier alignment in the sync-merge
+    // tree under a slow producer.
     assert_chaos_equivalence(
         2,
-        "panic@align-route:0:1;panic@enumerate:1:2;stall@sync-shard:1:0:25",
+        "panic@align-route:0:1;panic@enumerate:1:2;stall@grid-query:1:0:25",
         0xC0FFEE,
     );
 }
@@ -193,12 +194,14 @@ proptest! {
         subtask in 0usize..3,
         ordinal in 0u64..3,
     ) {
-        let site = ["align-route", "grid-query", "sync-shard", "enumerate"][site_ix];
-        // The frontier router is a single subtask; the other sites run n.
-        let subtask = if site == "align-route" { 0 } else { subtask % n };
-        // Low ordinals on a busy stage always fire; `sync-shard` sees one
-        // batch per window per shard, so keep its ordinal at 0.
-        let ordinal = if site == "sync-shard" { 0 } else { ordinal };
+        let site = ["align-route", "grid-query", "sync-merge-final", "enumerate"][site_ix];
+        // The frontier router and the tree finalizer are single subtasks;
+        // the other sites run n.
+        let single = site == "align-route" || site == "sync-merge-final";
+        let subtask = if single { 0 } else { subtask % n };
+        // Low ordinals on a busy stage always fire; the finalizer sees one
+        // batch per window, so keep its ordinal at 0.
+        let ordinal = if site == "sync-merge-final" { 0 } else { ordinal };
         let spec = format!("panic@{site}:{subtask}:{ordinal}");
         assert_chaos_equivalence(n, &spec, seed);
     }

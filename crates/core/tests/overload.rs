@@ -25,8 +25,8 @@ const BATCH: usize = 16;
 const PARK_AT: u32 = 1000;
 /// The channels between `push_batch` and the sink callback, one per
 /// receiving subtask: ingest, align-route, 2 × align-shard, snap-merge,
-/// 2 × grid-query, 2 × sync-shard, sync-merge, 2 × enumerate, sink.
-const CHANNELS: usize = 13;
+/// 2 × grid-query, sync-merge, 2 × enumerate, sink.
+const CHANNELS: usize = 11;
 /// Per channel: its batches, plus one filling on the sending side and one
 /// being processed on the receiving side; a batch ships below
 /// `2 × BATCH` rows (under `BATCH`, plus the message that filled it — no

@@ -6,9 +6,22 @@
 //! sets of the range join:
 //!
 //! * [`Grid::lemma1_query_keys`] — the cells intersecting the **upper half**
-//!   of the range region (Lemma 1), which suffice for a self-join;
+//!   of the range region (Lemma 1) that come **after** the home cell in
+//!   row-major `(y, x)` order, which suffice for a self-join and find every
+//!   cross-cell pair exactly once;
 //! * [`Grid::full_query_keys`] — the cells intersecting the **full** range
 //!   region, used by the SRJ baseline (and by plain, non-join range queries).
+//!
+//! Why the cell order makes the join exactly-once: take two points within ε
+//! whose home cells `A < B` differ. `B` holds the second point, so it meets
+//! the first point's upper half-region (a later row lies above; a later
+//! column of the same row meets the region's home-row strip), and it comes
+//! after `A` — so the first point sends a query object to `B`. `A` comes
+//! before `B`, so the second point never sends one to `A`. Same-cell pairs
+//! are reported once by Lemma 2. This is the reference-point rule of
+//! distributed spatial joins (Dittrich & Seeger, ICDE 2000) at cell
+//! granularity; it drops only the home-row cells left of home from the
+//! paper's set.
 //!
 //! A key is a uniform-grid cell and nothing finer: the adaptive balancer
 //! moves whole cells between subtasks.
@@ -97,12 +110,14 @@ impl Grid {
     }
 
     /// Lemma 1 replication set: the keys of the cells intersecting the upper
-    /// half of the range region, `[x−ε, x+ε] × [y, y+ε]`, **excluding** the
-    /// home cell of `p` (which receives `p` as a data object instead).
+    /// half of the range region, `[x−ε, x+ε] × [y, y+ε]`, that come strictly
+    /// **after** the home cell of `p` in row-major `(y, x)` order. The home
+    /// cell receives `p` as a data object instead; the home-row cells left of
+    /// home are the ones whose pairs with `p` are found from their side.
     pub fn lemma1_query_keys(&self, p: Point, eps: f64) -> Vec<GridKey> {
         let home = self.key_of(p);
         let mut keys = self.keys_in_rect(&Rect::padded_upper_range_region(p, eps));
-        keys.retain(|&k| k != home);
+        keys.retain(|&k| (k.y, k.x) > (home.y, home.x));
         keys
     }
 
@@ -161,21 +176,43 @@ mod tests {
         // touching columns {1,2} × rows {1,2} exactly. The assertions below
         // check: the home cell (1,1) is excluded, the three other overlapped
         // cells (2,1), (1,2), (2,2) are present, the boundary pad may add at
-        // most the column to the left (region edge sits exactly on x = 1.0,
-        // so ≤ 5 keys total), and no key lies below the home row — the
-        // Lemma 1 half-region never reaches y < 1.
+        // most the column to the left in the row above (region edge sits
+        // exactly on x = 1.0, so ≤ 4 keys total), no key lies below the home
+        // row, and the home-row cell left of home is not in the set — it
+        // comes before home in the cell order.
         let g = Grid::new(1.0);
         let p = Point::new(1.5, 1.5);
         let keys = g.lemma1_query_keys(p, 0.5);
         assert!(!keys.contains(&GridKey::new(1, 1)), "home excluded");
-        // Must reach the three cells the upper half-region overlaps; the
-        // boundary pad may add the column to the left (edge exactly at 1.0)
-        // but never a cell strictly below the home row.
         for k in [GridKey::new(2, 1), GridKey::new(1, 2), GridKey::new(2, 2)] {
             assert!(keys.contains(&k), "missing {k}");
         }
-        assert!(keys.len() <= 5);
+        assert!(keys.len() <= 4);
         assert!(keys.iter().all(|k| k.y >= 1), "no cells below the home row");
+        assert!(
+            !keys.contains(&GridKey::new(0, 1)),
+            "the home-row cell left of home is earlier in the cell order"
+        );
+    }
+
+    #[test]
+    fn lemma1_keys_all_come_after_home() {
+        // ε wider than the cell: the region spans several columns on each
+        // side of home, and only the cells after home stay.
+        let g = Grid::new(1.0);
+        let p = Point::new(5.5, 5.5);
+        let home = g.key_of(p);
+        let keys = g.lemma1_query_keys(p, 2.2);
+        assert!(keys.iter().all(|k| (k.y, k.x) > (home.y, home.x)));
+        for x in 6..=7 {
+            assert!(
+                keys.contains(&GridKey::new(x, 5)),
+                "home row, right of home"
+            );
+        }
+        for x in 3..=7 {
+            assert!(keys.contains(&GridKey::new(x, 6)), "row above, all columns");
+        }
     }
 
     #[test]

@@ -4,7 +4,12 @@
 use icpe_index::{GrIndex, Grid, GridKey, RTree};
 use icpe_types::{DistanceMetric, ObjectId, Point, Rect};
 use proptest::prelude::*;
-use std::collections::BTreeSet;
+
+const METRICS: [DistanceMetric; 3] = [
+    DistanceMetric::L1,
+    DistanceMetric::L2,
+    DistanceMetric::Chebyshev,
+];
 
 fn arb_point() -> impl Strategy<Value = Point> {
     (-50.0f64..50.0, -50.0f64..50.0).prop_map(|(x, y)| Point::new(x, y))
@@ -14,28 +19,38 @@ fn arb_points(max: usize) -> impl Strategy<Value = Vec<Point>> {
     prop::collection::vec(arb_point(), 0..max)
 }
 
-/// The ε-pairs a replication scheme discovers: a pair `(i, j)` is reported
-/// iff the points are within Chebyshev ε **and** they meet in some cell —
-/// one partner's home key lies in the other's `{home} ∪ query keys` set.
-/// This mirrors the pipeline exactly (data object to the home cell, query
-/// objects to the replication keys, exact ε check at the probe).
+/// Dense point sets: many ε-pairs, many pairs straddling cell borders.
+fn arb_cluster(max: usize) -> impl Strategy<Value = Vec<Point>> {
+    prop::collection::vec(
+        (-15.0f64..15.0, -15.0f64..15.0).prop_map(|(x, y)| Point::new(x, y)),
+        0..max,
+    )
+}
+
+/// The ε-pairs a replication scheme discovers, **with multiplicity**, as
+/// the pipeline reports them: a data object goes to its home cell, query
+/// objects to the replication keys, and each cell runs Lemma 2 — every
+/// same-cell data pair once, every query object against the cell's data
+/// objects — with the exact ε test under `metric` at the probe. Sorted,
+/// since pairs are visited in `(i, j)` order.
 fn discovered_pairs(
     points: &[Point],
     eps: f64,
+    metric: DistanceMetric,
     keys_of: impl Fn(Point) -> (GridKey, Vec<GridKey>),
-) -> BTreeSet<(usize, usize)> {
+) -> Vec<(usize, usize)> {
     let placed: Vec<(GridKey, Vec<GridKey>)> = points.iter().map(|&p| keys_of(p)).collect();
-    let mut out = BTreeSet::new();
+    let mut out = Vec::new();
     for i in 0..points.len() {
         for j in (i + 1)..points.len() {
-            if !DistanceMetric::Chebyshev.within(&points[i], &points[j], eps) {
+            if !metric.within(&points[i], &points[j], eps) {
                 continue;
             }
             let (hi, ki) = &placed[i];
             let (hj, kj) = &placed[j];
-            if hi == hj || ki.contains(hj) || kj.contains(hi) {
-                out.insert((i, j));
-            }
+            let found =
+                usize::from(hi == hj) + usize::from(ki.contains(hj)) + usize::from(kj.contains(hi));
+            out.extend(std::iter::repeat_n((i, j), found));
         }
     }
     out
@@ -121,59 +136,96 @@ proptest! {
         prop_assert!(covering.contains(&key));
     }
 
-    /// The heart of Lemma 1: for any pair (a, b) within Chebyshev distance
-    /// eps, at least one direction of the replication scheme finds the pair:
-    /// either b's home cell is in a's Lemma-1 key set (or equals a's home),
-    /// or a's home cell is in b's Lemma-1 key set (or equals b's home).
+    /// The heart of Lemma 1 with the cell order: for any pair within ε under
+    /// L1, L2 or Chebyshev whose home cells differ, the point whose home
+    /// comes first in row-major `(y, x)` order sends a query object to the
+    /// later home, and the later point never sends one to the earlier home
+    /// — so the pair is found exactly once. (Same-home pairs are Lemma 2's,
+    /// reported once in-cell.) `flat` pins both points to one `y`, the
+    /// edge where the half-region's lower edge passes through the partner.
     #[test]
     fn lemma1_replication_covers_all_pairs(
         a in arb_point(),
         dx in -5.0f64..5.0,
         dy in -5.0f64..5.0,
+        flat in prop::bool::ANY,
         lg in 0.5f64..10.0,
         eps in 0.5f64..5.0,
+        metric_ix in 0usize..3,
     ) {
-        let b = Point::new(a.x + dx.clamp(-eps, eps), a.y + dy.clamp(-eps, eps));
-        prop_assert!(DistanceMetric::Chebyshev.within(&a, &b, eps + 1e-9));
+        let metric = METRICS[metric_ix];
+        let dy = if flat { 0.0 } else { dy };
+        // Scale the offset into the ε-ball of the metric.
+        let d = Point::new(0.0, 0.0).distance(&Point::new(dx, dy), metric);
+        let s = if d > eps { eps / d } else { 1.0 };
+        let b = Point::new(a.x + dx * s, a.y + dy * s);
+        if !metric.within(&a, &b, eps) {
+            return; // rounding put the partner just outside ε
+        }
         let g = Grid::new(lg);
-        let home_a = g.key_of(a);
-        let home_b = g.key_of(b);
-
-        let a_reaches_b = home_a == home_b || g.lemma1_query_keys(a, eps).contains(&home_b);
-        let b_reaches_a = home_b == home_a || g.lemma1_query_keys(b, eps).contains(&home_a);
+        let (home_a, home_b) = (g.key_of(a), g.key_of(b));
+        if home_a == home_b {
+            return;
+        }
+        let ((early, early_home), (late, late_home)) =
+            if (home_a.y, home_a.x) < (home_b.y, home_b.x) {
+                ((a, home_a), (b, home_b))
+            } else {
+                ((b, home_b), (a, home_a))
+            };
         prop_assert!(
-            a_reaches_b || b_reaches_a,
-            "pair not covered: a={:?} (home {}), b={:?} (home {})",
-            a, home_a, b, home_b
+            g.lemma1_query_keys(early, eps).contains(&late_home),
+            "earlier {:?} (home {}) does not reach later {:?} (home {}) under {:?}",
+            early, early_home, late, late_home, metric
+        );
+        prop_assert!(
+            !g.lemma1_query_keys(late, eps).contains(&early_home),
+            "later {:?} (home {}) reaches earlier {:?} (home {}): the pair is found twice",
+            late, late_home, early, early_home
         );
     }
 
-    /// Candidate pairs ≡ brute force: for arbitrary point sets and ε, the
-    /// ε-pairs discovered through the Lemma-1 replication set and through
-    /// the full-region set (SRJ's) are both exactly the brute-force
-    /// ε-pairs — neither scheme drops a true pair.
+    /// Candidate pairs ≡ brute force, as multisets: for arbitrary point
+    /// sets, all three metrics and ε both below and above the cell width,
+    /// the Lemma-1 replication set finds every ε-pair exactly once. The
+    /// full-region set (SRJ's) finds cross-cell pairs from both cells by
+    /// design, so it is compared as a set. `lattice` snaps the points to a
+    /// half-unit lattice: points on cell borders, shared rows and equal `y`.
     #[test]
     fn candidate_pairs_equal_brute_force(
-        points in arb_points(40),
+        points in arb_cluster(60),
+        lattice in prop::bool::ANY,
         lg in 0.5f64..10.0,
         eps in 0.5f64..5.0,
+        metric_ix in 0usize..3,
     ) {
+        let metric = METRICS[metric_ix];
+        let points: Vec<Point> = if lattice {
+            let snap = |v: f64| (v * 2.0).round() / 2.0;
+            points.iter().map(|p| Point::new(snap(p.x), snap(p.y))).collect()
+        } else {
+            points
+        };
         let g = Grid::new(lg);
-        let mut brute = BTreeSet::new();
+        let mut brute = Vec::new();
         for i in 0..points.len() {
             for j in (i + 1)..points.len() {
-                if DistanceMetric::Chebyshev.within(&points[i], &points[j], eps) {
-                    brute.insert((i, j));
+                if metric.within(&points[i], &points[j], eps) {
+                    brute.push((i, j));
                 }
             }
         }
 
-        let lemma1 =
-            discovered_pairs(&points, eps, |p| (g.key_of(p), g.lemma1_query_keys(p, eps)));
-        let full = discovered_pairs(&points, eps, |p| (g.key_of(p), g.full_query_keys(p, eps)));
+        let lemma1 = discovered_pairs(&points, eps, metric, |p| {
+            (g.key_of(p), g.lemma1_query_keys(p, eps))
+        });
+        let mut full = discovered_pairs(&points, eps, metric, |p| {
+            (g.key_of(p), g.full_query_keys(p, eps))
+        });
+        full.dedup();
 
-        prop_assert_eq!(&lemma1, &brute, "lemma1 ≠ brute force");
-        prop_assert_eq!(&full, &brute, "full ≠ brute force");
+        prop_assert_eq!(&lemma1, &brute, "lemma1 ≠ brute force as a multiset ({:?})", metric);
+        prop_assert_eq!(&full, &brute, "full ≠ brute force ({:?})", metric);
     }
 
     #[test]

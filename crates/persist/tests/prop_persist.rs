@@ -30,9 +30,7 @@ fn sample() -> PipelineCheckpoint {
         routing: None,
         sync: Some(SyncCheckpoint {
             pairs_merged: 64,
-            duplicates: 3,
             windows_sealed: 7,
-            pending: Vec::new(),
         }),
         obs: Some(ObsCheckpoint {
             counters: vec![ObsCounterEntry {

@@ -653,8 +653,8 @@ impl ShardedAligner {
     /// chains rebucket by the hash, `occupied` rebuilds from the buffered
     /// times, and the late counter is credited to shard 0 **only**. The
     /// counter is a merged total; splitting or replicating it across shards
-    /// would multiply it at the next merge (as `SyncCheckpoint::piece`
-    /// guards the sync shards' counters), so exactly one shard carries it.
+    /// would multiply it at the next merge, so exactly one shard carries
+    /// it.
     pub fn from_checkpoint(config: AlignerConfig, shards: usize, ckpt: &AlignerCheckpoint) -> Self {
         let shards = shards.max(1);
         let mut chains: Vec<ChainIndex> = (0..shards).map(|_| ChainIndex::default()).collect();
@@ -714,7 +714,7 @@ impl AlignerStatus {
 
 /// Shared gauges for the sharded aligner head: the router thread owns the
 /// [`ShardedAligner`], so drivers observe it through these atomics (same
-/// contract as the GridSync `SyncStats`).
+/// contract as the sync-merge tree's `SyncStats`).
 #[derive(Debug)]
 pub struct AlignStats {
     shards: usize,

@@ -75,7 +75,7 @@ impl<T> Partial for Vec<T> {
 /// The tick/barrier counter of one subtask fed by `inputs` upstream
 /// producers: open-window accumulators sealed at the `inputs`-th tick, and
 /// barrier copies counted to the same width. Every fan-in of the dataflow
-/// — sync shards, tree combiners, tree finalizers, the sink — aligns
+/// — tree combiners, tree finalizers, the sink — aligns
 /// through this one type, so a fix to alignment semantics lands in exactly
 /// one place.
 #[derive(Debug)]

@@ -258,7 +258,7 @@ mod tests {
         let plan = FaultPlan::new().point("grid-query", 1, 2, FaultKind::Panic);
         assert_eq!(plan.worker_fault("grid-query", 1, 1), None);
         assert_eq!(plan.worker_fault("grid-query", 0, 2), None);
-        assert_eq!(plan.worker_fault("sync-shard", 1, 2), None);
+        assert_eq!(plan.worker_fault("enumerate", 1, 2), None);
         assert_eq!(
             plan.worker_fault("grid-query", 1, 2),
             Some(FaultKind::Panic)
@@ -287,7 +287,7 @@ mod tests {
 
     #[test]
     fn spec_round_trip() {
-        let plan = FaultPlan::from_spec("panic@grid-query:0:2; stall@sync-shard:1:0:50;ckptfail@4")
+        let plan = FaultPlan::from_spec("panic@grid-query:0:2; stall@enumerate:1:0:50;ckptfail@4")
             .unwrap();
         assert_eq!(plan.points().len(), 3);
         assert_eq!(
@@ -295,7 +295,7 @@ mod tests {
             Some(FaultKind::Panic)
         );
         assert_eq!(
-            plan.worker_fault("sync-shard", 1, 0),
+            plan.worker_fault("enumerate", 1, 0),
             Some(FaultKind::Stall(50))
         );
         assert_eq!(plan.checkpoint_fault(4), Some(FaultKind::CheckpointFail));

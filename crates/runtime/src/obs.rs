@@ -27,7 +27,7 @@
 //! [`MetricRegistry::counter_checkpoint`] into the `PipelineCheckpoint`
 //! and a restored registry is re-credited via [`MetricRegistry::restore`]
 //! (summed across subtasks, credited to subtask 0 — the same pattern
-//! `SyncCheckpoint::piece` uses for the sync shards' dedup counters).
+//! `AlignerCheckpoint::piece` uses for the aligner's late-drop counter).
 
 use icpe_types::{ObsCheckpoint, ObsCounterEntry};
 use parking_lot::Mutex;
@@ -790,10 +790,10 @@ mod tests {
     #[test]
     fn gauge_keeps_last_value() {
         let reg = MetricRegistry::new();
-        let g = reg.gauge("sync-shard", 2, "exchange_queue_depth");
+        let g = reg.gauge("grid-query", 2, "exchange_queue_depth");
         g.set(9);
         g.set(4);
-        assert_eq!(reg.gauge("sync-shard", 2, "exchange_queue_depth").get(), 4);
+        assert_eq!(reg.gauge("grid-query", 2, "exchange_queue_depth").get(), 4);
     }
 
     #[test]

@@ -10,10 +10,11 @@
 //!   ICPE_MINPTS    DBSCAN minPts             (default 4)
 //!   ICPE_M/K/L/G   CP(M,K,L,G) constraints   (default 4,8,4,2)
 //!   ICPE_N         keyed-stage parallelism   (default 4)
-//!   ICPE_SYNC_FANIN  GridSync aggregation-tree fanin (default 4,
-//!                    clamped ≥ 2): the N sync shards' partial merges
-//!                    reduce through ⌈N/fanin⌉ combiners per level down
-//!                    to one finalizer; fanin ≥ N is a flat N → 1 funnel
+//!   ICPE_SYNC_FANIN  aggregation-tree fanin (default 4, clamped ≥ 2):
+//!                    the N grid-query subtasks' pair shares reduce
+//!                    through ⌈N/fanin⌉ combiners per level down to the
+//!                    DBSCAN finalizer (the aligner shards' snapshot
+//!                    partials likewise); fanin ≥ N is a flat N → 1 funnel
 //!   ICPE_INTERVAL  seconds per tick          (default 1.0)
 //!
 //! Micro-batch vectorization (see the README "Performance" section):
@@ -149,7 +150,7 @@ fn main() {
                 .unwrap_or_else(|| "?".into())
         };
         println!(
-            "[status] health={} records_in={} records_per_s={} snapshots_sealed={} patterns={} subscribers={} shed={} epoch={} imbalance={} sync_pairs={} sync_imbalance={}",
+            "[status] health={} records_in={} records_per_s={} snapshots_sealed={} patterns={} subscribers={} shed={} epoch={} imbalance={} sync_pairs={} sync_windows={}",
             pick("health"),
             pick("records_in"),
             pick("records_per_s"),
@@ -160,7 +161,7 @@ fn main() {
             pick("routing_epoch"),
             pick("subtask_imbalance"),
             pick("sync_pairs_merged"),
-            pick("sync_shard_imbalance"),
+            pick("sync_windows_sealed"),
         );
     }
 }

@@ -126,7 +126,7 @@ impl ServerStats {
     /// Renders the `STATUS` response: one `key=value` per line, stable keys,
     /// merging the network-edge counters with one reading of the pipeline's
     /// status surface — progress and latency, the routing layer's
-    /// epoch/load-balance gauges, the sharded sync merge path's dedup/seal
+    /// epoch/load-balance gauges, the sync-merge tree's shape and pair/seal
     /// gauges, the sharded aligner head's chain/frontier gauges, and the
     /// supervision health.
     pub fn render(&self, pipeline: &StatusSnapshot, max_subscriber_queue_depth: usize) -> String {
@@ -262,17 +262,12 @@ impl ServerStats {
         line("max_subtask_load", format!("{:.1}", r.max_subtask_load));
         line("mean_subtask_load", format!("{:.1}", r.mean_subtask_load));
         line("subtask_imbalance", format!("{:.3}", r.imbalance()));
-        // The sharded GridSync merge path: how the dedup load spreads
-        // across the shards and how deep the aggregation tree runs.
-        line("sync_shards", s.shards.to_string());
+        // The sync-merge tree: how deep it runs and what it has merged.
+        // Per-subtask grid-query load is the routing keys' split above.
         line("sync_fanin", s.fanin.to_string());
         line("sync_tree_levels", s.levels.to_string());
         line("sync_pairs_merged", s.pairs_merged.to_string());
-        line("sync_duplicates", s.duplicates.to_string());
         line("sync_windows_sealed", s.windows_sealed.to_string());
-        line("sync_max_shard_load", s.max_shard_load.to_string());
-        line("sync_mean_shard_load", format!("{:.1}", s.mean_shard_load));
-        line("sync_shard_imbalance", format!("{:.3}", s.imbalance()));
         line(
             "avg_latency_ms",
             format!("{:.3}", report.avg_latency.as_secs_f64() * 1e3),
@@ -510,32 +505,23 @@ mod tests {
         // Before any window the keys still render, zeroed.
         let kv = parse_status(&stats.render(&pipeline, 0));
         let get = |k: &str| kv.iter().find(|(key, _)| key == k).unwrap().1.clone();
-        assert_eq!(get("sync_shards"), "0");
+        assert_eq!(get("sync_fanin"), "0");
         assert_eq!(get("sync_pairs_merged"), "0");
-        assert_eq!(get("sync_shard_imbalance"), "1.000");
+        assert_eq!(get("sync_windows_sealed"), "0");
 
         let sync = icpe_core::SyncStatus {
-            shards: 8,
             fanin: 4,
             levels: 1,
             pairs_merged: 4096,
-            duplicates: 17,
             windows_sealed: 120,
-            max_shard_load: 90,
-            mean_shard_load: 60.0,
         };
         let pipeline = StatusSnapshot { sync, ..pipeline };
         let kv = parse_status(&stats.render(&pipeline, 0));
         let get = |k: &str| kv.iter().find(|(key, _)| key == k).unwrap().1.clone();
-        assert_eq!(get("sync_shards"), "8");
         assert_eq!(get("sync_fanin"), "4");
         assert_eq!(get("sync_tree_levels"), "1");
         assert_eq!(get("sync_pairs_merged"), "4096");
-        assert_eq!(get("sync_duplicates"), "17");
         assert_eq!(get("sync_windows_sealed"), "120");
-        assert_eq!(get("sync_max_shard_load"), "90");
-        assert_eq!(get("sync_mean_shard_load"), "60.0");
-        assert_eq!(get("sync_shard_imbalance"), "1.500");
     }
 
     #[test]

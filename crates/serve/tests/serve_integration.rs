@@ -572,10 +572,10 @@ fn status_keys_and_serve_metric_families_are_pinned() {
         aligner_sealed_frontier aligner_min_shard_frontier aligner_max_shard_frontier \
         aligner_shard_imbalance checkpoint_seq checkpoints_written routing_epoch \
         cells_mapped cells_migrated max_subtask_load mean_subtask_load subtask_imbalance \
-        sync_shards sync_fanin sync_tree_levels sync_pairs_merged sync_duplicates sync_windows_sealed \
-        sync_max_shard_load sync_mean_shard_load sync_shard_imbalance avg_latency_ms \
+        sync_fanin sync_tree_levels sync_pairs_merged sync_windows_sealed avg_latency_ms \
         p95_latency_ms throughput_tps health";
     assert_eq!(keys, want.split_whitespace().collect::<Vec<_>>());
+    assert_eq!(keys.len(), 47);
 
     let exposition = client::fetch_metrics(&addr).unwrap();
     let families: Vec<&str> = exposition
@@ -673,7 +673,6 @@ fn metrics_and_events_endpoints_expose_the_pipeline() {
         "align-shard",
         "snap-merge-final",
         "grid-query",
-        "sync-shard",
         "sync-merge-final",
         "enumerate",
         "sink",

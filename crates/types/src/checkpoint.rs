@@ -72,7 +72,13 @@ use std::fmt;
 /// `kind` discriminator, the Baseline's skipped-partition counter and
 /// VBA's per-owner episode lists (and their two structs). v7 directories
 /// are refused, not upgraded.
-pub const CHECKPOINT_VERSION: u32 = 8;
+///
+/// v9: neighbor pairs are exactly-once at the source (the Lemma-1 key set
+/// keeps only cells after home), so the keyed dedup shards ahead of the
+/// merge tree and their state are gone: [`SyncCheckpoint`] is the tree
+/// finalizer's two counters, without `duplicates` or `pending` (and its
+/// per-window struct). v8 directories are refused, not upgraded.
+pub const CHECKPOINT_VERSION: u32 = 9;
 
 /// Errors raised when restoring state from a checkpoint.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -148,7 +154,7 @@ impl AlignerCheckpoint {
     }
 
     /// Merges per-shard aligner checkpoints into one deployment-independent
-    /// checkpoint, mirroring [`SyncCheckpoint::merge`]: the late-drop
+    /// checkpoint, mirroring [`EngineCheckpoint::merge`]: the late-drop
     /// counter sums, the clock fields (`sealed_up_to`, `max_seen`) take the
     /// max, chains concatenate and re-sort by trajectory id (shards own
     /// disjoint ids), and buffered snapshots union by time with their rows
@@ -190,8 +196,7 @@ impl AlignerCheckpoint {
     /// (the same owner → shard mapping the head's exchange routes by), the
     /// clock fields replicated, and the cumulative late-drop counter
     /// included only when `with_counters` — restore it into one shard, or
-    /// the next checkpoint's merge would multiply it by the shard count
-    /// (the [`SyncCheckpoint::piece`] pattern).
+    /// the next checkpoint's merge would multiply it by the shard count.
     pub fn piece(&self, with_counters: bool, keep: impl Fn(ObjectId) -> bool) -> AlignerCheckpoint {
         AlignerCheckpoint {
             buffers: self
@@ -317,105 +322,17 @@ pub struct RoutingCheckpoint {
     pub cells_migrated: u64,
 }
 
-/// One unsealed window of a GridSync shard: the deduplicated neighbor
-/// pairs received for `time` so far, in ascending canonical order.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct SyncWindowCheckpoint {
-    /// The window's discretized time.
-    pub time: u32,
-    /// Canonical `(a, b)` pairs with `a ≤ b`, ascending.
-    pub pairs: Vec<(ObjectId, ObjectId)>,
-}
-
-/// Durable form of the sharded GridSync merge path: cumulative dedup and
-/// window-seal observability counters, plus any pending (received but not
-/// yet sealed) pair partitions. Captured as one piece per sync subtask
-/// (plus one from the tree finalizer) and merged at the sink, mirroring
-/// [`EngineCheckpoint::merge`]; restore owner-filters the pending
-/// pairs back onto the shard that owns them at the restored parallelism.
-///
-/// In the barrier-aligned dataflow `pending` is provably empty at every
-/// cut — the barrier trails the boundary tick of each sealed window on
-/// every channel — but the schema carries it so that invariant is
-/// *checkable* on restore rather than silently assumed.
+/// Durable form of the sync-merge tree's observability counters, captured
+/// by the tree finalizer as the barrier aligns there. The tree holds no
+/// other state at a cut: the barrier trails the boundary tick of every
+/// sealed window on every channel, and a window still open holds only
+/// post-cut pairs, which replay regenerates.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SyncCheckpoint {
-    /// Distinct neighbor pairs merged across all sealed windows
-    /// (cumulative).
+    /// Neighbor pairs merged across all sealed windows (cumulative).
     pub pairs_merged: u64,
-    /// Duplicate pair discoveries suppressed (cumulative — the Lemma-1
-    /// residue the dedup exists for).
-    pub duplicates: u64,
-    /// Windows sealed through the merge tree (cumulative; counted by the
-    /// finalizer).
+    /// Windows sealed through the merge tree (cumulative).
     pub windows_sealed: u64,
-    /// Pending pair partitions, ascending by time.
-    pub pending: Vec<SyncWindowCheckpoint>,
-}
-
-impl SyncCheckpoint {
-    /// A checkpoint for a sync path that has seen nothing.
-    pub fn empty() -> SyncCheckpoint {
-        SyncCheckpoint {
-            pairs_merged: 0,
-            duplicates: 0,
-            windows_sealed: 0,
-            pending: Vec::new(),
-        }
-    }
-
-    /// Merges per-subtask sync checkpoints into one deployment-independent
-    /// checkpoint: counters sum, pending windows union by time with their
-    /// pair sets re-canonicalized (sorted, deduplicated) — shards hold
-    /// disjoint pair sets, so the dedup is a safety net, not a semantic.
-    pub fn merge(pieces: Vec<SyncCheckpoint>) -> SyncCheckpoint {
-        let mut merged = SyncCheckpoint::empty();
-        let mut pending: BTreeMap<u32, Vec<(ObjectId, ObjectId)>> = BTreeMap::new();
-        for piece in pieces {
-            merged.pairs_merged += piece.pairs_merged;
-            merged.duplicates += piece.duplicates;
-            merged.windows_sealed += piece.windows_sealed;
-            for w in piece.pending {
-                pending.entry(w.time).or_default().extend(w.pairs);
-            }
-        }
-        merged.pending = pending
-            .into_iter()
-            .map(|(time, mut pairs)| {
-                pairs.sort_unstable();
-                pairs.dedup();
-                SyncWindowCheckpoint { time, pairs }
-            })
-            .collect();
-        merged
-    }
-
-    /// The restore piece for one sync subtask at the restored deployment:
-    /// pending pairs filtered to the owners `keep` selects (the same
-    /// pair-owner → shard mapping the exchange routes by), cumulative
-    /// counters included only when `with_counters` (restore them into one
-    /// subtask, or the next checkpoint's merge would multiply them by the
-    /// parallelism). The finalizer's `windows_sealed` is never part of a
-    /// shard's piece.
-    pub fn piece(&self, with_counters: bool, keep: impl Fn(ObjectId) -> bool) -> SyncCheckpoint {
-        SyncCheckpoint {
-            pairs_merged: if with_counters { self.pairs_merged } else { 0 },
-            duplicates: if with_counters { self.duplicates } else { 0 },
-            windows_sealed: 0,
-            pending: self
-                .pending
-                .iter()
-                .filter_map(|w| {
-                    let pairs: Vec<(ObjectId, ObjectId)> =
-                        w.pairs.iter().copied().filter(|&(a, _)| keep(a)).collect();
-                    (!pairs.is_empty()).then_some(SyncWindowCheckpoint {
-                        time: w.time,
-                        pairs,
-                    })
-                })
-                .collect(),
-        }
-    }
 }
 
 /// One cumulative metric-registry counter at the checkpoint cut, summed
@@ -478,8 +395,8 @@ pub struct PipelineCheckpoint {
     /// Adaptive routing state (`None` when the deployment routes
     /// statically or runs a clusterer without a keyed grid stage).
     pub routing: Option<RoutingCheckpoint>,
-    /// Sharded GridSync merge state (`None` for clusterers without a
-    /// grid sync stage, i.e. GDC).
+    /// Sync-merge tree counters (`None` for clusterers without a grid sync
+    /// stage, i.e. GDC).
     pub sync: Option<SyncCheckpoint>,
     /// Cumulative metric-registry counters at the cut (`None` only in
     /// checkpoints upgraded from pre-v4 schemas).
@@ -576,9 +493,7 @@ mod tests {
             }),
             sync: Some(SyncCheckpoint {
                 pairs_merged: 120,
-                duplicates: 7,
                 windows_sealed: 3,
-                pending: Vec::new(),
             }),
             obs: Some(ObsCheckpoint {
                 counters: vec![ObsCounterEntry {
@@ -615,78 +530,6 @@ mod tests {
         let owners: Vec<u32> = merged.window_owners.iter().map(|o| o.owner.0).collect();
         assert_eq!(owners, vec![1, 3], "owners re-sorted canonically");
         assert_eq!(EngineCheckpoint::merge(Vec::new()).last_time, None);
-    }
-
-    #[test]
-    fn sync_merge_sums_counters_and_canonicalizes_pending() {
-        let a = SyncCheckpoint {
-            pairs_merged: 10,
-            duplicates: 2,
-            windows_sealed: 0,
-            pending: vec![SyncWindowCheckpoint {
-                time: 4,
-                pairs: vec![(ObjectId(5), ObjectId(9))],
-            }],
-        };
-        let b = SyncCheckpoint {
-            pairs_merged: 7,
-            duplicates: 1,
-            windows_sealed: 5,
-            pending: vec![
-                SyncWindowCheckpoint {
-                    time: 4,
-                    pairs: vec![(ObjectId(1), ObjectId(2)), (ObjectId(5), ObjectId(9))],
-                },
-                SyncWindowCheckpoint {
-                    time: 6,
-                    pairs: vec![(ObjectId(3), ObjectId(4))],
-                },
-            ],
-        };
-        let merged = SyncCheckpoint::merge(vec![a, b]);
-        assert_eq!(merged.pairs_merged, 17);
-        assert_eq!(merged.duplicates, 3);
-        assert_eq!(merged.windows_sealed, 5);
-        assert_eq!(merged.pending.len(), 2);
-        assert_eq!(merged.pending[0].time, 4);
-        assert_eq!(
-            merged.pending[0].pairs,
-            vec![(ObjectId(1), ObjectId(2)), (ObjectId(5), ObjectId(9))],
-            "cross-piece duplicates collapse, order canonical"
-        );
-        assert_eq!(merged.pending[1].time, 6);
-        assert!(SyncCheckpoint::merge(Vec::new()).pending.is_empty());
-    }
-
-    #[test]
-    fn sync_piece_owner_filters_and_restores_counters_once() {
-        let merged = SyncCheckpoint {
-            pairs_merged: 40,
-            duplicates: 4,
-            windows_sealed: 9,
-            pending: vec![SyncWindowCheckpoint {
-                time: 2,
-                pairs: vec![
-                    (ObjectId(1), ObjectId(2)),
-                    (ObjectId(2), ObjectId(3)),
-                    (ObjectId(7), ObjectId(9)),
-                ],
-            }],
-        };
-        let even = merged.piece(true, |o| o.0 % 2 == 0);
-        assert_eq!(even.pairs_merged, 40);
-        assert_eq!(even.duplicates, 4);
-        assert_eq!(even.windows_sealed, 0, "the finalizer owns the seal count");
-        assert_eq!(even.pending[0].pairs, vec![(ObjectId(2), ObjectId(3))]);
-        let odd = merged.piece(false, |o| o.0 % 2 == 1);
-        assert_eq!(odd.pairs_merged, 0);
-        assert_eq!(
-            odd.pending[0].pairs,
-            vec![(ObjectId(1), ObjectId(2)), (ObjectId(7), ObjectId(9))]
-        );
-        // Windows with no surviving pairs vanish from the piece.
-        let none = merged.piece(false, |_| false);
-        assert!(none.pending.is_empty());
     }
 
     #[test]
@@ -806,10 +649,10 @@ mod tests {
     #[test]
     fn errors_display() {
         let e = CheckpointError::UnsupportedVersion {
-            found: 7,
-            supported: 8,
+            found: 8,
+            supported: 9,
         };
-        assert!(e.to_string().contains('7') && e.to_string().contains('8'));
+        assert!(e.to_string().contains('8') && e.to_string().contains('9'));
         assert!(CheckpointError::Invalid("x".into())
             .to_string()
             .contains('x'));

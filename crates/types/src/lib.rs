@@ -22,8 +22,8 @@ pub mod timeseq;
 pub use checkpoint::{
     AlignerCheckpoint, CellAssignment, CellLoadCheckpoint, ChainCheckpoint, CheckpointError,
     DiscretizerCheckpoint, EngineCheckpoint, HistoryRowCheckpoint, ObsCheckpoint, ObsCounterEntry,
-    PipelineCheckpoint, ProgressCheckpoint, RoutingCheckpoint, SyncCheckpoint,
-    SyncWindowCheckpoint, TrajectoryStamp, WindowOwnerCheckpoint, CHECKPOINT_VERSION,
+    PipelineCheckpoint, ProgressCheckpoint, RoutingCheckpoint, SyncCheckpoint, TrajectoryStamp,
+    WindowOwnerCheckpoint, CHECKPOINT_VERSION,
 };
 pub use constraints::{Constraints, DbscanParams};
 pub use discretize::Discretizer;
