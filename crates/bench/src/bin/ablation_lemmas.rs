@@ -15,6 +15,9 @@
 //! reads 0. The other rows still find pairs twice: full replication from
 //! both cells of a cross-cell pair, build-then-query from both ends of a
 //! same-cell pair. Lemma 1's saving also shows in the replicas column.
+//! The query-during-build rows run the live per-cell sweep
+//! (`CellQueryEngine`), the build-then-query rows an STR-loaded R-tree per
+//! cell, so their times compare the two kernels as well as the lemmas.
 
 use icpe_bench::{build_traces, extent, BenchParams, Dataset};
 use icpe_cluster::allocate::{grid_allocate, grid_allocate_full};

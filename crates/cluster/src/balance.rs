@@ -113,20 +113,21 @@ impl LoadTracker {
         self.parallelism
     }
 
-    /// Records one cell's load in window `time` (called by the owning
-    /// subtask at the window flush). The loads stay staged until the
-    /// whole window seals.
-    pub fn record_cell(&self, time: u32, cell: GridKey, load: CellLoad) {
+    /// Records a batch of cells' loads in window `time` (called by the
+    /// owning subtask once per window flush, with every cell it ran — one
+    /// lock acquisition per batch). Loads of a cell reported more than once
+    /// add up. The loads stay staged until the whole window seals.
+    pub fn record_cells(&self, time: u32, cells: &[(GridKey, CellLoad)]) {
+        if cells.is_empty() {
+            return;
+        }
         let mut inner = self.inner.lock().expect("load tracker poisoned");
-        let entry = inner
-            .open
-            .entry(time)
-            .or_default()
-            .cells
-            .entry(cell)
-            .or_default();
-        entry.records += load.records;
-        entry.pairs += load.pairs;
+        let window = &mut inner.open.entry(time).or_default().cells;
+        for &(cell, load) in cells {
+            let entry = window.entry(cell).or_default();
+            entry.records += load.records;
+            entry.pairs += load.pairs;
+        }
     }
 
     /// Records one subtask's total load for window `time`. Every subtask
@@ -731,9 +732,14 @@ mod tests {
     #[test]
     fn tracker_drains_whole_windows_only() {
         let t = LoadTracker::new(2);
-        t.record_cell(0, GridKey::new(1, 1), load(4, 6));
-        t.record_cell(0, GridKey::new(1, 1), load(1, 0));
-        t.record_cell(0, GridKey::new(2, 2), load(2, 0));
+        t.record_cells(
+            0,
+            &[
+                (GridKey::new(1, 1), load(4, 6)),
+                (GridKey::new(1, 1), load(1, 0)),
+                (GridKey::new(2, 2), load(2, 0)),
+            ],
+        );
         t.record_window(0, 0, 11);
         assert!(
             t.drain_cells().is_empty(),
@@ -747,6 +753,40 @@ mod tests {
         assert_eq!(cells[&GridKey::new(1, 1)].weight(), 11);
         assert_eq!(cells[&GridKey::new(2, 2)].weight(), 2);
         assert!(t.drain_cells().is_empty(), "drain resets");
+    }
+
+    #[test]
+    fn batched_reports_drain_like_per_cell_reports() {
+        // Two subtasks own disjoint cells; each reports its window's cells
+        // in one batch, and the drained per-cell loads are the sums the
+        // per-cell reports would have accumulated.
+        let t = LoadTracker::new(2);
+        let first = [
+            (GridKey::new(0, 0), load(3, 1)),
+            (GridKey::new(0, 1), load(2, 0)),
+        ];
+        let second = [
+            (GridKey::new(5, 5), load(7, 4)),
+            (GridKey::new(-1, 2), load(1, 0)),
+            (GridKey::new(5, 5), load(1, 2)),
+        ];
+        t.record_cells(4, &first);
+        t.record_window(4, 0, 6);
+        t.record_cells(4, &second);
+        t.record_cells(4, &[]);
+        t.record_window(4, 1, 15);
+        let drained = t.drain_cells();
+        assert_eq!(drained.len(), 1);
+        let (time, cells) = &drained[0];
+        assert_eq!(*time, 4);
+        let mut expected: HashMap<GridKey, CellLoad> = HashMap::new();
+        for &(cell, l) in first.iter().chain(&second) {
+            let e = expected.entry(cell).or_default();
+            e.records += l.records;
+            e.pairs += l.pairs;
+        }
+        assert_eq!(cells, &expected);
+        assert_eq!(cells[&GridKey::new(5, 5)], load(8, 6));
     }
 
     #[test]
@@ -908,7 +948,7 @@ mod tests {
     fn tracker_history_is_bounded() {
         let t = LoadTracker::new(1);
         for time in 0..(super::MAX_WINDOW_HISTORY as u32 + 50) {
-            t.record_cell(time, GridKey::new(0, 0), load(1, 0));
+            t.record_cells(time, &[(GridKey::new(0, 0), load(1, 0))]);
             t.record_window(time, 0, 1);
         }
         // Nothing drains in static mode; every buffer must stay bounded.

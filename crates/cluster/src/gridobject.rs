@@ -6,10 +6,10 @@ use icpe_types::{ObjectId, Point, Timestamp};
 /// A replicated location routed to one grid cell (Definition 12).
 ///
 /// * If `is_query` is `false`, this is a **data object**: its location is
-///   inserted into the cell's R-tree.
+///   stored in the cell's range-query engine.
 /// * If `is_query` is `true`, this is a **query object**: the cell might
-///   contain range-query results for it, so it probes the R-tree but is not
-///   inserted.
+///   contain range-query results for it, so it probes the cell's engine but
+///   is not stored.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GridObject {
     /// The cell this replica is routed to (the partition key).

@@ -6,8 +6,8 @@
 //! * [`gridobject`] — Definition 12's `GridObject` replication records;
 //! * [`allocate`] — **GridAllocate** (Algorithm 1): key computation and the
 //!   Lemma-1 upper-half replication;
-//! * [`query`] — **GridQuery** (Algorithm 2): per-cell R-tree build with the
-//!   Lemma-2 query-during-build trick;
+//! * [`query`] — **GridQuery** (Algorithm 2): a per-cell x-sorted sweep
+//!   with the Lemma-2 query-during-build trick;
 //! * [`sync`] — **GridSync**: the sync-merge tree's gauges, and pair
 //!   deduplication for the schemes that find pairs twice (SRJ, ablations);
 //! * [`dbscan`] — DBSCAN over the neighbor-pair stream (union-find closure
@@ -35,7 +35,7 @@ pub use balance::{BalanceOutcome, BalancerConfig, CellLoad, LoadBalancer, LoadTr
 pub use dbscan::{dbscan_from_pairs, DbscanOutcome};
 pub use gdc::GdcClusterer;
 pub use gridobject::GridObject;
-pub use query::CellQueryEngine;
+pub use query::{query_cells, CellQueryEngine};
 pub use rjc::RjcClusterer;
 pub use srj::SrjClusterer;
 pub use sync::{PairCollector, SyncStats, SyncStatus};

@@ -11,11 +11,10 @@
 
 use crate::allocate::grid_allocate;
 use crate::dbscan::{dbscan_from_pairs, DbscanOutcome};
-use crate::query::{CellQueryEngine, NeighborPair};
+use crate::query::{query_cells, CellQueryEngine, NeighborPair};
 use crate::SnapshotClusterer;
-use icpe_index::{Grid, GridKey};
+use icpe_index::Grid;
 use icpe_types::{ClusterSnapshot, DbscanParams, DistanceMetric, ObjectId, Snapshot};
-use std::collections::HashMap;
 
 /// Configuration and engine for RJC clustering.
 #[derive(Debug, Clone)]
@@ -46,22 +45,11 @@ impl RjcClusterer {
     /// Computes the exact range join `RJ(S_t, ε)` of one snapshot (sorted
     /// canonical pairs, each found once).
     pub fn range_join(&self, snapshot: &Snapshot) -> Vec<NeighborPair> {
-        let objects = grid_allocate(snapshot, &self.grid, self.eps);
-        // Group by cell (the keyed exchange of the streaming deployment).
-        let mut cells: HashMap<GridKey, Vec<&crate::gridobject::GridObject>> = HashMap::new();
-        for o in &objects {
-            cells.entry(o.key).or_default().push(o);
-        }
+        let mut objects = grid_allocate(snapshot, &self.grid, self.eps);
+        // Cell by cell, as the keyed exchange groups them in the deployment.
+        let mut engine = CellQueryEngine::new(self.eps, self.metric);
         let mut pairs: Vec<NeighborPair> = Vec::new();
-        for (_, cell_objects) in cells {
-            let mut engine = CellQueryEngine::new(self.eps, self.metric);
-            for o in cell_objects.iter().filter(|o| !o.is_query) {
-                engine.push_data(o.id, o.location, &mut pairs);
-            }
-            for o in cell_objects.iter().filter(|o| o.is_query) {
-                engine.push_query(o.id, o.location, &mut pairs);
-            }
-        }
+        query_cells(&mut engine, &mut objects, &mut pairs, |_, _| {});
         pairs.sort_unstable();
         pairs
     }

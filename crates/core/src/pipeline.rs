@@ -125,7 +125,7 @@ use crate::config::{ClustererKind, EnumeratorKind, IcpeConfig, Supervision};
 use icpe_cluster::balance::{imbalance, CellLoad, LoadBalancer, LoadTracker};
 use icpe_cluster::query::NeighborPair;
 use icpe_cluster::sync::{SyncStats, SyncStatus};
-use icpe_cluster::{dbscan_from_pairs, grid_allocate, CellQueryEngine, GridObject};
+use icpe_cluster::{dbscan_from_pairs, grid_allocate, query_cells, CellQueryEngine, GridObject};
 use icpe_index::{Grid, GridKey};
 use icpe_pattern::partition::Partition;
 use icpe_pattern::{id_partitions, FbaEngine};
@@ -137,8 +137,8 @@ use icpe_runtime::{
 };
 use icpe_types::shard::{hash_id, stable_hash, subtask_for};
 use icpe_types::{
-    AlignerCheckpoint, CheckpointError, DbscanParams, DistanceMetric, EngineCheckpoint, GpsRecord,
-    ObjectId, ObsCheckpoint, Pattern, PatternBatch, PipelineCheckpoint, ProgressCheckpoint,
+    AlignerCheckpoint, CheckpointError, DbscanParams, EngineCheckpoint, GpsRecord, ObjectId,
+    ObsCheckpoint, Pattern, PatternBatch, PipelineCheckpoint, ProgressCheckpoint,
     RoutingCheckpoint, Snapshot, SyncCheckpoint, Timestamp, CHECKPOINT_VERSION,
 };
 use std::collections::{BTreeMap, HashMap};
@@ -1606,11 +1606,12 @@ fn cluster_stages(
     };
     let tracker = Arc::clone(&status.tracker);
     let partials = grid_objects.apply("grid-query", n, exchange, move |subtask| QueryOp {
-        eps,
-        metric,
         subtask,
         tracker: Arc::clone(&tracker),
+        engine: CellQueryEngine::new(eps, metric),
         buffers: BTreeMap::new(),
+        spare: Vec::new(),
+        loads: Vec::new(),
         pairs: Vec::new(),
     });
     let partials = partials.weigh(|msg| msg.rows(|(_, partial)| partial.pairs.len()));
@@ -2030,17 +2031,20 @@ impl Operator<SnapMsg, ClusterMsg> for SnapFinalOp {
 }
 
 /// GridQuery (Algorithm 2) as a keyed operator: one subtask owns many cells;
-/// objects buffer per (time, cell) and the range queries run at the
-/// snapshot-boundary tick. Each flush accounts the subtask's per-cell load
-/// (buffered objects + produced pairs) into the shared [`LoadTracker`] —
-/// the signal the adaptive balancer repartitions on — and hands the
-/// window's pairs, with the object ids they mention, to the sync-merge tree.
+/// objects buffer per window and, at the snapshot-boundary tick, run cell
+/// by cell through [`query_cells`]. Each flush accounts the subtask's
+/// per-cell loads into the shared [`LoadTracker`] in one batch — the signal
+/// the adaptive balancer repartitions on — and hands the window's pairs,
+/// with the object ids they mention, to the sync-merge tree.
 struct QueryOp {
-    eps: f64,
-    metric: DistanceMetric,
     subtask: usize,
     tracker: Arc<LoadTracker>,
-    buffers: BTreeMap<u32, HashMap<GridKey, Vec<GridObject>>>,
+    engine: CellQueryEngine,
+    buffers: BTreeMap<u32, Vec<GridObject>>,
+    /// Flushed windows' buffers, emptied, for later windows to reuse.
+    spare: Vec<Vec<GridObject>>,
+    /// The window's per-cell loads, reused across ticks.
+    loads: Vec<(GridKey, CellLoad)>,
     /// The window's pairs, reused across ticks: it ships as an exact-size
     /// copy, so this buffer stops growing after the first ticks.
     pairs: Vec<NeighborPair>,
@@ -2048,22 +2052,20 @@ struct QueryOp {
 
 impl QueryOp {
     fn flush_time(&mut self, t: u32, out: &mut Collector<MergeMsg>) {
-        let mut window_load = 0u64;
         self.pairs.clear();
-        if let Some(cells) = self.buffers.remove(&t) {
-            for (cell, objects) in cells {
-                let before = self.pairs.len();
-                // Lemma-2 interleaved query-then-insert.
-                let mut engine = CellQueryEngine::new(self.eps, self.metric);
-                engine.run_cell(&objects, &mut self.pairs);
-                let load = CellLoad {
-                    records: objects.len() as u64,
-                    pairs: (self.pairs.len() - before) as u64,
-                };
-                window_load += load.records + load.pairs;
-                self.tracker.record_cell(t, cell, load);
-            }
+        self.loads.clear();
+        if let Some(mut objects) = self.buffers.remove(&t) {
+            query_cells(
+                &mut self.engine,
+                &mut objects,
+                &mut self.pairs,
+                |cell, load| self.loads.push((cell, load)),
+            );
+            objects.clear();
+            self.spare.push(objects);
         }
+        let window_load = self.loads.iter().map(|(_, load)| load.weight()).sum();
+        self.tracker.record_cells(t, &self.loads);
         self.tracker.record_window(t, self.subtask, window_load);
         if !self.pairs.is_empty() {
             // The object-id union of this subtask's pairs, computed here (in
@@ -2082,14 +2084,11 @@ impl QueryOp {
 impl Operator<ClusterMsg, MergeMsg> for QueryOp {
     fn process(&mut self, msg: ClusterMsg, out: &mut Collector<MergeMsg>) {
         match msg {
-            Envelope::Data(o) => {
-                self.buffers
-                    .entry(o.time.0)
-                    .or_default()
-                    .entry(o.key)
-                    .or_default()
-                    .push(o);
-            }
+            Envelope::Data(o) => self
+                .buffers
+                .entry(o.time.0)
+                .or_insert_with(|| self.spare.pop().unwrap_or_default())
+                .push(o),
             Envelope::Tick(t) => self.flush_time(t, out),
             // The barrier trails every sealed snapshot's tick, and ticks
             // flush the per-time buffers — so at this point the subtask

@@ -1,10 +1,10 @@
 //! The assembled two-layer GR-index for one snapshot.
 //!
 //! `GrIndex` partitions a snapshot's locations by grid cell and builds one
-//! R-tree per cell. In the streaming pipeline the two layers live in
-//! *different operators* (GridAllocate computes keys, GridQuery owns one
-//! cell's R-tree); this assembled form serves the offline/centralized path,
-//! the SRJ baseline, and as a reference for tests.
+//! R-tree per cell. In the streaming pipeline only the grid layer is live
+//! (GridAllocate computes keys; GridQuery sweeps each cell's x-sorted
+//! objects instead of building its R-tree); this assembled form serves the
+//! offline/centralized path, the SRJ baseline, and as a reference for tests.
 
 use crate::{Grid, GridKey, RTree};
 use icpe_types::{DistanceMetric, ObjectId, Point, Snapshot};

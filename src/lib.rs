@@ -8,7 +8,8 @@
 //!
 //! * [`types`] — the data model: GPS records, snapshots, time sequences and
 //!   the `CP(M, K, L, G)` pattern constraints.
-//! * [`index`] — the two-layer GR-index (global grid + local R-trees).
+//! * [`index`] — the two-layer GR-index (global grid + local R-trees; the
+//!   live GridQuery sweeps each cell's x-sorted objects instead of a tree).
 //! * [`runtime`] — a minimal pipelined stream-processing runtime standing in
 //!   for Apache Flink.
 //! * [`cluster`] — GR-index based range join + DBSCAN (RJC) and the SRJ / GDC
