@@ -8,7 +8,7 @@
 //!   Lemma-1 upper-half replication;
 //! * [`query`] — **GridQuery** (Algorithm 2): a per-cell x-sorted sweep
 //!   with the Lemma-2 query-during-build trick;
-//! * [`sync`] — **GridSync**: the sync-merge tree's gauges, and pair
+//! * [`sync`] — **GridSync**: the sync-merge tree's status view, and pair
 //!   deduplication for the schemes that find pairs twice (SRJ, ablations);
 //! * [`dbscan`] — DBSCAN over the neighbor-pair stream (union-find closure
 //!   of the core-point graph, O(pairs));
@@ -38,7 +38,7 @@ pub use gridobject::GridObject;
 pub use query::{query_cells, CellQueryEngine};
 pub use rjc::RjcClusterer;
 pub use srj::SrjClusterer;
-pub use sync::{PairCollector, SyncStats, SyncStatus};
+pub use sync::{PairCollector, SyncStatus};
 
 use icpe_types::{ClusterSnapshot, Snapshot};
 

@@ -4,10 +4,9 @@
 //! in row-major order (see `icpe_index::grid`), so every neighbor pair is
 //! discovered exactly once and the live collection needs no dedup: each
 //! grid-query subtask hands its window's pairs straight to the sync-merge
-//! aggregation tree, whose finalizer runs DBSCAN. [`SyncStats`] is the
-//! shared observability surface of that tree: its shape plus cumulative
-//! pair/seal counters, read by `STATUS` endpoints and restored from
-//! checkpoints so the gauges survive a restart.
+//! aggregation tree, whose finalizer runs DBSCAN. [`SyncStatus`] is the
+//! `STATUS` view of that tree: its shape, and the cumulative pair/seal
+//! counters the finalizer owns and publishes.
 //!
 //! [`PairCollector`] canonicalizes and deduplicates, yielding exact set
 //! semantics for `RJ(O, ε)` from a scheme that does find pairs twice — the
@@ -16,7 +15,6 @@
 
 use crate::query::NeighborPair;
 use std::collections::HashSet;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Collects neighbor pairs from all cells, deduplicating.
 #[derive(Debug, Default)]
@@ -87,21 +85,10 @@ pub struct SyncStatus {
     pub windows_sealed: u64,
 }
 
-/// Shared gauges of the sync-merge tree. Wrap in `Arc`; the tree finalizer
-/// writes, status endpoints read. The authoritative counters live in the
-/// finalizer (and in its checkpoint piece); this surface only mirrors them
-/// for live observability.
-#[derive(Debug)]
-pub struct SyncStats {
-    fanin: usize,
-    levels: usize,
-    pairs_merged: AtomicU64,
-    windows_sealed: AtomicU64,
-}
-
-impl SyncStats {
-    /// Gauges for a tree reducing `width` producers at fanin `fanin`.
-    pub fn new(width: usize, fanin: usize) -> Self {
+impl SyncStatus {
+    /// The shape of a tree reducing `width` producers at fanin `fanin`
+    /// (clamped to ≥ 2, as the tree clamps it), counters zero.
+    pub fn tree(width: usize, fanin: usize) -> SyncStatus {
         let fanin = fanin.max(2);
         // Interior levels: how many times the width must divide by the
         // fanin before one slot can absorb it.
@@ -111,34 +98,10 @@ impl SyncStats {
             width = width.div_ceil(fanin);
             levels += 1;
         }
-        SyncStats {
+        SyncStatus {
             fanin,
             levels,
-            pairs_merged: AtomicU64::new(0),
-            windows_sealed: AtomicU64::new(0),
-        }
-    }
-
-    /// The finalizer sealed one merged window of `pairs` neighbor pairs.
-    pub fn note_window_sealed(&self, pairs: u64) {
-        self.pairs_merged.fetch_add(pairs, Ordering::Relaxed);
-        self.windows_sealed.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Rehydrates the cumulative counters from a checkpoint's sync
-    /// section, so a restored deployment's gauges stay cumulative.
-    pub fn restore(&self, pairs_merged: u64, windows_sealed: u64) {
-        self.pairs_merged.store(pairs_merged, Ordering::Relaxed);
-        self.windows_sealed.store(windows_sealed, Ordering::Relaxed);
-    }
-
-    /// The current gauge snapshot.
-    pub fn status(&self) -> SyncStatus {
-        SyncStatus {
-            fanin: self.fanin,
-            levels: self.levels,
-            pairs_merged: self.pairs_merged.load(Ordering::Relaxed),
-            windows_sealed: self.windows_sealed.load(Ordering::Relaxed),
+            ..SyncStatus::default()
         }
     }
 }
@@ -181,39 +144,11 @@ mod tests {
 
     #[test]
     fn sync_stats_levels_follow_the_tree_shape() {
-        assert_eq!(SyncStats::new(1, 4).status().levels, 0);
-        assert_eq!(SyncStats::new(4, 4).status().levels, 0, "flat funnel");
-        assert_eq!(SyncStats::new(8, 4).status().levels, 1, "8 → 2 → final");
-        assert_eq!(SyncStats::new(8, 2).status().levels, 2, "8 → 4 → 2 → final");
-        assert_eq!(
-            SyncStats::new(9, 2).status().levels,
-            3,
-            "9 → 5 → 3 → 2 → final"
-        );
-    }
-
-    #[test]
-    fn sync_stats_seal_and_status() {
-        let stats = SyncStats::new(2, 4);
-        stats.note_window_sealed(10);
-        let s = stats.status();
-        assert_eq!(s.pairs_merged, 10);
-        assert_eq!(s.windows_sealed, 1);
-        stats.note_window_sealed(0);
-        let s = stats.status();
-        assert_eq!(s.pairs_merged, 10);
-        assert_eq!(s.windows_sealed, 2, "empty windows seal too");
-    }
-
-    #[test]
-    fn sync_stats_restore_is_cumulative() {
-        let stats = SyncStats::new(3, 2);
-        stats.restore(100, 40);
-        stats.note_window_sealed(5);
-        let s = stats.status();
-        assert_eq!(s.pairs_merged, 105);
-        assert_eq!(s.windows_sealed, 41);
-        assert_eq!(s.fanin, 2);
-        assert_eq!(s.levels, 1, "3 → 2 → final");
+        assert_eq!(SyncStatus::tree(1, 4).levels, 0);
+        assert_eq!(SyncStatus::tree(4, 4).levels, 0, "flat funnel");
+        assert_eq!(SyncStatus::tree(8, 4).levels, 1, "8 → 2 → final");
+        assert_eq!(SyncStatus::tree(8, 2).levels, 2, "8 → 4 → 2 → final");
+        assert_eq!(SyncStatus::tree(9, 2).levels, 3, "9 → 5 → 3 → 2 → final");
+        assert_eq!(SyncStatus::tree(3, 1).fanin, 2, "fanin clamps to 2");
     }
 }

@@ -149,9 +149,9 @@ pub struct IcpeConfig {
     /// Per-stage/per-exchange instrumentation (default `true`): every
     /// stage records batch-processing-time histograms and records in/out,
     /// every exchange hop records queue depth and blocked-send time, into
-    /// the pipeline's metric registry. `false` leaves the registry empty
-    /// (the no-op baseline `bench_throughput --check` compares overhead
-    /// against); the registry itself and the event journal always exist.
+    /// the pipeline's metric registry. `false` registers no stage or
+    /// exchange families (the baseline `bench_throughput --check` compares
+    /// overhead against); the status gauges and event journal always exist.
     pub instrument: bool,
     /// Self-healing supervision: `Some` makes `IcpePipeline::launch` wrap
     /// the dataflow in a supervisor that catches subtask panics, restores
@@ -346,8 +346,8 @@ impl IcpeConfigBuilder {
     }
 
     /// Toggles per-stage/per-exchange instrumentation (default `true`;
-    /// `false` is the no-op-registry baseline the overhead check in
-    /// `bench_throughput` compares against).
+    /// `false` registers no stage or exchange families, the status gauges
+    /// still exist).
     pub fn instrument(mut self, on: bool) -> Self {
         self.instrument = on;
         self

@@ -4,7 +4,7 @@ use crate::config::{ClustererKind, EnumeratorKind, IcpeConfig};
 use icpe_cluster::{GdcClusterer, RjcClusterer, SnapshotClusterer, SrjClusterer};
 use icpe_pattern::{BaselineEngine, FbaEngine, PatternEngine, VbaEngine};
 use icpe_types::{
-    CheckpointError, ClusterSnapshot, EngineCheckpoint, Pattern, PipelineCheckpoint,
+    CheckpointError, ClusterSnapshot, EngineCheckpoint, ObsCheckpoint, Pattern, PipelineCheckpoint,
     ProgressCheckpoint, Snapshot, CHECKPOINT_VERSION,
 };
 use std::time::Duration;
@@ -228,23 +228,20 @@ impl StreamingEngine {
     /// `seq` is caller-assigned.
     pub fn checkpoint(&self, seq: u64) -> Option<PipelineCheckpoint> {
         let engine = self.engine.checkpoint_enumerator()?;
-        let aligner = self.aligner.checkpoint();
         Some(PipelineCheckpoint {
             version: CHECKPOINT_VERSION,
             seq,
             records_ingested: self.records_ingested,
+            // Single-threaded: no merge tree counts pairs.
             progress: ProgressCheckpoint {
-                snapshots_completed: self.engine.timings.snapshots as u64,
-                late_records: aligner.late_dropped,
-                max_sealed: aligner.sealed_up_to.map(|s| s - 1),
+                windows_sealed: self.engine.timings.snapshots as u64,
+                pairs_merged: 0,
             },
-            aligner,
+            aligner: self.aligner.checkpoint(),
             engine,
-            // Single-threaded: no keyed exchange, nothing to route, no
-            // sharded merge path, and no stage registry.
+            // No keyed exchange, nothing to route, and no stage registry.
             routing: None,
-            sync: None,
-            obs: None,
+            obs: ObsCheckpoint::default(),
         })
     }
 
@@ -257,9 +254,10 @@ impl StreamingEngine {
         ckpt: &PipelineCheckpoint,
     ) -> Result<Self, CheckpointError> {
         ckpt.check_version()?;
+        ckpt.max_sealed()?;
         let aligner = icpe_runtime::TimeAligner::from_checkpoint(config.aligner, &ckpt.aligner);
         let mut engine = IcpeEngine::from_checkpoint(config, &ckpt.engine)?;
-        engine.timings.snapshots = ckpt.progress.snapshots_completed as usize;
+        engine.timings.snapshots = ckpt.progress.windows_sealed as usize;
         Ok(StreamingEngine {
             aligner,
             engine,
@@ -483,5 +481,22 @@ mod tests {
         assert_eq!(streaming.late_dropped(), 0);
         assert_eq!(unique_object_sets(&got), unique_object_sets(&want));
         assert_eq!(streaming.engine().timings().snapshots, 10);
+    }
+
+    #[test]
+    fn hostile_sealed_frontier_is_refused_by_both_restore_paths() {
+        // `sealed_up_to: Some(0)` names no sealed window; deriving the last
+        // one from it would underflow. Both restore paths refuse it.
+        let fba = config(EnumeratorKind::Fba);
+        let mut ckpt = StreamingEngine::new(fba.clone()).checkpoint(1).unwrap();
+        ckpt.aligner.sealed_up_to = Some(0);
+        assert!(matches!(
+            StreamingEngine::from_checkpoint(fba.clone(), &ckpt),
+            Err(CheckpointError::Invalid(_))
+        ));
+        assert!(matches!(
+            crate::IcpePipeline::launch_from(&fba, &ckpt, |_| {}),
+            Err(CheckpointError::Invalid(_))
+        ));
     }
 }

@@ -29,6 +29,7 @@
 pub mod config;
 pub mod engine;
 pub mod pipeline;
+pub mod status;
 
 pub use config::{
     ClustererKind, EnumeratorKind, IcpeConfig, IcpeConfigBuilder, Supervision, DEFAULT_SYNC_FANIN,
@@ -37,7 +38,5 @@ pub use engine::{IcpeEngine, StreamingEngine};
 pub use icpe_cluster::{BalancerConfig, SyncStatus};
 pub use icpe_runtime::AlignerStatus;
 pub use icpe_runtime::RoutingStatus;
-pub use pipeline::{
-    HealthState, IcpePipeline, LivePipeline, PipelineEvent, PipelineOutput, PipelineStatus,
-    RecordSender, StatusSnapshot,
-};
+pub use pipeline::{IcpePipeline, LivePipeline, PipelineEvent, PipelineOutput, RecordSender};
+pub use status::{HealthState, PipelineStatus, StatusSnapshot};

@@ -122,27 +122,26 @@
 //! every hotspot.
 
 use crate::config::{ClustererKind, EnumeratorKind, IcpeConfig, Supervision};
-use icpe_cluster::balance::{imbalance, CellLoad, LoadBalancer, LoadTracker};
+use crate::status::{up_to, HealthState, PipelineStatus, StatusGauges};
+use icpe_cluster::balance::{CellLoad, LoadBalancer, LoadTracker};
 use icpe_cluster::query::NeighborPair;
-use icpe_cluster::sync::{SyncStats, SyncStatus};
 use icpe_cluster::{dbscan_from_pairs, grid_allocate, query_cells, CellQueryEngine, GridObject};
 use icpe_index::{Grid, GridKey};
 use icpe_pattern::partition::Partition;
 use icpe_pattern::{id_partitions, FbaEngine};
 use icpe_runtime::{
-    ingest_channel, AlignStats, AlignerStatus, BarrierSeq, Collector, Disconnected, Envelope,
-    Exchange, MetricRegistry, MetricsReport, ObsEventKind, Operator, Partial, PipelineMetrics,
-    Routed, Routing, RoutingStatus, RoutingTable, ShardedAligner, StageFailure, Stream,
-    StreamProgress, TreeCombiner, WindowAlign,
+    ingest_channel, BarrierSeq, Collector, Disconnected, Envelope, Exchange, MetricRegistry,
+    MetricsReport, ObsEventKind, Operator, Partial, Routed, Routing, ShardedAligner, StageFailure,
+    Stream, TreeCombiner, WindowAlign,
 };
 use icpe_types::shard::{hash_id, stable_hash, subtask_for};
 use icpe_types::{
     AlignerCheckpoint, CheckpointError, DbscanParams, EngineCheckpoint, GpsRecord, ObjectId,
     ObsCheckpoint, Pattern, PatternBatch, PipelineCheckpoint, ProgressCheckpoint,
-    RoutingCheckpoint, Snapshot, SyncCheckpoint, Timestamp, CHECKPOINT_VERSION,
+    RoutingCheckpoint, Snapshot, Timestamp, CHECKPOINT_VERSION,
 };
 use std::collections::{BTreeMap, HashMap};
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
@@ -213,8 +212,8 @@ pub(crate) struct BarrierToken {
     /// routing.
     routing: Mutex<Option<RoutingCheckpoint>>,
     /// Filled by the sync-merge finalizer as the barrier aligns there: its
-    /// cumulative pair and window-seal counters.
-    sync: Mutex<Option<SyncCheckpoint>>,
+    /// cumulative pair counter.
+    pairs_merged: AtomicU64,
 }
 
 impl BarrierSeq for BarrierToken {
@@ -266,223 +265,6 @@ impl RecordSender {
             .send(InputMsg::Barrier(Arc::new(BarrierRequest { seq, reply })))
             .map_err(|_| Disconnected)?;
         rx.recv().map_err(|_| Disconnected)
-    }
-}
-
-/// The supervised pipeline's health, as a state machine:
-///
-/// ```text
-/// Healthy ──stage failure──► Recovering ──relaunch + replay ok──► Healthy
-///    ▲                           │  ▲                             (or Degraded once
-///    └───────────────────────────┘  └──another failure────┐        > half the restart
-///                                                         │        budget is spent)
-///                            restart budget exhausted ──► Failed (terminal)
-/// ```
-///
-/// Unsupervised pipelines always report `Healthy`; their failure mode is
-/// the pre-existing panic out of [`LivePipeline::finish`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum HealthState {
-    /// Running normally.
-    #[default]
-    Healthy,
-    /// A stage died; the supervisor is relaunching from the latest cut.
-    Recovering,
-    /// Recovered, but more than half the restart budget is spent.
-    Degraded,
-    /// Restart budget exhausted; the pipeline is down for good (pushes are
-    /// discarded, checkpoints fail — nothing blocks).
-    Failed,
-}
-
-impl HealthState {
-    /// Lowercase wire name (`STATUS`'s `health=` value).
-    pub fn as_str(self) -> &'static str {
-        match self {
-            HealthState::Healthy => "healthy",
-            HealthState::Recovering => "recovering",
-            HealthState::Degraded => "degraded",
-            HealthState::Failed => "failed",
-        }
-    }
-}
-
-/// One point-in-time reading of every surface behind [`PipelineStatus`] —
-/// what the serve tier's `STATUS` and `METRICS` renderers consume.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct StatusSnapshot {
-    /// Supervision health.
-    pub health: HealthState,
-    /// Stream-position gauges (ingested vs. sealed frontier, late drops).
-    pub progress: StreamProgress,
-    /// Latency/throughput summary.
-    pub report: MetricsReport,
-    /// The grid stage's routing layer (epoch, migrations, load split).
-    pub routing: RoutingStatus,
-    /// The sync-merge tree.
-    pub sync: SyncStatus,
-    /// The sharded aligner head.
-    pub align: AlignerStatus,
-}
-
-/// The one live status surface of a deployment: health, stream progress,
-/// latency, the routing layer, the sync merge path, the aligner head, and
-/// the metric registry + event journal. Cloneable and independent of the
-/// [`LivePipeline`]'s lifetime, so status endpoints and benches keep
-/// reading after [`LivePipeline::finish`]; under supervision it outlives
-/// dataflow generations — the supervisor rewinds it *to the recovery cut*
-/// before relaunching, so cached clones neither dangle nor double-count.
-#[derive(Debug, Clone)]
-pub struct PipelineStatus {
-    metrics: PipelineMetrics,
-    obs: MetricRegistry,
-    table: Arc<RoutingTable>,
-    tracker: Arc<LoadTracker>,
-    sync: Arc<SyncStats>,
-    align: Arc<AlignStats>,
-    health: Arc<AtomicU8>,
-}
-
-impl PipelineStatus {
-    fn new(config: &IcpeConfig) -> PipelineStatus {
-        PipelineStatus {
-            metrics: PipelineMetrics::new(),
-            obs: MetricRegistry::new(),
-            table: Arc::new(RoutingTable::new()),
-            tracker: Arc::new(LoadTracker::new(config.parallelism)),
-            sync: Arc::new(SyncStats::new(config.parallelism, config.sync_fanin)),
-            align: AlignStats::new(config.align_shards),
-            health: Arc::new(AtomicU8::new(HealthState::Healthy as u8)),
-        }
-    }
-
-    /// The pipeline's current [`HealthState`]. Always `Healthy` for an
-    /// unsupervised launch.
-    pub fn health(&self) -> HealthState {
-        match self.health.load(Ordering::Relaxed) {
-            1 => HealthState::Recovering,
-            2 => HealthState::Degraded,
-            3 => HealthState::Failed,
-            _ => HealthState::Healthy,
-        }
-    }
-
-    fn set_health(&self, state: HealthState) {
-        self.health.store(state as u8, Ordering::Relaxed);
-    }
-
-    /// Live stream-position gauges (ingested vs. sealed frontier, lag,
-    /// late-record count).
-    pub fn progress(&self) -> StreamProgress {
-        self.metrics.progress()
-    }
-
-    /// The latency/throughput summary so far.
-    pub fn report(&self) -> MetricsReport {
-        self.metrics.report()
-    }
-
-    /// The grid stage's routing status: epoch, table size, cumulative
-    /// migrations, and the per-subtask load split of the most recently
-    /// completed window.
-    pub fn routing(&self) -> RoutingStatus {
-        let mut status = self.table.status();
-        if let Some((_, loads)) = self.tracker.last_sealed() {
-            let total: u64 = loads.iter().sum();
-            status.mean_subtask_load = total as f64 / loads.len().max(1) as f64;
-            status.max_subtask_load = loads.iter().copied().max().unwrap_or(0) as f64;
-        }
-        status
-    }
-
-    /// The sync-merge tree's gauges: its shape and cumulative pair/seal
-    /// counters.
-    pub fn sync(&self) -> SyncStatus {
-        self.sync.status()
-    }
-
-    /// The sharded aligner head's gauges: chain counts, per-shard frontier
-    /// spread, the sealed frontier, and the late-drop counter.
-    pub fn align(&self) -> AlignerStatus {
-        self.align.status()
-    }
-
-    /// The per-stage/per-exchange metric registry and event journal —
-    /// everything behind the serving layer's `METRICS` and `EVENTS`
-    /// endpoints. Empty (families never registered) when the pipeline was
-    /// launched with [`instrument`](crate::IcpeConfigBuilder::instrument)
-    /// off; journal events are emitted either way.
-    pub fn obs(&self) -> &MetricRegistry {
-        &self.obs
-    }
-
-    /// Every surface above, read once.
-    pub fn snapshot(&self) -> StatusSnapshot {
-        StatusSnapshot {
-            health: self.health(),
-            progress: self.progress(),
-            report: self.report(),
-            routing: self.routing(),
-            sync: self.sync(),
-            align: self.align(),
-        }
-    }
-
-    /// `max/mean` GridQuery subtask load per completed window, ascending
-    /// by window time — the series the skew bench computes p95 imbalance
-    /// from.
-    pub fn imbalance_series(&self) -> Vec<(u32, f64)> {
-        self.tracker
-            .sealed_windows()
-            .into_iter()
-            .map(|(t, loads)| (t, imbalance(&loads)))
-            .collect()
-    }
-
-    /// Per-window per-cell loads of sealed windows (hindsight analyses;
-    /// see [`LoadTracker::sealed_cell_windows`]).
-    pub fn sealed_cell_windows(&self) -> Vec<(u32, Vec<(GridKey, u64)>)> {
-        self.tracker.sealed_cell_windows()
-    }
-
-    /// Rewinds every surface to the state `resume` describes — the
-    /// checkpoint cut on recovery/restore, all-zero on a fresh launch. The
-    /// cumulative counters the replayed records re-earn land on top of the
-    /// cut values, so totals stay conserved across a recovery.
-    fn reset_to(&self, resume: &ResumeState) {
-        let aligner = resume.aligner_ckpt.as_ref();
-        let late_dropped = aligner.map_or(0, |c| c.late_dropped);
-        self.metrics.restore(&ProgressCheckpoint {
-            snapshots_completed: resume.completed,
-            late_records: late_dropped,
-            max_sealed: resume.max_sealed,
-        });
-        // The registry's event journal is deliberately NOT reset: journal
-        // seqs stay monotonic across generations so `EVENTS since-seq`
-        // consumers never see time move backwards; only the counters rewind
-        // to the cut.
-        match &resume.obs {
-            Some(ckpt) => self.obs.reset_counters_to(ckpt),
-            None => self.obs.reset_counters_to(&ObsCheckpoint {
-                counters: Vec::new(),
-            }),
-        }
-        if let Some(balancer) = &resume.balancer {
-            // `install` replaces the table outright; the migration counter
-            // only tops up to the cut value (it may already exceed it after
-            // an in-process restart — migrations really happened).
-            let behind = balancer
-                .cells_migrated()
-                .saturating_sub(self.table.status().cells_migrated);
-            self.table
-                .install(balancer.epoch(), balancer.table_assignments(), behind);
-        }
-        match &resume.sync {
-            Some(ckpt) => self.sync.restore(ckpt.pairs_merged, ckpt.windows_sealed),
-            None => self.sync.restore(0, 0),
-        }
-        self.align
-            .restore(late_dropped, aligner.and_then(|c| c.sealed_up_to));
     }
 }
 
@@ -623,7 +405,7 @@ impl IcpePipeline {
         on_event: impl FnMut(PipelineEvent) + Send + 'static,
     ) -> LivePipeline {
         let status = PipelineStatus::new(config);
-        status.reset_to(&resume);
+        status.reset_to(&resume.obs);
         let ckpt_seq = Arc::new(AtomicU64::new(resume.next_seq.saturating_sub(1)));
         let (inner, driver) = match config.supervision.clone() {
             None => launch_generation(config, resume, &status, None, None, on_event),
@@ -647,9 +429,10 @@ impl IcpePipeline {
                     recovery_nanos_total: 0,
                     replayed_total: 0,
                 };
+                let first = supervisor.spawn_generation(resume);
                 let driver = std::thread::Builder::new()
                     .name("icpe-supervisor".into())
-                    .spawn(move || supervisor.run(resume))
+                    .spawn(move || supervisor.run(first))
                     .expect("failed to spawn pipeline supervisor thread");
                 (outer_tx, driver)
             }
@@ -713,7 +496,8 @@ fn require_live(config: &IcpeConfig) {
 /// thread running [`drive`] against the shared status surface. Both launch
 /// paths go through here; the supervised one passes a failure channel
 /// (stage panics report instead of poisoning the process) and the delivery
-/// ledger (exactly-once output across recovery cuts).
+/// ledger (exactly-once output across recovery cuts). Returns once every
+/// operator is built, and so has published its restored gauges.
 fn launch_generation(
     config: &IcpeConfig,
     resume: ResumeState,
@@ -724,10 +508,17 @@ fn launch_generation(
 ) -> (crossbeam::channel::Sender<InputMsg>, JoinHandle<()>) {
     let (input, records) = ingest_channel::<InputMsg>(config.runtime.channel_capacity);
     let (config, status) = (config.clone(), status.clone());
+    let (built, operators_built) = crossbeam::channel::bounded::<()>(1);
     let driver = std::thread::Builder::new()
         .name("icpe-driver".into())
-        .spawn(move || drive(config, records, resume, status, failures, ledger, on_event))
+        .spawn(move || {
+            drive(
+                config, records, resume, status, failures, ledger, built, on_event,
+            )
+        })
         .expect("failed to spawn pipeline driver thread");
+    // Disconnects when `drive` drops `built`: after building, or unwinding.
+    let _ = operators_built.recv();
     (input, driver)
 }
 
@@ -896,8 +687,8 @@ type EventSink = Arc<Mutex<Box<dyn FnMut(PipelineEvent) + Send>>>;
 const SUPERVISOR_POLL: std::time::Duration = std::time::Duration::from_millis(20);
 
 impl Supervisor {
-    fn run(mut self, resume: ResumeState) {
-        let mut gen = Some(self.spawn_generation(resume));
+    fn run(mut self, first: Generation) {
+        let mut gen = Some(first);
         loop {
             let Some(g) = gen.as_ref() else {
                 // Terminal `Failed`: swallow input so producers never hang;
@@ -1097,7 +888,7 @@ impl Supervisor {
                 },
                 None => ResumeState::fresh(&self.config),
             };
-            self.status.reset_to(&resume);
+            self.status.reset_to(&resume.obs);
             self.ledger
                 .lock()
                 .expect("delivery ledger poisoned")
@@ -1231,23 +1022,22 @@ struct ResumeState {
     /// owner-filters the buffered rows onto the restored deployment's
     /// aligner shards from this — possibly at a different shard count than
     /// the one that wrote it. Also the source of the restored late-drop
-    /// gauge.
+    /// count.
     aligner_ckpt: Option<AlignerCheckpoint>,
     /// One pre-built engine per enumeration subtask.
     engines: Vec<FbaEngine>,
     /// The adaptive-routing controller (`None` under static routing),
     /// pre-seeded from the checkpoint's routing section on restore.
     balancer: Option<LoadBalancer>,
-    /// The checkpoint's sync section (`None` on a fresh launch): counters
-    /// rehydrate the shared gauges and the sync-merge finalizer.
-    sync: Option<SyncCheckpoint>,
-    /// The checkpoint's cumulative stage/exchange counters (`None` on a
-    /// fresh launch or a pre-obs checkpoint); rehydrated into the new
-    /// deployment's [`MetricRegistry`] before any stage thread spawns.
-    obs: Option<ObsCheckpoint>,
-    records_ingested: u64,
-    completed: u64,
+    /// The cut's windows sealed and pairs merged (zero on a fresh launch).
+    progress: ProgressCheckpoint,
+    /// The last window sealed before the cut, from the aligner section.
     max_sealed: Option<u32>,
+    /// The checkpoint's cumulative stage/exchange counters (empty on a
+    /// fresh launch); rehydrated into the new deployment's
+    /// [`MetricRegistry`] before any stage thread spawns.
+    obs: ObsCheckpoint,
+    records_ingested: u64,
     next_seq: u64,
 }
 
@@ -1262,11 +1052,10 @@ impl ResumeState {
             balancer: config
                 .rebalance
                 .map(|bc| LoadBalancer::new(bc, config.parallelism)),
-            sync: None,
-            obs: None,
-            records_ingested: 0,
-            completed: 0,
+            progress: ProgressCheckpoint::default(),
             max_sealed: None,
+            obs: ObsCheckpoint::default(),
+            records_ingested: 0,
             next_seq: 1,
         }
     }
@@ -1276,6 +1065,7 @@ impl ResumeState {
         ckpt: &PipelineCheckpoint,
     ) -> Result<ResumeState, CheckpointError> {
         ckpt.check_version()?;
+        let max_sealed = ckpt.max_sealed()?;
         let n = config.parallelism;
         let engine_config = config.engine_config();
         let engines = (0..n)
@@ -1299,18 +1089,19 @@ impl ResumeState {
             aligner_ckpt: Some(ckpt.aligner.clone()),
             engines,
             balancer,
-            sync: ckpt.sync.clone(),
+            progress: ckpt.progress.clone(),
+            max_sealed,
             obs: ckpt.obs.clone(),
             records_ingested: ckpt.records_ingested,
-            completed: ckpt.progress.snapshots_completed,
-            max_sealed: ckpt.progress.max_sealed,
             next_seq: ckpt.seq + 1,
         })
     }
 }
 
 /// Driver-thread body of a launched pipeline: builds the dataflow with a
-/// channel source and drains it into the event callback.
+/// channel source, drops `built` once every operator exists, and drains the
+/// dataflow into the event callback.
+#[allow(clippy::too_many_arguments)]
 fn drive(
     config: IcpeConfig,
     records: crossbeam::channel::Receiver<InputMsg>,
@@ -1318,10 +1109,16 @@ fn drive(
     status: PipelineStatus,
     failures: Option<crossbeam::channel::Sender<StageFailure>>,
     ledger: Option<Arc<Mutex<DeliveryLedger>>>,
+    built: crossbeam::channel::Sender<()>,
     mut on_event: impl FnMut(PipelineEvent) + Send + 'static,
 ) {
     let n = config.parallelism;
-    let mut completed = resume.completed;
+    // The sink's gauges; completion stamps and latency samples are
+    // wall-clock history, not state at the cut.
+    let gauges = &status.gauges;
+    let mut completed = resume.progress.windows_sealed;
+    gauges.windows_completed.set(completed);
+    gauges.completed_up_to.set(up_to(resume.max_sealed));
     let engine_cells: Vec<Mutex<Option<FbaEngine>>> = std::mem::take(&mut resume.engines)
         .into_iter()
         .map(|e| Mutex::new(Some(e)))
@@ -1371,8 +1168,9 @@ fn drive(
         OutMsg::Patterns { batch, .. } => batch.len(),
         OutMsg::Done(_) | OutMsg::Checkpoint { .. } => 1,
     });
+    drop(built);
 
-    let PipelineStatus { metrics, obs, .. } = &status;
+    let obs = &status.obs;
     let mut done: WindowAlign<()> = WindowAlign::new(n);
     // In-flight checkpoint assemblies: seq → collected engine pieces.
     let mut pending_ckpts: HashMap<u64, (Arc<BarrierToken>, Vec<EngineCheckpoint>)> =
@@ -1398,12 +1196,21 @@ fn drive(
         }
         OutMsg::Done(t) => {
             if done.tick(t).is_some() {
-                // Progress accounting always runs — the shared surfaces
-                // were rewound to the cut, and replayed seals re-earn
-                // their place in them. Only the *user-facing* sealed
-                // notification is exactly-once.
+                // Progress accounting always runs — the sink resumed at
+                // the cut, and replayed seals re-earn their place in it.
+                // Only the *user-facing* sealed notification is
+                // exactly-once.
                 completed += 1;
-                metrics.mark_done(t);
+                gauges.windows_completed.set(completed);
+                gauges.completed_up_to.set(up_to(Some(t)));
+                if let Some(latency) = status.clock.stop(t) {
+                    gauges.latency.record(latency);
+                }
+                let now = status.clock.stamp();
+                if gauges.first_completion.get() == 0 {
+                    gauges.first_completion.set(now);
+                }
+                gauges.last_completion.set(now);
                 obs.emit(ObsEventKind::WindowSealed { time: t });
                 let admit = match &ledger {
                     Some(ledger) => ledger
@@ -1438,9 +1245,8 @@ fn drive(
                 // By the time the last engine piece arrives here, the
                 // barrier has aligned through the sync-merge finalizer (its
                 // channel sends happen-before the enumeration pieces'), so
-                // the slot holds its counters.
-                let sync = token.sync.lock().expect("sync slot poisoned").take();
-                // Same happens-before argument for the aligner shards: each
+                // the token holds its pair count. Same happens-before
+                // argument for the aligner shards: each
                 // deposits its buffer-only piece before forwarding the
                 // barrier into the snapshot-merge tree. The router's piece
                 // (chains + counters) plus the shard pieces merge into one
@@ -1457,23 +1263,22 @@ fn drive(
                     version: CHECKPOINT_VERSION,
                     seq: token.request.seq,
                     records_ingested: token.records_ingested,
+                    // Every pre-cut window's `Done` precedes its subtask's
+                    // engine piece and every post-cut one follows it, so
+                    // the sink has completed exactly the cut's windows.
                     progress: ProgressCheckpoint {
-                        snapshots_completed: completed,
-                        late_records: aligner.late_dropped,
-                        // sealed_up_to is `u + 1` after sealing `u`, so it
-                        // is ≥ 1 whenever Some.
-                        max_sealed: aligner.sealed_up_to.map(|s| s - 1),
+                        windows_sealed: completed,
+                        pairs_merged: token.pairs_merged.load(Ordering::Relaxed),
                     },
                     aligner,
                     engine,
                     // Deposited by the snapshot-merge finalizer as the
                     // barrier passed it; `None` under static routing.
                     routing: token.routing.lock().expect("routing slot poisoned").clone(),
-                    sync,
                     // The registry's cumulative counters at (just after)
                     // the cut — a restored deployment's METRICS totals
                     // continue from here.
-                    obs: Some(obs.counter_checkpoint()),
+                    obs: obs.counter_checkpoint(),
                 };
                 obs.emit(ObsEventKind::BarrierPassed {
                     checkpoint_seq: token.request.seq,
@@ -1516,7 +1321,8 @@ fn cluster_stages(
     let ResumeState {
         aligner_ckpt,
         balancer,
-        sync: sync_resume,
+        progress,
+        max_sealed,
         records_ingested,
         ..
     } = resume;
@@ -1532,16 +1338,7 @@ fn cluster_stages(
     let routed = source.single(
         "align-route",
         Exchange::Rebalance,
-        AlignRouteOp {
-            reported_late: router.late_dropped_total(),
-            router,
-            metrics: status.metrics.clone(),
-            obs: status.obs.clone(),
-            stats: Arc::clone(&status.align),
-            records_ingested,
-            buckets: vec![Vec::new(); shards],
-            sealed: Vec::new(),
-        },
+        AlignRouteOp::new(router, status.clone(), records_ingested),
     );
     let routed = routed.weigh(|msg| {
         msg.rows(|data| match data {
@@ -1581,6 +1378,19 @@ fn cluster_stages(
         },
     );
     let shard_partials = shard_partials.weigh(|msg| msg.rows(|(_, objects)| objects.len()));
+    // The finalizer's restored state, in place before it routes a window:
+    // the aligned frontier (at a cut everything aligned has sealed), the
+    // migration count, and the learned table.
+    let gauges = &status.gauges;
+    gauges.aligned_up_to.set(up_to(max_sealed));
+    gauges
+        .cells_migrated
+        .set(balancer.as_ref().map_or(0, LoadBalancer::cells_migrated));
+    if let Some(balancer) = &balancer {
+        status
+            .table
+            .install(balancer.epoch(), balancer.table_assignments());
+    }
     // The partials reduce through an aggregation tree (same fanin as the
     // sync-merge tree, ticks and barriers aligned at every level) down to the
     // one finalizer that runs the load balancer and releases each window
@@ -1615,13 +1425,14 @@ fn cluster_stages(
         pairs: Vec::new(),
     });
     let partials = partials.weigh(|msg| msg.rows(|(_, partial)| partial.pairs.len()));
+    // The finalizer resumes the cut's counters.
+    gauges.pairs_merged.set(progress.pairs_merged);
+    gauges.windows_sealed.set(progress.windows_sealed);
+    let gauges = gauges.clone();
     // Each pair is found in exactly one cell, so the grid-query subtasks'
     // window shares are disjoint and reduce through the aggregation tree
     // as they are, down to the one finalizer that runs DBSCAN and seals the
     // window.
-    let stats = Arc::clone(&status.sync);
-    let (pairs_merged, windows_sealed) =
-        sync_resume.map_or((0, 0), |s| (s.pairs_merged, s.windows_sealed));
     partials.reduce_tree(
         "sync-merge",
         n,
@@ -1630,9 +1441,9 @@ fn cluster_stages(
         move |inputs| MergeFinalOp {
             m,
             dbscan,
-            stats,
-            pairs_merged,
-            windows_sealed,
+            pairs_merged: progress.pairs_merged,
+            windows_sealed: progress.windows_sealed,
+            gauges,
             align: WindowAlign::new(inputs),
         },
     )
@@ -1768,9 +1579,9 @@ enum OutMsg {
 /// authoritative record count and the router's chains + counters piece.
 struct AlignRouteOp {
     router: ShardedAligner,
-    metrics: PipelineMetrics,
-    obs: MetricRegistry,
-    stats: Arc<AlignStats>,
+    /// The journal, and the router's gauges.
+    status: PipelineStatus,
+    /// The late-drop count the journal has reported so far.
     reported_late: u64,
     records_ingested: u64,
     /// Per-shard outgoing record buckets of the batch being processed.
@@ -1780,6 +1591,37 @@ struct AlignRouteOp {
 }
 
 impl AlignRouteOp {
+    /// The router's operator; publishes its (possibly restored) gauges.
+    fn new(router: ShardedAligner, status: PipelineStatus, records_ingested: u64) -> AlignRouteOp {
+        let op = AlignRouteOp {
+            reported_late: router.late_dropped_total(),
+            buckets: vec![Vec::new(); router.shards()],
+            router,
+            status,
+            records_ingested,
+            sealed: Vec::new(),
+        };
+        op.publish(true);
+        op
+    }
+
+    /// Publishes the head's gauges — the per-shard frontier spread, O(shards)
+    /// index lookups, only when times `sealed`.
+    fn publish(&self, sealed: bool) {
+        let (g, router) = (&self.status.gauges, &self.router);
+        let (chains, max_shard_chains) = router.chain_counts();
+        g.chains.set(chains);
+        g.max_shard_chains.set(max_shard_chains);
+        g.late_dropped.set(router.late_dropped_total());
+        g.sealed_up_to
+            .set(router.sealed_up_to().unwrap_or(0) as u64);
+        if sealed {
+            let (min, max) = router.frontier_range();
+            g.min_shard_frontier.set(min as u64);
+            g.max_shard_frontier.set(max as u64);
+        }
+    }
+
     fn ingest_one(&mut self, record: GpsRecord) {
         self.records_ingested += 1;
         match self.router.route(&record) {
@@ -1815,22 +1657,21 @@ impl AlignRouteOp {
         self.emit_seal(times, out);
     }
 
-    /// Emits the seal punctuation for `times` (if any) and republishes the
-    /// late-drop counter and head gauges.
+    /// Emits the seal punctuation for `times` (if any), journals the
+    /// batch's late drops and republishes the head gauges.
     fn emit_seal(&mut self, times: Vec<u32>, out: &mut Collector<RouteMsg>) {
-        if !times.is_empty() {
-            self.stats.observe_frontiers(&self.router);
+        let sealed = !times.is_empty();
+        if sealed {
             out.emit(Envelope::Data(RouteData::Seal { times }));
         }
         let total = self.router.late_dropped_total();
         if total > self.reported_late {
-            let dropped = total - self.reported_late;
-            self.metrics.mark_late(dropped);
-            self.obs
-                .emit(ObsEventKind::LateBatchDropped { records: dropped });
+            self.status.obs.emit(ObsEventKind::LateBatchDropped {
+                records: total - self.reported_late,
+            });
             self.reported_late = total;
         }
-        self.stats.observe(&self.router);
+        self.publish(sealed);
     }
 }
 
@@ -1857,7 +1698,7 @@ impl Operator<InputMsg, RouteMsg> for AlignRouteOp {
                     records_ingested: self.records_ingested,
                     aligner_shards: Mutex::new(Vec::new()),
                     routing: Mutex::new(None),
-                    sync: Mutex::new(None),
+                    pairs_merged: AtomicU64::new(0),
                 })));
             }
         }
@@ -1969,6 +1810,7 @@ impl SnapFinalOp {
         };
         let PipelineStatus {
             obs,
+            gauges,
             table,
             tracker,
             ..
@@ -1989,15 +1831,13 @@ impl SnapFinalOp {
         for (_, cells) in drained {
             balancer.observe_pairs_window(&cells);
         }
-        if let Some(outcome) = balancer.evaluate() {
-            table.note_window_loads(outcome.max_load, outcome.mean_load);
-            if let Some(plan) = outcome.plan {
-                obs.emit(ObsEventKind::CellMigrated {
-                    epoch: plan.epoch,
-                    cells: plan.migrated,
-                });
-                table.install(plan.epoch, plan.assignments, plan.migrated);
-            }
+        if let Some(plan) = balancer.evaluate().and_then(|outcome| outcome.plan) {
+            obs.emit(ObsEventKind::CellMigrated {
+                epoch: plan.epoch,
+                cells: plan.migrated,
+            });
+            table.install(plan.epoch, plan.assignments);
+            gauges.cells_migrated.set(balancer.cells_migrated());
         }
     }
 }
@@ -2012,7 +1852,8 @@ impl Operator<SnapMsg, ClusterMsg> for SnapFinalOp {
                     // the balancer cadence and the downstream tick fabric
                     // see every sealed time exactly once.
                     self.maybe_rebalance(&objects);
-                    self.status.metrics.mark_ingest(time);
+                    self.status.clock.start(time);
+                    self.status.gauges.aligned_up_to.set(up_to(Some(time)));
                     out.emit_all(objects.into_iter().map(Envelope::Data));
                     out.emit(Envelope::Tick(time));
                 }
@@ -2111,11 +1952,9 @@ impl Operator<ClusterMsg, MergeMsg> for QueryOp {
 struct MergeFinalOp {
     m: usize,
     dbscan: DbscanParams,
-    stats: Arc<SyncStats>,
-    /// Cumulative pair and window-seal counters, authoritative for the
-    /// checkpoint's sync section.
     pairs_merged: u64,
     windows_sealed: u64,
+    gauges: StatusGauges,
     align: WindowAlign<MergeAcc>,
 }
 
@@ -2131,18 +1970,17 @@ impl Operator<MergeMsg, PartMsg> for MergeFinalOp {
                         out.emit(Envelope::Data((time, partition)));
                     }
                     out.emit(Envelope::Tick(time));
-                    let pairs = acc.pairs.len() as u64;
-                    self.pairs_merged += pairs;
+                    self.pairs_merged += acc.pairs.len() as u64;
                     self.windows_sealed += 1;
-                    self.stats.note_window_sealed(pairs);
+                    self.gauges.pairs_merged.set(self.pairs_merged);
+                    self.gauges.windows_sealed.set(self.windows_sealed);
                 }
             }
             Envelope::Barrier(token) => {
                 if self.align.barrier(token.seq()) {
-                    *token.sync.lock().expect("sync slot poisoned") = Some(SyncCheckpoint {
-                        pairs_merged: self.pairs_merged,
-                        windows_sealed: self.windows_sealed,
-                    });
+                    token
+                        .pairs_merged
+                        .store(self.pairs_merged, Ordering::Relaxed);
                     out.emit(Envelope::Barrier(token));
                 }
             }
@@ -2590,12 +2428,11 @@ mod tests {
             ckpt.records_ingested, 25,
             "the barrier trails exactly the pushed records"
         );
-        let sync = ckpt.sync.as_ref().expect("the pipeline checkpoints sync");
         assert_eq!(
-            sync.windows_sealed,
+            ckpt.progress.windows_sealed,
             ckpt.aligner.sealed_up_to.unwrap_or(0) as u64,
             "every snapshot the aligner sealed before the cut has flowed \
-             through the merge tree by the time the barrier aligns there"
+             through enumeration by the time the checkpoint assembles"
         );
         // A second checkpoint advances the sequence.
         for r in &records[25..30] {
@@ -2669,10 +2506,7 @@ mod tests {
             live.push(*r).unwrap();
         }
         let ckpt = live.checkpoint().unwrap();
-        let cut = ckpt
-            .obs
-            .clone()
-            .expect("instrumented pipelines checkpoint obs");
+        let cut = ckpt.obs.clone();
         let records_at_cut = |c: &ObsCheckpoint| {
             c.counters
                 .iter()
@@ -2727,9 +2561,9 @@ mod tests {
         let ckpt = live.checkpoint().unwrap();
         assert_eq!(
             ckpt.obs,
-            Some(ObsCheckpoint {
+            ObsCheckpoint {
                 counters: Vec::new()
-            }),
+            },
             "no families registered, so the obs section is empty"
         );
         assert!(live.obs().stage_seconds().is_empty());

@@ -353,8 +353,9 @@ fn late_counters_survive_a_reshard_cycle_without_multiplication() {
         "merged shard pieces must sum to the serial drop count"
     );
     assert_eq!(
-        ckpt.progress.late_records, oracle_cut,
-        "progress mirrors the merged aligner counter"
+        live.status().progress().late_records,
+        oracle_cut,
+        "records_late reads the router's one late-drop gauge"
     );
     drop(live);
 

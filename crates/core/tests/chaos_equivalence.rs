@@ -10,7 +10,11 @@
 //! * seal the **identical pattern multiset** (duplicates included — a
 //!   pattern delivered twice across the recovery cut would show up here),
 //! * seal every snapshot **exactly once**,
-//! * conserve the progress counters (`snapshots` in the final report),
+//! * conserve every status number that is not a wall-clock measurement
+//!   (late drops, merged pairs, sealed windows, completed snapshots, the
+//!   frontiers, and cells migrated under adaptive routing) — each is
+//!   published by its one owner, which the relaunched generation restores
+//!   from the cut, so replay re-earns the post-cut span exactly once,
 //! * end `Healthy`, with the restart on the books and every armed fault
 //!   point fired.
 //!
@@ -19,7 +23,8 @@
 //! sync-merge-final, enumerate) with parallelism 1 / 2 / 4; a proptest then randomizes the
 //! fault site over randomized workloads.
 
-use icpe_core::{HealthState, IcpeConfig, Supervision};
+use icpe_cluster::BalancerConfig;
+use icpe_core::{HealthState, IcpeConfig, PipelineStatus, Supervision};
 use icpe_runtime::FaultPlan;
 use icpe_types::{Constraints, GpsRecord, Pattern};
 use proptest::prelude::*;
@@ -47,12 +52,19 @@ fn records(seed: u64) -> Vec<GpsRecord> {
 /// sees several batches per stage per snapshot), so injected faults fire
 /// deterministically early in the stream.
 fn config(n: usize, fault: Option<&str>) -> IcpeConfig {
+    config_with(n, fault, None)
+}
+
+fn config_with(n: usize, fault: Option<&str>, rebalance: Option<BalancerConfig>) -> IcpeConfig {
     let mut b = IcpeConfig::builder()
         .constraints(Constraints::new(3, 4, 2, 2).unwrap())
         .epsilon(2.5)
         .min_pts(3)
         .parallelism(n)
         .batch_size(4);
+    if let Some(balancer) = rebalance {
+        b = b.rebalance(balancer);
+    }
     if let Some(spec) = fault {
         b = b
             .supervised(Supervision {
@@ -68,9 +80,46 @@ fn config(n: usize, fault: Option<&str>) -> IcpeConfig {
 struct RunOutput {
     patterns: Vec<Pattern>,
     seals: Vec<u32>,
-    snapshots: u64,
+    conserved: Conserved,
     final_health: HealthState,
     restarts: u64,
+}
+
+/// The status numbers a recovery must leave exactly as an uninterrupted
+/// run has them: everything but wall-clock measurements, configuration,
+/// and the last window's per-subtask load split (telemetry, not a count).
+#[derive(Debug, PartialEq)]
+struct Conserved {
+    records_late: u64,
+    aligner_late_dropped: u64,
+    aligner_sealed_frontier: u64,
+    aligned_frontier: Option<u32>,
+    sealed_frontier: Option<u32>,
+    in_flight: usize,
+    snapshots: usize,
+    sync_pairs_merged: u64,
+    sync_windows_sealed: u64,
+    routing_epoch: u64,
+    cells_migrated: u64,
+}
+
+impl Conserved {
+    fn read(status: &PipelineStatus) -> Conserved {
+        let s = status.snapshot();
+        Conserved {
+            records_late: s.progress.late_records,
+            aligner_late_dropped: s.align.late_dropped,
+            aligner_sealed_frontier: s.align.sealed_up_to,
+            aligned_frontier: s.progress.max_ingested,
+            sealed_frontier: s.progress.max_sealed,
+            in_flight: s.progress.in_flight,
+            snapshots: s.report.snapshots,
+            sync_pairs_merged: s.sync.pairs_merged,
+            sync_windows_sealed: s.sync.windows_sealed,
+            routing_epoch: s.routing.epoch,
+            cells_migrated: s.routing.cells_migrated,
+        }
+    }
 }
 
 fn run(config: &IcpeConfig, records: &[GpsRecord]) -> RunOutput {
@@ -78,7 +127,7 @@ fn run(config: &IcpeConfig, records: &[GpsRecord]) -> RunOutput {
     RunOutput {
         patterns: out.patterns,
         seals: out.seals,
-        snapshots: out.report.snapshots as u64,
+        conserved: Conserved::read(&out.status),
         final_health: out.status.health(),
         restarts: out
             .status
@@ -90,14 +139,25 @@ fn run(config: &IcpeConfig, records: &[GpsRecord]) -> RunOutput {
 
 /// One supervised-vs-baseline comparison under `spec`.
 fn assert_chaos_equivalence(n: usize, spec: &str, seed: u64) {
+    assert_chaos_equivalence_with(n, spec, seed, None);
+}
+
+/// [`assert_chaos_equivalence`] with adaptive routing configured; returns
+/// the baseline's status numbers.
+fn assert_chaos_equivalence_with(
+    n: usize,
+    spec: &str,
+    seed: u64,
+    rebalance: Option<BalancerConfig>,
+) -> Conserved {
     let input = records(seed);
-    let baseline = run(&config(n, None), &input);
+    let baseline = run(&config_with(n, None, rebalance), &input);
     assert!(
         !baseline.patterns.is_empty(),
         "workload must plant detectable groups (n={n} seed={seed})"
     );
 
-    let chaotic = config(n, Some(spec));
+    let chaotic = config_with(n, Some(spec), rebalance);
     let plan = chaotic.runtime.fault.clone().unwrap();
     let healed = run(&chaotic, &input);
 
@@ -122,14 +182,19 @@ fn assert_chaos_equivalence(n: usize, spec: &str, seed: u64) {
         "every snapshot seals exactly once (n={n} spec={spec})"
     );
     assert_eq!(
-        healed.snapshots, SNAPSHOTS as u64,
+        healed.conserved.snapshots, SNAPSHOTS,
         "progress counters conserved (n={n} spec={spec})"
+    );
+    assert_eq!(
+        healed.conserved, baseline.conserved,
+        "status numbers conserved (n={n} spec={spec})"
     );
     assert_eq!(
         healed.final_health,
         HealthState::Healthy,
         "pipeline ends healthy (n={n} spec={spec})"
     );
+    baseline.conserved
 }
 
 #[test]
@@ -166,6 +231,29 @@ fn delayed_exchange_send_is_invisible() {
         "delay@grid-query:0:1:30;panic@sync-merge-final:0:0",
         0xBEEF,
     );
+}
+
+#[test]
+fn adaptive_routing_heals_with_migrations_conserved() {
+    // Pair loads reach the balancer with the pipeline's in-flight lag, so
+    // the window a pair count lands in is timing. Weighing pairs 0 leaves
+    // the balancer the exact per-window record counts alone — the same
+    // decisions run to run — so a restart must re-earn exactly the
+    // migrations its cut did not hold: no more (the pre-crash span counted
+    // twice), no fewer.
+    let balancer = BalancerConfig {
+        theta: 1.1,
+        cooldown_windows: 0,
+        sync_pair_weight: 0.0,
+        ..BalancerConfig::default()
+    };
+    for (n, spec) in [(2, "panic@grid-query:1:3"), (3, "panic@align-route:0:5")] {
+        let baseline = assert_chaos_equivalence_with(n, spec, 0xC0FFEE, Some(balancer));
+        assert!(
+            baseline.cells_migrated > 0,
+            "the workload must migrate cells (n={n}): {baseline:?}"
+        );
+    }
 }
 
 #[test]

@@ -435,7 +435,9 @@ fn parse_header(line: &str) -> Option<Header> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use icpe_types::{AlignerCheckpoint, EngineCheckpoint, PipelineCheckpoint, ProgressCheckpoint};
+    use icpe_types::{
+        AlignerCheckpoint, EngineCheckpoint, ObsCheckpoint, PipelineCheckpoint, ProgressCheckpoint,
+    };
 
     fn tmp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!(
@@ -461,13 +463,11 @@ mod tests {
             },
             engine: EngineCheckpoint::empty(),
             progress: ProgressCheckpoint {
-                snapshots_completed: seq,
-                late_records: 1,
-                max_sealed: Some(seq as u32),
+                windows_sealed: seq,
+                pairs_merged: 4 * seq,
             },
             routing: None,
-            sync: None,
-            obs: None,
+            obs: ObsCheckpoint::default(),
         }
     }
 

@@ -5,7 +5,7 @@
 use icpe_persist::{CheckpointStore, PersistError};
 use icpe_types::{
     AlignerCheckpoint, EngineCheckpoint, ObsCheckpoint, ObsCounterEntry, PipelineCheckpoint,
-    ProgressCheckpoint, SyncCheckpoint, CHECKPOINT_VERSION,
+    ProgressCheckpoint, CHECKPOINT_VERSION,
 };
 use proptest::prelude::*;
 
@@ -23,22 +23,17 @@ fn sample() -> PipelineCheckpoint {
         },
         engine: EngineCheckpoint::empty(),
         progress: ProgressCheckpoint {
-            snapshots_completed: 7,
-            late_records: 1,
-            max_sealed: Some(6),
+            windows_sealed: 7,
+            pairs_merged: 64,
         },
         routing: None,
-        sync: Some(SyncCheckpoint {
-            pairs_merged: 64,
-            windows_sealed: 7,
-        }),
-        obs: Some(ObsCheckpoint {
+        obs: ObsCheckpoint {
             counters: vec![ObsCounterEntry {
                 stage: "align".to_string(),
                 name: "stage_records_in_total".to_string(),
                 value: 123,
             }],
-        }),
+        },
     }
 }
 

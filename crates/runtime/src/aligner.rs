@@ -21,8 +21,6 @@ use icpe_types::shard::{hash_id, subtask_for};
 use icpe_types::{AlignerCheckpoint, ChainCheckpoint, GpsRecord, ObjectId, Snapshot, Timestamp};
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 /// Configuration of the [`TimeAligner`].
 #[derive(Debug, Clone, Copy)]
@@ -712,77 +710,6 @@ impl AlignerStatus {
     }
 }
 
-/// Shared gauges for the sharded aligner head: the router thread owns the
-/// [`ShardedAligner`], so drivers observe it through these atomics (same
-/// contract as the sync-merge tree's `SyncStats`).
-#[derive(Debug)]
-pub struct AlignStats {
-    shards: usize,
-    chains: AtomicU64,
-    max_shard_chains: AtomicU64,
-    late_dropped: AtomicU64,
-    sealed_up_to: AtomicU64,
-    min_frontier: AtomicU64,
-    max_frontier: AtomicU64,
-}
-
-impl AlignStats {
-    /// Creates zeroed gauges for an `shards`-wide head.
-    pub fn new(shards: usize) -> Arc<AlignStats> {
-        Arc::new(AlignStats {
-            shards: shards.max(1),
-            chains: AtomicU64::new(0),
-            max_shard_chains: AtomicU64::new(0),
-            late_dropped: AtomicU64::new(0),
-            sealed_up_to: AtomicU64::new(0),
-            min_frontier: AtomicU64::new(0),
-            max_frontier: AtomicU64::new(0),
-        })
-    }
-
-    /// Seeds the gauges from a restored checkpoint so observability resumes
-    /// from the cut instead of zero.
-    pub fn restore(&self, late_dropped: u64, sealed_up_to: Option<u32>) {
-        self.late_dropped.store(late_dropped, Ordering::Relaxed);
-        self.sealed_up_to
-            .store(sealed_up_to.unwrap_or(0) as u64, Ordering::Relaxed);
-    }
-
-    /// Publishes the cheap per-batch gauges (O(shards) reads).
-    pub fn observe(&self, aligner: &ShardedAligner) {
-        let (total, max) = aligner.chain_counts();
-        self.chains.store(total, Ordering::Relaxed);
-        self.max_shard_chains.store(max, Ordering::Relaxed);
-        self.late_dropped
-            .store(aligner.late_dropped_total(), Ordering::Relaxed);
-        self.sealed_up_to.store(
-            aligner.sealed_up_to().unwrap_or(0) as u64,
-            Ordering::Relaxed,
-        );
-    }
-
-    /// Publishes the per-shard frontier spread (O(shards) index lookups;
-    /// called on seal).
-    pub fn observe_frontiers(&self, aligner: &ShardedAligner) {
-        let (min_f, max_f) = aligner.frontier_range();
-        self.min_frontier.store(min_f as u64, Ordering::Relaxed);
-        self.max_frontier.store(max_f as u64, Ordering::Relaxed);
-    }
-
-    /// Snapshot of the gauges.
-    pub fn status(&self) -> AlignerStatus {
-        AlignerStatus {
-            shards: self.shards,
-            chains: self.chains.load(Ordering::Relaxed),
-            max_shard_chains: self.max_shard_chains.load(Ordering::Relaxed),
-            late_dropped: self.late_dropped.load(Ordering::Relaxed),
-            sealed_up_to: self.sealed_up_to.load(Ordering::Relaxed),
-            min_shard_frontier: self.min_frontier.load(Ordering::Relaxed),
-            max_shard_frontier: self.max_frontier.load(Ordering::Relaxed),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1427,7 +1354,6 @@ mod tests {
             emit_empty: true,
             lateness: 0,
         };
-        let stats = AlignStats::new(2);
         let mut sharded = ShardedHarness::new(config, 2);
         let probe = &sharded.router;
         let a = (1..100)
@@ -1439,22 +1365,24 @@ mod tests {
         sharded.push(rec(a, 0, None));
         sharded.push(rec(b, 0, None));
         sharded.push(rec(a, 5, Some(0)));
-        stats.observe(&sharded.router);
-        stats.observe_frontiers(&sharded.router);
-        let status = stats.status();
-        assert_eq!(status.shards, 2);
-        assert_eq!(status.chains, 2);
-        assert_eq!(status.max_shard_chains, 1);
+        let router = &sharded.router;
+        let (chains, max_shard_chains) = router.chain_counts();
+        assert_eq!((chains, max_shard_chains), (2, 1));
+        let status = AlignerStatus {
+            shards: router.shards(),
+            chains,
+            max_shard_chains,
+            ..AlignerStatus::default()
+        };
         assert!(
             (status.imbalance() - 1.0).abs() < 1e-9,
             "perfectly balanced"
         );
         // Shard a is clarified through 5 (frontier capped at max_seen);
         // shard b is stuck at 1.
-        assert_eq!(status.min_shard_frontier, 1);
-        assert_eq!(status.max_shard_frontier, 5);
-        assert_eq!(status.sealed_up_to, 1, "time 0 sealed");
-        assert_eq!(status.late_dropped, 0);
+        assert_eq!(router.frontier_range(), (1, 5));
+        assert_eq!(router.sealed_up_to(), Some(1), "time 0 sealed");
+        assert_eq!(router.late_dropped_total(), 0);
     }
 
     // ---- frontier index vs the full scan it replaced ------------------------

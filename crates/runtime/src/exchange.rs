@@ -528,7 +528,7 @@ mod tests {
             1,
         );
         r.route(6).unwrap(); // unmapped: hash fallback 6 % 4 = 2
-        table.install(1, std::collections::HashMap::from([(6u64, 0usize)]), 1);
+        table.install(1, std::collections::HashMap::from([(6u64, 0usize)]));
         r.route(6).unwrap(); // mapped: subtask 0
         r.route(u64::MAX).unwrap(); // broadcast unaffected by the table
         drop(r);

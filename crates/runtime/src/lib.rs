@@ -22,13 +22,13 @@
 //! * [`TimeAligner`] — the paper's §4 stream-synchronization mechanism: the
 //!   per-record *"last time"* link is chained to decide when a snapshot is
 //!   complete and may be sealed, even under out-of-order arrival;
-//! * [`PipelineMetrics`] — per-snapshot latency and throughput, the two
-//!   measures reported in every experiment of the paper;
-//! * [`MetricRegistry`] — the unified per-stage observability surface:
-//!   atomic counters/gauges/histograms keyed `stage/subtask/name`, plus a
-//!   bounded structured event journal. A [`Stream::instrument`]ed dataflow
-//!   records per-batch processing time and records in/out at every stage
-//!   and queue depth plus blocked-send time at every exchange hop.
+//! * [`MetricRegistry`] — the one place a pipeline's numbers live (the
+//!   per-snapshot latency and throughput of every experiment in the paper
+//!   included): atomic counters/gauges/histograms keyed
+//!   `stage/subtask/name`, plus a bounded structured event journal. A
+//!   [`Stream::instrument`]ed dataflow also records per-batch processing
+//!   time and records in/out at every stage and queue depth plus
+//!   blocked-send time at every exchange hop.
 //!
 //! The "cluster" of the paper (1 master + 10 slaves) maps to stage
 //! parallelism: Figure 14's `N` machines become `N` subtasks per stage.
@@ -43,13 +43,14 @@ pub mod operator;
 pub mod routing;
 pub mod stream;
 
-pub use aligner::{AlignStats, AlignerConfig, AlignerStatus, Routed, ShardedAligner, TimeAligner};
+pub use aligner::{AlignerConfig, AlignerStatus, Routed, ShardedAligner, TimeAligner};
 pub use envelope::{BarrierSeq, Envelope, Partial, TreeCombiner, WindowAlign};
 pub use exchange::{Disconnected, Exchange, Routing};
 pub use fault::{FaultKind, FaultPlan, FaultPoint, StageFailure};
-pub use metrics::{MetricsReport, PipelineMetrics, StreamProgress};
+pub use metrics::{MetricsReport, StreamProgress, WindowClock};
 pub use obs::{
-    Counter, ExchangeObs, Gauge, Histogram, MetricRegistry, ObsEvent, ObsEventKind, StageObs,
+    Counter, ExchangeObs, Gauge, Histogram, HistogramSnapshot, MetricRegistry, ObsEvent,
+    ObsEventKind, StageObs,
 };
 pub use operator::{filter_fn, flat_map_fn, map_fn, Collector, Operator};
 pub use routing::{RoutingStatus, RoutingTable};

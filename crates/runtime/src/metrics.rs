@@ -3,132 +3,85 @@
 //! The paper reports two performance measures (§7): the **average latency**
 //! per snapshot (time from a snapshot entering the pipeline to its results
 //! being emitted) and the **throughput** in snapshots processed per second
-//! (tps). `PipelineMetrics` is a thread-safe recorder shared by the ingest
-//! and sink stages.
+//! (tps). Their numbers live in the [`MetricRegistry`](crate::MetricRegistry);
+//! this module holds the [`WindowClock`] that times each window, and the
+//! views [`MetricsReport`] and [`StreamProgress`].
 
-use crate::obs::Histogram;
+use crate::obs::HistogramSnapshot;
 use parking_lot::Mutex;
-use std::collections::HashMap;
-use std::sync::Arc;
+use std::collections::VecDeque;
 use std::time::{Duration, Instant};
 
-#[derive(Debug, Default)]
-struct Inner {
-    ingest: HashMap<u32, Instant>,
-    /// Cumulative log-bucketed latency distribution. Constant memory and
-    /// O(buckets) reporting regardless of run length — `report()` runs on
-    /// every `STATUS` request, so it must never sort a sample window.
-    latency: Histogram,
-    /// Total snapshots completed (ingest + done), across the whole run.
-    completed: usize,
-    first_done: Option<Instant>,
-    last_done: Option<Instant>,
-    /// Records that arrived after their snapshot sealed and were dropped.
-    late_records: u64,
-    /// Largest snapshot time that entered the pipeline.
-    max_ingested: Option<u32>,
-    /// Largest snapshot time fully processed.
-    max_sealed: Option<u32>,
+/// Start instants of the windows between release and completion, oldest
+/// first. Windows are released in ascending time order and complete in the
+/// order they were released, so a FIFO is the whole index: memory is
+/// bounded by the windows in flight, never by the run's length.
+#[derive(Debug)]
+pub struct WindowClock {
+    /// The time base of [`WindowClock::stamp`].
+    epoch: Instant,
+    started: Mutex<VecDeque<(u32, Instant)>>,
 }
 
-/// A cloneable, thread-safe latency/throughput recorder keyed by snapshot
-/// time.
-#[derive(Debug, Clone, Default)]
-pub struct PipelineMetrics {
-    inner: Arc<Mutex<Inner>>,
+impl Default for WindowClock {
+    fn default() -> Self {
+        WindowClock {
+            epoch: Instant::now(),
+            started: Mutex::new(VecDeque::new()),
+        }
+    }
 }
 
-impl PipelineMetrics {
-    /// Creates an empty recorder.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Marks snapshot `t` as having entered the pipeline.
-    pub fn mark_ingest(&self, t: u32) {
-        let mut inner = self.inner.lock();
-        inner.ingest.entry(t).or_insert_with(Instant::now);
-        inner.max_ingested = Some(inner.max_ingested.map_or(t, |m| m.max(t)));
-    }
-
-    /// Marks snapshot `t` as fully processed (results emitted).
-    pub fn mark_done(&self, t: u32) {
+impl WindowClock {
+    /// Window `t` entered the pipeline. A time already started keeps its
+    /// first instant.
+    pub fn start(&self, t: u32) {
         let now = Instant::now();
-        let mut inner = self.inner.lock();
-        if let Some(start) = inner.ingest.remove(&t) {
-            inner.completed += 1;
-            inner.latency.record(now - start);
-        }
-        inner.first_done.get_or_insert(now);
-        inner.last_done = Some(now);
-        inner.max_sealed = Some(inner.max_sealed.map_or(t, |m| m.max(t)));
-    }
-
-    /// Counts records dropped for arriving after their snapshot sealed.
-    pub fn mark_late(&self, n: u64) {
-        self.inner.lock().late_records += n;
-    }
-
-    /// Rehydrates the cumulative gauges from a checkpoint so a restored
-    /// pipeline's observability continues where the old one stopped instead
-    /// of resetting to zero. Latency samples are wall-clock and cannot
-    /// meaningfully survive a process boundary; they restart empty.
-    pub fn restore(&self, progress: &icpe_types::ProgressCheckpoint) {
-        let mut inner = self.inner.lock();
-        inner.completed = progress.snapshots_completed as usize;
-        inner.late_records = progress.late_records;
-        // At a consistent cut nothing is in flight: everything ingested has
-        // sealed, so both frontiers resume at the sealed frontier and any
-        // in-flight ingest marks from before the cut are void (in-process
-        // recovery reuses the same metrics handle across generations).
-        inner.ingest.clear();
-        inner.max_ingested = progress.max_sealed;
-        inner.max_sealed = progress.max_sealed;
-    }
-
-    /// Live position of the stream: how far ingestion has advanced, how far
-    /// processing has caught up, and the resulting per-stage lag — the
-    /// serving layer's health gauges.
-    pub fn progress(&self) -> StreamProgress {
-        let inner = self.inner.lock();
-        StreamProgress {
-            max_ingested: inner.max_ingested,
-            max_sealed: inner.max_sealed,
-            in_flight: inner.ingest.len(),
-            late_records: inner.late_records,
+        let mut started = self.started.lock();
+        if started.back().is_none_or(|&(last, _)| t > last) {
+            started.push_back((t, now));
         }
     }
 
-    /// Summarizes what was recorded so far. O(buckets) — never O(samples):
-    /// mean and max come exact from the histogram's sum/max cells, the
-    /// percentiles from a bucket walk.
-    pub fn report(&self) -> MetricsReport {
-        let inner = self.inner.lock();
-        let lat = inner.latency.snapshot();
-        let span = match (inner.first_done, inner.last_done) {
-            (Some(a), Some(b)) if b > a => b - a,
-            _ => Duration::ZERO,
-        };
-        let throughput = if span.is_zero() || inner.completed < 2 {
-            f64::NAN
-        } else {
-            // First completion starts the clock, so completed-1 completions
-            // happen within `span`.
-            (inner.completed - 1) as f64 / span.as_secs_f64()
-        };
-        MetricsReport {
-            snapshots: inner.completed,
-            avg_latency: lat.mean(),
-            p50_latency: lat.quantile(0.50),
-            p95_latency: lat.quantile(0.95),
-            max_latency: lat.max(),
-            throughput_tps: throughput,
-            late_records: inner.late_records,
+    /// Window `t` completed: its latency since [`start`](Self::start), or
+    /// `None` for a window this clock never started. Older windows still
+    /// queued never completed (a stream torn down mid-window) and are
+    /// discarded.
+    pub fn stop(&self, t: u32) -> Option<Duration> {
+        let now = Instant::now();
+        let mut started = self.started.lock();
+        while let Some(&(s, at)) = started.front() {
+            if s > t {
+                return None;
+            }
+            started.pop_front();
+            if s == t {
+                return Some(now - at);
+            }
         }
+        None
+    }
+
+    /// Windows started and not yet completed.
+    pub fn in_flight(&self) -> usize {
+        self.started.lock().len()
+    }
+
+    /// Forgets every in-flight window (a restart replays them from the
+    /// cut, and their clocks start again).
+    pub fn clear(&self) {
+        self.started.lock().clear();
+    }
+
+    /// Nanoseconds since this clock was created, at least 1 — the time
+    /// base of the sink's completion stamps, where 0 means "none yet".
+    pub fn stamp(&self) -> u64 {
+        (self.epoch.elapsed().as_nanos() as u64).max(1)
     }
 }
 
-/// Live stream-position gauges (see [`PipelineMetrics::progress`]).
+/// Live stream-position gauges (see `PipelineStatus::progress` in
+/// `icpe-core`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StreamProgress {
     /// Largest snapshot time that entered the pipeline, if any.
@@ -158,7 +111,7 @@ impl StreamProgress {
 /// matter how long the server has been sealing snapshots.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct MetricsReport {
-    /// Number of snapshots with both ingest and done marks.
+    /// Windows completed (sealed through enumeration).
     pub snapshots: usize,
     /// Mean end-to-end latency.
     pub avg_latency: Duration,
@@ -173,6 +126,37 @@ pub struct MetricsReport {
     pub throughput_tps: f64,
     /// Records dropped for arriving after their snapshot sealed.
     pub late_records: u64,
+}
+
+impl MetricsReport {
+    /// The summary of what the sink published: `completed` windows, their
+    /// latency distribution, the [`WindowClock::stamp`]s of the first and
+    /// last completion (0 = none yet), and the late-drop count. O(buckets).
+    pub fn new(
+        completed: u64,
+        latency: &HistogramSnapshot,
+        first_done: u64,
+        last_done: u64,
+        late_records: u64,
+    ) -> MetricsReport {
+        let span = Duration::from_nanos(last_done.saturating_sub(first_done));
+        let throughput = if first_done == 0 || span.is_zero() || completed < 2 {
+            f64::NAN
+        } else {
+            // First completion starts the clock, so completed-1 completions
+            // happen within `span`.
+            (completed - 1) as f64 / span.as_secs_f64()
+        };
+        MetricsReport {
+            snapshots: completed as usize,
+            avg_latency: latency.mean(),
+            p50_latency: latency.quantile(0.50),
+            p95_latency: latency.quantile(0.95),
+            max_latency: latency.max(),
+            throughput_tps: throughput,
+            late_records,
+        }
+    }
 }
 
 impl std::fmt::Display for MetricsReport {
@@ -197,11 +181,11 @@ impl std::fmt::Display for MetricsReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::obs::Histogram;
 
     #[test]
     fn empty_report() {
-        let m = PipelineMetrics::new();
-        let r = m.report();
+        let r = MetricsReport::new(0, &Histogram::default().snapshot(), 0, 0, 0);
         assert_eq!(r.snapshots, 0);
         assert_eq!(r.avg_latency, Duration::ZERO);
         assert!(r.throughput_tps.is_nan());
@@ -209,89 +193,80 @@ mod tests {
 
     #[test]
     fn latency_is_recorded_per_snapshot() {
-        let m = PipelineMetrics::new();
-        m.mark_ingest(1);
-        m.mark_ingest(2);
+        let clock = WindowClock::default();
+        clock.start(1);
+        clock.start(2);
+        assert_eq!(clock.in_flight(), 2);
         std::thread::sleep(Duration::from_millis(2));
-        m.mark_done(1);
-        m.mark_done(2);
-        let r = m.report();
-        assert_eq!(r.snapshots, 2);
-        assert!(r.avg_latency >= Duration::from_millis(2));
-        assert!(r.max_latency >= r.p50_latency);
+        assert!(clock.stop(1).unwrap() >= Duration::from_millis(2));
+        assert!(clock.stop(2).unwrap() >= Duration::from_millis(2));
+        assert_eq!(clock.in_flight(), 0);
     }
 
     #[test]
     fn done_without_ingest_is_ignored_for_latency() {
-        let m = PipelineMetrics::new();
-        m.mark_done(9);
-        assert_eq!(m.report().snapshots, 0);
+        let clock = WindowClock::default();
+        assert_eq!(clock.stop(9), None);
+        clock.start(10);
+        assert_eq!(clock.stop(9), None, "a window before the oldest start");
+        assert_eq!(clock.in_flight(), 1, "and it leaves the clock alone");
     }
 
     #[test]
     fn duplicate_ingest_keeps_first_timestamp() {
-        let m = PipelineMetrics::new();
-        m.mark_ingest(1);
+        let clock = WindowClock::default();
+        clock.start(1);
         std::thread::sleep(Duration::from_millis(2));
-        m.mark_ingest(1); // ignored
-        m.mark_done(1);
-        assert!(m.report().avg_latency >= Duration::from_millis(2));
+        clock.start(1); // ignored
+        assert_eq!(clock.in_flight(), 1);
+        assert!(clock.stop(1).unwrap() >= Duration::from_millis(2));
     }
 
     #[test]
     fn latency_history_is_cumulative_in_constant_memory() {
-        // Far more samples than the old 8192-sample sliding window: the
-        // histogram keeps the full cumulative distribution in constant
-        // memory, and reporting no longer sorts anything.
-        let m = PipelineMetrics::new();
+        // Far more windows than any queue bound: the clock holds only the
+        // windows in flight, and the histogram the cumulative distribution.
+        let clock = WindowClock::default();
+        let latency = Histogram::default();
         let n = 50_000u32;
         for t in 0..n {
-            m.mark_ingest(t);
-            m.mark_done(t);
+            clock.start(t);
+            latency.record(clock.stop(t).unwrap());
         }
-        let r = m.report();
+        assert!(
+            clock.started.lock().capacity() < 16,
+            "clock memory is O(in flight)"
+        );
+        let snap = latency.snapshot();
+        let r = MetricsReport::new(n as u64, &snap, 1, clock.stamp(), 0);
         assert_eq!(r.snapshots, n as usize, "count stays cumulative");
-        assert_eq!(m.inner.lock().latency.snapshot().count(), n as u64);
+        assert_eq!(snap.count(), n as u64);
         assert!(r.p50_latency <= r.p95_latency);
         assert!(r.p95_latency <= r.max_latency);
     }
 
     #[test]
-    fn restore_rehydrates_cumulative_gauges() {
-        let m = PipelineMetrics::new();
-        m.restore(&icpe_types::ProgressCheckpoint {
-            snapshots_completed: 40,
-            late_records: 3,
-            max_sealed: Some(39),
-        });
-        let p = m.progress();
-        assert_eq!(p.late_records, 3);
-        assert_eq!(p.max_sealed, Some(39));
-        assert_eq!(p.max_ingested, Some(39));
-        assert_eq!(p.lag(), 0, "nothing in flight at a consistent cut");
-        assert_eq!(m.report().snapshots, 40);
-        // New work keeps accumulating on top of the restored base.
-        m.mark_ingest(40);
-        m.mark_done(40);
-        assert_eq!(m.report().snapshots, 41);
-        assert_eq!(m.progress().max_sealed, Some(40));
-    }
-
-    #[test]
     fn shared_across_threads() {
-        let m = PipelineMetrics::new();
-        let m2 = m.clone();
+        let clock = std::sync::Arc::new(WindowClock::default());
         for t in 0..50 {
-            m.mark_ingest(t);
+            clock.start(t);
         }
-        let h = std::thread::spawn(move || {
-            for t in 0..50 {
-                m2.mark_done(t);
-            }
-        });
-        h.join().unwrap();
-        let r = m.report();
-        assert_eq!(r.snapshots, 50);
+        let first = clock.stamp();
+        let remote = std::sync::Arc::clone(&clock);
+        let h = std::thread::spawn(move || (0..50).filter(|&t| remote.stop(t).is_some()).count());
+        assert_eq!(
+            h.join().unwrap(),
+            50,
+            "every window completes on the other thread"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+        let r = MetricsReport::new(
+            50,
+            &Histogram::default().snapshot(),
+            first,
+            clock.stamp(),
+            0,
+        );
         assert!(r.throughput_tps > 0.0);
     }
 }

@@ -3,8 +3,8 @@
 //!
 //! The paper's evaluation (§7) reports only end-to-end latency and
 //! throughput; production streaming detectors need *per-stage* visibility
-//! to locate hotspots before rebalancing them. This module provides one
-//! registry that absorbs the previously scattered gauges:
+//! to locate hotspots before rebalancing them. This module provides the one
+//! registry every pipeline number is read from:
 //!
 //! * [`MetricRegistry`] — a cloneable handle to atomic **counters**,
 //!   **gauges**, and **histograms** keyed by `stage/subtask/name`.
@@ -23,11 +23,13 @@
 //!   with monotonic sequence numbers, drained by the serve tier's `EVENTS`
 //!   endpoint.
 //!
-//! Cumulative counters survive checkpoint/restore: the driver captures
-//! [`MetricRegistry::counter_checkpoint`] into the `PipelineCheckpoint`
-//! and a restored registry is re-credited via [`MetricRegistry::restore`]
-//! (summed across subtasks, credited to subtask 0 — the same pattern
-//! `AlignerCheckpoint::piece` uses for the aligner's late-drop counter).
+//! A pipeline's status gauges are operator state: each has one owning
+//! operator, which publishes it, and checkpoints it with its own state.
+//! Stage and exchange counters exist only in an instrumented dataflow and
+//! survive checkpoint/restore here: the driver captures
+//! [`MetricRegistry::counter_checkpoint`] into the `PipelineCheckpoint` and
+//! a restored registry is re-credited via [`MetricRegistry::restore`]
+//! (summed across subtasks, credited to subtask 0).
 
 use icpe_types::{ObsCheckpoint, ObsCounterEntry};
 use parking_lot::Mutex;
@@ -125,12 +127,6 @@ pub struct Histogram {
 }
 
 impl Histogram {
-    /// A standalone histogram not attached to any registry (used by
-    /// `PipelineMetrics` for its latency distribution).
-    pub fn unregistered() -> Self {
-        Self::default()
-    }
-
     /// Records one duration sample (relaxed atomics; no lock).
     pub fn record(&self, d: Duration) {
         self.core
@@ -798,7 +794,7 @@ mod tests {
 
     #[test]
     fn histogram_quantiles_are_bucket_accurate() {
-        let h = Histogram::unregistered();
+        let h = Histogram::default();
         for ms in 1..=100u64 {
             h.record(Duration::from_millis(ms));
         }
@@ -817,7 +813,7 @@ mod tests {
 
     #[test]
     fn histogram_handles_extremes() {
-        let h = Histogram::unregistered();
+        let h = Histogram::default();
         h.observe_ns(0);
         h.observe_ns(50); // below the 1 µs floor
         h.record(Duration::from_secs(120)); // above the 34 s ceiling

@@ -21,7 +21,9 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A point-in-time view of the routing layer, for `STATUS` endpoints and
-/// benches.
+/// benches. Only the epoch and the mapped keys are this table's; the
+/// pipeline's status surface fills the rest from their owners (the
+/// balancer's migration gauge, the load tracker's last sealed window).
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct RoutingStatus {
     /// Current routing epoch (0 until the first swap).
@@ -56,10 +58,6 @@ pub struct RoutingTable {
     /// Explicit routes, keyed by the same hash [`Routing::Key`] carries.
     map: RwLock<HashMap<u64, usize>>,
     epoch: AtomicU64,
-    cells_migrated: AtomicU64,
-    /// Last-window subtask loads, as f64 bits (observability only).
-    max_load_bits: AtomicU64,
-    mean_load_bits: AtomicU64,
 }
 
 impl RoutingTable {
@@ -90,38 +88,22 @@ impl RoutingTable {
 
     /// Atomically replaces the table: `assignments` becomes the complete
     /// explicit overlay (keys removed from it merge back to hash
-    /// fallback), the epoch becomes `epoch`, and `migrated` keys are added
-    /// to the cumulative migration counter. Readers see either the old
+    /// fallback) and the epoch becomes `epoch`. Readers see either the old
     /// table or the new one, never a mix.
-    pub fn install(&self, epoch: u64, assignments: HashMap<u64, usize>, migrated: u64) {
+    pub fn install(&self, epoch: u64, assignments: HashMap<u64, usize>) {
         let mut map = self.map.write();
         *map = assignments;
         self.epoch.store(epoch, Ordering::Release);
-        drop(map);
-        self.cells_migrated.fetch_add(migrated, Ordering::Relaxed);
     }
 
-    /// Records the per-subtask load summary of the most recently accounted
-    /// window (pure observability; does not affect routing).
-    pub fn note_window_loads(&self, max: f64, mean: f64) {
-        self.max_load_bits.store(max.to_bits(), Ordering::Relaxed);
-        self.mean_load_bits.store(mean.to_bits(), Ordering::Relaxed);
-    }
-
-    /// The current status snapshot.
+    /// The table's part of the status: epoch and mapped keys, the rest
+    /// zero.
     pub fn status(&self) -> RoutingStatus {
         RoutingStatus {
             epoch: self.epoch(),
             mapped_keys: self.map.read().len(),
-            cells_migrated: self.cells_migrated.load(Ordering::Relaxed),
-            max_subtask_load: f64::from_bits(self.max_load_bits.load(Ordering::Relaxed)),
-            mean_subtask_load: f64::from_bits(self.mean_load_bits.load(Ordering::Relaxed)),
+            ..RoutingStatus::default()
         }
-    }
-
-    /// The explicit overlay as a plain map (for checkpointing controllers).
-    pub fn assignments(&self) -> HashMap<u64, usize> {
-        self.map.read().clone()
     }
 }
 
@@ -144,24 +126,24 @@ mod tests {
     #[test]
     fn install_overrides_and_unmapped_fall_back() {
         let t = RoutingTable::new();
-        t.install(1, HashMap::from([(77u64, 3usize)]), 1);
+        t.install(1, HashMap::from([(77u64, 3usize)]));
         assert_eq!(t.subtask(77, 4), 3);
         assert_eq!(t.subtask(78, 4), subtask_for(78, 4));
         assert_eq!(t.epoch(), 1);
-        assert_eq!(t.status().cells_migrated, 1);
+        assert_eq!(t.status().mapped_keys, 1);
 
         // A later install replaces the overlay wholesale.
-        t.install(2, HashMap::from([(78u64, 0usize)]), 2);
+        t.install(2, HashMap::from([(78u64, 0usize)]));
         assert_eq!(t.subtask(77, 4), subtask_for(77, 4), "77 merged back");
         assert_eq!(t.subtask(78, 4), 0);
-        assert_eq!(t.status().cells_migrated, 3, "counter is cumulative");
+        assert_eq!(t.status().epoch, 2);
     }
 
     #[test]
     fn out_of_range_assignment_falls_back() {
         // A table learned at parallelism 8, consulted at parallelism 2.
         let t = RoutingTable::new();
-        t.install(1, HashMap::from([(5u64, 7usize)]), 1);
+        t.install(1, HashMap::from([(5u64, 7usize)]));
         assert!(t.subtask(5, 2) < 2);
         assert_eq!(t.subtask(5, 2), subtask_for(5, 2));
         assert_eq!(t.subtask(5, 8), 7, "still honored where it fits");
@@ -169,12 +151,16 @@ mod tests {
 
     #[test]
     fn status_reports_window_loads() {
-        let t = RoutingTable::new();
-        assert_eq!(t.status().imbalance(), 1.0, "no data → balanced");
-        t.note_window_loads(90.0, 30.0);
-        let s = t.status();
-        assert_eq!(s.max_subtask_load, 90.0);
-        assert_eq!(s.mean_subtask_load, 30.0);
+        assert_eq!(
+            RoutingTable::new().status().imbalance(),
+            1.0,
+            "no data → balanced"
+        );
+        let s = RoutingStatus {
+            max_subtask_load: 90.0,
+            mean_subtask_load: 30.0,
+            ..RoutingStatus::default()
+        };
         assert!((s.imbalance() - 3.0).abs() < 1e-12);
     }
 }

@@ -5,8 +5,8 @@
 //! the failure modes a network serving layer exercises.
 
 use icpe_runtime::{
-    ingest_channel, map_fn, AlignerConfig, Collector, Exchange, Operator, PipelineMetrics,
-    RuntimeConfig, Stream, TimeAligner,
+    ingest_channel, map_fn, AlignerConfig, Collector, Exchange, Operator, RuntimeConfig, Stream,
+    TimeAligner,
 };
 use icpe_types::{GpsRecord, ObjectId, Point, Timestamp};
 use std::time::Duration;
@@ -159,30 +159,4 @@ fn late_records_are_dropped_and_counted_deterministically() {
         sealed.iter().map(|s| s.time.0).collect::<Vec<_>>()
     );
     assert_eq!(aligner.late_dropped(), 2, "no spurious late counts");
-}
-
-#[test]
-fn late_counts_mirror_into_shared_metrics() {
-    // What the align stage does with `TimeAligner::late_dropped`: publish
-    // the delta since its last report, so drivers on other threads read the
-    // count through the shared recorder.
-    let metrics = PipelineMetrics::new();
-    let mut aligner = TimeAligner::new(AlignerConfig {
-        max_lag: 2,
-        emit_empty: true,
-        lateness: 0,
-    });
-    let mut reported = 0;
-    let mut push = |aligner: &mut TimeAligner, r: GpsRecord| {
-        aligner.push(r);
-        metrics.mark_late(aligner.late_dropped() - reported);
-        reported = aligner.late_dropped();
-    };
-    push(&mut aligner, rec(1, 0, None));
-    for t in 1..8 {
-        push(&mut aligner, rec(1, t, Some(t - 1)));
-    }
-    push(&mut aligner, rec(2, 0, None)); // late
-    assert_eq!(metrics.progress().late_records, 1);
-    assert_eq!(metrics.report().late_records, 1);
 }

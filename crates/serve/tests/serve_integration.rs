@@ -794,28 +794,28 @@ fn producer_with_persistent_garbage_is_disconnected() {
     client::send_lines(&addr, (0..50).map(|i| format!("garbage line {i}"))).unwrap();
     client::send_lines(&addr, ["7,0.0,1.0,1.0".to_string()]).unwrap();
 
+    // The two connections are handled on their own threads, so the good
+    // record can be counted before the garbage handler has counted its
+    // lines: wait for both.
     let mut accepted = String::new();
+    let mut rejected = 0u64;
     for _ in 0..500 {
         let status = client::fetch_status(&addr).unwrap();
-        accepted = status
-            .iter()
-            .find(|(k, _)| k == "records_in")
-            .map(|(_, v)| v.clone())
-            .unwrap_or_default();
-        if accepted == "1" {
+        let value = |key: &str| {
+            status
+                .iter()
+                .find(|(k, _)| k == key)
+                .map(|(_, v)| v.clone())
+                .unwrap_or_default()
+        };
+        accepted = value("records_in");
+        rejected = value("records_rejected").parse().unwrap_or(0);
+        if accepted == "1" && rejected >= 8 {
             break;
         }
         std::thread::sleep(std::time::Duration::from_millis(5));
     }
     assert_eq!(accepted, "1", "server kept serving after garbage producer");
-    let rejected: u64 = client::fetch_status(&addr)
-        .unwrap()
-        .iter()
-        .find(|(k, _)| k == "records_rejected")
-        .unwrap()
-        .1
-        .parse()
-        .unwrap();
     assert!((8..=50).contains(&rejected), "rejected {rejected} lines");
     server.finish();
 }

@@ -78,7 +78,14 @@ use std::fmt;
 /// merge tree and their state are gone: [`SyncCheckpoint`] is the tree
 /// finalizer's two counters, without `duplicates` or `pending` (and its
 /// per-window struct). v8 directories are refused, not upgraded.
-pub const CHECKPOINT_VERSION: u32 = 9;
+///
+/// v10: each number is stored once. [`ProgressCheckpoint`] is the two
+/// counters no other section holds (windows sealed, pairs merged), so
+/// `SyncCheckpoint` and the `sync` section are gone; the late-drop count
+/// and the sealed frontier it copied are derived from the aligner section
+/// on restore. `obs` is no longer optional. A v9 body does not parse as
+/// v10 (its progress lacks `windows_sealed`): v9 files are refused at load.
+pub const CHECKPOINT_VERSION: u32 = 10;
 
 /// Errors raised when restoring state from a checkpoint.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -322,19 +329,6 @@ pub struct RoutingCheckpoint {
     pub cells_migrated: u64,
 }
 
-/// Durable form of the sync-merge tree's observability counters, captured
-/// by the tree finalizer as the barrier aligns there. The tree holds no
-/// other state at a cut: the barrier trails the boundary tick of every
-/// sealed window on every channel, and a window still open holds only
-/// post-cut pairs, which replay regenerates.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct SyncCheckpoint {
-    /// Neighbor pairs merged across all sealed windows (cumulative).
-    pub pairs_merged: u64,
-    /// Windows sealed through the merge tree (cumulative).
-    pub windows_sealed: u64,
-}
-
 /// One cumulative metric-registry counter at the checkpoint cut, summed
 /// across the subtasks of its stage (the restored deployment may use a
 /// different parallelism, so only the per-stage total is meaningful).
@@ -352,23 +346,23 @@ pub struct ObsCounterEntry {
 /// Durable form of the metric registry's cumulative counters, canonically
 /// sorted by `(stage, name)` with zero-valued series omitted. Gauges and
 /// histogram samples are wall-clock-bound and restart empty.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ObsCheckpoint {
     /// Counter totals, ascending by `(stage, name)`.
     pub counters: Vec<ObsCounterEntry>,
 }
 
-/// Pipeline progress gauges frozen at the checkpoint cut; rehydrated into
-/// the metrics recorder on restore so counters do not reset to zero.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// The cumulative progress counters no other section holds, frozen at the
+/// cut; the operators that own them publish them again on restore.
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct ProgressCheckpoint {
-    /// Snapshots fully processed (sealed through enumeration) before the
-    /// cut.
-    pub snapshots_completed: u64,
-    /// Records dropped as late before the cut.
-    pub late_records: u64,
-    /// Largest snapshot time fully processed before the cut, if any.
-    pub max_sealed: Option<u32>,
+    /// Windows sealed through enumeration before the cut (the sink's
+    /// completed count; the sync-merge finalizer's seal count equals it at
+    /// every cut).
+    pub windows_sealed: u64,
+    /// Neighbor pairs merged across those windows (the sync-merge
+    /// finalizer's counter, deposited as the barrier aligns there).
+    pub pairs_merged: u64,
 }
 
 /// A complete, consistent snapshot of a detection pipeline: everything
@@ -390,17 +384,14 @@ pub struct PipelineCheckpoint {
     /// Merged enumeration-engine state (deployment-independent: restore
     /// may use a different parallelism).
     pub engine: EngineCheckpoint,
-    /// Observability counters at the cut.
+    /// Progress counters at the cut.
     pub progress: ProgressCheckpoint,
     /// Adaptive routing state (`None` when the deployment routes
     /// statically or runs a clusterer without a keyed grid stage).
     pub routing: Option<RoutingCheckpoint>,
-    /// Sync-merge tree counters (`None` for clusterers without a grid sync
-    /// stage, i.e. GDC).
-    pub sync: Option<SyncCheckpoint>,
-    /// Cumulative metric-registry counters at the cut (`None` only in
-    /// checkpoints upgraded from pre-v4 schemas).
-    pub obs: Option<ObsCheckpoint>,
+    /// Cumulative metric-registry counters at the cut (empty when the
+    /// writer registered none).
+    pub obs: ObsCheckpoint,
 }
 
 impl PipelineCheckpoint {
@@ -413,6 +404,19 @@ impl PipelineCheckpoint {
             });
         }
         Ok(())
+    }
+
+    /// The largest window sealed before the cut, derived from the aligner's
+    /// frontier (`sealed_up_to` is `u + 1` once `u` sealed). A frontier of
+    /// `Some(0)` names no window — no aligner writes it — and is refused as
+    /// [`CheckpointError::Invalid`] rather than underflowing.
+    pub fn max_sealed(&self) -> Result<Option<u32>, CheckpointError> {
+        match self.aligner.sealed_up_to {
+            Some(0) => Err(CheckpointError::Invalid(
+                "aligner.sealed_up_to is Some(0): no window precedes it".into(),
+            )),
+            up_to => Ok(up_to.map(|u| u - 1)),
+        }
     }
 }
 
@@ -473,9 +477,8 @@ mod tests {
             },
             engine: sample_engine(),
             progress: ProgressCheckpoint {
-                snapshots_completed: 3,
-                late_records: 2,
-                max_sealed: Some(2),
+                windows_sealed: 3,
+                pairs_merged: 120,
             },
             routing: Some(RoutingCheckpoint {
                 epoch: 4,
@@ -491,17 +494,13 @@ mod tests {
                 }],
                 cells_migrated: 3,
             }),
-            sync: Some(SyncCheckpoint {
-                pairs_merged: 120,
-                windows_sealed: 3,
-            }),
-            obs: Some(ObsCheckpoint {
+            obs: ObsCheckpoint {
                 counters: vec![ObsCounterEntry {
                     stage: "align".into(),
                     name: "stage_records_in_total".into(),
                     value: 10,
                 }],
-            }),
+            },
         };
         assert!(ckpt.check_version().is_ok());
         ckpt.version = CHECKPOINT_VERSION + 1;
@@ -511,6 +510,28 @@ mod tests {
                 found: CHECKPOINT_VERSION + 1,
                 supported: CHECKPOINT_VERSION
             })
+        );
+    }
+
+    #[test]
+    fn max_sealed_derives_from_the_aligner_frontier() {
+        let mut ckpt = PipelineCheckpoint {
+            version: CHECKPOINT_VERSION,
+            seq: 1,
+            records_ingested: 0,
+            aligner: AlignerCheckpoint::empty(),
+            engine: EngineCheckpoint::empty(),
+            progress: ProgressCheckpoint::default(),
+            routing: None,
+            obs: ObsCheckpoint::default(),
+        };
+        assert_eq!(ckpt.max_sealed(), Ok(None), "nothing sealed yet");
+        ckpt.aligner.sealed_up_to = Some(5);
+        assert_eq!(ckpt.max_sealed(), Ok(Some(4)));
+        ckpt.aligner.sealed_up_to = Some(0);
+        assert!(
+            matches!(ckpt.max_sealed(), Err(CheckpointError::Invalid(_))),
+            "a hostile Some(0) is refused, not underflowed"
         );
     }
 

@@ -22,7 +22,7 @@ pub mod timeseq;
 pub use checkpoint::{
     AlignerCheckpoint, CellAssignment, CellLoadCheckpoint, ChainCheckpoint, CheckpointError,
     DiscretizerCheckpoint, EngineCheckpoint, HistoryRowCheckpoint, ObsCheckpoint, ObsCounterEntry,
-    PipelineCheckpoint, ProgressCheckpoint, RoutingCheckpoint, SyncCheckpoint, TrajectoryStamp,
+    PipelineCheckpoint, ProgressCheckpoint, RoutingCheckpoint, TrajectoryStamp,
     WindowOwnerCheckpoint, CHECKPOINT_VERSION,
 };
 pub use constraints::{Constraints, DbscanParams};

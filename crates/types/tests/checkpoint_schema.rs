@@ -16,10 +16,10 @@
 //! every other version outright, so a predecessor fixture guards nothing.
 
 use icpe_types::{
-    AlignerCheckpoint, CellAssignment, CellLoadCheckpoint, ChainCheckpoint, CheckpointError,
-    EngineCheckpoint, HistoryRowCheckpoint, ObjectId, ObsCheckpoint, ObsCounterEntry,
-    PipelineCheckpoint, Point, ProgressCheckpoint, RoutingCheckpoint, Snapshot, SyncCheckpoint,
-    Timestamp, WindowOwnerCheckpoint, CHECKPOINT_VERSION,
+    AlignerCheckpoint, CellAssignment, CellLoadCheckpoint, ChainCheckpoint, EngineCheckpoint,
+    HistoryRowCheckpoint, ObjectId, ObsCheckpoint, ObsCounterEntry, PipelineCheckpoint, Point,
+    ProgressCheckpoint, RoutingCheckpoint, Snapshot, Timestamp, WindowOwnerCheckpoint,
+    CHECKPOINT_VERSION,
 };
 
 /// A canonical sample exercising every field of every checkpoint struct.
@@ -61,9 +61,8 @@ fn sample() -> PipelineCheckpoint {
             }],
         },
         progress: ProgressCheckpoint {
-            snapshots_completed: 40,
-            late_records: 5,
-            max_sealed: Some(40),
+            windows_sealed: 40,
+            pairs_merged: 512,
         },
         routing: Some(RoutingCheckpoint {
             epoch: 7,
@@ -86,11 +85,7 @@ fn sample() -> PipelineCheckpoint {
             }],
             cells_migrated: 9,
         }),
-        sync: Some(SyncCheckpoint {
-            pairs_merged: 512,
-            windows_sealed: 40,
-        }),
-        obs: Some(ObsCheckpoint {
+        obs: ObsCheckpoint {
             counters: vec![
                 ObsCounterEntry {
                     stage: "align".into(),
@@ -108,7 +103,7 @@ fn sample() -> PipelineCheckpoint {
                     value: 2_500_000,
                 },
             ],
-        }),
+        },
     }
 }
 
@@ -190,24 +185,42 @@ fn fixture_for_current_version_is_committed() {
     );
 }
 
-/// The predecessor schema's pinned bytes (the v8 fixture, whose sync
-/// section still carried the sync shards' `duplicates` counter and their
-/// `pending` pair windows). The JSON reader skips fields it does not know,
-/// so these bytes parse — which is exactly why restore must refuse them by
-/// version rather than trust the parse.
+/// The v8 fixture's pinned bytes: its sync section still carried the sync
+/// shards' `duplicates` counter and their `pending` pair windows, and its
+/// progress section the counters v10 derives or renamed.
 const V8_BYTES: &str = r#"{"version":8,"seq":12,"records_ingested":4096,"aligner":{"buffers":[{"time":41,"entries":[{"id":3,"location":{"x":1.5,"y":-2.0},"last_time":40},{"id":9,"location":{"x":0.0,"y":7.25},"last_time":null}]}],"chains":[{"id":3,"clarified":40,"waiting":[[42,44]]},{"id":9,"clarified":null,"waiting":[]}],"sealed_up_to":41,"max_seen":44,"late_dropped":5},"engine":{"last_time":40,"window_owners":[{"owner":3,"starts":[38,40],"history":[{"time":38,"members":[5,9]}]}]},"progress":{"snapshots_completed":40,"late_records":5,"max_sealed":40},"routing":{"epoch":7,"assignments":[{"x":-3,"y":2,"subtask":0},{"x":9,"y":8,"subtask":2}],"loads":[{"x":9,"y":8,"load_milli":12345}],"cells_migrated":9},"sync":{"pairs_merged":512,"duplicates":31,"windows_sealed":40,"pending":[{"time":42,"pairs":[[3,5],[3,9]]}]},"obs":{"counters":[{"stage":"align","name":"stage_batches_in_total","value":64},{"stage":"align","name":"stage_records_in_total","value":4096},{"stage":"grid-query","name":"exchange_blocked_seconds_total","value":2500000}]}}"#;
 
-/// A v8 checkpoint is refused with a typed version error naming both
-/// versions, never restored as if its sync section were the finalizer's
-/// counters alone.
+/// The v9 fixture's pinned bytes: `progress` still copied the aligner's
+/// late-drop count and frontier, and the sync finalizer's counters had a
+/// section of their own.
+const V9_BYTES: &str = r#"{"version":9,"seq":12,"records_ingested":4096,"aligner":{"buffers":[{"time":41,"entries":[{"id":3,"location":{"x":1.5,"y":-2.0},"last_time":40},{"id":9,"location":{"x":0.0,"y":7.25},"last_time":null}]}],"chains":[{"id":3,"clarified":40,"waiting":[[42,44]]},{"id":9,"clarified":null,"waiting":[]}],"sealed_up_to":41,"max_seen":44,"late_dropped":5},"engine":{"last_time":40,"window_owners":[{"owner":3,"starts":[38,40],"history":[{"time":38,"members":[5,9]}]}]},"progress":{"snapshots_completed":40,"late_records":5,"max_sealed":40},"routing":{"epoch":7,"assignments":[{"x":-3,"y":2,"subtask":0},{"x":9,"y":8,"subtask":2}],"loads":[{"x":9,"y":8,"load_milli":12345}],"cells_migrated":9},"sync":{"pairs_merged":512,"windows_sealed":40},"obs":{"counters":[{"stage":"align","name":"stage_batches_in_total","value":64},{"stage":"align","name":"stage_records_in_total","value":4096},{"stage":"grid-query","name":"exchange_blocked_seconds_total","value":2500000}]}}"#;
+
+/// The version field alone. Every schema's JSON carries it, and the reader
+/// skips fields it does not know, so any version's bytes parse as this.
+#[derive(serde::Deserialize)]
+struct VersionProbe {
+    version: u32,
+}
+
+/// A predecessor's bytes are refused: they name their own version, not
+/// this binary's, and their body does not parse as the current schema (its
+/// progress section lacks `windows_sealed`) — so a store loading them fails
+/// with a decode error instead of restoring a half-read cut.
+fn assert_refused_by_version(bytes: &str, found: u32) {
+    let probe: VersionProbe = serde_json::from_str(bytes).unwrap();
+    assert_eq!(probe.version, found);
+    assert_ne!(probe.version, CHECKPOINT_VERSION);
+    let err = serde_json::from_str::<PipelineCheckpoint>(bytes)
+        .expect_err("a predecessor body must not parse as the current schema");
+    assert!(err.to_string().contains("windows_sealed"), "{err}");
+}
+
 #[test]
 fn v8_checkpoint_is_refused_by_version() {
-    let parsed: PipelineCheckpoint = serde_json::from_str(V8_BYTES).unwrap();
-    assert_eq!(
-        parsed.check_version(),
-        Err(CheckpointError::UnsupportedVersion {
-            found: 8,
-            supported: CHECKPOINT_VERSION,
-        })
-    );
+    assert_refused_by_version(V8_BYTES, 8);
+}
+
+#[test]
+fn v9_checkpoint_is_refused_by_version() {
+    assert_refused_by_version(V9_BYTES, 9);
 }
