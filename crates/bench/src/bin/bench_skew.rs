@@ -21,7 +21,7 @@
 //! ```
 
 use icpe_bench::arg;
-use icpe_core::{BalancerConfig, EnumeratorKind, IcpeConfig, IcpePipeline, PipelineEvent};
+use icpe_core::{BalancerConfig, IcpeConfig, IcpePipeline, PipelineEvent};
 use icpe_gen::{HotspotConfig, HotspotGenerator};
 use icpe_types::{Constraints, GpsRecord};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -167,8 +167,7 @@ fn main() {
             .grid_width(arg(&args, "--lg", 8.0))
             .min_pts(5)
             .parallelism(parallelism)
-            .channel_capacity(channel_capacity)
-            .enumerator(EnumeratorKind::Fba);
+            .channel_capacity(channel_capacity);
         if adaptive {
             b = b.rebalance(BalancerConfig {
                 theta,

@@ -44,7 +44,8 @@
 //! as shares of total stage time, plus the resulting bottleneck stage.
 
 use icpe_bench::{arg, workloads::pattern_workload};
-use icpe_core::{EnumeratorKind, IcpeConfig, IcpePipeline, PipelineEvent, DEFAULT_SYNC_FANIN};
+use icpe_core::{IcpeConfig, IcpePipeline, PipelineEvent, DEFAULT_SYNC_FANIN};
+use icpe_runtime::MetricRegistry;
 use icpe_serve::{loadgen, loadgen::LoadConfig, ServeConfig, Server, Subscription, Topic};
 use icpe_types::{Constraints, GpsRecord, ObjectId, Pattern, Timestamp};
 use std::collections::hash_map::DefaultHasher;
@@ -82,7 +83,6 @@ fn config_with_instrument(
         .min_pts(5)
         .parallelism(parallelism)
         .sync_fanin(fanin)
-        .enumerator(EnumeratorKind::Fba)
         .batch_size(batch)
         .instrument(instrument)
         .build()
@@ -110,10 +110,9 @@ fn run_inprocess(config: &IcpeConfig, records: &[GpsRecord]) -> RunStats {
     run_inprocess_obs(config, records).0
 }
 
-/// Like [`run_inprocess`], also returning the per-stage `process_batch`
-/// seconds from the pipeline's metric registry (empty when the config runs
-/// with `instrument(false)`).
-fn run_inprocess_obs(config: &IcpeConfig, records: &[GpsRecord]) -> (RunStats, Vec<(String, f64)>) {
+/// Like [`run_inprocess`], also returning the pipeline's metric registry
+/// (without stage families when the config runs with `instrument(false)`).
+fn run_inprocess_obs(config: &IcpeConfig, records: &[GpsRecord]) -> (RunStats, MetricRegistry) {
     let patterns: Arc<Mutex<Vec<Pattern>>> = Arc::new(Mutex::new(Vec::new()));
     let sink = Arc::clone(&patterns);
     let live = IcpePipeline::launch(config, move |e| {
@@ -148,7 +147,7 @@ fn run_inprocess_obs(config: &IcpeConfig, records: &[GpsRecord]) -> (RunStats, V
             fingerprint: fingerprint(&mut keys),
             elapsed_s: elapsed,
         },
-        obs.stage_seconds(),
+        obs,
     )
 }
 
@@ -348,11 +347,17 @@ fn main() {
     let cfg_off = config_with_instrument(parallelism, default_batch, fanin, false);
     let mut rps_on = f64::MIN;
     let mut stage_secs: Vec<(String, f64)> = Vec::new();
+    // Input batches aligner shard 0 processed in a pass over this stream,
+    // the smaller of the two passes (batches close early when a queue
+    // runs dry, so the count varies a little with timing).
+    let mut shard0_batches = u64::MAX;
     for _ in 0..2 {
-        let (stats, stages) = run_inprocess_obs(&cfg_on, &records);
+        let (stats, obs) = run_inprocess_obs(&cfg_on, &records);
+        let batches = obs.counter("align-shard", 0, "stage_batches_in_total");
+        shard0_batches = shard0_batches.min(batches.get());
         if stats.records_per_s > rps_on {
             rps_on = stats.records_per_s;
-            stage_secs = stages;
+            stage_secs = obs.stage_seconds();
         }
     }
     let mut rps_off = f64::MIN;
@@ -393,11 +398,13 @@ fn main() {
     // (time from failure detection to replay completion) and in replayed
     // records. Informational: recorded in the summary, not `--check`-gated.
     let (recovery_ms, replayed_records, recoveries) = {
-        // Panic an aligner shard halfway through the stream, whatever the
-        // workload scale. (Not the serial router: it drains its ingest
-        // channel eagerly into a handful of giant batches, so its batch
-        // ordinals don't track stream position.)
-        let mid_batch = (records.len() / default_batch.max(1) / 2).max(1);
+        // Panic aligner shard 0 halfway through its share of the stream,
+        // whatever the workload scale and parallelism: the shard sees only
+        // its own rows, so the ordinal comes from the batches it counted in
+        // the instrumented passes. (Not the serial router: it drains its
+        // ingest channel eagerly into a handful of giant batches, so its
+        // batch ordinals don't track stream position.)
+        let mid_batch = (shard0_batches / 2).max(1);
         let fault = icpe_runtime::FaultPlan::from_spec(&format!("panic@align-shard:0:{mid_batch}"))
             .expect("valid fault spec");
         let fault = std::sync::Arc::new(fault);
@@ -407,7 +414,6 @@ fn main() {
             .min_pts(5)
             .parallelism(parallelism)
             .sync_fanin(fanin)
-            .enumerator(EnumeratorKind::Fba)
             .batch_size(default_batch)
             .supervised(icpe_core::Supervision {
                 checkpoint_every_records: Some(8192),

@@ -10,9 +10,11 @@
 //! grows.
 
 use icpe_bench::workloads::{object_sample, pattern_workload_sized};
-use icpe_bench::{measure_detection, BenchParams};
-use icpe_core::{EnumeratorKind, IcpeConfig};
-use icpe_types::Constraints;
+use icpe_bench::{measure_detection, BenchParams, DetectionRow};
+use icpe_cluster::RjcClusterer;
+use icpe_core::{IcpeConfig, IcpeEngine};
+use icpe_pattern::{BaselineEngine, EngineConfig, VbaEngine};
+use icpe_types::{Constraints, Snapshot};
 
 fn main() {
     let params = BenchParams::default();
@@ -32,13 +34,7 @@ fn main() {
         let mut lat = Vec::new();
         let mut tps = Vec::new();
         let mut avg_cluster = 0.0;
-        for kind in [
-            EnumeratorKind::Baseline,
-            EnumeratorKind::Fba,
-            EnumeratorKind::Vba,
-        ] {
-            let config = config_for(kind, constraints, &params);
-            let row = measure_detection(&config, &snapshots);
+        for row in measure_methods(&config_for(constraints, &params), &snapshots) {
             avg_cluster = row.avg_cluster_size;
             if row.overflowed > 0 {
                 // The paper's "B cannot run": the exponential enumeration
@@ -66,14 +62,28 @@ fn main() {
     println!("guard — the paper's 'B cannot run' regime (it appears past Or = 60%).");
 }
 
-fn config_for(kind: EnumeratorKind, constraints: Constraints, params: &BenchParams) -> IcpeConfig {
+/// The B, F and V rows, in that order, each on RJC clustering.
+fn measure_methods(config: &IcpeConfig, snapshots: &[Snapshot]) -> [DetectionRow; 3] {
+    let rjc = || RjcClusterer::new(config.lg, config.dbscan, config.metric);
+    let engine = config.engine_config();
+    // B refuses partitions beyond 2^10 subsets; F and V have no guard.
+    let ba = BaselineEngine::new(EngineConfig {
+        max_baseline_partition: 10,
+        ..engine
+    });
+    let vba = VbaEngine::new(engine);
+    [
+        measure_detection(IcpeEngine::with_parts(rjc(), ba), snapshots),
+        measure_detection(IcpeEngine::new(config.clone()), snapshots),
+        measure_detection(IcpeEngine::with_parts(rjc(), vba), snapshots),
+    ]
+}
+
+fn config_for(constraints: Constraints, params: &BenchParams) -> IcpeConfig {
     IcpeConfig::builder()
         .constraints(constraints)
         .epsilon(2.0) // group cohesion is ~0.7; arena 250
         .min_pts(params.min_pts)
-        .enumerator(kind)
-        // B refuses partitions beyond 2^10 subsets; F and V have no guard.
-        .max_baseline_partition(10)
         .build()
         .expect("valid config")
 }

@@ -6,7 +6,9 @@
 //! V the throughput edge.
 
 use icpe_bench::{measure_detection, pattern_workload, BenchParams};
-use icpe_core::{EnumeratorKind, IcpeConfig};
+use icpe_cluster::RjcClusterer;
+use icpe_core::{IcpeConfig, IcpeEngine};
+use icpe_pattern::VbaEngine;
 
 fn main() {
     let params = BenchParams::default();
@@ -21,23 +23,26 @@ fn main() {
     );
     // ε sweep in workload units around the group cohesion scale.
     for eps in [1.0, 1.5, 2.0, 3.0, 4.5, 6.0] {
-        let mut cells = Vec::new();
-        let mut avg_cluster = 0.0;
-        for kind in [EnumeratorKind::Fba, EnumeratorKind::Vba] {
-            let config = IcpeConfig::builder()
-                .constraints(params.constraints)
-                .epsilon(eps)
-                .min_pts(params.min_pts)
-                .enumerator(kind)
-                .build()
-                .expect("valid config");
-            let row = measure_detection(&config, &snapshots);
-            avg_cluster = row.avg_cluster_size;
-            cells.push((row.total_ms(), row.throughput_tps));
-        }
+        let config = IcpeConfig::builder()
+            .constraints(params.constraints)
+            .epsilon(eps)
+            .min_pts(params.min_pts)
+            .build()
+            .expect("valid config");
+        let vba = IcpeEngine::with_parts(
+            RjcClusterer::new(config.lg, config.dbscan, config.metric),
+            VbaEngine::new(config.engine_config()),
+        );
+        let f = measure_detection(IcpeEngine::new(config), &snapshots);
+        let v = measure_detection(vba, &snapshots);
         println!(
             "{:>8.2} | {:>9.3} {:>9.3} | {:>9.0} {:>9.0} | {:>8.1}",
-            eps, cells[0].0, cells[1].0, cells[0].1, cells[1].1, avg_cluster,
+            eps,
+            f.total_ms(),
+            v.total_ms(),
+            f.throughput_tps,
+            v.throughput_tps,
+            v.avg_cluster_size,
         );
     }
 }

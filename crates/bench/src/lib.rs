@@ -18,6 +18,11 @@
 //! `ICPE_BENCH_OBJECTS` and `ICPE_BENCH_TICKS`. Absolute numbers differ from
 //! the paper's 11-node cluster; EXPERIMENTS.md records whether the *shapes*
 //! reproduce.
+//!
+//! The §7 comparison methods are built directly, never selected through
+//! `IcpeConfig` (which configures the deployment, RJC + FBA, only): the
+//! clustering figures call each clusterer, and the detection figures hand
+//! [`measure_detection`] an `IcpeEngine::with_parts(clusterer, enumerator)`.
 
 pub mod measure;
 pub mod params;

@@ -7,7 +7,8 @@
 //! shown as stacked bars in Figures 12–13.
 
 use icpe_cluster::SnapshotClusterer;
-use icpe_core::{IcpeConfig, IcpeEngine};
+use icpe_core::IcpeEngine;
+use icpe_pattern::PatternEngine;
 use icpe_types::Snapshot;
 use std::time::Instant;
 
@@ -73,9 +74,11 @@ impl DetectionRow {
     }
 }
 
-/// Runs the full two-phase engine over a snapshot stream and measures it.
-pub fn measure_detection(config: &IcpeConfig, snapshots: &[Snapshot]) -> DetectionRow {
-    let mut engine = IcpeEngine::new(config.clone());
+/// Runs a two-phase engine over a snapshot stream and measures it.
+pub fn measure_detection<C: SnapshotClusterer, E: PatternEngine>(
+    mut engine: IcpeEngine<C, E>,
+    snapshots: &[Snapshot],
+) -> DetectionRow {
     let started = Instant::now();
     let mut patterns = 0usize;
     for s in snapshots {
@@ -99,6 +102,7 @@ pub fn measure_detection(config: &IcpeConfig, snapshots: &[Snapshot]) -> Detecti
 mod tests {
     use super::*;
     use icpe_cluster::RjcClusterer;
+    use icpe_core::IcpeConfig;
     use icpe_types::{Constraints, DbscanParams, DistanceMetric, ObjectId, Point, Timestamp};
 
     fn snapshots() -> Vec<Snapshot> {
@@ -141,7 +145,7 @@ mod tests {
             .min_pts(3)
             .build()
             .unwrap();
-        let row = measure_detection(&config, &snapshots());
+        let row = measure_detection(IcpeEngine::new(config), &snapshots());
         assert!(row.total_ms() > 0.0);
         assert!(row.throughput_tps > 0.0);
         assert!(row.patterns > 0);

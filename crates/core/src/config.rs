@@ -37,33 +37,18 @@ impl Default for Supervision {
     }
 }
 
-/// Which clustering method runs in the clustering phase (§7.1 comparisons).
+/// The clustering method: RJC, the paper's range-join clustering
+/// (GridAllocate + GridQuery with Lemmas 1–2, then DBSCAN), the only one
+/// the deployment runs.
 ///
-/// All three run on the serial [`IcpeEngine`](crate::IcpeEngine) and in the
-/// `fig10`/`fig11`/`range_join` harnesses. The distributed
-/// [`IcpePipeline`](crate::IcpePipeline) is the paper's RJC dataflow and
-/// rejects a configuration selecting SRJ or GDC at launch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+/// Selects nothing: [`IcpeConfigBuilder::clusterer`] stores no value. The
+/// §7.1 baselines (SRJ, GDC) run on
+/// [`IcpeEngine::with_parts`](crate::IcpeEngine::with_parts). The type is
+/// kept because the benchmark package names it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ClustererKind {
-    /// The paper's range-join clustering (GridAllocate + GridQuery with
-    /// Lemmas 1–2, then DBSCAN).
-    #[default]
+    /// The paper's range-join clustering.
     Rjc,
-    /// The SRJ baseline: full-region replication, build-then-query.
-    Srj,
-    /// The GDC baseline: ε-grid DBSCAN, single partition.
-    Gdc,
-}
-
-impl ClustererKind {
-    /// Display name as used in the paper's figures.
-    pub fn name(self) -> &'static str {
-        match self {
-            ClustererKind::Rjc => "RJC",
-            ClustererKind::Srj => "SRJ",
-            ClustererKind::Gdc => "GDC",
-        }
-    }
 }
 
 /// Default fanin of the aggregation trees (sync-merge over the grid-query
@@ -73,34 +58,17 @@ impl ClustererKind {
 /// degrades to a flat N → 1 funnel.
 pub const DEFAULT_SYNC_FANIN: usize = 4;
 
-/// Which enumeration engine runs in the pattern phase (§7.2 comparisons).
+/// The enumeration engine: FBA, fixed-length bit compression, the only
+/// one the deployment runs and the one whose state checkpoints.
 ///
-/// All three run on the serial [`IcpeEngine`](crate::IcpeEngine) and in the
-/// `fig12`/`fig13`/`fig15` harnesses. The distributed
-/// [`IcpePipeline`](crate::IcpePipeline) runs FBA only — the engine whose
-/// state checkpoints — and rejects a configuration selecting BA or VBA at
-/// launch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+/// Selects nothing: [`IcpeConfigBuilder::enumerator`] stores no value. The
+/// §7.2 baselines (BA, VBA) run on
+/// [`IcpeEngine::with_parts`](crate::IcpeEngine::with_parts). The type is
+/// kept because the benchmark package names it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EnumeratorKind {
-    /// Baseline (SPARE adapted): exponential subset enumeration.
-    Baseline,
-    /// Fixed-length bit compression: the live engine.
-    #[default]
+    /// Fixed-length bit compression.
     Fba,
-    /// Variable-length bit compression: reports each episode once it
-    /// closes.
-    Vba,
-}
-
-impl EnumeratorKind {
-    /// Display name as used in the paper's figures.
-    pub fn name(self) -> &'static str {
-        match self {
-            EnumeratorKind::Baseline => "B",
-            EnumeratorKind::Fba => "F",
-            EnumeratorKind::Vba => "V",
-        }
-    }
 }
 
 /// Full ICPE configuration. Build with [`IcpeConfig::builder`].
@@ -117,10 +85,6 @@ pub struct IcpeConfig {
     pub constraints: Constraints,
     /// Temporal validity semantics (default: Definition-4 subsequence).
     pub semantics: Semantics,
-    /// Clustering method.
-    pub clusterer: ClustererKind,
-    /// Enumeration engine.
-    pub enumerator: EnumeratorKind,
     /// Parallelism `N` of the keyed stages (GridQuery, enumeration) in the
     /// streaming deployment — the paper's machine count — and the width of
     /// the sync-merge tree.
@@ -139,8 +103,6 @@ pub struct IcpeConfig {
     pub runtime: RuntimeConfig,
     /// Stream time-alignment settings.
     pub aligner: AlignerConfig,
-    /// Baseline guard (see `icpe-pattern`).
-    pub max_baseline_partition: usize,
     /// Hotspot-aware adaptive cell routing for the keyed GridQuery stage:
     /// `Some` runs the load balancer (see `icpe_cluster::balance`) and
     /// swaps cell→subtask routes at window boundaries; `None` (default)
@@ -170,11 +132,13 @@ impl IcpeConfig {
         IcpeConfigBuilder::default()
     }
 
-    /// The engine-side configuration for the pattern phase.
-    pub(crate) fn engine_config(&self) -> icpe_pattern::EngineConfig {
+    /// The engine-side configuration for the pattern phase: what an
+    /// enumeration engine handed to
+    /// [`IcpeEngine::with_parts`](crate::IcpeEngine::with_parts) is built
+    /// from.
+    pub fn engine_config(&self) -> icpe_pattern::EngineConfig {
         let mut cfg = icpe_pattern::EngineConfig::new(self.constraints);
         cfg.semantics = self.semantics;
-        cfg.max_baseline_partition = self.max_baseline_partition;
         cfg
     }
 }
@@ -188,14 +152,11 @@ pub struct IcpeConfigBuilder {
     metric: DistanceMetric,
     constraints: Option<Constraints>,
     semantics: Semantics,
-    clusterer: ClustererKind,
-    enumerator: EnumeratorKind,
     parallelism: usize,
     sync_fanin: usize,
     align_shards: Option<usize>,
     runtime: RuntimeConfig,
     aligner: AlignerConfig,
-    max_baseline_partition: usize,
     rebalance: Option<BalancerConfig>,
     instrument: bool,
     supervision: Option<Supervision>,
@@ -210,14 +171,11 @@ impl Default for IcpeConfigBuilder {
             metric: DistanceMetric::Chebyshev,
             constraints: None,
             semantics: Semantics::default(),
-            clusterer: ClustererKind::default(),
-            enumerator: EnumeratorKind::default(),
             parallelism: 4,
             sync_fanin: DEFAULT_SYNC_FANIN,
             align_shards: None,
             runtime: RuntimeConfig::default(),
             aligner: AlignerConfig::default(),
-            max_baseline_partition: 22,
             rebalance: None,
             instrument: true,
             supervision: None,
@@ -263,15 +221,15 @@ impl IcpeConfigBuilder {
         self
     }
 
-    /// Selects the clustering method.
-    pub fn clusterer(mut self, kind: ClustererKind) -> Self {
-        self.clusterer = kind;
+    /// Names the clustering method; RJC is the only one, so this stores
+    /// nothing.
+    pub fn clusterer(self, _kind: ClustererKind) -> Self {
         self
     }
 
-    /// Selects the enumeration engine.
-    pub fn enumerator(mut self, kind: EnumeratorKind) -> Self {
-        self.enumerator = kind;
+    /// Names the enumeration engine; FBA is the only one, so this stores
+    /// nothing.
+    pub fn enumerator(self, _kind: EnumeratorKind) -> Self {
         self
     }
 
@@ -331,12 +289,6 @@ impl IcpeConfigBuilder {
         self
     }
 
-    /// Overrides the Baseline partition-size guard.
-    pub fn max_baseline_partition(mut self, n: usize) -> Self {
-        self.max_baseline_partition = n;
-        self
-    }
-
     /// Enables hotspot-aware adaptive cell routing with the given
     /// balancer settings ([`BalancerConfig::default`] for the stock
     /// thresholds).
@@ -387,14 +339,11 @@ impl IcpeConfigBuilder {
             metric: self.metric,
             constraints,
             semantics: self.semantics,
-            clusterer: self.clusterer,
-            enumerator: self.enumerator,
             parallelism: self.parallelism,
             sync_fanin: self.sync_fanin,
             align_shards: self.align_shards.unwrap_or(self.parallelism).max(1),
             runtime: self.runtime,
             aligner: self.aligner,
-            max_baseline_partition: self.max_baseline_partition,
             rebalance: self.rebalance,
             instrument: self.instrument,
             supervision: self.supervision,
@@ -420,8 +369,6 @@ mod tests {
             .unwrap();
         assert_eq!(c.lg, 4.0); // 8 × ε
         assert_eq!(c.dbscan.min_pts, 10);
-        assert_eq!(c.clusterer, ClustererKind::Rjc);
-        assert_eq!(c.enumerator, EnumeratorKind::Fba);
         assert!(c.parallelism >= 1);
     }
 
@@ -431,16 +378,6 @@ mod tests {
             .constraints(Constraints::new(2, 2, 1, 1).unwrap())
             .epsilon(-1.0);
         assert!(b.build().is_err());
-    }
-
-    #[test]
-    fn kind_names_match_paper() {
-        assert_eq!(ClustererKind::Rjc.name(), "RJC");
-        assert_eq!(ClustererKind::Srj.name(), "SRJ");
-        assert_eq!(ClustererKind::Gdc.name(), "GDC");
-        assert_eq!(EnumeratorKind::Baseline.name(), "B");
-        assert_eq!(EnumeratorKind::Fba.name(), "F");
-        assert_eq!(EnumeratorKind::Vba.name(), "V");
     }
 
     #[test]

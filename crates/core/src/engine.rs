@@ -1,10 +1,10 @@
 //! The deterministic, in-process ICPE engine.
 
-use crate::config::{ClustererKind, EnumeratorKind, IcpeConfig};
-use icpe_cluster::{GdcClusterer, RjcClusterer, SnapshotClusterer, SrjClusterer};
-use icpe_pattern::{BaselineEngine, FbaEngine, PatternEngine, VbaEngine};
+use crate::config::IcpeConfig;
+use icpe_cluster::{RjcClusterer, SnapshotClusterer};
+use icpe_pattern::{FbaEngine, PatternEngine};
 use icpe_types::{
-    CheckpointError, ClusterSnapshot, EngineCheckpoint, ObsCheckpoint, Pattern, PipelineCheckpoint,
+    CheckpointError, EngineCheckpoint, ObsCheckpoint, Pattern, PipelineCheckpoint,
     ProgressCheckpoint, Snapshot, CHECKPOINT_VERSION,
 };
 use std::time::Duration;
@@ -60,92 +60,52 @@ fn checked_div(d: Duration, n: usize) -> Duration {
 /// [`icpe_gen::TraceSet::to_snapshots`]-style input or the runtime's aligner
 /// output both satisfy this.
 ///
-/// This is the home of the paper's comparison baselines: it runs every
-/// [`ClustererKind`] and every [`EnumeratorKind`], where
-/// [`IcpePipeline`](crate::IcpePipeline) runs RJC with FBA only.
-pub struct IcpeEngine {
-    clusterer: Box<dyn SnapshotClusterer + Send>,
-    enumerator: Enumerator,
+/// [`IcpeEngine::new`] builds the deployment's pair — RJC clustering, FBA
+/// enumeration — the one whose state checkpoints. [`IcpeEngine::with_parts`]
+/// builds any other pair, which is how the figure harnesses and the tests
+/// run the paper's §7 comparison baselines (SRJ, GDC; BA, VBA).
+pub struct IcpeEngine<C = RjcClusterer, E = FbaEngine> {
+    clusterer: C,
+    enumerator: E,
     timings: PhaseTimings,
 }
 
-/// The enumeration phase: FBA, the one engine whose state checkpoints, or
-/// a serial-only §7.2 baseline (BA, VBA).
-enum Enumerator {
-    Fba(Box<FbaEngine>),
-    Comparison(Box<dyn PatternEngine + Send>),
-}
-
-impl Enumerator {
-    fn engine(&self) -> &dyn PatternEngine {
-        match self {
-            Enumerator::Fba(fba) => fba.as_ref(),
-            Enumerator::Comparison(engine) => engine.as_ref(),
-        }
-    }
-
-    fn engine_mut(&mut self) -> &mut dyn PatternEngine {
-        match self {
-            Enumerator::Fba(fba) => fba.as_mut(),
-            Enumerator::Comparison(engine) => engine.as_mut(),
-        }
-    }
-}
-
 impl IcpeEngine {
-    /// Builds the engine from a configuration.
+    /// Builds the deployment's engine (RJC + FBA) from a configuration.
     pub fn new(config: IcpeConfig) -> Self {
-        let clusterer: Box<dyn SnapshotClusterer + Send> = match config.clusterer {
-            ClustererKind::Rjc => {
-                Box::new(RjcClusterer::new(config.lg, config.dbscan, config.metric))
-            }
-            ClustererKind::Srj => {
-                Box::new(SrjClusterer::new(config.lg, config.dbscan, config.metric))
-            }
-            ClustererKind::Gdc => Box::new(GdcClusterer::new(config.dbscan, config.metric)),
-        };
-        let engine_config = config.engine_config();
-        let enumerator = match config.enumerator {
-            EnumeratorKind::Fba => Enumerator::Fba(Box::new(FbaEngine::new(engine_config))),
-            EnumeratorKind::Baseline => {
-                Enumerator::Comparison(Box::new(BaselineEngine::new(engine_config)))
-            }
-            EnumeratorKind::Vba => Enumerator::Comparison(Box::new(VbaEngine::new(engine_config))),
-        };
-        IcpeEngine {
-            clusterer,
-            enumerator,
-            timings: PhaseTimings::default(),
-        }
+        IcpeEngine::with_parts(
+            RjcClusterer::new(config.lg, config.dbscan, config.metric),
+            FbaEngine::new(config.engine_config()),
+        )
     }
 
     /// Builds the engine with its FBA state restored from a checkpoint
     /// (the clustering phase is stateless across snapshots and starts
-    /// fresh). Phase timings are wall-clock and restart at zero. A
-    /// configuration enumerating with BA or VBA is refused: their state
-    /// does not checkpoint.
+    /// fresh). Phase timings are wall-clock and restart at zero.
     pub fn from_checkpoint(
         config: IcpeConfig,
         ckpt: &EngineCheckpoint,
     ) -> Result<Self, CheckpointError> {
-        let mut engine = IcpeEngine::new(config.clone());
-        if !matches!(engine.enumerator, Enumerator::Fba(_)) {
-            return Err(CheckpointError::Invalid(format!(
-                "only FBA enumeration state restores; the configuration runs {}",
-                engine.enumerator.engine().name()
-            )));
-        }
         let fba = FbaEngine::from_checkpoint(config.engine_config(), ckpt, |_| true)?;
-        engine.enumerator = Enumerator::Fba(Box::new(fba));
-        Ok(engine)
+        Ok(IcpeEngine::with_parts(
+            RjcClusterer::new(config.lg, config.dbscan, config.metric),
+            fba,
+        ))
     }
 
-    /// Captures the enumeration engine's streaming state in durable form;
-    /// `None` unless it is FBA.
-    pub fn checkpoint_enumerator(&self) -> Option<EngineCheckpoint> {
-        match &self.enumerator {
-            Enumerator::Fba(fba) => Some(fba.checkpoint()),
-            Enumerator::Comparison(_) => None,
+    /// Captures the enumeration engine's streaming state in durable form.
+    pub fn checkpoint_enumerator(&self) -> EngineCheckpoint {
+        self.enumerator.checkpoint()
+    }
+}
+
+impl<C: SnapshotClusterer, E: PatternEngine> IcpeEngine<C, E> {
+    /// Builds the engine from a clusterer and an enumeration engine.
+    pub fn with_parts(clusterer: C, enumerator: E) -> Self {
+        IcpeEngine {
+            clusterer,
+            enumerator,
+            timings: PhaseTimings::default(),
         }
     }
 
@@ -155,7 +115,7 @@ impl IcpeEngine {
         let t0 = std::time::Instant::now();
         let clusters = self.clusterer.cluster(&snapshot);
         let t1 = std::time::Instant::now();
-        let patterns = self.enumerator.engine_mut().push(&clusters);
+        let patterns = self.enumerator.push(&clusters);
         let t2 = std::time::Instant::now();
 
         self.timings.clustering += t1 - t0;
@@ -170,18 +130,9 @@ impl IcpeEngine {
         patterns
     }
 
-    /// Feeds an externally clustered snapshot (skips the clustering phase).
-    pub fn push_cluster_snapshot(&mut self, clusters: &ClusterSnapshot) -> Vec<Pattern> {
-        let t1 = std::time::Instant::now();
-        let patterns = self.enumerator.engine_mut().push(clusters);
-        self.timings.enumeration += t1.elapsed();
-        self.timings.snapshots += 1;
-        patterns
-    }
-
     /// Flushes the enumeration engine at end of stream.
     pub fn finish(&mut self) -> Vec<Pattern> {
-        self.enumerator.engine_mut().finish()
+        self.enumerator.finish()
     }
 
     /// The per-phase timings accumulated so far.
@@ -189,15 +140,10 @@ impl IcpeEngine {
         self.timings
     }
 
-    /// Names of the configured methods, `(clusterer, enumerator)`.
-    pub fn method_names(&self) -> (&'static str, &'static str) {
-        (self.clusterer.name(), self.enumerator.engine().name())
-    }
-
     /// Partitions the enumerator refused (Baseline blow-up guard; 0 for
     /// FBA/VBA). Non-zero means the pattern result is incomplete.
     pub fn overflowed_partitions(&self) -> usize {
-        self.enumerator.engine().overflowed_partitions()
+        self.enumerator.overflowed_partitions()
     }
 }
 
@@ -224,11 +170,9 @@ impl StreamingEngine {
 
     /// Captures the engine's full streaming state — the single-threaded
     /// analogue of [`crate::LivePipeline::checkpoint`], sharing the same
-    /// [`PipelineCheckpoint`] schema; `None` unless the enumerator is FBA.
-    /// `seq` is caller-assigned.
-    pub fn checkpoint(&self, seq: u64) -> Option<PipelineCheckpoint> {
-        let engine = self.engine.checkpoint_enumerator()?;
-        Some(PipelineCheckpoint {
+    /// [`PipelineCheckpoint`] schema. `seq` is caller-assigned.
+    pub fn checkpoint(&self, seq: u64) -> PipelineCheckpoint {
+        PipelineCheckpoint {
             version: CHECKPOINT_VERSION,
             seq,
             records_ingested: self.records_ingested,
@@ -238,17 +182,16 @@ impl StreamingEngine {
                 pairs_merged: 0,
             },
             aligner: self.aligner.checkpoint(),
-            engine,
+            engine: self.engine.checkpoint_enumerator(),
             // No keyed exchange, nothing to route, and no stage registry.
             routing: None,
             obs: ObsCheckpoint::default(),
-        })
+        }
     }
 
     /// Rebuilds a streaming engine from a checkpoint; feeding it the input
     /// stream from record `checkpoint.records_ingested` onward resumes the
-    /// run as if it never stopped. Refused, like
-    /// [`IcpeEngine::from_checkpoint`], unless the enumerator is FBA.
+    /// run as if it never stopped.
     pub fn from_checkpoint(
         config: IcpeConfig,
         ckpt: &PipelineCheckpoint,
@@ -292,7 +235,7 @@ impl StreamingEngine {
         self.aligner.late_dropped()
     }
 
-    /// The wrapped synchronous engine (timings, method names).
+    /// The wrapped synchronous engine (timings).
     pub fn engine(&self) -> &IcpeEngine {
         &self.engine
     }
@@ -301,18 +244,34 @@ impl StreamingEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::EnumeratorKind;
-    use icpe_pattern::unique_object_sets;
+    use icpe_cluster::{GdcClusterer, SrjClusterer};
+    use icpe_pattern::{unique_object_sets, BaselineEngine, VbaEngine};
     use icpe_types::{Constraints, ObjectId, Point, Timestamp};
 
-    fn config(enumerator: EnumeratorKind) -> IcpeConfig {
+    fn config() -> IcpeConfig {
         IcpeConfig::builder()
             .constraints(Constraints::new(3, 4, 2, 2).unwrap())
             .epsilon(1.0)
             .min_pts(3)
-            .enumerator(enumerator)
             .build()
             .unwrap()
+    }
+
+    fn rjc(cfg: &IcpeConfig) -> RjcClusterer {
+        RjcClusterer::new(cfg.lg, cfg.dbscan, cfg.metric)
+    }
+
+    /// The object sets an engine finds on `walking_snapshots(ticks)`.
+    fn walking_sets<C: SnapshotClusterer, E: PatternEngine>(
+        mut engine: IcpeEngine<C, E>,
+        ticks: u32,
+    ) -> Vec<Vec<ObjectId>> {
+        let mut patterns = Vec::new();
+        for s in walking_snapshots(ticks) {
+            patterns.extend(engine.push_snapshot(s));
+        }
+        patterns.extend(engine.finish());
+        unique_object_sets(&patterns)
     }
 
     /// Three objects walking together, two wandering far away.
@@ -336,21 +295,18 @@ mod tests {
 
     #[test]
     fn end_to_end_detects_the_walking_group() {
-        for kind in [
-            EnumeratorKind::Baseline,
-            EnumeratorKind::Fba,
-            EnumeratorKind::Vba,
-        ] {
-            let mut engine = IcpeEngine::new(config(kind));
-            let mut patterns = Vec::new();
-            for s in walking_snapshots(10) {
-                patterns.extend(engine.push_snapshot(s));
-            }
-            patterns.extend(engine.finish());
-            let sets = unique_object_sets(&patterns);
+        let cfg = config();
+        let ba = IcpeEngine::with_parts(rjc(&cfg), BaselineEngine::new(cfg.engine_config()));
+        let vba = IcpeEngine::with_parts(rjc(&cfg), VbaEngine::new(cfg.engine_config()));
+        let runs = [
+            ("BA", walking_sets(ba, 10)),
+            ("FBA", walking_sets(IcpeEngine::new(cfg.clone()), 10)),
+            ("VBA", walking_sets(vba, 10)),
+        ];
+        for (name, sets) in runs {
             assert!(
                 sets.contains(&vec![ObjectId(1), ObjectId(2), ObjectId(3)]),
-                "{kind:?}: {sets:?}"
+                "{name}: {sets:?}"
             );
             // The far-away wanderers never cluster.
             assert!(sets
@@ -361,7 +317,7 @@ mod tests {
 
     #[test]
     fn timings_accumulate() {
-        let mut engine = IcpeEngine::new(config(EnumeratorKind::Fba));
+        let mut engine = IcpeEngine::new(config());
         for s in walking_snapshots(6) {
             engine.push_snapshot(s);
         }
@@ -373,31 +329,13 @@ mod tests {
 
     #[test]
     fn all_clusterers_agree_end_to_end() {
-        let mut results = Vec::new();
-        for kind in [ClustererKind::Rjc, ClustererKind::Srj, ClustererKind::Gdc] {
-            let cfg = IcpeConfig::builder()
-                .constraints(Constraints::new(3, 4, 2, 2).unwrap())
-                .epsilon(1.0)
-                .min_pts(3)
-                .clusterer(kind)
-                .build()
-                .unwrap();
-            let mut engine = IcpeEngine::new(cfg);
-            let mut patterns = Vec::new();
-            for s in walking_snapshots(10) {
-                patterns.extend(engine.push_snapshot(s));
-            }
-            patterns.extend(engine.finish());
-            results.push(unique_object_sets(&patterns));
-        }
-        assert_eq!(results[0], results[1]);
-        assert_eq!(results[0], results[2]);
-    }
-
-    #[test]
-    fn method_names_are_exposed() {
-        let engine = IcpeEngine::new(config(EnumeratorKind::Vba));
-        assert_eq!(engine.method_names(), ("RJC", "VBA"));
+        let cfg = config();
+        let fba = || FbaEngine::new(cfg.engine_config());
+        let rjc = walking_sets(IcpeEngine::with_parts(rjc(&cfg), fba()), 10);
+        let srj = SrjClusterer::new(cfg.lg, cfg.dbscan, cfg.metric);
+        let gdc = GdcClusterer::new(cfg.dbscan, cfg.metric);
+        assert_eq!(rjc, walking_sets(IcpeEngine::with_parts(srj, fba()), 10));
+        assert_eq!(rjc, walking_sets(IcpeEngine::with_parts(gdc, fba()), 10));
     }
 
     #[test]
@@ -410,7 +348,7 @@ mod tests {
                 records.push(icpe_types::GpsRecord::new(e.id, e.location, s.time, last));
             }
         }
-        let fba = config(EnumeratorKind::Fba);
+        let fba = config();
         let mut full = StreamingEngine::new(fba.clone());
         let mut want = Vec::new();
         for r in &records {
@@ -425,14 +363,9 @@ mod tests {
         for r in &records[..cut] {
             got.extend(first.push(*r));
         }
-        let ckpt = first.checkpoint(1).unwrap();
+        let ckpt = first.checkpoint(1);
         assert_eq!(ckpt.records_ingested as usize, cut);
         drop(first); // crash
-
-        // BA and VBA state does not checkpoint: a VBA engine refuses to
-        // resume FBA's, with a typed error rather than a panic.
-        let vba = StreamingEngine::from_checkpoint(config(EnumeratorKind::Vba), &ckpt);
-        assert!(matches!(vba, Err(CheckpointError::Invalid(_))));
 
         let mut second = StreamingEngine::from_checkpoint(fba, &ckpt).unwrap();
         for r in &records[cut..] {
@@ -447,7 +380,7 @@ mod tests {
     fn streaming_engine_matches_snapshot_engine_under_disorder() {
         // Same workload via push_snapshot (ordered) and via raw records in
         // scrambled arrival order: the aligner must make them identical.
-        let mut reference = IcpeEngine::new(config(EnumeratorKind::Fba));
+        let mut reference = IcpeEngine::new(config());
         let mut want = Vec::new();
         for s in walking_snapshots(10) {
             want.extend(reference.push_snapshot(s));
@@ -472,7 +405,7 @@ mod tests {
             records.swap(i, i + 5);
         }
 
-        let mut streaming = StreamingEngine::new(config(EnumeratorKind::Fba));
+        let mut streaming = StreamingEngine::new(config());
         let mut got = Vec::new();
         for r in records {
             got.extend(streaming.push(r));
@@ -487,8 +420,8 @@ mod tests {
     fn hostile_sealed_frontier_is_refused_by_both_restore_paths() {
         // `sealed_up_to: Some(0)` names no sealed window; deriving the last
         // one from it would underflow. Both restore paths refuse it.
-        let fba = config(EnumeratorKind::Fba);
-        let mut ckpt = StreamingEngine::new(fba.clone()).checkpoint(1).unwrap();
+        let fba = config();
+        let mut ckpt = StreamingEngine::new(fba.clone()).checkpoint(1);
         ckpt.aligner.sealed_up_to = Some(0);
         assert!(matches!(
             StreamingEngine::from_checkpoint(fba.clone(), &ckpt),

@@ -8,7 +8,7 @@
 //!   → Time alignment          (icpe-runtime::TimeAligner, §4 "last time")
 //!   → Indexed clustering      (icpe-cluster: GridAllocate → GridQuery →
 //!                              GridSync → DBSCAN, §5)
-//!   → Pattern enumeration     (icpe-pattern: BA / FBA / VBA, §6)
+//!   → Pattern enumeration     (icpe-pattern: FBA, §6)
 //!   → co-movement patterns
 //! ```
 //!
@@ -17,6 +17,8 @@
 //! * [`IcpeEngine`] — a deterministic, single-threaded engine processing one
 //!   snapshot at a time. The reference form: used by correctness tests, the
 //!   per-phase latency benchmarks, and as the simplest API entry point.
+//!   `IcpeEngine::new` runs RJC + FBA; [`IcpeEngine::with_parts`] runs any
+//!   §7 baseline pair (SRJ/GDC clustering, BA/VBA enumeration).
 //! * [`pipeline::IcpePipeline`] — the distributed streaming deployment on
 //!   `icpe-runtime`: parallel keyed GridQuery subtasks, parallel keyed
 //!   enumeration subtasks, broadcast snapshot-boundary ticks, and

@@ -41,8 +41,8 @@
 //! This is the one dataflow the deployment runs, with one enumeration
 //! engine: FBA. The paper's comparison baselines — the §7.1 clusterers SRJ
 //! and GDC, the §7.2 enumerators BA and VBA — run on the serial
-//! [`IcpeEngine`](crate::IcpeEngine) and in the figure harnesses; a
-//! configuration selecting one is rejected at launch.
+//! [`IcpeEngine::with_parts`](crate::IcpeEngine::with_parts) and in the
+//! figure harnesses; no configuration selects them.
 //!
 //! Every keyed hop carries the runtime's [`Envelope`]: keyed data, broadcast
 //! snapshot ticks, broadcast checkpoint barriers — one message shape, one
@@ -121,7 +121,7 @@
 //! deployment resumes on the checkpointed epoch instead of re-learning
 //! every hotspot.
 
-use crate::config::{ClustererKind, EnumeratorKind, IcpeConfig, Supervision};
+use crate::config::{IcpeConfig, Supervision};
 use crate::status::{up_to, HealthState, PipelineStatus, StatusGauges};
 use icpe_cluster::balance::{CellLoad, LoadBalancer, LoadTracker};
 use icpe_cluster::query::NeighborPair;
@@ -357,15 +357,10 @@ impl IcpePipeline {
     /// result is handed to `on_event` as soon as it exists. `on_event` runs
     /// on the pipeline's driver thread; keep it cheap or hand off to a
     /// queue (as `icpe-serve`'s fan-out hub does).
-    ///
-    /// Panics — here, before any thread spawns — if the configuration
-    /// selects a clusterer other than RJC or an enumerator other than FBA
-    /// (as do [`launch_from`](Self::launch_from) and [`run`](Self::run)).
     pub fn launch(
         config: &IcpeConfig,
         on_event: impl FnMut(PipelineEvent) + Send + 'static,
     ) -> LivePipeline {
-        require_live(config);
         Self::launch_with(config, ResumeState::fresh(config), None, on_event)
     }
 
@@ -380,7 +375,6 @@ impl IcpePipeline {
         checkpoint: &PipelineCheckpoint,
         on_event: impl FnMut(PipelineEvent) + Send + 'static,
     ) -> Result<LivePipeline, CheckpointError> {
-        require_live(config);
         let resume = ResumeState::from_checkpoint(config, checkpoint)?;
         Ok(Self::launch_with(
             config,
@@ -471,23 +465,6 @@ impl IcpePipeline {
         let patterns = std::mem::take(&mut *collected.lock().expect("pattern sink poisoned"));
         PipelineOutput { patterns, metrics }
     }
-}
-
-/// The distributed deployment is the paper's RJC dataflow enumerating with
-/// FBA and nothing else: refuse any other clusterer or enumerator on the
-/// caller's thread, before a single stage thread exists. (The SRJ/GDC and
-/// BA/VBA comparison baselines run on [`IcpeEngine`](crate::IcpeEngine).)
-fn require_live(config: &IcpeConfig) {
-    assert!(
-        config.clusterer == ClustererKind::Rjc,
-        "IcpePipeline runs the RJC dataflow only; the {} baseline runs on IcpeEngine",
-        config.clusterer.name()
-    );
-    assert!(
-        config.enumerator == EnumeratorKind::Fba,
-        "IcpePipeline enumerates with FBA only; the {:?} baseline runs on IcpeEngine",
-        config.enumerator
-    );
 }
 
 // ---- supervision -----------------------------------------------------------
@@ -2181,48 +2158,6 @@ mod tests {
             live.push(r).unwrap();
         }
         live.finish();
-    }
-
-    #[test]
-    fn non_rjc_clusterers_are_rejected_before_any_thread_spawns() {
-        let live = IcpePipeline::launch(&config(2), |_| {});
-        live.push(walking_records(1)[0]).unwrap();
-        let ckpt = live.checkpoint().unwrap();
-        live.finish();
-        let baselines = [
-            (ClustererKind::Srj, EnumeratorKind::Fba, "SRJ"),
-            (ClustererKind::Gdc, EnumeratorKind::Fba, "GDC"),
-            (ClustererKind::Rjc, EnumeratorKind::Baseline, "Baseline"),
-            (ClustererKind::Rjc, EnumeratorKind::Vba, "Vba"),
-        ];
-        for (clusterer, enumerator, name) in baselines {
-            let cfg = IcpeConfig::builder()
-                .constraints(Constraints::new(3, 4, 2, 2).unwrap())
-                .epsilon(1.0)
-                .min_pts(3)
-                .clusterer(clusterer)
-                .enumerator(enumerator)
-                .build()
-                .unwrap();
-            // The rejection unwinds out of the call itself — on this
-            // thread, so no driver, supervisor or stage thread exists yet
-            // (a failure on any of those would instead surface at
-            // `finish`) — and the event sink is never invoked.
-            let launch = std::panic::catch_unwind(|| {
-                IcpePipeline::launch(&cfg, |_| unreachable!("nothing was launched"))
-            });
-            let message = *launch.unwrap_err().downcast::<String>().unwrap();
-            assert!(message.contains(name), "{name}: {message}");
-            let resume = std::panic::catch_unwind(|| {
-                IcpePipeline::launch_from(&cfg, &ckpt, |_| unreachable!("nothing was launched"))
-            });
-            let message = *resume.unwrap_err().downcast::<String>().unwrap();
-            assert!(message.contains(name), "{name}: launch_from: {message}");
-            assert!(
-                std::panic::catch_unwind(|| IcpePipeline::run(&cfg, walking_records(2))).is_err(),
-                "{name}: run"
-            );
-        }
     }
 
     #[test]

@@ -4,11 +4,25 @@
 //! synchronous side runs, at any parallelism — so BA and VBA stay
 //! cross-checked against the live engine.
 
-use icpe_core::{EnumeratorKind, IcpeConfig, IcpeEngine, IcpePipeline};
+use icpe_cluster::{RjcClusterer, SnapshotClusterer};
+use icpe_core::{IcpeConfig, IcpeEngine, IcpePipeline};
 use icpe_gen::{GroupWalkConfig, GroupWalkGenerator};
-use icpe_pattern::unique_object_sets;
-use icpe_types::{Constraints, GpsRecord};
+use icpe_pattern::{unique_object_sets, BaselineEngine, PatternEngine, VbaEngine};
+use icpe_types::{Constraints, GpsRecord, Pattern, Snapshot};
 use proptest::prelude::*;
+
+/// Every pattern `engine` reports on `snaps`, end-of-stream flush included.
+fn drive<C: SnapshotClusterer, E: PatternEngine>(
+    mut engine: IcpeEngine<C, E>,
+    snaps: &[Snapshot],
+) -> Vec<Pattern> {
+    let mut out = Vec::new();
+    for s in snaps {
+        out.extend(engine.push_snapshot(s.clone()));
+    }
+    out.extend(engine.finish());
+    out
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
@@ -22,11 +36,6 @@ proptest! {
         parallelism in 1usize..5,
         kind_idx in 0usize..3,
     ) {
-        let kind = [
-            EnumeratorKind::Baseline,
-            EnumeratorKind::Fba,
-            EnumeratorKind::Vba,
-        ][kind_idx];
         let gen = GroupWalkGenerator::new(GroupWalkConfig {
             num_objects: num_groups * group_size + 8,
             num_groups,
@@ -47,15 +56,14 @@ proptest! {
             .build()
             .expect("valid config");
 
-        // Synchronous engine, running `kind`.
-        let mut serial = config.clone();
-        serial.enumerator = kind;
-        let mut engine = IcpeEngine::new(serial);
-        let mut sync_patterns = Vec::new();
-        for s in &snaps {
-            sync_patterns.extend(engine.push_snapshot(s.clone()));
-        }
-        sync_patterns.extend(engine.finish());
+        // Synchronous engine, enumerating with BA, FBA or VBA.
+        let rjc = RjcClusterer::new(config.lg, config.dbscan, config.metric);
+        let engine = config.engine_config();
+        let (kind, sync_patterns) = match kind_idx {
+            0 => ("BA", drive(IcpeEngine::with_parts(rjc, BaselineEngine::new(engine)), &snaps)),
+            1 => ("FBA", drive(IcpeEngine::new(config.clone()), &snaps)),
+            _ => ("VBA", drive(IcpeEngine::with_parts(rjc, VbaEngine::new(engine)), &snaps)),
+        };
 
         // Distributed pipeline (FBA) over the equivalent record stream.
         let mut records: Vec<GpsRecord> = Vec::new();
@@ -69,7 +77,7 @@ proptest! {
         prop_assert_eq!(
             unique_object_sets(&out.patterns),
             unique_object_sets(&sync_patterns),
-            "kind {:?} parallelism {}",
+            "kind {} parallelism {}",
             kind,
             parallelism
         );

@@ -1,8 +1,8 @@
 //! Property-based tests: R-tree ≡ brute force, grid coverage lemmas,
 //! replication-scheme candidate pairs ≡ brute force.
 
-use icpe_index::{GrIndex, Grid, GridKey, RTree};
-use icpe_types::{DistanceMetric, ObjectId, Point, Rect};
+use icpe_index::{Grid, GridKey, RTree};
+use icpe_types::{DistanceMetric, Point, Rect};
 use proptest::prelude::*;
 
 const METRICS: [DistanceMetric; 3] = [
@@ -250,29 +250,5 @@ proptest! {
         }
         // Sorted ascending.
         prop_assert!(got.windows(2).all(|w| w[0].2 <= w[1].2));
-    }
-
-    #[test]
-    fn gr_index_range_query_equals_brute_force(
-        points in arb_points(250),
-        q in arb_point(),
-        eps in 0.1f64..15.0,
-        lg in 0.5f64..20.0,
-    ) {
-        let pairs: Vec<(ObjectId, Point)> = points
-            .iter()
-            .enumerate()
-            .map(|(i, p)| (ObjectId(i as u32), *p))
-            .collect();
-        let idx = GrIndex::build_from_pairs(pairs.clone(), lg);
-        let metric = DistanceMetric::Chebyshev;
-        let mut got: Vec<u32> = idx.range_query(&q, eps, metric).into_iter().map(|(id, _)| id.0).collect();
-        got.sort_unstable();
-        let mut want: Vec<u32> = pairs.iter()
-            .filter(|(_, p)| metric.within(&q, p, eps))
-            .map(|(id, _)| id.0)
-            .collect();
-        want.sort_unstable();
-        prop_assert_eq!(got, want);
     }
 }

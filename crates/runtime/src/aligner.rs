@@ -65,30 +65,26 @@ struct Chain {
 
 /// Buffers out-of-order [`GpsRecord`]s and seals [`Snapshot`]s in strictly
 /// increasing time order once their membership can no longer change.
+///
+/// A one-shard [`ShardedAligner`] decides every drop and seal; this type
+/// adds the rows. So the serial and the sharded head share one seal loop,
+/// and the sharded head's output equals this one's by construction.
 #[derive(Debug)]
 pub struct TimeAligner {
-    config: AlignerConfig,
+    router: ShardedAligner,
     /// Buffered (not yet sealed) snapshot contents by time.
     buffers: BTreeMap<u32, Snapshot>,
-    chains: ChainIndex,
-    /// All times `< sealed_up_to` are sealed; `None` until the first seal.
-    sealed_up_to: Option<u32>,
-    /// Largest record time seen.
-    max_seen: u32,
-    /// Records dropped for arriving after their snapshot sealed.
-    late_dropped: u64,
+    /// Reused scratch: the times the router sealed on the current push.
+    sealed: Vec<u32>,
 }
 
 impl TimeAligner {
     /// Creates an aligner.
     pub fn new(config: AlignerConfig) -> Self {
         TimeAligner {
-            config,
+            router: ShardedAligner::new(config, 1),
             buffers: BTreeMap::new(),
-            chains: ChainIndex::default(),
-            sealed_up_to: None,
-            max_seen: 0,
-            late_dropped: 0,
+            sealed: Vec::new(),
         }
     }
 
@@ -104,46 +100,29 @@ impl TimeAligner {
     /// Ingests one record, appending any snapshots that became sealable to
     /// `out` in ascending time order — [`TimeAligner::push`] without the
     /// per-record result vector, for batch processing with reused scratch.
+    /// A record below the sealed frontier is dropped (and counted; see
+    /// [`TimeAligner::late_dropped`]).
     pub fn push_into(&mut self, rec: GpsRecord, out: &mut Vec<Snapshot>) {
-        let t = rec.time.0;
-        if let Some(s) = self.sealed_up_to {
-            if t < s {
-                // Arrived after its snapshot was sealed (lag exceeded):
-                // dropped, deterministically, and counted for observability.
-                // The record's *synchronization information* stays valid —
-                // advancing the chain prevents the trajectory's later
-                // records from waiting forever on a link that will never
-                // connect (which would stall sealing until retirement).
-                self.late_dropped += 1;
-                self.chains.advance(&rec);
-                return;
-            }
+        if let Routed::Late { .. } = self.router.route(&rec) {
+            return;
         }
-        self.max_seen = self.max_seen.max(t);
         self.buffers
-            .entry(t)
-            .or_insert_with(|| Snapshot::new(Timestamp(t)))
+            .entry(rec.time.0)
+            .or_insert_with(|| Snapshot::new(rec.time))
             .push(rec.id, rec.location, rec.last_time);
-        self.chains.advance(&rec);
-        self.drain_sealable_into(out);
+        self.router.drain_sealed(&mut self.sealed);
+        for u in self.sealed.drain(..) {
+            out.push(take_snapshot(&mut self.buffers, u));
+        }
     }
 
     /// Seals everything still buffered (end of stream).
     pub fn flush(&mut self) -> Vec<Snapshot> {
-        let mut out = Vec::new();
-        let times: Vec<u32> = self.buffers.keys().copied().collect();
-        for t in times {
-            if self.config.emit_empty {
-                if let Some(s) = self.sealed_up_to {
-                    for gap in s..t {
-                        out.push(Snapshot::new(Timestamp(gap)));
-                    }
-                }
-            }
-            out.push(self.buffers.remove(&t).unwrap());
-            self.sealed_up_to = Some(t + 1);
-        }
-        out
+        let times = self.router.flush_times();
+        times
+            .into_iter()
+            .map(|u| take_snapshot(&mut self.buffers, u))
+            .collect()
     }
 
     /// Number of buffered (unsealed) snapshots.
@@ -155,7 +134,7 @@ impl TimeAligner {
     /// sealed. Dropping is deterministic: a record is late iff its time is
     /// below the sealed frontier at arrival, regardless of thread timing.
     pub fn late_dropped(&self) -> u64 {
-        self.late_dropped
+        self.router.late_dropped_total()
     }
 
     /// Captures the aligner's full state in durable, canonical form:
@@ -164,15 +143,9 @@ impl TimeAligner {
     /// of the logical state (serialize → restore → serialize is
     /// byte-identical).
     pub fn checkpoint(&self) -> AlignerCheckpoint {
-        let buffers: Vec<Snapshot> = self.buffers.values().cloned().collect();
-        let mut chains: Vec<ChainCheckpoint> = self.chains.checkpoint().collect();
-        chains.sort_by_key(|c| c.id);
         AlignerCheckpoint {
-            buffers,
-            chains,
-            sealed_up_to: self.sealed_up_to,
-            max_seen: self.max_seen,
-            late_dropped: self.late_dropped,
+            buffers: self.buffers.values().cloned().collect(),
+            ..self.router.checkpoint()
         }
     }
 
@@ -180,53 +153,27 @@ impl TimeAligner {
     /// records is identical to the aligner the checkpoint was taken from
     /// (including the late-drop counter, which must not reset to zero).
     pub fn from_checkpoint(config: AlignerConfig, ckpt: &AlignerCheckpoint) -> Self {
-        let buffers: BTreeMap<u32, Snapshot> =
-            ckpt.buffers.iter().map(|s| (s.time.0, s.clone())).collect();
-        let mut chains = ChainIndex::default();
-        for c in &ckpt.chains {
-            chains.restore(c);
-        }
         TimeAligner {
-            config,
-            buffers,
-            chains,
-            sealed_up_to: ckpt.sealed_up_to,
-            max_seen: ckpt.max_seen,
-            late_dropped: ckpt.late_dropped,
+            router: ShardedAligner::from_checkpoint(config, 1, ckpt),
+            // The router tracks non-empty times only, as a live aligner
+            // buffers them.
+            buffers: ckpt
+                .buffers
+                .iter()
+                .filter(|s| !s.is_empty())
+                .map(|s| (s.time.0, s.clone()))
+                .collect(),
+            sealed: Vec::new(),
         }
     }
+}
 
-    fn drain_sealable_into(&mut self, out: &mut Vec<Snapshot>) {
-        loop {
-            let u = match self.sealed_up_to {
-                Some(s) => s,
-                // Nothing sealed yet: start at the earliest buffered time.
-                None => match self.buffers.keys().next() {
-                    Some(&t) => t,
-                    None => break,
-                },
-            };
-            if !self.can_seal(u) {
-                break;
-            }
-            match self.buffers.remove(&u) {
-                Some(snap) => out.push(snap),
-                None if self.config.emit_empty => out.push(Snapshot::new(Timestamp(u))),
-                None => {}
-            }
-            self.sealed_up_to = Some(u + 1);
-        }
-    }
-
-    /// A time `u` can be sealed when it lies strictly in the stream's past
-    /// and every known trajectory either is clarified through `u` or has
-    /// lagged out.
-    fn can_seal(&mut self, u: u32) -> bool {
-        if u.saturating_add(self.config.lateness) >= self.max_seen {
-            return false;
-        }
-        !self.chains.blocks(u, self.config.max_lag, self.max_seen)
-    }
+/// The sealed snapshot at `u`: its buffered rows, or an empty snapshot for
+/// an `emit_empty` gap.
+fn take_snapshot(buffers: &mut BTreeMap<u32, Snapshot>, u: u32) -> Snapshot {
+    buffers
+        .remove(&u)
+        .unwrap_or_else(|| Snapshot::new(Timestamp(u)))
 }
 
 impl Chain {
@@ -283,9 +230,9 @@ fn lagged_out(clarified: u32, max_lag: u32, max_seen: u32) -> bool {
 /// sit at each clarified time. The seal test asks "is any chain behind
 /// `u`, and has it lagged out?" — a question about the smallest clarified
 /// time only, which the index answers without visiting a chain. Owned by
-/// [`TimeAligner`] (one) and [`ShardedAligner`] (one per shard), so the two
-/// heads stay equivalent by construction. Derived state: checkpoints carry
-/// the chains, [`ChainIndex::restore`] recounts.
+/// [`ShardedAligner`], one per shard ([`TimeAligner`] runs a one-shard
+/// router). Derived state: checkpoints carry the chains,
+/// [`ChainIndex::restore`] recounts.
 #[derive(Debug, Default)]
 struct ChainIndex {
     chains: HashMap<ObjectId, Chain>,
@@ -428,7 +375,8 @@ pub enum Routed {
 }
 
 /// The sharded head's frontier router: the serial [`TimeAligner`] minus the
-/// row buffers.
+/// row buffers (a [`TimeAligner`] is this router with one shard, plus its
+/// rows).
 ///
 /// Sharding the aligner splits its state in two. The *rows* of each
 /// buffered snapshot partition cleanly by trajectory id and live on the N
@@ -491,13 +439,18 @@ impl ShardedAligner {
         self.shards
     }
 
-    /// The shard owning a trajectory's rows and chain.
+    /// The shard owning a trajectory's rows and chain (no hash with one
+    /// shard).
     pub fn shard_of(&self, id: ObjectId) -> usize {
-        subtask_for(hash_id(id), self.shards)
+        if self.shards == 1 {
+            0
+        } else {
+            subtask_for(hash_id(id), self.shards)
+        }
     }
 
-    /// Routes one record: mirrors [`TimeAligner::push_into`] up to (but not
-    /// including) the buffer insert and the sealable drain. The caller
+    /// Routes one record: the late test and the chain advance of
+    /// [`TimeAligner::push_into`], which runs this very method. The caller
     /// forwards `Keep` rows to their shard, then calls
     /// [`drain_sealed`](ShardedAligner::drain_sealed) — once per record, in
     /// arrival order, exactly as the serial aligner drains after every
@@ -508,6 +461,12 @@ impl ShardedAligner {
         let shard = self.shard_of(rec.id);
         if let Some(s) = self.sealed_up_to {
             if t < s {
+                // Arrived after its snapshot was sealed (lag exceeded):
+                // dropped, deterministically, and counted. The record's
+                // *synchronization information* stays valid — advancing the
+                // chain keeps the trajectory's later records from waiting
+                // forever on a link that will never connect (which would
+                // stall sealing until retirement).
                 self.late_dropped[shard] += 1;
                 self.chains[shard].advance(rec);
                 return Routed::Late { shard };
@@ -519,10 +478,9 @@ impl ShardedAligner {
         Routed::Keep { shard }
     }
 
-    /// Appends the times that became sealable, ascending — the serial
-    /// aligner's sealable drain with times in place of snapshots (the same
-    /// loop `TimeAligner::push_into` runs). A listed time is either occupied
-    /// (some shard holds rows for it) or an `emit_empty` gap; with
+    /// Appends the times that became sealable, ascending — the seal loop
+    /// [`TimeAligner::push_into`] runs too. A listed time is either
+    /// occupied (some shard holds rows for it) or an `emit_empty` gap; with
     /// `emit_empty` off, unoccupied times seal silently and are not listed.
     pub fn drain_sealed(&mut self, out: &mut Vec<u32>) {
         loop {
@@ -558,8 +516,7 @@ impl ShardedAligner {
     }
 
     /// Seals everything still buffered (end of stream), returning the times
-    /// to emit in ascending order — [`TimeAligner::flush`] with times in
-    /// place of snapshots, including the `emit_empty` gap times.
+    /// to emit in ascending order, including the `emit_empty` gap times.
     pub fn flush_times(&mut self) -> Vec<u32> {
         let mut out = Vec::new();
         let times: Vec<u32> = self.occupied.iter().copied().collect();
@@ -1667,10 +1624,10 @@ mod tests {
             "the stream must hold the frontier back: the full scan visited {} chains for {records} records",
             model.visited
         );
+        let serial_visits = serial.router.chains[0].visited;
         assert!(
-            serial.chains.visited <= records && sharded_visits <= records,
-            "seal tests visited {} (serial) / {sharded_visits} (sharded) chains for {records} records",
-            serial.chains.visited
+            serial_visits <= records && sharded_visits <= records,
+            "seal tests visited {serial_visits} (serial) / {sharded_visits} (sharded) chains for {records} records"
         );
     }
 }

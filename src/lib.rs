@@ -8,8 +8,9 @@
 //!
 //! * [`types`] — the data model: GPS records, snapshots, time sequences and
 //!   the `CP(M, K, L, G)` pattern constraints.
-//! * [`index`] — the two-layer GR-index (global grid + local R-trees; the
-//!   live GridQuery sweeps each cell's x-sorted objects instead of a tree).
+//! * [`index`] — the GR-index's two layers: the global grid and the local
+//!   R-tree (the live GridQuery sweeps each cell's x-sorted objects instead
+//!   of a tree).
 //! * [`runtime`] — a minimal pipelined stream-processing runtime standing in
 //!   for Apache Flink.
 //! * [`cluster`] — GR-index based range join + DBSCAN (RJC) and the SRJ / GDC
@@ -19,7 +20,8 @@
 //! * [`gen`] — trajectory workload generators (Brinkhoff-style network
 //!   movement, GeoLife/Taxi-like synthetics, planted co-movement groups).
 //! * [`core`] — the assembled ICPE framework with its builder-style API:
-//!   the synchronous [`core::IcpeEngine`], the push-based
+//!   the synchronous [`core::IcpeEngine`] (RJC + FBA, or any §7 baseline
+//!   pair through [`core::IcpeEngine::with_parts`]), the push-based
 //!   [`core::StreamingEngine`], and the distributed [`core::IcpePipeline`]
 //!   in batch ([`core::IcpePipeline::run`]) or live
 //!   ([`core::IcpePipeline::launch`]) form.

@@ -1,7 +1,10 @@
 //! Cross-crate integration: generators → clustering → enumeration, in both
 //! deployment forms, validated against the exhaustive oracle.
 
-use icpe::core::{EnumeratorKind, IcpeConfig, IcpeEngine, IcpePipeline};
+mod common;
+
+use common::run_every_engine;
+use icpe::core::{IcpeConfig, IcpeEngine, IcpePipeline};
 use icpe::gen::{GroupWalkConfig, GroupWalkGenerator};
 use icpe::pattern::reference::ExhaustiveMiner;
 use icpe::pattern::{unique_object_sets, Semantics};
@@ -24,40 +27,29 @@ fn workload(gap_len: u32, seed: u64) -> (GroupWalkGenerator, Vec<Snapshot>) {
     (gen, snaps)
 }
 
-fn config(kind: EnumeratorKind) -> IcpeConfig {
+fn config() -> IcpeConfig {
     IcpeConfig::builder()
         .constraints(Constraints::new(4, 15, 6, 4).expect("valid"))
         .epsilon(1.8)
         .min_pts(4)
         .parallelism(3)
-        .enumerator(kind)
         .build()
         .expect("valid config")
 }
 
 fn run_sync(cfg: &IcpeConfig, snaps: &[Snapshot]) -> Vec<Pattern> {
-    let mut engine = IcpeEngine::new(cfg.clone());
-    let mut out = Vec::new();
-    for s in snaps {
-        out.extend(engine.push_snapshot(s.clone()));
-    }
-    out.extend(engine.finish());
-    out
+    common::drive(IcpeEngine::new(cfg.clone()), snaps)
 }
 
 #[test]
 fn planted_groups_are_recovered_by_every_engine() {
     let (gen, snaps) = workload(0, 21);
-    for kind in [
-        EnumeratorKind::Baseline,
-        EnumeratorKind::Fba,
-        EnumeratorKind::Vba,
-    ] {
-        let sets = unique_object_sets(&run_sync(&config(kind), &snaps));
+    for (name, patterns) in run_every_engine(&config(), &snaps) {
+        let sets = unique_object_sets(&patterns);
         for group in gen.planted_groups() {
             assert!(
                 sets.contains(&group),
-                "{kind:?} missed planted group {group:?}"
+                "{name} missed planted group {group:?}"
             );
         }
     }
@@ -143,7 +135,7 @@ fn all_engines_match_the_oracle_on_the_cluster_stream() {
 #[test]
 fn pipeline_equals_sync_engine_on_generated_workloads() {
     let (_, snaps) = workload(3, 77);
-    let cfg = config(EnumeratorKind::Fba);
+    let cfg = config();
     let sync_sets = unique_object_sets(&run_sync(&cfg, &snaps));
 
     // Convert snapshots back into a record stream for the pipeline.
@@ -175,7 +167,7 @@ fn noise_objects_never_form_patterns() {
         seed: 91,
         ..GroupWalkConfig::default()
     });
-    let patterns = run_sync(&config(EnumeratorKind::Fba), &gen.snapshots());
+    let patterns = run_sync(&config(), &gen.snapshots());
     let sets = unique_object_sets(&patterns);
     // With a sparse arena random walkers may briefly cluster, but holding
     // together for K=15 of 40 ticks is (deterministically, for this seed)
@@ -186,7 +178,7 @@ fn noise_objects_never_form_patterns() {
 #[test]
 fn subsets_of_discovered_groups_also_qualify() {
     let (gen, snaps) = workload(0, 101);
-    let sets = unique_object_sets(&run_sync(&config(EnumeratorKind::Fba), &snaps));
+    let sets = unique_object_sets(&run_sync(&config(), &snaps));
     // For each planted 5-group, each of its 5 4-subsets must also appear
     // (M = 4): Definition 4 is monotone downward on the object set.
     for group in gen.planted_groups() {

@@ -1,7 +1,10 @@
 //! The paper's running examples, reconstructed geometrically and run
 //! through the full system (not just the enumeration layer).
 
-use icpe::core::{EnumeratorKind, IcpeConfig, IcpeEngine};
+mod common;
+
+use common::{drive, run_every_engine};
+use icpe::core::{IcpeConfig, IcpeEngine};
 use icpe::pattern::unique_object_sets;
 use icpe::types::{Constraints, ObjectId, Pattern, Point, Snapshot, Timestamp};
 
@@ -38,40 +41,29 @@ fn fig2_snapshots() -> Vec<Snapshot> {
         .collect()
 }
 
-fn run(constraints: Constraints, kind: EnumeratorKind) -> Vec<Pattern> {
-    let cfg = IcpeConfig::builder()
+fn fig2_config(constraints: Constraints) -> IcpeConfig {
+    IcpeConfig::builder()
         .constraints(constraints)
         .epsilon(1.0)
         .min_pts(2)
-        .enumerator(kind)
         .build()
-        .expect("valid config");
-    let mut engine = IcpeEngine::new(cfg);
-    let mut out = Vec::new();
-    for s in fig2_snapshots() {
-        out.extend(engine.push_snapshot(s));
-    }
-    out.extend(engine.finish());
-    out
+        .expect("valid config")
 }
 
 #[test]
 fn fig2_cp_2_4_2_2_finds_o4o5_and_o6o7() {
     // §3.1: "if the current time is 5, {o4,o5} and {o6,o7} are CP(2,4,2,2)
     // patterns where T = ⟨2,3,4,5⟩".
-    for kind in [
-        EnumeratorKind::Baseline,
-        EnumeratorKind::Fba,
-        EnumeratorKind::Vba,
-    ] {
-        let sets = unique_object_sets(&run(Constraints::new(2, 4, 2, 2).expect("valid"), kind));
+    let cfg = fig2_config(Constraints::new(2, 4, 2, 2).expect("valid"));
+    for (name, patterns) in run_every_engine(&cfg, &fig2_snapshots()) {
+        let sets = unique_object_sets(&patterns);
         assert!(
             sets.contains(&vec![ObjectId(4), ObjectId(5)]),
-            "{kind:?}: {sets:?}"
+            "{name}: {sets:?}"
         );
         assert!(
             sets.contains(&vec![ObjectId(6), ObjectId(7)]),
-            "{kind:?}: {sets:?}"
+            "{name}: {sets:?}"
         );
     }
 }
@@ -80,9 +72,9 @@ fn fig2_cp_2_4_2_2_finds_o4o5_and_o6o7() {
 fn fig2_cp_3_4_2_2_finds_o4o5o6_with_the_papers_witness() {
     // §3.1: "no CP(3,4,2,2) pattern exists until time 7, where {o4,o5,o6}
     // qualifies with T = ⟨3,4,6,7⟩".
-    let patterns = run(
-        Constraints::new(3, 4, 2, 2).expect("valid"),
-        EnumeratorKind::Fba,
+    let patterns = drive(
+        IcpeEngine::new(fig2_config(Constraints::new(3, 4, 2, 2).expect("valid"))),
+        &fig2_snapshots(),
     );
     let target: Vec<ObjectId> = vec![ObjectId(4), ObjectId(5), ObjectId(6)];
     let found: Vec<&Pattern> = patterns.iter().filter(|p| p.objects == target).collect();

@@ -2,9 +2,12 @@
 //! subsequence mode is complete w.r.t. Definition 4; the paper's greedy mode
 //! is a strict subset and diverges exactly where DESIGN.md §6b predicts.
 
-use icpe::core::{EnumeratorKind, IcpeConfig, IcpeEngine};
+mod common;
+
+use common::run_every_engine;
+use icpe::core::IcpeConfig;
 use icpe::pattern::{unique_object_sets, Semantics};
-use icpe::types::{Constraints, ObjectId, Pattern, Point, Snapshot, Timestamp};
+use icpe::types::{Constraints, ObjectId, Point, Snapshot, Timestamp};
 
 /// Two objects co-located at exactly the given ticks, apart otherwise.
 fn co_location_stream(co_ticks: &[u32], horizon: u32) -> Vec<Snapshot> {
@@ -24,22 +27,19 @@ fn co_location_stream(co_ticks: &[u32], horizon: u32) -> Vec<Snapshot> {
         .collect()
 }
 
-fn run(semantics: Semantics, kind: EnumeratorKind, stream: &[Snapshot]) -> Vec<Pattern> {
+/// Unique object sets per engine (BA, FBA, VBA) under `semantics`.
+fn run(semantics: Semantics, stream: &[Snapshot]) -> Vec<(&'static str, Vec<Vec<ObjectId>>)> {
     let cfg = IcpeConfig::builder()
         .constraints(Constraints::new(2, 4, 2, 4).expect("valid"))
         .epsilon(1.0)
         .min_pts(2)
         .semantics(semantics)
-        .enumerator(kind)
         .build()
         .expect("valid config");
-    let mut engine = IcpeEngine::new(cfg);
-    let mut out = Vec::new();
-    for s in stream {
-        out.extend(engine.push_snapshot(s.clone()));
-    }
-    out.extend(engine.finish());
-    out
+    run_every_engine(&cfg, stream)
+        .into_iter()
+        .map(|(name, patterns)| (name, unique_object_sets(&patterns)))
+        .collect()
 }
 
 #[test]
@@ -50,20 +50,13 @@ fn divergence_case_doomed_middle_segment() {
     let stream = co_location_stream(&[1, 2, 4, 6, 7], 14);
     let pair = vec![ObjectId(1), ObjectId(2)];
 
-    for kind in [
-        EnumeratorKind::Baseline,
-        EnumeratorKind::Fba,
-        EnumeratorKind::Vba,
-    ] {
-        let sub = unique_object_sets(&run(Semantics::Subsequence, kind, &stream));
-        assert!(
-            sub.contains(&pair),
-            "{kind:?} subsequence missed the pattern"
-        );
-        let greedy = unique_object_sets(&run(Semantics::PaperGreedy, kind, &stream));
+    let sub = run(Semantics::Subsequence, &stream);
+    let greedy = run(Semantics::PaperGreedy, &stream);
+    for ((name, sub), (_, greedy)) in sub.iter().zip(&greedy) {
+        assert!(sub.contains(&pair), "{name} subsequence missed the pattern");
         assert!(
             !greedy.contains(&pair),
-            "{kind:?} greedy unexpectedly found the pattern"
+            "{name} greedy unexpectedly found the pattern"
         );
     }
 }
@@ -74,13 +67,8 @@ fn greedy_and_subsequence_agree_on_clean_sequences() {
     let stream = co_location_stream(&[3, 4, 5, 6, 7], 14);
     let pair = vec![ObjectId(1), ObjectId(2)];
     for sem in [Semantics::Subsequence, Semantics::PaperGreedy] {
-        for kind in [
-            EnumeratorKind::Baseline,
-            EnumeratorKind::Fba,
-            EnumeratorKind::Vba,
-        ] {
-            let sets = unique_object_sets(&run(sem, kind, &stream));
-            assert!(sets.contains(&pair), "{kind:?}/{sem:?}");
+        for (name, sets) in run(sem, &stream) {
+            assert!(sets.contains(&pair), "{name}/{sem:?}");
         }
     }
 }
@@ -90,15 +78,11 @@ fn greedy_reports_are_a_subset_of_subsequence_reports() {
     // On a messier stream, every greedy-reported set must also be reported
     // under subsequence semantics (greedy is strictly stricter).
     let stream = co_location_stream(&[0, 1, 3, 5, 6, 9, 10, 11, 13], 20);
-    for kind in [
-        EnumeratorKind::Baseline,
-        EnumeratorKind::Fba,
-        EnumeratorKind::Vba,
-    ] {
-        let sub = unique_object_sets(&run(Semantics::Subsequence, kind, &stream));
-        let greedy = unique_object_sets(&run(Semantics::PaperGreedy, kind, &stream));
-        for s in &greedy {
-            assert!(sub.contains(s), "{kind:?}: greedy-only set {s:?}");
+    let sub = run(Semantics::Subsequence, &stream);
+    let greedy = run(Semantics::PaperGreedy, &stream);
+    for ((name, sub), (_, greedy)) in sub.iter().zip(&greedy) {
+        for s in greedy {
+            assert!(sub.contains(s), "{name}: greedy-only set {s:?}");
         }
     }
 }

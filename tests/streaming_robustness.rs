@@ -1,7 +1,7 @@
 //! Failure injection and robustness of the streaming deployment: disorder,
 //! skew, degenerate parameters, empty input.
 
-use icpe::core::{EnumeratorKind, IcpeConfig, IcpePipeline};
+use icpe::core::{IcpeConfig, IcpePipeline};
 use icpe::gen::{
     disorder_gps, BrinkhoffConfig, BrinkhoffGenerator, DisorderConfig, GroupWalkConfig,
     GroupWalkGenerator,
@@ -151,18 +151,20 @@ fn vba_latency_tradeoff_is_observable() {
     });
     let snaps = gen.snapshots();
 
+    use icpe::cluster::RjcClusterer;
     use icpe::core::IcpeEngine;
-    let mk = |kind| {
-        IcpeConfig::builder()
-            .constraints(Constraints::new(3, 10, 5, 2).expect("valid"))
-            .epsilon(1.5)
-            .min_pts(3)
-            .enumerator(kind)
-            .build()
-            .expect("valid config")
-    };
-    let mut fba = IcpeEngine::new(mk(EnumeratorKind::Fba));
-    let mut vba = IcpeEngine::new(mk(EnumeratorKind::Vba));
+    use icpe::pattern::VbaEngine;
+    let cfg = IcpeConfig::builder()
+        .constraints(Constraints::new(3, 10, 5, 2).expect("valid"))
+        .epsilon(1.5)
+        .min_pts(3)
+        .build()
+        .expect("valid config");
+    let mut vba = IcpeEngine::with_parts(
+        RjcClusterer::new(cfg.lg, cfg.dbscan, cfg.metric),
+        VbaEngine::new(cfg.engine_config()),
+    );
+    let mut fba = IcpeEngine::new(cfg);
     let mut fba_mid = 0usize;
     let mut vba_mid = 0usize;
     for s in &snaps {
