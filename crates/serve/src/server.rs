@@ -22,6 +22,7 @@ use crate::hub::Hub;
 use crate::protocol::{EventKind, PatternEvent, SnapshotEvent, Topic, WireRecord};
 use crate::recovery::{CheckpointPolicy, EdgeStatsCheckpoint, ServeCheckpoint};
 use crate::stats::ServerStats;
+use crossbeam::channel::Receiver;
 use icpe_core::{
     HealthState, IcpeConfig, IcpePipeline, LivePipeline, PipelineEvent, PipelineStatus,
     RecordSender,
@@ -159,38 +160,72 @@ fn socket_timeout_from_env() -> Option<std::time::Duration> {
 /// cross-producer disorder the aligner must absorb, turning "fast producer
 /// causes slow producer's records to be dropped as late" into plain
 /// backpressure on the fast producer's socket.
+///
+/// The check runs per record but costs no syscall on the common path:
+/// waiters are woken only when some producer's frontier rises (once per
+/// tick, not per record) or a producer deregisters, and the clock is read
+/// only while the startup grace may still hold or a record is about to
+/// wait. Grace expiry and the 2 s cap are re-checked by the waiters' own
+/// 20 ms timed wait.
 struct SkewLimiter {
-    /// Producer conn id → newest tick pushed (`None` until a first record
-    /// is admitted — a producer that has said nothing valid yet must not
-    /// hold the fleet back), plus the instant the first producer
-    /// registered (starts the grace window).
-    #[allow(clippy::type_complexity)]
-    state: std::sync::Mutex<(HashMap<u64, Option<u32>>, Option<std::time::Instant>)>,
+    state: std::sync::Mutex<SkewState>,
     cond: std::sync::Condvar,
     max_skew: u32,
     grace: std::time::Duration,
 }
 
+struct SkewState {
+    /// Producer conn id → newest tick pushed (`None` until a first record
+    /// is admitted — a producer that has said nothing valid yet must not
+    /// hold the fleet back).
+    frontiers: HashMap<u64, Option<u32>>,
+    /// When the first producer registered: starts the grace window. Set
+    /// once, never reset.
+    grace_start: Option<std::time::Instant>,
+    /// The grace window has elapsed (monotone: once set, the clock is no
+    /// longer read for it).
+    grace_over: bool,
+}
+
+impl SkewState {
+    fn in_grace(&mut self, grace: std::time::Duration) -> bool {
+        if self.grace_over {
+            return false;
+        }
+        let Some(started) = self.grace_start else {
+            return false;
+        };
+        self.grace_over = started.elapsed() >= grace;
+        !self.grace_over
+    }
+}
+
 impl SkewLimiter {
     fn new(max_skew: u32, grace: std::time::Duration) -> Self {
         SkewLimiter {
-            state: std::sync::Mutex::new((HashMap::new(), None)),
+            state: std::sync::Mutex::new(SkewState {
+                frontiers: HashMap::new(),
+                grace_start: None,
+                grace_over: false,
+            }),
             cond: std::sync::Condvar::new(),
             max_skew,
             grace,
         }
     }
 
+    /// Registers a producer with no frontier yet. Wakes nobody: a producer
+    /// without an admitted record does not count towards anyone's skew.
     fn register(&self, id: u64) {
         let mut state = self.state.lock().expect("skew lock");
-        state.0.insert(id, None);
-        state.1.get_or_insert_with(std::time::Instant::now);
-        drop(state);
-        self.cond.notify_all();
+        state.frontiers.insert(id, None);
+        state
+            .grace_start
+            .get_or_insert_with(std::time::Instant::now);
     }
 
     fn deregister(&self, id: u64) {
-        self.state.lock().expect("skew lock").0.remove(&id);
+        self.state.lock().expect("skew lock").frontiers.remove(&id);
         self.cond.notify_all();
     }
 
@@ -200,19 +235,17 @@ impl SkewLimiter {
     /// producer's frontier. A 2 s cap bounds pathological cases (e.g. a
     /// producer whose stream legitimately starts far in the future): after
     /// it, the record is admitted anyway and the aligner's lateness policy
-    /// decides.
-    fn admit(&self, id: u64, tick: u32) {
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(2);
+    /// decides. Returns whether this producer's frontier rose, the only
+    /// case in which waiting producers are woken.
+    fn admit(&self, id: u64, tick: u32) -> bool {
         let mut state = self.state.lock().expect("skew lock");
+        let mut deadline = None;
         loop {
-            let in_grace = state
-                .1
-                .is_some_and(|started| started.elapsed() < self.grace);
             // Only producers with at least one admitted record count: a
             // connection that has produced nothing valid (all lines
             // malformed or stale) must not hold the fleet back.
             let min_other = state
-                .0
+                .frontiers
                 .iter()
                 .filter(|(&other, _)| other != id)
                 .filter_map(|(_, &t)| t)
@@ -221,8 +254,11 @@ impl SkewLimiter {
                 None => true, // no other active producer to synchronize with
                 Some(m) => tick <= m.saturating_add(self.max_skew),
             };
-            let admitted = within_skew && !(in_grace && tick > self.max_skew);
-            if admitted || std::time::Instant::now() >= deadline {
+            if within_skew && !(tick > self.max_skew && state.in_grace(self.grace)) {
+                break;
+            }
+            let now = std::time::Instant::now();
+            if now >= *deadline.get_or_insert(now + std::time::Duration::from_secs(2)) {
                 break;
             }
             let (guard, _) = self
@@ -231,10 +267,16 @@ impl SkewLimiter {
                 .expect("skew lock");
             state = guard;
         }
-        let entry = state.0.entry(id).or_insert(None);
-        *entry = Some(entry.map_or(tick, |t| t.max(tick)));
+        let frontier = state.frontiers.entry(id).or_insert(None);
+        let rose = frontier.is_none_or(|t| tick > t);
+        if rose {
+            *frontier = Some(tick);
+        }
         drop(state);
-        self.cond.notify_all();
+        if rose {
+            self.cond.notify_all();
+        }
+        rose
     }
 }
 
@@ -1195,20 +1237,31 @@ fn serve_subscriber(
     let subscription = shared.hub.subscribe(topic);
     drop(pending);
     shared.stats.subscribers.fetch_add(1, Ordering::Relaxed);
-    let mut writer = BufWriter::new(stream);
-    let mut result = Ok(());
-    for line in subscription.lines().iter() {
-        if let Err(e) = writer.write_all(line.as_bytes()).and_then(|()| {
-            writer.write_all(b"\n")?;
-            writer.flush()
-        }) {
-            result = Err(e);
-            break; // peer gone
-        }
-    }
+    let result = write_lines(subscription.lines(), stream);
     shared.hub.unsubscribe(subscription.id);
     shared.stats.subscribers.fetch_sub(1, Ordering::Relaxed);
     result
+}
+
+/// Subscriber write buffer: one `write` carries up to this many bytes of a
+/// burst.
+const SUBSCRIBER_WRITE_BUFFER: usize = 64 * 1024;
+
+/// The subscriber writer loop: each line followed by `\n`, until the line
+/// stream ends or `out` fails (peer gone). It blocks for a line, then
+/// drains whatever else is already queued into the buffer and flushes once
+/// the queue is empty — a lone line goes out at once, a burst goes out in
+/// as few writes as the buffer allows.
+fn write_lines(lines: &Receiver<Arc<str>>, out: impl Write) -> std::io::Result<()> {
+    let mut out = BufWriter::with_capacity(SUBSCRIBER_WRITE_BUFFER, out);
+    while let Ok(first) = lines.recv() {
+        for line in std::iter::once(first).chain(lines.try_iter()) {
+            out.write_all(line.as_bytes())?;
+            out.write_all(b"\n")?;
+        }
+        out.flush()?;
+    }
+    Ok(())
 }
 
 /// Assembles the `STATUS` block: the edge counters plus one reading of
@@ -1268,4 +1321,214 @@ fn serve_events(shared: &Arc<Shared>, stream: TcpStream, arg: &str) -> std::io::
         writeln!(w, "{}", event.render_json())?;
     }
     w.flush()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crossbeam::channel::bounded;
+    use std::sync::mpsc;
+    use std::time::{Duration, Instant};
+
+    /// Runs `admit(id, tick)` on its own thread; the returned receiver
+    /// yields how long the call took once it returns.
+    fn admit_in_background(
+        limiter: &Arc<SkewLimiter>,
+        id: u64,
+        tick: u32,
+    ) -> mpsc::Receiver<Duration> {
+        let (tx, rx) = mpsc::channel();
+        let limiter = Arc::clone(limiter);
+        std::thread::spawn(move || {
+            let started = Instant::now();
+            limiter.admit(id, tick);
+            let _ = tx.send(started.elapsed());
+        });
+        rx
+    }
+
+    fn assert_waiting(admit: &mpsc::Receiver<Duration>, why: &str) {
+        assert!(
+            admit.recv_timeout(Duration::from_millis(100)).is_err(),
+            "{why}"
+        );
+    }
+
+    fn assert_released(admit: &mpsc::Receiver<Duration>, why: &str) -> Duration {
+        let took = admit
+            .recv_timeout(Duration::from_secs(1))
+            .unwrap_or_else(|_| panic!("{why}"));
+        assert!(took < Duration::from_secs(2), "{why}: released by the cap");
+        took
+    }
+
+    /// Under `max_skew` 2 and no grace, producer 1 is at tick 0 and
+    /// producer 2 at tick 2; producer 2 then offers tick 5 and waits.
+    fn blocked_pair() -> (Arc<SkewLimiter>, mpsc::Receiver<Duration>) {
+        let limiter = Arc::new(SkewLimiter::new(2, Duration::ZERO));
+        limiter.register(1);
+        limiter.register(2);
+        assert!(limiter.admit(1, 0));
+        assert!(limiter.admit(2, 2));
+        let admit = admit_in_background(&limiter, 2, 5);
+        assert_waiting(&admit, "tick 5 is 5 ahead of producer 1");
+        (limiter, admit)
+    }
+
+    #[test]
+    fn skew_wait_ends_when_the_slow_frontier_rises() {
+        let (limiter, admit) = blocked_pair();
+        assert!(limiter.admit(1, 2));
+        assert_waiting(&admit, "tick 5 is still 3 ahead of producer 1");
+        assert!(limiter.admit(1, 3));
+        assert_released(&admit, "producer 1 reached 3 = 5 - max_skew");
+    }
+
+    #[test]
+    fn skew_wait_ends_when_the_slow_producer_deregisters() {
+        let (limiter, admit) = blocked_pair();
+        limiter.deregister(1);
+        assert_released(&admit, "no other producer is left");
+    }
+
+    #[test]
+    fn records_at_or_below_the_own_frontier_admit_without_a_wake_up() {
+        let limiter = SkewLimiter::new(2, Duration::ZERO);
+        limiter.register(1);
+        assert!(limiter.admit(1, 5), "first record sets the frontier");
+        assert!(!limiter.admit(1, 5), "same tick: no rise, no wake-up");
+        assert!(!limiter.admit(1, 3), "older tick: no rise, no wake-up");
+        assert!(limiter.admit(1, 6), "a new tick wakes the waiters");
+    }
+
+    #[test]
+    fn grace_holds_ticks_past_max_skew_until_it_ends() {
+        let grace = Duration::from_millis(300);
+        let registered = Instant::now();
+        let limiter = Arc::new(SkewLimiter::new(2, grace));
+        limiter.register(1);
+        assert!(limiter.admit(1, 2), "tick <= max_skew admits during grace");
+        assert!(registered.elapsed() < grace);
+        let admit = admit_in_background(&limiter, 1, 3);
+        assert_waiting(&admit, "tick 3 > max_skew waits during grace");
+        assert_released(&admit, "grace is over");
+        assert!(registered.elapsed() >= grace);
+        assert!(limiter.state.lock().unwrap().grace_over, "grace ends once");
+    }
+
+    #[test]
+    fn the_two_second_cap_admits_a_record_that_never_fits() {
+        let limiter = SkewLimiter::new(2, Duration::ZERO);
+        limiter.register(1);
+        limiter.register(2);
+        assert!(limiter.admit(1, 0));
+        let started = Instant::now();
+        assert!(limiter.admit(2, 100));
+        let took = started.elapsed();
+        assert!(took >= Duration::from_secs(2), "admitted early: {took:?}");
+        assert!(took < Duration::from_secs(4), "cap overshot: {took:?}");
+    }
+
+    /// A `Write` that records its bytes and counts `write` and `flush`
+    /// calls.
+    #[derive(Clone, Default)]
+    struct CountingWriter(Arc<Mutex<Written>>);
+
+    #[derive(Default)]
+    struct Written {
+        bytes: Vec<u8>,
+        writes: usize,
+        flushes: usize,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            let mut w = self.0.lock();
+            w.writes += 1;
+            w.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            self.0.lock().flushes += 1;
+            Ok(())
+        }
+    }
+
+    /// What the per-line writer (write, `\n`, flush per line) put on the
+    /// wire.
+    fn per_line_bytes(lines: &[String]) -> Vec<u8> {
+        let mut out = Vec::new();
+        for line in lines {
+            out.extend_from_slice(line.as_bytes());
+            out.push(b'\n');
+        }
+        out
+    }
+
+    fn queued(lines: &[String]) -> Receiver<Arc<str>> {
+        let (tx, rx) = bounded(lines.len().max(1));
+        for line in lines {
+            tx.send(Arc::from(line.as_str())).unwrap();
+        }
+        rx
+    }
+
+    #[test]
+    fn queued_lines_go_out_in_order_in_one_flush() {
+        let lines: Vec<String> = (0..100).map(|i| format!("{{\"seq\":{i}}}")).collect();
+        let out = CountingWriter::default();
+        write_lines(&queued(&lines), out.clone()).unwrap();
+        let written = out.0.lock();
+        assert_eq!(written.bytes, per_line_bytes(&lines));
+        assert_eq!(written.flushes, 1);
+        assert_eq!(written.writes, 1, "a burst under 64 KiB is one write");
+    }
+
+    #[test]
+    fn a_lone_line_is_flushed_before_the_loop_blocks_again() {
+        let (tx, rx) = bounded::<Arc<str>>(16);
+        let out = CountingWriter::default();
+        let writer = {
+            let out = out.clone();
+            std::thread::spawn(move || write_lines(&rx, out))
+        };
+        let wait_for = |bytes: &[u8], flushes: usize| {
+            let deadline = Instant::now() + Duration::from_secs(10);
+            loop {
+                {
+                    let w = out.0.lock();
+                    if w.bytes == bytes && w.flushes == flushes {
+                        return;
+                    }
+                }
+                assert!(Instant::now() < deadline, "line not flushed");
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        };
+        tx.send(Arc::from("first")).unwrap();
+        wait_for(b"first\n", 1);
+        tx.send(Arc::from("second")).unwrap();
+        wait_for(b"first\nsecond\n", 2);
+        drop(tx);
+        writer.join().unwrap().unwrap();
+        assert_eq!(out.0.lock().flushes, 2);
+    }
+
+    #[test]
+    fn coalesced_bytes_equal_the_per_line_output() {
+        // Mixed sizes: empty, multi-byte UTF-8, one line past the buffer,
+        // and enough lines that one burst spans several buffer fills.
+        let mut lines: Vec<String> = vec![String::new(), "é→✓".to_string()];
+        lines.push("x".repeat(SUBSCRIBER_WRITE_BUFFER + 17));
+        lines.extend(
+            (0..3000).map(|i| format!("{{\"line\":{i},\"pad\":\"{}\"}}", "y".repeat(i % 97))),
+        );
+        let out = CountingWriter::default();
+        write_lines(&queued(&lines), out.clone()).unwrap();
+        let written = out.0.lock();
+        assert_eq!(written.bytes, per_line_bytes(&lines));
+        assert_eq!(written.flushes, 1);
+        assert!(written.writes > 1 && written.writes < lines.len());
+    }
 }

@@ -15,6 +15,8 @@ pub fn bounded<T>(cap: usize) -> (Sender<T>, Receiver<T>) {
             queue: VecDeque::with_capacity(cap),
             senders: 1,
             receivers: 1,
+            parked_receivers: 0,
+            parked_senders: 0,
         }),
         not_empty: Condvar::new(),
         not_full: Condvar::new(),
@@ -32,6 +34,14 @@ struct Inner<T> {
     queue: VecDeque<T>,
     senders: usize,
     receivers: usize,
+    /// Receivers waiting on `not_empty` in `recv`/`recv_timeout`. A push
+    /// wakes one only when this is non-zero; it is changed under the same
+    /// lock as `queue`, so a receiver that found the queue empty is counted
+    /// before any sender can see that queue again — no wake-up is lost.
+    parked_receivers: usize,
+    /// Senders waiting on `not_full` in `send`; a pop wakes one only when
+    /// this is non-zero (same rule as `parked_receivers`).
+    parked_senders: usize,
 }
 
 struct Shared<T> {
@@ -47,6 +57,27 @@ impl<T> Shared<T> {
         // queue in a consistent state (all mutations are single push/pop
         // operations), so poisoning is ignored.
         self.inner.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Pushes `record`, releases the lock and wakes one parked receiver,
+    /// if there is one.
+    fn push(&self, mut inner: std::sync::MutexGuard<'_, Inner<T>>, record: T) {
+        inner.queue.push_back(record);
+        let wake = inner.parked_receivers > 0;
+        drop(inner);
+        if wake {
+            self.not_empty.notify_one();
+        }
+    }
+
+    /// Releases the lock after a pop and wakes one parked sender, if there
+    /// is one.
+    fn popped(&self, inner: std::sync::MutexGuard<'_, Inner<T>>) {
+        let wake = inner.parked_senders > 0;
+        drop(inner);
+        if wake {
+            self.not_full.notify_one();
+        }
     }
 }
 
@@ -163,31 +194,29 @@ impl<T> Sender<T> {
                 return Err(SendError(record));
             }
             if inner.queue.len() < self.shared.cap {
-                inner.queue.push_back(record);
-                drop(inner);
-                self.shared.not_empty.notify_one();
+                self.shared.push(inner, record);
                 return Ok(());
             }
+            inner.parked_senders += 1;
             inner = self
                 .shared
                 .not_full
                 .wait(inner)
                 .unwrap_or_else(|e| e.into_inner());
+            inner.parked_senders -= 1;
         }
     }
 
     /// Non-blocking send: fails immediately when full or disconnected.
     pub fn try_send(&self, record: T) -> Result<(), TrySendError<T>> {
-        let mut inner = self.shared.lock();
+        let inner = self.shared.lock();
         if inner.receivers == 0 {
             return Err(TrySendError::Disconnected(record));
         }
         if inner.queue.len() >= self.shared.cap {
             return Err(TrySendError::Full(record));
         }
-        inner.queue.push_back(record);
-        drop(inner);
-        self.shared.not_empty.notify_one();
+        self.shared.push(inner, record);
         Ok(())
     }
 
@@ -242,18 +271,19 @@ impl<T> Receiver<T> {
         let mut inner = self.shared.lock();
         loop {
             if let Some(record) = inner.queue.pop_front() {
-                drop(inner);
-                self.shared.not_full.notify_one();
+                self.shared.popped(inner);
                 return Ok(record);
             }
             if inner.senders == 0 {
                 return Err(RecvError);
             }
+            inner.parked_receivers += 1;
             inner = self
                 .shared
                 .not_empty
                 .wait(inner)
                 .unwrap_or_else(|e| e.into_inner());
+            inner.parked_receivers -= 1;
         }
     }
 
@@ -264,8 +294,7 @@ impl<T> Receiver<T> {
         let mut inner = self.shared.lock();
         loop {
             if let Some(record) = inner.queue.pop_front() {
-                drop(inner);
-                self.shared.not_full.notify_one();
+                self.shared.popped(inner);
                 return Ok(record);
             }
             if inner.senders == 0 {
@@ -278,12 +307,14 @@ impl<T> Receiver<T> {
             else {
                 return Err(RecvTimeoutError::Timeout);
             };
+            inner.parked_receivers += 1;
             let (guard, _) = self
                 .shared
                 .not_empty
                 .wait_timeout(inner, left)
                 .unwrap_or_else(|e| e.into_inner());
             inner = guard;
+            inner.parked_receivers -= 1;
         }
     }
 
@@ -291,8 +322,7 @@ impl<T> Receiver<T> {
     pub fn try_recv(&self) -> Result<T, TryRecvError> {
         let mut inner = self.shared.lock();
         if let Some(record) = inner.queue.pop_front() {
-            drop(inner);
-            self.shared.not_full.notify_one();
+            self.shared.popped(inner);
             return Ok(record);
         }
         if inner.senders == 0 {
@@ -426,6 +456,24 @@ mod tests {
     }
 
     #[test]
+    fn parked_receivers_are_woken_by_a_push() {
+        let (tx, rx) = bounded(4);
+        let (got_tx, got_rx) = std::sync::mpsc::channel();
+        let h = std::thread::spawn(move || {
+            got_tx.send(rx.recv().unwrap()).unwrap();
+            got_tx
+                .send(rx.recv_timeout(Duration::from_secs(60)).unwrap())
+                .unwrap();
+        });
+        for record in [1, 2] {
+            std::thread::sleep(Duration::from_millis(10));
+            tx.send(record).unwrap();
+            assert_eq!(got_rx.recv_timeout(Duration::from_secs(30)), Ok(record));
+        }
+        h.join().unwrap();
+    }
+
+    #[test]
     fn send_fails_when_receivers_gone() {
         let (tx, rx) = bounded(2);
         drop(rx);
@@ -506,5 +554,85 @@ mod tests {
             .collect();
         all.sort_unstable();
         assert_eq!(all, (0..400).collect::<Vec<_>>());
+    }
+
+    /// 4 senders and 4 receivers move `ITEMS` records through a channel of
+    /// capacity `cap`, mixing every send and receive flavour. Returns what
+    /// the receivers got, sorted.
+    fn stress(cap: usize) -> Vec<u64> {
+        const ITEMS: u64 = 100_000;
+        const PER_SENDER: u64 = ITEMS / 4;
+        let (tx, rx) = bounded(cap);
+        let senders: Vec<_> = (0..4u64)
+            .map(|p| {
+                let tx = tx.clone();
+                std::thread::spawn(move || {
+                    for item in p * PER_SENDER..(p + 1) * PER_SENDER {
+                        if item % 2 == 0 {
+                            tx.send(item).unwrap();
+                        } else if let Err(e) = tx.try_send(item) {
+                            assert!(e.is_full(), "receivers outlive senders");
+                            tx.send(e.into_inner()).unwrap();
+                        }
+                    }
+                })
+            })
+            .collect();
+        drop(tx);
+        let receivers: Vec<_> = (0..4)
+            .map(|_| {
+                let rx = rx.clone();
+                std::thread::spawn(move || {
+                    let mut got = Vec::new();
+                    for turn in 0u64.. {
+                        let item = match turn % 3 {
+                            0 => rx.recv().ok(),
+                            1 => match rx.recv_timeout(Duration::from_millis(1)) {
+                                Ok(item) => Some(item),
+                                Err(RecvTimeoutError::Timeout) => continue,
+                                Err(RecvTimeoutError::Disconnected) => None,
+                            },
+                            _ => match rx.try_recv() {
+                                Ok(item) => Some(item),
+                                Err(TryRecvError::Empty) => continue,
+                                Err(TryRecvError::Disconnected) => None,
+                            },
+                        };
+                        match item {
+                            Some(item) => got.push(item),
+                            None => break,
+                        }
+                    }
+                    got
+                })
+            })
+            .collect();
+        drop(rx);
+        for h in senders {
+            h.join().unwrap();
+        }
+        let mut all: Vec<u64> = receivers
+            .into_iter()
+            .flat_map(|h| h.join().unwrap())
+            .collect();
+        all.sort_unstable();
+        assert_eq!(all.len() as u64, ITEMS);
+        all
+    }
+
+    #[test]
+    fn stress_every_item_arrives_exactly_once_without_a_hang() {
+        for cap in [1, 4] {
+            // A lost wake-up shows as a hang: run under a watchdog.
+            let (done_tx, done_rx) = std::sync::mpsc::channel();
+            std::thread::spawn(move || done_tx.send(stress(cap)).unwrap());
+            let all = done_rx
+                .recv_timeout(Duration::from_secs(120))
+                .unwrap_or_else(|_| panic!("bounded({cap}) stress hung or panicked"));
+            assert!(
+                all.iter().copied().eq(0..all.len() as u64),
+                "bounded({cap}): items lost or duplicated"
+            );
+        }
     }
 }
