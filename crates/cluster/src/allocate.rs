@@ -9,63 +9,53 @@
 
 use crate::gridobject::GridObject;
 use icpe_index::Grid;
-use icpe_types::{ObjectId, Point, Snapshot, Timestamp};
+use icpe_types::Snapshot;
 
 /// Algorithm 1: allocates a snapshot's locations to grid cells using the
 /// Lemma-1 (upper-half) replication scheme.
 pub fn grid_allocate(snapshot: &Snapshot, grid: &Grid, eps: f64) -> Vec<GridObject> {
-    allocate_impl(snapshot, grid, eps, false)
+    let mut out = Vec::with_capacity(snapshot.len() * 2);
+    grid_allocate_into(snapshot, grid, eps, &mut out);
+    out
+}
+
+/// [`grid_allocate`] appending to `out`: with a reused buffer, allocation
+/// stops once `out` has grown to a window's size.
+pub fn grid_allocate_into(snapshot: &Snapshot, grid: &Grid, eps: f64, out: &mut Vec<GridObject>) {
+    let time = snapshot.time;
+    for entry in &snapshot.entries {
+        let (id, location) = (entry.id, entry.location);
+        out.push(GridObject::data(grid.key_of(location), id, location, time));
+        grid.for_each_lemma1_key(location, eps, |key| {
+            out.push(GridObject::query(key, id, location, time));
+        });
+    }
 }
 
 /// The full-region variant (no Lemma 1): query objects are emitted for every
 /// cell intersecting the complete range region. Used by the SRJ baseline and
 /// by the Lemma-1 ablation bench.
 pub fn grid_allocate_full(snapshot: &Snapshot, grid: &Grid, eps: f64) -> Vec<GridObject> {
-    allocate_impl(snapshot, grid, eps, true)
-}
-
-fn allocate_impl(snapshot: &Snapshot, grid: &Grid, eps: f64, full: bool) -> Vec<GridObject> {
     let mut out = Vec::with_capacity(snapshot.len() * 2);
     for entry in &snapshot.entries {
-        allocate_one(
-            entry.id,
-            entry.location,
+        let (id, location) = (entry.id, entry.location);
+        out.push(GridObject::data(
+            grid.key_of(location),
+            id,
+            location,
             snapshot.time,
-            grid,
-            eps,
-            full,
-            &mut out,
-        );
+        ));
+        for key in grid.full_query_keys(location, eps) {
+            out.push(GridObject::query(key, id, location, snapshot.time));
+        }
     }
     out
-}
-
-/// Allocates a single location.
-fn allocate_one(
-    id: ObjectId,
-    location: Point,
-    time: Timestamp,
-    grid: &Grid,
-    eps: f64,
-    full: bool,
-    out: &mut Vec<GridObject>,
-) {
-    let home = grid.key_of(location);
-    out.push(GridObject::data(home, id, location, time));
-    let keys = if full {
-        grid.full_query_keys(location, eps)
-    } else {
-        grid.lemma1_query_keys(location, eps)
-    };
-    for key in keys {
-        out.push(GridObject::query(key, id, location, time));
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use icpe_types::Snapshot;
+    use icpe_types::{ObjectId, Point, Timestamp};
 
     fn snapshot_of(points: &[(u32, f64, f64)]) -> Snapshot {
         Snapshot::from_pairs(

@@ -10,28 +10,29 @@
 //! * [`LoadTracker`] — shared accounting written by the GridQuery
 //!   subtasks: per-cell load (buffered objects + produced pairs) per
 //!   window, plus per-subtask window totals for observability and benches;
-//! * [`LoadBalancer`] — the controller (run by the single allocate
-//!   subtask at snapshot boundaries): maintains decayed per-cell load
-//!   estimates, detects hot placements (`max > θ × mean`), and produces a
-//!   [`RebalancePlan`] that *splits* the hot cells out of their hash
-//!   buckets onto explicitly assigned subtasks (largest-load-first onto
-//!   the least-loaded subtask) while cold cells *merge* back to the
-//!   consistent-hash default.
+//! * [`LoadBalancer`] — the controller (run by the frontier router, which
+//!   sees every record before it is routed, at snapshot boundaries):
+//!   counts each open window's grid objects per cell, maintains decayed
+//!   per-cell load estimates, detects hot placements (`max > θ × mean`),
+//!   and produces a [`RebalancePlan`] that *splits* the hot cells out of
+//!   their hash buckets onto explicitly assigned subtasks
+//!   (largest-load-first onto the least-loaded subtask) while cold cells
+//!   *merge* back to the consistent-hash default.
 //!
 //! The balancer is deliberately mechanism-free: it never touches a
-//! routing table or a channel. The pipeline installs the plan into an
-//! `icpe-runtime` `RoutingTable` at a window boundary — the only point
-//! where no per-cell buffer is live, so a swap can never split an
-//! in-flight window across subtasks.
+//! routing table or a channel. The pipeline turns a plan into an
+//! `icpe-runtime` `RoutingTable` at a window boundary and splits every
+//! window under exactly one table, so a swap can never split a window's
+//! cell across subtasks.
 //!
 //! The unit of placement is a whole grid cell: a single cell hotter than
 //! a subtask's fair share stays on one subtask. Splitting such cells into
 //! routable sub-cells was measured on the skew bench and moved neither the
 //! p95 imbalance nor throughput beyond run-to-run noise.
 
-use icpe_index::GridKey;
+use icpe_index::{Grid, GridKey};
 use icpe_types::shard::{stable_hash, subtask_for};
-use icpe_types::{CellAssignment, CellLoadCheckpoint, RoutingCheckpoint};
+use icpe_types::{CellAssignment, CellLoadCheckpoint, Point, RoutingCheckpoint};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Mutex;
 
@@ -285,7 +286,7 @@ pub struct BalanceOutcome {
     pub plan: Option<RebalancePlan>,
 }
 
-/// The hotspot controller. Single-owner (the allocate subtask); shares
+/// The hotspot controller. Single-owner (the frontier router); shares
 /// nothing but the [`LoadTracker`] it drains.
 #[derive(Debug)]
 pub struct LoadBalancer {
@@ -320,6 +321,10 @@ pub struct LoadBalancer {
     /// observation (e.g. right after a restore), when planning falls back
     /// to the EWMA pools.
     last_records: HashMap<GridKey, f64>,
+    /// Per-cell grid-object counts of the windows not yet placed (see
+    /// [`LoadBalancer::count`]). Not checkpointed: a restore recounts the
+    /// cut's buffered rows.
+    open: BTreeMap<u32, HashMap<GridKey, u64>>,
     /// The explicit overlay currently in force (mirrors the installed
     /// routing table; this controller is its only writer).
     assignments: HashMap<GridKey, usize>,
@@ -338,6 +343,7 @@ impl LoadBalancer {
             pair_estimates: HashMap::new(),
             pair_rate: HashMap::new(),
             last_records: HashMap::new(),
+            open: BTreeMap::new(),
             assignments: HashMap::new(),
             epoch: 0,
             cells_migrated: 0,
@@ -364,6 +370,7 @@ impl LoadBalancer {
             pair_estimates: HashMap::new(),
             pair_rate: HashMap::new(),
             last_records: HashMap::new(),
+            open: BTreeMap::new(),
             assignments: ckpt
                 .assignments
                 .iter()
@@ -565,6 +572,36 @@ impl LoadBalancer {
         })
     }
 
+    /// Counts the grid objects GridAllocate makes of one `location` of
+    /// window `time` — its home cell and its Lemma-1 replicas — into the
+    /// window's per-cell distribution, which [`LoadBalancer::place`] plans
+    /// on when the window seals.
+    pub fn count(&mut self, time: u32, location: Point, grid: &Grid, eps: f64) {
+        let cells = self.open.entry(time).or_default();
+        *cells.entry(grid.key_of(location)).or_default() += 1;
+        grid.for_each_lemma1_key(location, eps, |cell| *cells.entry(cell).or_default() += 1);
+    }
+
+    /// The window boundary of a controller that counts every record before
+    /// it is routed: folds the counted objects of the sealed windows
+    /// `times` (ascending) and each window of query-side pair `feedback`
+    /// (from [`LoadTracker::drain_cells`]), then evaluates once. Returns
+    /// the table swap the sealed windows must be routed under, if any.
+    pub fn place(
+        &mut self,
+        times: &[u32],
+        feedback: Vec<(u32, HashMap<GridKey, CellLoad>)>,
+    ) -> Option<RebalancePlan> {
+        for t in times {
+            let records = self.open.remove(t).unwrap_or_default();
+            self.observe_records(&records);
+        }
+        for (_, cells) in feedback {
+            self.observe_pairs_window(&cells);
+        }
+        self.evaluate().and_then(|outcome| outcome.plan)
+    }
+
     /// Test/embedding convenience: fold one fully observed window
     /// (records + pairs arriving together) and evaluate.
     pub fn on_window_boundary(
@@ -716,6 +753,34 @@ mod tests {
             x += 1;
         }
         out
+    }
+
+    #[test]
+    fn place_plans_on_the_counted_objects_of_the_sealed_windows() {
+        let mut b = LoadBalancer::new(
+            BalancerConfig {
+                theta: 1.1,
+                cooldown_windows: 0,
+                ..BalancerConfig::default()
+            },
+            4,
+        );
+        let grid = Grid::new(1.0);
+        let hot = colliding_cells(4, 4);
+        for cell in &hot {
+            // Cell centres, far from the edges: no Lemma-1 replicas.
+            let at = Point::new(cell.x as f64 + 0.5, 0.5);
+            for _ in 0..10 {
+                b.count(3, at, &grid, 0.1);
+            }
+        }
+        assert_eq!(b.open[&3].values().sum::<u64>(), 40);
+        assert!(b.place(&[], Vec::new()).is_none(), "nothing sealed yet");
+        let plan = b
+            .place(&[3], Vec::new())
+            .expect("four hot cells on one subtask");
+        assert!(plan.migrated > 0);
+        assert!(b.open.is_empty(), "the sealed window's counts are folded");
     }
 
     #[test]

@@ -30,7 +30,7 @@ pub mod rjc;
 pub mod srj;
 pub mod sync;
 
-pub use allocate::{grid_allocate, grid_allocate_full};
+pub use allocate::{grid_allocate, grid_allocate_full, grid_allocate_into};
 pub use balance::{BalanceOutcome, BalancerConfig, CellLoad, LoadBalancer, LoadTracker};
 pub use dbscan::{dbscan_from_pairs, DbscanOutcome};
 pub use gdc::GdcClusterer;

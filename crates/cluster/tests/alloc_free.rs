@@ -1,13 +1,14 @@
-//! GridQuery's cell loop allocates nothing: on `dense_join`-shaped cells
-//! (8 ε wide, ~40 data objects and ~10 query replicas each) a reused
+//! GridAllocate and GridQuery's cell loop allocate nothing: on
+//! `dense_join`-shaped data (cells 8 ε wide, ~40 data objects and ~10
+//! query replicas each) `grid_allocate_into` a reused buffer, and a reused
 //! [`CellQueryEngine`] — `clear` + `run_cell`, or the `query_cells` loop
-//! over a whole window — performs no allocation once warm. The caller's
+//! over a whole window — perform no allocation once warm. The caller's
 //! pair and load vectors are reserved up front, so their growth is not
 //! counted.
 
-use icpe_cluster::{query_cells, CellQueryEngine, GridObject};
-use icpe_index::GridKey;
-use icpe_types::{DistanceMetric, ObjectId, Point, Timestamp};
+use icpe_cluster::{grid_allocate_into, query_cells, CellQueryEngine, GridObject};
+use icpe_index::{Grid, GridKey};
+use icpe_types::{DistanceMetric, ObjectId, Point, Snapshot, Timestamp};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -146,6 +147,40 @@ fn query_cells_allocates_nothing_once_warm() {
             allocated += allocations() - before;
         }
         assert_eq!(loads.len(), 40);
+    }
+    assert_eq!(allocated, 0);
+}
+
+#[test]
+fn grid_allocate_into_allocates_nothing_once_warm() {
+    // A window of 40 locations per cell over 50 × 40 cells, moving a
+    // little each tick.
+    let mut unit = Unit(0x5DEE_CE66_D1CE_4E5B);
+    let (cols, rows, per_cell) = (50.0, 40.0, 40.0);
+    let mut at: Vec<Point> = (0..(cols * rows * per_cell) as usize)
+        .map(|_| Point::new(unit.next() * cols * LG, unit.next() * rows * LG))
+        .collect();
+    let grid = Grid::new(LG);
+    let mut objects = Vec::new();
+    let mut allocated = 0u64;
+    for tick in 0..12u32 {
+        let snapshot = Snapshot::from_pairs(
+            Timestamp(tick),
+            at.iter()
+                .enumerate()
+                .map(|(id, &p)| (ObjectId(id as u32), p)),
+        );
+        objects.clear();
+        let before = allocations();
+        grid_allocate_into(&snapshot, &grid, EPS, &mut objects);
+        if tick >= 2 {
+            allocated += allocations() - before;
+        }
+        let replicas = objects.len() - at.len();
+        assert!(replicas > at.len() / 10, "Lemma-1 replicas: {replicas}");
+        for p in &mut at {
+            *p = Point::new(p.x + unit.next() - 0.5, p.y + unit.next() - 0.5);
+        }
     }
     assert_eq!(allocated, 0);
 }

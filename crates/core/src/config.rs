@@ -51,11 +51,10 @@ pub enum ClustererKind {
     Rjc,
 }
 
-/// Default fanin of the aggregation trees (sync-merge over the grid-query
-/// subtasks, snap-merge over the aligner shards): how many partials each
-/// combiner absorbs. 4 keeps a tree at most one interior level deep up to
-/// parallelism 16 while still fanning the object-id unions out; `≥ N`
-/// degrades to a flat N → 1 funnel.
+/// Default fanin of the sync-merge aggregation tree over the grid-query
+/// subtasks: how many partials each combiner absorbs. 4 keeps the tree at
+/// most one interior level deep up to parallelism 16 while still fanning
+/// the object-id unions out; `≥ N` degrades to a flat N → 1 funnel.
 pub const DEFAULT_SYNC_FANIN: usize = 4;
 
 /// The enumeration engine: FBA, fixed-length bit compression, the only
@@ -89,15 +88,15 @@ pub struct IcpeConfig {
     /// streaming deployment — the paper's machine count — and the width of
     /// the sync-merge tree.
     pub parallelism: usize,
-    /// Fanin of the aggregation trees (clamped ≥ 2): the `N` grid-query
-    /// subtasks' pair shares reduce through ⌈N/fanin⌉ combiners per level
-    /// down to the DBSCAN finalizer, and the aligner shards' snapshot
-    /// partials likewise down to the snapshot-merge finalizer.
+    /// Fanin of the sync-merge tree (clamped ≥ 2), the deployment's only
+    /// aggregation tree: the `N` grid-query subtasks' pair shares reduce
+    /// through ⌈N/fanin⌉ combiners per level down to the DBSCAN finalizer.
     pub sync_fanin: usize,
     /// Parallelism of the sharded aligner head (TimeAligner + fused
-    /// GridAllocate), keyed by trajectory id. Defaults to `parallelism`;
-    /// `1` degenerates to a single aligner shard behind the frontier
-    /// router.
+    /// GridAllocate), keyed by trajectory id; each shard sends every
+    /// grid-query subtask its objects of a window directly. Defaults to
+    /// `parallelism`; `1` degenerates to a single aligner shard behind the
+    /// frontier router.
     pub align_shards: usize,
     /// Runtime channel capacity (backpressure depth).
     pub runtime: RuntimeConfig,
@@ -239,9 +238,9 @@ impl IcpeConfigBuilder {
         self
     }
 
-    /// Sets the aggregation-tree fanin (default [`DEFAULT_SYNC_FANIN`],
-    /// clamped ≥ 2). `fanin ≥ N` collapses the
-    /// tree to a flat N → 1 funnel.
+    /// Sets the sync-merge tree's fanin (default [`DEFAULT_SYNC_FANIN`],
+    /// clamped ≥ 2). `fanin ≥ N` collapses the tree to a flat N → 1
+    /// funnel.
     pub fn sync_fanin(mut self, fanin: usize) -> Self {
         self.sync_fanin = fanin.max(2);
         self

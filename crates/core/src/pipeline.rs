@@ -2,8 +2,7 @@
 //!
 //! ```text
 //! Source(1) → AlignRoute(1) → AlignShard+GridAllocate(S, keyBy id)
-//!     → SnapMerge(tree, fanin f)         ┐
-//!     → GridQuery(N, keyBy grid cell)    │  keyed data,
+//!     → GridQuery(N, keyBy grid cell)    ┐  keyed data,
 //!     → SyncMerge+DBSCAN(tree, fanin f)  │  broadcast per-snapshot ticks
 //!     → Enumerate(N, keyBy owner id)     ┘
 //!     → Sink(1)
@@ -12,10 +11,10 @@
 //! Snapshot boundaries travel as broadcast *ticks* (the runtime equivalent
 //! of Flink punctuation/watermarks): a keyed subtask knows a snapshot's
 //! contribution is complete when it has seen the boundary tick from each of
-//! its upstream producers. Latency is measured from a snapshot leaving the
-//! snapshot-merge finalizer until all enumeration subtasks have reported
-//! its tick done; throughput is completed snapshots per second — the two
-//! measures of §7.
+//! its upstream producers. Latency is measured from the frontier router
+//! sealing a snapshot until all enumeration subtasks have reported its tick
+//! done; throughput is completed snapshots per second — the two measures
+//! of §7.
 //!
 //! ## The sharded aligner head
 //!
@@ -28,15 +27,13 @@
 //! **aligner shards** (`align-shard`, keyed by `hash_id(id) % S`) holding
 //! the buffered snapshot rows of their trajectories. The router forwards
 //! each kept record to its shard and broadcasts `Seal` punctuation as
-//! times become sealable; each shard then runs GridAllocate over its rows
-//! — cell assignment is per-record stateless, so the allocate work rides
-//! the shards for free — and emits a partial object set per sealed time.
-//! Partials reduce through a `snap-merge` aggregation tree (same fanin as
-//! the sync-merge tree, ticks aligned at every level) to one finalizer that
-//! runs the load balancer and releases the window to the keyed grid
-//! exchange. Per-record chain work, row buffering, and cell assignment all
-//! scale with `S`; only the frontier bookkeeping (a hash+compare per
-//! record) stays serial.
+//! times become sealable (a window's latency clock starts there). Each
+//! shard then runs GridAllocate over its rows and sends each grid-query
+//! subtask its objects of the window in one batch — the paper's
+//! GridAllocate flatMap feeding `keyBy(cell)`; no window is ever assembled
+//! in one place. Chain work, row buffering, cell assignment and the keyed
+//! split all scale with `S`; only the frontier bookkeeping (a hash+compare
+//! per record) stays serial.
 //!
 //! This is the one dataflow the deployment runs, with one enumeration
 //! engine: FBA. The paper's comparison baselines — the §7.1 clusterers SRJ
@@ -99,22 +96,22 @@
 //! ## Adaptive cell routing (hotspot-aware repartitioning)
 //!
 //! With [`rebalance`](crate::IcpeConfigBuilder::rebalance) set, the
-//! GridQuery exchange routes through a shared, epoch-versioned
-//! [`RoutingTable`] instead of a fixed `hash(cell) % N`:
+//! frontier router owns the [`LoadBalancer`] and cells route through an
+//! epoch-stamped [`RoutingTable`] instead of a fixed `hash(cell) % N`:
 //!
 //! * every GridQuery subtask accounts its per-cell load (buffered objects
 //!   plus produced pairs) into a shared [`LoadTracker`] as it flushes
 //!   each window;
-//! * the (single) snapshot-merge finalizer — the one subtask upstream of
-//!   the keyed exchange — runs the [`LoadBalancer`] at each snapshot
-//!   boundary, **before** emitting the snapshot's objects, and, when a hot
-//!   placement is detected, installs a new routing epoch into the table;
-//! * because the swap happens strictly between the boundary tick of
-//!   window `t−1` and the first object of window `t`, and ticks flush
-//!   every per-cell buffer, a window's cell group is always routed under
-//!   exactly one epoch: migrations can never split an in-flight window
-//!   across subtasks, which is why adaptive and static routing provably
-//!   seal identical pattern multisets.
+//! * the router counts each open window's grid objects per cell (home
+//!   cell and Lemma-1 replicas of every kept record); when it seals
+//!   windows the balancer places them on those counts and the tracker's
+//!   pair feedback and — when a hot placement is detected — the router
+//!   builds the next epoch's table;
+//! * the `Seal` carries the table (an `Arc`), and each shard splits every
+//!   window the Seal lists by it. A window's objects are therefore split
+//!   under exactly one epoch, on every shard: migrations can never split
+//!   a window's cell across subtasks, which is why adaptive and static
+//!   routing provably seal identical pattern multisets.
 //!
 //! The learned placement (epoch, explicit assignments, decayed cell
 //! loads) rides in the checkpoint's `routing` section, so a restored
@@ -125,14 +122,16 @@ use crate::config::{IcpeConfig, Supervision};
 use crate::status::{up_to, HealthState, PipelineStatus, StatusGauges};
 use icpe_cluster::balance::{CellLoad, LoadBalancer, LoadTracker};
 use icpe_cluster::query::NeighborPair;
-use icpe_cluster::{dbscan_from_pairs, grid_allocate, query_cells, CellQueryEngine, GridObject};
+use icpe_cluster::{
+    dbscan_from_pairs, grid_allocate_into, query_cells, CellQueryEngine, GridObject,
+};
 use icpe_index::{Grid, GridKey};
 use icpe_pattern::partition::Partition;
 use icpe_pattern::{id_partitions, FbaEngine};
 use icpe_runtime::{
     ingest_channel, BarrierSeq, Collector, Disconnected, Envelope, Exchange, MetricRegistry,
-    MetricsReport, ObsEventKind, Operator, Partial, Routed, Routing, ShardedAligner, StageFailure,
-    Stream, TreeCombiner, WindowAlign,
+    MetricsReport, ObsEventKind, Operator, Partial, Routed, Routing, RoutingTable, ShardedAligner,
+    StageFailure, Stream, TreeCombiner, WindowAlign,
 };
 use icpe_types::shard::{hash_id, stable_hash, subtask_for};
 use icpe_types::{
@@ -207,10 +206,8 @@ pub(crate) struct BarrierToken {
     /// buffer-only piece per shard (their unsealed rows). The sink merges
     /// these with the router's piece into the canonical aligner section.
     aligner_shards: Mutex<Vec<AlignerCheckpoint>>,
-    /// Filled by the snapshot-merge finalizer as the barrier passes it:
-    /// the adaptive-routing state at the cut. Stays `None` under static
-    /// routing.
-    routing: Mutex<Option<RoutingCheckpoint>>,
+    /// The router's balancer at the cut; `None` under static routing.
+    routing: Option<RoutingCheckpoint>,
     /// Filled by the sync-merge finalizer as the barrier aligns there: its
     /// cumulative pair counter.
     pairs_merged: AtomicU64,
@@ -1058,9 +1055,20 @@ impl ResumeState {
         // carries one and the configuration still wants adaptive routing;
         // a static restore of an adaptive checkpoint simply ignores it
         // (the table is a performance hint, never correctness state).
-        let balancer = config.rebalance.map(|bc| match &ckpt.routing {
-            Some(routing) => LoadBalancer::from_checkpoint(bc, n, routing),
-            None => LoadBalancer::new(bc, n),
+        let balancer = config.rebalance.map(|bc| {
+            let mut balancer = match &ckpt.routing {
+                Some(routing) => LoadBalancer::from_checkpoint(bc, n, routing),
+                None => LoadBalancer::new(bc, n),
+            };
+            // The cut's buffered rows belong to windows the restored router
+            // has yet to seal: they count as if they had just arrived.
+            let (grid, eps) = (Grid::new(config.lg), config.dbscan.eps);
+            for snapshot in &ckpt.aligner.buffers {
+                for entry in &snapshot.entries {
+                    balancer.count(snapshot.time.0, entry.location, &grid, eps);
+                }
+            }
+            balancer
         });
         Ok(ResumeState {
             aligner_ckpt: Some(ckpt.aligner.clone()),
@@ -1225,7 +1233,7 @@ fn drive(
                 // the token holds its pair count. Same happens-before
                 // argument for the aligner shards: each
                 // deposits its buffer-only piece before forwarding the
-                // barrier into the snapshot-merge tree. The router's piece
+                // barrier to grid-query. The router's piece
                 // (chains + counters) plus the shard pieces merge into one
                 // canonical, shard-count-independent aligner section.
                 let mut aligner_pieces = vec![token.aligner.clone()];
@@ -1249,9 +1257,9 @@ fn drive(
                     },
                     aligner,
                     engine,
-                    // Deposited by the snapshot-merge finalizer as the
-                    // barrier passed it; `None` under static routing.
-                    routing: token.routing.lock().expect("routing slot poisoned").clone(),
+                    // Taken by the router with its piece; `None` under
+                    // static routing.
+                    routing: token.routing.clone(),
                     // The registry's cumulative counters at (just after)
                     // the cut — a restored deployment's METRICS totals
                     // continue from here.
@@ -1280,8 +1288,8 @@ fn drive(
 
 /// Builds the clustering dataflow — alignment head included — producing
 /// the keyed partition stream consumed by enumeration: frontier router →
-/// aligner shards with fused GridAllocate → snapshot-merge tree →
-/// GridQuery → sync-merge tree with DBSCAN.
+/// aligner shards with fused GridAllocate and the keyed split → GridQuery
+/// → sync-merge tree with DBSCAN.
 fn cluster_stages(
     source: Stream<InputMsg>,
     config: &IcpeConfig,
@@ -1304,19 +1312,17 @@ fn cluster_stages(
         ..
     } = resume;
     // The frontier router: the one serial subtask, owning the chains
-    // (partitioned by shard) and the global seal frontier. On restore it
-    // rebuilds from the checkpoint's canonical aligner section — at this
-    // deployment's shard count, which may differ from the one that wrote
-    // it.
+    // (partitioned by shard), the global seal frontier and — in adaptive
+    // mode — the balancer. On restore it rebuilds from the checkpoint's
+    // canonical aligner section — at this deployment's shard count, which
+    // may differ from the one that wrote it.
     let router = match &aligner_ckpt {
         Some(ckpt) => ShardedAligner::from_checkpoint(config.aligner, shards, ckpt),
         None => ShardedAligner::new(config.aligner, shards),
     };
-    let routed = source.single(
-        "align-route",
-        Exchange::Rebalance,
-        AlignRouteOp::new(router, status.clone(), records_ingested),
-    );
+    status.gauges.aligned_up_to.set(up_to(max_sealed));
+    let route = AlignRouteOp::new(router, status.clone(), records_ingested, balancer, config);
+    let routed = source.single("align-route", Exchange::Rebalance, route);
     let routed = routed.weigh(|msg| {
         msg.rows(|data| match data {
             RouteData::Records { records, .. } => records.len(),
@@ -1325,10 +1331,8 @@ fn cluster_stages(
     });
     // S aligner shards, keyed by trajectory: each buffers the rows of its
     // trajectories and — at the router's Seal punctuation — runs
-    // GridAllocate over them (per-record stateless, so the cell-assignment
-    // work rides the shards for free) and emits one grid-object partial
-    // per sealed time.
-    let shard_partials = routed.apply(
+    // GridAllocate over them and sends each grid-query subtask its share.
+    let grid_batches = routed.apply(
         "align-shard",
         shards,
         Exchange::envelope(|msg: &RouteData| match msg {
@@ -1346,63 +1350,28 @@ fn cluster_stages(
                     buffers.insert(snapshot.time.0, snapshot);
                 }
             }
-            AlignShardOp {
-                shard: i,
-                grid: Grid::new(lg),
-                eps,
-                buffers,
-            }
+            AlignShardOp::new(i, Grid::new(lg), eps, buffers, n)
         },
     );
-    let shard_partials = shard_partials.weigh(|msg| msg.rows(|(_, objects)| objects.len()));
-    // The finalizer's restored state, in place before it routes a window:
-    // the aligned frontier (at a cut everything aligned has sealed), the
-    // migration count, and the learned table.
-    let gauges = &status.gauges;
-    gauges.aligned_up_to.set(up_to(max_sealed));
-    gauges
-        .cells_migrated
-        .set(balancer.as_ref().map_or(0, LoadBalancer::cells_migrated));
-    if let Some(balancer) = &balancer {
-        status
-            .table
-            .install(balancer.epoch(), balancer.table_assignments());
-    }
-    // The partials reduce through an aggregation tree (same fanin as the
-    // sync-merge tree, ticks and barriers aligned at every level) down to the
-    // one finalizer that runs the load balancer and releases each window
-    // to the keyed grid exchange.
-    let final_status = status.clone();
-    let grid_objects = shard_partials.reduce_tree(
-        "snap-merge",
-        shards,
-        config.sync_fanin,
-        |slot| TreeCombiner::new(slot.inputs),
-        move |inputs| SnapFinalOp {
-            status: final_status,
-            balancer,
-            align: WindowAlign::new(inputs),
-        },
-    );
-    // Keyed on the grid cell either statically (`hash % N`) or through the
-    // swappable routing table; ticks and barriers broadcast either way.
-    let by_cell = |o: &GridObject| Routing::Key(stable_hash(&o.key));
-    let exchange = match config.rebalance {
-        Some(_) => Exchange::envelope_via(Arc::clone(&status.table), by_cell),
-        None => Exchange::envelope(by_cell),
-    };
+    let grid_batches = grid_batches.weigh(|msg| msg.rows(|batch| batch.objects.len()));
+    // Each batch goes to the subtask it names; grid-query aligns over S.
     let tracker = Arc::clone(&status.tracker);
-    let partials = grid_objects.apply("grid-query", n, exchange, move |subtask| QueryOp {
-        subtask,
-        tracker: Arc::clone(&tracker),
-        engine: CellQueryEngine::new(eps, metric),
-        buffers: BTreeMap::new(),
-        spare: Vec::new(),
-        loads: Vec::new(),
-        pairs: Vec::new(),
-    });
+    let partials = grid_batches.apply(
+        "grid-query",
+        n,
+        Exchange::envelope(|batch: &GridBatch| Routing::Key(batch.dest as u64)),
+        move |subtask| QueryOp {
+            subtask,
+            tracker: Arc::clone(&tracker),
+            engine: CellQueryEngine::new(eps, metric),
+            align: WindowAlign::new(shards),
+            loads: Vec::new(),
+            pairs: Vec::new(),
+        },
+    );
     let partials = partials.weigh(|msg| msg.rows(|(_, partial)| partial.pairs.len()));
     // The finalizer resumes the cut's counters.
+    let gauges = &status.gauges;
     gauges.pairs_merged.set(progress.pairs_merged);
     gauges.windows_sealed.set(progress.windows_sealed);
     let gauges = gauges.clone();
@@ -1444,19 +1413,27 @@ enum RouteData {
     /// keyed by the owning shard.
     Records { shard: u32, records: Vec<GpsRecord> },
     /// These times sealed (ascending): flush their buffered rows through
-    /// GridAllocate and tick the snapshot-merge tree. Broadcast — one
-    /// message per router batch however many times it sealed.
-    Seal { times: Vec<u32> },
+    /// GridAllocate, split the objects by `table` (`None`: static hash
+    /// placement), and tick grid-query. Broadcast — one message per router
+    /// batch however many times it sealed.
+    Seal {
+        times: Vec<u32>,
+        table: Option<Arc<RoutingTable>>,
+    },
 }
 
-/// Aligner shards → snapshot-merge tree → finalizer: one producer's
-/// grid-object share of a sealed window (shards own disjoint trajectories,
-/// so concatenation is exact — and the downstream range join is provably
-/// object-order-invariant).
-type SnapMsg = Envelope<(u32, Vec<GridObject>), Token>;
+/// Aligner shards → GridQuery: one shard's grid objects of window `time`
+/// that route to grid-query subtask `dest`. Shards own disjoint
+/// trajectories, so a subtask's window is the concatenation of its
+/// batches — and the range join is provably object-order-invariant.
+#[derive(Debug, Clone)]
+struct GridBatch {
+    time: u32,
+    dest: u32,
+    objects: Vec<GridObject>,
+}
 
-/// GridAllocate → GridQuery: one grid object, keyed by its cell.
-type ClusterMsg = Envelope<GridObject, Token>;
+type GridMsg = Envelope<GridBatch, Token>;
 
 /// GridQuery → aggregation tree → finalizer: one producer's share of a
 /// window's pairs.
@@ -1552,11 +1529,12 @@ enum OutMsg {
 /// shard's frontier — a per-shard decision would drop records the serial
 /// aligner keeps, or keep records it drops). Per record it does a hash,
 /// a chain advance, and a bucket push; the buffering, allocate, and
-/// flush work all live on the shards. Also the checkpoint cut: the
-/// authoritative record count and the router's chains + counters piece.
+/// flush work all live on the shards. Also the window boundary (clock
+/// start, routing table) and the checkpoint cut: the authoritative record
+/// count, the router's chains + counters piece and the balancer.
 struct AlignRouteOp {
     router: ShardedAligner,
-    /// The journal, and the router's gauges.
+    /// The journal, window clock, load tracker and the router's gauges.
     status: PipelineStatus,
     /// The late-drop count the journal has reported so far.
     reported_late: u64,
@@ -1565,11 +1543,28 @@ struct AlignRouteOp {
     buckets: Vec<Vec<GpsRecord>>,
     /// Times sealed by the batch being processed, ascending.
     sealed: Vec<u32>,
+    /// `Some` in adaptive mode: the balancer, which counts every kept
+    /// record's grid objects (on `grid`, at `eps`) and places each window
+    /// as it seals, and its current placement as the table windows are
+    /// split by (rebuilt once per plan).
+    adaptive: Option<(LoadBalancer, Arc<RoutingTable>)>,
+    grid: Grid,
+    eps: f64,
 }
 
 impl AlignRouteOp {
     /// The router's operator; publishes its (possibly restored) gauges.
-    fn new(router: ShardedAligner, status: PipelineStatus, records_ingested: u64) -> AlignRouteOp {
+    fn new(
+        router: ShardedAligner,
+        status: PipelineStatus,
+        records_ingested: u64,
+        balancer: Option<LoadBalancer>,
+        config: &IcpeConfig,
+    ) -> AlignRouteOp {
+        let adaptive = balancer.map(|b| {
+            let table = RoutingTable::new(b.epoch(), b.table_assignments());
+            (b, Arc::new(table))
+        });
         let op = AlignRouteOp {
             reported_late: router.late_dropped_total(),
             buckets: vec![Vec::new(); router.shards()],
@@ -1577,13 +1572,33 @@ impl AlignRouteOp {
             status,
             records_ingested,
             sealed: Vec::new(),
+            adaptive,
+            grid: Grid::new(config.lg),
+            eps: config.dbscan.eps,
         };
         op.publish(true);
         op
     }
 
+    /// Window-boundary rebalancing, once per `Seal`: the balancer places
+    /// the sealed windows on their exact per-cell counts and the pair
+    /// feedback of every window grid-query has finished since; a plan
+    /// becomes the next epoch's table. Returns the table the `Seal`
+    /// carries (`None` under static routing).
+    fn rebalance(&mut self, times: &[u32]) -> Option<Arc<RoutingTable>> {
+        let (balancer, table) = self.adaptive.as_mut()?;
+        if let Some(plan) = balancer.place(times, self.status.tracker.drain_cells()) {
+            self.status.obs.emit(ObsEventKind::CellMigrated {
+                epoch: plan.epoch,
+                cells: plan.migrated,
+            });
+            *table = Arc::new(RoutingTable::new(plan.epoch, plan.assignments));
+        }
+        Some(Arc::clone(table))
+    }
+
     /// Publishes the head's gauges — the per-shard frontier spread, O(shards)
-    /// index lookups, only when times `sealed`.
+    /// index lookups, and the routing gauges only when times `sealed`.
     fn publish(&self, sealed: bool) {
         let (g, router) = (&self.status.gauges, &self.router);
         let (chains, max_shard_chains) = router.chain_counts();
@@ -1596,6 +1611,12 @@ impl AlignRouteOp {
             let (min, max) = router.frontier_range();
             g.min_shard_frontier.set(min as u64);
             g.max_shard_frontier.set(max as u64);
+            let (epoch, mapped, migrated) = self.adaptive.as_ref().map_or((0, 0, 0), |(b, t)| {
+                (t.epoch(), t.mapped_keys() as u64, b.cells_migrated())
+            });
+            g.routing_epoch.set(epoch);
+            g.cells_mapped.set(mapped);
+            g.cells_migrated.set(migrated);
         }
     }
 
@@ -1603,6 +1624,9 @@ impl AlignRouteOp {
         self.records_ingested += 1;
         match self.router.route(&record) {
             Routed::Keep { shard } => {
+                if let Some((balancer, _)) = &mut self.adaptive {
+                    balancer.count(record.time.0, record.location, &self.grid, self.eps);
+                }
                 self.buckets[shard].push(record);
                 // Drain after every kept record, exactly as the serial
                 // aligner drains per push: drain frequency decides when
@@ -1634,12 +1658,19 @@ impl AlignRouteOp {
         self.emit_seal(times, out);
     }
 
-    /// Emits the seal punctuation for `times` (if any), journals the
-    /// batch's late drops and republishes the head gauges.
+    /// Emits the seal punctuation for `times` (if any) — the windows'
+    /// boundary: their clocks start and their table is chosen here —
+    /// journals the batch's late drops and republishes the head gauges.
     fn emit_seal(&mut self, times: Vec<u32>, out: &mut Collector<RouteMsg>) {
         let sealed = !times.is_empty();
         if sealed {
-            out.emit(Envelope::Data(RouteData::Seal { times }));
+            let table = self.rebalance(&times);
+            for &t in &times {
+                self.status.clock.start(t);
+            }
+            let last = times.last().copied();
+            self.status.gauges.aligned_up_to.set(up_to(last));
+            out.emit(Envelope::Data(RouteData::Seal { times, table }));
         }
         let total = self.router.late_dropped_total();
         if total > self.reported_late {
@@ -1674,7 +1705,7 @@ impl Operator<InputMsg, RouteMsg> for AlignRouteOp {
                     aligner: self.router.checkpoint(),
                     records_ingested: self.records_ingested,
                     aligner_shards: Mutex::new(Vec::new()),
-                    routing: Mutex::new(None),
+                    routing: self.adaptive.as_ref().map(|(b, _)| b.checkpoint()),
                     pairs_merged: AtomicU64::new(0),
                 })));
             }
@@ -1693,36 +1724,70 @@ impl Operator<InputMsg, RouteMsg> for AlignRouteOp {
 /// trajectories per snapshot time, and at the router's `Seal` punctuation
 /// flushes each listed time through cell assignment (Algorithm 1 with the
 /// Lemma-1 upper-half replication — a per-record stateless map, so fusing
-/// it here costs the shard nothing extra and removes a serial stage) into
-/// one grid-object partial for the snapshot-merge tree. At a barrier it
-/// deposits its unsealed rows as a buffer-only checkpoint piece — the only
-/// state it holds.
+/// it here costs the shard nothing extra and removes a serial stage),
+/// splits the grid objects by the Seal's routing table and sends each
+/// grid-query subtask its share. At a barrier it deposits its unsealed
+/// rows as a buffer-only checkpoint piece — the only state it holds.
 struct AlignShardOp {
     shard: usize,
     grid: Grid,
     eps: f64,
     /// Buffered rows of this shard's trajectories, keyed by snapshot time.
     buffers: BTreeMap<u32, Snapshot>,
+    /// A sealed window's grid objects, reused across windows.
+    objects: Vec<GridObject>,
+    /// The window's objects per grid-query subtask.
+    parts: Vec<Vec<GridObject>>,
 }
 
 impl AlignShardOp {
+    /// Shard `shard` holding `buffers`, splitting for `n` grid-query
+    /// subtasks.
+    fn new(shard: usize, grid: Grid, eps: f64, buffers: BTreeMap<u32, Snapshot>, n: usize) -> Self {
+        let (objects, parts) = (Vec::new(), vec![Vec::new(); n]);
+        AlignShardOp {
+            shard,
+            grid,
+            eps,
+            buffers,
+            objects,
+            parts,
+        }
+    }
+
     /// Flushes sealed time `t`: this shard's rows through GridAllocate,
-    /// then the tick. Every shard ticks every sealed time — empty-handed
-    /// shards included — so the tree's alignment count is exact and empty
-    /// windows still seal downstream.
-    fn seal(&mut self, t: u32, out: &mut Collector<SnapMsg>) {
+    /// one batch per grid-query subtask they route to under `table` (hash
+    /// placement without one), then the tick. Every shard ticks every
+    /// sealed time — empty-handed shards included — so grid-query's
+    /// alignment count is exact and empty windows still seal downstream.
+    fn seal(&mut self, t: u32, table: Option<&RoutingTable>, out: &mut Collector<GridMsg>) {
         if let Some(snapshot) = self.buffers.remove(&t) {
-            let objects = grid_allocate(&snapshot, &self.grid, self.eps);
-            if !objects.is_empty() {
-                out.emit(Envelope::Data((t, objects)));
+            grid_allocate_into(&snapshot, &self.grid, self.eps, &mut self.objects);
+            let n = self.parts.len();
+            for o in self.objects.drain(..) {
+                let h = stable_hash(&o.key);
+                let dest = table.map_or_else(|| subtask_for(h, n), |table| table.subtask(h, n));
+                self.parts[dest].push(o);
+            }
+            for (dest, part) in self.parts.iter_mut().enumerate() {
+                if !part.is_empty() {
+                    // The next window sends about as many here: size the
+                    // replacement once instead of regrowing it.
+                    let next = Vec::with_capacity(part.len());
+                    out.emit(Envelope::Data(GridBatch {
+                        time: t,
+                        dest: dest as u32,
+                        objects: std::mem::replace(part, next),
+                    }));
+                }
             }
         }
         out.emit(Envelope::Tick(t));
     }
 }
 
-impl Operator<RouteMsg, SnapMsg> for AlignShardOp {
-    fn process(&mut self, msg: RouteMsg, out: &mut Collector<SnapMsg>) {
+impl Operator<RouteMsg, GridMsg> for AlignShardOp {
+    fn process(&mut self, msg: RouteMsg, out: &mut Collector<GridMsg>) {
         match msg {
             Envelope::Data(RouteData::Records { shard, records }) => {
                 debug_assert_eq!(
@@ -1736,12 +1801,12 @@ impl Operator<RouteMsg, SnapMsg> for AlignShardOp {
                         .push(r.id, r.location, r.last_time);
                 }
             }
-            Envelope::Data(RouteData::Seal { times }) => {
+            Envelope::Data(RouteData::Seal { times, table }) => {
                 for t in times {
-                    self.seal(t, out);
+                    self.seal(t, table.as_deref(), out);
                 }
             }
-            Envelope::Tick(t) => self.seal(t, out),
+            Envelope::Tick(_) => unreachable!("the router seals with Seal punctuation only"),
             Envelope::Barrier(token) => {
                 // The rows still buffered here are exactly the cut's
                 // unsealed rows of this shard's trajectories; chains,
@@ -1763,104 +1828,20 @@ impl Operator<RouteMsg, SnapMsg> for AlignShardOp {
     }
 }
 
-/// The root of the snapshot-merge tree: the one subtask upstream of the
-/// keyed grid exchange, and therefore — in adaptive mode — the
-/// rebalancing controller: the only place a routing swap can be ordered
-/// strictly between two windows' objects. Also the latency ingest point:
-/// a window's clock starts when it leaves here, complete.
-struct SnapFinalOp {
-    status: PipelineStatus,
-    /// `Some` in adaptive mode (owned here; single subtask).
-    balancer: Option<LoadBalancer>,
-    align: WindowAlign<Vec<GridObject>>,
-}
-
-impl SnapFinalOp {
-    /// Window-boundary rebalancing: runs before a window's objects are
-    /// emitted, so a new epoch takes effect exactly at the boundary —
-    /// every window's cells route under a single epoch. Placement plans
-    /// on the *exact* per-cell record distribution of the window it is
-    /// about to route.
-    fn maybe_rebalance(&mut self, objects: &[GridObject]) {
-        let Some(balancer) = &mut self.balancer else {
-            return;
-        };
-        let PipelineStatus {
-            obs,
-            gauges,
-            table,
-            tracker,
-            ..
-        } = &self.status;
-        // Two feedback cadences, folded separately: this stage counts the
-        // outgoing window's records exactly, at the routing point, while
-        // the query stage's pair counts — which exist nowhere upstream of
-        // the range join — arrive whole-windows-at-a-time with the
-        // pipeline's in-flight lag (in bursts, when backpressure stalls
-        // this stage) — each sealed window is decay-folded on its own so
-        // a burst cannot whipsaw the estimates.
-        let mut records: HashMap<GridKey, u64> = HashMap::new();
-        for o in objects {
-            *records.entry(o.key).or_default() += 1;
-        }
-        balancer.observe_records(&records);
-        let drained = tracker.drain_cells();
-        for (_, cells) in drained {
-            balancer.observe_pairs_window(&cells);
-        }
-        if let Some(plan) = balancer.evaluate().and_then(|outcome| outcome.plan) {
-            obs.emit(ObsEventKind::CellMigrated {
-                epoch: plan.epoch,
-                cells: plan.migrated,
-            });
-            table.install(plan.epoch, plan.assignments);
-            gauges.cells_migrated.set(balancer.cells_migrated());
-        }
-    }
-}
-
-impl Operator<SnapMsg, ClusterMsg> for SnapFinalOp {
-    fn process(&mut self, msg: SnapMsg, out: &mut Collector<ClusterMsg>) {
-        match msg {
-            Envelope::Data((time, objects)) => self.align.absorb(time, |acc| acc.absorb(objects)),
-            Envelope::Tick(time) => {
-                if let Some(objects) = self.align.tick(time) {
-                    // Empty windows run the full boundary protocol too —
-                    // the balancer cadence and the downstream tick fabric
-                    // see every sealed time exactly once.
-                    self.maybe_rebalance(&objects);
-                    self.status.clock.start(time);
-                    self.status.gauges.aligned_up_to.set(up_to(Some(time)));
-                    out.emit_all(objects.into_iter().map(Envelope::Data));
-                    out.emit(Envelope::Tick(time));
-                }
-            }
-            Envelope::Barrier(token) => {
-                if self.align.barrier(token.seq()) {
-                    if let Some(balancer) = &self.balancer {
-                        *token.routing.lock().expect("routing slot poisoned") =
-                            Some(balancer.checkpoint());
-                    }
-                    out.emit(Envelope::Barrier(token));
-                }
-            }
-        }
-    }
-}
-
 /// GridQuery (Algorithm 2) as a keyed operator: one subtask owns many cells;
-/// objects buffer per window and, at the snapshot-boundary tick, run cell
-/// by cell through [`query_cells`]. Each flush accounts the subtask's
-/// per-cell loads into the shared [`LoadTracker`] in one batch — the signal
-/// the adaptive balancer repartitions on — and hands the window's pairs,
-/// with the object ids they mention, to the sync-merge tree.
+/// each window's batches from the `S` aligner shards collect until the
+/// `S`-th tick, then run cell by cell through [`query_cells`]. Each flush
+/// accounts the subtask's per-cell loads into the shared [`LoadTracker`]
+/// in one batch — the signal the adaptive balancer repartitions on — and
+/// hands the window's pairs, with the object ids they mention, to the
+/// sync-merge tree.
 struct QueryOp {
     subtask: usize,
     tracker: Arc<LoadTracker>,
     engine: CellQueryEngine,
-    buffers: BTreeMap<u32, Vec<GridObject>>,
-    /// Flushed windows' buffers, emptied, for later windows to reuse.
-    spare: Vec<Vec<GridObject>>,
+    /// The open windows' objects: the first batch kept by move, the rest
+    /// appended.
+    align: WindowAlign<Vec<GridObject>>,
     /// The window's per-cell loads, reused across ticks.
     loads: Vec<(GridKey, CellLoad)>,
     /// The window's pairs, reused across ticks: it ships as an exact-size
@@ -1869,19 +1850,15 @@ struct QueryOp {
 }
 
 impl QueryOp {
-    fn flush_time(&mut self, t: u32, out: &mut Collector<MergeMsg>) {
+    fn flush_time(&mut self, t: u32, mut objects: Vec<GridObject>, out: &mut Collector<MergeMsg>) {
         self.pairs.clear();
         self.loads.clear();
-        if let Some(mut objects) = self.buffers.remove(&t) {
-            query_cells(
-                &mut self.engine,
-                &mut objects,
-                &mut self.pairs,
-                |cell, load| self.loads.push((cell, load)),
-            );
-            objects.clear();
-            self.spare.push(objects);
-        }
+        query_cells(
+            &mut self.engine,
+            &mut objects,
+            &mut self.pairs,
+            |cell, load| self.loads.push((cell, load)),
+        );
         let window_load = self.loads.iter().map(|(_, load)| load.weight()).sum();
         self.tracker.record_cells(t, &self.loads);
         self.tracker.record_window(t, self.subtask, window_load);
@@ -1899,26 +1876,25 @@ impl QueryOp {
     }
 }
 
-impl Operator<ClusterMsg, MergeMsg> for QueryOp {
-    fn process(&mut self, msg: ClusterMsg, out: &mut Collector<MergeMsg>) {
+impl Operator<GridMsg, MergeMsg> for QueryOp {
+    fn process(&mut self, msg: GridMsg, out: &mut Collector<MergeMsg>) {
         match msg {
-            Envelope::Data(o) => self
-                .buffers
-                .entry(o.time.0)
-                .or_insert_with(|| self.spare.pop().unwrap_or_default())
-                .push(o),
-            Envelope::Tick(t) => self.flush_time(t, out),
-            // The barrier trails every sealed snapshot's tick, and ticks
-            // flush the per-time buffers — so at this point the subtask
-            // holds no state belonging to the cut. Forward.
-            Envelope::Barrier(token) => out.emit(Envelope::Barrier(token)),
-        }
-    }
-
-    fn finish(&mut self, out: &mut Collector<MergeMsg>) {
-        let times: Vec<u32> = self.buffers.keys().copied().collect();
-        for t in times {
-            self.flush_time(t, out);
+            Envelope::Data(GridBatch { time, objects, .. }) => {
+                self.align.absorb(time, |acc| acc.absorb(objects));
+            }
+            Envelope::Tick(t) => {
+                if let Some(objects) = self.align.tick(t) {
+                    self.flush_time(t, objects, out);
+                }
+            }
+            // Aligned, the barrier trails every shard's tick of every
+            // window sealed before the cut, and those ticks flushed the
+            // windows — so the subtask holds no state belonging to the cut.
+            Envelope::Barrier(token) => {
+                if self.align.barrier(token.seq()) {
+                    out.emit(Envelope::Barrier(token));
+                }
+            }
         }
     }
 }
@@ -2273,6 +2249,50 @@ mod tests {
             "late windows must be balanced well below the colliding static \
              placement (imbalance {n}): {series:?}"
         );
+    }
+
+    /// The epoch switch is per window: two shards handed one `Seal` whose
+    /// table moves cells send all of a cell's objects, from both shards, to
+    /// one subtask — the table's, or the hash fallback where the table has
+    /// no live entry.
+    #[test]
+    fn one_seal_routes_each_cell_of_every_shard_to_one_subtask() {
+        let (n, grid) = (4, Grid::new(2.0));
+        let at = |id: u32| Point::new((id * 7 % 40) as f64 / 2.0, (id * 13 % 40) as f64 / 2.0);
+        let hash = |id: u32| stable_hash(&grid.key_of(at(id)));
+        // Even objects' cells move one subtask on; object 0's cell names a
+        // subtask this deployment lacks.
+        let mut moves: HashMap<u64, usize> = (2..200)
+            .step_by(4)
+            .map(|id| (hash(id), (subtask_for(hash(id), n) + 1) % n))
+            .collect();
+        moves.insert(hash(0), n + 3);
+        let table = Some(Arc::new(RoutingTable::new(1, moves.clone())));
+        let mut dest_of: HashMap<GridKey, u32> = HashMap::new();
+        for shard in 0..2u32 {
+            let rows = (shard..200).step_by(2).map(|id| (ObjectId(id), at(id)));
+            let buffers = BTreeMap::from([(0, Snapshot::from_pairs(Timestamp(0), rows))]);
+            let mut op = AlignShardOp::new(shard as usize, grid, 1.0, buffers, n);
+            let (times, table, mut out) = (vec![0], table.clone(), Collector::new());
+            op.process(Envelope::Data(RouteData::Seal { times, table }), &mut out);
+            let msgs: Vec<GridMsg> = out.drain().collect();
+            assert!(matches!(msgs.last(), Some(Envelope::Tick(0))));
+            for msg in msgs {
+                let Envelope::Data(batch) = msg else {
+                    continue;
+                };
+                for o in batch.objects {
+                    let h = stable_hash(&o.key);
+                    let want = moves.get(&h).copied().filter(|&s| s < n);
+                    assert_eq!(batch.dest as usize, want.unwrap_or(subtask_for(h, n)));
+                    assert_eq!(*dest_of.entry(o.key).or_insert(batch.dest), batch.dest);
+                }
+            }
+        }
+        let moved = dest_of
+            .iter()
+            .filter(|(k, &d)| d as usize != subtask_for(stable_hash(k), n));
+        assert!(moved.count() > 0, "the table moved cells");
     }
 
     #[test]

@@ -6,8 +6,8 @@ use icpe_cluster::balance::{imbalance, LoadTracker};
 use icpe_cluster::sync::SyncStatus;
 use icpe_index::GridKey;
 use icpe_runtime::{
-    AlignerStatus, Gauge, Histogram, MetricRegistry, MetricsReport, RoutingStatus, RoutingTable,
-    StreamProgress, WindowClock,
+    AlignerStatus, Gauge, Histogram, MetricRegistry, MetricsReport, RoutingStatus, StreamProgress,
+    WindowClock,
 };
 use icpe_types::ObsCheckpoint;
 use std::sync::atomic::{AtomicU8, Ordering};
@@ -78,15 +78,18 @@ pub struct StatusSnapshot {
 /// none (the aligner's `sealed_up_to` convention).
 #[derive(Debug, Clone)]
 pub(crate) struct StatusGauges {
-    // align-route: the chains, the late-drop count and the seal frontier.
+    // align-route: the chains, the late-drop count, the seal frontier,
+    // the frontier of windows released downstream, and the balancer's
+    // routing epoch, pinned cells and migrations.
     pub(crate) chains: Gauge,
     pub(crate) max_shard_chains: Gauge,
     pub(crate) late_dropped: Gauge,
     pub(crate) sealed_up_to: Gauge,
     pub(crate) min_shard_frontier: Gauge,
     pub(crate) max_shard_frontier: Gauge,
-    // snap-merge-final: the aligned frontier and its balancer's migrations.
     pub(crate) aligned_up_to: Gauge,
+    pub(crate) routing_epoch: Gauge,
+    pub(crate) cells_mapped: Gauge,
     pub(crate) cells_migrated: Gauge,
     // sync-merge-final: its cumulative counters.
     pub(crate) pairs_merged: Gauge,
@@ -109,8 +112,10 @@ impl StatusGauges {
             sealed_up_to: gauge("align-route", "aligner_sealed_up_to"),
             min_shard_frontier: gauge("align-route", "aligner_min_shard_frontier"),
             max_shard_frontier: gauge("align-route", "aligner_max_shard_frontier"),
-            aligned_up_to: gauge("snap-merge-final", "aligned_up_to"),
-            cells_migrated: gauge("snap-merge-final", "cells_migrated"),
+            aligned_up_to: gauge("align-route", "aligned_up_to"),
+            routing_epoch: gauge("align-route", "routing_epoch"),
+            cells_mapped: gauge("align-route", "cells_mapped"),
+            cells_migrated: gauge("align-route", "cells_migrated"),
             pairs_merged: gauge("sync-merge-final", "sync_pairs_merged"),
             windows_sealed: gauge("sync-merge-final", "sync_windows_sealed"),
             windows_completed: gauge("sink", "windows_completed"),
@@ -134,7 +139,7 @@ fn frontier(gauge: &Gauge) -> Option<u32> {
 /// The one live status surface of a deployment: health, stream progress,
 /// latency, the routing layer, the sync merge path, the aligner head, and
 /// the metric registry + event journal. Every number is read from the
-/// registry (see [`StatusGauges`]); besides it this holds routing state,
+/// registry (see `StatusGauges`); besides it this holds the load tracker,
 /// the window clock and configuration. Cloneable and independent of the
 /// [`LivePipeline`](crate::LivePipeline)'s lifetime, so status endpoints
 /// and benches keep reading after `finish` and, under supervision, across
@@ -144,7 +149,6 @@ pub struct PipelineStatus {
     pub(crate) obs: MetricRegistry,
     /// Handles into `obs`, not copies.
     pub(crate) gauges: StatusGauges,
-    pub(crate) table: Arc<RoutingTable>,
     pub(crate) tracker: Arc<LoadTracker>,
     pub(crate) clock: Arc<WindowClock>,
     /// Aligner shards and sync-tree fanin, reported as configured.
@@ -159,7 +163,6 @@ impl PipelineStatus {
         PipelineStatus {
             gauges: StatusGauges::register(&obs),
             obs,
-            table: Arc::new(RoutingTable::new()),
             tracker: Arc::new(LoadTracker::new(config.parallelism)),
             clock: Arc::new(WindowClock::default()),
             shards: config.align_shards.max(1),
@@ -211,8 +214,13 @@ impl PipelineStatus {
     /// migrations, and the per-subtask load split of the most recently
     /// completed window.
     pub fn routing(&self) -> RoutingStatus {
-        let mut status = self.table.status();
-        status.cells_migrated = self.gauges.cells_migrated.get();
+        let g = &self.gauges;
+        let mut status = RoutingStatus {
+            epoch: g.routing_epoch.get(),
+            mapped_keys: g.cells_mapped.get() as usize,
+            cells_migrated: g.cells_migrated.get(),
+            ..RoutingStatus::default()
+        };
         if let Some((_, loads)) = self.tracker.last_sealed() {
             let total: u64 = loads.iter().sum();
             status.mean_subtask_load = total as f64 / loads.len().max(1) as f64;

@@ -127,9 +127,10 @@ fn config(
         .sync_fanin(fanin)
         .batch_size(batch)
         .aligner(aligner)
-        // Migrate at the slightest imbalance, every window: the balancer now
-        // runs in the snapshot-merge finalizer, so keeping it hot proves the
-        // merge tree still presents it one coherent per-window view.
+        // Migrate at the slightest imbalance, every window: the balancer
+        // runs in the frontier router and every shard splits a window by
+        // the table its `Seal` carries, so keeping it hot proves each
+        // window still lands under one epoch on every shard.
         .rebalance(BalancerConfig {
             theta: 1.01,
             cooldown_windows: 0,
@@ -144,8 +145,8 @@ proptest! {
 
     /// Sharded ≡ serial, arbitrary shard counts decoupled from
     /// the body parallelism, arbitrary batch and ingest-chunk sizes, both
-    /// tree shapes (fanin 2 = the deepest snapshot-merge tree, N = the flat
-    /// funnel), on out-of-order input. The baseline is the parallelism-1 /
+    /// sync-tree shapes (fanin 2 = the deepest tree, larger = flatter), on
+    /// out-of-order input. The baseline is the parallelism-1 /
     /// single-shard deployment whose head degenerates to the pre-sharding
     /// serial aligner.
     #[test]

@@ -19,7 +19,7 @@
 //!   point fired.
 //!
 //! The matrix crosses fault kinds (worker panic, worker stall, delayed
-//! exchange send) and fault sites (align-route, grid-query,
+//! exchange send) and fault sites (align-route, align-shard, grid-query,
 //! sync-merge-final, enumerate) with parallelism 1 / 2 / 4; a proptest then randomizes the
 //! fault site over randomized workloads.
 
@@ -211,6 +211,21 @@ fn panic_mid_stream_heals_identically_across_parallelism() {
 }
 
 #[test]
+fn align_shard_panic_heals_identically() {
+    // A dying aligner shard leaves its siblings' batches of the windows it
+    // never ticked open at every grid-query subtask. Those windows must not
+    // seal short of the dead shard's objects: only the replay from the cut
+    // may deliver them, each exactly once.
+    for (n, spec) in [
+        (2, "panic@align-shard:1:1"),
+        (3, "panic@align-shard:0:2"),
+        (4, "panic@align-shard:2:3"),
+    ] {
+        assert_chaos_equivalence(n, spec, 0xC0FFEE);
+    }
+}
+
+#[test]
 fn double_panic_and_stall_heal_identically() {
     // Two failures in one run (two recovery cycles), plus a stalled
     // grid-query subtask exercising barrier alignment in the sync-merge
@@ -278,11 +293,17 @@ proptest! {
     fn random_panic_site_heals_identically(
         seed in 0u64..1_000,
         n in 1usize..=3,
-        site_ix in 0usize..4,
+        site_ix in 0usize..5,
         subtask in 0usize..3,
         ordinal in 0u64..3,
     ) {
-        let site = ["align-route", "grid-query", "sync-merge-final", "enumerate"][site_ix];
+        let site = [
+            "align-route",
+            "align-shard",
+            "grid-query",
+            "sync-merge-final",
+            "enumerate",
+        ][site_ix];
         // The frontier router and the tree finalizer are single subtasks;
         // the other sites run n.
         let single = site == "align-route" || site == "sync-merge-final";

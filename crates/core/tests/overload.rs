@@ -24,9 +24,9 @@ const BATCH: usize = 16;
 /// The sealed time whose delivery parks the sink.
 const PARK_AT: u32 = 1000;
 /// The channels between `push_batch` and the sink callback, one per
-/// receiving subtask: ingest, align-route, 2 × align-shard, snap-merge,
-/// 2 × grid-query, sync-merge, 2 × enumerate, sink.
-const CHANNELS: usize = 11;
+/// receiving subtask: ingest, align-route, 2 × align-shard, 2 ×
+/// grid-query, sync-merge, 2 × enumerate, sink.
+const CHANNELS: usize = 10;
 /// Per channel: its batches, plus one filling on the sending side and one
 /// being processed on the receiving side; a batch ships below
 /// `2 × BATCH` rows (under `BATCH`, plus the message that filled it — no

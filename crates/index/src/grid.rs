@@ -93,20 +93,40 @@ impl Grid {
         )
     }
 
-    /// All cell keys whose cells intersect `rect`.
-    pub fn keys_in_rect(&self, rect: &Rect) -> Vec<GridKey> {
+    /// Calls `f` with the key of every cell that intersects `rect`, in
+    /// row-major `(y, x)` order.
+    #[inline]
+    fn for_each_key_in_rect(&self, rect: &Rect, mut f: impl FnMut(GridKey)) {
         let w = self.cell_width;
         let x0 = (rect.min_x / w).floor() as i64;
         let x1 = (rect.max_x / w).floor() as i64;
         let y0 = (rect.min_y / w).floor() as i64;
         let y1 = (rect.max_y / w).floor() as i64;
-        let mut out = Vec::with_capacity(((x1 - x0 + 1) * (y1 - y0 + 1)) as usize);
         for y in y0..=y1 {
             for x in x0..=x1 {
-                out.push(GridKey::new(x, y));
+                f(GridKey::new(x, y));
             }
         }
+    }
+
+    /// All cell keys whose cells intersect `rect`.
+    pub fn keys_in_rect(&self, rect: &Rect) -> Vec<GridKey> {
+        let mut out = Vec::new();
+        self.for_each_key_in_rect(rect, |k| out.push(k));
         out
+    }
+
+    /// Calls `f` with each key of the Lemma 1 replication set of `p` (see
+    /// [`Grid::lemma1_query_keys`]) without collecting them — the
+    /// allocation-free walk GridAllocate runs per location.
+    #[inline]
+    pub fn for_each_lemma1_key(&self, p: Point, eps: f64, mut f: impl FnMut(GridKey)) {
+        let home = self.key_of(p);
+        self.for_each_key_in_rect(&Rect::padded_upper_range_region(p, eps), |k| {
+            if (k.y, k.x) > (home.y, home.x) {
+                f(k);
+            }
+        });
     }
 
     /// Lemma 1 replication set: the keys of the cells intersecting the upper
@@ -115,9 +135,8 @@ impl Grid {
     /// cell receives `p` as a data object instead; the home-row cells left of
     /// home are the ones whose pairs with `p` are found from their side.
     pub fn lemma1_query_keys(&self, p: Point, eps: f64) -> Vec<GridKey> {
-        let home = self.key_of(p);
-        let mut keys = self.keys_in_rect(&Rect::padded_upper_range_region(p, eps));
-        keys.retain(|&k| (k.y, k.x) > (home.y, home.x));
+        let mut keys = Vec::new();
+        self.for_each_lemma1_key(p, eps, |k| keys.push(k));
         keys
     }
 

@@ -24,7 +24,6 @@
 use crate::envelope::Envelope;
 use crate::fault::{FaultKind, FaultPlan};
 use crate::obs::ExchangeObs;
-use crate::routing::RoutingTable;
 use crossbeam::channel::Sender;
 use std::cell::Cell;
 use std::sync::Arc;
@@ -112,13 +111,6 @@ pub enum Exchange<T> {
     /// snapshot-boundary ticks (Flink jobs do this with `keyBy` plus
     /// broadcast watermarks).
     PerRecord(Arc<dyn Fn(&T) -> Routing + Send + Sync>),
-    /// [`Exchange::PerRecord`] whose keyed decisions consult a shared,
-    /// swappable [`RoutingTable`] instead of raw `hash % N`: explicit
-    /// assignments win, unmapped keys fall back to consistent hashing (an
-    /// empty table routes exactly like `PerRecord`). The table is shared
-    /// with a controller that installs new epochs while the dataflow runs —
-    /// the adaptive half of hotspot-aware repartitioning.
-    Dynamic(Arc<RoutingTable>, Arc<dyn Fn(&T) -> Routing + Send + Sync>),
     /// Tree fan-in: everything upstream subtask `i` emits goes to subtask
     /// `i / fanin` — the routing of one
     /// [`Stream::reduce_tree`](crate::Stream::reduce_tree) level. The
@@ -135,14 +127,6 @@ impl<T> Exchange<T> {
     /// Convenience constructor for [`Exchange::PerRecord`].
     pub fn per_record(f: impl Fn(&T) -> Routing + Send + Sync + 'static) -> Self {
         Exchange::PerRecord(Arc::new(f))
-    }
-
-    /// Convenience constructor for [`Exchange::Dynamic`].
-    pub fn dynamic(
-        table: Arc<RoutingTable>,
-        f: impl Fn(&T) -> Routing + Send + Sync + 'static,
-    ) -> Self {
-        Exchange::Dynamic(table, Arc::new(f))
     }
 }
 
@@ -163,15 +147,6 @@ impl<D, B> Exchange<Envelope<D, B>> {
     pub fn envelope(route: impl Fn(&D) -> Routing + Send + Sync + 'static) -> Self {
         Exchange::per_record(envelope_routing(route))
     }
-
-    /// [`Exchange::envelope`] whose keyed decisions consult a swappable
-    /// [`RoutingTable`] (see [`Exchange::Dynamic`]).
-    pub fn envelope_via(
-        table: Arc<RoutingTable>,
-        route: impl Fn(&D) -> Routing + Send + Sync + 'static,
-    ) -> Self {
-        Exchange::dynamic(table, envelope_routing(route))
-    }
 }
 
 impl<T> Clone for Exchange<T> {
@@ -181,7 +156,6 @@ impl<T> Clone for Exchange<T> {
             Exchange::Rebalance => Exchange::Rebalance,
             Exchange::Broadcast => Exchange::Broadcast,
             Exchange::PerRecord(f) => Exchange::PerRecord(Arc::clone(f)),
-            Exchange::Dynamic(t, f) => Exchange::Dynamic(Arc::clone(t), Arc::clone(f)),
             Exchange::FanIn(fanin) => Exchange::FanIn(*fanin),
         }
     }
@@ -194,7 +168,6 @@ impl<T> std::fmt::Debug for Exchange<T> {
             Exchange::Rebalance => write!(f, "Rebalance"),
             Exchange::Broadcast => write!(f, "Broadcast"),
             Exchange::PerRecord(_) => write!(f, "PerRecord"),
-            Exchange::Dynamic(t, _) => write!(f, "Dynamic(epoch {})", t.epoch()),
             Exchange::FanIn(fanin) => write!(f, "FanIn({fanin})"),
         }
     }
@@ -304,10 +277,6 @@ impl<T> Router<T> {
             Exchange::Broadcast => Dest::All,
             Exchange::PerRecord(f) => match f(&record) {
                 Routing::Key(k) => Dest::Idx((k % n) as usize),
-                Routing::Broadcast => Dest::All,
-            },
-            Exchange::Dynamic(table, f) => match f(&record) {
-                Routing::Key(k) => Dest::Idx(table.subtask(k, self.senders.len())),
                 Routing::Broadcast => Dest::All,
             },
             Exchange::FanIn(fanin) => Dest::Idx(self.subtask / fanin),
@@ -511,32 +480,6 @@ mod tests {
             1,
             "the empty record waited"
         );
-    }
-
-    #[test]
-    fn dynamic_follows_table_swaps_and_falls_back() {
-        let table = Arc::new(RoutingTable::new());
-        let (mut r, rx) = routers_and_receivers(
-            4,
-            Exchange::dynamic(Arc::clone(&table), |x: &u64| {
-                if *x == u64::MAX {
-                    Routing::Broadcast
-                } else {
-                    Routing::Key(*x)
-                }
-            }),
-            1,
-        );
-        r.route(6).unwrap(); // unmapped: hash fallback 6 % 4 = 2
-        table.install(1, std::collections::HashMap::from([(6u64, 0usize)]));
-        r.route(6).unwrap(); // mapped: subtask 0
-        r.route(u64::MAX).unwrap(); // broadcast unaffected by the table
-        drop(r);
-        let got: Vec<Vec<u64>> = rx.iter().map(drain).collect();
-        assert_eq!(got[0], vec![6, u64::MAX]);
-        assert_eq!(got[2], vec![6, u64::MAX]);
-        assert_eq!(got[1], vec![u64::MAX]);
-        assert_eq!(got[3], vec![u64::MAX]);
     }
 
     #[test]

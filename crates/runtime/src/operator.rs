@@ -32,7 +32,9 @@ impl<O> Collector<O> {
         self.buf.extend(records);
     }
 
-    pub(crate) fn drain(&mut self) -> std::vec::Drain<'_, O> {
+    /// Takes the emitted records. The runtime drains after every call; a
+    /// test that drives an operator directly reads its output here.
+    pub fn drain(&mut self) -> std::vec::Drain<'_, O> {
         self.buf.drain(..)
     }
 }

@@ -1,29 +1,26 @@
-//! The dynamic routing table behind [`Exchange::Dynamic`].
+//! The routing table of an adaptively keyed hop.
 //!
 //! A static keyed exchange fixes `subtask = hash(key) % N` forever; on
 //! spatially skewed streams (urban hotspots) that overloads whichever
-//! subtask the hot cells hash to while its siblings idle. The
-//! [`RoutingTable`] makes the key→subtask map *data*: a shared,
-//! epoch-versioned overlay of explicit assignments for the hot keys, with
-//! consistent-hash fallback for everything unlisted — so an empty table is
-//! byte-for-byte equivalent to the static exchange, and a controller can
-//! swap in better placements while the dataflow runs.
+//! subtask the hot cells hash to while its siblings idle. A
+//! [`RoutingTable`] makes the key→subtask map *data*: explicit assignments
+//! for the hot keys, with consistent-hash fallback for everything unlisted
+//! — so an empty table routes exactly like the static exchange.
 //!
-//! The table itself is policy-free: *what* to assign where is the load
-//! balancer's job (see `icpe-cluster`); *when* a swap is safe is the
-//! pipeline's job (at snapshot-boundary ticks, so no in-flight window ever
-//! splits across two epochs). This layer only guarantees that lookups are
-//! cheap (a read lock per keyed record) and swaps are atomic.
+//! A table is an immutable value, stamped with the epoch that produced it.
+//! The controller that plans placements builds a new table per epoch and
+//! hands it, behind an `Arc`, to whoever splits a window by destination;
+//! nothing reads a shared, mutable table at send time. *What* to assign
+//! where is the load balancer's job (see `icpe-cluster`); *which windows*
+//! a table applies to is the pipeline's (each window is split under
+//! exactly one table).
 
 use icpe_types::shard::subtask_for;
-use parking_lot::RwLock;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A point-in-time view of the routing layer, for `STATUS` endpoints and
-/// benches. Only the epoch and the mapped keys are this table's; the
-/// pipeline's status surface fills the rest from their owners (the
-/// balancer's migration gauge, the load tracker's last sealed window).
+/// benches, filled from the owners of each number (the controller's epoch
+/// and migration gauges, the load tracker's last sealed window).
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct RoutingStatus {
     /// Current routing epoch (0 until the first swap).
@@ -50,30 +47,31 @@ impl RoutingStatus {
     }
 }
 
-/// An epoch-versioned key-hash→subtask map with consistent-hash fallback,
-/// shared between the routers that consult it and the controller that
-/// swaps it (wrap in `Arc`).
-#[derive(Debug, Default)]
+/// One epoch's key-hash→subtask map with consistent-hash fallback.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RoutingTable {
-    /// Explicit routes, keyed by the same hash [`Routing::Key`] carries.
-    map: RwLock<HashMap<u64, usize>>,
-    epoch: AtomicU64,
+    epoch: u64,
+    /// Explicit routes, keyed by the key's routing hash.
+    map: HashMap<u64, usize>,
 }
 
 impl RoutingTable {
-    /// An empty table at epoch 0 — routes exactly like the static exchange
-    /// until the first [`RoutingTable::install`].
-    pub fn new() -> Self {
-        RoutingTable::default()
+    /// The table of `epoch`: `assignments` is the complete explicit
+    /// overlay; every other key falls back to hashing.
+    pub fn new(epoch: u64, assignments: HashMap<u64, usize>) -> Self {
+        RoutingTable {
+            epoch,
+            map: assignments,
+        }
     }
 
     /// The subtask for `key_hash` at parallelism `n`: the explicit
-    /// assignment when one exists *and* still names a live subtask,
-    /// otherwise the consistent-hash fallback. An assignment to a subtask
-    /// `≥ n` (a table restored into a smaller deployment) falls back
-    /// rather than routing out of range.
+    /// assignment when one exists *and* names a live subtask, otherwise
+    /// the consistent-hash fallback. An assignment to a subtask `≥ n` (a
+    /// table restored into a smaller deployment) falls back rather than
+    /// routing out of range.
     pub fn subtask(&self, key_hash: u64, n: usize) -> usize {
-        if let Some(&s) = self.map.read().get(&key_hash) {
+        if let Some(&s) = self.map.get(&key_hash) {
             if s < n {
                 return s;
             }
@@ -81,29 +79,14 @@ impl RoutingTable {
         subtask_for(key_hash, n)
     }
 
-    /// Current epoch (0 until the first install).
+    /// The epoch this table belongs to (0 = the static placement).
     pub fn epoch(&self) -> u64 {
-        self.epoch.load(Ordering::Acquire)
+        self.epoch
     }
 
-    /// Atomically replaces the table: `assignments` becomes the complete
-    /// explicit overlay (keys removed from it merge back to hash
-    /// fallback) and the epoch becomes `epoch`. Readers see either the old
-    /// table or the new one, never a mix.
-    pub fn install(&self, epoch: u64, assignments: HashMap<u64, usize>) {
-        let mut map = self.map.write();
-        *map = assignments;
-        self.epoch.store(epoch, Ordering::Release);
-    }
-
-    /// The table's part of the status: epoch and mapped keys, the rest
-    /// zero.
-    pub fn status(&self) -> RoutingStatus {
-        RoutingStatus {
-            epoch: self.epoch(),
-            mapped_keys: self.map.read().len(),
-            ..RoutingStatus::default()
-        }
+    /// Keys with an explicit assignment.
+    pub fn mapped_keys(&self) -> usize {
+        self.map.len()
     }
 }
 
@@ -113,37 +96,29 @@ mod tests {
 
     #[test]
     fn empty_table_matches_consistent_hash() {
-        let t = RoutingTable::new();
+        let t = RoutingTable::default();
         for h in 0..200u64 {
             for n in 1..6 {
                 assert_eq!(t.subtask(h, n), subtask_for(h, n));
             }
         }
         assert_eq!(t.epoch(), 0);
-        assert_eq!(t.status().mapped_keys, 0);
+        assert_eq!(t.mapped_keys(), 0);
     }
 
     #[test]
-    fn install_overrides_and_unmapped_fall_back() {
-        let t = RoutingTable::new();
-        t.install(1, HashMap::from([(77u64, 3usize)]));
+    fn explicit_entries_win_and_unmapped_keys_fall_back() {
+        let t = RoutingTable::new(1, HashMap::from([(77u64, 3usize)]));
         assert_eq!(t.subtask(77, 4), 3);
         assert_eq!(t.subtask(78, 4), subtask_for(78, 4));
         assert_eq!(t.epoch(), 1);
-        assert_eq!(t.status().mapped_keys, 1);
-
-        // A later install replaces the overlay wholesale.
-        t.install(2, HashMap::from([(78u64, 0usize)]));
-        assert_eq!(t.subtask(77, 4), subtask_for(77, 4), "77 merged back");
-        assert_eq!(t.subtask(78, 4), 0);
-        assert_eq!(t.status().epoch, 2);
+        assert_eq!(t.mapped_keys(), 1);
     }
 
     #[test]
     fn out_of_range_assignment_falls_back() {
         // A table learned at parallelism 8, consulted at parallelism 2.
-        let t = RoutingTable::new();
-        t.install(1, HashMap::from([(5u64, 7usize)]));
+        let t = RoutingTable::new(1, HashMap::from([(5u64, 7usize)]));
         assert!(t.subtask(5, 2) < 2);
         assert_eq!(t.subtask(5, 2), subtask_for(5, 2));
         assert_eq!(t.subtask(5, 8), 7, "still honored where it fits");
@@ -152,7 +127,7 @@ mod tests {
     #[test]
     fn status_reports_window_loads() {
         assert_eq!(
-            RoutingTable::new().status().imbalance(),
+            RoutingStatus::default().imbalance(),
             1.0,
             "no data → balanced"
         );

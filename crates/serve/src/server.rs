@@ -970,6 +970,62 @@ fn handle_connection(
     result
 }
 
+/// The longest line the serve edge reads. A record is under 100 bytes and
+/// a command shorter still; a longer line is garbage, and is never held
+/// whole.
+const MAX_LINE_BYTES: usize = 4 * 1024;
+
+/// What one [`read_line_bounded`] found.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum LineRead {
+    /// End of stream, nothing read.
+    Eof,
+    /// One line, newline included (the stream's last line may lack it).
+    Line,
+    /// [`MAX_LINE_BYTES`] bytes and no newline: the head of an over-long
+    /// line, whose rest the next reads return.
+    Overlong,
+}
+
+/// Reads one line into `line` (cleared first) through the reader's buffer,
+/// never holding more than [`MAX_LINE_BYTES`] bytes of it.
+fn read_line_bounded(reader: &mut impl BufRead, line: &mut Vec<u8>) -> std::io::Result<LineRead> {
+    line.clear();
+    loop {
+        let buf = match reader.fill_buf() {
+            Ok(buf) => buf,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e),
+        };
+        if buf.is_empty() {
+            return Ok(if line.is_empty() {
+                LineRead::Eof
+            } else {
+                LineRead::Line
+            });
+        }
+        let room = &buf[..buf.len().min(MAX_LINE_BYTES - line.len())];
+        let newline = room.iter().position(|&b| b == b'\n');
+        let take = newline.map_or(room.len(), |i| i + 1);
+        line.extend_from_slice(&room[..take]);
+        reader.consume(take);
+        if newline.is_some() {
+            return Ok(LineRead::Line);
+        }
+        if line.len() == MAX_LINE_BYTES {
+            return Ok(LineRead::Overlong);
+        }
+    }
+}
+
+/// The text of a line [`read_line_bounded`] returned: `None` for an
+/// over-long or non-UTF-8 line, which is garbage.
+fn line_text(line: &[u8], read: LineRead) -> Option<&str> {
+    (read == LineRead::Line)
+        .then(|| std::str::from_utf8(line).ok())
+        .flatten()
+}
+
 fn dispatch(
     shared: &Arc<Shared>,
     stream: TcpStream,
@@ -977,11 +1033,13 @@ fn dispatch(
     pending: Unclassified,
 ) -> std::io::Result<()> {
     let mut reader = BufReader::new(stream.try_clone()?);
-    let mut first = String::new();
-    if reader.read_line(&mut first)? == 0 {
+    let mut first = Vec::with_capacity(MAX_LINE_BYTES);
+    let read = read_line_bounded(&mut reader, &mut first)?;
+    if read == LineRead::Eof {
         return Ok(());
     }
-    let trimmed = first.trim();
+    // A garbage first line is no command: the producer path rejects it.
+    let trimmed = line_text(&first, read).map_or("", str::trim);
     // Read-only queries neither ingest nor subscribe: classified at once.
     if let Some(topic) = trimmed.strip_prefix("SUBSCRIBE") {
         shared.mark_subscriber(conn_id);
@@ -996,7 +1054,7 @@ fn dispatch(
         drop(pending);
         serve_events(shared, stream, trimmed.strip_prefix("EVENTS").unwrap_or(""))
     } else {
-        serve_producer(shared, reader, first, conn_id, pending)
+        serve_producer(shared, reader, (first, read), conn_id, pending)
     }
 }
 
@@ -1004,7 +1062,7 @@ fn dispatch(
 fn serve_producer(
     shared: &Arc<Shared>,
     mut reader: BufReader<TcpStream>,
-    first_line: String,
+    first_line: (Vec<u8>, LineRead),
     conn_id: u64,
     pending: Unclassified,
 ) -> std::io::Result<()> {
@@ -1056,14 +1114,16 @@ fn quarantine_line(shared: &Shared, line: &str, quarantined: &mut u64) {
 fn producer_loop(
     shared: &Arc<Shared>,
     reader: &mut BufReader<TcpStream>,
-    first_line: String,
+    first_line: (Vec<u8>, LineRead),
     sender: RecordSender,
     conn_id: u64,
     quarantined: &mut u64,
 ) -> std::io::Result<()> {
     let ingest_batch = shared.ingest_batch;
     let span_bound = shared.skew.max_skew;
-    let mut line = first_line;
+    let (mut line, mut read) = first_line;
+    // The line in hand is the rest of an over-long line already rejected.
+    let mut tail = false;
     let mut consecutive_errors = 0usize;
     let mut raws: Vec<RawRecord> = Vec::with_capacity(ingest_batch);
     let mut eof = false;
@@ -1087,9 +1147,10 @@ fn producer_loop(
                 .stats
                 .bytes_in
                 .fetch_add(line.len() as u64, Ordering::Relaxed);
-            if !line.trim().is_empty() {
-                match WireRecord::parse(&line) {
-                    Ok(wire) => {
+            let text = line_text(&line, read).filter(|_| !tail);
+            if text.is_none_or(|text| !text.trim().is_empty()) {
+                match text.map(WireRecord::parse) {
+                    Some(Ok(wire)) => {
                         consecutive_errors = 0;
                         // Tick-span bound (lock-free projection): ship the
                         // batch gathered so far before this record would
@@ -1118,12 +1179,17 @@ fn producer_loop(
                             wire.time,
                         ));
                     }
-                    Err(_) => {
-                        shared
-                            .stats
-                            .records_rejected
-                            .fetch_add(1, Ordering::Relaxed);
-                        quarantine_line(shared, &line, quarantined);
+                    _ => {
+                        // A line is one rejected record, but each
+                        // `MAX_LINE_BYTES` of it spends one unit of the
+                        // error budget: a line without end drops its peer.
+                        if !tail {
+                            shared
+                                .stats
+                                .records_rejected
+                                .fetch_add(1, Ordering::Relaxed);
+                            quarantine_line(shared, &String::from_utf8_lossy(&line), quarantined);
+                        }
                         consecutive_errors += 1;
                         if consecutive_errors >= shared.max_consecutive_parse_errors {
                             // Dropping the peer must not drop the valid
@@ -1134,16 +1200,16 @@ fn producer_loop(
                     }
                 }
             }
+            tail = read == LineRead::Overlong;
             if raws.len() >= ingest_batch || !reader.buffer().contains(&b'\n') {
                 break;
             }
-            line.clear();
-            match reader.read_line(&mut line) {
-                Ok(0) => {
+            match read_line_bounded(reader, &mut line) {
+                Ok(LineRead::Eof) => {
                     eof = true;
                     break;
                 }
-                Ok(_) => {}
+                Ok(next) => read = next,
                 Err(e) => {
                     // Connection died mid-gather: the records already
                     // gathered were valid and admitted — deliver them.
@@ -1163,8 +1229,8 @@ fn producer_loop(
         // No shutdown-flag check here: during drain, a departed producer's
         // buffered records must still be consumed (until EOF); producers
         // that stay open are cut off by `finish` closing their socket.
-        line.clear();
-        if reader.read_line(&mut line)? == 0 {
+        read = read_line_bounded(reader, &mut line)?;
+        if read == LineRead::Eof {
             return Ok(());
         }
     }
@@ -1329,6 +1395,37 @@ mod tests {
     use crossbeam::channel::bounded;
     use std::sync::mpsc;
     use std::time::{Duration, Instant};
+
+    #[test]
+    fn line_reads_never_hold_more_than_the_bound() {
+        // 10 MiB without a newline, then two short lines.
+        let flood = std::io::Read::chain(
+            std::io::Read::take(std::io::repeat(b'x'), 10 << 20),
+            &b"a,1,2,3\nlast"[..],
+        );
+        let mut reader = BufReader::new(flood);
+        let mut line = Vec::with_capacity(MAX_LINE_BYTES);
+        let mut overlong = 0;
+        loop {
+            let read = read_line_bounded(&mut reader, &mut line).unwrap();
+            assert!(line.len() <= MAX_LINE_BYTES && line.capacity() <= MAX_LINE_BYTES);
+            match read {
+                LineRead::Overlong => overlong += 1,
+                _ => break,
+            }
+        }
+        assert_eq!(overlong, (10 << 20) / MAX_LINE_BYTES);
+        assert_eq!(line, b"a,1,2,3\n", "the line after the flood reads whole");
+        assert_eq!(
+            read_line_bounded(&mut reader, &mut line).unwrap(),
+            LineRead::Line
+        );
+        assert_eq!(line, b"last", "a last line may lack its newline");
+        assert_eq!(
+            read_line_bounded(&mut reader, &mut line).unwrap(),
+            LineRead::Eof
+        );
+    }
 
     /// Runs `admit(id, tick)` on its own thread; the returned receiver
     /// yields how long the call took once it returns.

@@ -512,10 +512,11 @@ fn status_endpoint_reports_counters_and_rejects() {
     server.finish();
 }
 
-/// A producer line nesting 10 000 arrays deep is one rejected record, not a
-/// stack overflow: the JSON parser bounds its recursion, so the connection
-/// handler survives, ingests the valid records behind the line, and the
-/// server still answers `STATUS`.
+/// A producer line nesting arrays deep is one rejected record, not a stack
+/// overflow: at 3 000 levels (under the 4 KiB line bound) the JSON parser
+/// bounds its recursion, at 10 000 the line bound rejects it first. Either
+/// way the connection handler survives, ingests the valid records behind
+/// the lines, and the server still answers `STATUS`.
 #[test]
 fn deeply_nested_json_line_is_rejected_not_fatal() {
     let server = Server::start(ServeConfig::new(engine_config(1))).unwrap();
@@ -524,6 +525,7 @@ fn deeply_nested_json_line_is_rejected_not_fatal() {
         &addr,
         [
             format!("{{\"id\":{}", "[".repeat(10_000)),
+            format!("{{\"id\":{}", "[".repeat(3_000)),
             "1,0.0,1.0,2.0".to_string(),
             "1,1.0,1.5,2.0".to_string(),
             "1,2.0,2.0,2.0".to_string(),
@@ -546,7 +548,7 @@ fn deeply_nested_json_line_is_rejected_not_fatal() {
             .unwrap_or_else(|| panic!("missing status key {key}"))
     };
     assert_eq!(get("records_in"), "3");
-    assert_eq!(get("records_rejected"), "1");
+    assert_eq!(get("records_rejected"), "2");
     server.finish();
 }
 
@@ -666,12 +668,11 @@ fn metrics_and_events_endpoints_expose_the_pipeline() {
     }
 
     // Every stage of the RJC topology reports: the sharded head (frontier
-    // router, aligner shards, snapshot-merge finalizer), the keyed grid
-    // stages, the exchange-only sink hop, and both tree finalizers.
+    // router, aligner shards), the keyed grid stages, the exchange-only
+    // sink hop, and the sync tree's finalizer.
     for stage in [
         "align-route",
         "align-shard",
-        "snap-merge-final",
         "grid-query",
         "sync-merge-final",
         "enumerate",
@@ -779,6 +780,50 @@ fn idle_producer_with_no_valid_records_does_not_throttle_the_fleet() {
         started.elapsed()
     );
     drop(idle);
+    server.finish();
+}
+
+#[test]
+fn peer_sending_an_endless_line_is_disconnected() {
+    let mut config = ServeConfig::new(engine_config(1));
+    config.max_consecutive_parse_errors = 8;
+    let server = Server::start(config).unwrap();
+    let addr = server.local_addr().to_string();
+
+    // 10 MiB and no newline: one rejected line, but each `MAX_LINE_BYTES`
+    // of it spends one unit of the error budget, so the handler drops the
+    // peer at the 8th — after reading 32 KiB, not the whole flood.
+    let mut peer = std::net::TcpStream::connect(&addr).unwrap();
+    let chunk = vec![b'x'; 64 << 10];
+    for _ in 0..(10 << 20) / chunk.len() {
+        if std::io::Write::write_all(&mut peer, &chunk).is_err() {
+            break; // reset by the server: disconnected mid-flood
+        }
+    }
+    // Whether or not the flood fit in the socket buffers, the server has
+    // closed the connection: the read ends instead of timing out.
+    peer.set_read_timeout(Some(std::time::Duration::from_secs(20)))
+        .unwrap();
+    match std::io::Read::read(&mut peer, &mut [0u8; 16]) {
+        Ok(n) => assert_eq!(n, 0, "producers are never written to"),
+        Err(e) => assert!(
+            !matches!(
+                e.kind(),
+                std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+            ),
+            "the server kept the peer: {e}"
+        ),
+    }
+    // The handler counted the line before it closed the connection.
+    let status = client::fetch_status(&addr).unwrap();
+    let value = |key: &str| {
+        status
+            .iter()
+            .find(|(k, _)| k == key)
+            .map(|(_, v)| v.clone())
+    };
+    assert_eq!(value("records_rejected").as_deref(), Some("1"), "one line");
+    assert_eq!(value("records_quarantined").as_deref(), Some("1"));
     server.finish();
 }
 
