@@ -8,8 +8,10 @@
 //! the adaptive alternative:
 //!
 //! * [`LoadTracker`] — shared accounting written by the GridQuery
-//!   subtasks: per-cell load (buffered objects + produced pairs) per
-//!   window, plus per-subtask window totals for observability and benches;
+//!   subtasks: per-subtask window totals for observability and benches,
+//!   and — only where a balancer drains them — per-cell load (buffered
+//!   objects + produced pairs) per window, sent as one sorted run per
+//!   subtask and merged when the window seals;
 //! * [`LoadBalancer`] — the controller (run by the frontier router, which
 //!   sees every record before it is routed, at snapshot boundaries):
 //!   counts each open window's grid objects per cell, maintains decayed
@@ -33,7 +35,7 @@
 use icpe_index::{Grid, GridKey};
 use icpe_types::shard::{stable_hash, subtask_for};
 use icpe_types::{CellAssignment, CellLoadCheckpoint, Point, RoutingCheckpoint};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::Mutex;
 
 /// One cell's observed load in one window.
@@ -55,9 +57,16 @@ impl CellLoad {
 /// Per-window, per-subtask accounting shared between the GridQuery
 /// subtasks (writers) and the balancer / status endpoints (readers).
 /// Wrap in `Arc`; all methods take `&self`.
+///
+/// Every deployment keeps the per-subtask window totals (STATUS and the
+/// imbalance series read them). Per-cell loads exist only for a consumer:
+/// a tracker built with `per_cell` (adaptive routing, where the balancer
+/// drains them) merges each window's per-subtask sorted runs; one built
+/// without it takes totals only, and its cell histories stay empty.
 #[derive(Debug)]
 pub struct LoadTracker {
     parallelism: usize,
+    per_cell: bool,
     inner: Mutex<TrackerInner>,
 }
 
@@ -70,10 +79,13 @@ const MAX_WINDOW_HISTORY: usize = 4096;
 /// Per-cell history bounds, much tighter than [`MAX_WINDOW_HISTORY`]
 /// because these rows hold an entry per active cell: `sealed_cells`
 /// (read only by the skew bench's hindsight oracle) keeps this many
-/// windows, and `ready` — drained promptly whenever a balancer runs —
-/// drops its oldest past this when nothing drains (static routing).
+/// windows, and `ready` — drained at every window boundary by the
+/// balancer — drops its oldest past this when the drain falls behind.
 const MAX_CELL_WINDOW_HISTORY: usize = 512;
 const MAX_READY_BACKLOG: usize = 64;
+
+/// One window's per-cell loads: ascending by cell, one entry per cell.
+pub type CellRun = Vec<(GridKey, CellLoad)>;
 
 #[derive(Debug, Default)]
 struct TrackerInner {
@@ -83,28 +95,55 @@ struct TrackerInner {
     /// estimates would make a cell's load appear to halve and double with
     /// scheduling luck, and the balancer would chase that noise with
     /// useless migrations.
-    ready: Vec<(u32, HashMap<GridKey, CellLoad>)>,
-    /// Open windows: per-cell and per-subtask loads plus how many
+    ready: VecDeque<(u32, CellRun)>,
+    /// Open windows: the reported subtask runs and totals, and how many
     /// subtasks reported.
     open: BTreeMap<u32, WindowAcc>,
     /// Sealed windows (every subtask reported), ascending by time.
-    sealed: Vec<(u32, Vec<u64>)>,
-    /// Per-cell loads of sealed windows (for hindsight analyses).
-    sealed_cells: Vec<(u32, Vec<(GridKey, u64)>)>,
+    sealed: VecDeque<(u32, Vec<u64>)>,
+    /// Per-cell weights of sealed windows (for hindsight analyses).
+    sealed_cells: VecDeque<(u32, Vec<(GridKey, u64)>)>,
 }
 
 #[derive(Debug, Default)]
 struct WindowAcc {
-    cells: HashMap<GridKey, CellLoad>,
+    /// The reporting subtasks' runs, concatenated.
+    cells: CellRun,
     loads: Vec<u64>,
     reports: usize,
 }
 
+/// Appends to a history ring, dropping its oldest entry at `cap`.
+fn push_bounded<T>(ring: &mut VecDeque<T>, item: T, cap: usize) {
+    if ring.len() == cap {
+        ring.pop_front();
+    }
+    ring.push_back(item);
+}
+
+/// Merges concatenated sorted runs into one [`CellRun`]: the stable sort
+/// merges the presorted runs it finds, and the loads of a cell that
+/// appears more than once add up.
+fn merge_runs(mut cells: CellRun) -> CellRun {
+    cells.sort_by_key(|&(cell, _)| cell);
+    cells.dedup_by(|next, kept| {
+        let same = next.0 == kept.0;
+        if same {
+            kept.1.records += next.1.records;
+            kept.1.pairs += next.1.pairs;
+        }
+        same
+    });
+    cells
+}
+
 impl LoadTracker {
-    /// A tracker for `parallelism` GridQuery subtasks.
-    pub fn new(parallelism: usize) -> Self {
+    /// A tracker for `parallelism` GridQuery subtasks that keeps per-cell
+    /// loads only when `per_cell` is set.
+    pub fn new(parallelism: usize, per_cell: bool) -> Self {
         LoadTracker {
             parallelism: parallelism.max(1),
+            per_cell,
             inner: Mutex::new(TrackerInner::default()),
         }
     }
@@ -114,30 +153,30 @@ impl LoadTracker {
         self.parallelism
     }
 
-    /// Records a batch of cells' loads in window `time` (called by the
-    /// owning subtask once per window flush, with every cell it ran — one
-    /// lock acquisition per batch). Loads of a cell reported more than once
-    /// add up. The loads stay staged until the whole window seals.
-    pub fn record_cells(&self, time: u32, cells: &[(GridKey, CellLoad)]) {
-        if cells.is_empty() {
-            return;
-        }
-        let mut inner = self.inner.lock().expect("load tracker poisoned");
-        let window = &mut inner.open.entry(time).or_default().cells;
-        for &(cell, load) in cells {
-            let entry = window.entry(cell).or_default();
-            entry.records += load.records;
-            entry.pairs += load.pairs;
-        }
+    /// Whether the tracker keeps per-cell loads (see [`LoadTracker::new`]).
+    pub fn per_cell(&self) -> bool {
+        self.per_cell
     }
 
-    /// Records one subtask's total load for window `time`. Every subtask
-    /// reports every window (ticks are broadcast), so the window seals at
-    /// the `parallelism`-th report — at which point its per-cell loads
-    /// become drainable as one consistent unit.
-    pub fn record_window(&self, time: u32, subtask: usize, load: u64) {
+    fn lock(&self) -> std::sync::MutexGuard<'_, TrackerInner> {
+        self.inner.lock().expect("load tracker poisoned")
+    }
+
+    /// Records one subtask's report for window `time`: its total `load`
+    /// and, on a per-cell tracker, its cells as one run ascending by cell
+    /// (empty otherwise). Every subtask reports every window (ticks are
+    /// broadcast), so the window seals at the `parallelism`-th report; the
+    /// runs are then merged, and the window's per-cell loads become
+    /// drainable as one consistent unit.
+    pub fn record_window(
+        &self,
+        time: u32,
+        subtask: usize,
+        load: u64,
+        cells: &[(GridKey, CellLoad)],
+    ) {
         let n = self.parallelism;
-        let mut inner = self.inner.lock().expect("load tracker poisoned");
+        let mut inner = self.lock();
         let acc = inner.open.entry(time).or_default();
         if acc.loads.is_empty() {
             acc.loads = vec![0; n];
@@ -145,42 +184,38 @@ impl LoadTracker {
         if let Some(slot) = acc.loads.get_mut(subtask) {
             *slot += load;
         }
-        acc.reports += 1;
-        if acc.reports >= n {
-            let acc = inner.open.remove(&time).expect("window present");
-            let mut cells: Vec<(GridKey, u64)> =
-                acc.cells.iter().map(|(&c, l)| (c, l.weight())).collect();
-            cells.sort_by_key(|&(c, _)| c);
-            inner.ready.push((time, acc.cells));
-            inner.sealed.push((time, acc.loads));
-            inner.sealed_cells.push((time, cells));
-            let excess = inner.sealed.len().saturating_sub(MAX_WINDOW_HISTORY);
-            if excess > 0 {
-                inner.sealed.drain(..excess);
-            }
-            let excess = inner
-                .sealed_cells
-                .len()
-                .saturating_sub(MAX_CELL_WINDOW_HISTORY);
-            if excess > 0 {
-                inner.sealed_cells.drain(..excess);
-            }
-            let excess = inner.ready.len().saturating_sub(MAX_READY_BACKLOG);
-            if excess > 0 {
-                inner.ready.drain(..excess);
-            }
+        if self.per_cell {
+            acc.cells.extend_from_slice(cells);
         }
+        acc.reports += 1;
+        if acc.reports < n {
+            return;
+        }
+        let acc = inner.open.remove(&time).expect("window present");
+        push_bounded(&mut inner.sealed, (time, acc.loads), MAX_WINDOW_HISTORY);
+        if !self.per_cell {
+            return;
+        }
+        // Merge off the lock. Windows still land in time order: window
+        // `time + 1` cannot seal before this subtask reports it, which
+        // follows this call.
+        drop(inner);
+        let cells = merge_runs(acc.cells);
+        let weights = cells.iter().map(|&(c, l)| (c, l.weight())).collect();
+        let mut inner = self.lock();
+        push_bounded(
+            &mut inner.sealed_cells,
+            (time, weights),
+            MAX_CELL_WINDOW_HISTORY,
+        );
+        push_bounded(&mut inner.ready, (time, cells), MAX_READY_BACKLOG);
     }
 
     /// Per-window per-cell loads of sealed windows, ascending by time —
     /// what an oracle placement (hindsight LPT per window) is computed
-    /// from in the skew bench.
+    /// from in the skew bench. Empty on a tracker without `per_cell`.
     pub fn sealed_cell_windows(&self) -> Vec<(u32, Vec<(GridKey, u64)>)> {
-        self.inner
-            .lock()
-            .expect("load tracker poisoned")
-            .sealed_cells
-            .clone()
+        self.lock().sealed_cells.iter().cloned().collect()
     }
 
     /// Takes the per-cell loads of every window sealed since the last
@@ -189,28 +224,19 @@ impl LoadTracker {
     /// sealed between two drains (backpressure makes seals arrive in
     /// bursts; folding a burst as if it were one window whipsaws any
     /// decayed estimate by the burst length).
-    pub fn drain_cells(&self) -> Vec<(u32, HashMap<GridKey, CellLoad>)> {
-        std::mem::take(&mut self.inner.lock().expect("load tracker poisoned").ready)
+    pub fn drain_cells(&self) -> Vec<(u32, CellRun)> {
+        self.lock().ready.drain(..).collect()
     }
 
     /// All sealed windows so far, `(time, per-subtask loads)` ascending —
     /// the imbalance series the skew bench reports on.
     pub fn sealed_windows(&self) -> Vec<(u32, Vec<u64>)> {
-        self.inner
-            .lock()
-            .expect("load tracker poisoned")
-            .sealed
-            .clone()
+        self.lock().sealed.iter().cloned().collect()
     }
 
     /// The most recently sealed window, if any.
     pub fn last_sealed(&self) -> Option<(u32, Vec<u64>)> {
-        self.inner
-            .lock()
-            .expect("load tracker poisoned")
-            .sealed
-            .last()
-            .cloned()
+        self.lock().sealed.back().cloned()
     }
 }
 
@@ -504,9 +530,10 @@ impl LoadBalancer {
     }
 
     /// Folds ONE sealed window's pair counts from the query-side
-    /// feedback. Call once per sealed window (in time order) — the
+    /// feedback (one entry per cell, as [`LoadTracker::drain_cells`]
+    /// yields them). Call once per sealed window (in time order) — the
     /// decay-per-fold is what normalizes bursts of late feedback.
-    pub fn observe_pairs_window(&mut self, observed: &HashMap<GridKey, CellLoad>) {
+    pub fn observe_pairs_window(&mut self, observed: &[(GridKey, CellLoad)]) {
         for w in self.pair_estimates.values_mut() {
             *w *= self.config.decay;
         }
@@ -587,11 +614,7 @@ impl LoadBalancer {
     /// `times` (ascending) and each window of query-side pair `feedback`
     /// (from [`LoadTracker::drain_cells`]), then evaluates once. Returns
     /// the table swap the sealed windows must be routed under, if any.
-    pub fn place(
-        &mut self,
-        times: &[u32],
-        feedback: Vec<(u32, HashMap<GridKey, CellLoad>)>,
-    ) -> Option<RebalancePlan> {
+    pub fn place(&mut self, times: &[u32], feedback: Vec<(u32, CellRun)>) -> Option<RebalancePlan> {
         for t in times {
             let records = self.open.remove(t).unwrap_or_default();
             self.observe_records(&records);
@@ -603,18 +626,19 @@ impl LoadBalancer {
     }
 
     /// Test/embedding convenience: fold one fully observed window
-    /// (records + pairs arriving together) and evaluate.
+    /// (records + pairs arriving together, one entry per cell) and
+    /// evaluate.
     pub fn on_window_boundary(
         &mut self,
-        observed: HashMap<GridKey, CellLoad>,
+        observed: &[(GridKey, CellLoad)],
     ) -> Option<BalanceOutcome> {
         let records: HashMap<GridKey, u64> = observed
             .iter()
             .filter(|(_, l)| l.records > 0)
-            .map(|(&c, l)| (c, l.records))
+            .map(|&(c, l)| (c, l.records))
             .collect();
         self.observe_records(&records);
-        self.observe_pairs_window(&observed);
+        self.observe_pairs_window(observed);
         self.evaluate()
     }
 
@@ -734,6 +758,7 @@ impl LoadBalancer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn load(records: u64, pairs: u64) -> CellLoad {
         CellLoad { records, pairs }
@@ -785,73 +810,88 @@ mod tests {
 
     #[test]
     fn tracker_seals_windows_after_all_reports() {
-        let t = LoadTracker::new(3);
-        t.record_window(0, 0, 10);
-        t.record_window(0, 1, 0);
+        let t = LoadTracker::new(3, false);
+        t.record_window(0, 0, 10, &[]);
+        t.record_window(0, 1, 0, &[]);
         assert!(t.last_sealed().is_none(), "one report missing");
-        t.record_window(0, 2, 5);
+        t.record_window(0, 2, 5, &[]);
         assert_eq!(t.last_sealed(), Some((0, vec![10, 0, 5])));
         assert_eq!(t.sealed_windows().len(), 1);
+        assert!(t.sealed_cell_windows().is_empty(), "totals only");
+        assert!(t.drain_cells().is_empty(), "totals only");
     }
 
     #[test]
     fn tracker_drains_whole_windows_only() {
-        let t = LoadTracker::new(2);
-        t.record_cells(
-            0,
-            &[
-                (GridKey::new(1, 1), load(4, 6)),
-                (GridKey::new(1, 1), load(1, 0)),
-                (GridKey::new(2, 2), load(2, 0)),
-            ],
-        );
-        t.record_window(0, 0, 11);
+        let t = LoadTracker::new(2, true);
+        let run = [
+            (GridKey::new(1, 1), load(4, 6)),
+            (GridKey::new(1, 1), load(1, 0)),
+            (GridKey::new(2, 2), load(2, 0)),
+        ];
+        t.record_window(0, 0, 13, &run);
         assert!(
             t.drain_cells().is_empty(),
             "half-reported windows must not leak into the estimates"
         );
-        t.record_window(0, 1, 2);
+        t.record_window(0, 1, 0, &[]);
         let drained = t.drain_cells();
         assert_eq!(drained.len(), 1, "one whole window");
         let (time, cells) = &drained[0];
         assert_eq!(*time, 0);
-        assert_eq!(cells[&GridKey::new(1, 1)].weight(), 11);
-        assert_eq!(cells[&GridKey::new(2, 2)].weight(), 2);
+        assert_eq!(
+            cells,
+            &vec![
+                (GridKey::new(1, 1), load(5, 6)),
+                (GridKey::new(2, 2), load(2, 0))
+            ]
+        );
+        assert_eq!(
+            t.sealed_cell_windows(),
+            vec![(0, vec![(GridKey::new(1, 1), 11), (GridKey::new(2, 2), 2)])]
+        );
         assert!(t.drain_cells().is_empty(), "drain resets");
+    }
+
+    /// The old accounting: every reported cell folded into a map.
+    fn fold_into_map<'a>(
+        runs: impl IntoIterator<Item = &'a (GridKey, CellLoad)>,
+    ) -> HashMap<GridKey, CellLoad> {
+        let mut map: HashMap<GridKey, CellLoad> = HashMap::new();
+        for &(cell, l) in runs {
+            let e = map.entry(cell).or_default();
+            e.records += l.records;
+            e.pairs += l.pairs;
+        }
+        map
     }
 
     #[test]
     fn batched_reports_drain_like_per_cell_reports() {
-        // Two subtasks own disjoint cells; each reports its window's cells
-        // in one batch, and the drained per-cell loads are the sums the
-        // per-cell reports would have accumulated.
-        let t = LoadTracker::new(2);
+        // Each subtask reports its window's cells as one sorted run; the
+        // drained per-cell loads are the sums the per-cell reports would
+        // have accumulated, one entry per cell in key order.
+        let t = LoadTracker::new(2, true);
         let first = [
             (GridKey::new(0, 0), load(3, 1)),
             (GridKey::new(0, 1), load(2, 0)),
+            (GridKey::new(5, 5), load(1, 1)),
         ];
         let second = [
-            (GridKey::new(5, 5), load(7, 4)),
             (GridKey::new(-1, 2), load(1, 0)),
+            (GridKey::new(5, 5), load(7, 4)),
             (GridKey::new(5, 5), load(1, 2)),
         ];
-        t.record_cells(4, &first);
-        t.record_window(4, 0, 6);
-        t.record_cells(4, &second);
-        t.record_cells(4, &[]);
-        t.record_window(4, 1, 15);
+        t.record_window(4, 0, 8, &first);
+        t.record_window(4, 1, 15, &second);
         let drained = t.drain_cells();
         assert_eq!(drained.len(), 1);
         let (time, cells) = &drained[0];
         assert_eq!(*time, 4);
-        let mut expected: HashMap<GridKey, CellLoad> = HashMap::new();
-        for &(cell, l) in first.iter().chain(&second) {
-            let e = expected.entry(cell).or_default();
-            e.records += l.records;
-            e.pairs += l.pairs;
-        }
-        assert_eq!(cells, &expected);
-        assert_eq!(cells[&GridKey::new(5, 5)], load(8, 6));
+        assert!(cells.windows(2).all(|w| w[0].0 < w[1].0), "{cells:?}");
+        let merged: HashMap<GridKey, CellLoad> = cells.iter().copied().collect();
+        assert_eq!(merged, fold_into_map(first.iter().chain(&second)));
+        assert_eq!(merged[&GridKey::new(5, 5)], load(9, 7));
     }
 
     #[test]
@@ -874,11 +914,8 @@ mod tests {
             n,
         );
         let cells = colliding_cells(n, 4);
-        let mut observed = HashMap::new();
-        for &c in &cells {
-            observed.insert(c, load(100, 100));
-        }
-        let outcome = b.on_window_boundary(observed).expect("load observed");
+        let observed: Vec<_> = cells.iter().map(|&c| (c, load(100, 100))).collect();
+        let outcome = b.on_window_boundary(&observed).expect("load observed");
         assert!(
             outcome.max_load / outcome.mean_load > 1.2,
             "collisions must look hot"
@@ -889,11 +926,8 @@ mod tests {
 
         // Re-projection under the new placement is balanced: feed the
         // same observation again and expect no further plan.
-        let mut observed = HashMap::new();
-        for &c in &cells {
-            observed.insert(c, load(100, 100));
-        }
-        let outcome = b.on_window_boundary(observed).expect("load observed");
+        let observed: Vec<_> = cells.iter().map(|&c| (c, load(100, 100))).collect();
+        let outcome = b.on_window_boundary(&observed).expect("load observed");
         assert!(
             outcome.plan.is_none(),
             "already balanced: max {} mean {}",
@@ -916,11 +950,8 @@ mod tests {
         );
         let cells = colliding_cells(n, 4);
         for round in 0..4 {
-            let mut observed = HashMap::new();
-            for &c in &cells {
-                observed.insert(c, load(50, 0));
-            }
-            let outcome = b.on_window_boundary(observed).expect("load observed");
+            let observed: Vec<_> = cells.iter().map(|&c| (c, load(50, 0))).collect();
+            let outcome = b.on_window_boundary(&observed).expect("load observed");
             if round < 3 {
                 assert!(outcome.plan.is_none(), "round {round} inside cooldown");
             } else {
@@ -940,7 +971,7 @@ mod tests {
             1,
         );
         let outcome = b
-            .on_window_boundary(HashMap::from([(GridKey::new(0, 0), load(1000, 0))]))
+            .on_window_boundary(&[(GridKey::new(0, 0), load(1000, 0))])
             .expect("load observed");
         assert!(outcome.plan.is_none());
     }
@@ -957,11 +988,8 @@ mod tests {
             n,
         );
         let cells = colliding_cells(n, 5);
-        let mut observed = HashMap::new();
-        for &c in &cells {
-            observed.insert(c, load(80, 20));
-        }
-        b.on_window_boundary(observed).expect("load observed");
+        let observed: Vec<_> = cells.iter().map(|&c| (c, load(80, 20))).collect();
+        b.on_window_boundary(&observed).expect("load observed");
         assert_eq!(b.epoch(), 1);
 
         let ckpt = b.checkpoint();
@@ -991,11 +1019,11 @@ mod tests {
             },
             n,
         );
-        let mut observed = HashMap::new();
-        for &c in &colliding_cells(n, 4) {
-            observed.insert(c, load(80, 20));
-        }
-        b.on_window_boundary(observed).expect("load observed");
+        let observed: Vec<_> = colliding_cells(n, 4)
+            .into_iter()
+            .map(|c| (c, load(80, 20)))
+            .collect();
+        b.on_window_boundary(&observed).expect("load observed");
         let ckpt = b.checkpoint();
         assert!(!ckpt.loads.is_empty());
 
@@ -1011,23 +1039,34 @@ mod tests {
 
     #[test]
     fn tracker_history_is_bounded() {
-        let t = LoadTracker::new(1);
-        for time in 0..(super::MAX_WINDOW_HISTORY as u32 + 50) {
-            t.record_cells(time, &[(GridKey::new(0, 0), load(1, 0))]);
-            t.record_window(time, 0, 1);
+        for per_cell in [false, true] {
+            let t = LoadTracker::new(1, per_cell);
+            for time in 0..(super::MAX_WINDOW_HISTORY as u32 + 50) {
+                let cells = [(GridKey::new(0, 0), load(1, 0))];
+                t.record_window(time, 0, 1, if per_cell { &cells } else { &[] });
+            }
+            // Nothing drains here; every ring must stay bounded and keep
+            // the newest windows.
+            let sealed = t.sealed_windows();
+            assert_eq!(sealed.len(), super::MAX_WINDOW_HISTORY);
+            assert_eq!(sealed.first().expect("nonempty").0, 50, "oldest dropped");
+            assert_eq!(
+                t.last_sealed().expect("nonempty").0,
+                sealed.last().unwrap().0
+            );
+            let cells = t.sealed_cell_windows();
+            let ready = t.drain_cells();
+            if per_cell {
+                assert_eq!(cells.len(), super::MAX_CELL_WINDOW_HISTORY);
+                assert_eq!(ready.len(), super::MAX_READY_BACKLOG);
+                let newest = super::MAX_WINDOW_HISTORY as u32 + 49;
+                assert_eq!(cells.last().expect("nonempty").0, newest);
+                assert_eq!(ready.last().expect("nonempty").0, newest);
+                assert!(ready.windows(2).all(|w| w[0].0 + 1 == w[1].0));
+            } else {
+                assert!(cells.is_empty() && ready.is_empty());
+            }
         }
-        // Nothing drains in static mode; every buffer must stay bounded.
-        assert_eq!(t.sealed_windows().len(), super::MAX_WINDOW_HISTORY);
-        assert_eq!(
-            t.sealed_cell_windows().len(),
-            super::MAX_CELL_WINDOW_HISTORY
-        );
-        assert_eq!(t.drain_cells().len(), super::MAX_READY_BACKLOG);
-        assert_eq!(
-            t.sealed_windows().first().expect("nonempty").0,
-            50,
-            "oldest windows are the ones dropped"
-        );
     }
 
     #[test]
@@ -1053,5 +1092,74 @@ mod tests {
         let table = b.table_assignments();
         assert_eq!(table.len(), 1, "subtask-6 pin dropped at parallelism 2");
         assert_eq!(table[&stable_hash(&GridKey::new(0, 0))], 1);
+    }
+
+    /// A balancer that plans at the slightest imbalance, every window.
+    fn eager() -> BalancerConfig {
+        BalancerConfig {
+            theta: 1.1,
+            cooldown_windows: 0,
+            ..BalancerConfig::default()
+        }
+    }
+
+    /// Counts `records` grid objects of `cell` into window `time`, as
+    /// [`LoadBalancer::count`] does one object at a time.
+    fn count_records(b: &mut LoadBalancer, time: u32, cell: GridKey, records: u64) {
+        *b.open.entry(time).or_default().entry(cell).or_default() += records;
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Random per-subtask sorted runs, repeated keys included, drain
+        /// to the per-cell sums the old map fold made; and a balancer fed
+        /// the merged runs plans exactly like one fed the map.
+        #[test]
+        fn merged_runs_fold_like_the_cell_map(
+            n in 2usize..5,
+            windows in prop::collection::vec(
+                prop::collection::vec((0i64..12, 0i64..3, 1u64..20, 0u64..3), 0..40),
+                1..12,
+            ),
+        ) {
+            let tracker = LoadTracker::new(n, true);
+            let mut by_runs = LoadBalancer::new(eager(), n);
+            let mut by_map = LoadBalancer::new(eager(), n);
+            for (t, reports) in windows.iter().enumerate() {
+                let t = t as u32;
+                // Deal the reports to subtasks; each sends a sorted run.
+                let mut runs: Vec<CellRun> = vec![Vec::new(); n];
+                for (i, &(x, y, records, rate)) in reports.iter().enumerate() {
+                    // An integer pair rate keeps every estimate dyadic,
+                    // so float sums cannot depend on map iteration order.
+                    let load = CellLoad { records, pairs: records * rate };
+                    runs[(i * 7 + x as usize) % n].push((GridKey::new(x, y), load));
+                }
+                for run in &mut runs {
+                    run.sort_by_key(|&(cell, _)| cell);
+                }
+                for (subtask, run) in runs.iter().enumerate() {
+                    let total = run.iter().map(|(_, l)| l.weight()).sum();
+                    tracker.record_window(t, subtask, total, run);
+                }
+                let map = fold_into_map(runs.iter().flatten());
+                for (&cell, l) in &map {
+                    for b in [&mut by_runs, &mut by_map] {
+                        count_records(b, t, cell, l.records);
+                    }
+                }
+                let drained = tracker.drain_cells();
+                prop_assert_eq!(drained.len(), 1);
+                let merged = &drained[0].1;
+                prop_assert!(merged.windows(2).all(|w| w[0].0 < w[1].0));
+                let as_map: HashMap<GridKey, CellLoad> = merged.iter().copied().collect();
+                prop_assert_eq!(&as_map, &map);
+                let plan = |p: Option<RebalancePlan>| p.map(|p| (p.epoch, p.migrated, p.assignments));
+                let want = plan(by_map.place(&[t], vec![(t, map.into_iter().collect())]));
+                let got = plan(by_runs.place(&[t], drained));
+                prop_assert_eq!(got, want, "window {}", t);
+            }
+        }
     }
 }

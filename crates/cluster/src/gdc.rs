@@ -1,4 +1,4 @@
-//! **GDC** — the grid-based DBSCAN baseline of §7.1 ([14] adapted).
+//! **GDC** — the grid-based DBSCAN baseline of §7.1 (\[14\] adapted).
 //!
 //! A centralized grid DBSCAN: the space is divided by the (small) distance
 //! threshold ε itself rather than by a tunable cell width, neighborhoods are

@@ -1,4 +1,4 @@
-//! **SRJ** — the comparison baseline of §7.1 ([36] extended with DBSCAN).
+//! **SRJ** — the comparison baseline of §7.1 (\[36\] extended with DBSCAN).
 //!
 //! The state-of-the-art distributed streaming range join before this paper:
 //! every location is replicated to **all** cells intersecting its full range

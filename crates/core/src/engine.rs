@@ -57,7 +57,7 @@ fn checked_div(d: Duration, n: usize) -> Duration {
 
 /// The synchronous ICPE engine: push snapshots in time order, collect
 /// patterns. Snapshots must be dense in time (every tick, possibly empty);
-/// [`icpe_gen::TraceSet::to_snapshots`]-style input or the runtime's aligner
+/// `icpe_gen::TraceSet::to_snapshots`-style input or the runtime's aligner
 /// output both satisfy this.
 ///
 /// [`IcpeEngine::new`] builds the deployment's pair — RJC clustering, FBA

@@ -99,9 +99,9 @@
 //! frontier router owns the [`LoadBalancer`] and cells route through an
 //! epoch-stamped [`RoutingTable`] instead of a fixed `hash(cell) % N`:
 //!
-//! * every GridQuery subtask accounts its per-cell load (buffered objects
-//!   plus produced pairs) into a shared [`LoadTracker`] as it flushes
-//!   each window;
+//! * every GridQuery subtask hands each window's per-cell loads (objects
+//!   plus pairs) to a shared [`LoadTracker`] as one run in cell order,
+//!   merged when the window seals (static routing reports totals only);
 //! * the router counts each open window's grid objects per cell (home
 //!   cell and Lemma-1 replicas of every kept record); when it seals
 //!   windows the balancer places them on those counts and the tracker's
@@ -1468,31 +1468,15 @@ fn merge_sorted_ids(a: Vec<ObjectId>, b: Vec<ObjectId>) -> Vec<ObjectId> {
         return a;
     }
     let mut out = Vec::with_capacity(a.len() + b.len());
-    let (mut ia, mut ib) = (a.into_iter().peekable(), b.into_iter().peekable());
-    loop {
-        match (ia.peek(), ib.peek()) {
-            (Some(&x), Some(&y)) => {
-                let next = match x.cmp(&y) {
-                    std::cmp::Ordering::Less => ia.next(),
-                    std::cmp::Ordering::Greater => ib.next(),
-                    std::cmp::Ordering::Equal => {
-                        ib.next();
-                        ia.next()
-                    }
-                };
-                out.push(next.expect("peeked"));
-            }
-            (Some(_), None) => {
-                out.extend(ia);
-                break;
-            }
-            (None, Some(_)) => {
-                out.extend(ib);
-                break;
-            }
-            (None, None) => break,
-        }
+    let (mut i, mut j) = (0, 0);
+    // Take the smaller head; an id on both sides advances both (dedup).
+    while let (Some(&x), Some(&y)) = (a.get(i), b.get(j)) {
+        out.push(x.min(y));
+        i += usize::from(x <= y);
+        j += usize::from(y <= x);
     }
+    out.extend_from_slice(&a[i..]);
+    out.extend_from_slice(&b[j..]);
     out
 }
 
@@ -1831,9 +1815,9 @@ impl Operator<RouteMsg, GridMsg> for AlignShardOp {
 /// GridQuery (Algorithm 2) as a keyed operator: one subtask owns many cells;
 /// each window's batches from the `S` aligner shards collect until the
 /// `S`-th tick, then run cell by cell through [`query_cells`]. Each flush
-/// accounts the subtask's per-cell loads into the shared [`LoadTracker`]
-/// in one batch — the signal the adaptive balancer repartitions on — and
-/// hands the window's pairs, with the object ids they mention, to the
+/// reports the subtask's window load to the shared [`LoadTracker`] — with
+/// its per-cell loads, in key order, when a balancer repartitions on them —
+/// and hands the window's pairs, with the object ids they mention, to the
 /// sync-merge tree.
 struct QueryOp {
     subtask: usize,
@@ -1842,7 +1826,8 @@ struct QueryOp {
     /// The open windows' objects: the first batch kept by move, the rest
     /// appended.
     align: WindowAlign<Vec<GridObject>>,
-    /// The window's per-cell loads, reused across ticks.
+    /// The window's per-cell loads, reused across ticks; stays empty
+    /// unless the tracker keeps per-cell loads.
     loads: Vec<(GridKey, CellLoad)>,
     /// The window's pairs, reused across ticks: it ships as an exact-size
     /// copy, so this buffer stops growing after the first ticks.
@@ -1853,15 +1838,21 @@ impl QueryOp {
     fn flush_time(&mut self, t: u32, mut objects: Vec<GridObject>, out: &mut Collector<MergeMsg>) {
         self.pairs.clear();
         self.loads.clear();
+        let per_cell = self.tracker.per_cell();
         query_cells(
             &mut self.engine,
             &mut objects,
             &mut self.pairs,
-            |cell, load| self.loads.push((cell, load)),
+            |cell, load| {
+                if per_cell {
+                    self.loads.push((cell, load));
+                }
+            },
         );
-        let window_load = self.loads.iter().map(|(_, load)| load.weight()).sum();
-        self.tracker.record_cells(t, &self.loads);
-        self.tracker.record_window(t, self.subtask, window_load);
+        // Each object sits in one cell and each pair is found in one.
+        let load = (objects.len() + self.pairs.len()) as u64;
+        self.tracker
+            .record_window(t, self.subtask, load, &self.loads);
         if !self.pairs.is_empty() {
             // The object-id union of this subtask's pairs, computed here (in
             // parallel across subtasks) so the finalizer only merges sorted

@@ -163,7 +163,10 @@ impl PipelineStatus {
         PipelineStatus {
             gauges: StatusGauges::register(&obs),
             obs,
-            tracker: Arc::new(LoadTracker::new(config.parallelism)),
+            tracker: Arc::new(LoadTracker::new(
+                config.parallelism,
+                config.rebalance.is_some(),
+            )),
             clock: Arc::new(WindowClock::default()),
             shards: config.align_shards.max(1),
             fanin: config.sync_fanin,
@@ -288,7 +291,8 @@ impl PipelineStatus {
     }
 
     /// Per-window per-cell loads of sealed windows (hindsight analyses;
-    /// see [`LoadTracker::sealed_cell_windows`]).
+    /// see [`LoadTracker::sealed_cell_windows`]). Kept under adaptive
+    /// routing only: empty on a static deployment.
     pub fn sealed_cell_windows(&self) -> Vec<(u32, Vec<(GridKey, u64)>)> {
         self.tracker.sealed_cell_windows()
     }

@@ -9,8 +9,10 @@
 //! the table names, and the table only swaps at window boundaries — so
 //! every window's cell group is processed whole, wherever it lands.
 
+use icpe_cluster::{grid_allocate, query_cells, CellQueryEngine};
 use icpe_core::{BalancerConfig, IcpeConfig, IcpePipeline, PipelineEvent};
 use icpe_gen::{HotspotConfig, HotspotGenerator};
+use icpe_index::Grid;
 use icpe_types::{Constraints, GpsRecord, Pattern};
 use proptest::prelude::*;
 use std::sync::{Arc, Mutex};
@@ -174,4 +176,62 @@ fn forced_migrations_actually_happen() {
     );
     assert!(routing.cells_migrated > 0);
     assert!(!routing.loads.is_empty(), "learned loads are checkpointed");
+}
+
+/// Per-cell loads exist only where the balancer consumes them. A static
+/// deployment keeps the per-subtask window totals STATUS reads, one per
+/// sealed window, and no cell windows. An adaptive one keeps, per window,
+/// exactly the cells and loads that GridAllocate and the cell queries make
+/// of that window's snapshot. Both total a window alike.
+#[test]
+fn per_cell_loads_are_kept_only_under_adaptive_routing() {
+    let gen = HotspotGenerator::new(HotspotConfig {
+        num_objects: 36,
+        num_ticks: 24,
+        area: 120.0,
+        num_sites: 9,
+        zipf_s: 1.4,
+        seed: 7,
+        ..HotspotConfig::default()
+    });
+    let records = gen.traces().to_gps_records();
+
+    let plain = run_collecting(&config(3, false, 3), &records, 1).status;
+    assert!(plain.sealed_cell_windows().is_empty());
+    assert!(plain.routing().mean_subtask_load > 0.0);
+    let sealed = plain.sync().windows_sealed;
+    assert_eq!(plain.imbalance_series().len() as u64, sealed);
+    assert_eq!(sealed, 24, "every tick seals");
+
+    let cfg = config(3, true, 3);
+    let adaptive = run_collecting(&cfg, &records, 1).status;
+    let grid = Grid::new(cfg.lg);
+    let eps = cfg.dbscan.eps;
+    let mut engine = CellQueryEngine::new(eps, cfg.metric);
+    let mut want = Vec::new();
+    for snapshot in gen.traces().to_snapshots() {
+        let mut objects = grid_allocate(&snapshot, &grid, eps);
+        let (mut cells, mut pairs, mut records) = (Vec::new(), Vec::new(), 0);
+        query_cells(&mut engine, &mut objects, &mut pairs, |cell, load| {
+            records += load.records;
+            cells.push((cell, load.weight()));
+        });
+        assert_eq!(records, objects.len() as u64);
+        want.push((snapshot.time.0, cells));
+    }
+    assert_eq!(adaptive.sealed_cell_windows(), want);
+    // Both report the last window's subtask totals: its objects and pairs.
+    let last: u64 = want
+        .last()
+        .expect("windows")
+        .1
+        .iter()
+        .map(|&(_, w)| w)
+        .sum();
+    for status in [&plain, &adaptive] {
+        assert_eq!(
+            (status.routing().mean_subtask_load * 3.0).round() as u64,
+            last
+        );
+    }
 }

@@ -1,6 +1,6 @@
 //! An arena-based R-tree over planar points.
 //!
-//! The paper's local index ([3] in its references) — one per grid cell.
+//! The paper's local index (\[3\] in its references) — one per grid cell.
 //! Supports the two access patterns the range join needs:
 //!
 //! 1. **incremental insertion** with immediate querying (Lemma 2 interleaves

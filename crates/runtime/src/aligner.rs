@@ -395,7 +395,7 @@ pub enum Routed {
 /// became sealable — the `Seal` punctuation broadcast to the shards, which
 /// then emit their partial snapshots for merging. The sequence of sealed
 /// times and every drop decision are bit-for-bit the serial aligner's:
-/// both heads run the very same [`ChainIndex`], and the per-shard seal test
+/// both heads run the very same `ChainIndex`, and the per-shard seal test
 /// unions to the serial one.
 #[derive(Debug)]
 pub struct ShardedAligner {

@@ -53,7 +53,7 @@ pub mod server;
 pub mod stats;
 
 pub use client::{fetch_events, fetch_metrics, fetch_status, EventFollower, Subscription};
-pub use protocol::{Event, PatternEvent, SnapshotEvent, Topic, WireRecord};
+pub use protocol::{Command, Event, PatternEvent, SnapshotEvent, Topic, WireRecord};
 pub use recovery::{CheckpointPolicy, ServeCheckpoint};
 pub use server::{ServeConfig, Server};
 pub use stats::ServerStats;

@@ -131,6 +131,43 @@ impl Topic {
     }
 }
 
+/// What the first line of a connection asks for; any other first line is
+/// a producer's first record.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Command {
+    /// `SUBSCRIBE [topic]`; `None` names an unknown topic.
+    Subscribe(Option<Topic>),
+    /// `STATUS`.
+    Status,
+    /// `METRICS`.
+    Metrics,
+    /// `EVENTS [since-seq]` (0 when absent); `None` when the argument is
+    /// not a sequence number.
+    Events(Option<u64>),
+}
+
+impl Command {
+    /// Parses a connection's first line; `None` when it is no command.
+    pub fn parse(line: &str) -> Option<Command> {
+        let line = line.trim();
+        if let Some(topic) = line.strip_prefix("SUBSCRIBE") {
+            return Some(Command::Subscribe(Topic::parse(topic)));
+        }
+        match line {
+            "STATUS" => return Some(Command::Status),
+            "METRICS" => return Some(Command::Metrics),
+            _ => {}
+        }
+        let since = line
+            .strip_prefix("EVENTS")
+            .filter(|arg| arg.is_empty() || arg.starts_with(' '))?;
+        Some(Command::Events(match since.trim() {
+            "" => Some(0),
+            n => n.parse().ok(),
+        }))
+    }
+}
+
 /// Discriminates the two event-line kinds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EventKind {
@@ -279,6 +316,29 @@ mod tests {
         PatternEvent::write_line(&extremes, &mut line);
         let event = PatternEvent::from_pattern(&extremes);
         assert_eq!(line, serde_json::to_string(&event).unwrap());
+    }
+
+    #[test]
+    fn first_lines_classify() {
+        let parse = Command::parse;
+        assert_eq!(parse(" STATUS\r\n"), Some(Command::Status));
+        assert_eq!(parse("METRICS"), Some(Command::Metrics));
+        assert_eq!(
+            parse("SUBSCRIBE"),
+            Some(Command::Subscribe(Some(Topic::All)))
+        );
+        assert_eq!(
+            parse("SUBSCRIBE Patterns"),
+            Some(Command::Subscribe(Some(Topic::Patterns)))
+        );
+        assert_eq!(parse("SUBSCRIBE bogus"), Some(Command::Subscribe(None)));
+        assert_eq!(parse("EVENTS"), Some(Command::Events(Some(0))));
+        assert_eq!(parse("EVENTS  17 "), Some(Command::Events(Some(17))));
+        assert_eq!(parse("EVENTS -1"), Some(Command::Events(None)));
+        // Records, and words that merely start like a command.
+        for line in ["7,1.0,2.0,3.0", "EVENTS17", "STATUSES", "status", ""] {
+            assert_eq!(parse(line), None, "{line:?}");
+        }
     }
 
     #[test]

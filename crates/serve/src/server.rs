@@ -19,7 +19,7 @@
 //! subscriber that cannot keep up is shed (disconnected) rather than obeyed.
 
 use crate::hub::Hub;
-use crate::protocol::{EventKind, PatternEvent, SnapshotEvent, Topic, WireRecord};
+use crate::protocol::{Command, EventKind, PatternEvent, SnapshotEvent, Topic, WireRecord};
 use crate::recovery::{CheckpointPolicy, EdgeStatsCheckpoint, ServeCheckpoint};
 use crate::stats::ServerStats;
 use crossbeam::channel::Receiver;
@@ -1039,22 +1039,25 @@ fn dispatch(
         return Ok(());
     }
     // A garbage first line is no command: the producer path rejects it.
-    let trimmed = line_text(&first, read).map_or("", str::trim);
     // Read-only queries neither ingest nor subscribe: classified at once.
-    if let Some(topic) = trimmed.strip_prefix("SUBSCRIBE") {
-        shared.mark_subscriber(conn_id);
-        serve_subscriber(shared, stream, topic, pending)
-    } else if trimmed == "STATUS" {
-        drop(pending);
-        serve_status(shared, stream)
-    } else if trimmed == "METRICS" {
-        drop(pending);
-        serve_metrics(shared, stream)
-    } else if trimmed == "EVENTS" || trimmed.starts_with("EVENTS ") {
-        drop(pending);
-        serve_events(shared, stream, trimmed.strip_prefix("EVENTS").unwrap_or(""))
-    } else {
-        serve_producer(shared, reader, (first, read), conn_id, pending)
+    match line_text(&first, read).and_then(Command::parse) {
+        Some(Command::Subscribe(topic)) => {
+            shared.mark_subscriber(conn_id);
+            serve_subscriber(shared, stream, topic, pending)
+        }
+        Some(Command::Status) => {
+            drop(pending);
+            serve_status(shared, stream)
+        }
+        Some(Command::Metrics) => {
+            drop(pending);
+            serve_metrics(shared, stream)
+        }
+        Some(Command::Events(since)) => {
+            drop(pending);
+            serve_events(shared, stream, since)
+        }
+        None => serve_producer(shared, reader, (first, read), conn_id, pending),
     }
 }
 
@@ -1292,10 +1295,10 @@ fn flush_batch(shared: &Shared, sender: &RecordSender, raws: &mut Vec<RawRecord>
 fn serve_subscriber(
     shared: &Arc<Shared>,
     stream: TcpStream,
-    topic_arg: &str,
+    topic: Option<Topic>,
     pending: Unclassified,
 ) -> std::io::Result<()> {
-    let Some(topic) = Topic::parse(topic_arg) else {
+    let Some(topic) = topic else {
         let mut w = BufWriter::new(stream);
         writeln!(w, "ERR unknown topic (use: patterns | snapshots | all)")?;
         return w.flush();
@@ -1371,17 +1374,15 @@ fn serve_metrics(shared: &Arc<Shared>, stream: TcpStream) -> std::io::Result<()>
 /// sequence numbers strictly greater than `since-seq` (default 0 = all
 /// retained), one JSON object per line, then close. Consumers page by
 /// passing the last `seq` they saw.
-fn serve_events(shared: &Arc<Shared>, stream: TcpStream, arg: &str) -> std::io::Result<()> {
+fn serve_events(
+    shared: &Arc<Shared>,
+    stream: TcpStream,
+    since: Option<u64>,
+) -> std::io::Result<()> {
     let mut w = BufWriter::new(stream);
-    let since = match arg.trim() {
-        "" => 0u64,
-        s => match s.parse() {
-            Ok(n) => n,
-            Err(_) => {
-                writeln!(w, "ERR usage: EVENTS [since-seq]")?;
-                return w.flush();
-            }
-        },
+    let Some(since) = since else {
+        writeln!(w, "ERR usage: EVENTS [since-seq]")?;
+        return w.flush();
     };
     for event in shared.status().obs().events_since(since) {
         writeln!(w, "{}", event.render_json())?;

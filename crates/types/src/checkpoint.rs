@@ -75,7 +75,7 @@ use std::fmt;
 ///
 /// v9: neighbor pairs are exactly-once at the source (the Lemma-1 key set
 /// keeps only cells after home), so the keyed dedup shards ahead of the
-/// merge tree and their state are gone: [`SyncCheckpoint`] is the tree
+/// merge tree and their state are gone: `SyncCheckpoint` is the tree
 /// finalizer's two counters, without `duplicates` or `pending` (and its
 /// per-window struct). v8 directories are refused, not upgraded.
 ///

@@ -1,7 +1,7 @@
 //! Offline stand-in for `serde_derive` (see `shims/README.md`).
 //!
 //! Implements `#[derive(Serialize)]` / `#[derive(Deserialize)]` against the
-//! shimmed `serde` crate's [`Value`]-based traits, without `syn`/`quote`
+//! shimmed `serde` crate's `Value`-based traits, without `syn`/`quote`
 //! (which are equally unreachable offline): the item is parsed directly from
 //! the `proc_macro` token stream. Supported shapes — everything the
 //! workspace derives on:
