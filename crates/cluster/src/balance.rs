@@ -238,6 +238,18 @@ impl LoadTracker {
     pub fn last_sealed(&self) -> Option<(u32, Vec<u64>)> {
         self.lock().sealed.back().cloned()
     }
+
+    /// Forgets every window after `through` (all of them for `None`),
+    /// sealed or still open: a replay from a cut whose last sealed window
+    /// is `through` reports them again.
+    pub fn rewind(&self, through: Option<u32>) {
+        let kept = |t: u32| through.is_some_and(|c| t <= c);
+        let mut inner = self.lock();
+        inner.open.clear();
+        inner.ready.retain(|(t, _)| kept(*t));
+        inner.sealed.retain(|(t, _)| kept(*t));
+        inner.sealed_cells.retain(|(t, _)| kept(*t));
+    }
 }
 
 /// `max / mean` of one window's per-subtask loads (1.0 = perfectly
@@ -819,6 +831,28 @@ mod tests {
         assert_eq!(t.sealed_windows().len(), 1);
         assert!(t.sealed_cell_windows().is_empty(), "totals only");
         assert!(t.drain_cells().is_empty(), "totals only");
+    }
+
+    #[test]
+    fn tracker_rewind_forgets_windows_after_the_cut() {
+        let t = LoadTracker::new(2, true);
+        let cell = [(GridKey::new(1, 1), load(1, 0))];
+        for time in 0..4 {
+            t.record_window(time, 0, 1, &cell);
+            t.record_window(time, 1, 1, &[]);
+        }
+        t.record_window(4, 0, 1, &cell);
+        t.rewind(Some(1));
+        let times = |w: Vec<(u32, Vec<u64>)>| w.into_iter().map(|(t, _)| t).collect::<Vec<_>>();
+        assert_eq!(times(t.sealed_windows()), vec![0, 1]);
+        assert_eq!(t.sealed_cell_windows().len(), 2);
+        assert_eq!(t.drain_cells().len(), 2);
+        // The half-reported window 4 is gone too: replay reports it anew,
+        // and it seals at its second report, not its first.
+        t.record_window(4, 0, 1, &cell);
+        assert_eq!(times(t.sealed_windows()), vec![0, 1]);
+        t.rewind(None);
+        assert!(t.sealed_windows().is_empty() && t.last_sealed().is_none());
     }
 
     #[test]

@@ -4,8 +4,11 @@
 //!
 //! ```text
 //! streaming GPS records
-//!   → Discretization          (icpe-types::Discretizer)
-//!   → Time alignment          (icpe-runtime::TimeAligner, §4 "last time")
+//!   → Discretization          (icpe-types::Discretizer: clock time → tick;
+//!                              stateless, records leave it link-less)
+//!   → Time alignment          (icpe-runtime::TimeAligner, §4 "last time":
+//!                              the one per-trajectory state — it links
+//!                              link-less records and rejects stale ticks)
 //!   → Indexed clustering      (icpe-cluster: GridAllocate → GridQuery →
 //!                              GridSync → DBSCAN, §5)
 //!   → Pattern enumeration     (icpe-pattern: FBA, §6)

@@ -238,7 +238,7 @@ impl RecordSender {
     }
 
     /// Pushes a whole micro-batch in one channel operation — the vectorized
-    /// ingest edge (`icpe-serve` stamps and forwards per-connection batches
+    /// ingest edge (`icpe-serve` forwards per-connection batches, link-less,
     /// through this). Order within the batch is preserved; a batch is
     /// equivalent to pushing its records one by one, only cheaper. Blocks
     /// under backpressure; fails once the pipeline has shut down.
@@ -396,7 +396,7 @@ impl IcpePipeline {
         on_event: impl FnMut(PipelineEvent) + Send + 'static,
     ) -> LivePipeline {
         let status = PipelineStatus::new(config);
-        status.reset_to(&resume.obs);
+        status.reset_to(&resume.obs, resume.max_sealed);
         let ckpt_seq = Arc::new(AtomicU64::new(resume.next_seq.saturating_sub(1)));
         let (inner, driver) = match config.supervision.clone() {
             None => launch_generation(config, resume, &status, None, None, on_event),
@@ -862,7 +862,7 @@ impl Supervisor {
                 },
                 None => ResumeState::fresh(&self.config),
             };
-            self.status.reset_to(&resume.obs);
+            self.status.reset_to(&resume.obs, resume.max_sealed);
             self.ledger
                 .lock()
                 .expect("delivery ledger poisoned")
@@ -1589,6 +1589,7 @@ impl AlignRouteOp {
         g.chains.set(chains);
         g.max_shard_chains.set(max_shard_chains);
         g.late_dropped.set(router.late_dropped_total());
+        g.duplicates.set(router.duplicates());
         g.sealed_up_to
             .set(router.sealed_up_to().unwrap_or(0) as u64);
         if sealed {
@@ -1618,7 +1619,7 @@ impl AlignRouteOp {
                 // the seal semantics the equivalence tests pin.
                 self.router.drain_sealed(&mut self.sealed);
             }
-            Routed::Late { .. } => {}
+            Routed::Late { .. } | Routed::Duplicate => {}
         }
     }
 
@@ -1801,10 +1802,7 @@ impl Operator<RouteMsg, GridMsg> for AlignShardOp {
                     .expect("aligner shard slot poisoned")
                     .push(AlignerCheckpoint {
                         buffers: self.buffers.values().cloned().collect(),
-                        chains: Vec::new(),
-                        sealed_up_to: None,
-                        max_seen: 0,
-                        late_dropped: 0,
+                        ..AlignerCheckpoint::empty()
                     });
                 out.emit(Envelope::Barrier(token));
             }

@@ -78,12 +78,13 @@ pub struct StatusSnapshot {
 /// none (the aligner's `sealed_up_to` convention).
 #[derive(Debug, Clone)]
 pub(crate) struct StatusGauges {
-    // align-route: the chains, the late-drop count, the seal frontier,
-    // the frontier of windows released downstream, and the balancer's
-    // routing epoch, pinned cells and migrations.
+    // align-route: the chains, the late-drop and duplicate counts, the
+    // seal frontier, the frontier of windows released downstream, and the
+    // balancer's routing epoch, pinned cells and migrations.
     pub(crate) chains: Gauge,
     pub(crate) max_shard_chains: Gauge,
     pub(crate) late_dropped: Gauge,
+    pub(crate) duplicates: Gauge,
     pub(crate) sealed_up_to: Gauge,
     pub(crate) min_shard_frontier: Gauge,
     pub(crate) max_shard_frontier: Gauge,
@@ -109,6 +110,7 @@ impl StatusGauges {
             chains: gauge("align-route", "aligner_chains"),
             max_shard_chains: gauge("align-route", "aligner_max_shard_chains"),
             late_dropped: gauge("align-route", "aligner_late_dropped"),
+            duplicates: gauge("align-route", "aligner_duplicates"),
             sealed_up_to: gauge("align-route", "aligner_sealed_up_to"),
             min_shard_frontier: gauge("align-route", "aligner_min_shard_frontier"),
             max_shard_frontier: gauge("align-route", "aligner_max_shard_frontier"),
@@ -243,7 +245,8 @@ impl PipelineStatus {
     }
 
     /// The sharded aligner head's gauges: chain counts, per-shard frontier
-    /// spread, the sealed frontier, and the late-drop counter.
+    /// spread, the sealed frontier, and the late-drop and duplicate
+    /// counters.
     pub fn align(&self) -> AlignerStatus {
         let g = &self.gauges;
         AlignerStatus {
@@ -251,6 +254,7 @@ impl PipelineStatus {
             chains: g.chains.get(),
             max_shard_chains: g.max_shard_chains.get(),
             late_dropped: g.late_dropped.get(),
+            duplicates: g.duplicates.get(),
             sealed_up_to: g.sealed_up_to.get(),
             min_shard_frontier: g.min_shard_frontier.get(),
             max_shard_frontier: g.max_shard_frontier.get(),
@@ -298,14 +302,17 @@ impl PipelineStatus {
     }
 
     /// Rewinds what no operator republishes to a cut: the registry's
-    /// counters to `obs` (empty on a fresh launch), and the clocks of
-    /// windows in flight, which replay starts again.
-    pub(crate) fn reset_to(&self, obs: &ObsCheckpoint) {
+    /// counters to `obs` (empty on a fresh launch), the clocks of windows
+    /// in flight, which replay starts again, and the load tracker to the
+    /// windows through `max_sealed`, the cut's last sealed window (replay
+    /// reports every later window again).
+    pub(crate) fn reset_to(&self, obs: &ObsCheckpoint, max_sealed: Option<u32>) {
         // The registry's event journal is deliberately NOT reset: journal
         // seqs stay monotonic across generations so `EVENTS since-seq`
         // consumers never see time move backwards; only the counters rewind
         // to the cut.
         self.obs.reset_counters_to(obs);
         self.clock.clear();
+        self.tracker.rewind(max_sealed);
     }
 }

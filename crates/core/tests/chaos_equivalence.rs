@@ -271,6 +271,50 @@ fn adaptive_routing_heals_with_migrations_conserved() {
     }
 }
 
+/// The load tracker rewinds to the cut with the rest of the status
+/// surface: the windows grid-query reported after the cut are reported
+/// again by the replay, and the per-window series holds each window once.
+#[test]
+fn supervised_replay_reports_each_window_once() {
+    const TICKS: u32 = 30;
+    let input = icpe_gen::GroupWalkGenerator::new(icpe_gen::GroupWalkConfig {
+        num_objects: 18,
+        num_groups: 2,
+        group_size: 4,
+        num_snapshots: TICKS,
+        seed: 0xC0FFEE,
+        ..icpe_gen::GroupWalkConfig::default()
+    })
+    .traces()
+    .to_gps_records();
+    let config = IcpeConfig::builder()
+        .constraints(Constraints::new(3, 4, 2, 2).unwrap())
+        .epsilon(2.5)
+        .min_pts(3)
+        .parallelism(2)
+        .batch_size(4)
+        .supervised(Supervision {
+            backoff: std::time::Duration::from_millis(1),
+            checkpoint_every_records: Some(64),
+            ..Supervision::default()
+        })
+        .fault_plan(Arc::new(
+            FaultPlan::from_spec("panic@grid-query:0:20").unwrap(),
+        ))
+        .build()
+        .unwrap();
+    let plan = config.runtime.fault.clone().unwrap();
+    let out = common::run_collecting(&config, &input, 1);
+    assert!(plan.exhausted(), "the grid-query panic fired");
+    let windows: Vec<u32> = out
+        .status
+        .imbalance_series()
+        .into_iter()
+        .map(|(t, _)| t)
+        .collect();
+    assert_eq!(windows, (0..TICKS).collect::<Vec<_>>());
+}
+
 #[test]
 fn restart_counters_land_in_the_registry() {
     let input = records(7);

@@ -19,7 +19,8 @@
 //! * [`hotspot`] — Zipf-skewed site popularity with a drifting hotspot
 //!   center: the adversarial input for hotspot-aware repartitioning;
 //! * [`stream`] — trace → snapshot / raw-record conversion, disorder
-//!   injection for the time-aligner, and Table-2-style dataset statistics.
+//!   injection for the time-aligner, id churn, and Table-2-style dataset
+//!   statistics.
 
 pub mod brinkhoff;
 pub mod geolife;
@@ -36,6 +37,6 @@ pub use group_walk::{GroupWalkConfig, GroupWalkGenerator};
 pub use hotspot::{HotspotConfig, HotspotGenerator};
 pub use network::RoadNetwork;
 pub use stream::{
-    dataset_stats, disorder_gps, to_raw_records, DatasetStats, DisorderConfig, TraceSet,
+    churn_ids, dataset_stats, disorder_gps, to_raw_records, DatasetStats, DisorderConfig, TraceSet,
 };
 pub use taxi::{TaxiConfig, TaxiGenerator};

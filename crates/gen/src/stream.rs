@@ -169,6 +169,30 @@ pub fn disorder_gps(
     records
 }
 
+/// Identity churn: every trajectory keeps its samples, but after a
+/// geometric lifetime (mean `mean_lifetime` samples, ≥ 1) it continues under
+/// a fresh id — a video tracker's id switch after an occlusion, or a device
+/// logging off and on. The population at each tick is unchanged while the
+/// ids ever seen grow with the stream. Fresh ids count up from one past the
+/// largest input id and are never reused.
+pub fn churn_ids(traces: &TraceSet, mean_lifetime: f64, seed: u64) -> TraceSet {
+    assert!(mean_lifetime >= 1.0, "an id lasts at least one sample");
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut fresh = traces.traces.keys().last().map_or(0, |id| id.0 + 1);
+    let mut out = TraceSet::new();
+    for (&id, trace) in &traces.traces {
+        let mut current = id;
+        for (i, &(tick, location)) in trace.iter().enumerate() {
+            if i > 0 && rng.random_bool(1.0 / mean_lifetime) {
+                current = ObjectId(fresh);
+                fresh += 1;
+            }
+            out.push(current, tick, location);
+        }
+    }
+    out
+}
+
 /// Table-2-style dataset statistics.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DatasetStats {
@@ -229,6 +253,37 @@ mod tests {
             .unwrap();
         assert_eq!(o1_at_1.last_time, Some(Timestamp(0)));
         assert_eq!(snaps[3].entries[0].last_time, Some(Timestamp(1)));
+    }
+
+    #[test]
+    fn churn_keeps_every_sample_under_short_lived_ids() {
+        let walk = crate::GroupWalkGenerator::new(crate::GroupWalkConfig {
+            num_objects: 40,
+            num_snapshots: 300,
+            ..crate::GroupWalkConfig::default()
+        })
+        .traces();
+        let churned = churn_ids(&walk, 10.0, 7);
+        // Same samples per tick, now under ≈ 40 + 299 · 40 / 10 ids whose
+        // mean lifetime is near the configured one.
+        let per_tick = |t: &TraceSet| {
+            let mut n = vec![0usize; 300];
+            t.iter()
+                .flat_map(|(_, s)| s)
+                .for_each(|&(tick, _)| n[tick as usize] += 1);
+            n
+        };
+        assert_eq!(per_tick(&churned), per_tick(&walk));
+        let ids = churned.num_trajectories();
+        assert!((1000..1400).contains(&ids), "{ids} ids");
+        let mean = churned.num_locations() as f64 / ids as f64;
+        assert!((7.0..11.0).contains(&mean), "mean lifetime {mean}");
+        for (_, samples) in churned.iter() {
+            let (first, last) = (samples[0].0, samples[samples.len() - 1].0);
+            assert_eq!(samples.len() as u32, last - first + 1, "ticks contiguous");
+        }
+        let again = churn_ids(&walk, 10.0, 7).to_gps_records();
+        assert_eq!(churned.to_gps_records(), again, "seeded");
     }
 
     #[test]

@@ -21,7 +21,7 @@
 //!
 //! The store is generic over any serde-serializable value, so the serve
 //! layer can wrap the pipeline checkpoint with its own edge state (the
-//! discretizer's stamping map, edge counters) in one atomic file.
+//! tick interval, edge counters) in one atomic file.
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -460,6 +460,7 @@ mod tests {
                 sealed_up_to: Some(seq as u32),
                 max_seen: seq as u32 + 2,
                 late_dropped: 1,
+                duplicates: 0,
             },
             engine: EngineCheckpoint::empty(),
             progress: ProgressCheckpoint {

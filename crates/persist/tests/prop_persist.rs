@@ -20,6 +20,7 @@ fn sample() -> PipelineCheckpoint {
             sealed_up_to: Some(7),
             max_seen: 9,
             late_dropped: 1,
+            duplicates: 0,
         },
         engine: EngineCheckpoint::empty(),
         progress: ProgressCheckpoint {

@@ -16,6 +16,14 @@
 //! been witnessed (so `u` is in the past of the stream) and (b) every known
 //! trajectory either is clarified through `u` or has lagged out (see
 //! [`AlignerConfig::max_lag`]).
+//!
+//! A record without a link (a trajectory's first report, or a source that
+//! sends none, such as the serve edge) starts or extends its trajectory's
+//! live chain at its own time. In arrival order that is exactly the link a
+//! per-trajectory stamper would have written, so the chains are the only
+//! per-trajectory state: a link-less record whose live chain is already
+//! clarified through its tick is a duplicate (a second report in one
+//! interval, or a stale one) and is rejected and counted, not buffered.
 
 use icpe_types::shard::{hash_id, subtask_for};
 use icpe_types::{AlignerCheckpoint, ChainCheckpoint, GpsRecord, ObjectId, Snapshot, Timestamp};
@@ -101,9 +109,10 @@ impl TimeAligner {
     /// `out` in ascending time order — [`TimeAligner::push`] without the
     /// per-record result vector, for batch processing with reused scratch.
     /// A record below the sealed frontier is dropped (and counted; see
-    /// [`TimeAligner::late_dropped`]).
+    /// [`TimeAligner::late_dropped`]), and so is a link-less duplicate
+    /// (see [`TimeAligner::duplicates`]).
     pub fn push_into(&mut self, rec: GpsRecord, out: &mut Vec<Snapshot>) {
-        if let Routed::Late { .. } = self.router.route(&rec) {
+        if !matches!(self.router.route(&rec), Routed::Keep { .. }) {
             return;
         }
         self.buffers
@@ -135,6 +144,12 @@ impl TimeAligner {
     /// below the sealed frontier at arrival, regardless of thread timing.
     pub fn late_dropped(&self) -> u64 {
         self.router.late_dropped_total()
+    }
+
+    /// How many link-less records were rejected because their
+    /// trajectory's live chain was already clarified through their tick.
+    pub fn duplicates(&self) -> u64 {
+        self.router.duplicates()
     }
 
     /// Captures the aligner's full state in durable, canonical form:
@@ -181,6 +196,11 @@ impl Chain {
     /// waiting links so far counts as clarified through 0.
     fn clarified_or_zero(&self) -> u32 {
         self.clarified.unwrap_or(0)
+    }
+
+    /// Whether this chain is clarified through `rec`'s tick.
+    fn covers(&self, rec: &GpsRecord) -> bool {
+        self.clarified.is_some_and(|c| c >= rec.time.0)
     }
 
     /// Advances the clarification chain with one record's last-time link.
@@ -246,6 +266,12 @@ struct ChainIndex {
 }
 
 impl ChainIndex {
+    /// Whether `rec` is a link-less report its trajectory's live chain
+    /// already covers — a duplicate.
+    fn covers(&self, rec: &GpsRecord) -> bool {
+        rec.last_time.is_none() && self.chains.get(&rec.id).is_some_and(|c| c.covers(rec))
+    }
+
     /// Advances (creating it if need be) the chain of `rec`'s trajectory,
     /// moving it between index buckets when its clarified time changes.
     fn advance(&mut self, rec: &GpsRecord) {
@@ -372,6 +398,10 @@ pub enum Routed {
         /// Shard whose late counter absorbed the drop.
         shard: usize,
     },
+    /// A link-less record whose trajectory's live chain is already
+    /// clarified through its tick: a duplicate or stale report. Dropped
+    /// and counted; the chain is untouched.
+    Duplicate,
 }
 
 /// The sharded head's frontier router: the serial [`TimeAligner`] minus the
@@ -417,6 +447,8 @@ pub struct ShardedAligner {
     /// checkpoint pieces mirror a per-shard deployment; the serial count is
     /// the sum.
     late_dropped: Vec<u64>,
+    /// Link-less records rejected as duplicates ([`Routed::Duplicate`]).
+    duplicates: u64,
 }
 
 impl ShardedAligner {
@@ -431,6 +463,7 @@ impl ShardedAligner {
             sealed_up_to: None,
             max_seen: 0,
             late_dropped: vec![0; shards],
+            duplicates: 0,
         }
     }
 
@@ -459,6 +492,12 @@ impl ShardedAligner {
     pub fn route(&mut self, rec: &GpsRecord) -> Routed {
         let t = rec.time.0;
         let shard = self.shard_of(rec.id);
+        // The duplicate test comes first, so a stale tick of a live
+        // trajectory is a duplicate whether or not its window has sealed.
+        if self.chains[shard].covers(rec) {
+            self.duplicates += 1;
+            return Routed::Duplicate;
+        }
         if let Some(s) = self.sealed_up_to {
             if t < s {
                 // Arrived after its snapshot was sealed (lag exceeded):
@@ -549,6 +588,11 @@ impl ShardedAligner {
         self.late_dropped[shard]
     }
 
+    /// Link-less records rejected as duplicates so far.
+    pub fn duplicates(&self) -> u64 {
+        self.duplicates
+    }
+
     /// The sealed frontier: all times `< sealed_up_to` are sealed.
     pub fn sealed_up_to(&self) -> Option<u32> {
         self.sealed_up_to
@@ -583,7 +627,7 @@ impl ShardedAligner {
     }
 
     /// The router's checkpoint piece: chains (canonically sorted), clock
-    /// fields, and the summed late counter — everything except the buffered
+    /// fields, and the summed drop counters — everything except the buffered
     /// rows, which the aligner shards deposit as their own pieces.
     /// [`AlignerCheckpoint::merge`] of the router piece plus the shard
     /// pieces reproduces the serial aligner's checkpoint of the same state.
@@ -600,6 +644,7 @@ impl ShardedAligner {
             sealed_up_to: self.sealed_up_to,
             max_seen: self.max_seen,
             late_dropped: self.late_dropped_total(),
+            duplicates: self.duplicates,
         }
     }
 
@@ -631,6 +676,7 @@ impl ShardedAligner {
             sealed_up_to: ckpt.sealed_up_to,
             max_seen: ckpt.max_seen,
             late_dropped,
+            duplicates: ckpt.duplicates,
         }
     }
 }
@@ -647,6 +693,8 @@ pub struct AlignerStatus {
     pub max_shard_chains: u64,
     /// Records dropped for arriving after their snapshot sealed.
     pub late_dropped: u64,
+    /// Link-less records rejected as duplicates of their live chain.
+    pub duplicates: u64,
     /// The sealed frontier (0 until the first seal).
     pub sealed_up_to: u64,
     /// Smallest per-shard frontier — the shard holding sealing back.
@@ -867,6 +915,122 @@ mod tests {
     }
 
     #[test]
+    fn duplicate_interval_reports_are_dropped() {
+        let mut a = aligner();
+        let mut sealed = a.push(rec(1, 0, None));
+        // A second link-less report in interval 0: the live chain is
+        // clarified through 0 already, so it is a duplicate, not a row.
+        sealed.extend(a.push(rec(1, 0, None)));
+        sealed.extend(a.push(rec(1, 1, None)));
+        sealed.extend(a.flush());
+        assert_eq!(a.duplicates(), 1);
+        assert_eq!(a.late_dropped(), 0);
+        let rows: Vec<(u32, usize)> = sealed.iter().map(|s| (s.time.0, s.len())).collect();
+        assert_eq!(rows, vec![(0, 1), (1, 1)]);
+    }
+
+    #[test]
+    fn last_time_chains_per_trajectory() {
+        // In arrival order, a link-less record advances its chain exactly
+        // as the link a per-trajectory stamper would write: same seals,
+        // same chains, rows differing only in the link they carry.
+        let linked = [
+            rec(1, 0, None),
+            rec(2, 1, None),
+            rec(1, 2, Some(0)),
+            rec(2, 3, Some(1)),
+            rec(1, 5, Some(2)),
+            rec(2, 6, Some(3)),
+        ];
+        let mut a = aligner();
+        let mut b = aligner();
+        let (mut out_a, mut out_b) = (Vec::new(), Vec::new());
+        for r in linked {
+            out_a.extend(a.push(r));
+            out_b.extend(b.push(GpsRecord {
+                last_time: None,
+                ..r
+            }));
+            let chains = |x: &TimeAligner| x.checkpoint().chains;
+            assert_eq!(chains(&a), chains(&b), "after {r:?}");
+        }
+        let unlinked = |snaps: &[Snapshot]| -> Vec<(u32, Vec<u32>)> {
+            snaps
+                .iter()
+                .map(|s| (s.time.0, s.entries.iter().map(|e| e.id.0).collect()))
+                .collect()
+        };
+        assert!(!out_a.is_empty());
+        assert_eq!(unlinked(&out_a), unlinked(&out_b));
+        assert_eq!(b.duplicates(), 0);
+    }
+
+    #[test]
+    fn out_of_order_raw_records_are_dropped() {
+        let mut a = aligner();
+        a.push(rec(1, 5, None));
+        // Tick 3 is behind the live chain (clarified through 5): rejected
+        // as a duplicate even though time 3 has not sealed.
+        assert!(a.push(rec(1, 3, None)).is_empty());
+        assert_eq!((a.duplicates(), a.late_dropped()), (1, 0));
+        // A linked record is never judged a duplicate: its link says where
+        // it belongs.
+        a.push(rec(1, 4, Some(3)));
+        assert_eq!(a.duplicates(), 1);
+    }
+
+    #[test]
+    fn stale_record_of_a_retired_trajectory_is_late_not_duplicate() {
+        let mut a = TimeAligner::new(AlignerConfig {
+            max_lag: 2,
+            emit_empty: true,
+            lateness: 0,
+        });
+        a.push(rec(1, 0, None));
+        a.push(rec(2, 0, None));
+        for t in 1..8 {
+            a.push(rec(1, t, None));
+        }
+        // Object 2 lagged out and its chain retired: the chain that could
+        // have called its stale tick a duplicate is gone, so the record is
+        // judged by the seal frontier alone.
+        assert_eq!(a.checkpoint().chains.len(), 1, "object 2 retired");
+        a.push(rec(2, 0, None));
+        assert_eq!((a.duplicates(), a.late_dropped()), (0, 1));
+        // Its next record starts a fresh chain without a link and holds
+        // the seal back like any live chain.
+        a.push(rec(2, 8, None));
+        let ckpt = a.checkpoint();
+        let chain = ckpt.chains.iter().find(|c| c.id == ObjectId(2)).unwrap();
+        assert_eq!((chain.clarified, chain.waiting.len()), (Some(8), 0));
+    }
+
+    #[test]
+    fn checkpoint_round_trip_preserves_stamping() {
+        let config = AlignerConfig {
+            max_lag: 100,
+            emit_empty: true,
+            lateness: 2,
+        };
+        let mut a = TimeAligner::new(config);
+        a.push(rec(2, 5, None));
+        a.push(rec(1, 3, None));
+        a.push(rec(1, 3, None));
+        let ckpt = a.checkpoint();
+        assert_eq!(ckpt.duplicates, 1);
+        let mut b = TimeAligner::from_checkpoint(config, &ckpt);
+        assert_eq!(b.checkpoint(), ckpt, "checkpoint round-trips exactly");
+        // The duplicate tick is still rejected after the restore, and the
+        // counter continues from its base.
+        for x in [&mut a, &mut b] {
+            assert!(x.push(rec(1, 3, None)).is_empty());
+            x.push(rec(1, 7, None));
+        }
+        assert_eq!((a.duplicates(), b.duplicates()), (2, 2));
+        assert_eq!(a.checkpoint(), b.checkpoint());
+    }
+
+    #[test]
     fn empty_aligner_flush_is_empty() {
         let mut a = aligner();
         assert!(a.flush().is_empty());
@@ -981,7 +1145,7 @@ mod tests {
 
         fn push(&mut self, r: GpsRecord) -> Vec<Snapshot> {
             match self.router.route(&r) {
-                Routed::Late { .. } => return Vec::new(),
+                Routed::Late { .. } | Routed::Duplicate => return Vec::new(),
                 Routed::Keep { shard } => {
                     self.buffers[shard]
                         .entry(r.time.0)
@@ -1258,10 +1422,7 @@ mod tests {
         for shard in &sharded.buffers {
             pieces.push(AlignerCheckpoint {
                 buffers: shard.values().cloned().collect(),
-                chains: Vec::new(),
-                sealed_up_to: None,
-                max_seen: 0,
-                late_dropped: 0,
+                ..AlignerCheckpoint::empty()
             });
         }
         let merged = AlignerCheckpoint::merge(pieces);
@@ -1379,6 +1540,7 @@ mod tests {
         sealed_up_to: Option<u32>,
         max_seen: u32,
         late_dropped: u64,
+        duplicates: u64,
         /// Chains visited by seal tests (cf. `ChainIndex::visited`).
         visited: u64,
     }
@@ -1392,6 +1554,7 @@ mod tests {
                 sealed_up_to: None,
                 max_seen: 0,
                 late_dropped: 0,
+                duplicates: 0,
                 visited: 0,
             }
         }
@@ -1399,6 +1562,10 @@ mod tests {
         /// One record: `(kept, times sealed by it)`.
         fn push(&mut self, rec: &GpsRecord) -> (bool, Vec<u32>) {
             let t = rec.time.0;
+            if rec.last_time.is_none() && self.chains.get(&rec.id).is_some_and(|c| c.covers(rec)) {
+                self.duplicates += 1;
+                return (false, Vec::new());
+            }
             if self.sealed_up_to.is_some_and(|s| t < s) {
                 self.late_dropped += 1;
                 self.chains.entry(rec.id).or_default().advance(rec);
@@ -1443,6 +1610,7 @@ mod tests {
                 sealed_up_to: self.sealed_up_to,
                 max_seen: self.max_seen,
                 late_dropped: self.late_dropped,
+                duplicates: self.duplicates,
             }
         }
     }
@@ -1470,9 +1638,10 @@ mod tests {
 
     /// [`TimeAligner::push`] in the model's terms.
     fn push_serial(aligner: &mut TimeAligner, r: &GpsRecord) -> (bool, Vec<u32>) {
-        let late_before = aligner.late_dropped();
+        let dropped = |a: &TimeAligner| a.late_dropped() + a.duplicates();
+        let before = dropped(aligner);
         let sealed = aligner.push(*r).iter().map(|s| s.time.0).collect();
-        (aligner.late_dropped() == late_before, sealed)
+        (dropped(aligner) == before, sealed)
     }
 
     /// [`ShardedAligner::route`] + `drain_sealed`, as the router stage calls
@@ -1484,7 +1653,7 @@ mod tests {
                 router.drain_sealed(&mut sealed);
                 (true, sealed)
             }
-            Routed::Late { .. } => (false, sealed),
+            Routed::Late { .. } | Routed::Duplicate => (false, sealed),
         }
     }
 

@@ -19,11 +19,14 @@
 //! | `METRICS`           | metrics    | server writes the per-stage/per-exchange metric families in Prometheus text exposition format and closes |
 //! | `EVENTS [since]`    | events     | server writes the retained journal entries with `seq > since` (one JSON object per line) and closes |
 //!
-//! Producers are stamped and validated server-side: clock times are
-//! discretized to ticks ([`icpe_types::Discretizer`]), each record gets its
-//! trajectory's §4 *last time* link, and malformed / non-finite / stale
-//! lines are counted and dropped — the pipeline only ever sees well-formed,
-//! per-trajectory-monotone records.
+//! Producers are validated server-side: malformed and non-finite lines are
+//! counted and dropped, and clock times are discretized to ticks
+//! ([`icpe_types::Discretizer`]). The edge keeps no per-trajectory state:
+//! records enter the pipeline without a §4 *last time* link, and the
+//! pipeline's frontier router chains each to its trajectory's live chain,
+//! rejecting a stale or repeated tick there (`STATUS` counts it as
+//! rejected). Chains retire with their trajectories, so state follows the
+//! live population, not every id ever seen.
 //!
 //! ## Backpressure & shedding
 //!

@@ -11,10 +11,10 @@
 //!   * CSV: `obj_id,time,x,y` (`time` in seconds since the stream epoch);
 //!   * NDJSON: `{"id":7,"time":12.5,"x":1.0,"y":2.0}`.
 //!
-//! Producers are fire-and-forget: malformed or stale lines are counted and
-//! skipped, valid records are stamped (discretized time + per-trajectory
-//! *last time* link) and pushed into the pipeline. Event lines pushed to
-//! subscribers are NDJSON:
+//! Producers are fire-and-forget: malformed lines are counted and skipped,
+//! valid records are discretized to their tick and pushed into the
+//! pipeline, whose aligner rejects (and counts) stale or repeated ticks.
+//! Event lines pushed to subscribers are NDJSON:
 //!
 //! * `{"event":"pattern","objects":[1,2,3],"times":[4,5,6,7]}`
 //! * `{"event":"snapshot","time":9,"patterns":2}`
@@ -22,7 +22,7 @@
 use icpe_types::Pattern;
 use serde::{Deserialize, Serialize};
 
-/// A record as it appears on the wire, before stamping/validation.
+/// A record as it appears on the wire, before validation and discretization.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct WireRecord {
     /// Reporting object id.

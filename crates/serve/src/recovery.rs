@@ -1,16 +1,17 @@
 //! Serve-side durability: the checkpoint policy, the on-disk serve
-//! checkpoint (pipeline state + edge state), and edge-counter rehydration.
+//! checkpoint (pipeline state + edge counters), and edge-counter
+//! rehydration.
 //!
-//! The pipeline's own checkpoint ([`PipelineCheckpoint`]) is necessary but
-//! not sufficient for a server restart: the ingestion edge also stamps
-//! records (the [`Discretizer`](icpe_types::Discretizer)'s per-trajectory
-//! last-tick map drives both duplicate rejection and the §4 *last time*
-//! links) and owns cumulative `STATUS` counters. A [`ServeCheckpoint`]
-//! bundles all three into one atomic file so a restarted server resumes
-//! with exactly the state the stopped one had.
+//! Every per-trajectory state of a server lives in the pipeline: the edge
+//! pushes link-less records, and the frontier router's §4 chains both link
+//! them and reject stale ticks. So the pipeline's checkpoint
+//! ([`PipelineCheckpoint`]) is the whole detection state of a restart. A
+//! [`ServeCheckpoint`] adds the interval the edge projected clock times
+//! with (a restart under another interval is refused) and the cumulative
+//! `STATUS` counters, in one atomic file.
 
 use crate::stats::ServerStats;
-use icpe_types::{DiscretizerCheckpoint, PipelineCheckpoint};
+use icpe_types::PipelineCheckpoint;
 use serde::{Deserialize, Serialize};
 use std::path::PathBuf;
 use std::sync::atomic::Ordering;
@@ -54,12 +55,13 @@ impl CheckpointPolicy {
 /// that forgets how many records it served is lying to its operators).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct EdgeStatsCheckpoint {
-    /// Valid records accepted into the pipeline.
+    /// Records pushed into the pipeline, stale ticks included: the cut's
+    /// `records_ingested` (see [`ServerStats::records_in`]).
     pub records_in: u64,
     /// Ingest micro-batches pushed (mean-batch-fill gauge numerator's
     /// partner; cumulative like `records_in`).
     pub ingest_batches: u64,
-    /// Lines refused (malformed, non-finite, stale/duplicate tick).
+    /// Lines refused at the edge (malformed, non-finite).
     pub records_rejected: u64,
     /// Bytes read from producer sockets.
     pub bytes_in: u64,
@@ -73,10 +75,12 @@ pub struct EdgeStatsCheckpoint {
 }
 
 impl EdgeStatsCheckpoint {
-    /// Captures the current edge counters.
-    pub fn capture(stats: &ServerStats) -> EdgeStatsCheckpoint {
+    /// Captures the edge counters alongside the pipeline cut `pipeline`.
+    /// Records pushed is exact — the cut counts them in channel order —
+    /// while the other counters tick outside the cut and are approximate.
+    pub fn capture(stats: &ServerStats, pipeline: &PipelineCheckpoint) -> EdgeStatsCheckpoint {
         EdgeStatsCheckpoint {
-            records_in: stats.records_in.load(Ordering::Relaxed),
+            records_in: pipeline.records_ingested,
             ingest_batches: stats.ingest_batches.load(Ordering::Relaxed),
             records_rejected: stats.records_rejected.load(Ordering::Relaxed),
             bytes_in: stats.bytes_in.load(Ordering::Relaxed),
@@ -107,14 +111,14 @@ impl EdgeStatsCheckpoint {
 }
 
 /// Everything a serve instance needs to restart as if it never stopped:
-/// the pipeline's consistent cut, the stamping state at that cut, and the
-/// cumulative edge counters.
+/// the pipeline's consistent cut, the interval the edge discretized with,
+/// and the cumulative edge counters.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ServeCheckpoint {
     /// The embedded pipeline's checkpoint.
     pub pipeline: PipelineCheckpoint,
-    /// Server-side stamping state (discretization + last-time links).
-    pub discretizer: DiscretizerCheckpoint,
+    /// Seconds per tick the edge projected clock times with.
+    pub interval: f64,
     /// Cumulative `STATUS` counters.
     pub stats: EdgeStatsCheckpoint,
 }

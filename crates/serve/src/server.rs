@@ -4,7 +4,7 @@
 //!
 //! ```text
 //! producers ──TCP──▶ ingest handlers ──bounded channel──▶ IcpePipeline
-//!                      (parse, stamp,    (backpressure)      (launch)
+//!                      (parse, tick,     (backpressure)      (launch)
 //!                       validate)                               │ events
 //!                                                               ▼
 //! subscribers ◀─TCP── writer loops ◀─bounded queues── Hub ◀─ callback
@@ -17,6 +17,13 @@
 //! unbounded queue anywhere. Subscribers are the opposite: they must never
 //! slow ingestion, so their queues are bounded and *non-blocking*; a
 //! subscriber that cannot keep up is shed (disconnected) rather than obeyed.
+//!
+//! The edge keeps no per-trajectory state. A handler projects each record's
+//! clock time to its tick and pushes it without a *last time* link; the
+//! pipeline's frontier router chains it to its trajectory's live chain and
+//! rejects a stale or repeated tick there (see `icpe_runtime::aligner`).
+//! So producers take no lock to stamp, and a checkpoint is the pipeline's
+//! cut plus counters, taken without stopping them.
 
 use crate::hub::Hub;
 use crate::protocol::{Command, EventKind, PatternEvent, SnapshotEvent, Topic, WireRecord};
@@ -29,7 +36,7 @@ use icpe_core::{
 };
 use icpe_persist::CheckpointStore;
 use icpe_runtime::{MetricsReport, ObsEventKind};
-use icpe_types::{Discretizer, RawRecord};
+use icpe_types::{Discretizer, GpsRecord, ObjectId, Point, RawRecord};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, BufWriter, Write};
@@ -71,11 +78,11 @@ pub struct ServeConfig {
     /// data.
     pub startup_grace: std::time::Duration,
     /// Records per ingest micro-batch: a producer handler gathers up to
-    /// this many *already-buffered* lines, then stamps, pushes and counts
-    /// the whole batch under one stamping-lock hold and one pipeline
-    /// channel operation. Gathering never waits for the network — a slow
-    /// producer ships batches of one (no added latency), a saturating one
-    /// ships full batches. `1` restores record-at-a-time ingestion.
+    /// this many *already-buffered* lines, then pushes and counts the
+    /// whole batch in one pipeline channel operation. Gathering never waits
+    /// for the network — a slow producer ships batches of one (no added
+    /// latency), a saturating one ships full batches. `1` restores
+    /// record-at-a-time ingestion.
     pub ingest_batch: usize,
     /// Durability policy. When set, the server (a) resumes from the newest
     /// readable checkpoint in the policy's directory at startup, (b) writes
@@ -284,12 +291,8 @@ impl SkewLimiter {
 struct Shared {
     stats: ServerStats,
     hub: Hub,
-    /// Stamping state: discretization + per-trajectory last-time links.
-    discretizer: Mutex<Discretizer>,
-    /// Lock-free tick projection: an immutable clone of the discretizer
-    /// used only for its pure `discretize_time` (a function of the fixed
-    /// epoch/interval pair), so producer handlers can project skew-control
-    /// ticks per record while gathering a batch without the stamping lock.
+    /// The clock-time → tick projection, a pure function of the fixed
+    /// epoch/interval pair; each producer handler runs its own copy.
     projector: Discretizer,
     /// Producer handle into the pipeline; `None` once draining started.
     ingest: Mutex<Option<RecordSender>>,
@@ -448,8 +451,8 @@ impl Server {
     /// connections. With a checkpoint policy configured, the server first
     /// looks for the newest readable checkpoint in the policy's directory
     /// and — if one exists — resumes from it: aligner chains, open pattern
-    /// windows, stamping state, and cumulative counters all pick up where
-    /// the previous instance stopped.
+    /// windows, and cumulative counters all pick up where the previous
+    /// instance stopped.
     pub fn start(mut config: ServeConfig) -> std::io::Result<Server> {
         let listener = TcpListener::bind(&config.addr)?;
         let addr = listener.local_addr()?;
@@ -492,22 +495,19 @@ impl Server {
             None => (None, Vec::new()),
         };
 
-        let discretizer = match &resume {
-            Some((_, ckpt)) => {
-                if ckpt.discretizer.interval != config.interval {
-                    return Err(std::io::Error::new(
-                        std::io::ErrorKind::InvalidInput,
-                        format!(
-                            "checkpoint was written with interval {} but the config asks for {}",
-                            ckpt.discretizer.interval, config.interval
-                        ),
-                    ));
-                }
-                Discretizer::from_checkpoint(&ckpt.discretizer)
+        if let Some((_, ckpt)) = &resume {
+            if ckpt.interval != config.interval {
+                return Err(std::io::Error::new(
+                    std::io::ErrorKind::InvalidInput,
+                    format!(
+                        "checkpoint was written with interval {} but the config asks for {}",
+                        ckpt.interval, config.interval
+                    ),
+                ));
             }
-            None => Discretizer::new(0.0, config.interval),
         }
-        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidInput, e.to_string()))?;
+        let projector = Discretizer::new(0.0, config.interval)
+            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidInput, e.to_string()))?;
 
         // The aligner must tolerate the full disorder the edge can admit:
         // the admitted-frontier gap (`max_producer_skew`) plus one ingest
@@ -523,12 +523,7 @@ impl Server {
         let shared = Arc::new(Shared {
             stats: ServerStats::new(),
             hub: Hub::new(config.subscriber_queue),
-            // Only the pure (epoch, interval) mapping — not the stamping
-            // state (a checkpoint-restored `last_seen` map would be dead
-            // weight held for the server's lifetime).
-            projector: Discretizer::new(discretizer.epoch(), discretizer.interval())
-                .expect("parameters were validated when `discretizer` was built"),
-            discretizer: Mutex::new(discretizer),
+            projector,
             ingest: Mutex::new(None),
             pipeline: OnceLock::new(),
             dead_letters: Mutex::new(std::collections::VecDeque::new()),
@@ -847,33 +842,21 @@ fn note_shed(shared: &Shared, shed: &[u64]) {
     }
 }
 
-/// Takes one consistent serve checkpoint — pipeline barrier plus the edge
-/// state captured at the same cut — and persists it atomically.
-///
-/// The discretizer lock is held across the barrier enqueue so no producer
-/// can stamp a record between the pipeline cut and the stamping snapshot:
-/// the pair is a single consistent cut. Producers block on stamping for
-/// the barrier's traversal time; the pipeline itself (which drains the
-/// ingest channel) needs no lock, so the pause is bounded and deadlock-free.
+/// Takes one serve checkpoint — the pipeline's barrier cut plus the edge
+/// counters — and persists it atomically. Producers keep pushing while the
+/// barrier travels: every per-trajectory state is in the pipeline and cut
+/// there in channel order, so the edge has nothing to hold still.
 fn write_checkpoint(
     shared: &Shared,
     sender: &RecordSender,
     store: &CheckpointStore,
 ) -> Result<u64, String> {
-    let discretizer = shared.discretizer.lock();
     let pipeline = sender.checkpoint().map_err(|e| e.to_string())?;
-    let discretizer_ckpt = discretizer.checkpoint();
-    // Producers stamp, push AND count under this lock (see
-    // `producer_loop`), so while it is held the record counters are frozen
-    // at exactly the cut: capture them before releasing it. (`bytes_in` /
-    // `records_rejected` tick outside the lock and stay approximate.)
-    let stats = EdgeStatsCheckpoint::capture(&shared.stats);
-    drop(discretizer);
     let seq = pipeline.seq;
     let checkpoint = ServeCheckpoint {
+        stats: EdgeStatsCheckpoint::capture(&shared.stats, &pipeline),
+        interval: shared.projector.interval(),
         pipeline,
-        discretizer: discretizer_ckpt,
-        stats,
     };
     store.save(seq, &checkpoint).map_err(|e| e.to_string())?;
     shared.stats.note_checkpoint(seq);
@@ -1061,7 +1044,7 @@ fn dispatch(
     }
 }
 
-/// Producer connection: every line is one record; parse → stamp → push.
+/// Producer connection: every line is one record; parse → tick → push.
 fn serve_producer(
     shared: &Arc<Shared>,
     mut reader: BufReader<TcpStream>,
@@ -1124,11 +1107,12 @@ fn producer_loop(
 ) -> std::io::Result<()> {
     let ingest_batch = shared.ingest_batch;
     let span_bound = shared.skew.max_skew;
+    let mut discretizer = shared.projector;
     let (mut line, mut read) = first_line;
     // The line in hand is the rest of an over-long line already rejected.
     let mut tail = false;
     let mut consecutive_errors = 0usize;
-    let mut raws: Vec<RawRecord> = Vec::with_capacity(ingest_batch);
+    let mut records: Vec<GpsRecord> = Vec::with_capacity(ingest_batch);
     let mut eof = false;
     while !eof {
         // Gather: parse the line in hand, then keep pulling lines for as
@@ -1136,7 +1120,6 @@ fn producer_loop(
         // room. Gathering never waits on the socket, so a trickling
         // producer ships batches of one while a saturating one fills whole
         // batches.
-        raws.clear();
         // Projected tick range of the gathered batch. The span is bounded
         // by `max_producer_skew`: gathered records are *admitted* (visible
         // to the skew limiter) before they are *pushed*, so an unbounded
@@ -1152,17 +1135,20 @@ fn producer_loop(
                 .fetch_add(line.len() as u64, Ordering::Relaxed);
             let text = line_text(&line, read).filter(|_| !tail);
             if text.is_none_or(|text| !text.trim().is_empty()) {
-                match text.map(WireRecord::parse) {
-                    Some(Ok(wire)) => {
+                let wire = text.and_then(|text| WireRecord::parse(text).ok());
+                let raw =
+                    wire.map(|w| RawRecord::new(ObjectId(w.id), Point::new(w.x, w.y), w.time));
+                match raw.and_then(|raw| discretizer.push(&raw)) {
+                    Some(record) => {
                         consecutive_errors = 0;
-                        // Tick-span bound (lock-free projection): ship the
-                        // batch gathered so far before this record would
-                        // stretch it past the skew window.
-                        let tick = shared.projector.discretize_time(wire.time).0;
+                        // Tick-span bound: ship the batch gathered so far
+                        // before this record would stretch it past the
+                        // skew window.
+                        let tick = record.time.0;
                         let (lo, hi) = tick_range
                             .map_or((tick, tick), |(lo, hi)| (lo.min(tick), hi.max(tick)));
-                        if hi - lo > span_bound && !raws.is_empty() {
-                            if !flush_batch(shared, &sender, &mut raws) {
+                        if hi - lo > span_bound && !records.is_empty() {
+                            if !flush_batch(shared, &sender, &mut records) {
                                 return Ok(()); // pipeline gone
                             }
                             tick_range = Some((tick, tick));
@@ -1172,17 +1158,13 @@ fn producer_loop(
                         // Hold this producer to the cross-producer skew
                         // window per record, exactly as in record-at-a-time
                         // ingestion. The admit wait can stretch to seconds
-                        // and must hold neither the stamping lock nor the
-                        // batch hostage — at most a skew window's worth of
-                        // gathered records rides the wait.
+                        // and must not hold the batch hostage — at most a
+                        // skew window's worth of gathered records rides
+                        // the wait.
                         shared.skew.admit(conn_id, tick);
-                        raws.push(RawRecord::new(
-                            icpe_types::ObjectId(wire.id),
-                            icpe_types::Point::new(wire.x, wire.y),
-                            wire.time,
-                        ));
+                        records.push(record);
                     }
-                    _ => {
+                    None => {
                         // A line is one rejected record, but each
                         // `MAX_LINE_BYTES` of it spends one unit of the
                         // error budget: a line without end drops its peer.
@@ -1197,14 +1179,14 @@ fn producer_loop(
                         if consecutive_errors >= shared.max_consecutive_parse_errors {
                             // Dropping the peer must not drop the valid
                             // records gathered before its garbage.
-                            let _ = flush_batch(shared, &sender, &mut raws);
+                            let _ = flush_batch(shared, &sender, &mut records);
                             return Ok(());
                         }
                     }
                 }
             }
             tail = read == LineRead::Overlong;
-            if raws.len() >= ingest_batch || !reader.buffer().contains(&b'\n') {
+            if records.len() >= ingest_batch || !reader.buffer().contains(&b'\n') {
                 break;
             }
             match read_line_bounded(reader, &mut line) {
@@ -1216,13 +1198,13 @@ fn producer_loop(
                 Err(e) => {
                     // Connection died mid-gather: the records already
                     // gathered were valid and admitted — deliver them.
-                    let _ = flush_batch(shared, &sender, &mut raws);
+                    let _ = flush_batch(shared, &sender, &mut records);
                     return Err(e);
                 }
             }
         }
 
-        if !flush_batch(shared, &sender, &mut raws) {
+        if !flush_batch(shared, &sender, &mut records) {
             return Ok(()); // pipeline gone
         }
 
@@ -1240,52 +1222,23 @@ fn producer_loop(
     Ok(())
 }
 
-/// Stamps, pushes and counts one gathered ingest batch under ONE stamping
-/// lock hold: the checkpoint worker enqueues its barrier while holding the
-/// same lock, so "in the discretizer's stamping state" and "entered the
-/// pipeline before the cut" coincide — a record (or batch) can never
-/// straddle the two sides of a checkpoint. Push may block under
-/// backpressure while holding the lock; the pipeline drains independently
-/// of it, so the stall is bounded and deadlock-free. Stale/duplicate ticks
-/// stamp to `None` and are counted as rejected. Returns `false` when the
-/// pipeline is gone.
-fn flush_batch(shared: &Shared, sender: &RecordSender, raws: &mut Vec<RawRecord>) -> bool {
-    if raws.is_empty() {
+/// Pushes and counts one gathered ingest batch in one channel operation.
+/// Push may block under backpressure. A stale or repeated tick travels
+/// with the batch: the pipeline's router rejects it, and `STATUS` counts
+/// it as rejected rather than in. Returns `false` when the pipeline is
+/// gone.
+fn flush_batch(shared: &Shared, sender: &RecordSender, records: &mut Vec<GpsRecord>) -> bool {
+    let Some(max_tick) = records.iter().map(|r| r.time.0).max() else {
         return true;
+    };
+    let accepted = records.len() as u64;
+    // The next batch fills about as full: size its buffer once.
+    let next = Vec::with_capacity(records.len());
+    if sender.push_batch(std::mem::replace(records, next)).is_err() {
+        return false; // pipeline gone
     }
-    let mut stamped: Vec<icpe_types::GpsRecord> = Vec::with_capacity(raws.len());
-    let mut stale = 0u64;
-    {
-        let mut discretizer = shared.discretizer.lock();
-        let mut max_tick: Option<u32> = None;
-        for raw in raws.iter() {
-            match discretizer.push(raw) {
-                Some(record) => {
-                    max_tick =
-                        Some(max_tick.map_or(record.time.0, |t| std::cmp::max(t, record.time.0)));
-                    stamped.push(record);
-                }
-                None => stale += 1,
-            }
-        }
-        if !stamped.is_empty() {
-            let accepted = stamped.len() as u64;
-            if sender.push_batch(stamped).is_err() {
-                return false; // pipeline gone
-            }
-            shared.stats.note_batch(accepted);
-            if let Some(tick) = max_tick {
-                shared.stats.note_ingested_tick(tick);
-            }
-        }
-    }
-    if stale > 0 {
-        shared
-            .stats
-            .records_rejected
-            .fetch_add(stale, Ordering::Relaxed);
-    }
-    raws.clear();
+    shared.stats.note_batch(accepted);
+    shared.stats.note_ingested_tick(max_tick);
     true
 }
 

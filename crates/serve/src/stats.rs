@@ -14,13 +14,16 @@ pub struct ServerStats {
     pub producers: AtomicU64,
     /// Subscriber connections currently open.
     pub subscribers: AtomicU64,
-    /// Valid records accepted into the pipeline.
+    /// Valid records pushed into the pipeline. A stale or repeated tick is
+    /// among them until the pipeline's router rejects it: `STATUS` reports
+    /// this minus the router's duplicate count as `records_in`.
     pub records_in: AtomicU64,
     /// Ingest micro-batches pushed into the pipeline (each batch is one
-    /// channel operation and one stamping-lock hold; `records_in /
-    /// ingest_batches` is the mean batch fill).
+    /// channel operation; `records_in / ingest_batches` is the mean batch
+    /// fill).
     pub ingest_batches: AtomicU64,
-    /// Lines refused (malformed, non-finite, stale/duplicate tick).
+    /// Lines refused at the edge (malformed, non-finite). `STATUS` adds
+    /// the router's duplicates to report `records_rejected`.
     pub records_rejected: AtomicU64,
     /// Malformed lines moved to the dead-letter ring (a subset of
     /// `records_rejected`: parse failures only, not stale ticks).
@@ -64,9 +67,8 @@ impl ServerStats {
         }
     }
 
-    /// Counts one ingest micro-batch of `records` stamped records accepted
-    /// into the pipeline. Called under the stamping lock so the counters
-    /// stay consistent with the checkpoint cut.
+    /// Counts one ingest micro-batch of `records` records pushed into the
+    /// pipeline.
     pub fn note_batch(&self, records: u64) {
         self.records_in.fetch_add(records, Ordering::Relaxed);
         self.ingest_batches.fetch_add(1, Ordering::Relaxed);
@@ -123,6 +125,19 @@ impl ServerStats {
         self.started.elapsed().as_secs_f64()
     }
 
+    /// `(records_in, records_rejected)` as `STATUS` reports them: the stale
+    /// or repeated ticks the pipeline's router rejected move from pushed to
+    /// rejected.
+    fn accepted_and_rejected(&self, pipeline: &StatusSnapshot) -> (u64, u64) {
+        let duplicates = pipeline.align.duplicates;
+        (
+            self.records_in
+                .load(Ordering::Relaxed)
+                .saturating_sub(duplicates),
+            self.records_rejected.load(Ordering::Relaxed) + duplicates,
+        )
+    }
+
     /// Renders the `STATUS` response: one `key=value` per line, stable keys,
     /// merging the network-edge counters with one reading of the pipeline's
     /// status surface — progress and latency, the routing layer's
@@ -131,7 +146,7 @@ impl ServerStats {
     /// supervision health.
     pub fn render(&self, pipeline: &StatusSnapshot, max_subscriber_queue_depth: usize) -> String {
         let uptime = self.uptime();
-        let records_in = self.records_in.load(Ordering::Relaxed);
+        let (records_in, records_rejected) = self.accepted_and_rejected(pipeline);
         let StatusSnapshot {
             health,
             progress,
@@ -158,10 +173,7 @@ impl ServerStats {
             self.subscribers.load(Ordering::Relaxed).to_string(),
         );
         line("records_in", records_in.to_string());
-        line(
-            "records_rejected",
-            self.records_rejected.load(Ordering::Relaxed).to_string(),
-        );
+        line("records_rejected", records_rejected.to_string());
         line(
             "records_quarantined",
             self.records_quarantined.load(Ordering::Relaxed).to_string(),
@@ -171,14 +183,15 @@ impl ServerStats {
             "records_per_s",
             format!("{:.1}", records_in as f64 / uptime.max(1e-9)),
         );
-        // Ingest vectorization: how many records ride each stamping-lock
-        // hold / pipeline push. 1.0 = record-at-a-time (idle producers);
-        // approaching the configured ingest batch = saturated edge.
+        // Ingest vectorization: how many records ride each pipeline push.
+        // 1.0 = record-at-a-time (idle producers); approaching the
+        // configured ingest batch = saturated edge.
         let batches = self.ingest_batches.load(Ordering::Relaxed);
+        let pushed = self.records_in.load(Ordering::Relaxed);
         line("ingest_batches", batches.to_string());
         line(
             "mean_batch_fill",
-            format!("{:.2}", records_in as f64 / batches.max(1) as f64),
+            format!("{:.2}", pushed as f64 / batches.max(1) as f64),
         );
         line(
             "bytes_in",
@@ -301,6 +314,7 @@ impl ServerStats {
             report,
             ..
         } = pipeline;
+        let (records_in, records_rejected) = self.accepted_and_rejected(pipeline);
         let mut out = String::with_capacity(1024);
         let mut family = |name: &str, kind: &str, help: &str, value: String| {
             out.push_str(&format!("# HELP icpe_serve_{name} {help}\n"));
@@ -312,13 +326,13 @@ impl ServerStats {
             "records_in_total",
             "counter",
             "Valid records accepted into the pipeline.",
-            count(self.records_in.load(Ordering::Relaxed)),
+            count(records_in),
         );
         family(
             "records_rejected_total",
             "counter",
             "Lines refused (malformed, non-finite, stale/duplicate tick).",
-            count(self.records_rejected.load(Ordering::Relaxed)),
+            count(records_rejected),
         );
         family(
             "records_quarantined_total",
@@ -541,6 +555,7 @@ mod tests {
             chains: 36,
             max_shard_chains: 18,
             late_dropped: 7,
+            duplicates: 0,
             sealed_up_to: 21,
             min_shard_frontier: 20,
             max_shard_frontier: 24,
@@ -556,6 +571,31 @@ mod tests {
         assert_eq!(get("aligner_min_shard_frontier"), "20");
         assert_eq!(get("aligner_max_shard_frontier"), "24");
         assert_eq!(get("aligner_shard_imbalance"), "2.000");
+    }
+
+    #[test]
+    fn router_duplicates_count_as_rejected_not_in() {
+        let stats = ServerStats::new();
+        stats.note_batch(10);
+        stats.records_rejected.store(2, Ordering::Relaxed);
+        let mut pipeline = StatusSnapshot::default();
+        pipeline.align.duplicates = 3;
+        let kv = parse_status(&stats.render(&pipeline, 0));
+        let get = |k: &str| kv.iter().find(|(key, _)| key == k).unwrap().1.clone();
+        assert_eq!(get("records_in"), "7");
+        assert_eq!(get("records_rejected"), "5");
+        // The batch fill counts what was pushed.
+        assert_eq!(get("mean_batch_fill"), "10.00");
+        let exposition = stats.render_prometheus(&pipeline, 0);
+        let sample = |family: &str| {
+            exposition
+                .lines()
+                .find_map(|l| l.strip_prefix(&format!("icpe_serve_{family} ")))
+                .unwrap()
+                .to_string()
+        };
+        assert_eq!(sample("records_in_total"), "7");
+        assert_eq!(sample("records_rejected_total"), "5");
     }
 
     #[test]

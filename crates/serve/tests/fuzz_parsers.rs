@@ -16,9 +16,7 @@ use icpe_core::{BalancerConfig, IcpeConfig, IcpePipeline};
 use icpe_persist::{crc32, CheckpointStore, FORMAT_VERSION};
 use icpe_serve::recovery::EdgeStatsCheckpoint;
 use icpe_serve::{Command, Event, PatternEvent, ServeCheckpoint, WireRecord};
-use icpe_types::{
-    Constraints, DiscretizerCheckpoint, ObjectId, Pattern, TimeSequence, TrajectoryStamp,
-};
+use icpe_types::{ChainCheckpoint, Constraints, ObjectId, Pattern, TimeSequence};
 use proptest::prelude::*;
 use std::path::PathBuf;
 use std::sync::OnceLock;
@@ -173,9 +171,9 @@ fn assert_linear<T>(what: &str, n: usize, make: impl Fn(usize) -> T, parse: impl
 }
 
 /// A serve checkpoint as a real run writes it: the pipeline's cut (with
-/// adaptive routing, so every section is populated) mid-stream, the
-/// stamping state of its trajectories and the edge counters.
-fn checkpoint_with_stamps(stamps: usize) -> ServeCheckpoint {
+/// adaptive routing, so every section is populated) mid-stream, grown by
+/// `chains` more live trajectory chains, and the edge counters.
+fn checkpoint_with_chains(chains: usize) -> ServeCheckpoint {
     static PIPELINE: OnceLock<icpe_types::PipelineCheckpoint> = OnceLock::new();
     let pipeline = PIPELINE.get_or_init(|| {
         let config = IcpeConfig::builder()
@@ -203,18 +201,18 @@ fn checkpoint_with_stamps(stamps: usize) -> ServeCheckpoint {
         live.finish();
         cut
     });
+    let mut pipeline = pipeline.clone();
+    pipeline
+        .aligner
+        .chains
+        .extend((0..chains as u32).map(|i| ChainCheckpoint {
+            id: ObjectId(1_000 + i),
+            clarified: Some(i % 97),
+            waiting: Vec::new(),
+        }));
     ServeCheckpoint {
-        pipeline: pipeline.clone(),
-        discretizer: DiscretizerCheckpoint {
-            epoch: 0.0,
-            interval: 1.0,
-            last_seen: (0..stamps as u32)
-                .map(|id| TrajectoryStamp {
-                    id: ObjectId(id),
-                    last_tick: id % 97,
-                })
-                .collect(),
-        },
+        pipeline,
+        interval: 1.0,
         stats: EdgeStatsCheckpoint {
             records_in: 450,
             ingest_batches: 8,
@@ -296,7 +294,7 @@ proptest! {
         reframe in proptest::bool::ANY,
     ) {
         let store = TempStore::new("mangled");
-        let path = store.0.save(1, &checkpoint_with_stamps(40)).unwrap();
+        let path = store.0.save(1, &checkpoint_with_chains(40)).unwrap();
         let file = std::fs::read(&path).unwrap();
         let bytes = if reframe {
             let payload_at = file.iter().position(|&c| c == b'\n').unwrap() + 1;
@@ -367,7 +365,7 @@ fn checkpoint_files_load_in_linear_time() {
     assert_linear(
         "checkpoint",
         1 << 12,
-        |n| store.0.save(n as u64, &checkpoint_with_stamps(n)).unwrap(),
+        |n| store.0.save(n as u64, &checkpoint_with_chains(n)).unwrap(),
         |path| {
             store.0.load::<ServeCheckpoint>(path).unwrap();
         },

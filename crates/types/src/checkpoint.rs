@@ -85,7 +85,11 @@ use std::fmt;
 /// and the sealed frontier it copied are derived from the aligner section
 /// on restore. `obs` is no longer optional. A v9 body does not parse as
 /// v10 (its progress lacks `windows_sealed`): v9 files are refused at load.
-pub const CHECKPOINT_VERSION: u32 = 10;
+///
+/// v11: the aligner rejects link-less records its live chains already
+/// cover, and [`AlignerCheckpoint`] gains that `duplicates` counter. A v10
+/// body does not parse as v11 (its aligner section lacks `duplicates`).
+pub const CHECKPOINT_VERSION: u32 = 11;
 
 /// Errors raised when restoring state from a checkpoint.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -146,6 +150,10 @@ pub struct AlignerCheckpoint {
     /// Records dropped for arriving after their snapshot sealed
     /// (cumulative; rehydrated on restore so observability does not reset).
     pub late_dropped: u64,
+    /// Link-less records rejected because their trajectory's live chain
+    /// was already clarified through their tick (cumulative, like
+    /// `late_dropped`).
+    pub duplicates: u64,
 }
 
 impl AlignerCheckpoint {
@@ -157,12 +165,13 @@ impl AlignerCheckpoint {
             sealed_up_to: None,
             max_seen: 0,
             late_dropped: 0,
+            duplicates: 0,
         }
     }
 
     /// Merges per-shard aligner checkpoints into one deployment-independent
-    /// checkpoint, mirroring [`EngineCheckpoint::merge`]: the late-drop
-    /// counter sums, the clock fields (`sealed_up_to`, `max_seen`) take the
+    /// checkpoint, mirroring [`EngineCheckpoint::merge`]: the drop counters
+    /// sum, the clock fields (`sealed_up_to`, `max_seen`) take the
     /// max, chains concatenate and re-sort by trajectory id (shards own
     /// disjoint ids), and buffered snapshots union by time with their rows
     /// canonically sorted by id — so the merged bytes are a pure function
@@ -172,6 +181,7 @@ impl AlignerCheckpoint {
         let mut buffers: BTreeMap<u32, Snapshot> = BTreeMap::new();
         for piece in pieces {
             merged.late_dropped += piece.late_dropped;
+            merged.duplicates += piece.duplicates;
             merged.max_seen = merged.max_seen.max(piece.max_seen);
             merged.sealed_up_to = match (merged.sealed_up_to, piece.sealed_up_to) {
                 (Some(a), Some(b)) => Some(a.max(b)),
@@ -222,6 +232,7 @@ impl AlignerCheckpoint {
             sealed_up_to: self.sealed_up_to,
             max_seen: self.max_seen,
             late_dropped: if with_counters { self.late_dropped } else { 0 },
+            duplicates: if with_counters { self.duplicates } else { 0 },
         }
     }
 }
@@ -420,29 +431,6 @@ impl PipelineCheckpoint {
     }
 }
 
-/// One trajectory's server-side stamping state (see
-/// [`Discretizer`](crate::Discretizer)).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct TrajectoryStamp {
-    /// The trajectory.
-    pub id: ObjectId,
-    /// Last discretized tick emitted for it.
-    pub last_tick: u32,
-}
-
-/// Durable form of the server-side [`Discretizer`](crate::Discretizer):
-/// without it, a restarted server would re-admit duplicate ticks and break
-/// every trajectory's *last time* chain across the restart.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct DiscretizerCheckpoint {
-    /// Clock time mapping to interval 0.
-    pub epoch: f64,
-    /// Interval duration in seconds.
-    pub interval: f64,
-    /// Per-trajectory last emitted tick, ascending by trajectory id.
-    pub last_seen: Vec<TrajectoryStamp>,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -474,6 +462,7 @@ mod tests {
                 sealed_up_to: Some(3),
                 max_seen: 4,
                 late_dropped: 2,
+                duplicates: 1,
             },
             engine: sample_engine(),
             progress: ProgressCheckpoint {
@@ -576,6 +565,7 @@ mod tests {
             sealed_up_to: Some(4),
             max_seen: 6,
             late_dropped: 3,
+            duplicates: 2,
         };
         let piece = |snap: Snapshot| AlignerCheckpoint {
             buffers: vec![snap],
@@ -583,6 +573,7 @@ mod tests {
             sealed_up_to: None,
             max_seen: 0,
             late_dropped: 0,
+            duplicates: 0,
         };
         // Piece order must not matter: the merged form is canonical.
         let m1 = AlignerCheckpoint::merge(vec![
@@ -592,7 +583,7 @@ mod tests {
         ]);
         let m2 = AlignerCheckpoint::merge(vec![piece(shard_b), router, piece(shard_a)]);
         assert_eq!(m1, m2, "merge is independent of piece order");
-        assert_eq!(m1.late_dropped, 3);
+        assert_eq!((m1.late_dropped, m1.duplicates), (3, 2));
         assert_eq!(m1.sealed_up_to, Some(4));
         assert_eq!(m1.max_seen, 6);
         let chain_ids: Vec<u32> = m1.chains.iter().map(|c| c.id.0).collect();
@@ -625,9 +616,14 @@ mod tests {
             sealed_up_to: Some(7),
             max_seen: 9,
             late_dropped: 5,
+            duplicates: 6,
         };
         let even = merged.piece(true, |o| o.0 % 2 == 0);
-        assert_eq!(even.late_dropped, 5, "counters restore into one shard");
+        assert_eq!(
+            (even.late_dropped, even.duplicates),
+            (5, 6),
+            "counters restore into one shard"
+        );
         let even_rows: Vec<u32> = even.buffers[0].entries.iter().map(|e| e.id.0).collect();
         assert_eq!(even_rows, vec![2, 4]);
         assert_eq!(even.chains.len(), 1);
@@ -635,7 +631,11 @@ mod tests {
         assert_eq!(even.sealed_up_to, Some(7), "clock fields replicate");
         assert_eq!(even.max_seen, 9);
         let odd = merged.piece(false, |o| o.0 % 2 == 1);
-        assert_eq!(odd.late_dropped, 0, "only one piece carries the counter");
+        assert_eq!(
+            (odd.late_dropped, odd.duplicates),
+            (0, 0),
+            "only one piece carries the counters"
+        );
         let odd_rows: Vec<u32> = odd.buffers[0].entries.iter().map(|e| e.id.0).collect();
         assert_eq!(odd_rows, vec![1]);
         // Times with no surviving rows vanish from the piece.
@@ -660,6 +660,7 @@ mod tests {
             sealed_up_to: Some(9),
             max_seen: 12,
             late_dropped: 4,
+            duplicates: 7,
         };
         let json = serde_json::to_string(&ckpt).unwrap();
         let back: AlignerCheckpoint = serde_json::from_str(&json).unwrap();

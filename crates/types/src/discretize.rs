@@ -6,23 +6,21 @@
 //! trajectories look gappy; too large and distinct reports collapse into one
 //! snapshot.
 
-use crate::checkpoint::{DiscretizerCheckpoint, TrajectoryStamp};
-use crate::{GpsRecord, ObjectId, RawRecord, Timestamp, TypeError};
-use std::collections::HashMap;
+use crate::{GpsRecord, RawRecord, Timestamp, TypeError};
 
-/// Maps raw clock times to discretized [`Timestamp`]s and annotates records
-/// with their trajectory's *last time* (see [`GpsRecord::last_time`]).
+/// Maps raw clock times to discretized [`Timestamp`]s: a pure function of
+/// the stream epoch and the interval duration, with no per-trajectory
+/// state.
 ///
-/// The discretizer is a stateful streaming operator: it remembers, per
-/// trajectory, the last discretized time it emitted. If several raw records
-/// of one trajectory collapse into the same interval, only the first is kept
-/// (the paper flags double-reports within one interval as an artifact to
-/// avoid).
-#[derive(Debug, Clone)]
+/// A discretized record carries no *last time* link: the time aligner
+/// chains a link-less record to its trajectory's live chain (paper §4),
+/// and rejects it as a duplicate when that chain is already clarified
+/// through its tick — several raw reports of one trajectory collapsing
+/// into one interval keep only the first, the artifact the paper flags.
+#[derive(Debug, Clone, Copy)]
 pub struct Discretizer {
     epoch: f64,
     interval: f64,
-    last_seen: HashMap<ObjectId, Timestamp>,
 }
 
 impl Discretizer {
@@ -32,27 +30,12 @@ impl Discretizer {
         if interval <= 0.0 || !interval.is_finite() {
             return Err(TypeError::InvalidInterval(interval));
         }
-        Ok(Discretizer {
-            epoch,
-            interval,
-            last_seen: HashMap::new(),
-        })
+        Ok(Discretizer { epoch, interval })
     }
 
     /// The interval duration in seconds.
     pub fn interval(&self) -> f64 {
         self.interval
-    }
-
-    /// The stream epoch (the clock time mapping to interval 0).
-    ///
-    /// Together with [`Discretizer::interval`] this fully determines
-    /// [`Discretizer::discretize_time`], which is a *pure* function of the
-    /// two — callers that only need tick projection (e.g. ingestion-edge
-    /// skew control batching records without the stamping lock) can copy
-    /// the pair once and project locally.
-    pub fn epoch(&self) -> f64 {
-        self.epoch
     }
 
     /// Maps a raw clock time to its interval index. Times before the epoch
@@ -62,62 +45,21 @@ impl Discretizer {
         Timestamp(if idx < 0.0 { 0 } else { idx as u32 })
     }
 
-    /// Discretizes one raw record.
+    /// Discretizes one raw record into a link-less [`GpsRecord`].
     ///
-    /// Returns `None` when the record falls into the same interval as (or an
-    /// earlier interval than) the trajectory's previous record — i.e. it is a
-    /// duplicate or out-of-order report that the discretizer drops.
+    /// Returns `None` when the record's clock time is not finite (it names
+    /// no interval).
     pub fn push(&mut self, raw: &RawRecord) -> Option<GpsRecord> {
-        let t = self.discretize_time(raw.time);
-        let last = self.last_seen.get(&raw.id).copied();
-        if let Some(prev) = last {
-            if t <= prev {
-                return None;
-            }
-        }
-        self.last_seen.insert(raw.id, t);
-        Some(GpsRecord::new(raw.id, raw.location, t, last))
-    }
-
-    /// Number of distinct trajectories seen so far.
-    pub fn trajectories_seen(&self) -> usize {
-        self.last_seen.len()
-    }
-
-    /// Captures the stamping state in durable form (canonical order:
-    /// ascending trajectory id).
-    pub fn checkpoint(&self) -> DiscretizerCheckpoint {
-        let mut last_seen: Vec<TrajectoryStamp> = self
-            .last_seen
-            .iter()
-            .map(|(&id, &t)| TrajectoryStamp { id, last_tick: t.0 })
-            .collect();
-        last_seen.sort_by_key(|s| s.id);
-        DiscretizerCheckpoint {
-            epoch: self.epoch,
-            interval: self.interval,
-            last_seen,
-        }
-    }
-
-    /// Rebuilds a discretizer from a checkpoint, so a restarted server
-    /// keeps rejecting duplicate ticks and keeps every trajectory's *last
-    /// time* chain intact across the restart.
-    pub fn from_checkpoint(ckpt: &DiscretizerCheckpoint) -> Result<Self, TypeError> {
-        let mut d = Discretizer::new(ckpt.epoch, ckpt.interval)?;
-        d.last_seen = ckpt
-            .last_seen
-            .iter()
-            .map(|s| (s.id, Timestamp(s.last_tick)))
-            .collect();
-        Ok(d)
+        raw.time
+            .is_finite()
+            .then(|| GpsRecord::new(raw.id, raw.location, self.discretize_time(raw.time), None))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Point;
+    use crate::{ObjectId, Point};
 
     fn raw(id: u32, t: f64) -> RawRecord {
         RawRecord::new(ObjectId(id), Point::new(0.0, 0.0), t)
@@ -144,64 +86,18 @@ mod tests {
     }
 
     #[test]
-    fn duplicate_interval_reports_are_dropped() {
+    fn push_projects_without_a_link() {
         let mut d = Discretizer::new(0.0, 5.0).unwrap();
-        assert!(d.push(&raw(1, 1.0)).is_some()); // interval 0
-        assert!(d.push(&raw(1, 4.0)).is_none()); // still interval 0 → dropped
-        assert!(d.push(&raw(1, 6.0)).is_some()); // interval 1
-        assert_eq!(d.trajectories_seen(), 1);
-    }
-
-    #[test]
-    fn last_time_chains_per_trajectory() {
-        let mut d = Discretizer::new(0.0, 1.0).unwrap();
-        let r1 = d.push(&raw(1, 0.5)).unwrap();
-        assert_eq!(r1.time, Timestamp(0));
-        assert_eq!(r1.last_time, None);
-
-        let r2 = d.push(&raw(1, 2.5)).unwrap(); // skips interval 1
-        assert_eq!(r2.time, Timestamp(2));
-        assert_eq!(r2.last_time, Some(Timestamp(0)));
-
-        // Second trajectory has its own chain.
-        let s1 = d.push(&raw(2, 3.0)).unwrap();
-        assert_eq!(s1.last_time, None);
-        assert_eq!(d.trajectories_seen(), 2);
-    }
-
-    #[test]
-    fn out_of_order_raw_records_are_dropped() {
-        let mut d = Discretizer::new(0.0, 1.0).unwrap();
-        assert!(d.push(&raw(1, 5.0)).is_some());
-        assert!(d.push(&raw(1, 3.0)).is_none());
-    }
-
-    #[test]
-    fn checkpoint_round_trip_preserves_stamping() {
-        let mut d = Discretizer::new(0.0, 1.0).unwrap();
-        d.push(&raw(2, 5.0)).unwrap();
-        d.push(&raw(1, 3.0)).unwrap();
-        let ckpt = d.checkpoint();
-        assert_eq!(ckpt.last_seen.len(), 2);
-        assert!(
-            ckpt.last_seen[0].id < ckpt.last_seen[1].id,
-            "canonical order"
+        let r = d.push(&raw(1, 6.0)).unwrap();
+        assert_eq!(
+            (r.id, r.time, r.last_time),
+            (ObjectId(1), Timestamp(1), None)
         );
-
-        let mut restored = Discretizer::from_checkpoint(&ckpt).unwrap();
-        // Duplicate tick still rejected after the restore.
-        assert!(restored.push(&raw(1, 3.5)).is_none());
-        // The cross-restart record keeps its last-time link.
-        let r = restored.push(&raw(1, 7.0)).unwrap();
-        assert_eq!(r.last_time, Some(Timestamp(3)));
-        assert_eq!(restored.checkpoint(), ckpt_after(&d, 1, 7.0));
-    }
-
-    /// The original discretizer fed the same record, for comparison.
-    fn ckpt_after(d: &Discretizer, id: u32, t: f64) -> crate::checkpoint::DiscretizerCheckpoint {
-        let mut d = d.clone();
-        d.push(&raw(id, t));
-        d.checkpoint()
+        // No per-trajectory memory: a repeat of the same interval projects
+        // the same way (the aligner, not the discretizer, rejects it).
+        assert_eq!(d.push(&raw(1, 9.0)).unwrap().time, Timestamp(1));
+        assert!(d.push(&raw(1, f64::NAN)).is_none());
+        assert!(d.push(&raw(1, f64::INFINITY)).is_none());
     }
 
     #[test]

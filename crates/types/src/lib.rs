@@ -21,9 +21,8 @@ pub mod timeseq;
 
 pub use checkpoint::{
     AlignerCheckpoint, CellAssignment, CellLoadCheckpoint, ChainCheckpoint, CheckpointError,
-    DiscretizerCheckpoint, EngineCheckpoint, HistoryRowCheckpoint, ObsCheckpoint, ObsCounterEntry,
-    PipelineCheckpoint, ProgressCheckpoint, RoutingCheckpoint, TrajectoryStamp,
-    WindowOwnerCheckpoint, CHECKPOINT_VERSION,
+    EngineCheckpoint, HistoryRowCheckpoint, ObsCheckpoint, ObsCounterEntry, PipelineCheckpoint,
+    ProgressCheckpoint, RoutingCheckpoint, WindowOwnerCheckpoint, CHECKPOINT_VERSION,
 };
 pub use constraints::{Constraints, DbscanParams};
 pub use discretize::Discretizer;

@@ -48,6 +48,7 @@ fn sample() -> PipelineCheckpoint {
             sealed_up_to: Some(41),
             max_seen: 44,
             late_dropped: 5,
+            duplicates: 3,
         },
         engine: EngineCheckpoint {
             last_time: Some(40),
@@ -195,6 +196,11 @@ const V8_BYTES: &str = r#"{"version":8,"seq":12,"records_ingested":4096,"aligner
 /// section of their own.
 const V9_BYTES: &str = r#"{"version":9,"seq":12,"records_ingested":4096,"aligner":{"buffers":[{"time":41,"entries":[{"id":3,"location":{"x":1.5,"y":-2.0},"last_time":40},{"id":9,"location":{"x":0.0,"y":7.25},"last_time":null}]}],"chains":[{"id":3,"clarified":40,"waiting":[[42,44]]},{"id":9,"clarified":null,"waiting":[]}],"sealed_up_to":41,"max_seen":44,"late_dropped":5},"engine":{"last_time":40,"window_owners":[{"owner":3,"starts":[38,40],"history":[{"time":38,"members":[5,9]}]}]},"progress":{"snapshots_completed":40,"late_records":5,"max_sealed":40},"routing":{"epoch":7,"assignments":[{"x":-3,"y":2,"subtask":0},{"x":9,"y":8,"subtask":2}],"loads":[{"x":9,"y":8,"load_milli":12345}],"cells_migrated":9},"sync":{"pairs_merged":512,"windows_sealed":40},"obs":{"counters":[{"stage":"align","name":"stage_batches_in_total","value":64},{"stage":"align","name":"stage_records_in_total","value":4096},{"stage":"grid-query","name":"exchange_blocked_seconds_total","value":2500000}]}}"#;
 
+/// The v10 fixture's pinned bytes: the aligner section had no duplicate
+/// counter (stale ticks were rejected at the serve edge, which kept a
+/// per-trajectory stamping map of its own).
+const V10_BYTES: &str = r#"{"version":10,"seq":12,"records_ingested":4096,"aligner":{"buffers":[{"time":41,"entries":[{"id":3,"location":{"x":1.5,"y":-2.0},"last_time":40},{"id":9,"location":{"x":0.0,"y":7.25},"last_time":null}]}],"chains":[{"id":3,"clarified":40,"waiting":[[42,44]]},{"id":9,"clarified":null,"waiting":[]}],"sealed_up_to":41,"max_seen":44,"late_dropped":5},"engine":{"last_time":40,"window_owners":[{"owner":3,"starts":[38,40],"history":[{"time":38,"members":[5,9]}]}]},"progress":{"windows_sealed":40,"pairs_merged":512},"routing":{"epoch":7,"assignments":[{"x":-3,"y":2,"subtask":0},{"x":9,"y":8,"subtask":2}],"loads":[{"x":9,"y":8,"load_milli":12345}],"cells_migrated":9},"obs":{"counters":[{"stage":"align","name":"stage_batches_in_total","value":64},{"stage":"align","name":"stage_records_in_total","value":4096},{"stage":"grid-query","name":"exchange_blocked_seconds_total","value":2500000}]}}"#;
+
 /// The version field alone. Every schema's JSON carries it, and the reader
 /// skips fields it does not know, so any version's bytes parse as this.
 #[derive(serde::Deserialize)]
@@ -204,7 +210,7 @@ struct VersionProbe {
 
 /// A predecessor's bytes are refused: they name their own version, not
 /// this binary's, and their body does not parse as the current schema (its
-/// progress section lacks `windows_sealed`) — so a store loading them fails
+/// aligner section lacks `duplicates`) — so a store loading them fails
 /// with a decode error instead of restoring a half-read cut.
 fn assert_refused_by_version(bytes: &str, found: u32) {
     let probe: VersionProbe = serde_json::from_str(bytes).unwrap();
@@ -212,7 +218,7 @@ fn assert_refused_by_version(bytes: &str, found: u32) {
     assert_ne!(probe.version, CHECKPOINT_VERSION);
     let err = serde_json::from_str::<PipelineCheckpoint>(bytes)
         .expect_err("a predecessor body must not parse as the current schema");
-    assert!(err.to_string().contains("windows_sealed"), "{err}");
+    assert!(err.to_string().contains("duplicates"), "{err}");
 }
 
 #[test]
@@ -223,4 +229,9 @@ fn v8_checkpoint_is_refused_by_version() {
 #[test]
 fn v9_checkpoint_is_refused_by_version() {
     assert_refused_by_version(V9_BYTES, 9);
+}
+
+#[test]
+fn v10_checkpoint_is_refused_by_version() {
+    assert_refused_by_version(V10_BYTES, 10);
 }
